@@ -3,16 +3,14 @@
 //! paper's runtime figures use.
 #![warn(missing_docs)]
 
-use flock_netsim::dist::Pareto;
-use flock_netsim::failure::{self, FailureScenario, DEFAULT_NOISE_MAX};
+use flock_netsim::failure::{self, DEFAULT_NOISE_MAX};
 use flock_netsim::flowsim::{run_probes, simulate_flows, FlowSimConfig};
-use flock_netsim::traffic::{generate_demands, FlowDemand, TrafficConfig, TrafficPattern};
-use flock_stream::{SetTouch, SetTouchIndex, Shard, ShardPlan};
-use flock_telemetry::input::{assemble, AnalysisMode, CoalesceMode, InputKind, ObservationSet};
-use flock_telemetry::{plan_a1_probes, Assembler, MonitoredFlow};
-use flock_topology::{ClosParams, GroundTruth, NodeRole, Router, Topology};
+use flock_netsim::traffic::{generate_demands, TrafficConfig, TrafficPattern};
+use flock_telemetry::input::{assemble, AnalysisMode, InputKind, ObservationSet};
+use flock_telemetry::{plan_a1_probes, MonitoredFlow};
+use flock_topology::{ClosParams, GroundTruth, Router, Topology};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 
 /// A deterministic benchmark trace.
 pub struct BenchTrace {
@@ -53,328 +51,4 @@ pub fn trace(servers: u32, flows_n: usize, seed: u64) -> BenchTrace {
 pub fn input(t: &BenchTrace, kinds: &[InputKind]) -> ObservationSet {
     let router = Router::new(&t.topo);
     assemble(&t.topo, &router, &t.flows, kinds, AnalysisMode::PerPacket)
-}
-
-/// A steady-state fixture for the online pipeline: the same persistent
-/// fault observed over several epochs of freshly drawn traffic.
-pub struct SteadyEpochs {
-    /// Topology.
-    pub topo: Topology,
-    /// Per-epoch monitored flows (same fault active throughout).
-    pub epochs: Vec<Vec<MonitoredFlow>>,
-    /// Ground truth (constant across epochs).
-    pub truth: GroundTruth,
-}
-
-/// Observation set for epoch 1 of a fixture, assembled against an arena
-/// already warmed by epoch 0 — the steady-state input the engine-layer
-/// benches and `bench-report` measure on.
-pub fn arena_warmed_obs(fixture: &SteadyEpochs, kinds: &[InputKind]) -> ObservationSet {
-    arena_warmed_obs_mode(fixture, kinds, CoalesceMode::Exact)
-}
-
-/// [`arena_warmed_obs`] with the assembler sorting for an explicit
-/// [`CoalesceMode`] — the approx-coalescing benches assemble the same
-/// epoch twice (exact and approx order) so each engine coalesces at its
-/// full reach.
-pub fn arena_warmed_obs_mode(
-    fixture: &SteadyEpochs,
-    kinds: &[InputKind],
-    mode: CoalesceMode,
-) -> ObservationSet {
-    let router = Router::new(&fixture.topo);
-    let mut asm = Assembler::new();
-    asm.set_coalesce(mode);
-    let obs0 = asm.assemble(
-        &fixture.topo,
-        &router,
-        &fixture.epochs[0],
-        kinds,
-        AnalysisMode::PerPacket,
-    );
-    asm.recycle(obs0);
-    asm.assemble(
-        &fixture.topo,
-        &router,
-        &fixture.epochs[1],
-        kinds,
-        AnalysisMode::PerPacket,
-    )
-}
-
-/// The single-spine-shard plan's spine shard plus a touch index covering
-/// `obs` — the parts of the spine shard's relevance filter, shared by
-/// the `evidence_coalesce` bench and `bench-report` so the criterion
-/// numbers and the JSON perf trajectory measure the same protocol. This
-/// is the pre-plane-sharding baseline the per-plane numbers compare
-/// against.
-pub fn spine_shard(topo: &Topology, obs: &ObservationSet) -> (Shard, SetTouchIndex) {
-    let plan = ShardPlan::by_pod_single_spine(topo);
-    let shard = plan
-        .shards
-        .iter()
-        .find(|s| s.label == "spine")
-        .expect("pod plan has a spine shard")
-        .clone();
-    let mut touch = SetTouchIndex::new();
-    touch.extend(topo, obs);
-    (shard, touch)
-}
-
-/// The spine-plane shards of the pod plan plus a touch index covering
-/// `obs` — one entry per spine plane, in plane order. The per-plane
-/// engines built from these filters are what replace the single spine
-/// engine of [`spine_shard`].
-pub fn plane_shards(topo: &Topology, obs: &ObservationSet) -> (Vec<Shard>, SetTouchIndex) {
-    let plan = ShardPlan::by_pod(topo);
-    let shards: Vec<Shard> = plan
-        .shards
-        .iter()
-        .filter(|s| matches!(s.kind, flock_stream::ShardKind::SpinePlane(_)))
-        .cloned()
-        .collect();
-    assert!(!shards.is_empty(), "topology has no spine planes");
-    let mut touch = SetTouchIndex::new();
-    touch.extend(topo, obs);
-    (shards, touch)
-}
-
-/// Combined (set ∪ prefix) touch signature per observation, in
-/// `obs.flows` order — the pipeline derives these once per epoch and
-/// answers every shard's relevance filter from them in O(1); the
-/// benches mirror that protocol so engine-layer numbers measure engine
-/// work, not per-engine signature derivation.
-pub fn combined_touches(
-    topo: &Topology,
-    obs: &ObservationSet,
-    touch: &SetTouchIndex,
-) -> Vec<SetTouch> {
-    obs.flows
-        .iter()
-        .map(|o| {
-            let (set_touch, prefix_touch) = touch.flow_touch(topo, o);
-            set_touch.union(prefix_touch)
-        })
-        .collect()
-}
-
-/// Quantized flow sizes (packets) for the spine-heavy fixture: RPC-style
-/// traffic with a handful of standard message sizes, which makes the
-/// `(path set, sent, bad)` evidence key highly repetitive — the workload
-/// the evidence-coalescing layer is built for.
-pub const RPC_PACKET_PALETTE: &[u64] = &[40, 80, 160, 320];
-
-/// Build `n_epochs` epochs of *inter-pod only* traffic with quantized
-/// flow sizes under one persistent agg–spine gray failure. Every flow
-/// crosses the spine, so the spine shard of a pod-sharded pipeline sees
-/// the whole epoch — the workload where raw per-flow evidence bounds the
-/// sharded speedup and coalescing pays off (`evidence_coalesce` bench).
-pub fn spine_heavy_epochs(
-    servers: u32,
-    flows_per_epoch: usize,
-    n_epochs: usize,
-    seed: u64,
-) -> SteadyEpochs {
-    let topo = flock_topology::clos::three_tier(ClosParams::with_servers(servers));
-    let router = Router::new(&topo);
-    let mut rng = StdRng::seed_from_u64(seed);
-    // One gray agg–spine link: evidence against it is inherently global.
-    let spine_link = topo
-        .fabric_links()
-        .into_iter()
-        .find(|&l| {
-            let lk = topo.link(l);
-            topo.node(lk.src).role == NodeRole::Spine || topo.node(lk.dst).role == NodeRole::Spine
-        })
-        .expect("a three-tier Clos has spine-incident links");
-    let mut scenario = FailureScenario::noise_only(&topo, DEFAULT_NOISE_MAX, &mut rng);
-    scenario.drop_rate[spine_link.idx()] = 0.015;
-    scenario.truth.failed_links.push(spine_link);
-
-    let hosts = topo.hosts().to_vec();
-    let pod_of = |h| topo.node(topo.host_leaf(h)).pod;
-    let cfg = FlowSimConfig::default();
-    let epochs = (0..n_epochs)
-        .map(|_| {
-            let demands: Vec<FlowDemand> = (0..flows_per_epoch)
-                .map(|_| {
-                    let src = hosts[rng.random_range(0..hosts.len())];
-                    let mut dst = hosts[rng.random_range(0..hosts.len())];
-                    while pod_of(dst) == pod_of(src) {
-                        dst = hosts[rng.random_range(0..hosts.len())];
-                    }
-                    let packets = RPC_PACKET_PALETTE[rng.random_range(0..RPC_PACKET_PALETTE.len())];
-                    FlowDemand { src, dst, packets }
-                })
-                .collect();
-            simulate_flows(&topo, &router, &scenario, &demands, &cfg, &mut rng)
-        })
-        .collect();
-    SteadyEpochs {
-        truth: scenario.truth,
-        topo,
-        epochs,
-    }
-}
-
-/// Build `n_epochs` epochs of fan-in traffic with heavy-tailed Pareto
-/// flow sizes (shape 1.05 per the paper's traffic model, mean 20 MB so
-/// the elephant tail spans 600–1M packets at a 1500-byte MSS) under one
-/// persistent agg–spine gray failure: 90% of flows target the hosts of
-/// a single “storage” rack from sources outside its pod, the rest is
-/// uniform inter-pod background. Same fault structure as
-/// [`spine_heavy_epochs`], but almost no two flows share an exact
-/// `(sent, bad)` pair — the workload where exact coalescing leaves most
-/// of the reduction on the table and approximate (bucketed) coalescing
-/// is measured (`bench-report`'s `approx` section).
-pub fn pareto_heavy_epochs(
-    servers: u32,
-    flows_per_epoch: usize,
-    n_epochs: usize,
-    seed: u64,
-) -> SteadyEpochs {
-    let topo = flock_topology::clos::three_tier(ClosParams::with_servers(servers));
-    let router = Router::new(&topo);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let spine_link = topo
-        .fabric_links()
-        .into_iter()
-        .find(|&l| {
-            let lk = topo.link(l);
-            topo.node(lk.src).role == NodeRole::Spine || topo.node(lk.dst).role == NodeRole::Spine
-        })
-        .expect("a three-tier Clos has spine-incident links");
-    let mut scenario = FailureScenario::noise_only(&topo, DEFAULT_NOISE_MAX, &mut rng);
-    scenario.drop_rate[spine_link.idx()] = 0.015;
-    scenario.truth.failed_links.push(spine_link);
-
-    let hosts = topo.hosts().to_vec();
-    let pod_of = |h| topo.node(topo.host_leaf(h)).pod;
-    let storage_leaf = topo.host_leaf(hosts[0]);
-    let storage_pod = topo.node(storage_leaf).pod;
-    let storage_hosts: Vec<_> = hosts
-        .iter()
-        .copied()
-        .filter(|&h| topo.host_leaf(h) == storage_leaf)
-        .collect();
-    let size_dist = Pareto::with_mean(20_000_000.0, 1.05);
-    let mss = 1500.0;
-    let cfg = FlowSimConfig::default();
-    let epochs = (0..n_epochs)
-        .map(|_| {
-            let demands: Vec<FlowDemand> = (0..flows_per_epoch)
-                .map(|_| {
-                    let (src, dst) = if rng.random_range(0..10u32) < 9 {
-                        let mut src = hosts[rng.random_range(0..hosts.len())];
-                        while pod_of(src) == storage_pod {
-                            src = hosts[rng.random_range(0..hosts.len())];
-                        }
-                        (src, storage_hosts[rng.random_range(0..storage_hosts.len())])
-                    } else {
-                        let src = hosts[rng.random_range(0..hosts.len())];
-                        let mut dst = hosts[rng.random_range(0..hosts.len())];
-                        while pod_of(dst) == pod_of(src) {
-                            dst = hosts[rng.random_range(0..hosts.len())];
-                        }
-                        (src, dst)
-                    };
-                    let bytes = size_dist.sample(&mut rng);
-                    let packets = (bytes / mss).ceil().clamp(1.0, 1_000_000.0) as u64;
-                    FlowDemand { src, dst, packets }
-                })
-                .collect();
-            simulate_flows(&topo, &router, &scenario, &demands, &cfg, &mut rng)
-        })
-        .collect();
-    SteadyEpochs {
-        truth: scenario.truth,
-        topo,
-        epochs,
-    }
-}
-
-/// Build `n_epochs` epochs of inter-pod traffic under one *steady fault
-/// in each of two spine planes* — the workload where the cross-plane
-/// refinement pass runs every epoch, so its evidence scope (blaming
-/// planes vs full spine) dominates the refining epochs' cost
-/// (`bench-report`'s `fixed_cost.refine_*` numbers).
-pub fn two_plane_fault_epochs(
-    servers: u32,
-    flows_per_epoch: usize,
-    n_epochs: usize,
-    seed: u64,
-) -> SteadyEpochs {
-    let topo = flock_topology::clos::three_tier(ClosParams::with_servers(servers));
-    let planes = flock_topology::SpinePlanes::derive(&topo);
-    assert!(
-        planes.n_planes() >= 2,
-        "two-plane fixture needs a striped spine"
-    );
-    let router = Router::new(&topo);
-    let mut rng = StdRng::seed_from_u64(seed);
-    // One gray link in each of the first two planes.
-    let scenario = failure::multi_plane_link_drops(
-        &topo,
-        &planes,
-        &[0, 1],
-        1,
-        (0.015, 0.02),
-        DEFAULT_NOISE_MAX,
-        &mut rng,
-    );
-
-    let hosts = topo.hosts().to_vec();
-    let pod_of = |h| topo.node(topo.host_leaf(h)).pod;
-    let cfg = FlowSimConfig::default();
-    let epochs = (0..n_epochs)
-        .map(|_| {
-            let demands: Vec<FlowDemand> = (0..flows_per_epoch)
-                .map(|_| {
-                    let src = hosts[rng.random_range(0..hosts.len())];
-                    let mut dst = hosts[rng.random_range(0..hosts.len())];
-                    while pod_of(dst) == pod_of(src) {
-                        dst = hosts[rng.random_range(0..hosts.len())];
-                    }
-                    let packets = RPC_PACKET_PALETTE[rng.random_range(0..RPC_PACKET_PALETTE.len())];
-                    FlowDemand { src, dst, packets }
-                })
-                .collect();
-            simulate_flows(&topo, &router, &scenario, &demands, &cfg, &mut rng)
-        })
-        .collect();
-    SteadyEpochs {
-        truth: scenario.truth,
-        topo,
-        epochs,
-    }
-}
-
-/// Build `n_epochs` epochs of traffic under one unchanged silent-drop
-/// fault — the steady state where warm-start inference should shine.
-pub fn steady_epochs(
-    servers: u32,
-    flows_per_epoch: usize,
-    n_epochs: usize,
-    seed: u64,
-) -> SteadyEpochs {
-    let topo = flock_topology::clos::three_tier(ClosParams::with_servers(servers));
-    let router = Router::new(&topo);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let scenario = failure::silent_link_drops(&topo, 1, (0.01, 0.02), DEFAULT_NOISE_MAX, &mut rng);
-    let cfg = FlowSimConfig::default();
-    let epochs = (0..n_epochs)
-        .map(|_| {
-            let demands = generate_demands(
-                &topo,
-                &TrafficConfig::paper(flows_per_epoch, TrafficPattern::Uniform),
-                &mut rng,
-            );
-            simulate_flows(&topo, &router, &scenario, &demands, &cfg, &mut rng)
-        })
-        .collect();
-    SteadyEpochs {
-        truth: scenario.truth,
-        topo,
-        epochs,
-    }
 }

@@ -24,9 +24,9 @@
 //! evidence).
 //!
 //! Engines built through the plain constructors ([`Engine::new`],
-//! [`Engine::new_filtered`], [`Engine::with_options`]) own a private view
-//! internally; sharded executors that maintain one view per shard bind
-//! externally via [`Engine::with_view`] / [`Engine::try_rebind_view`].
+//! [`Engine::with_options`]) own a private view internally; sharded
+//! executors that maintain one view per shard bind externally via
+//! [`Engine::with_view`] / [`Engine::try_rebind_view`].
 //!
 //! # State
 //!
@@ -249,8 +249,8 @@ pub struct EngineStats {
 /// Resident state sizes of one engine — every entry scales with the
 /// engine's *own* (shard-local) evidence history, not the shared arena,
 /// which is the invariant the per-shard view layer exists to provide
-/// (asserted by `flock-stream`'s state-sparsity tests and reported in
-/// `bench-report`'s `fixed_cost` section).
+/// (asserted by `flock-stream`'s state-sparsity tests and reported per
+/// shard on `ShardOutcome::state`).
 #[derive(Debug, Clone, Copy, Default, serde::Serialize)]
 pub struct EngineStateSizes {
     /// Local components (length of the Δ array, `in_h`, and the per-flip
@@ -405,25 +405,15 @@ pub type FlowFilter<'a> = &'a dyn Fn(usize, &FlowObs) -> bool;
 impl Engine {
     /// Build an engine for `obs` over `topo`.
     pub fn new(topo: &Topology, obs: &ObservationSet, params: HyperParams) -> Engine {
-        Self::new_filtered(topo, obs, params, None)
+        Self::with_options(topo, obs, params, None, EngineOptions::default())
     }
 
     /// Build an engine over the subset of `obs` selected by `filter`
-    /// (`None` = all observations). The filter restricts evidence; blame
-    /// targets are whatever components that evidence touches.
-    pub fn new_filtered(
-        topo: &Topology,
-        obs: &ObservationSet,
-        params: HyperParams,
-        filter: Option<FlowFilter<'_>>,
-    ) -> Engine {
-        Self::with_options(topo, obs, params, filter, EngineOptions::default())
-    }
-
-    /// [`Engine::new_filtered`] with explicit [`EngineOptions`]. The
-    /// engine owns a private [`ArenaView`] projecting the accepted
-    /// evidence; use [`Engine::with_view`] to bind an externally
-    /// maintained view instead.
+    /// (`None` = all observations) with explicit [`EngineOptions`]. The
+    /// filter restricts evidence; blame targets are whatever components
+    /// that evidence touches. The engine owns a private [`ArenaView`]
+    /// projecting the accepted evidence; use [`Engine::with_view`] to
+    /// bind an externally maintained view instead.
     pub fn with_options(
         topo: &Topology,
         obs: &ObservationSet,
@@ -548,27 +538,13 @@ impl Engine {
     /// On a shrunk or foreign-lineage arena — the conditions
     /// [`Engine::try_rebind_filtered`] reports as a typed [`ViewError`].
     pub fn rebind(&mut self, topo: &Topology, obs: &ObservationSet) {
-        self.rebind_filtered(topo, obs, None)
-    }
-
-    /// [`Engine::rebind`] restricted to the observations selected by
-    /// `filter`.
-    ///
-    /// # Panics
-    /// See [`Engine::rebind`]; the fallible variant is
-    /// [`Engine::try_rebind_filtered`].
-    pub fn rebind_filtered(
-        &mut self,
-        topo: &Topology,
-        obs: &ObservationSet,
-        filter: Option<FlowFilter<'_>>,
-    ) {
-        if let Err(e) = self.try_rebind_filtered(topo, obs, filter) {
+        if let Err(e) = self.try_rebind_filtered(topo, obs, None) {
             panic!("Engine::rebind: {e}");
         }
     }
 
-    /// Fallible [`Engine::rebind_filtered`]: the engine's view validates
+    /// Fallible [`Engine::rebind`], restricted to the observations
+    /// selected by `filter` (`None` = all): the engine's view validates
     /// the arena and rejects a shrunk or foreign-lineage one with a
     /// typed error, leaving the engine's previous state intact (the
     /// epoch's flow layer is untouched on error).
@@ -2096,14 +2072,26 @@ mod tests {
     #[test]
     fn filtered_engine_sees_only_selected_flows() {
         let (topo, obs) = small_obs(6);
-        let all = Engine::new_filtered(&topo, &obs, HyperParams::default(), Some(&|_, _| true));
+        let all = Engine::with_options(
+            &topo,
+            &obs,
+            HyperParams::default(),
+            Some(&|_, _| true),
+            EngineOptions::default(),
+        );
         let full = Engine::new(&topo, &obs, HyperParams::default());
         assert_eq!(all.n_flows(), full.n_flows());
         assert_eq!(all.n_comps(), full.n_comps());
         for (a, b) in all.delta().iter().zip(full.delta()) {
             assert!((a - b).abs() < 1e-12);
         }
-        let none = Engine::new_filtered(&topo, &obs, HyperParams::default(), Some(&|_, _| false));
+        let none = Engine::with_options(
+            &topo,
+            &obs,
+            HyperParams::default(),
+            Some(&|_, _| false),
+            EngineOptions::default(),
+        );
         assert_eq!(none.n_flows(), 0);
         assert_eq!(none.n_comps(), 0, "no evidence, no local components");
     }
@@ -2125,11 +2113,12 @@ mod tests {
         // exhaustive, like plane membership is for traced evidence).
         let mut parts: Vec<Engine> = (0..3u32)
             .map(|k| {
-                Engine::new_filtered(
+                Engine::with_options(
                     &topo,
                     &obs,
                     params,
                     Some(&|_, o: &FlowObs| o.set.0 % 3 == k),
+                    EngineOptions::default(),
                 )
             })
             .collect();
@@ -2358,11 +2347,12 @@ mod tests {
     fn filtered_engine_state_is_local() {
         let (topo, obs) = small_obs(12);
         let full = Engine::new(&topo, &obs, HyperParams::default());
-        let part = Engine::new_filtered(
+        let part = Engine::with_options(
             &topo,
             &obs,
             HyperParams::default(),
             Some(&|i, _| i % 7 == 0),
+            EngineOptions::default(),
         );
         let fs = full.state_sizes();
         let ps = part.state_sizes();
@@ -2416,7 +2406,8 @@ mod tests {
         let mut view = ArenaView::new();
         view.bind_epoch(&obs, keep).unwrap();
         let mut viewed = Engine::with_view(&topo, &obs, params, EngineOptions::default(), &view);
-        let legacy = Engine::new_filtered(&topo, &obs, params, Some(&keep));
+        let legacy =
+            Engine::with_options(&topo, &obs, params, Some(&keep), EngineOptions::default());
 
         assert_eq!(viewed.n_flows(), legacy.n_flows());
         assert_eq!(viewed.n_comps(), legacy.n_comps());

@@ -74,7 +74,6 @@ fn flapping_fault_raises_one_debounced_alert_and_clears_on_heal() {
             epoch: EpochConfig::tumbling(1_000),
             kinds: vec![InputKind::Int],
             mode: AnalysisMode::PerPacket,
-            warm_start: true,
             shard_by_pod: true,
             ..StreamConfig::paper_default()
         },

@@ -60,7 +60,6 @@ fn write_reopen_query() {
                 epoch: EpochConfig::tumbling(1_000),
                 kinds: vec![InputKind::Int],
                 mode: AnalysisMode::PerPacket,
-                warm_start: true,
                 shard_by_pod: true,
                 ..StreamConfig::paper_default()
             },

@@ -24,7 +24,7 @@
 //! * [`pipeline`] — the driver: per epoch it assembles observations
 //!   against a persistent arena ([`flock_telemetry::Assembler`]),
 //!   **warm-starts** each shard's engine from the previous epoch
-//!   ([`flock_core::Engine::rebind_filtered`] +
+//!   ([`flock_core::Engine::try_rebind_view`] +
 //!   [`flock_core::FlockGreedy::search_warm`], with removal moves so
 //!   healed faults are dropped), arbitrates spine blame across planes
 //!   with a cross-plane refinement pass when several planes hypothesize
@@ -38,8 +38,8 @@
 //! The end-to-end wiring (agents → TCP collector → stream →
 //! per-epoch verdicts) is demonstrated by the `flock_daemon` example and
 //! exercised under failure churn by the `stream_pipeline` integration
-//! test; `flock-bench`'s `stream_epoch` bench measures the warm-start
-//! speedup on an unchanged-fault steady state.
+//! test; the repository's `benchmark/` package measures it socket to
+//! verdict.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

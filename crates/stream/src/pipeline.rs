@@ -29,12 +29,10 @@
 //!    its plane-filtered slice of the evidence — a **cross-plane
 //!    refinement pass** re-searches the union of their hypotheses over
 //!    the evidence touching the *blaming planes only* (its own
-//!    persistent view; [`StreamConfig::refine_full_spine`] restores the
-//!    historical full-spine scope), so a flow pinned to one plane by
-//!    ECMP hashing is never double-blamed when its passive path set
-//!    straddles planes (the refined verdict supersedes the blaming
-//!    planes' own), and a steady multi-plane fault no longer re-pays
-//!    full single-spine cost every epoch;
+//!    persistent view), so a flow pinned to one plane by ECMP hashing is
+//!    never double-blamed when its passive path set straddles planes
+//!    (the refined verdict supersedes the blaming planes' own), and a
+//!    steady multi-plane fault never pays full single-spine cost;
 //! 5. shard verdicts are merged under blame ownership into one
 //!    [`LocalizationResult`] per epoch.
 
@@ -68,26 +66,13 @@ pub struct StreamConfig {
     pub mode: AnalysisMode,
     /// Inference hyperparameters.
     pub params: HyperParams,
-    /// Warm-start inference from the previous epoch's hypothesis
-    /// (`false` = rebuild engines and search from scratch every epoch,
-    /// the offline behavior).
-    pub warm_start: bool,
-    /// Partition the component space by pod and run shards on separate
+    /// Partition the component space into one shard per pod plus one per
+    /// spine *plane* ([`ShardPlan::by_pod`]) and run shards on separate
     /// threads (`false` = one shard owning everything).
     pub shard_by_pod: bool,
-    /// Split the spine tier into one shard per spine *plane* (requires
-    /// `shard_by_pod`; `false` = the single-spine-shard plan, the
-    /// baseline the `evidence_coalesce` bench measures against). Plane
-    /// membership is derived from the topology
-    /// ([`flock_topology::SpinePlanes`]); non-striped fabrics collapse
-    /// to one plane, making this equivalent to the single spine shard.
-    pub spine_planes: bool,
-    /// Coalesce observations sharing the same `(path set, sent, bad)`
-    /// evidence key into weighted super-flows inside each shard engine
-    /// (exact; `false` = one engine flow per observation, the raw
-    /// baseline the `evidence_coalesce` bench measures against).
-    pub coalesce: bool,
-    /// How far coalescing reaches: [`CoalesceMode::Exact`] (the default)
+    /// How far the shard engines' evidence coalescing reaches (equal
+    /// `(path set, sent, bad)` keys always merge into weighted
+    /// super-flows): [`CoalesceMode::Exact`] (the default)
     /// merges equal keys only; [`CoalesceMode::Approx`] buckets
     /// near-identical `(sent, bad)` pairs into log-spaced bins so
     /// heavy-tailed traffic collapses into far fewer weighted
@@ -95,16 +80,8 @@ pub struct StreamConfig {
     /// every shard engine (and the refinement pass) coalesces under it;
     /// each [`ShardOutcome`] reports the accumulated likelihood drift
     /// bound and the search's decision margin, and flags the verdict
-    /// `proven_exact` when the margin clears `2 ×` the bound. Ignored
-    /// when `coalesce` is off.
+    /// `proven_exact` when the margin clears `2 ×` the bound.
     pub coalesce_mode: CoalesceMode,
-    /// Run the cross-plane refinement pass over the *full* spine
-    /// evidence (the pre-view historical scope) instead of only the
-    /// evidence touching the blaming planes. Default `false`: the
-    /// narrow scope produces identical verdicts (property-tested
-    /// against this flag) at a fraction of the steady multi-plane-fault
-    /// cost; the flag exists as the comparison baseline.
-    pub refine_full_spine: bool,
     /// Per-epoch inference deadline, measured from the start of
     /// [`StreamPipeline::run_flows`]. A shard search that crosses it
     /// stops cooperatively at the next outer greedy iteration and
@@ -178,19 +155,16 @@ impl fmt::Debug for ChaosHook {
 
 impl StreamConfig {
     /// The paper-shaped default: 30 s tumbling epochs, A2+P telemetry,
-    /// per-packet analysis, warm start on, sharding off.
+    /// per-packet analysis, exact coalescing, one shard, sequential
+    /// epochs, no deadline.
     pub fn paper_default() -> Self {
         StreamConfig {
             epoch: EpochConfig::tumbling(30_000),
             kinds: vec![InputKind::A2, InputKind::P],
             mode: AnalysisMode::PerPacket,
             params: HyperParams::default(),
-            warm_start: true,
             shard_by_pod: false,
-            spine_planes: true,
-            coalesce: true,
             coalesce_mode: CoalesceMode::Exact,
-            refine_full_spine: false,
             epoch_deadline: None,
             chaos: None,
             pipelined: false,
@@ -363,7 +337,7 @@ pub struct ShardOutcome {
     /// this epoch (see [`EpochReport::refined`]).
     pub kept: usize,
     /// Super-flows the shard's engine built this epoch (distinct evidence
-    /// keys when coalescing is on).
+    /// keys).
     pub flows: usize,
     /// Raw observations the shard accepted before coalescing;
     /// `raw_flows / flows` is the shard's coalesce ratio.
@@ -378,7 +352,7 @@ pub struct ShardOutcome {
     /// Resident state sizes of the shard's engine — each entry scales
     /// with the shard's own evidence history, not the shared arena (the
     /// sparsity invariant of the per-shard view layer, asserted by the
-    /// `state_sparsity` tests and reported by `bench-report`).
+    /// `state_sparsity` tests).
     pub state: EngineStateSizes,
     /// Wall-clock time this shard spent binding, rebinding, and
     /// searching this epoch (the per-shard engine-time metric).
@@ -422,8 +396,7 @@ pub struct ShardOutcome {
 /// thread; the shard searches between them run on the executor. Under
 /// [`StreamConfig::pipelined`], `prepare` of epoch `N + 1` overlaps the
 /// shard searches of epoch `N`, so the steady-state cost per epoch is
-/// `max(prepare + merge, slowest shard chain)` — the quantity
-/// `bench-report`'s `pipeline` section models.
+/// `max(prepare + merge, slowest shard chain)`.
 #[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct StageTimings {
     /// Assembly-stage wall time (caller thread, overlappable).
@@ -452,8 +425,8 @@ pub struct EpochReport {
     /// Cross-plane refinement accounting — present only on epochs where
     /// two or more spine-plane shards blamed components and the
     /// refinement pass re-searched the union of their hypotheses over
-    /// the full spine evidence. When present, the refined picks replace
-    /// the plane shards' in the merged verdict.
+    /// the evidence touching the blaming planes. When present, the
+    /// refined picks replace the plane shards' in the merged verdict.
     pub refined: Option<ShardOutcome>,
     /// Provenance of each merged verdict, in `result.predicted` order:
     /// the convicting shard's evidence for the component (the shard
@@ -587,24 +560,16 @@ pub struct StreamPipeline<'t> {
     /// Arena watermark (paths, sets) before the most recent assembly.
     arena_wm: (usize, usize),
     touch: SetTouchIndex,
-    /// Dense↔topology component translation for the merge (identical to
-    /// every shard engine's space — `ComponentSpace::new` is a pure
-    /// function of the topology).
-    space: ComponentSpace,
-    /// Union of the spine-plane shards' ownership (empty mask for plans
-    /// without plane shards) — the blame scope of the full-spine
-    /// refinement mode.
-    spine_owned: Vec<bool>,
     /// Persistent engine of the cross-plane refinement pass, built
     /// lazily on the first epoch that triggers it.
     refine_engine: Option<Engine>,
     /// The refinement engine's persistent view: accumulates evidence
-    /// from whichever planes have ever blamed (narrow mode) or the whole
-    /// spine tier (full mode).
+    /// from whichever planes have ever blamed.
     refine_view: ArenaView,
-    /// Scratch for the narrow refinement's blame scope (comps owned by
-    /// the epoch's blaming planes).
-    refine_owned: Vec<bool>,
+    /// The refinement pass's blame scope, as a shard: `owned` is
+    /// rewritten each refining epoch to the union of the blaming
+    /// planes' ownership.
+    refine_shard: Shard,
     /// Late-record count already attributed to an emitted report's
     /// health; the delta above this degrades the next report.
     late_attributed: u64,
@@ -617,15 +582,21 @@ pub struct StreamPipeline<'t> {
 }
 
 impl<'t> StreamPipeline<'t> {
-    /// Build a pipeline over `topo`.
+    /// Build a pipeline over `topo`, sharded per
+    /// [`StreamConfig::shard_by_pod`].
     pub fn new(topo: &'t Topology, cfg: StreamConfig) -> Self {
-        let plan = if cfg.shard_by_pod && cfg.spine_planes {
+        let plan = if cfg.shard_by_pod {
             ShardPlan::by_pod(topo)
-        } else if cfg.shard_by_pod {
-            ShardPlan::by_pod_single_spine(topo)
         } else {
             ShardPlan::single(topo)
         };
+        Self::with_plan(topo, cfg, plan)
+    }
+
+    /// Build a pipeline over `topo` running an explicit shard `plan`
+    /// ([`StreamConfig::shard_by_pod`] is not consulted) — how tests
+    /// construct reference plans a deployment cannot select.
+    pub fn with_plan(topo: &'t Topology, cfg: StreamConfig, plan: ShardPlan) -> Self {
         let states: Vec<ShardState> = plan
             .shards
             .iter()
@@ -641,21 +612,13 @@ impl<'t> StreamPipeline<'t> {
             cfg: cfg.clone(),
             shards: plan.shards.clone(),
         });
-        let space = ComponentSpace::new(topo);
-        let mut spine_owned = vec![false; space.n_comps()];
-        for s in &plan.shards {
-            if matches!(s.kind, ShardKind::SpinePlane(_)) {
-                for (c, &owned) in s.owned.iter().enumerate() {
-                    spine_owned[c] = spine_owned[c] || owned;
-                }
-            }
-        }
+        let refine_shard = Shard {
+            label: "spine-refine".into(),
+            kind: ShardKind::Spine,
+            owned: vec![false; ComponentSpace::new(topo).n_comps()],
+        };
         let mut assembler = Assembler::new();
-        assembler.set_coalesce(if cfg.coalesce {
-            cfg.coalesce_mode
-        } else {
-            CoalesceMode::Exact
-        });
+        assembler.set_coalesce(cfg.coalesce_mode);
         StreamPipeline {
             topo,
             router: Router::new(topo),
@@ -672,11 +635,9 @@ impl<'t> StreamPipeline<'t> {
             last_delta: None,
             arena_wm: (0, 0),
             touch: SetTouchIndex::new(),
-            space,
-            spine_owned,
             refine_engine: None,
             refine_view: ArenaView::new(),
-            refine_owned: Vec::new(),
+            refine_shard,
             late_attributed: 0,
             rejected_records: 0,
             pending_flags: Vec::new(),
@@ -1174,7 +1135,7 @@ impl<'t> StreamPipeline<'t> {
         if let Some(panic_message) = refinement_panic {
             reasons.push(DegradeReason::RefinementPanicked);
             failures.push(ShardFailure {
-                shard: "spine-refine".into(),
+                shard: self.refine_shard.label.clone(),
                 panic_message,
             });
         }
@@ -1257,14 +1218,13 @@ impl<'t> StreamPipeline<'t> {
 
     /// The cross-plane refinement pass: warm-rebind (or build) the
     /// persistent refinement engine over the evidence touching the
-    /// epoch's blaming planes (or the whole spine tier under
-    /// [`StreamConfig::refine_full_spine`]) and re-search from the union
-    /// of the blaming planes' hypotheses (`seed`, global component ids).
+    /// epoch's blaming planes and re-search from the union of the
+    /// blaming planes' hypotheses (`seed`, global component ids).
     ///
-    /// Blame scope follows the evidence scope: narrow mode keeps only
-    /// components owned by the blaming planes, full mode keeps the whole
-    /// spine tier. Verdict identity between the two scopes — and against
-    /// the single-spine plan — is property-tested in `plane_sharding.rs`.
+    /// Blame scope follows the evidence scope: only components owned by
+    /// the blaming planes are kept. Verdict identity against the
+    /// single-spine reference plan is property-tested in
+    /// `plane_sharding.rs`.
     fn refine_spine(
         &mut self,
         ctx: &EpochCtx,
@@ -1272,118 +1232,42 @@ impl<'t> StreamPipeline<'t> {
         blaming: &[u16],
     ) -> (Vec<(CompIdx, f64)>, ShardOutcome) {
         let started = Instant::now();
-        let topo = self.topo;
-        let obs = &ctx.obs;
         let epoch_index = ctx.epoch_index;
-        let deadline = ctx.deadline;
         if let Some(chaos) = &self.cfg.chaos {
-            match chaos.call("spine-refine", epoch_index) {
+            match chaos.call(&self.refine_shard.label, epoch_index) {
                 Some(ShardChaos::Panic) => {
                     panic!("chaos: injected panic in refinement pass (epoch {epoch_index})")
                 }
-                Some(ShardChaos::Stall(d)) => chaos_stall(d, deadline),
+                Some(ShardChaos::Stall(d)) => chaos_stall(d, ctx.deadline),
                 None => {}
             }
         }
-        let full = self.cfg.refine_full_spine;
         let blame_mask: u64 = blaming.iter().fold(0u64, |m, &p| m | 1u64 << (p % 64));
-        {
-            let touches: &[SetTouch] = &ctx.touches;
-            self.refine_view
-                .bind_epoch(obs, |i, _| {
-                    let t = touches[i];
-                    if full {
-                        t.spine
-                    } else {
-                        t.planes & blame_mask != 0
-                    }
-                })
-                .expect("pipeline assembler keeps one arena lineage");
-        }
-        let warm = self.cfg.warm_start && self.refine_engine.is_some();
-        let opts = EngineOptions {
-            coalesce: self.cfg.coalesce,
-            mode: self.cfg.coalesce_mode,
-            ..Default::default()
-        };
-        // Prefilled term ladders (pipelined mode): rebinding interns
-        // this epoch's terms, so install the prefill first.
-        if let Some(engine) = self.refine_engine.as_mut() {
-            engine.set_term_prefill(ctx.prefill.clone());
-        }
-        match &mut self.refine_engine {
-            Some(engine) if self.cfg.warm_start => engine
-                .try_rebind_view(topo, obs, &self.refine_view)
-                .expect("refinement view is the engine's own"),
-            slot => {
-                *slot = Some(Engine::with_view(
-                    topo,
-                    obs,
-                    self.cfg.params,
-                    opts,
-                    &self.refine_view,
-                ))
-            }
-        }
-        let engine = self.refine_engine.as_mut().expect("engine just installed");
-        // Blame scope: comps owned by the blaming planes (narrow) or the
-        // whole spine tier (full).
-        self.refine_owned.clear();
-        self.refine_owned.resize(self.space.n_comps(), false);
-        if full {
-            self.refine_owned.copy_from_slice(&self.spine_owned);
-        } else {
-            for s in &self.plan.shards {
-                if let ShardKind::SpinePlane(p) = s.kind {
-                    if blaming.contains(&p) {
-                        for (c, &o) in s.owned.iter().enumerate() {
-                            self.refine_owned[c] = self.refine_owned[c] || o;
-                        }
-                    }
+        let touches: &[SetTouch] = &ctx.touches;
+        self.refine_view
+            .bind_epoch(&ctx.obs, |i, _| touches[i].planes & blame_mask != 0)
+            .expect("pipeline assembler keeps one arena lineage");
+        // Blame scope: comps owned by the blaming planes.
+        self.refine_shard.owned.fill(false);
+        for s in &self.plan.shards {
+            if matches!(s.kind, ShardKind::SpinePlane(p) if blaming.contains(&p)) {
+                for (mine, &theirs) in self.refine_shard.owned.iter_mut().zip(&s.owned) {
+                    *mine |= theirs;
                 }
             }
         }
-        let greedy = FlockGreedy::new(self.cfg.params);
-        // Seed with the blaming planes' picks, translated into the
-        // refinement engine's local space. A seed component always has
-        // evidence here: the flows that implicated it in its plane's
-        // engine touch that (blaming) plane, so the refinement filter
-        // accepted them.
-        let seed_local: Vec<CompIdx> = seed.iter().filter_map(|&g| engine.local_comp(g)).collect();
-        let search = greedy.search_warm_deadline(engine, &seed_local, deadline);
-        // Drop the epoch's prefill (it is per-epoch data; the term
-        // table keeps the interned ladders).
-        engine.set_term_prefill(None);
-        let (picked, scanned) = (search.picked, search.scanned);
-        let kept: Vec<(CompIdx, f64)> = picked
-            .iter()
-            .filter_map(|&(c, score)| {
-                let g = engine.global_comp(c);
-                self.refine_owned[g as usize].then_some((g, score))
-            })
-            .collect();
-        let provenance = collect_provenance(engine, &self.refine_view, "spine-refine", &kept);
-        let drift_bound = engine.drift_bound();
-        let proven_exact =
-            !search.timed_out && (drift_bound == 0.0 || search.margin > 2.0 * drift_bound);
-        let outcome = ShardOutcome {
-            label: "spine-refine".into(),
-            kind: ShardKind::Spine,
-            kept: kept.len(),
-            flows: engine.n_flows(),
-            raw_flows: engine.n_observations(),
-            warm,
-            hypotheses_scanned: scanned,
-            log_likelihood: engine.log_likelihood(),
-            state: engine.state_sizes(),
-            elapsed: started.elapsed(),
-            timed_out: search.timed_out,
-            provenance,
-            kernel: engine.kernel_dispatch(),
-            drift_bound,
-            margin: search.margin,
-            proven_exact,
-        };
+        // A seed component always has evidence in the refinement
+        // engine: the flows that implicated it in its plane's engine
+        // touch that (blaming) plane, so the filter above accepted them.
+        let (_, kept, outcome) = localize_bound(
+            &mut self.refine_engine,
+            &self.refine_view,
+            &self.task_ctx,
+            ctx,
+            &self.refine_shard,
+            seed,
+            started,
+        );
         (kept, outcome)
     }
 }
@@ -1392,9 +1276,9 @@ impl<'t> StreamPipeline<'t> {
 /// the epoch's accepted observations (the accept list computed on the
 /// assembly stage), rebind or build the engine over it, search warm
 /// from the previous verdict, and return the owned predictions as
-/// *global* dense component indices (the caller's [`ComponentSpace`]
-/// translates to topology components, and the cross-plane refinement
-/// seeds from them). Runs on an executor worker thread.
+/// *global* dense component indices (the merge translates through each
+/// verdict's provenance, and the cross-plane refinement seeds from
+/// them). Runs on an executor worker thread.
 fn run_shard(
     tctx: &TaskCtx,
     idx: usize,
@@ -1402,78 +1286,93 @@ fn run_shard(
     ectx: &EpochCtx,
 ) -> (Vec<(CompIdx, f64)>, ShardOutcome) {
     let started = Instant::now();
-    let topo = &tctx.topo;
-    let cfg = &tctx.cfg;
     let shard = &tctx.shards[idx];
-    let obs = &ectx.obs;
     let epoch_index = ectx.epoch_index;
-    let deadline = ectx.deadline;
-    if let Some(chaos) = &cfg.chaos {
+    if let Some(chaos) = &tctx.cfg.chaos {
         match chaos.call(&shard.label, epoch_index) {
             Some(ShardChaos::Panic) => panic!(
                 "chaos: injected panic in shard `{}` (epoch {epoch_index})",
                 shard.label
             ),
-            Some(ShardChaos::Stall(d)) => chaos_stall(d, deadline),
+            Some(ShardChaos::Stall(d)) => chaos_stall(d, ectx.deadline),
             None => {}
         }
     }
     state
         .view
-        .bind_epoch_indices(obs, &ectx.accept[idx])
+        .bind_epoch_indices(&ectx.obs, &ectx.accept[idx])
         .expect("pipeline assembler keeps one arena lineage");
-
-    let warm = cfg.warm_start && state.engine.is_some();
-    let opts = EngineOptions {
-        coalesce: cfg.coalesce,
-        mode: cfg.coalesce_mode,
-        ..Default::default()
-    };
-    // Prefilled term ladders (pipelined mode): rebinding interns this
-    // epoch's terms, so install the prefill first. Cold builds below
-    // can't benefit — the engine doesn't exist yet.
-    if let Some(engine) = state.engine.as_mut() {
-        engine.set_term_prefill(ectx.prefill.clone());
-    }
-    match &mut state.engine {
-        Some(engine) if cfg.warm_start => engine
-            .try_rebind_view(topo, obs, &state.view)
-            .expect("shard view is the engine's own"),
-        slot => *slot = Some(Engine::with_view(topo, obs, cfg.params, opts, &state.view)),
-    }
-    let engine = state.engine.as_mut().expect("engine just installed");
-
-    let greedy = FlockGreedy::new(cfg.params);
-    // The warm seed persists as global ids (stable across cold rebuilds);
-    // the engine's local ids are also stable, but global ids are what the
-    // merge and refinement layers speak.
-    let seed: Vec<CompIdx> = if cfg.warm_start {
-        state
-            .prev
-            .iter()
-            .filter_map(|&g| engine.local_comp(g))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let search = greedy.search_warm_deadline(engine, &seed, deadline);
-    // Drop the epoch's prefill (per-epoch data; the term table keeps
-    // the interned ladders).
-    engine.set_term_prefill(None);
-    let (picked, scanned) = (search.picked, search.scanned);
+    let (picked, kept, outcome) = localize_bound(
+        &mut state.engine,
+        &state.view,
+        tctx,
+        ectx,
+        shard,
+        &state.prev,
+        started,
+    );
     // A deadline-truncated hypothesis still seeds the next epoch: every
     // pick in it improved the posterior, and the warm search removes
     // seeds that stop paying.
-    state.prev = picked.iter().map(|&(c, _)| engine.global_comp(c)).collect();
+    state.prev = picked;
+    (kept, outcome)
+}
 
+/// How an epoch binds an engine, for the shards and the refinement pass
+/// alike: rebind the engine in `slot` over `view` (already bound to the
+/// epoch's accepted observations) or build it on first use, search warm
+/// from `seed`, and report what `shard` owns of the result. `seed` and
+/// every returned component are *global* dense ids — stable across
+/// engine rebuilds, and what the merge and refinement layers speak.
+/// Returns `(every pick, owned picks with scores, outcome)`.
+fn localize_bound(
+    slot: &mut Option<Engine>,
+    view: &ArenaView,
+    tctx: &TaskCtx,
+    ectx: &EpochCtx,
+    shard: &Shard,
+    seed: &[CompIdx],
+    started: Instant,
+) -> (Vec<CompIdx>, Vec<(CompIdx, f64)>, ShardOutcome) {
+    let (topo, cfg, obs) = (&tctx.topo, &tctx.cfg, &ectx.obs);
+    let warm = slot.is_some();
+    match slot.as_mut() {
+        Some(engine) => {
+            // Prefilled term ladders (pipelined mode): rebinding interns
+            // this epoch's terms, so install the prefill first. The cold
+            // build below can't benefit — the engine doesn't exist yet.
+            engine.set_term_prefill(ectx.prefill.clone());
+            engine
+                .try_rebind_view(topo, obs, view)
+                .expect("the view is the engine's own");
+        }
+        None => {
+            let opts = EngineOptions {
+                mode: cfg.coalesce_mode,
+                ..Default::default()
+            };
+            *slot = Some(Engine::with_view(topo, obs, cfg.params, opts, view));
+        }
+    }
+    let engine = slot.as_mut().expect("engine just installed");
+
+    let seed_local: Vec<CompIdx> = seed.iter().filter_map(|&g| engine.local_comp(g)).collect();
+    let search =
+        FlockGreedy::new(cfg.params).search_warm_deadline(engine, &seed_local, ectx.deadline);
+    // Drop the epoch's prefill (per-epoch data; the term table keeps
+    // the interned ladders).
+    engine.set_term_prefill(None);
+    let picked: Vec<CompIdx> = search
+        .picked
+        .iter()
+        .map(|&(c, _)| engine.global_comp(c))
+        .collect();
     let kept: Vec<(CompIdx, f64)> = picked
         .iter()
-        .filter_map(|&(c, score)| {
-            let g = engine.global_comp(c);
-            shard.owns(g).then_some((g, score))
-        })
+        .zip(&search.picked)
+        .filter_map(|(&g, &(_, score))| shard.owns(g).then_some((g, score)))
         .collect();
-    let provenance = collect_provenance(engine, &state.view, &shard.label, &kept);
+    let provenance = collect_provenance(engine, view, &shard.label, &kept);
     let drift_bound = engine.drift_bound();
     let proven_exact =
         !search.timed_out && (drift_bound == 0.0 || search.margin > 2.0 * drift_bound);
@@ -1484,7 +1383,7 @@ fn run_shard(
         flows: engine.n_flows(),
         raw_flows: engine.n_observations(),
         warm,
-        hypotheses_scanned: scanned,
+        hypotheses_scanned: search.scanned,
         log_likelihood: engine.log_likelihood(),
         state: engine.state_sizes(),
         elapsed: started.elapsed(),
@@ -1495,7 +1394,7 @@ fn run_shard(
         margin: search.margin,
         proven_exact,
     };
-    (kept, outcome)
+    (picked, kept, outcome)
 }
 
 /// Stringify a caught panic payload (panics raised by `panic!` carry a

@@ -217,8 +217,10 @@ impl ShardPlan {
     }
 
     /// One shard per pod plus a single spine shard covering the whole
-    /// tier — the pre-plane-sharding plan, kept as the comparison
-    /// baseline for the `evidence_coalesce` bench and `bench-report`.
+    /// tier — the reference plan the plane-sharding identity tests
+    /// (`plane_sharding.rs`, `state_sparsity.rs`) run through
+    /// [`StreamPipeline::with_plan`](crate::StreamPipeline::with_plan);
+    /// [`StreamPipeline::new`](crate::StreamPipeline::new) never picks it.
     pub fn by_pod_single_spine(topo: &Topology) -> Self {
         Self::podded(topo, false)
     }

@@ -48,9 +48,7 @@ fn config(mode: CoalesceMode) -> StreamConfig {
         epoch: EpochConfig::tumbling(1_000),
         kinds: vec![InputKind::A2, InputKind::P],
         mode: AnalysisMode::PerPacket,
-        warm_start: true,
         shard_by_pod: true,
-        coalesce: true,
         coalesce_mode: mode,
         ..StreamConfig::paper_default()
     }

@@ -56,7 +56,6 @@ fn sharded_cfg() -> StreamConfig {
         epoch: EpochConfig::tumbling(1_000),
         kinds: vec![InputKind::Int],
         mode: AnalysisMode::PerPacket,
-        warm_start: true,
         shard_by_pod: true,
         ..StreamConfig::paper_default()
     }

@@ -48,6 +48,19 @@ fn epoch_flows(
     )
 }
 
+fn cfg(shard: bool) -> StreamConfig {
+    StreamConfig {
+        epoch: EpochConfig::tumbling(1_000),
+        kinds: vec![InputKind::Int],
+        mode: AnalysisMode::PerPacket,
+        shard_by_pod: shard,
+        ..StreamConfig::paper_default()
+    }
+}
+
+/// `warm = false` is the cold reference: a fresh pipeline per epoch, so
+/// every engine is built (and searched) from scratch — the offline
+/// behavior the warm path must not diverge from.
 fn run(warm: bool, shard: bool) {
     let topo = pods3();
     let router = Router::new(&topo);
@@ -63,18 +76,13 @@ fn run(warm: bool, shard: bool) {
         heal_epoch: Some(4),
     });
 
-    let cfg = StreamConfig {
-        epoch: EpochConfig::tumbling(1_000),
-        kinds: vec![InputKind::Int],
-        mode: AnalysisMode::PerPacket,
-        warm_start: warm,
-        shard_by_pod: shard,
-        ..StreamConfig::paper_default()
-    };
-    let mut pipeline = StreamPipeline::new(&topo, cfg);
+    let mut pipeline = StreamPipeline::new(&topo, cfg(shard));
 
     for epoch in 0..6u64 {
         let flows = epoch_flows(&topo, &router, &sc, epoch, 3_000, &mut rng);
+        if !warm {
+            pipeline = StreamPipeline::new(&topo, cfg(shard));
+        }
         let report = pipeline.run_flows(epoch, epoch * 1_000, (epoch + 1) * 1_000, &flows);
         let truth = sc.scenario_at(epoch).truth;
         let pr = evaluate(&topo, &report.result.predicted, &truth);
@@ -100,14 +108,13 @@ fn run(warm: bool, shard: bool) {
                 report.result.predicted
             );
         }
-        // Warm engines must actually be warm from the second epoch on.
-        if warm && epoch > 0 {
-            assert!(
-                report.shards.iter().all(|s| s.warm),
-                "epoch {epoch}: every shard should rebind, got {:?}",
-                report.shards.iter().map(|s| s.warm).collect::<Vec<_>>()
-            );
-        }
+        // Warm engines must actually be warm from the second epoch on;
+        // the cold reference never is.
+        assert!(
+            report.shards.iter().all(|s| s.warm == (warm && epoch > 0)),
+            "epoch {epoch} (warm={warm}): got {:?}",
+            report.shards.iter().map(|s| s.warm).collect::<Vec<_>>()
+        );
     }
 }
 
@@ -135,21 +142,17 @@ fn warm_and_cold_agree_on_identical_epochs() {
     let mut rng = StdRng::seed_from_u64(41);
     let sc = DynamicScenario::generate(&topo, 5, 2, (0.015, 0.02), (2, 3), 1e-4, &mut rng);
 
-    let mk = |warm: bool| StreamConfig {
-        epoch: EpochConfig::tumbling(1_000),
-        kinds: vec![InputKind::Int],
-        mode: AnalysisMode::PerPacket,
-        warm_start: warm,
-        shard_by_pod: false,
-        ..StreamConfig::paper_default()
-    };
-    let mut warm_pipe = StreamPipeline::new(&topo, mk(true));
-    let mut cold_pipe = StreamPipeline::new(&topo, mk(false));
+    let mut warm_pipe = StreamPipeline::new(&topo, cfg(false));
 
     for epoch in 0..5u64 {
         let flows = epoch_flows(&topo, &router, &sc, epoch, 3_000, &mut rng);
         let a = warm_pipe.run_flows(epoch, epoch * 1_000, (epoch + 1) * 1_000, &flows);
-        let b = cold_pipe.run_flows(epoch, epoch * 1_000, (epoch + 1) * 1_000, &flows);
+        let b = StreamPipeline::new(&topo, cfg(false)).run_flows(
+            epoch,
+            epoch * 1_000,
+            (epoch + 1) * 1_000,
+            &flows,
+        );
         let mut pa = a.result.predicted.clone();
         let mut pb = b.result.predicted.clone();
         pa.sort();

@@ -56,9 +56,7 @@ fn sharded_cfg(pipelined: bool, workers: usize) -> StreamConfig {
         epoch: EpochConfig::tumbling(1_000),
         kinds: vec![InputKind::A2, InputKind::P],
         mode: AnalysisMode::PerPacket,
-        warm_start: true,
         shard_by_pod: true,
-        spine_planes: true,
         pipelined,
         workers,
         ..StreamConfig::paper_default()

@@ -9,7 +9,7 @@
 use flock_netsim::failure::{self, DEFAULT_NOISE_MAX};
 use flock_netsim::flowsim::{simulate_flows, FlowSimConfig};
 use flock_netsim::traffic::{generate_demands, TrafficConfig, TrafficPattern};
-use flock_stream::{EpochConfig, EpochReport, ShardKind, StreamConfig, StreamPipeline};
+use flock_stream::{EpochConfig, EpochReport, ShardKind, ShardPlan, StreamConfig, StreamPipeline};
 use flock_telemetry::{AnalysisMode, InputKind, MonitoredFlow};
 use flock_topology::clos::{three_tier, ClosParams};
 use flock_topology::{Router, SpinePlanes, Topology};
@@ -59,17 +59,16 @@ fn plane_engine_state_tracks_plane_local_evidence() {
         .map(|_| epoch_flows(&topo, &mut rng, 4_000))
         .collect();
 
-    let mk = |spine_planes: bool| StreamConfig {
+    let cfg = StreamConfig {
         epoch: EpochConfig::tumbling(1_000),
         kinds: vec![InputKind::Int],
         mode: AnalysisMode::PerPacket,
-        warm_start: true,
         shard_by_pod: true,
-        spine_planes,
         ..StreamConfig::paper_default()
     };
-    let mut planes_pipe = StreamPipeline::new(&topo, mk(true));
-    let mut spine_pipe = StreamPipeline::new(&topo, mk(false));
+    let mut planes_pipe = StreamPipeline::new(&topo, cfg.clone());
+    let mut spine_pipe =
+        StreamPipeline::with_plan(&topo, cfg, ShardPlan::by_pod_single_spine(&topo));
     let plane_report = run_epochs(&mut planes_pipe, &epochs);
     let spine_report = run_epochs(&mut spine_pipe, &epochs);
 
@@ -191,9 +190,7 @@ fn off_plane_engines_stay_small_under_plane_fault() {
             epoch: EpochConfig::tumbling(1_000),
             kinds: vec![InputKind::Int],
             mode: AnalysisMode::PerPacket,
-            warm_start: true,
             shard_by_pod: true,
-            spine_planes: true,
             ..StreamConfig::paper_default()
         },
     );

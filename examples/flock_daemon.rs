@@ -102,7 +102,6 @@ fn main() {
             epoch: EpochConfig::tumbling(EPOCH_MS),
             kinds: vec![InputKind::A2, InputKind::P],
             mode: AnalysisMode::PerPacket,
-            warm_start: true,
             shard_by_pod: true,
             // Overlap epochs: assembly of epoch N+1 runs while N's
             // shards infer; reports trail submission by one epoch and

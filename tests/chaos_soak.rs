@@ -202,7 +202,6 @@ fn run_pipeline(
             epoch: EpochConfig::tumbling(EPOCH_MS),
             kinds: vec![InputKind::A2, InputKind::P],
             mode: AnalysisMode::PerPacket,
-            warm_start: true,
             shard_by_pod: true,
             epoch_deadline: Some(Duration::from_secs(5)),
             chaos: chaos_hook,

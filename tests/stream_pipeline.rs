@@ -39,7 +39,6 @@ fn collector_to_stream_detects_fault_and_heal() {
             epoch: EpochConfig::tumbling(EPOCH_MS),
             kinds: vec![InputKind::A2, InputKind::P],
             mode: AnalysisMode::PerPacket,
-            warm_start: true,
             shard_by_pod: false,
             ..StreamConfig::paper_default()
         },
@@ -127,4 +126,38 @@ fn collector_to_stream_detects_fault_and_heal() {
     assert!(reports[2].result.predicted_links().contains(&faulty));
     assert!(!reports[3].result.predicted_links().contains(&faulty));
     collector.shutdown();
+}
+
+/// The knob count is held by the compiler: the benchmark's config
+/// literal destructured *exhaustively* (no `..`), so adding a field to
+/// `StreamConfig` — or bringing back a baseline switch — stops this
+/// file compiling until the count below is changed on purpose.
+#[test]
+fn stream_config_has_exactly_ten_knobs() {
+    let epoch = EpochConfig::tumbling(EPOCH_MS);
+    let StreamConfig {
+        epoch: got_epoch,
+        kinds,
+        mode,
+        params: _,
+        shard_by_pod,
+        coalesce_mode,
+        epoch_deadline,
+        chaos,
+        pipelined,
+        workers,
+    } = StreamConfig {
+        epoch,
+        shard_by_pod: true,
+        pipelined: true,
+        ..StreamConfig::paper_default()
+    };
+    assert_eq!(got_epoch, epoch);
+    assert!(shard_by_pod && pipelined);
+    // Everything the benchmark leaves alone sits at the paper default.
+    assert_eq!(kinds, vec![InputKind::A2, InputKind::P]);
+    assert_eq!(mode, AnalysisMode::PerPacket);
+    assert_eq!(coalesce_mode, flock::telemetry::CoalesceMode::Exact);
+    assert!(epoch_deadline.is_none() && chaos.is_none());
+    assert_eq!(workers, 0);
 }

@@ -22,7 +22,6 @@ fn run_pipeline(
         StreamConfig {
             epoch: EpochConfig::tumbling(EPOCH_MS),
             kinds: vec![InputKind::A2, InputKind::P],
-            warm_start: true,
             shard_by_pod: false,
             ..StreamConfig::paper_default()
         },
