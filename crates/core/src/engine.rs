@@ -30,12 +30,23 @@
 //!
 //! # State
 //!
-//! The engine mirrors the observation set's structure:
+//! The engine mirrors the observation set's structure. The structural
+//! layer is append-only — a path or set, once viewed, keeps its local id
+//! and its content forever — and lives in flat offsets+items *row
+//! tables* (one allocation pair per table, rows appended as the view
+//! grows, never rewritten):
 //!
-//! * per viewed fabric path: its (deduplicated) component list and the
-//!   current *fail count* — how many hypothesis components lie on it;
-//! * per viewed path set: the number of member paths with a non-zero
-//!   fail count (`set_bad`), shared by every flow using the set;
+//! * per viewed fabric path: its (deduplicated, sorted) component list
+//!   (`path_comps`) and the current *fail count* — how many hypothesis
+//!   components lie on it;
+//! * per viewed path set: its member paths (`sets`), the sorted union of
+//!   their components (`set_comps`), the cached structure half of the
+//!   initial Δ (`set_ladders`/`set_gidx`, see below), and the number of
+//!   member paths with a non-zero fail count (`set_bad`), shared by every
+//!   flow using the set.
+//!
+//! The evidence layer is rebuilt every epoch:
+//!
 //! * per **super-flow**: all observations sharing the same evidence key
 //!   `(path set, sent, bad)`, collapsed into one weighted record. The
 //!   per-flow likelihood (Eq. 1) depends on the observation only through
@@ -65,6 +76,23 @@
 //! keys*, not raw flows, when coalescing is on (the default; see
 //! [`EngineOptions`]).
 //!
+//! At the empty hypothesis — where every rebind starts — the array is
+//! the product of two halves. For a set `S` and a component `c` on it,
+//! let `g(c)` be the number of member paths of `S` containing `c`; then
+//! `S` contributes `Σ_{flows f on S} weight_f · LLF_f(g(c))` to
+//! `delta[c]`. `g` depends only on the path/set structure, so it is
+//! counted **once**, when the set is first viewed (a path's component
+//! list is duplicate-free, so one pass over the member paths' lists
+//! counts paths, not visits). Per set the engine keeps the ascending distinct `g` values (the *g-ladder*)
+//! and, per component of the set, a `u16` index into that ladder. The
+//! per-epoch half (`compute_initial_delta`) is then one ladder
+//! gather-accumulate per super-flow plus one scatter per active set —
+//! proportional to the epoch's evidence, with no path sweep. The cached
+//! half is never recomputed and never invalidated (views are
+//! append-only); `prop_engine`'s
+//! `cached_initial_delta_is_bit_equal_to_path_sweep` pins it bit-for-bit
+//! against the from-scratch sweep.
+//!
 //! The flip path is allocation-free in steady state: counter snapshots,
 //! inverted-index walks, and per-set scratch all reuse persistent arenas
 //! that survive across flips *and* epochs ([`Engine::rebind`]).
@@ -85,7 +113,12 @@ use flock_topology::{Component, Topology};
 /// (`g`) / exactly 1 (`s`) containing `comp`.
 type Counter = (CompIdx, u32, u32);
 
-/// Compact CSR-style adjacency: `items[offsets[i]..offsets[i+1]]`.
+/// Flat offsets+items row table: row `i` is `items[offsets[i]..offsets[i+1]]`.
+/// Serves both the engine's inverted indexes (rebuilt by counting scatter,
+/// [`Csr::rebuild`]) and its append-only structure rows (one
+/// [`Csr::push_row`] per newly viewed path/set) — one allocation pair per
+/// table instead of one per row, and rows a sweep visits in id order sit
+/// next to each other in memory.
 #[derive(Debug, Clone, Default)]
 struct Csr {
     offsets: Vec<u32>,
@@ -93,28 +126,44 @@ struct Csr {
 }
 
 impl Csr {
+    /// Append one row.
+    fn push_row(&mut self, row: impl IntoIterator<Item = u32>) {
+        if self.offsets.is_empty() {
+            self.offsets.push(0);
+        }
+        self.items.extend(row);
+        let end = u32::try_from(self.items.len()).expect("row table exceeds u32 offsets");
+        self.offsets.push(end);
+    }
+
+    /// `items` index range of row `i`.
+    #[inline]
+    fn range(&self, i: u32) -> std::ops::Range<usize> {
+        self.offsets[i as usize] as usize..self.offsets[i as usize + 1] as usize
+    }
+
     /// (Re)build from `(bucket, item)` pairs by counting scatter —
     /// `O(pairs + buckets)`, no comparison sort — reusing the offset/item
     /// buffers, so the per-epoch rebind path allocates nothing once
-    /// capacity has grown to the workload's size. Pairs must be
-    /// duplicate-free (they are throughout the engine: per-path/per-set
-    /// component lists and per-member extras are deduplicated before
-    /// pairs are emitted), and within a bucket items keep their input
-    /// order.
-    fn rebuild(&mut self, n_buckets: usize, pairs: &[(u32, u32)]) {
+    /// capacity has grown to the workload's size. `pairs` is walked
+    /// twice (count, then scatter). Pairs must be duplicate-free (they
+    /// are throughout the engine: per-path/per-set component lists and
+    /// per-member extras are deduplicated), and within a bucket items
+    /// keep their input order.
+    fn rebuild(&mut self, n_buckets: usize, pairs: impl Iterator<Item = (u32, u32)> + Clone) {
         self.offsets.clear();
         self.offsets.resize(n_buckets + 1, 0);
-        for &(b, _) in pairs {
+        for (b, _) in pairs.clone() {
             self.offsets[b as usize + 1] += 1;
         }
         for i in 0..n_buckets {
             self.offsets[i + 1] += self.offsets[i];
         }
         self.items.clear();
-        self.items.resize(pairs.len(), 0);
+        self.items.resize(self.offsets[n_buckets] as usize, 0);
         // Scatter using `offsets[b]` as the running cursor (each bucket's
         // start advances to its end), then shift the table back one slot.
-        for &(b, it) in pairs {
+        for (b, it) in pairs {
             self.items[self.offsets[b as usize] as usize] = it;
             self.offsets[b as usize] += 1;
         }
@@ -124,14 +173,18 @@ impl Csr {
         self.offsets[0] = 0;
     }
 
-    #[inline]
-    fn get(&self, bucket: u32) -> &[u32] {
-        let lo = self.offsets[bucket as usize] as usize;
-        let hi = self.offsets[bucket as usize + 1] as usize;
-        &self.items[lo..hi]
+    /// Every `(item, row)` of the table in row order: the pairs that
+    /// [`Csr::rebuild`] turns into the transposed (item → rows) index.
+    fn transposed(&self) -> impl Iterator<Item = (u32, u32)> + Clone + '_ {
+        (0..self.n_rows() as u32).flat_map(move |r| self.get(r).iter().map(move |&it| (it, r)))
     }
 
-    fn n_buckets(&self) -> usize {
+    #[inline]
+    fn get(&self, bucket: u32) -> &[u32] {
+        &self.items[self.range(bucket)]
+    }
+
+    fn n_rows(&self) -> usize {
         self.offsets.len().saturating_sub(1)
     }
 }
@@ -182,6 +235,24 @@ impl SMember {
     fn extras(&self) -> &[CompIdx] {
         &self.extras[..self.n_extras as usize]
     }
+}
+
+/// "No component" in [`PrefixLink`] (a host end, or a link not yet seen).
+const NO_COMP: CompIdx = CompIdx::MAX;
+
+/// Local ids of a flow-prefix link and of the switch devices at its ends,
+/// memoized per global link id on first sight ([`Engine::flow_extras`]).
+#[derive(Debug, Clone, Copy)]
+struct PrefixLink {
+    comp: CompIdx,
+    devices: [CompIdx; 2],
+}
+
+impl PrefixLink {
+    const UNSEEN: PrefixLink = PrefixLink {
+        comp: NO_COMP,
+        devices: [NO_COMP; 2],
+    };
 }
 
 /// Engine construction options.
@@ -289,21 +360,28 @@ pub struct Engine {
     /// evidence-width structure is local.
     comps: DenseRemap,
 
-    // Paths (local ids).
-    path_comps: Vec<Vec<CompIdx>>,
+    // Paths (local ids). Row `p` of `path_comps` is the path's sorted,
+    // deduplicated component list.
+    path_comps: Csr,
     path_fail: Vec<u32>,
+    /// `path_comps` transposed; rebuilt only when the view grew.
     comp_to_paths: Csr,
-    /// Cumulative `(comp, path)` pairs backing `comp_to_paths`; appended
-    /// as the view grows so a rebind never re-derives history.
-    comp_path_pairs: Vec<(u32, u32)>,
 
-    // Sets (local ids).
-    sets: Vec<Vec<u32>>,
-    set_comps: Vec<Vec<CompIdx>>,
+    // Sets (local ids). Row `s` of `sets` is the member paths, of
+    // `set_comps` the sorted component union.
+    sets: Csr,
+    set_comps: Csr,
+    /// The structure half of the initial Δ, computed once when a set is
+    /// first viewed (see [`Engine::compute_initial_delta`]): row `s` is
+    /// the ascending distinct values of `g(c)` — the number of member
+    /// paths of `s` containing component `c` — over the set's components.
+    set_ladders: Csr,
+    /// Parallel to `set_comps.items` (same row offsets): the index of
+    /// each component's `g` in its set's ladder.
+    set_gidx: Vec<u16>,
     set_bad: Vec<u32>,
+    /// `set_comps` transposed; rebuilt only when the view grew.
     comp_to_sets: Csr,
-    /// Cumulative `(comp, set)` pairs backing `comp_to_sets`.
-    comp_set_pairs: Vec<(u32, u32)>,
     set_flows: Csr,
 
     // Flows: super-flows plus their extras-carrying members.
@@ -313,6 +391,9 @@ pub struct Engine {
     /// Raw observations accepted into the current flow table (before
     /// coalescing) — `n_obs / sflows.len()` is the epoch's coalesce ratio.
     n_obs: usize,
+    /// Per global link id (id-width like `comps`' global side, never
+    /// reset): the localized extras a flow with that prefix link carries.
+    prefix_links: Vec<PrefixLink>,
 
     // Hypothesis state (local ids).
     in_h: Vec<bool>,
@@ -372,14 +453,9 @@ pub struct Engine {
     new_l: Vec<u32>,
     new_g: Vec<u32>,
     new_sp: Vec<Counter>,
-    /// Distinct `g` values / per-`g` likelihood sums of the set currently
-    /// being initialized.
-    scratch_gs: Vec<u32>,
+    /// Per-ladder-rung likelihood sums of the set currently being
+    /// initialized.
     scratch_sums: Vec<f64>,
-    /// `(set, super-flow)` / `(comp, member)` pair staging for the CSR
-    /// rebuilds of [`Engine::rebuild_flows`].
-    pair_set_flows: Vec<(u32, u32)>,
-    pair_extra_members: Vec<(u32, u32)>,
 }
 
 /// Predicate selecting the observations an engine sees (sharded
@@ -476,20 +552,21 @@ impl Engine {
                 m.ensure_ids(n_global);
                 m
             },
-            path_comps: Vec::new(),
+            path_comps: Csr::default(),
             path_fail: Vec::new(),
             comp_to_paths: Csr::default(),
-            comp_path_pairs: Vec::new(),
-            sets: Vec::new(),
-            set_comps: Vec::new(),
+            sets: Csr::default(),
+            set_comps: Csr::default(),
+            set_ladders: Csr::default(),
+            set_gidx: Vec::new(),
             set_bad: Vec::new(),
             comp_to_sets: Csr::default(),
-            comp_set_pairs: Vec::new(),
             set_flows: Csr::default(),
             sflows: Vec::new(),
             members: Vec::new(),
             comp_extra_members: Csr::default(),
             n_obs: 0,
+            prefix_links: vec![PrefixLink::UNSEEN; topo.link_count()],
             in_h: Vec::new(),
             hypothesis: Vec::new(),
             delta: Vec::new(),
@@ -514,10 +591,7 @@ impl Engine {
             new_l: Vec::new(),
             new_g: Vec::new(),
             new_sp: Vec::new(),
-            scratch_gs: Vec::new(),
             scratch_sums: Vec::new(),
-            pair_set_flows: Vec::new(),
-            pair_extra_members: Vec::new(),
         }
     }
 
@@ -581,17 +655,16 @@ impl Engine {
         obs: &ObservationSet,
         view: &ArenaView,
     ) -> Result<(), ViewError> {
-        match self.bound_view {
-            None => self.bound_view = Some(view.id()),
-            Some(expected) if expected != view.id() => {
-                return Err(ViewError::ForeignView {
-                    expected,
-                    got: view.id(),
-                });
-            }
-            Some(_) => {}
+        if let Some(expected) = self.bound_view.filter(|&id| id != view.id()) {
+            return Err(ViewError::ForeignView {
+                expected,
+                got: view.id(),
+            });
         }
         view.covers(&obs.arena)?;
+        // Bind only once every check has passed: a rejected first bind
+        // must leave a fresh engine free to bind the right view later.
+        self.bound_view = Some(view.id());
 
         // Reset hypothesis-dependent state — all O(local).
         self.in_h.fill(false);
@@ -627,13 +700,21 @@ impl Engine {
             self.gain_move_bias[c] = p;
             self.gain_add_bias[c] = p;
         }
-        if structures_grew || self.comp_to_paths.n_buckets() != n {
-            self.comp_to_paths.rebuild(n, &self.comp_path_pairs);
-            self.comp_to_sets.rebuild(n, &self.comp_set_pairs);
+        if structures_grew || self.comp_to_paths.n_rows() != n {
+            self.comp_to_paths.rebuild(n, self.path_comps.transposed());
+            self.comp_to_sets.rebuild(n, self.set_comps.transposed());
         }
-        self.set_flows
-            .rebuild(self.sets.len(), &self.pair_set_flows);
-        self.comp_extra_members.rebuild(n, &self.pair_extra_members);
+        // The epoch's inverted indexes, straight off the flow layer.
+        self.set_flows.rebuild(
+            self.sets.n_rows(),
+            (0u32..).zip(&self.sflows).map(|(fi, f)| (f.set, fi)),
+        );
+        self.comp_extra_members.rebuild(
+            n,
+            (0u32..)
+                .zip(&self.members)
+                .flat_map(|(mi, m)| m.extras().iter().map(move |&e| (e, mi))),
+        );
 
         self.compute_initial_delta();
         Ok(())
@@ -656,54 +737,71 @@ impl Engine {
         obs: &ObservationSet,
         view: &ArenaView,
     ) -> bool {
-        let old_paths = self.path_comps.len();
+        let old_paths = self.path_comps.n_rows();
         let n_paths = view.n_paths();
+        // Row staging, reused across the loop (and never allocated on the
+        // steady-state call where the view has not grown).
+        let mut row: Vec<CompIdx> = Vec::new();
         // Viewed fabric paths → local component lists (links + their
         // switch endpoints, deduplicated; round-trip probe paths visit a
         // device twice but it is one component).
         for lp in old_paths as u32..n_paths as u32 {
-            let links = obs.arena.path(view.global_path(lp));
-            let mut comps: Vec<CompIdx> = Vec::with_capacity(links.len() * 2 + 1);
-            for &l in links {
-                comps.push(self.localize_link(l));
+            row.clear();
+            for &l in obs.arena.path(view.global_path(lp)) {
+                row.push(self.localize_link(l));
                 let link = topo.link(l);
                 for end in [link.src, link.dst] {
                     if let Some(d) = self.space.device_comp(end) {
-                        comps.push(self.localize(d));
+                        row.push(self.localize(d));
                     }
                 }
             }
-            comps.sort_unstable();
-            comps.dedup();
-            self.comp_path_pairs.extend(comps.iter().map(|&c| (c, lp)));
-            self.path_comps.push(comps);
+            row.sort_unstable();
+            row.dedup();
+            self.path_comps.push_row(row.iter().copied());
         }
         self.path_fail.resize(n_paths, 0);
 
-        // Sets and their component unions.
-        let old_sets = self.sets.len();
+        // Sets: member paths, component union, and the cached structure
+        // half of the initial Δ — `g(c)`, the number of member paths
+        // containing `c`, counted once here (every path's component list
+        // is duplicate-free) and kept as a per-set ladder of distinct
+        // values plus a per-component index into it.
+        let old_sets = self.sets.n_rows();
         let n_sets = view.n_sets();
+        let mut ladder: Vec<u32> = Vec::new();
+        self.scratch_g.resize(self.comps.len(), 0);
         for ls in old_sets as u32..n_sets as u32 {
-            let members: Vec<u32> = obs
-                .arena
-                .set(view.global_set(ls))
-                .iter()
-                .map(|p| {
+            self.sets
+                .push_row(obs.arena.set(view.global_set(ls)).iter().map(|p| {
                     view.local_path(*p)
                         .expect("a view projects every member path of its sets")
-                })
-                .collect();
-            let mut comps: Vec<CompIdx> = members
-                .iter()
-                .flat_map(|&p| self.path_comps[p as usize].iter().copied())
-                .collect();
-            comps.sort_unstable();
-            comps.dedup();
-            self.comp_set_pairs.extend(comps.iter().map(|&c| (c, ls)));
-            self.sets.push(members);
-            self.set_comps.push(comps);
+                }));
+            row.clear();
+            for &p in self.sets.get(ls) {
+                for &c in self.path_comps.get(p) {
+                    if self.scratch_g[c as usize] == 0 {
+                        row.push(c);
+                    }
+                    self.scratch_g[c as usize] += 1;
+                }
+            }
+            row.sort_unstable();
+            ladder.clear();
+            ladder.extend(row.iter().map(|&c| self.scratch_g[c as usize]));
+            ladder.sort_unstable();
+            ladder.dedup();
+            for &c in &row {
+                let g = std::mem::take(&mut self.scratch_g[c as usize]);
+                let at = ladder.binary_search(&g).expect("every g is on the ladder");
+                self.set_gidx
+                    .push(u16::try_from(at).expect("a set has at most 65536 distinct g values"));
+            }
+            self.set_comps.push_row(row.iter().copied());
+            self.set_ladders.push_row(ladder.iter().copied());
         }
         self.set_bad.resize(n_sets, 0);
+        debug_assert_eq!(self.set_gidx.len(), self.set_comps.items.len());
 
         n_paths > old_paths || n_sets > old_sets
     }
@@ -737,8 +835,6 @@ impl Engine {
         self.members.clear();
         self.n_obs = 0;
         self.drift = 0.0;
-        self.pair_set_flows.clear();
-        self.pair_extra_members.clear();
         let approx = self.opts.coalesce && self.opts.mode.is_approx();
         let quant = flock_telemetry::BucketQuantizer::new(self.opts.mode);
         // The flow score is linear in the counts, `s = bad·A + clean·B`
@@ -753,7 +849,7 @@ impl Engine {
             let ls = view
                 .local_set(o.set)
                 .expect("bind_epoch projected every accepted set");
-            let w = self.sets[ls as usize].len() as u32;
+            let w = self.sets.get(ls).len() as u32;
             if w == 0 {
                 continue; // unroutable flow carries no information
             }
@@ -765,8 +861,6 @@ impl Engine {
                 o.evidence_key()
             };
             if !(self.opts.coalesce && last_key == Some(key)) {
-                let fi = self.sflows.len() as u32;
-                self.pair_set_flows.push((ls, fi));
                 let at = self.members.len() as u32;
                 // One memoized llf table per distinct evidence key; the
                 // common warm-epoch case is a pure hash hit, and a miss
@@ -800,9 +894,6 @@ impl Engine {
             let extras = self.flow_extras(topo, ls, o);
             if extras.1 > 0 {
                 let mi = self.members.len() as u32;
-                for &e in &extras.0[..extras.1 as usize] {
-                    self.pair_extra_members.push((e, mi));
-                }
                 self.members.push(SMember {
                     flow: fi as u32,
                     extras: extras.0,
@@ -829,36 +920,53 @@ impl Engine {
     /// Extract the extra components (local ids) of a flow: its prefix
     /// links plus any switch devices incident to prefix links that do
     /// not already appear in the set's component union (the intra-rack
-    /// ToR case).
+    /// ToR case). The localization of a prefix link and its switch ends
+    /// is memoized per link, so a repeat observation costs one table
+    /// read per prefix link plus the in-set test.
     fn flow_extras(&mut self, topo: &Topology, ls: u32, o: &FlowObs) -> ([CompIdx; 4], u8) {
         let mut extras = [0 as CompIdx; 4];
         let mut n = 0u8;
-        let push = |extras: &mut [CompIdx; 4], n: &mut u8, c: CompIdx| {
-            if !extras[..*n as usize].contains(&c) {
-                extras[*n as usize] = c;
-                *n += 1;
+        let mut push = |c: CompIdx| {
+            if !extras[..n as usize].contains(&c) {
+                extras[n as usize] = c;
+                n += 1;
             }
         };
         for link in o.prefix.iter().flatten() {
-            let lc = self.localize_link(*link);
-            push(&mut extras, &mut n, lc);
-            let lk = topo.link(*link);
-            for end in [lk.src, lk.dst] {
-                // Hosts yield None; switch devices already covered by the
-                // fabric path set stay out of the extras (they are counted
-                // through the set's path components).
-                if let Some(d) = self.space.device_comp(end) {
-                    let in_set = self.comps.local(d).is_some_and(|known| {
-                        self.set_comps[ls as usize].binary_search(&known).is_ok()
-                    });
-                    if !in_set {
-                        let ld = self.localize(d);
-                        push(&mut extras, &mut n, ld);
-                    }
+            let mut known = self.prefix_links[link.0 as usize];
+            if known.comp == NO_COMP {
+                known = self.localize_prefix_link(topo, *link);
+            }
+            push(known.comp);
+            // Switch devices already covered by the fabric path set stay
+            // out of the extras (they are counted through the set's path
+            // components).
+            for d in known.devices {
+                if d != NO_COMP && self.set_comps.get(ls).binary_search(&d).is_err() {
+                    push(d);
                 }
             }
         }
         (extras, n)
+    }
+
+    /// First sight of a prefix link: localize it and its switch ends
+    /// (hosts are not components) and memoize the result.
+    #[cold]
+    fn localize_prefix_link(
+        &mut self,
+        topo: &Topology,
+        link: flock_topology::LinkId,
+    ) -> PrefixLink {
+        let comp = self.localize_link(link);
+        let lk = topo.link(link);
+        let devices = [lk.src, lk.dst].map(|end| match self.space.device_comp(end) {
+            Some(d) => self.localize(d),
+            None => NO_COMP,
+        });
+        let known = PrefixLink { comp, devices };
+        self.prefix_links[link.0 as usize] = known;
+        known
     }
 
     /// Install (or clear) pre-computed [`TermPrefill`] ladders for the
@@ -900,12 +1008,12 @@ impl Engine {
 
     /// Number of locally-projected paths.
     pub fn n_paths(&self) -> usize {
-        self.path_comps.len()
+        self.path_comps.n_rows()
     }
 
     /// Number of locally-projected sets.
     pub fn n_sets(&self) -> usize {
-        self.sets.len()
+        self.sets.n_rows()
     }
 
     /// Global (dense topology-wide) id of a local component.
@@ -946,8 +1054,8 @@ impl Engine {
     pub fn state_sizes(&self) -> EngineStateSizes {
         EngineStateSizes {
             comps: self.comps.len(),
-            paths: self.path_comps.len(),
-            sets: self.sets.len(),
+            paths: self.path_comps.n_rows(),
+            sets: self.sets.n_rows(),
             flows: self.sflows.len(),
             members: self.members.len(),
             global_comps: self.space.n_comps(),
@@ -1185,10 +1293,10 @@ impl Engine {
         if maintain_delta {
             for &s in affected_sets {
                 collect_counters_partitioned(
-                    &self.sets[s as usize],
+                    self.sets.get(s),
                     &self.path_fail,
                     &self.path_comps,
-                    &self.set_comps[s as usize],
+                    self.set_comps.get(s),
                     c,
                     &self.in_h,
                     &mut self.scratch_g,
@@ -1235,10 +1343,10 @@ impl Engine {
                 new_g.clear();
                 new_sp.clear();
                 collect_counters_partitioned(
-                    &self.sets[s as usize],
+                    self.sets.get(s),
                     &self.path_fail,
                     &self.path_comps,
-                    &self.set_comps[s as usize],
+                    self.set_comps.get(s),
                     c,
                     &self.in_h,
                     &mut self.scratch_g,
@@ -1434,10 +1542,10 @@ impl Engine {
                 ctr_g.clear();
                 ctr_sp.clear();
                 collect_counters_partitioned(
-                    &self.sets[set as usize],
+                    self.sets.get(set),
                     &self.path_fail,
                     &self.path_comps,
-                    &self.set_comps[set as usize],
+                    self.set_comps.get(set),
                     c,
                     &self.in_h,
                     &mut self.scratch_g,
@@ -1517,56 +1625,51 @@ impl Engine {
     }
 
     fn recount_set_bad(&self, s: u32) -> u32 {
-        self.sets[s as usize]
+        self.sets
+            .get(s)
             .iter()
             .filter(|&&p| self.path_fail[p as usize] > 0)
             .count() as u32
     }
 
     /// Initial Δ array for the empty hypothesis (`ComputeInitialDelta` of
-    /// Algorithm 2): grouped per set so that super-flows sharing a path
-    /// set evaluate each distinct failed-path count once. Sweeps the
-    /// *view's* sets only — the fleet-wide arena never enters this loop.
+    /// Algorithm 2). With every path good, `delta[c]` gains
+    /// `Σ_flows weight · LLF(g(c))` from each set containing `c`, where
+    /// `g(c)` — the member paths of the set containing `c` — depends only
+    /// on the append-only path/set structure. That half is cached per set
+    /// when the set is first viewed (`set_ladders`, `set_gidx`; see
+    /// [`Engine::extend_structures`]), so an epoch pays only for its
+    /// evidence: one table gather-accumulate per super-flow over the
+    /// set's ladder, then one scatter over the set's components. Sweeps
+    /// the *view's* sets only — the fleet-wide arena never enters this
+    /// loop.
     fn compute_initial_delta(&mut self) {
-        let mut gs = std::mem::take(&mut self.scratch_gs);
         let mut sums = std::mem::take(&mut self.scratch_sums);
-        // Per set: g(c) = member paths containing c (all paths good).
-        for s in 0..self.sets.len() as u32 {
+        for s in 0..self.sets.n_rows() as u32 {
             // Sets with no flows this epoch contribute nothing; skipping
             // them keeps rebinding cheap as the shard's view accumulates
             // sets across epochs.
-            if self.set_flows.get(s).is_empty() {
+            let flows = self.set_flows.get(s);
+            if flows.is_empty() {
                 continue;
             }
-            // Count paths per comp.
-            for &p in &self.sets[s as usize] {
-                for &c in &self.path_comps[p as usize] {
-                    self.scratch_g[c as usize] += 1;
-                }
-            }
-            let comps = &self.set_comps[s as usize];
-            // Distinct g values of this set.
-            gs.clear();
-            gs.extend(comps.iter().map(|&c| self.scratch_g[c as usize]));
-            gs.sort_unstable();
-            gs.dedup();
-            // Σ_super-flows weight · LLF(g) per distinct g, as one table
-            // gather-accumulate per flow (every flow of the set shares
-            // `w`, so `gs` indexes every segment in range).
+            // Σ_super-flows weight · LLF(g) per distinct g (every flow of
+            // the set shares `w`, so the ladder indexes every segment in
+            // range).
+            let gs = self.set_ladders.get(s);
             sums.clear();
             sums.resize(gs.len(), 0.0);
-            for &fi in self.set_flows.get(s) {
+            for &fi in flows {
                 let f = &self.sflows[fi as usize];
                 let seg = &self.terms.values()[f.tbl as usize..(f.tbl + f.w + 1) as usize];
-                simd::weighted_table_accumulate(self.dispatch, seg, &gs, f.weight, &mut sums);
+                simd::weighted_table_accumulate(self.dispatch, seg, gs, f.weight, &mut sums);
             }
-            for &c in comps {
-                let g = self.scratch_g[c as usize];
-                let i = gs.binary_search(&g).unwrap();
-                self.delta[c as usize] += sums[i];
-            }
-            for &c in comps {
-                self.scratch_g[c as usize] = 0;
+            let row = self.set_comps.range(s);
+            for (&c, &gi) in self.set_comps.items[row.clone()]
+                .iter()
+                .zip(&self.set_gidx[row])
+            {
+                self.delta[c as usize] += sums[gi as usize];
             }
         }
         // Extras: flipping an extra fails all paths of its member.
@@ -1576,7 +1679,6 @@ impl Engine {
                 self.delta[e as usize] += m.weight * sc; // llf(w,w)=score
             }
         }
-        self.scratch_gs = gs;
         self.scratch_sums = sums;
     }
 
@@ -1590,9 +1692,9 @@ impl Engine {
             let old_bad = self.set_bad[s as usize];
             // New bad count if c flips: recount with c's effect.
             let mut new_bad = 0u32;
-            for &p in &self.sets[s as usize] {
+            for &p in self.sets.get(s) {
                 let mut fc = self.path_fail[p as usize];
-                if self.path_comps[p as usize].binary_search(&c).is_ok() {
+                if self.path_comps.get(p).binary_search(&c).is_ok() {
                     fc = if flipping_on { fc + 1 } else { fc - 1 };
                 }
                 new_bad += u32::from(fc > 0);
@@ -1633,11 +1735,12 @@ impl Engine {
     /// available for cross-checking; never on the hot path.
     pub fn ll_of(&self, hypothesis: &[CompIdx]) -> f64 {
         let in_h: std::collections::HashSet<CompIdx> = hypothesis.iter().copied().collect();
-        let set_bad_h: Vec<u32> = (0..self.sets.len())
+        let set_bad_h: Vec<u32> = (0..self.sets.n_rows() as u32)
             .map(|s| {
-                self.sets[s]
+                self.sets
+                    .get(s)
                     .iter()
-                    .filter(|&&p| self.path_comps[p as usize].iter().any(|c| in_h.contains(c)))
+                    .filter(|&&p| self.path_comps.get(p).iter().any(|c| in_h.contains(c)))
                     .count() as u32
             })
             .collect();
@@ -1684,7 +1787,7 @@ impl Engine {
 fn collect_counters_partitioned(
     member_paths: &[u32],
     path_fail: &[u32],
-    path_comps: &[Vec<CompIdx>],
+    path_comps: &Csr,
     comps: &[CompIdx],
     c: CompIdx,
     in_h: &[bool],
@@ -1697,11 +1800,11 @@ fn collect_counters_partitioned(
     for &p in member_paths {
         let fc = path_fail[p as usize];
         if fc == 0 {
-            for &l in &path_comps[p as usize] {
+            for &l in path_comps.get(p) {
                 scratch_g[l as usize] += 1;
             }
         } else if fc == 1 {
-            for &l in &path_comps[p as usize] {
+            for &l in path_comps.get(p) {
                 scratch_s[l as usize] += 1;
             }
         }
@@ -2311,6 +2414,59 @@ mod tests {
         }
     }
 
+    /// Observation order is the assembler's business, not a precondition
+    /// of the engine: when a set's observations arrive interleaved with
+    /// other sets' (so its super-flows are *not* contiguous in the flow
+    /// table), the engine coalesces less and is otherwise exactly as
+    /// right. This is the input that keeps `set_flows` a counting
+    /// scatter rather than per-set `(lo, hi)` ranges.
+    #[test]
+    fn interleaved_sets_coalesce_less_never_incorrectly() {
+        let (topo, sorted) = coalescable_obs(33);
+        let mut interleaved = sorted.clone();
+        let (even, odd): (Vec<_>, Vec<_>) = sorted
+            .flows
+            .iter()
+            .enumerate()
+            .partition(|(i, _)| i % 2 == 0);
+        interleaved.flows = even.into_iter().chain(odd).map(|(_, o)| *o).collect();
+
+        let params = HyperParams::default();
+        let mut a = Engine::new(&topo, &sorted, params);
+        let mut b = Engine::new(&topo, &interleaved, params);
+        let split = |e: &Engine| {
+            (0..e.n_sets() as u32).any(|s| {
+                let at: Vec<usize> = (0..e.sflows.len())
+                    .filter(|&i| e.sflows[i].set == s)
+                    .collect();
+                at.windows(2).any(|w| w[1] != w[0] + 1)
+            })
+        };
+        assert!(!split(&a), "assembler order keeps a set's flows adjacent");
+        assert!(split(&b), "the interleaved input must break contiguity");
+        assert_eq!(a.n_observations(), b.n_observations());
+        assert!(b.n_flows() > a.n_flows(), "split runs coalesce less");
+
+        let agree = |a: &Engine, b: &Engine| {
+            assert!((a.log_likelihood() - b.log_likelihood()).abs() < 1e-8);
+            for g in 0..a.n_global_comps() as u32 {
+                let da = a.local_comp(g).map_or(0.0, |l| a.delta()[l as usize]);
+                let db = b.local_comp(g).map_or(0.0, |l| b.delta()[l as usize]);
+                assert!(
+                    (da - db).abs() < 1e-8 * (1.0 + da.abs()),
+                    "global comp {g}: sorted {da} vs interleaved {db}"
+                );
+            }
+        };
+        agree(&a, &b);
+        for c in [1, a.n_comps() as u32 / 2, a.n_comps() as u32 - 1, 1] {
+            let g = a.global_comp(c);
+            a.flip(c);
+            b.flip(b.local_comp(g).unwrap());
+            agree(&a, &b);
+        }
+    }
+
     /// Pinned weight must track member state exactly through extras
     /// flips, keeping the fabric sweep's active weight consistent.
     #[test]
@@ -2392,6 +2548,112 @@ mod tests {
         engine.try_rebind_filtered(&topo, &extended, None).unwrap();
         let fresh = Engine::new(&topo, &extended, HyperParams::default());
         assert!((engine.log_likelihood() - fresh.log_likelihood()).abs() < 1e-12);
+    }
+
+    /// A first bind the view rejects must not bind the engine: the next
+    /// bind, through the right view, succeeds instead of reporting a
+    /// spurious `ForeignView` against a view the engine never built over.
+    #[test]
+    fn rejected_first_bind_leaves_the_engine_unbound() {
+        let (topo, obs) = small_obs(13);
+        let (_, foreign) = small_obs(13);
+        let mut wrong = ArenaView::new();
+        wrong.bind_epoch(&foreign, |_, _| true).unwrap();
+        let mut engine = Engine::empty(
+            &topo,
+            HyperParams::default(),
+            EngineOptions::default(),
+            None,
+        );
+        let err = engine.try_rebind_view(&topo, &obs, &wrong).unwrap_err();
+        assert!(matches!(err, ViewError::ForeignLineage { .. }), "{err}");
+
+        let mut right = ArenaView::new();
+        right.bind_epoch(&obs, |_, _| true).unwrap();
+        engine.try_rebind_view(&topo, &obs, &right).unwrap();
+        let fresh = Engine::new(&topo, &obs, HyperParams::default());
+        assert_eq!(
+            engine.log_likelihood().to_bits(),
+            fresh.log_likelihood().to_bits()
+        );
+        assert_eq!(engine.n_flows(), fresh.n_flows());
+        // Bound now: any other view is foreign.
+        let err = engine.try_rebind_view(&topo, &obs, &wrong).unwrap_err();
+        assert!(matches!(err, ViewError::ForeignView { .. }), "{err}");
+    }
+
+    /// The cached g-ladder counts *paths*, not visits: a round-trip probe
+    /// path leaves a device and comes back to it, yet contributes one to
+    /// that device's `g`; a device both round trips of a set start from
+    /// gets `g = 2`.
+    #[test]
+    fn round_trip_path_counts_a_device_once() {
+        let topo = three_tier(ClosParams::tiny());
+        let tor = topo.host_leaf(topo.hosts()[0]);
+        let round_trips: Vec<Vec<flock_topology::LinkId>> = topo
+            .out_links(tor)
+            .iter()
+            .filter(|&&up| topo.node(topo.link(up).dst).role.is_switch())
+            .map(|&up| {
+                let agg = topo.link(up).dst;
+                let down = *topo
+                    .out_links(agg)
+                    .iter()
+                    .find(|&&l| topo.link(l).dst == tor)
+                    .expect("links come in pairs");
+                vec![up, down]
+            })
+            .collect();
+        assert!(round_trips.len() >= 2, "the tiny Clos has two aggs per pod");
+
+        let mut arena = flock_telemetry::PathArena::new();
+        let single = arena.intern_single(&round_trips[0]);
+        let paths = round_trips[..2]
+            .iter()
+            .map(|p| arena.intern_path(p))
+            .collect();
+        let pair = arena.intern_set(paths);
+        let flows = [single, pair]
+            .iter()
+            .map(|&set| FlowObs {
+                prefix: [None, None],
+                set,
+                sent: 100,
+                bad: 4,
+                weight: 1,
+            })
+            .collect();
+        let obs = ObservationSet {
+            arena,
+            flows,
+            mode: AnalysisMode::PerPacket,
+        };
+        let engine = Engine::new(&topo, &obs, HyperParams::default());
+        let tor_c = engine
+            .comp_of(flock_topology::Component::Device(tor))
+            .unwrap();
+        // Local set ids follow first touch: 0 = the single round trip,
+        // 1 = the pair.
+        let g_of = |s: u32, c: CompIdx| {
+            let at = engine.set_comps.get(s).binary_search(&c).unwrap();
+            let gi = engine.set_gidx[engine.set_comps.range(s)][at];
+            engine.set_ladders.get(s)[gi as usize]
+        };
+        assert_eq!(engine.set_ladders.get(0), &[1]);
+        assert_eq!(g_of(0, tor_c), 1, "visited twice, counted once");
+        assert_eq!(engine.set_ladders.get(1), &[1, 2]);
+        assert_eq!(g_of(1, tor_c), 2, "one per member path");
+        for &c in engine.set_comps.get(1) {
+            if c != tor_c {
+                assert_eq!(g_of(1, c), 1, "comp {c} lies on one member path");
+            }
+        }
+        // And the Δ built from the cache is the brute-force neighbor gain.
+        for c in 0..engine.n_comps() as u32 {
+            let expect = engine.ll_of(&[c]);
+            let got = engine.delta()[c as usize];
+            assert!((expect - got).abs() < 1e-9 * (1.0 + expect.abs()));
+        }
     }
 
     /// An engine bound to an external view matches one built through the

@@ -3,14 +3,65 @@
 //! sequence, and greedy must match exhaustive MLE in the separable-failure
 //! regime (§4.2).
 
-use flock_core::{llf, Engine, EngineOptions, FlockGreedy, HyperParams, Localizer, SherlockFerret};
+use flock_core::{
+    flow_score, llf, simd, CoalesceMode, CompIdx, Engine, EngineOptions, FlockGreedy, HyperParams,
+    Localizer, SherlockFerret,
+};
 use flock_telemetry::input::{assemble, AnalysisMode, InputKind};
-use flock_telemetry::{FlowKey, FlowStats, MonitoredFlow, ObservationSet, TrafficClass};
+use flock_telemetry::{
+    ArenaView, Assembler, BucketQuantizer, FlowKey, FlowStats, MonitoredFlow, ObservationSet,
+    TrafficClass,
+};
 use flock_topology::clos::{leaf_spine, three_tier, ClosParams, LeafSpineParams};
-use flock_topology::{Router, Topology};
+use flock_topology::{LinkId, NodeId, Router, Topology};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+
+/// A random host pair and one of its ECMP paths, host links included.
+fn random_route(
+    topo: &Topology,
+    router: &Router,
+    hosts: &[NodeId],
+    rng: &mut StdRng,
+) -> (NodeId, NodeId, Vec<LinkId>) {
+    let s = hosts[rng.random_range(0..hosts.len())];
+    let mut d = hosts[rng.random_range(0..hosts.len())];
+    while d == s {
+        d = hosts[rng.random_range(0..hosts.len())];
+    }
+    let paths = router.paths(topo.host_leaf(s), topo.host_leaf(d));
+    let pick = rng.random_range(0..paths.len());
+    let mut tp = vec![topo.host_uplink(s)];
+    tp.extend_from_slice(&paths[pick].links);
+    tp.push(topo.host_downlink(d));
+    (s, d, tp)
+}
+
+/// The `i`-th passive flow of a trace: `sent` packets, `bad` of them
+/// retransmitted, over `true_path`.
+fn passive_flow(
+    s: NodeId,
+    d: NodeId,
+    i: usize,
+    sent: u64,
+    bad: u64,
+    true_path: Vec<LinkId>,
+) -> MonitoredFlow {
+    MonitoredFlow {
+        key: FlowKey::tcp(s, d, (i % 60000) as u16, 80),
+        stats: FlowStats {
+            packets: sent,
+            retransmissions: bad,
+            bytes: 0,
+            rtt_sum_us: 0,
+            rtt_count: 0,
+            rtt_max_us: 0,
+        },
+        class: TrafficClass::Passive,
+        true_path,
+    }
+}
 
 /// Random mixed-telemetry observation set on a tiny Clos. When
 /// `quantized` is set, flow sizes come from a four-value palette so the
@@ -28,16 +79,7 @@ fn random_obs_sized(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut flows = Vec::new();
     for i in 0..n_flows {
-        let s = hosts[rng.random_range(0..hosts.len())];
-        let mut d = hosts[rng.random_range(0..hosts.len())];
-        while d == s {
-            d = hosts[rng.random_range(0..hosts.len())];
-        }
-        let paths = router.paths(topo.host_leaf(s), topo.host_leaf(d));
-        let pick = rng.random_range(0..paths.len());
-        let mut tp = vec![topo.host_uplink(s)];
-        tp.extend_from_slice(&paths[pick].links);
-        tp.push(topo.host_downlink(d));
+        let (s, d, tp) = random_route(&topo, &router, &hosts, &mut rng);
         let sent = if quantized {
             [20u64, 50, 100, 200][rng.random_range(0..4usize)]
         } else {
@@ -48,19 +90,7 @@ fn random_obs_sized(
         } else {
             rng.random_range(0..=sent.min(8))
         };
-        flows.push(MonitoredFlow {
-            key: FlowKey::tcp(s, d, (i % 60000) as u16, 80),
-            stats: FlowStats {
-                packets: sent,
-                retransmissions: bad,
-                bytes: 0,
-                rtt_sum_us: 0,
-                rtt_count: 0,
-                rtt_max_us: 0,
-            },
-            class: TrafficClass::Passive,
-            true_path: tp,
-        });
+        flows.push(passive_flow(s, d, i, sent, bad, tp));
     }
     let obs = assemble(&topo, &router, &flows, kinds, AnalysisMode::PerPacket);
     (topo, obs)
@@ -71,8 +101,257 @@ fn random_obs(seed: u64, n_flows: usize, kinds: &[InputKind]) -> (Topology, Obse
     random_obs_sized(seed, n_flows, kinds, false)
 }
 
+/// The initial Δ at the empty hypothesis, recomputed from scratch the way
+/// the engine did before it cached the per-set structure: sweep every
+/// member path × path component of every active set to count `g(c)`,
+/// sort/dedup the distinct counts, accumulate one weighted `llf` ladder
+/// gather per super-flow, binary-search each component's `g` back, then
+/// add the extras. It shares no state with the engine — only the inputs,
+/// the engine's local component ids, and the public kernel — and keeps
+/// the engine's summation order, so agreement is bit-for-bit.
+fn initial_delta_by_path_sweep(
+    topo: &Topology,
+    obs: &ObservationSet,
+    view: &ArenaView,
+    engine: &Engine,
+) -> Vec<f64> {
+    let space = engine.space();
+    let params = *engine.params();
+    let opts = engine.options();
+    let local = |g: CompIdx| engine.local_comp(g).expect("evidence the engine localized");
+
+    // Structure: per-path component lists, per-set member paths.
+    let path_comps: Vec<Vec<CompIdx>> = (0..view.n_paths() as u32)
+        .map(|lp| {
+            let mut comps = Vec::new();
+            for &l in obs.arena.path(view.global_path(lp)) {
+                comps.push(local(space.link_comp(l)));
+                let link = topo.link(l);
+                for end in [link.src, link.dst] {
+                    if let Some(d) = space.device_comp(end) {
+                        comps.push(local(d));
+                    }
+                }
+            }
+            comps.sort_unstable();
+            comps.dedup();
+            comps
+        })
+        .collect();
+    let sets: Vec<Vec<u32>> = (0..view.n_sets() as u32)
+        .map(|ls| {
+            let paths = obs.arena.set(view.global_set(ls)).iter();
+            paths.map(|p| view.local_path(*p).unwrap()).collect()
+        })
+        .collect();
+    let set_comps: Vec<Vec<CompIdx>> = sets
+        .iter()
+        .map(|paths| {
+            let mut comps: Vec<CompIdx> = paths
+                .iter()
+                .flat_map(|&p| path_comps[p as usize].iter().copied())
+                .collect();
+            comps.sort_unstable();
+            comps.dedup();
+            comps
+        })
+        .collect();
+
+    // Evidence: runs of equal (bucketed) evidence keys collapse into one
+    // weighted super-flow under the run's first observation.
+    struct SuperFlow {
+        set: u32,
+        score: f64,
+        ladder: Vec<f64>,
+        weight: f64,
+    }
+    let approx = opts.coalesce && opts.mode.is_approx();
+    let quant = BucketQuantizer::new(opts.mode);
+    let mut flows: Vec<SuperFlow> = Vec::new();
+    let mut extras: Vec<(CompIdx, f64, usize)> = Vec::new(); // (comp, weight, flow)
+    let mut last_key = None;
+    for &i in view.epoch_flows() {
+        let o = &obs.flows[i as usize];
+        let ls = view.local_set(o.set).unwrap();
+        let w = sets[ls as usize].len() as u32;
+        if w == 0 {
+            continue;
+        }
+        let key = if approx {
+            let (sent, bad) = quant.key(o.sent, o.bad);
+            (o.set.0, sent, bad)
+        } else {
+            o.evidence_key()
+        };
+        if !(opts.coalesce && last_key == Some(key)) {
+            let score = flow_score(&params, o.sent, o.bad);
+            flows.push(SuperFlow {
+                set: ls,
+                score,
+                ladder: (0..=w).map(|b| llf(score, w, b)).collect(),
+                weight: 0.0,
+            });
+            last_key = Some(key);
+        }
+        let fi = flows.len() - 1;
+        flows[fi].weight += f64::from(o.weight);
+        let mut mine: Vec<CompIdx> = Vec::new();
+        for link in o.prefix.iter().flatten() {
+            mine.push(local(space.link_comp(*link)));
+            let lk = topo.link(*link);
+            for end in [lk.src, lk.dst] {
+                if let Some(d) = space.device_comp(end) {
+                    let d = local(d);
+                    if !set_comps[ls as usize].contains(&d) {
+                        mine.push(d);
+                    }
+                }
+            }
+        }
+        let mut seen: Vec<CompIdx> = Vec::new();
+        for c in mine {
+            if !seen.contains(&c) {
+                seen.push(c);
+                extras.push((c, f64::from(o.weight), fi));
+            }
+        }
+    }
+
+    let mut delta = vec![0.0f64; engine.n_comps()];
+    let mut g = vec![0u32; engine.n_comps()];
+    for (s, paths) in sets.iter().enumerate() {
+        let mine: Vec<&SuperFlow> = flows.iter().filter(|f| f.set as usize == s).collect();
+        if mine.is_empty() {
+            continue;
+        }
+        for &p in paths {
+            for &c in &path_comps[p as usize] {
+                g[c as usize] += 1;
+            }
+        }
+        let comps = &set_comps[s];
+        let mut gs: Vec<u32> = comps.iter().map(|&c| g[c as usize]).collect();
+        gs.sort_unstable();
+        gs.dedup();
+        let mut sums = vec![0.0f64; gs.len()];
+        for f in mine {
+            simd::weighted_table_accumulate(
+                engine.kernel_dispatch(),
+                &f.ladder,
+                &gs,
+                f.weight,
+                &mut sums,
+            );
+        }
+        for &c in comps {
+            delta[c as usize] += sums[gs.binary_search(&g[c as usize]).unwrap()];
+            g[c as usize] = 0;
+        }
+    }
+    for (c, weight, fi) in extras {
+        delta[c as usize] += weight * flows[fi].score;
+    }
+    delta
+}
+
+/// One epoch of random traffic among `hosts`, sizes from a small palette
+/// (with jitter) so both exact runs and approximate buckets have
+/// something to merge.
+fn epoch_traffic(
+    topo: &Topology,
+    router: &Router,
+    hosts: &[NodeId],
+    rng: &mut StdRng,
+    n_flows: usize,
+) -> Vec<MonitoredFlow> {
+    (0..n_flows)
+        .map(|i| {
+            let (s, d, tp) = random_route(topo, router, hosts, rng);
+            let sent = [40u64, 100, 101, 104, 250][rng.random_range(0..5usize)];
+            let bad = [0u64, 0, 1, 2, 5][rng.random_range(0..5usize)];
+            passive_flow(s, d, i, sent, bad, tp)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The initial Δ the engine assembles from its cached per-set
+    /// structure (g-ladder, comp→ladder index) and the epoch's
+    /// super-flows is bit-equal to the from-scratch path sweep — on the
+    /// cold build and on every rebind over a view that keeps growing
+    /// (each epoch adds hosts, so later epochs first-see new sets), for
+    /// full and filtered engines, exact and approximate coalescing.
+    #[test]
+    fn cached_initial_delta_is_bit_equal_to_path_sweep(
+        seed in 0u64..1000,
+        filtered in any::<bool>(),
+        approx in any::<bool>(),
+        mixed in any::<bool>(),
+    ) {
+        let topo = three_tier(ClosParams {
+            pods: 3,
+            tors_per_pod: 2,
+            aggs_per_pod: 2,
+            spines_per_plane: 2,
+            hosts_per_tor: 2,
+        });
+        let router = Router::new(&topo);
+        let hosts = topo.hosts().to_vec();
+        let kinds: &[InputKind] = if mixed {
+            &[InputKind::A2, InputKind::P]
+        } else {
+            &[InputKind::P]
+        };
+        let mode = if approx {
+            CoalesceMode::Approx { eps: 0.1 }
+        } else {
+            CoalesceMode::Exact
+        };
+        let opts = EngineOptions { mode, ..Default::default() };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut asm = Assembler::new();
+        asm.set_coalesce(mode);
+        let mut view = ArenaView::new();
+        let mut engine: Option<Engine> = None;
+        let mut sets_seen = Vec::new();
+        const EPOCHS: usize = 4;
+        for epoch in 0..EPOCHS {
+            let reach = hosts.len() * (epoch + 1) / EPOCHS;
+            let traffic = epoch_traffic(&topo, &router, &hosts[..reach], &mut rng, 60);
+            let obs = asm.assemble(&topo, &router, &traffic, kinds, AnalysisMode::PerPacket);
+            view.bind_epoch(&obs, |i, _| !filtered || i % 3 != 0).unwrap();
+            match engine.as_mut() {
+                Some(e) => e.try_rebind_view(&topo, &obs, &view).unwrap(),
+                None => {
+                    engine = Some(Engine::with_view(
+                        &topo, &obs, HyperParams::default(), opts, &view));
+                }
+            }
+            let e = engine.as_mut().unwrap();
+            let expect = initial_delta_by_path_sweep(&topo, &obs, &view, e);
+            prop_assert_eq!(e.delta().len(), expect.len());
+            for (c, (got, want)) in e.delta().iter().zip(&expect).enumerate() {
+                prop_assert_eq!(
+                    got.to_bits(), want.to_bits(),
+                    "epoch {} comp {}: cached {} vs swept {}", epoch, c, got, want
+                );
+            }
+            // Leave a hypothesis behind for the next rebind to clear.
+            let n = e.n_comps() as u32;
+            if n > 0 {
+                e.flip(rng.random_range(0..n));
+                e.flip(rng.random_range(0..n));
+            }
+            sets_seen.push(view.n_sets());
+            asm.recycle(obs);
+        }
+        prop_assert!(
+            sets_seen[EPOCHS - 1] > sets_seen[1] && sets_seen[1] > sets_seen[0],
+            "later epochs must first-see sets: {:?}", sets_seen
+        );
+    }
 
     /// The central JLE invariant under arbitrary flip walks.
     #[test]
@@ -207,7 +486,7 @@ proptest! {
         let fabric = topo.fabric_links();
         // 1-2 failed links on disjoint devices.
         let k = rng.random_range(1..=2usize);
-        let mut bad: Vec<flock_topology::LinkId> = Vec::new();
+        let mut bad: Vec<LinkId> = Vec::new();
         let mut guard = 0;
         while bad.len() < k && guard < 1000 {
             guard += 1;
@@ -223,25 +502,9 @@ proptest! {
         let hosts = topo.hosts().to_vec();
         let mut flows = Vec::new();
         for i in 0..400usize {
-            let s = hosts[rng.random_range(0..hosts.len())];
-            let mut d = hosts[rng.random_range(0..hosts.len())];
-            while d == s { d = hosts[rng.random_range(0..hosts.len())]; }
-            let paths = router.paths(topo.host_leaf(s), topo.host_leaf(d));
-            let pick = rng.random_range(0..paths.len());
-            let mut tp = vec![topo.host_uplink(s)];
-            tp.extend_from_slice(&paths[pick].links);
-            tp.push(topo.host_downlink(d));
+            let (s, d, tp) = random_route(&topo, &router, &hosts, &mut rng);
             let crossings = tp.iter().filter(|l| bad.contains(l)).count() as u64;
-            flows.push(MonitoredFlow {
-                key: FlowKey::tcp(s, d, (i % 60000) as u16, 80),
-                stats: FlowStats {
-                    packets: 1000,
-                    retransmissions: crossings * 6,
-                    bytes: 0, rtt_sum_us: 0, rtt_count: 0, rtt_max_us: 0,
-                },
-                class: TrafficClass::Passive,
-                true_path: tp,
-            });
+            flows.push(passive_flow(s, d, i, 1000, crossings * 6, tp));
         }
         let obs = assemble(&topo, &router, &flows, &[InputKind::Int], AnalysisMode::PerPacket);
         let mut e = SherlockFerret::with_jle(HyperParams::default(), 2)

@@ -357,6 +357,12 @@ pub struct ShardOutcome {
     /// Wall-clock time this shard spent binding, rebinding, and
     /// searching this epoch (the per-shard engine-time metric).
     pub elapsed: Duration,
+    /// The part of `elapsed` spent rebinding (or, cold, building) the
+    /// engine over the epoch's evidence: structure extension, the flow
+    /// table, and the initial Δ array.
+    pub rebind: Duration,
+    /// The part of `elapsed` spent in the warm greedy search.
+    pub search: Duration,
     /// Whether the shard's search was truncated by the per-epoch
     /// deadline ([`StreamConfig::epoch_deadline`]). A truncated verdict
     /// is well-formed (every move it made improved the posterior) but
@@ -1336,6 +1342,7 @@ fn localize_bound(
 ) -> (Vec<CompIdx>, Vec<(CompIdx, f64)>, ShardOutcome) {
     let (topo, cfg, obs) = (&tctx.topo, &tctx.cfg, &ectx.obs);
     let warm = slot.is_some();
+    let rebind_started = Instant::now();
     match slot.as_mut() {
         Some(engine) => {
             // Prefilled term ladders (pipelined mode): rebinding interns
@@ -1355,10 +1362,13 @@ fn localize_bound(
         }
     }
     let engine = slot.as_mut().expect("engine just installed");
+    let search_started = Instant::now();
+    let rebind = search_started - rebind_started;
 
     let seed_local: Vec<CompIdx> = seed.iter().filter_map(|&g| engine.local_comp(g)).collect();
     let search =
         FlockGreedy::new(cfg.params).search_warm_deadline(engine, &seed_local, ectx.deadline);
+    let search_time = search_started.elapsed();
     // Drop the epoch's prefill (per-epoch data; the term table keeps
     // the interned ladders).
     engine.set_term_prefill(None);
@@ -1387,6 +1397,8 @@ fn localize_bound(
         log_likelihood: engine.log_likelihood(),
         state: engine.state_sizes(),
         elapsed: started.elapsed(),
+        rebind,
+        search: search_time,
         timed_out: search.timed_out,
         provenance,
         kernel: engine.kernel_dispatch(),

@@ -430,6 +430,11 @@ struct EpochLog {
     conns_up: u64,
     conns_closed: u64,
     runtime_ms: f64,
+    /// Engine rebind (structure extension, flow table, initial Δ) and
+    /// warm-search time summed over the epoch's shards and its
+    /// refinement pass — the split of `ShardOutcome::elapsed`.
+    shard_rebind_ms: f64,
+    shard_search_ms: f64,
 }
 
 fn ingest_and_log(
@@ -456,6 +461,7 @@ fn ingest_and_log(
         .fold(f64::INFINITY, f64::min)
         .min(1e12);
     let proven_exact = report.shards.iter().all(|s| s.proven_exact);
+    let shard_runs = || report.shards.iter().chain(&report.refined);
     // The approx accounting as gauges, so operators can alert on an
     // uncertified epoch or a sagging merge ratio without parsing logs.
     store
@@ -519,6 +525,16 @@ fn ingest_and_log(
         conns_up: snap.active_connections,
         conns_closed: snap.closed_connections,
         runtime_ms: report.result.runtime.as_secs_f64() * 1e3,
+        shard_rebind_ms: shard_runs()
+            .map(|s| s.rebind)
+            .sum::<std::time::Duration>()
+            .as_secs_f64()
+            * 1e3,
+        shard_search_ms: shard_runs()
+            .map(|s| s.search)
+            .sum::<std::time::Duration>()
+            .as_secs_f64()
+            * 1e3,
     };
     if json {
         println!("{}", serde::json::to_string(&log));
