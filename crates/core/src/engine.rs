@@ -24,8 +24,9 @@
 //! evidence).
 //!
 //! Engines built through the plain constructors ([`Engine::new`],
-//! [`Engine::with_options`]) own a private view internally; sharded
-//! executors that maintain one view per shard bind externally via
+//! [`Engine::with_options`]) own a private view (and a private
+//! [`TermDirectory`]) internally; sharded executors that maintain one
+//! view per shard and one directory for all of them bind externally via
 //! [`Engine::with_view`] / [`Engine::try_rebind_view`].
 //!
 //! # State
@@ -45,7 +46,14 @@
 //!   member paths with a non-zero fail count (`set_bad`), shared by every
 //!   flow using the set.
 //!
-//! The evidence layer is rebuilt every epoch:
+//! The evidence layer is rebuilt every epoch, from the view's accepted
+//! observations and the epoch's [`EpochFlowTable`] — the evidence keys
+//! `(sent, bad, w)` looked up in the [`TermDirectory`] and scored **once
+//! per epoch** by whoever assembled it, however many engines the
+//! observation fans out to. The engine reads an observation's term id
+//! and score by index and finds the id's `llf` ladder through a dense
+//! id → offset array ([`TermTable`]; ladders stay per engine, so the
+//! sweep kernels index one flat slice):
 //!
 //! * per **super-flow**: all observations sharing the same evidence key
 //!   `(path set, sent, bad)`, collapsed into one weighted record. The
@@ -76,22 +84,41 @@
 //! keys*, not raw flows, when coalescing is on (the default; see
 //! [`EngineOptions`]).
 //!
-//! At the empty hypothesis — where every rebind starts — the array is
-//! the product of two halves. For a set `S` and a component `c` on it,
-//! let `g(c)` be the number of member paths of `S` containing `c`; then
-//! `S` contributes `Σ_{flows f on S} weight_f · LLF_f(g(c))` to
-//! `delta[c]`. `g` depends only on the path/set structure, so it is
-//! counted **once**, when the set is first viewed (a path's component
-//! list is duplicate-free, so one pass over the member paths' lists
-//! counts paths, not visits). Per set the engine keeps the ascending distinct `g` values (the *g-ladder*)
-//! and, per component of the set, a `u16` index into that ladder. The
-//! per-epoch half (`compute_initial_delta`) is then one ladder
-//! gather-accumulate per super-flow plus one scatter per active set —
-//! proportional to the epoch's evidence, with no path sweep. The cached
-//! half is never recomputed and never invalidated (views are
+//! A bind computes the array from scratch, at the hypothesis it was
+//! asked to *enter* ([`Engine::try_rebind_view`]'s `seed`: typically the
+//! previous epoch's verdict, so a warm epoch starts where the last one
+//! ended instead of flipping its way back there — one evidence pass
+//! instead of one JLE sweep per seeded component).
+//!
+//! For the sets no failed path crosses — every set, at the empty
+//! hypothesis — the array is the product of two halves. For a set `S`
+//! and a component `c` on it, let `g(c)` be the number of member paths
+//! of `S` containing `c`; then `S` contributes
+//! `Σ_{flows f on S} active_f · LLF_f(g(c))` to `delta[c]`. `g` depends
+//! only on the path/set structure, so it is counted **once**, when the
+//! set is first viewed (a path's component list is duplicate-free, so
+//! one pass over the member paths' lists counts paths, not visits). Per
+//! set the engine keeps the ascending distinct `g` values (the
+//! *g-ladder*) and, per component of the set, a `u16` index into that
+//! ladder. The per-epoch half (`compute_initial_delta`) is then one
+//! ladder gather-accumulate per super-flow plus one scatter per active
+//! set — proportional to the epoch's evidence, with no path sweep. The
+//! cached half is never recomputed and never invalidated (views are
 //! append-only); `prop_engine`'s
 //! `cached_initial_delta_is_bit_equal_to_path_sweep` pins it bit-for-bit
-//! against the from-scratch sweep.
+//! against the from-scratch sweep at the empty seed.
+//!
+//! A set the seed touches (`set_bad > 0`) reads different rungs —
+//! `LLF(set_bad + g)` for a component outside the hypothesis,
+//! `LLF(set_bad − s)` for one inside, with `g`/`s` counting the member
+//! paths of fail count 0 / exactly 1 through the component *now* — so it
+//! collects those counters once (as a flip does per affected set), puts
+//! the distinct indexes on a scratch ladder, and pays the same one
+//! gather per super-flow and one scatter. Members follow the flip's own
+//! formulas evaluated at the current state. `prop_engine`'s
+//! `seeded_bind_equals_brute_force_and_flip_reference` pins the result
+//! against brute-force neighbour likelihoods and against the
+//! bind-empty-then-flip path it replaces.
 //!
 //! The flip path is allocation-free in steady state: counter snapshots,
 //! inverted-index walks, and per-set scratch all reuse persistent arenas
@@ -102,7 +129,7 @@
 //! and the total log-likelihood but skips the Δ bookkeeping, and
 //! [`Engine::delta_single`] evaluates one neighbor from current state.
 
-use crate::likelihood::{llf, TermPrefill, TermTable};
+use crate::likelihood::{llf, EpochFlowTable, TermDirectory, TermTable};
 use crate::params::HyperParams;
 use crate::simd::{self, KernelDispatch};
 use crate::space::{CompIdx, ComponentSpace};
@@ -209,7 +236,7 @@ struct SFlow {
     /// Members carrying extras: the half-open range `[lo, hi)` into
     /// [`Engine::members`] (weight without a member has no extras).
     members: (u32, u32),
-    /// Offset of this flow's `(sent, bad, w)` table in the engine's
+    /// Offset of this flow's `(sent, bad, w)` ladder in the engine's
     /// [`TermTable`]: `terms.values()[tbl + b]` is `llf(score, w, b)`.
     tbl: u32,
 }
@@ -239,6 +266,9 @@ impl SMember {
 
 /// "No component" in [`PrefixLink`] (a host end, or a link not yet seen).
 const NO_COMP: CompIdx = CompIdx::MAX;
+
+/// "Not on the ladder" in [`Engine::scratch_rung`].
+const NO_RUNG: u32 = u32::MAX;
 
 /// Local ids of a flow-prefix link and of the switch devices at its ends,
 /// memoized per global link id on first sight ([`Engine::flow_extras`]).
@@ -347,9 +377,10 @@ pub struct Engine {
     params: HyperParams,
     opts: EngineOptions,
 
-    /// The engine's private view (plain constructors); `None` when bound
-    /// to an externally maintained view ([`Engine::with_view`]).
-    own_view: Option<ArenaView>,
+    /// What an engine built through the plain constructors keeps to
+    /// assemble its own epochs; `None` when an executor binds it
+    /// externally ([`Engine::with_view`]).
+    own: Option<OwnEpoch>,
     /// Identity of the view the structures were built over.
     bound_view: Option<u64>,
 
@@ -410,14 +441,9 @@ pub struct Engine {
     /// Kernel dispatch level every sweep on this engine runs at
     /// (resolved or forced at construction; see [`EngineOptions`]).
     dispatch: KernelDispatch,
-    /// Memoized `llf` tables per distinct `(sent, bad, w)` evidence key;
+    /// Resident `llf` ladders of the term ids this engine has met;
     /// extend-only, so `SFlow::tbl` offsets survive rebinds.
     terms: TermTable,
-    /// Ladders pre-computed during the assembly stage, consumed (and
-    /// cleared) by the next [`Engine::rebuild_flows`] so first-sight
-    /// evidence keys cost a copy instead of transcendentals on the
-    /// inference critical path. `None` outside the pipelined executor.
-    term_prefill: Option<std::sync::Arc<TermPrefill>>,
     /// Per-component argmax bias for the warm-start *move* scan:
     /// `+prior_logodds(c)` when `c` is out of the hypothesis (adding
     /// pays the prior), `-prior_logodds(c)` when in (removal reclaims
@@ -456,6 +482,14 @@ pub struct Engine {
     /// Per-ladder-rung likelihood sums of the set currently being
     /// initialized.
     scratch_sums: Vec<f64>,
+    /// Seeded initial Δ, for a set the seed touches: the distinct ladder
+    /// indexes its components' neighbours read (rung 0 is the set's own
+    /// `set_bad`)…
+    scratch_ladder: Vec<u32>,
+    /// …and ladder index → rung ([`NO_RUNG`] between sets; an index is at
+    /// most the set's width, so the array stays as small as the widest
+    /// seeded set).
+    scratch_rung: Vec<u32>,
 }
 
 /// Predicate selecting the observations an engine sees (sharded
@@ -478,6 +512,15 @@ pub struct Engine {
 /// components (see `filtered_engines_partition_evidence`).
 pub type FlowFilter<'a> = &'a dyn Fn(usize, &FlowObs) -> bool;
 
+/// The persistent inputs a sharded executor maintains outside its
+/// engines, kept privately by an engine built through [`Engine::new`] /
+/// [`Engine::with_options`]: the view projecting the accepted evidence
+/// and the term directory keying it.
+struct OwnEpoch {
+    view: ArenaView,
+    terms: TermDirectory,
+}
+
 impl Engine {
     /// Build an engine for `obs` over `topo`.
     pub fn new(topo: &Topology, obs: &ObservationSet, params: HyperParams) -> Engine {
@@ -488,8 +531,9 @@ impl Engine {
     /// (`None` = all observations) with explicit [`EngineOptions`]. The
     /// filter restricts evidence; blame targets are whatever components
     /// that evidence touches. The engine owns a private [`ArenaView`]
-    /// projecting the accepted evidence; use [`Engine::with_view`] to
-    /// bind an externally maintained view instead.
+    /// projecting the accepted evidence and a private [`TermDirectory`]
+    /// keying it; use [`Engine::with_view`] to bind externally
+    /// maintained ones instead.
     pub fn with_options(
         topo: &Topology,
         obs: &ObservationSet,
@@ -497,7 +541,11 @@ impl Engine {
         filter: Option<FlowFilter<'_>>,
         opts: EngineOptions,
     ) -> Engine {
-        let mut engine = Self::empty(topo, params, opts, Some(ArenaView::new()));
+        let own = OwnEpoch {
+            view: ArenaView::new(),
+            terms: TermDirectory::new(&params),
+        };
+        let mut engine = Self::empty(topo, params, opts, Some(own));
         engine
             .try_rebind_filtered(topo, obs, filter)
             .expect("a fresh view accepts any arena");
@@ -505,10 +553,13 @@ impl Engine {
     }
 
     /// Build an engine over the evidence recorded in `view` (which must
-    /// have been bound to `obs` via [`ArenaView::bind_epoch`] already).
-    /// The caller keeps ownership of the view and passes it back on every
-    /// [`Engine::try_rebind_view`]; this is how `flock-stream` maintains
-    /// one view per shard.
+    /// have been bound to `obs` via [`ArenaView::bind_epoch`] already),
+    /// keyed by `table` (built over `obs`), starting at the hypothesis
+    /// `seed` — see [`Engine::try_rebind_view`], which this goes through.
+    /// The caller keeps ownership of the view and of the
+    /// [`TermDirectory`] behind the table and passes both back on every
+    /// rebind; this is how `flock-stream` maintains one view per shard
+    /// and one directory per pipeline.
     ///
     /// # Panics
     /// If the view has never been bound to an arena (a programming
@@ -520,6 +571,8 @@ impl Engine {
         params: HyperParams,
         opts: EngineOptions,
         view: &ArenaView,
+        table: &EpochFlowTable,
+        seed: &[CompIdx],
     ) -> Engine {
         assert!(
             view.lineage().is_some(),
@@ -527,7 +580,7 @@ impl Engine {
         );
         let mut engine = Self::empty(topo, params, opts, None);
         engine
-            .try_rebind_view(topo, obs, view)
+            .try_rebind_view(topo, obs, view, table, seed)
             .expect("the view must have been bound to this observation set's arena");
         engine
     }
@@ -536,7 +589,7 @@ impl Engine {
         topo: &Topology,
         params: HyperParams,
         opts: EngineOptions,
-        own_view: Option<ArenaView>,
+        own: Option<OwnEpoch>,
     ) -> Engine {
         params.validate();
         let space = ComponentSpace::new(topo);
@@ -545,7 +598,7 @@ impl Engine {
             space,
             params,
             opts,
-            own_view,
+            own,
             bound_view: None,
             comps: {
                 let mut m = DenseRemap::new();
@@ -578,7 +631,6 @@ impl Engine {
                 .map(KernelDispatch::clamped)
                 .unwrap_or_else(KernelDispatch::resolve),
             terms: TermTable::new(),
-            term_prefill: None,
             gain_move_bias: Vec::new(),
             gain_add_bias: Vec::new(),
             scratch_g: Vec::new(),
@@ -592,6 +644,8 @@ impl Engine {
             new_g: Vec::new(),
             new_sp: Vec::new(),
             scratch_sums: Vec::new(),
+            scratch_ladder: Vec::new(),
+            scratch_rung: Vec::new(),
         }
     }
 
@@ -621,39 +675,68 @@ impl Engine {
     /// selected by `filter` (`None` = all): the engine's view validates
     /// the arena and rejects a shrunk or foreign-lineage one with a
     /// typed error, leaving the engine's previous state intact (the
-    /// epoch's flow layer is untouched on error).
+    /// epoch's flow layer is untouched on error). The engine keys the
+    /// epoch itself, over its own directory, and binds at the empty
+    /// hypothesis.
     pub fn try_rebind_filtered(
         &mut self,
         topo: &Topology,
         obs: &ObservationSet,
         filter: Option<FlowFilter<'_>>,
     ) -> Result<(), ViewError> {
-        let mut view = self
-            .own_view
+        let mut own = self
+            .own
             .take()
             .expect("engine bound to an external view must rebind via try_rebind_view");
-        let bound = view.bind_epoch(obs, |i, o| match filter {
+        let bound = own.view.bind_epoch(obs, |i, o| match filter {
             Some(keep) => keep(i, o),
             None => true,
         });
-        let result = bound.and_then(|()| self.try_rebind_view(topo, obs, &view));
-        self.own_view = Some(view);
+        let result = bound.and_then(|()| {
+            let mut table = EpochFlowTable::new();
+            table.rebuild(&mut own.terms, obs);
+            self.try_rebind_view(topo, obs, &own.view, &table, &[])
+        });
+        self.own = Some(own);
         result
     }
 
     /// Rebind over an externally maintained view (already
-    /// [bound](ArenaView::bind_epoch) to `obs` for this epoch). Rejects
-    /// a view other than the one the engine's local ids were assigned by
-    /// with [`ViewError::ForeignView`], and an observation set whose
-    /// arena the view does not cover (foreign lineage, or an earlier
-    /// state of the right lineage) with the matching [`ViewError`] —
-    /// indexing `obs` with another arena's view ids would be silent
-    /// misindexing, the exact failure class the typed errors exist for.
+    /// [bound](ArenaView::bind_epoch) to `obs` for this epoch), reading
+    /// the evidence keys from `table` ([built](EpochFlowTable::rebuild)
+    /// over `obs`, always through the same [`TermDirectory`]) and
+    /// starting at the hypothesis `seed`.
+    ///
+    /// `seed` is a list of *global* component ids — typically the
+    /// previous epoch's verdict, which survives engine rebuilds in that
+    /// form. The bind *enters* it: hypothesis state is set up for it
+    /// directly and Δ and the log-likelihood are computed there (see the
+    /// module docs, § the Δ array), which is what re-entering it with one
+    /// [`Engine::flip`] per component from the empty hypothesis would
+    /// reach, at the cost of one evidence pass instead of one JLE sweep
+    /// per seed. Components this engine has never had evidence for are
+    /// skipped (they have no local id); duplicates are entered once. An
+    /// empty seed binds at the empty hypothesis.
+    ///
+    /// Rejects a view other than the one the engine's local ids were
+    /// assigned by with [`ViewError::ForeignView`], and an observation
+    /// set whose arena the view does not cover (foreign lineage, or an
+    /// earlier state of the right lineage) with the matching
+    /// [`ViewError`] — indexing `obs` with another arena's view ids
+    /// would be silent misindexing, the exact failure class the typed
+    /// errors exist for.
+    ///
+    /// # Panics
+    /// If `table` does not cover `obs`, or was built over another
+    /// directory than this engine's earlier tables (see
+    /// [`TermTable::bind`]).
     pub fn try_rebind_view(
         &mut self,
         topo: &Topology,
         obs: &ObservationSet,
         view: &ArenaView,
+        table: &EpochFlowTable,
+        seed: &[CompIdx],
     ) -> Result<(), ViewError> {
         if let Some(expected) = self.bound_view.filter(|&id| id != view.id()) {
             return Err(ViewError::ForeignView {
@@ -662,6 +745,11 @@ impl Engine {
             });
         }
         view.covers(&obs.arena)?;
+        assert_eq!(
+            table.len(),
+            obs.flows.len(),
+            "the flow table must be built over the observation set it keys"
+        );
         // Bind only once every check has passed: a rejected first bind
         // must leave a fresh engine free to bind the right view later.
         self.bound_view = Some(view.id());
@@ -672,10 +760,9 @@ impl Engine {
         self.path_fail.fill(0);
         self.set_bad.fill(0);
         self.delta.fill(0.0);
-        self.ll = 0.0;
 
         let structures_grew = self.extend_structures(topo, obs, view);
-        self.rebuild_flows(topo, obs, view);
+        self.rebuild_flows(topo, obs, view, table);
 
         // Component-indexed arrays and inverted indexes span the local
         // component space, which extras may have widened just now.
@@ -684,9 +771,9 @@ impl Engine {
         self.delta.resize(n, 0.0);
         self.scratch_g.resize(n, 0);
         self.scratch_s.resize(n, 0);
-        // Rebuilding the argmax bias arrays is O(local): the hypothesis
-        // is empty after the reset above, so both scans start from the
-        // pure add prior.
+        // Rebuilding the argmax bias arrays is O(local): every component
+        // starts at the pure add prior; entering the seed below moves
+        // the seeded ones.
         self.gain_move_bias.resize(n, 0.0);
         self.gain_add_bias.resize(n, 0.0);
         let link_prior = self.params.link_prior_logodds();
@@ -716,8 +803,50 @@ impl Engine {
                 .flat_map(|(mi, m)| m.extras().iter().map(move |&e| (e, mi))),
         );
 
+        // Only now can the seed go in: it may have gained paths, sets or
+        // members this epoch, and entering it walks the indexes above.
+        self.enter_hypothesis(seed);
         self.compute_initial_delta();
         Ok(())
+    }
+
+    /// Put the engine — freshly reset to the empty hypothesis, flow layer
+    /// and inverted indexes rebuilt — at the hypothesis `seed` (global
+    /// ids): membership, path fail counts, `set_bad` of every set a
+    /// seeded path crosses, pinned members, and both argmax biases, i.e.
+    /// everything a [`Engine::flip`] per component would have left
+    /// behind except Δ and the likelihood, which
+    /// [`Engine::compute_initial_delta`] derives from this state.
+    fn enter_hypothesis(&mut self, seed: &[CompIdx]) {
+        for &g in seed {
+            let Some(c) = self.comps.local(g) else {
+                continue;
+            };
+            if std::mem::replace(&mut self.in_h[c as usize], true) {
+                continue;
+            }
+            self.hypothesis.push(c);
+            for &p in self.comp_to_paths.get(c) {
+                self.path_fail[p as usize] += 1;
+            }
+            for &mi in self.comp_extra_members.get(c) {
+                let m = &mut self.members[mi as usize];
+                m.extra_fail += 1;
+                if m.extra_fail == 1 {
+                    self.sflows[m.flow as usize].pinned += m.weight;
+                }
+            }
+            let p = self.prior_logodds(c);
+            self.gain_move_bias[c as usize] = -p;
+            self.gain_add_bias[c as usize] = f64::NEG_INFINITY;
+        }
+        // Fail counts are final: recount the sets they touch (a set two
+        // seeds share is recounted twice, to the same value).
+        for i in 0..self.hypothesis.len() {
+            for &s in self.comp_to_sets.get(self.hypothesis[i]) {
+                self.set_bad[s as usize] = self.recount_set_bad(s);
+            }
+        }
     }
 
     /// Local id of a global component, assigning the next dense id on
@@ -821,8 +950,9 @@ impl Engine {
     ///
     /// Under [`CoalesceMode::Approx`] whole `(set, bucket)` runs collapse
     /// instead: the run's first observation is the representative (its
-    /// `(sent, bad)` feeds the term table) and every further observation
-    /// in the bucket only adds weight. Each such merge perturbs the
+    /// term id and score, read from `table` like any other, become the
+    /// super-flow's) and every further observation in the bucket only
+    /// adds weight. Each such merge perturbs the
     /// likelihood by at most `weight · |s_obs − s_rep|` — `llf` has
     /// `∂/∂s ∈ [0, 1]` uniformly in `(w, b)` and the total is linear in
     /// weight — and that perturbation is accumulated *exactly* into
@@ -830,18 +960,20 @@ impl Engine {
     /// the bucketing scheme: drift is measured from the merges actually
     /// performed, and an approx engine over exactly-sorted input simply
     /// coalesces less with zero measured drift.
-    fn rebuild_flows(&mut self, topo: &Topology, obs: &ObservationSet, view: &ArenaView) {
+    fn rebuild_flows(
+        &mut self,
+        topo: &Topology,
+        obs: &ObservationSet,
+        view: &ArenaView,
+        table: &EpochFlowTable,
+    ) {
         self.sflows.clear();
         self.members.clear();
         self.n_obs = 0;
         self.drift = 0.0;
+        self.terms.bind(table);
         let approx = self.opts.coalesce && self.opts.mode.is_approx();
         let quant = flock_telemetry::BucketQuantizer::new(self.opts.mode);
-        // The flow score is linear in the counts, `s = bad·A + clean·B`
-        // (see `likelihood::flow_score`), so drift accounting hoists the
-        // two log terms out of the per-observation loop.
-        let score_a = (self.params.p_b / self.params.p_g).ln();
-        let score_b = ((1.0 - self.params.p_b) / (1.0 - self.params.p_g)).ln();
         let mut last_key: Option<(u32, u64, u64)> = None;
         let mut last_rep: (u64, u64) = (0, 0);
         for &i in view.epoch_flows() {
@@ -862,17 +994,12 @@ impl Engine {
             };
             if !(self.opts.coalesce && last_key == Some(key)) {
                 let at = self.members.len() as u32;
-                // One memoized llf table per distinct evidence key; the
-                // common warm-epoch case is a pure hash hit, and a miss
-                // copies the assembly stage's pre-computed ladder when
-                // one was installed (bit-identical either way).
-                let (tbl, score) = self.terms.intern_prefilled(
-                    &self.params,
-                    o.sent,
-                    o.bad,
-                    w,
-                    self.term_prefill.as_deref(),
-                );
+                // The epoch's table keyed this observation already: the
+                // common warm-epoch case is one dense array read, and a
+                // first sight copies the ladder the table minted or
+                // computes it from the score (bit-identical either way).
+                let (term, score) = table.term(i as usize);
+                let tbl = self.terms.resolve(term, score, w, table);
                 self.sflows.push(SFlow {
                     set: ls,
                     score,
@@ -886,7 +1013,7 @@ impl Engine {
                 last_rep = (o.sent, o.bad);
             } else if approx && (o.sent, o.bad) != last_rep {
                 let fi = self.sflows.len() - 1;
-                let s = o.bad as f64 * score_a + (o.sent - o.bad) as f64 * score_b;
+                let (_, s) = table.term(i as usize);
                 self.drift += f64::from(o.weight) * (s - self.sflows[fi].score).abs();
             }
             let fi = self.sflows.len() - 1;
@@ -904,11 +1031,10 @@ impl Engine {
                 self.sflows[fi].members.1 = mi + 1;
             }
         }
-        // Extend-only `TermTable` contract (see ROADMAP "term-table
-        // lifetime"): every flow's full ladder `terms.values()[tbl + b]`,
-        // `b ∈ 0..=w`, must be resident — bucketed keys intern through
-        // the same path as exact keys, so representatives must never
-        // yield a truncated table.
+        // Extend-only `TermTable` contract: every flow's full ladder
+        // `terms.values()[tbl + b]`, `b ∈ 0..=w`, must be resident —
+        // bucketed keys resolve through the same path as exact keys, so
+        // representatives must never yield a truncated ladder.
         debug_assert!(
             self.sflows
                 .iter()
@@ -967,15 +1093,6 @@ impl Engine {
         let known = PrefixLink { comp, devices };
         self.prefix_links[link.0 as usize] = known;
         known
-    }
-
-    /// Install (or clear) pre-computed [`TermPrefill`] ladders for the
-    /// next flow rebuild. The pipelined executor sets this right before
-    /// a rebind (from ladders built during the overlapped assembly
-    /// stage) and clears it after the epoch's search, so the `Arc`'d
-    /// prefill never outlives its epoch.
-    pub fn set_term_prefill(&mut self, prefill: Option<std::sync::Arc<TermPrefill>>) {
-        self.term_prefill = prefill;
     }
 
     /// The full-topology component space (indices on it are *global*;
@@ -1632,19 +1749,42 @@ impl Engine {
             .count() as u32
     }
 
-    /// Initial Δ array for the empty hypothesis (`ComputeInitialDelta` of
-    /// Algorithm 2). With every path good, `delta[c]` gains
-    /// `Σ_flows weight · LLF(g(c))` from each set containing `c`, where
-    /// `g(c)` — the member paths of the set containing `c` — depends only
-    /// on the append-only path/set structure. That half is cached per set
-    /// when the set is first viewed (`set_ladders`, `set_gidx`; see
-    /// [`Engine::extend_structures`]), so an epoch pays only for its
+    /// Δ and the log-likelihood at the *current* hypothesis, from scratch
+    /// (`ComputeInitialDelta` of Algorithm 2, generalized to the seed a
+    /// bind [entered](Engine::enter_hypothesis)); `delta` must be zeroed.
+    ///
+    /// A set `S` no failed path crosses (`set_bad == 0` — at the empty
+    /// hypothesis, every set) adds `Σ_flows active · LLF(g(c))` to each
+    /// of its components `c`, where `g(c)` — the member paths of `S`
+    /// containing `c` — depends only on the append-only path/set
+    /// structure. That half is cached per set when the set is first
+    /// viewed (`set_ladders`, `set_gidx`; see
+    /// [`Engine::extend_structures`]), so such a set pays only for its
     /// evidence: one table gather-accumulate per super-flow over the
-    /// set's ladder, then one scatter over the set's components. Sweeps
-    /// the *view's* sets only — the fleet-wide arena never enters this
-    /// loop.
+    /// set's ladder, then one scatter over the set's components. `active`
+    /// is the weight no failed extra pins (`weight − pinned`, which *is*
+    /// `weight` at the empty hypothesis).
+    ///
+    /// A set the seed touches has no cached structure to lean on — its
+    /// neighbours read `LLF(set_bad + g)` outside the hypothesis and
+    /// `LLF(set_bad − s)` inside, with `g`/`s` counting good/singly-failed
+    /// member paths *now* — so it collects those counters once, exactly
+    /// as a flip does per affected set, builds the small ladder of
+    /// distinct indexes they select, and then pays the same one gather
+    /// per super-flow and one scatter, each component receiving its
+    /// rung's sum minus the `LLF(set_bad)` rung's (which is also the
+    /// set's share of the likelihood).
+    ///
+    /// Sweeps the *view's* sets only — the fleet-wide arena never enters
+    /// this loop.
     fn compute_initial_delta(&mut self) {
         let mut sums = std::mem::take(&mut self.scratch_sums);
+        let mut ladder = std::mem::take(&mut self.scratch_ladder);
+        let mut rung = std::mem::take(&mut self.scratch_rung);
+        let mut ctr_l = std::mem::take(&mut self.new_l);
+        let mut ctr_g = std::mem::take(&mut self.new_g);
+        let mut ctr_sp = std::mem::take(&mut self.new_sp);
+        let mut ll = 0.0;
         for s in 0..self.sets.n_rows() as u32 {
             // Sets with no flows this epoch contribute nothing; skipping
             // them keeps rebinding cheap as the shard's view accumulates
@@ -1653,33 +1793,119 @@ impl Engine {
             if flows.is_empty() {
                 continue;
             }
-            // Σ_super-flows weight · LLF(g) per distinct g (every flow of
-            // the set shares `w`, so the ladder indexes every segment in
-            // range).
-            let gs = self.set_ladders.get(s);
+            let sb = self.set_bad[s as usize];
+            // The table indexes this set's neighbours read. Every flow
+            // of the set shares `w`, so they index every segment in
+            // range.
+            let gs: &[u32] = if sb == 0 {
+                self.set_ladders.get(s)
+            } else {
+                ctr_l.clear();
+                ctr_g.clear();
+                ctr_sp.clear();
+                // No component is mid-flip: the special partition is the
+                // in-hypothesis components alone.
+                collect_counters_partitioned(
+                    self.sets.get(s),
+                    &self.path_fail,
+                    &self.path_comps,
+                    self.set_comps.get(s),
+                    NO_COMP,
+                    &self.in_h,
+                    &mut self.scratch_g,
+                    &mut self.scratch_s,
+                    &mut ctr_l,
+                    &mut ctr_g,
+                    &mut ctr_sp,
+                );
+                let w = self.sets.get(s).len();
+                if rung.len() <= w {
+                    rung.resize(w + 1, NO_RUNG);
+                }
+                ladder.clear();
+                let neighbours = ctr_g
+                    .iter()
+                    .map(|&g| sb + g)
+                    .chain(ctr_sp.iter().map(|&(_, _, s1)| sb - s1));
+                for idx in std::iter::once(sb).chain(neighbours) {
+                    if rung[idx as usize] == NO_RUNG {
+                        rung[idx as usize] = ladder.len() as u32;
+                        ladder.push(idx);
+                    }
+                }
+                &ladder
+            };
+            // Σ_super-flows active · LLF(index) per distinct index.
             sums.clear();
             sums.resize(gs.len(), 0.0);
             for &fi in flows {
                 let f = &self.sflows[fi as usize];
-                let seg = &self.terms.values()[f.tbl as usize..(f.tbl + f.w + 1) as usize];
-                simd::weighted_table_accumulate(self.dispatch, seg, gs, f.weight, &mut sums);
+                // Weights are integer-valued sums, so the subtraction is
+                // exact and `active == 0.0` means fully pinned.
+                let active = f.weight - f.pinned;
+                if active > 0.0 {
+                    let seg = &self.terms.values()[f.tbl as usize..(f.tbl + f.w + 1) as usize];
+                    simd::weighted_table_accumulate(self.dispatch, seg, gs, active, &mut sums);
+                }
             }
-            let row = self.set_comps.range(s);
-            for (&c, &gi) in self.set_comps.items[row.clone()]
-                .iter()
-                .zip(&self.set_gidx[row])
-            {
-                self.delta[c as usize] += sums[gi as usize];
+            if sb == 0 {
+                let row = self.set_comps.range(s);
+                for (&c, &gi) in self.set_comps.items[row.clone()]
+                    .iter()
+                    .zip(&self.set_gidx[row])
+                {
+                    self.delta[c as usize] += sums[gi as usize];
+                }
+            } else {
+                let at_sb = sums[0];
+                ll += at_sb;
+                for (&c, &g) in ctr_l.iter().zip(&ctr_g) {
+                    self.delta[c as usize] += sums[rung[(sb + g) as usize] as usize] - at_sb;
+                }
+                for &(c, _, s1) in &ctr_sp {
+                    self.delta[c as usize] += sums[rung[(sb - s1) as usize] as usize] - at_sb;
+                }
+                for &idx in &ladder {
+                    rung[idx as usize] = NO_RUNG;
+                }
             }
         }
-        // Extras: flipping an extra fails all paths of its member.
+        // Extras: `flip_extra_for_member`'s own formulas, at the current
+        // state. A member sits at `b = w` while any of its extras is
+        // failed and follows its set otherwise; flipping an extra `e`
+        // moves it to `w` (`e` joins), or back to its set when `e` was
+        // its only failed extra. `LLF(0) = 0` and `LLF(w) = score`
+        // exactly, so only a partly failed set reads the ladder — at the
+        // empty hypothesis this is `weight · score` per extra.
+        let terms = self.terms.values();
         for m in &self.members {
-            let sc = self.sflows[m.flow as usize].score;
+            let f = &self.sflows[m.flow as usize];
+            let at = |b: u32| match b {
+                0 => 0.0,
+                b if b == f.w => f.score,
+                b => terms[(f.tbl + b) as usize],
+            };
+            let sb = self.set_bad[f.set as usize];
+            let here = at(if m.extra_fail > 0 { f.w } else { sb });
+            if m.extra_fail > 0 {
+                ll += m.weight * here;
+            }
             for &e in m.extras() {
-                self.delta[e as usize] += m.weight * sc; // llf(w,w)=score
+                let flipped = if self.in_h[e as usize] && m.extra_fail == 1 {
+                    sb
+                } else {
+                    f.w
+                };
+                self.delta[e as usize] += m.weight * (at(flipped) - here);
             }
         }
+        self.ll = ll;
         self.scratch_sums = sums;
+        self.scratch_ladder = ladder;
+        self.scratch_rung = rung;
+        self.new_l = ctr_l;
+        self.new_g = ctr_g;
+        self.new_sp = ctr_sp;
     }
 
     /// Evaluate one neighbor delta from the current state without touching
@@ -1834,6 +2060,14 @@ mod tests {
     use flock_topology::Router;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+
+    /// Key `obs` the way an executor would before binding an external
+    /// view: a fresh directory's first table.
+    fn keyed(obs: &ObservationSet) -> EpochFlowTable {
+        let mut table = EpochFlowTable::new();
+        table.rebuild(&mut TermDirectory::new(&HyperParams::default()), obs);
+        table
+    }
 
     /// Build a small observation set with a mix of passive (path-set) and
     /// known-path flows, with pseudo-random metrics.
@@ -2565,12 +2799,17 @@ mod tests {
             EngineOptions::default(),
             None,
         );
-        let err = engine.try_rebind_view(&topo, &obs, &wrong).unwrap_err();
+        let table = keyed(&obs);
+        let err = engine
+            .try_rebind_view(&topo, &obs, &wrong, &table, &[])
+            .unwrap_err();
         assert!(matches!(err, ViewError::ForeignLineage { .. }), "{err}");
 
         let mut right = ArenaView::new();
         right.bind_epoch(&obs, |_, _| true).unwrap();
-        engine.try_rebind_view(&topo, &obs, &right).unwrap();
+        engine
+            .try_rebind_view(&topo, &obs, &right, &table, &[])
+            .unwrap();
         let fresh = Engine::new(&topo, &obs, HyperParams::default());
         assert_eq!(
             engine.log_likelihood().to_bits(),
@@ -2578,8 +2817,101 @@ mod tests {
         );
         assert_eq!(engine.n_flows(), fresh.n_flows());
         // Bound now: any other view is foreign.
-        let err = engine.try_rebind_view(&topo, &obs, &wrong).unwrap_err();
+        let err = engine
+            .try_rebind_view(&topo, &obs, &wrong, &table, &[])
+            .unwrap_err();
         assert!(matches!(err, ViewError::ForeignView { .. }), "{err}");
+    }
+
+    /// Entering a seed at bind leaves exactly the hypothesis state that
+    /// flipping it in leaves — every counter, pin and argmax bias, to the
+    /// bit (they are integers, or sums and negations of integer-valued
+    /// weights and priors) — with Δ and the likelihood equal within fp
+    /// tolerance. The seed mixes fabric components with host links
+    /// (extras of prefix groups), names one component twice and one the
+    /// engine has never met.
+    #[test]
+    fn seeded_bind_state_is_the_flipped_state() {
+        for (seed, kinds) in [
+            (17u64, &[InputKind::A2, InputKind::P][..]),
+            (18u64, &[InputKind::Int][..]),
+        ] {
+            let (topo, obs) = small_obs_with(seed, kinds, CoalesceMode::Exact);
+            let table = keyed(&obs);
+            let bound_view = || {
+                let mut view = ArenaView::new();
+                view.bind_epoch(&obs, |i, _| i % 5 == 0).unwrap();
+                view
+            };
+            let (vf, vs) = (bound_view(), bound_view());
+            let build = |view: &ArenaView, seed: &[CompIdx]| {
+                Engine::with_view(
+                    &topo,
+                    &obs,
+                    HyperParams::default(),
+                    EngineOptions::default(),
+                    view,
+                    &table,
+                    seed,
+                )
+            };
+            let mut flipped = build(&vf, &[]);
+            let n = flipped.n_comps() as u32;
+            let extras: Vec<CompIdx> = flipped
+                .members
+                .iter()
+                .flat_map(|m| m.extras().to_vec())
+                .collect();
+            let fabric = flipped.set_comps.items.clone();
+            let locals = [
+                fabric[0],
+                extras[0],
+                fabric[fabric.len() / 2],
+                extras[extras.len() / 2],
+            ];
+            let unseen = (0..flipped.n_global_comps() as u32)
+                .find(|&g| flipped.local_comp(g).is_none())
+                .expect("a dozen flows leave some host link untouched");
+            let mut hyp: Vec<CompIdx> = locals.iter().map(|&c| flipped.global_comp(c)).collect();
+            hyp.insert(1, unseen);
+            hyp.push(hyp[0]);
+
+            let seeded = build(&vs, &hyp);
+            for &c in &locals {
+                if !flipped.in_hypothesis(c) {
+                    flipped.flip(c);
+                }
+            }
+            assert_eq!(seeded.hypothesis, flipped.hypothesis);
+            assert_eq!(seeded.in_h, flipped.in_h);
+            assert_eq!(seeded.path_fail, flipped.path_fail);
+            assert_eq!(seeded.set_bad, flipped.set_bad);
+            assert!(seeded.set_bad.iter().any(|&b| b > 0));
+            let fails = |e: &Engine| e.members.iter().map(|m| m.extra_fail).collect::<Vec<_>>();
+            assert_eq!(fails(&seeded), fails(&flipped));
+            assert!(fails(&seeded).iter().any(|&f| f > 0));
+            let pins = |e: &Engine| e.sflows.iter().map(|f| f.pinned).collect::<Vec<_>>();
+            assert_eq!(pins(&seeded), pins(&flipped));
+            assert_eq!(seeded.gain_move_bias, flipped.gain_move_bias);
+            assert_eq!(seeded.gain_add_bias, flipped.gain_add_bias);
+            for c in 0..n {
+                let expect = if seeded.in_hypothesis(c) {
+                    (-seeded.prior_logodds(c), f64::NEG_INFINITY)
+                } else {
+                    (seeded.prior_logodds(c), seeded.prior_logodds(c))
+                };
+                let got = (
+                    seeded.gain_move_bias[c as usize],
+                    seeded.gain_add_bias[c as usize],
+                );
+                assert_eq!(got, expect, "comp {c}");
+            }
+            let close = |a: f64, b: f64| (a - b).abs() < 1e-7 * (1.0 + b.abs());
+            assert!(close(seeded.log_likelihood(), flipped.log_likelihood()));
+            for (c, (a, b)) in seeded.delta().iter().zip(flipped.delta()).enumerate() {
+                assert!(close(*a, *b), "comp {c}: seeded {a} vs flipped {b}");
+            }
+        }
     }
 
     /// The cached g-ladder counts *paths*, not visits: a round-trip probe
@@ -2667,7 +2999,16 @@ mod tests {
 
         let mut view = ArenaView::new();
         view.bind_epoch(&obs, keep).unwrap();
-        let mut viewed = Engine::with_view(&topo, &obs, params, EngineOptions::default(), &view);
+        let table = keyed(&obs);
+        let mut viewed = Engine::with_view(
+            &topo,
+            &obs,
+            params,
+            EngineOptions::default(),
+            &view,
+            &table,
+            &[],
+        );
         let legacy =
             Engine::with_options(&topo, &obs, params, Some(&keep), EngineOptions::default());
 
@@ -2682,12 +3023,16 @@ mod tests {
         // belong to the view that assigned them.
         let mut other = ArenaView::new();
         other.bind_epoch(&obs, keep).unwrap();
-        let err = viewed.try_rebind_view(&topo, &obs, &other).unwrap_err();
+        let err = viewed
+            .try_rebind_view(&topo, &obs, &other, &table, &[])
+            .unwrap_err();
         assert!(matches!(err, ViewError::ForeignView { .. }), "{err}");
 
         // Rebinding through the right view works and is idempotent.
         view.bind_epoch(&obs, keep).unwrap();
-        viewed.try_rebind_view(&topo, &obs, &view).unwrap();
+        viewed
+            .try_rebind_view(&topo, &obs, &view, &table, &[])
+            .unwrap();
         assert!((viewed.log_likelihood() - legacy.log_likelihood()).abs() < 1e-12);
     }
 
@@ -2699,22 +3044,29 @@ mod tests {
         let (topo, obs) = small_obs(15);
         let mut view = ArenaView::new();
         view.bind_epoch(&obs, |_, _| true).unwrap();
+        let table = keyed(&obs);
         let mut engine = Engine::with_view(
             &topo,
             &obs,
             HyperParams::default(),
             EngineOptions::default(),
             &view,
+            &table,
+            &[],
         );
 
         // Same flows, fresh assembly: different arena lineage.
         let (_, foreign) = small_obs(15);
-        let err = engine.try_rebind_view(&topo, &foreign, &view).unwrap_err();
+        let err = engine
+            .try_rebind_view(&topo, &foreign, &view, &table, &[])
+            .unwrap_err();
         assert!(matches!(err, ViewError::ForeignLineage { .. }), "{err}");
 
         // The engine is still usable against the covered set.
         view.bind_epoch(&obs, |_, _| true).unwrap();
-        engine.try_rebind_view(&topo, &obs, &view).unwrap();
+        engine
+            .try_rebind_view(&topo, &obs, &view, &table, &[])
+            .unwrap();
     }
 
     /// Cloning a view stamps a fresh identity: clones serve new
@@ -2725,16 +3077,21 @@ mod tests {
         let (topo, obs) = small_obs(16);
         let mut view = ArenaView::new();
         view.bind_epoch(&obs, |_, _| true).unwrap();
+        let table = keyed(&obs);
         let mut engine = Engine::with_view(
             &topo,
             &obs,
             HyperParams::default(),
             EngineOptions::default(),
             &view,
+            &table,
+            &[],
         );
         let clone = view.clone();
         assert_ne!(view.id(), clone.id());
-        let err = engine.try_rebind_view(&topo, &obs, &clone).unwrap_err();
+        let err = engine
+            .try_rebind_view(&topo, &obs, &clone, &table, &[])
+            .unwrap_err();
         assert!(matches!(err, ViewError::ForeignView { .. }), "{err}");
     }
 

@@ -188,10 +188,12 @@ impl FlockGreedy {
             })
             .collect();
         // Ties ordered by *global* id: local id order varies with the
-        // engine's evidence history, global order does not.
+        // engine's evidence history, global order does not. `total_cmp`,
+        // like the pipeline's merge of these lists: a confidence can be
+        // NaN (non-finite scores are stored unchanged by design), and
+        // ordering one must not panic the shard thread.
         picked.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap()
+            b.1.total_cmp(&a.1)
                 .then(engine.global_comp(a.0).cmp(&engine.global_comp(b.0)))
         });
         BudgetedSearch {
@@ -561,6 +563,34 @@ mod tests {
         let mut e3 = Engine::new(&topo, &obs, flock.params);
         let (unbudgeted, _) = flock.search_warm(&mut e3, &[]);
         assert_eq!(budgeted.picked, unbudgeted);
+    }
+
+    /// A parameter set `validate` accepts can still overflow the score
+    /// (`p_b / p_g = inf`, and a clean flow's `0 · inf` is NaN); the
+    /// table stores such scores unchanged, the argmax stops on them, and
+    /// the seeds come back with NaN confidences — ordered, not panicked
+    /// over.
+    #[test]
+    fn nan_confidences_are_ordered_not_panicked_over() {
+        let topo = three_tier(ClosParams::tiny());
+        let obs = telemetry_with_failures(&topo, &[], 50, 41);
+        let params = HyperParams {
+            p_g: f64::from_bits(1),
+            ..Default::default()
+        };
+        let mut engine = Engine::new(&topo, &obs, params);
+        let out = FlockGreedy::new(params).search_warm_deadline(&mut engine, &[2, 0, 1], None);
+        assert_eq!(out.picked.len(), 3);
+        assert!(out.picked.iter().all(|(_, conf)| conf.is_nan()));
+        let globals: Vec<CompIdx> = out
+            .picked
+            .iter()
+            .map(|&(c, _)| engine.global_comp(c))
+            .collect();
+        assert!(
+            globals.is_sorted(),
+            "equal (NaN) confidences fall back to global id order"
+        );
     }
 
     #[test]

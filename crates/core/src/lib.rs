@@ -60,7 +60,7 @@ pub use engine::{
 pub use flock_telemetry::CoalesceMode;
 pub use gibbs::GibbsSampler;
 pub use greedy::{BudgetedSearch, FlockGreedy};
-pub use likelihood::{flow_score, llf, TermPrefill, TermTable};
+pub use likelihood::{flow_score, llf, EpochFlowTable, TermDirectory, TermTable};
 pub use localizer::{LocalizationResult, Localizer};
 pub use metrics::{evaluate, fscore, MetricsAccumulator, PrecisionRecall};
 pub use params::HyperParams;

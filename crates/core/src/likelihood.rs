@@ -16,8 +16,28 @@
 //! depends on the hypothesis only through the failed-path count `b`, which
 //! is exactly the memoization the JLE pseudocode (`GetCounters`,
 //! Algorithm 2) exploits.
+//!
+//! # Keying an epoch's evidence once
+//!
+//! The `w + 1` values `LLF(0..=w)` of one evidence key `(sent, bad, w)` —
+//! its *ladder* — are memoized, in three pieces with three lifetimes:
+//!
+//! * the [`TermDirectory`] (persistent, one per epoch assembler) maps a
+//!   key to a dense term id, append-only;
+//! * the [`EpochFlowTable`] (one per epoch, built in the assembly stage)
+//!   holds, per observation, its term id and score — one directory probe
+//!   and one score per run of equal keys — plus the ladders of the ids
+//!   minted that epoch;
+//! * each engine's [`TermTable`] (persistent, one per engine) keeps the
+//!   ladders of the ids *it* has met in one flat slice, found through a
+//!   dense id → offset array.
+//!
+//! A sharded executor fans one observation out to several engines (source
+//! pod, destination pod, every spine plane), so the key is hashed and
+//! scored in the one place that sees it once, not in every engine.
 
 use crate::params::HyperParams;
+use flock_telemetry::ObservationSet;
 use flock_topology::FxHashMap;
 
 /// The flow score `s`: log-likelihood ratio of observing `(bad, sent)` on
@@ -27,10 +47,35 @@ use flock_topology::FxHashMap;
 /// packets), negative when it is evidence against (mostly clean packets).
 #[inline]
 pub fn flow_score(params: &HyperParams, sent: u64, bad: u64) -> f64 {
-    debug_assert!(bad <= sent);
-    let r = bad as f64;
-    let t = sent as f64;
-    r * (params.p_b / params.p_g).ln() + (t - r) * ((1.0 - params.p_b) / (1.0 - params.p_g)).ln()
+    ScoreCoeffs::new(params).score(sent, bad)
+}
+
+/// The two log-ratio coefficients of [`flow_score`], which is linear in
+/// the counts: `s = bad · ln(p_b/p_g) + clean · ln((1-p_b)/(1-p_g))`.
+/// Whoever scores many observations under one parameter set pays the two
+/// `ln` once; [`flow_score`] itself is defined through this type, so the
+/// hoisted and the one-off evaluation cannot drift apart.
+#[derive(Debug, Clone, Copy)]
+struct ScoreCoeffs {
+    bad: f64,
+    clean: f64,
+}
+
+impl ScoreCoeffs {
+    fn new(params: &HyperParams) -> Self {
+        ScoreCoeffs {
+            bad: (params.p_b / params.p_g).ln(),
+            clean: ((1.0 - params.p_b) / (1.0 - params.p_g)).ln(),
+        }
+    }
+
+    #[inline]
+    fn score(&self, sent: u64, bad: u64) -> f64 {
+        debug_assert!(bad <= sent);
+        let r = bad as f64;
+        let t = sent as f64;
+        r * self.bad + (t - r) * self.clean
+    }
 }
 
 /// Normalized flow log-likelihood given `b` failed paths out of `w`.
@@ -53,30 +98,209 @@ pub fn llf(score: f64, w: u32, b: u32) -> f64 {
     hi + (lo - hi).exp().ln_1p() - (w as f64).ln()
 }
 
-/// Memoized `llf` tables keyed by the flow evidence `(sent, bad, w)`.
+/// The persistent **term directory**: every evidence key `(sent, bad, w)`
+/// the owner has ever assembled, mapped to a dense *term id*.
 ///
 /// A super-flow's log-likelihood depends on the hypothesis only through
 /// its failed-path count `b ∈ 0..=w`, so the whole transcendental cost of
-/// [`llf`] can be paid once per *distinct evidence key* and every flip
-/// sweep afterwards is a pure table gather. The table is flat `f64`
-/// storage: a flow holds an offset and reads `values()[off + b]`.
+/// [`llf`] can be paid once per distinct key as a `w + 1`-entry *ladder*
+/// and every flip sweep afterwards is a pure table gather. The directory
+/// is where a key is looked up — **once per epoch**, by whoever assembles
+/// the epoch (a `StreamPipeline`, or privately an [`Engine`] built
+/// through its plain constructors) while building the
+/// [`EpochFlowTable`]. Every engine reading that table then resolves ids
+/// through a dense per-engine array ([`TermTable`]) instead of hashing
+/// the 20-byte key again.
 ///
-/// Entries are produced by calling [`llf`] itself, so a table lookup is
-/// **bit-identical** to direct evaluation by construction — the property
-/// the SIMD kernels (see [`crate::simd`]) rely on to keep scalar and
-/// vector sweeps exactly equal.
+/// Append-only, like the path arena: an id, once minted, denotes the same
+/// key forever, so ids held by warm engines survive across epochs.
 ///
-/// The table is extend-only: keys interned in earlier epochs stay valid
-/// across view rebinds, so offsets held by live super-flows never move.
+/// [`Engine`]: crate::Engine
+#[derive(Debug)]
+pub struct TermDirectory {
+    /// Process-unique identity, stamped into every table built over this
+    /// directory: ids of two directories alias, so a [`TermTable`]
+    /// refuses tables of any directory but its first.
+    token: u64,
+    coeffs: ScoreCoeffs,
+    ids: FxHashMap<(u64, u64, u32), u32>,
+}
+
+impl TermDirectory {
+    /// An empty directory scoring under `params`.
+    pub fn new(params: &HyperParams) -> Self {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
+        TermDirectory {
+            token: NEXT_TOKEN.fetch_add(1, Ordering::Relaxed),
+            coeffs: ScoreCoeffs::new(params),
+            ids: FxHashMap::default(),
+        }
+    }
+
+    /// Distinct keys minted so far; every id handed out is below this.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether no key has been minted yet.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+}
+
+/// One observation's entry in the [`EpochFlowTable`].
+#[derive(Debug, Clone, Copy)]
+struct FlowTerm {
+    score: f64,
+    id: u32,
+}
+
+/// One epoch's evidence, keyed **once**: per observation of an
+/// [`ObservationSet`] (same indexing as `obs.flows`) the term id of its
+/// `(sent, bad, w)` key and its [`flow_score`], plus the ladders of the
+/// ids minted *this* epoch (in steady state: none).
+///
+/// Built by [`EpochFlowTable::rebuild`] in one walk over the sorted
+/// observations: the assembler's order makes runs of equal evidence keys
+/// contiguous, so a run costs one directory probe and one score, however
+/// many shard engines later read it. An engine meeting an id for the
+/// first time copies its ladder from here when the id is this epoch's,
+/// and otherwise computes it from the score with [`llf`] — the same
+/// function that filled the minted ladders, so both are bit-identical by
+/// construction.
+#[derive(Debug, Default)]
+pub struct EpochFlowTable {
+    /// [`TermDirectory`] the ids belong to (0 = never built).
+    directory: u64,
+    terms: Vec<FlowTerm>,
+    /// Directory size after the build: every id in `terms` is below it.
+    n_terms: u32,
+    /// First id minted by this build; ids `minted_base..n_terms` carry
+    /// ladders (the directory is append-only, so they are contiguous).
+    minted_base: u32,
+    /// Ladder of id `minted_base + k` is
+    /// `ladders[ladder_off[k]..ladder_off[k + 1]]`.
+    ladder_off: Vec<u32>,
+    ladders: Vec<f64>,
+}
+
+impl EpochFlowTable {
+    /// An empty table (covers an empty observation set).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Rebuild in place for `obs`, minting the keys `dir` has not seen.
+    /// Buffers are reused, so a steady-state epoch allocates nothing.
+    /// Observations over an empty path set carry no evidence and get no
+    /// term (engines drop them before looking).
+    pub fn rebuild(&mut self, dir: &mut TermDirectory, obs: &ObservationSet) {
+        self.directory = dir.token;
+        self.terms.clear();
+        self.terms.reserve(obs.flows.len());
+        self.minted_base = dir.ids.len() as u32;
+        self.ladder_off.clear();
+        self.ladder_off.push(0);
+        self.ladders.clear();
+        let mut run: Option<((u32, u64, u64), FlowTerm)> = None;
+        for o in &obs.flows {
+            let key = o.evidence_key();
+            let term = match run {
+                Some((k, term)) if k == key => term,
+                _ => {
+                    let w = obs.arena.set(o.set).len() as u32;
+                    let term = if w == 0 {
+                        FlowTerm {
+                            score: 0.0,
+                            id: u32::MAX,
+                        }
+                    } else {
+                        self.term_of(dir, o.sent, o.bad, w)
+                    };
+                    run = Some((key, term));
+                    term
+                }
+            };
+            self.terms.push(term);
+        }
+        self.n_terms = dir.ids.len() as u32;
+    }
+
+    /// Look `(sent, bad, w)` up in `dir` — one hash probe — minting it,
+    /// ladder included, on first sight.
+    fn term_of(&mut self, dir: &mut TermDirectory, sent: u64, bad: u64, w: u32) -> FlowTerm {
+        let score = dir.coeffs.score(sent, bad);
+        let next = u32::try_from(dir.ids.len()).expect("term directory exceeds u32 ids");
+        let id = *dir.ids.entry((sent, bad, w)).or_insert(next);
+        if id == next {
+            self.ladders.extend((0..=w).map(|b| llf(score, w, b)));
+            let end = u32::try_from(self.ladders.len()).expect("minted ladders exceed u32 offsets");
+            self.ladder_off.push(end);
+        }
+        FlowTerm { score, id }
+    }
+
+    /// Observations covered (the length of the `obs.flows` it was built
+    /// over).
+    pub fn len(&self) -> usize {
+        self.terms.len()
+    }
+
+    /// Whether the table covers no observation.
+    pub fn is_empty(&self) -> bool {
+        self.terms.is_empty()
+    }
+
+    /// `(term id, flow score)` of observation `i`.
+    #[inline]
+    pub fn term(&self, i: usize) -> (u32, f64) {
+        let t = self.terms[i];
+        (t.id, t.score)
+    }
+
+    /// Ids minted by this build.
+    pub fn minted(&self) -> usize {
+        (self.n_terms - self.minted_base) as usize
+    }
+
+    /// The ladder of `id`, if this build minted it.
+    fn minted_ladder(&self, id: u32) -> Option<&[f64]> {
+        let k = id.checked_sub(self.minted_base)? as usize;
+        let hi = *self.ladder_off.get(k + 1)?;
+        Some(&self.ladders[self.ladder_off[k] as usize..hi as usize])
+    }
+}
+
+/// One engine's resident `llf` ladders, addressed by term id.
+///
+/// Flat `f64` storage: a flow holds an offset and reads
+/// `values()[off + b]`, so the sweep kernels (see [`crate::simd`]) index
+/// one contiguous slice. Which ids are resident is a dense id → offset
+/// array — no key, no hash. Entries are produced by [`llf`] itself
+/// (directly, or copied from a ladder the epoch's table minted with it),
+/// so a lookup is **bit-identical** to direct evaluation by construction
+/// — the property the SIMD kernels rely on to keep scalar and vector
+/// sweeps exactly equal.
+///
+/// Extend-only: ladders resolved in earlier epochs stay valid across
+/// view rebinds, so offsets held by live super-flows never move.
 #[derive(Debug, Default, Clone)]
 pub struct TermTable {
-    /// Flat storage; the table for a key sits at `off..off + w + 1`.
+    /// Flat storage; the ladder of a resident id sits at `off..=off + w`.
     values: Vec<f64>,
-    /// `(sent, bad, w)` → offset of that key's table in `values`.
-    index: FxHashMap<(u64, u64, u32), u32>,
-    /// Distinct keys interned so far (for diagnostics/bench reporting).
+    /// Term id → offset of its ladder in `values` ([`UNRESOLVED`] until
+    /// this engine first meets the id).
+    offsets: Vec<u32>,
+    /// Identity of the directory the ids belong to, bound by the first
+    /// table seen.
+    directory: Option<u64>,
+    /// Ladders resident (for diagnostics/bench reporting).
     tables: usize,
 }
+
+/// "Not resident yet" in [`TermTable::offsets`].
+const UNRESOLVED: u32 = u32::MAX;
 
 impl TermTable {
     /// An empty table.
@@ -84,117 +308,73 @@ impl TermTable {
         Self::default()
     }
 
-    /// Intern the evidence key `(sent, bad, w)`, building its `w + 1`
-    /// entries on first sight, and return `(offset, score)`.
+    /// Prepare to resolve the ids of `table`: widen the id side to its
+    /// directory's current size.
     ///
-    /// `w` must be positive (a flow with no candidate paths carries no
-    /// evidence and is dropped before it reaches the engine). The score
-    /// is finite for any valid [`HyperParams`]; if a degenerate parameter
-    /// set ever produces a non-finite score the table stores the exact
-    /// `llf` outputs for it unchanged, so lookups still agree bitwise
-    /// with direct evaluation — the non-finite guard property tests pin
-    /// this down.
-    pub fn intern(&mut self, params: &HyperParams, sent: u64, bad: u64, w: u32) -> (u32, f64) {
-        self.intern_prefilled(params, sent, bad, w, None)
+    /// # Panics
+    /// If `table` was built over another [`TermDirectory`] than the
+    /// first one bound — the two id spaces alias, and resolving through
+    /// the wrong one would read another key's ladder.
+    pub fn bind(&mut self, table: &EpochFlowTable) {
+        let bound = *self.directory.get_or_insert(table.directory);
+        assert_eq!(
+            bound, table.directory,
+            "flow table built over another term directory: its ids alias this engine's"
+        );
+        if self.offsets.len() < table.n_terms as usize {
+            self.offsets.resize(table.n_terms as usize, UNRESOLVED);
+        }
     }
 
-    /// [`intern`](Self::intern) with an optional pre-computed ladder
-    /// source: on a key miss, if `prefill` holds the key's ladder the
-    /// entries are copied in instead of recomputed. Prefill ladders are
-    /// built by the same [`llf`] over the same [`flow_score`], so the
-    /// copy is bit-identical to direct computation — it only moves the
-    /// transcendental cost off the caller (the pipelined executor pays
-    /// it during the assembly stage, overlapped with the previous
-    /// epoch's inference).
-    pub fn intern_prefilled(
-        &mut self,
-        params: &HyperParams,
-        sent: u64,
-        bad: u64,
-        w: u32,
-        prefill: Option<&TermPrefill>,
-    ) -> (u32, f64) {
+    /// Offset of term `id`'s ladder (`w + 1` entries, `llf(score, w, ·)`),
+    /// made resident on this engine's first sight of the id: copied from
+    /// `table` when it minted the id this epoch, computed otherwise.
+    /// `table` must have been [bound](Self::bind); `w` must be positive
+    /// (a flow with no candidate paths carries no evidence and is
+    /// dropped before it reaches the engine). The score is finite for
+    /// any valid [`HyperParams`]; if a degenerate parameter set ever
+    /// produces a non-finite one the exact `llf` outputs are stored
+    /// unchanged, so lookups still agree bitwise with direct evaluation
+    /// — the non-finite guard property tests pin this down.
+    #[inline]
+    pub fn resolve(&mut self, id: u32, score: f64, w: u32, table: &EpochFlowTable) -> u32 {
         debug_assert!(w > 0, "term table requires w > 0");
-        let score = flow_score(params, sent, bad);
-        if let Some(&off) = self.index.get(&(sent, bad, w)) {
-            return (off, score);
+        let off = self.offsets[id as usize];
+        if off != UNRESOLVED {
+            return off;
         }
-        let off = u32::try_from(self.values.len()).expect("term table exceeds u32 offsets");
-        match prefill.and_then(|p| p.get(sent, bad, w)) {
-            Some(ladder) => self.values.extend_from_slice(ladder),
-            None => {
-                for b in 0..=w {
-                    self.values.push(llf(score, w, b));
-                }
-            }
-        }
-        self.index.insert((sent, bad, w), off);
-        self.tables += 1;
-        (off, score)
+        self.append(id, score, w, table)
     }
 
-    /// The flat value storage; a flow's table is `&values()[off..=off + w]`.
+    #[cold]
+    fn append(&mut self, id: u32, score: f64, w: u32, table: &EpochFlowTable) -> u32 {
+        let off = u32::try_from(self.values.len()).expect("term table exceeds u32 offsets");
+        match table.minted_ladder(id) {
+            Some(ladder) => {
+                debug_assert_eq!(ladder.len(), w as usize + 1);
+                self.values.extend_from_slice(ladder);
+            }
+            None => self.values.extend((0..=w).map(|b| llf(score, w, b))),
+        }
+        self.offsets[id as usize] = off;
+        self.tables += 1;
+        off
+    }
+
+    /// The flat value storage; a flow's ladder is `&values()[off..=off + w]`.
     #[inline]
     pub fn values(&self) -> &[f64] {
         &self.values
     }
 
-    /// Total `f64` entries across all interned keys.
+    /// Total `f64` entries across all resident ladders.
     pub fn entries(&self) -> usize {
         self.values.len()
     }
 
-    /// Distinct `(sent, bad, w)` keys interned.
+    /// Distinct `(sent, bad, w)` keys resident.
     pub fn tables(&self) -> usize {
         self.tables
-    }
-}
-
-/// Pre-computed [`llf`] ladders keyed by `(sent, bad, w)`, built during
-/// the assembly stage and consumed by
-/// [`TermTable::intern_prefilled`] at engine-rebind time.
-///
-/// This is the term-table pre-extension hook of the pipelined epoch
-/// loop: the assembler knows every evidence key the epoch will intern
-/// (it computed each observation's counts and path-set width), so the
-/// transcendental ladder work happens off the inference critical path.
-/// Ladders come from the same [`flow_score`] + [`llf`] as a direct
-/// intern, so consuming a prefill is bit-identical to not having one.
-#[derive(Debug, Default, Clone)]
-pub struct TermPrefill {
-    map: FxHashMap<(u64, u64, u32), Box<[f64]>>,
-}
-
-impl TermPrefill {
-    /// An empty prefill.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Compute (once) the ladder for `(sent, bad, w)`. `w` must be
-    /// positive, as for [`TermTable::intern`].
-    pub fn ensure(&mut self, params: &HyperParams, sent: u64, bad: u64, w: u32) {
-        debug_assert!(w > 0, "term prefill requires w > 0");
-        self.map.entry((sent, bad, w)).or_insert_with(|| {
-            let score = flow_score(params, sent, bad);
-            (0..=w).map(|b| llf(score, w, b)).collect()
-        });
-    }
-
-    /// The ladder for `(sent, bad, w)`, if ensured.
-    #[inline]
-    pub fn get(&self, sent: u64, bad: u64, w: u32) -> Option<&[f64]> {
-        self.map.get(&(sent, bad, w)).map(|b| &b[..])
-    }
-
-    /// Distinct keys held.
-    pub fn tables(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether no keys are held.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -276,31 +456,123 @@ mod tests {
         assert!((v2 - (1.0f64 / 32.0).ln()).abs() < 1e-6);
     }
 
+    /// One observation per `(sent, bad)` pair, each over a fresh set of
+    /// `w` single-link paths.
+    fn obs_of(keys: &[(u64, u64, u32)]) -> ObservationSet {
+        use flock_telemetry::{AnalysisMode, FlowObs, PathArena};
+        let mut arena = PathArena::new();
+        let mut next_link = 0u32;
+        let flows = keys
+            .iter()
+            .map(|&(sent, bad, w)| {
+                let paths = (0..w)
+                    .map(|_| {
+                        next_link += 1;
+                        arena.intern_path(&[flock_topology::LinkId(next_link)])
+                    })
+                    .collect();
+                FlowObs {
+                    prefix: [None, None],
+                    set: arena.intern_set(paths),
+                    sent,
+                    bad,
+                    weight: 1,
+                }
+            })
+            .collect();
+        ObservationSet {
+            arena,
+            flows,
+            mode: AnalysisMode::PerPacket,
+        }
+    }
+
+    /// The table is keyed once per run, ids are dense in mint order, a
+    /// known key mints nothing — and a ladder is the same bits whether an
+    /// engine copies it from the minting epoch's table or computes it
+    /// epochs later from the score alone.
     #[test]
-    fn prefilled_intern_is_bit_identical() {
+    fn flow_table_keys_once_and_ladders_are_bit_identical() {
         let p = params();
-        let keys = [(40u64, 0u64, 4u32), (80, 2, 4), (160, 3, 8), (320, 0, 1)];
-        let mut prefill = TermPrefill::new();
-        for &(sent, bad, w) in &keys {
-            prefill.ensure(&p, sent, bad, w);
+        let keys = [(40u64, 0u64, 4u32), (80, 2, 4), (80, 2, 8), (160, 3, 8)];
+        let mut obs = obs_of(&keys);
+        // A run: the same evidence key again, right behind the first.
+        let twin = obs.flows[3];
+        obs.flows.push(twin);
+        let mut dir = TermDirectory::new(&p);
+        let mut minting = EpochFlowTable::new();
+        minting.rebuild(&mut dir, &obs);
+        assert_eq!(minting.len(), 5);
+        assert_eq!(dir.len(), 4, "w is part of the key");
+        assert_eq!(minting.minted(), 4);
+        assert_eq!(minting.term(4).0, minting.term(3).0);
+        for (i, &(sent, bad, w)) in keys.iter().enumerate() {
+            let (id, score) = minting.term(i);
+            assert_eq!(id as usize, i, "dense, in mint order");
+            assert_eq!(score.to_bits(), flow_score(&p, sent, bad).to_bits());
+            let ladder = minting.minted_ladder(id).unwrap();
+            assert_eq!(ladder.len(), w as usize + 1);
+            for (b, v) in ladder.iter().enumerate() {
+                assert_eq!(v.to_bits(), llf(score, w, b as u32).to_bits());
+            }
         }
-        let mut direct = TermTable::new();
-        let mut filled = TermTable::new();
-        for &(sent, bad, w) in &keys {
-            let (od, sd) = direct.intern(&p, sent, bad, w);
-            let (of, sf) = filled.intern_prefilled(&p, sent, bad, w, Some(&prefill));
-            assert_eq!(od, of);
-            assert_eq!(sd.to_bits(), sf.to_bits());
+        // A later epoch over known keys: same ids, nothing minted.
+        let mut later = EpochFlowTable::new();
+        later.rebuild(&mut dir, &obs);
+        assert_eq!((dir.len(), later.minted()), (4, 0));
+        assert!(later.minted_ladder(0).is_none());
+
+        // `early` meets every id in the minting epoch (copies), `late`
+        // only afterwards (computes): same offsets, same bits.
+        let mut early = TermTable::new();
+        let mut late = TermTable::new();
+        early.bind(&minting);
+        late.bind(&later);
+        for (i, &(_, _, w)) in keys.iter().enumerate() {
+            let (id, score) = later.term(i);
+            assert_eq!(minting.term(i).0, id);
+            let oe = early.resolve(id, score, w, &minting);
+            let ol = late.resolve(id, score, w, &later);
+            assert_eq!(oe, ol);
         }
-        assert_eq!(direct.entries(), filled.entries());
-        for (a, b) in direct.values().iter().zip(filled.values()) {
+        assert_eq!(early.tables(), 4);
+        assert_eq!(early.entries(), late.entries());
+        for (a, b) in early.values().iter().zip(late.values()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        // A key missing from the prefill falls back to direct compute.
-        let (o1, _) = direct.intern(&p, 999, 7, 6);
-        let (o2, _) = filled.intern_prefilled(&p, 999, 7, 6, Some(&prefill));
-        assert_eq!(o1, o2);
-        assert_eq!(direct.values().len(), filled.values().len());
+        // Re-resolving is a pure hit.
+        let (id, score) = later.term(1);
+        let entries = early.entries();
+        assert_eq!(early.resolve(id, score, 4, &later), 5);
+        assert_eq!(early.entries(), entries);
+    }
+
+    /// Equal `(sent, bad)` over sets of equal width share one id even
+    /// when the sets differ: the ladder depends on the set only through
+    /// `w`.
+    #[test]
+    fn directory_keys_on_width_not_on_set() {
+        let obs = obs_of(&[(50, 1, 3), (50, 1, 3), (50, 1, 2)]);
+        assert_ne!(obs.flows[0].set, obs.flows[1].set);
+        let mut dir = TermDirectory::new(&params());
+        let mut table = EpochFlowTable::new();
+        table.rebuild(&mut dir, &obs);
+        assert_eq!(table.term(0).0, table.term(1).0);
+        assert_ne!(table.term(0).0, table.term(2).0);
+        assert_eq!(dir.len(), 2);
+    }
+
+    /// Term ids of two directories alias; a table resolves through one.
+    #[test]
+    #[should_panic(expected = "another term directory")]
+    fn term_table_refuses_a_second_directory() {
+        let obs = obs_of(&[(50, 1, 3)]);
+        let mut terms = TermTable::new();
+        for _ in 0..2 {
+            let mut table = EpochFlowTable::new();
+            table.rebuild(&mut TermDirectory::new(&params()), &obs);
+            terms.bind(&table);
+        }
     }
 
     #[test]

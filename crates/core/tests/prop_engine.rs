@@ -4,8 +4,8 @@
 //! regime (§4.2).
 
 use flock_core::{
-    flow_score, llf, simd, CoalesceMode, CompIdx, Engine, EngineOptions, FlockGreedy, HyperParams,
-    Localizer, SherlockFerret,
+    flow_score, llf, simd, CoalesceMode, CompIdx, ComponentSpace, Engine, EngineOptions,
+    EpochFlowTable, FlockGreedy, HyperParams, Localizer, SherlockFerret, TermDirectory,
 };
 use flock_telemetry::input::{assemble, AnalysisMode, InputKind};
 use flock_telemetry::{
@@ -274,6 +274,100 @@ fn epoch_traffic(
         .collect()
 }
 
+/// The three-pod Clos of the multi-epoch properties (three pods break
+/// the two-pod serial-link equivalence once traffic reaches them all).
+fn three_pod_clos() -> Topology {
+    three_tier(ClosParams {
+        pods: 3,
+        tors_per_pod: 2,
+        aggs_per_pod: 2,
+        spines_per_plane: 2,
+        hosts_per_tor: 2,
+    })
+}
+
+/// Every Δ entry and the likelihood of `engine` against brute force at
+/// its current hypothesis, within the tolerance of
+/// `delta_matches_brute_force_after_flips`.
+fn assert_delta_is_brute_force(engine: &Engine, what: &str) {
+    let h = engine.hypothesis().to_vec();
+    let base = engine.ll_of(&h);
+    assert!(
+        (base - engine.log_likelihood()).abs() < 1e-7 * (1.0 + base.abs()),
+        "{}: ll {} vs brute {}",
+        what,
+        engine.log_likelihood(),
+        base
+    );
+    for c in 0..engine.n_comps() as u32 {
+        let mut h2 = h.clone();
+        match h2.iter().position(|&x| x == c) {
+            Some(p) => {
+                h2.remove(p);
+            }
+            None => h2.push(c),
+        }
+        let expect = engine.ll_of(&h2) - base;
+        let got = engine.delta()[c as usize];
+        assert!(
+            (expect - got).abs() < 1e-7 * (1.0 + expect.abs()),
+            "{}: comp {} delta {} vs brute {} (|H|={})",
+            what,
+            c,
+            got,
+            expect,
+            h.len()
+        );
+    }
+}
+
+/// `a` and `b` — same evidence, same local ids — agree on hypothesis
+/// (as a set), likelihood and Δ within fp tolerance.
+fn assert_engines_agree(a: &Engine, b: &Engine, what: &str) {
+    let sorted = |e: &Engine| {
+        let mut h = e.hypothesis().to_vec();
+        h.sort_unstable();
+        h
+    };
+    assert_eq!(sorted(a), sorted(b), "{}: hypotheses", what);
+    assert_eq!(a.n_comps(), b.n_comps());
+    let (la, lb) = (a.log_likelihood(), b.log_likelihood());
+    assert!(
+        (la - lb).abs() < 1e-7 * (1.0 + lb.abs()),
+        "{}: ll {} vs {}",
+        what,
+        la,
+        lb
+    );
+    for (c, (x, y)) in a.delta().iter().zip(b.delta()).enumerate() {
+        assert_eq!(a.global_comp(c as u32), b.global_comp(c as u32));
+        assert!(
+            (x - y).abs() < 1e-7 * (1.0 + y.abs()),
+            "{}: comp {} delta {} vs {}",
+            what,
+            c,
+            x,
+            y
+        );
+    }
+}
+
+/// Pairs of components whose Δ entries are the same bits in `e` and
+/// non-zero: observationally equivalent components (Fig. 5c) tie exactly
+/// because they receive the same terms in the same order.
+fn exact_ties(e: &Engine) -> Vec<(usize, usize)> {
+    let d = e.delta();
+    let mut ties = Vec::new();
+    for i in 0..d.len() {
+        for j in i + 1..d.len() {
+            if d[i] != 0.0 && d[i].to_bits() == d[j].to_bits() {
+                ties.push((i, j));
+            }
+        }
+    }
+    ties
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -314,6 +408,8 @@ proptest! {
         let mut asm = Assembler::new();
         asm.set_coalesce(mode);
         let mut view = ArenaView::new();
+        let mut terms = TermDirectory::new(&HyperParams::default());
+        let mut table = EpochFlowTable::new();
         let mut engine: Option<Engine> = None;
         let mut sets_seen = Vec::new();
         const EPOCHS: usize = 4;
@@ -322,11 +418,12 @@ proptest! {
             let traffic = epoch_traffic(&topo, &router, &hosts[..reach], &mut rng, 60);
             let obs = asm.assemble(&topo, &router, &traffic, kinds, AnalysisMode::PerPacket);
             view.bind_epoch(&obs, |i, _| !filtered || i % 3 != 0).unwrap();
+            table.rebuild(&mut terms, &obs);
             match engine.as_mut() {
-                Some(e) => e.try_rebind_view(&topo, &obs, &view).unwrap(),
+                Some(e) => e.try_rebind_view(&topo, &obs, &view, &table, &[]).unwrap(),
                 None => {
                     engine = Some(Engine::with_view(
-                        &topo, &obs, HyperParams::default(), opts, &view));
+                        &topo, &obs, HyperParams::default(), opts, &view, &table, &[]));
                 }
             }
             let e = engine.as_mut().unwrap();
@@ -351,6 +448,239 @@ proptest! {
             sets_seen[EPOCHS - 1] > sets_seen[1] && sets_seen[1] > sets_seen[0],
             "later epochs must first-see sets: {:?}", sets_seen
         );
+    }
+
+    /// Binding *at* a seed hypothesis is binding at the empty one and
+    /// flipping the seed in — without the flips. On a cold build and on
+    /// every rebind over a view that first grows and then goes quiet
+    /// (the last epoch's traffic shrinks to a corner of the fabric, so
+    /// earlier components keep their local ids but lose their evidence),
+    /// for full and filtered engines, exact and approximate coalescing,
+    /// with seeds mixing fabric links, devices, host links (prefix
+    /// extras), components the engine has never seen, components it has
+    /// no evidence for this epoch, and duplicates: the hypothesis is the
+    /// seed; likelihood and every Δ entry are the brute-force values and
+    /// agree with the flip reference; components the flip reference ties
+    /// exactly stay exactly tied; and a further flip keeps Δ maintained.
+    #[test]
+    fn seeded_bind_equals_brute_force_and_flip_reference(
+        seed in 0u64..1000,
+        filtered in any::<bool>(),
+        approx in any::<bool>(),
+        mixed in any::<bool>(),
+    ) {
+        let topo = three_pod_clos();
+        let router = Router::new(&topo);
+        let hosts = topo.hosts().to_vec();
+        let kinds: &[InputKind] = if mixed {
+            &[InputKind::A2, InputKind::P]
+        } else {
+            &[InputKind::P]
+        };
+        let mode = if approx {
+            CoalesceMode::Approx { eps: 0.1 }
+        } else {
+            CoalesceMode::Exact
+        };
+        let params = HyperParams::default();
+        let opts = EngineOptions { mode, ..Default::default() };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut asm = Assembler::new();
+        asm.set_coalesce(mode);
+        let mut terms = TermDirectory::new(&params);
+        let mut table = EpochFlowTable::new();
+        // Two engines over twin views: one binds at the seed, the other
+        // at the empty hypothesis and flips its way there.
+        let (mut view, mut flip_view) = (ArenaView::new(), ArenaView::new());
+        let mut engines: Option<(Engine, Engine)> = None;
+        let mut sets_seen = Vec::new();
+        let mut unseen = 0;
+        let mut quiet = 0;
+        const EPOCHS: usize = 5;
+        for epoch in 0..EPOCHS {
+            let reach = if epoch + 1 < EPOCHS {
+                hosts.len() * (epoch + 1) / (EPOCHS - 1)
+            } else {
+                hosts.len() / 4
+            };
+            let traffic = epoch_traffic(&topo, &router, &hosts[..reach], &mut rng, 60);
+            let obs = asm.assemble(&topo, &router, &traffic, kinds, AnalysisMode::PerPacket);
+            for v in [&mut view, &mut flip_view] {
+                v.bind_epoch(&obs, |i, _| !filtered || i % 3 != 0).unwrap();
+            }
+            table.rebuild(&mut terms, &obs);
+
+            // Global ids: random components of the whole fabric, one the
+            // engine has met before (if any), and a duplicate.
+            let n_global = ComponentSpace::new(&topo).n_comps() as u32;
+            let mut hyp: Vec<CompIdx> = (0..rng.random_range(1..5usize))
+                .map(|_| rng.random_range(0..n_global))
+                .collect();
+            if let Some((e, _)) = &engines {
+                hyp.push(e.global_comp(rng.random_range(0..e.n_comps() as u32)));
+            }
+            hyp.push(hyp[0]);
+
+            match engines.as_mut() {
+                Some((e, r)) => {
+                    e.try_rebind_view(&topo, &obs, &view, &table, &hyp).unwrap();
+                    r.try_rebind_view(&topo, &obs, &flip_view, &table, &[]).unwrap();
+                }
+                None => {
+                    engines = Some((
+                        Engine::with_view(&topo, &obs, params, opts, &view, &table, &hyp),
+                        Engine::with_view(&topo, &obs, params, opts, &flip_view, &table, &[]),
+                    ));
+                }
+            }
+            let (e, r) = engines.as_mut().unwrap();
+            let ties_at_empty = exact_ties(r);
+            let mut expect: Vec<CompIdx> = Vec::new();
+            for &g in &hyp {
+                match r.local_comp(g) {
+                    Some(c) if !r.in_hypothesis(c) => {
+                        if r.convicting_evidence(c).super_flows == 0 {
+                            quiet += 1;
+                        }
+                        r.flip(c);
+                        expect.push(c);
+                    }
+                    Some(_) => {}
+                    None => unseen += 1,
+                }
+            }
+            prop_assert_eq!(e.hypothesis(), &expect[..], "epoch {}: the seed, in order", epoch);
+            assert_delta_is_brute_force(e, &format!("epoch {epoch}, seeded bind"));
+            assert_engines_agree(e, r, &format!("epoch {epoch}, seeded vs flipped"));
+            // Equivalent components: tied before the seed went in and
+            // still tied in the flip reference ⇒ tied in the seeded bind.
+            let still: Vec<_> = exact_ties(r)
+                .into_iter()
+                .filter(|t| ties_at_empty.contains(t))
+                .collect();
+            for (i, j) in still {
+                prop_assert_eq!(
+                    e.delta()[i].to_bits(), e.delta()[j].to_bits(),
+                    "epoch {}: comps {} and {} tie in the flip reference", epoch, i, j
+                );
+            }
+            // JLE maintenance carries on from the seeded state: one more
+            // add, then a removal of a seeded component.
+            let n = e.n_comps() as u32;
+            let mut walk = vec![rng.random_range(0..n)];
+            walk.extend(expect.first());
+            for c in walk {
+                let (de, dr) = (e.flip(c), r.flip(c));
+                prop_assert!((de - dr).abs() < 1e-7 * (1.0 + dr.abs()));
+                assert_delta_is_brute_force(e, &format!("epoch {epoch}, flip({c}) after seed"));
+                assert_engines_agree(e, r, &format!("epoch {epoch}, after flip({c})"));
+            }
+            // And the warm search moves on from it the same way: both
+            // argmax biases were entered with the seed, so the best move
+            // and the best addition pay the same gains in both engines
+            // (a random seed is mostly wrong: the best moves are
+            // removals). Both take the reference's pick, so a near-tie
+            // broken differently cannot fork the walks.
+            for _ in 0..16 {
+                let gain = |m: Option<(CompIdx, f64)>| m.map_or(f64::NEG_INFINITY, |(_, g)| g);
+                let (ae, ar) = (gain(e.argmax_addable()), gain(r.argmax_addable()));
+                prop_assert!(ae == ar || (ae - ar).abs() < 1e-7 * (1.0 + ar.abs()));
+                let Some((c, gr)) = r.argmax_move() else { break };
+                let ge = gain(e.argmax_move());
+                prop_assert!(
+                    (ge - gr).abs() < 1e-7 * (1.0 + gr.abs()),
+                    "epoch {}: best move pays {} seeded vs {} flipped", epoch, ge, gr
+                );
+                if gr <= 0.0 {
+                    break;
+                }
+                e.flip(c);
+                r.flip(c);
+            }
+            sets_seen.push(view.n_sets());
+            asm.recycle(obs);
+        }
+        prop_assert!(
+            sets_seen[3] > sets_seen[1] && sets_seen[1] > sets_seen[0],
+            "later epochs must first-see sets: {:?}", sets_seen
+        );
+        // The seed kinds the doc promises did occur (deterministic per
+        // case: the traffic and the seeds come from the case's rng).
+        prop_assert!(unseen + quiet > 0, "no unseen or evidence-less seed in the run");
+    }
+
+    /// One flow table per epoch ≡ per-engine keying, bitwise. An engine
+    /// reading tables built over a long-lived shared directory agrees to
+    /// the bit — likelihood, Δ, along a flip — with an engine keying the
+    /// same epochs itself; and an engine that first meets its keys epochs
+    /// after the directory minted them (so it computes its ladders from
+    /// the score instead of copying minted ones) agrees to the bit with
+    /// a fresh engine that mints them all.
+    #[test]
+    fn shared_flow_table_is_bit_equal_to_private_keying(
+        seed in 0u64..1000,
+        approx in any::<bool>(),
+    ) {
+        let topo = three_pod_clos();
+        let router = Router::new(&topo);
+        let hosts = topo.hosts().to_vec();
+        let kinds = [InputKind::A2, InputKind::P];
+        let mode = if approx {
+            CoalesceMode::Approx { eps: 0.1 }
+        } else {
+            CoalesceMode::Exact
+        };
+        let params = HyperParams::default();
+        let opts = EngineOptions { mode, ..Default::default() };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut asm = Assembler::new();
+        asm.set_coalesce(mode);
+        let mut terms = TermDirectory::new(&params);
+        let mut table = EpochFlowTable::new();
+        let mut view = ArenaView::new();
+        let mut engines: Option<(Engine, Engine)> = None;
+        let bits = |e: &Engine| {
+            let d: Vec<u64> = e.delta().iter().map(|x| x.to_bits()).collect();
+            (e.log_likelihood().to_bits(), d, e.drift_bound().to_bits(), e.term_table_sizes())
+        };
+        for epoch in 0..3 {
+            let traffic = epoch_traffic(&topo, &router, &hosts, &mut rng, 60);
+            let obs = asm.assemble(&topo, &router, &traffic, &kinds, AnalysisMode::PerPacket);
+            view.bind_epoch(&obs, |_, _| true).unwrap();
+            table.rebuild(&mut terms, &obs);
+            match engines.as_mut() {
+                Some((shared, private)) => {
+                    shared.try_rebind_view(&topo, &obs, &view, &table, &[]).unwrap();
+                    private.try_rebind_filtered(&topo, &obs, None).unwrap();
+                }
+                None => {
+                    engines = Some((
+                        Engine::with_view(&topo, &obs, params, opts, &view, &table, &[]),
+                        Engine::with_options(&topo, &obs, params, None, opts),
+                    ));
+                }
+            }
+            let (shared, private) = engines.as_mut().unwrap();
+            prop_assert_eq!(bits(shared), bits(private), "epoch {}", epoch);
+            let c = rng.random_range(0..shared.n_comps() as u32);
+            prop_assert_eq!(shared.flip(c).to_bits(), private.flip(c).to_bits());
+            prop_assert_eq!(bits(shared), bits(private), "epoch {} after flip({})", epoch, c);
+
+            if epoch == 2 {
+                // A latecomer over the shared directory vs a fresh
+                // engine: same first-touch order, so same local ids.
+                let mut late_view = ArenaView::new();
+                late_view.bind_epoch(&obs, |_, _| true).unwrap();
+                let late = Engine::with_view(&topo, &obs, params, opts, &late_view, &table, &[]);
+                let fresh = Engine::with_options(&topo, &obs, params, None, opts);
+                prop_assert!(
+                    late.term_table_sizes().0 > table.minted(),
+                    "the palette repeats: most keys were minted in epochs 0 and 1"
+                );
+                prop_assert_eq!(bits(&late), bits(&fresh));
+            }
+            asm.recycle(obs);
+        }
     }
 
     /// The central JLE invariant under arbitrary flip walks.

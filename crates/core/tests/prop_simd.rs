@@ -7,11 +7,16 @@
 //! comparisons hold trivially; CI's AVX2 runners give them teeth.
 
 use flock_core::simd::{self, KernelDispatch};
-use flock_core::{flow_score, llf, Engine, EngineOptions, FlockGreedy, HyperParams, TermTable};
+use flock_core::{
+    flow_score, llf, Engine, EngineOptions, EpochFlowTable, FlockGreedy, HyperParams,
+    TermDirectory, TermTable,
+};
 use flock_telemetry::input::{assemble, AnalysisMode, InputKind};
-use flock_telemetry::{FlowKey, FlowStats, MonitoredFlow, ObservationSet, TrafficClass};
+use flock_telemetry::{
+    FlowKey, FlowObs, FlowStats, MonitoredFlow, ObservationSet, PathArena, TrafficClass,
+};
 use flock_topology::clos::{leaf_spine, three_tier, ClosParams, LeafSpineParams};
-use flock_topology::{Router, Topology};
+use flock_topology::{LinkId, Router, Topology};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -208,10 +213,12 @@ proptest! {
         );
     }
 
-    /// The term table is a memo, not an approximation: every interned
-    /// entry equals the direct `llf` evaluation bitwise, re-interning is
-    /// a pure hit (same offset, no growth), and offsets stay valid as
-    /// the table extends.
+    /// The term table is a memo, not an approximation: every resident
+    /// entry equals the direct `llf` evaluation bitwise — whether the
+    /// ladder was copied from the table of the epoch that minted its id
+    /// or computed epochs later from the score — re-resolving is a pure
+    /// hit (same offset, no growth), and offsets stay valid as the table
+    /// extends.
     #[test]
     fn term_table_matches_llf_bitwise(
         sent in 1u64..5000,
@@ -220,28 +227,53 @@ proptest! {
     ) {
         let params = HyperParams::default();
         let bad = ((sent as f64) * bad_frac) as u64;
-        let mut t = TermTable::new();
-        let (off, score) = t.intern(&params, sent, bad, w);
-        prop_assert_eq!(score.to_bits(), flow_score(&params, sent, bad).to_bits());
-        for b in 0..=w {
+        // Two observations of `(sent, bad)`: over a set of `w` paths and
+        // over one of `w + 1`.
+        let mut arena = PathArena::new();
+        let paths: Vec<_> = (0..=w).map(|l| arena.intern_path(&[LinkId(l)])).collect();
+        let flows = [&paths[..w as usize], &paths[..]]
+            .map(|members| FlowObs {
+                prefix: [None, None],
+                set: arena.intern_set(members.to_vec()),
+                sent,
+                bad,
+                weight: 1,
+            })
+            .to_vec();
+        let obs = ObservationSet { arena, flows, mode: AnalysisMode::PerPacket };
+        let mut dir = TermDirectory::new(&params);
+        let mut minting = EpochFlowTable::new();
+        minting.rebuild(&mut dir, &obs);
+        let mut later = EpochFlowTable::new();
+        later.rebuild(&mut dir, &obs);
+        prop_assert_eq!((minting.minted(), later.minted()), (2, 0));
+
+        for table in [&minting, &later] {
+            let (id, score) = table.term(0);
+            prop_assert_eq!(score.to_bits(), flow_score(&params, sent, bad).to_bits());
+            let mut t = TermTable::new();
+            t.bind(table);
+            let off = t.resolve(id, score, w, table);
+            for b in 0..=w {
+                prop_assert_eq!(
+                    t.values()[(off + b) as usize].to_bits(),
+                    llf(score, w, b).to_bits(),
+                    "entry b={}", b
+                );
+            }
+            let (entries, tables) = (t.entries(), t.tables());
+            prop_assert_eq!(t.resolve(id, score, w, table), off);
+            prop_assert_eq!(t.entries(), entries);
+            prop_assert_eq!(t.tables(), tables);
+            // A different key extends the table without moving the old one.
+            let (wider, _) = table.term(1);
+            prop_assert_ne!(wider, id);
+            let off2 = t.resolve(wider, score, w + 1, table);
+            prop_assert!(off2 >= entries as u32);
             prop_assert_eq!(
-                t.values()[(off + b) as usize].to_bits(),
-                llf(score, w, b).to_bits(),
-                "entry b={}", b
+                t.values()[(off + w) as usize].to_bits(),
+                llf(score, w, w).to_bits()
             );
         }
-        let (entries, tables) = (t.entries(), t.tables());
-        let (off2, score2) = t.intern(&params, sent, bad, w);
-        prop_assert_eq!(off, off2);
-        prop_assert_eq!(score.to_bits(), score2.to_bits());
-        prop_assert_eq!(t.entries(), entries);
-        prop_assert_eq!(t.tables(), tables);
-        // A different key extends the table without moving the old one.
-        let (off3, _) = t.intern(&params, sent, bad, w + 1);
-        prop_assert!(off3 >= entries as u32);
-        prop_assert_eq!(
-            t.values()[(off + w) as usize].to_bits(),
-            llf(score, w, w).to_bits()
-        );
     }
 }

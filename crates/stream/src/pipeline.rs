@@ -19,11 +19,13 @@
 //!    persistent [`ArenaView`] — a dense local projection of the shared
 //!    arena onto the evidence the shard has ever accepted — so every
 //!    per-epoch reset, sweep, and Δ scan inside the engine is O(the
-//!    shard's own evidence), not O(total arena). Engines are
+//!    shard's own evidence), not O(total arena). The epoch's evidence
+//!    keys are looked up and scored once, on the assembly stage, into an
+//!    [`EpochFlowTable`] every shard engine reads. Engines are
 //!    **warm-started** from the shard's previous verdict: rebound
-//!    ([`flock_core::Engine::try_rebind_view`]) instead of rebuilt, and
-//!    the greedy search is seeded with the previous hypothesis, with
-//!    removals enabled so heals are detected
+//!    ([`flock_core::Engine::try_rebind_view`]) instead of rebuilt, *at*
+//!    the previous hypothesis, and the greedy search continues from
+//!    there with removals enabled so heals are detected
 //!    ([`FlockGreedy::search_warm`]);
 //! 4. when two or more spine-*plane* shards blame components — each from
 //!    its plane-filtered slice of the evidence — a **cross-plane
@@ -40,8 +42,8 @@ use crate::epoch::{Epoch, EpochConfig, EpochManager};
 use crate::exec::ShardExecutor;
 use crate::shard::{SetTouch, SetTouchIndex, Shard, ShardKind, ShardPlan};
 use flock_core::{
-    CompIdx, ComponentSpace, Engine, EngineOptions, EngineStateSizes, FlockGreedy, HyperParams,
-    KernelDispatch, LocalizationResult, TermPrefill,
+    CompIdx, ComponentSpace, Engine, EngineOptions, EngineStateSizes, EpochFlowTable, FlockGreedy,
+    HyperParams, KernelDispatch, LocalizationResult, TermDirectory,
 };
 use flock_telemetry::{
     AnalysisMode, ArenaDelta, ArenaView, Assembler, CoalesceMode, DrainBatch, FlowRecord,
@@ -98,7 +100,7 @@ pub struct StreamConfig {
     /// Overlap epochs: [`StreamPipeline::poll`] /
     /// [`StreamPipeline::drain`] submit each epoch's shard jobs to the
     /// persistent executor and *then* collect the previous epoch's
-    /// verdict, so epoch `N + 1`'s assembly (arena/view/term-table
+    /// verdict, so epoch `N + 1`'s assembly (arena and term-directory
     /// extension, double-buffered against the in-flight arena copy) and
     /// even its per-shard inference overlap epoch `N`'s. Reports are
     /// emitted exactly one epoch behind submission;
@@ -396,8 +398,8 @@ pub struct ShardOutcome {
 
 /// Where an epoch's wall time went, split at the executor boundary.
 ///
-/// `prepare` (assembly: arena/view-catch-up, interning, sorting,
-/// touch signatures, term-ladder prefill) and `merge` (refinement +
+/// `prepare` (the assembly stage: `assemble`, `index` and `flow_table`
+/// below, plus job submission) and `merge` (refinement +
 /// blame-ownership merge + provenance) both run on the *caller's*
 /// thread; the shard searches between them run on the executor. Under
 /// [`StreamConfig::pipelined`], `prepare` of epoch `N + 1` overlaps the
@@ -409,6 +411,15 @@ pub struct StageTimings {
     pub prepare: Duration,
     /// Collect-stage wall time: refinement (when it ran) + merge.
     pub merge: Duration,
+    /// The part of `prepare` spent producing the [`ObservationSet`]:
+    /// arena twin catch-up, interning, sorting, coalescing.
+    pub assemble: Duration,
+    /// The part of `prepare` spent on per-observation touch signatures
+    /// and per-shard accept lists.
+    pub index: Duration,
+    /// The part of `prepare` spent keying the epoch's evidence into the
+    /// [`EpochFlowTable`] (directory probes, scores, minted ladders).
+    pub flow_table: Duration,
 }
 
 /// One epoch's merged verdict.
@@ -490,11 +501,10 @@ struct EpochCtx {
     /// computed once on the assembly stage so shard binding is a
     /// replay, not a filter scan.
     accept: Vec<Vec<u32>>,
-    /// Pre-computed likelihood-term ladders for every `(sent, bad, w)`
-    /// key in the epoch (pipelined mode only): shard engines extend
-    /// their term tables by memcpy instead of recomputing `llf` ladders
-    /// on the critical path. Bit-identical to on-demand interning.
-    prefill: Option<Arc<TermPrefill>>,
+    /// Each observation's term id and score, plus the ladders of the
+    /// keys first seen this epoch: every shard engine reads its evidence
+    /// keys from here instead of hashing and scoring them again.
+    flow_table: EpochFlowTable,
     deadline: Option<Instant>,
     epoch_index: u64,
 }
@@ -518,8 +528,9 @@ struct InFlight {
     /// Degrade reasons sampled at submission (late-record delta,
     /// externally-flagged reasons) — they belong to this report.
     flags: Vec<DegradeReason>,
-    /// Assembly-stage cost of this epoch.
-    prepare: Duration,
+    /// Assembly-stage costs of this epoch (`merge` is filled at
+    /// collect).
+    stages: StageTimings,
     submitted: Instant,
     n_jobs: usize,
 }
@@ -556,10 +567,15 @@ pub struct StreamPipeline<'t> {
     /// The second arena copy of the double buffer, parked between
     /// epochs when the assembler already holds a live arena.
     spare_arena: Option<PathArena>,
-    /// Previous epoch's touch-signature and accept-list buffers,
-    /// reclaimed at collect and refilled in place the next epoch.
+    /// Every `(sent, bad, w)` evidence key ever assembled → dense term
+    /// id; the shard engines' ladders are addressed by these ids.
+    terms: TermDirectory,
+    /// Previous epoch's touch-signature, accept-list and flow-table
+    /// buffers, reclaimed at collect and refilled in place the next
+    /// epoch.
     spare_touches: Vec<SetTouch>,
     spare_accept: Vec<Vec<u32>>,
+    spare_flow_table: EpochFlowTable,
     /// Interning growth of the most recent assembly — replayed onto the
     /// *other* arena copy to catch it up without re-assembly.
     last_delta: Option<ArenaDelta>,
@@ -629,6 +645,7 @@ impl<'t> StreamPipeline<'t> {
             topo,
             router: Router::new(topo),
             manager: EpochManager::new(cfg.epoch),
+            terms: TermDirectory::new(&cfg.params),
             cfg,
             assembler,
             plan,
@@ -638,6 +655,7 @@ impl<'t> StreamPipeline<'t> {
             spare_arena: None,
             spare_touches: Vec::new(),
             spare_accept: Vec::new(),
+            spare_flow_table: EpochFlowTable::new(),
             last_delta: None,
             arena_wm: (0, 0),
             touch: SetTouchIndex::new(),
@@ -794,9 +812,9 @@ impl<'t> StreamPipeline<'t> {
     }
 
     /// The assembly stage: hand the assembler a caught-up arena copy
-    /// (double buffering), assemble, derive touch signatures, per-shard
-    /// accept lists and (pipelined) term-ladder prefill, then queue one
-    /// job per shard on the executor.
+    /// (double buffering), assemble, derive touch signatures and
+    /// per-shard accept lists, key the evidence into the epoch's flow
+    /// table, then queue one job per shard on the executor.
     fn submit_epoch(
         &mut self,
         epoch_index: u64,
@@ -850,6 +868,7 @@ impl<'t> StreamPipeline<'t> {
             self.last_delta = Some(obs.arena.delta_since(self.arena_wm.0, self.arena_wm.1));
         }
         self.arena_wm = (obs.arena.path_count(), obs.arena.set_count());
+        let assembled = Instant::now();
         self.touch.extend(self.topo, &obs);
         // Derive each observation's combined touch signature once and
         // answer every shard's relevance from it in the same pass; each
@@ -873,19 +892,12 @@ impl<'t> StreamPipeline<'t> {
                 }
             }
         }
-        // Pre-compute every term ladder the shard engines will intern
-        // this epoch, so the inference critical path extends its term
-        // tables by memcpy instead of evaluating `llf` ladders.
-        let prefill = self.cfg.pipelined.then(|| {
-            let mut p = TermPrefill::new();
-            for o in &obs.flows {
-                let w = obs.arena.set(o.set).len() as u32;
-                if w > 0 {
-                    p.ensure(&self.cfg.params, o.sent, o.bad, w);
-                }
-            }
-            Arc::new(p)
-        });
+        let indexed = Instant::now();
+        // Key the evidence once for every shard: one directory probe and
+        // one score per run of equal keys, ladders for first sights.
+        let mut flow_table = std::mem::take(&mut self.spare_flow_table);
+        flow_table.rebuild(&mut self.terms, &obs);
+        let keyed = Instant::now();
         // Health flags belong to the epoch being submitted: sample the
         // late-record delta now. Nothing ingests between here and a
         // sequential-mode merge; in pipelined mode, later drops are the
@@ -905,7 +917,7 @@ impl<'t> StreamPipeline<'t> {
             obs,
             touches,
             accept,
-            prefill,
+            flow_table,
             deadline,
             epoch_index,
         });
@@ -943,7 +955,13 @@ impl<'t> StreamPipeline<'t> {
             ctx,
             rx,
             flags,
-            prepare: prep_started.elapsed(),
+            stages: StageTimings {
+                prepare: prep_started.elapsed(),
+                merge: Duration::ZERO,
+                assemble: assembled - prep_started,
+                index: indexed - assembled,
+                flow_table: keyed - indexed,
+            },
             submitted: Instant::now(),
             n_jobs: n_shards,
         }
@@ -979,7 +997,7 @@ impl<'t> StreamPipeline<'t> {
             ctx,
             rx,
             flags,
-            prepare,
+            mut stages,
             submitted,
             n_jobs,
         } = f;
@@ -1179,11 +1197,12 @@ impl<'t> StreamPipeline<'t> {
             }
         };
         let mut arena = ectx.obs.arena;
-        // The touch and accept buffers go back too: the next epoch
-        // refills them in place instead of re-allocating ~half a
+        // The touch, accept and flow-table buffers go back too: the next
+        // epoch refills them in place instead of re-allocating a
         // megabyte on the assembly stage's critical path.
         self.spare_touches = ectx.touches;
         self.spare_accept = ectx.accept;
+        self.spare_flow_table = ectx.flow_table;
         self.catch_up(&mut arena);
         if self.assembler.arena_is_out() {
             // Pipelined: the next epoch's observations hold the other
@@ -1194,10 +1213,7 @@ impl<'t> StreamPipeline<'t> {
             // park this copy for the next overlap.
             self.spare_arena = Some(arena);
         }
-        let stages = StageTimings {
-            prepare,
-            merge: merge_started.elapsed(),
-        };
+        stages.merge = merge_started.elapsed();
 
         EpochReport {
             epoch_index,
@@ -1211,7 +1227,7 @@ impl<'t> StreamPipeline<'t> {
                 log_likelihood,
                 hypotheses_scanned: scanned,
                 iterations: shard_outcomes.len() as u64,
-                runtime: prepare + submitted.elapsed(),
+                runtime: stages.prepare + submitted.elapsed(),
             },
             shards: shard_outcomes,
             refined: refined_outcome,
@@ -1326,11 +1342,13 @@ fn run_shard(
 
 /// How an epoch binds an engine, for the shards and the refinement pass
 /// alike: rebind the engine in `slot` over `view` (already bound to the
-/// epoch's accepted observations) or build it on first use, search warm
-/// from `seed`, and report what `shard` owns of the result. `seed` and
-/// every returned component are *global* dense ids — stable across
-/// engine rebuilds, and what the merge and refinement layers speak.
-/// Returns `(every pick, owned picks with scores, outcome)`.
+/// epoch's accepted observations) or build it on first use — either way
+/// *at* the hypothesis `seed`, reading the epoch's flow table — continue
+/// the warm search from there, and report what `shard` owns of the
+/// result. `seed` and every returned component are *global* dense ids —
+/// stable across engine rebuilds, and what the merge and refinement
+/// layers speak. Returns `(every pick, owned picks with scores,
+/// outcome)`.
 fn localize_bound(
     slot: &mut Option<Engine>,
     view: &ArenaView,
@@ -1344,34 +1362,32 @@ fn localize_bound(
     let warm = slot.is_some();
     let rebind_started = Instant::now();
     match slot.as_mut() {
-        Some(engine) => {
-            // Prefilled term ladders (pipelined mode): rebinding interns
-            // this epoch's terms, so install the prefill first. The cold
-            // build below can't benefit — the engine doesn't exist yet.
-            engine.set_term_prefill(ectx.prefill.clone());
-            engine
-                .try_rebind_view(topo, obs, view)
-                .expect("the view is the engine's own");
-        }
+        Some(engine) => engine
+            .try_rebind_view(topo, obs, view, &ectx.flow_table, seed)
+            .expect("the view is the engine's own"),
         None => {
             let opts = EngineOptions {
                 mode: cfg.coalesce_mode,
                 ..Default::default()
             };
-            *slot = Some(Engine::with_view(topo, obs, cfg.params, opts, view));
+            *slot = Some(Engine::with_view(
+                topo,
+                obs,
+                cfg.params,
+                opts,
+                view,
+                &ectx.flow_table,
+                seed,
+            ));
         }
     }
     let engine = slot.as_mut().expect("engine just installed");
     let search_started = Instant::now();
     let rebind = search_started - rebind_started;
 
-    let seed_local: Vec<CompIdx> = seed.iter().filter_map(|&g| engine.local_comp(g)).collect();
-    let search =
-        FlockGreedy::new(cfg.params).search_warm_deadline(engine, &seed_local, ectx.deadline);
+    // The bind entered the seed; the search only has to move on from it.
+    let search = FlockGreedy::new(cfg.params).search_warm_deadline(engine, &[], ectx.deadline);
     let search_time = search_started.elapsed();
-    // Drop the epoch's prefill (per-epoch data; the term table keeps
-    // the interned ladders).
-    engine.set_term_prefill(None);
     let picked: Vec<CompIdx> = search
         .picked
         .iter()

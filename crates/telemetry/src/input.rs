@@ -56,6 +56,13 @@ pub struct PathArena {
     path_lookup: FxHashMap<u64, Vec<PathId>>,
     #[serde(skip)]
     set_lookup: FxHashMap<u64, Vec<PathSetId>>,
+    /// Path id → the singleton set `{path}`, once
+    /// [`intern_single`](Self::intern_single) has found it — a memo in
+    /// front of `set_lookup`, not part of the arena's content: a copy
+    /// without an entry falls through to
+    /// [`intern_set`](Self::intern_set), which dedups to the same id.
+    #[serde(skip)]
+    singles: FxHashMap<PathId, PathSetId>,
     /// Process-unique lineage token, stamped at creation and preserved by
     /// `Clone` (a clone shares content, so ids interned against either
     /// copy resolve identically). Lets holders of interned ids
@@ -73,6 +80,7 @@ impl Default for PathArena {
             sets: Vec::new(),
             path_lookup: FxHashMap::default(),
             set_lookup: FxHashMap::default(),
+            singles: FxHashMap::default(),
             lineage: NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -137,10 +145,17 @@ impl PathArena {
         id
     }
 
-    /// Intern a singleton set for a known path.
+    /// Intern a singleton set for a known path. A path seen before
+    /// answers from a per-path memo: no `Vec`, sort or set hash for the
+    /// traced flow whose path an earlier epoch already interned.
     pub fn intern_single(&mut self, links: &[LinkId]) -> PathSetId {
         let p = self.intern_path(links);
-        self.intern_set(vec![p])
+        if let Some(&set) = self.singles.get(&p) {
+            return set;
+        }
+        let set = self.intern_set(vec![p]);
+        self.singles.insert(p, set);
+        set
     }
 
     /// The links of an interned path.
@@ -959,6 +974,35 @@ mod tests {
         assert_eq!(s1, s2, "sets canonicalize order and duplicates");
         assert_eq!(a.path_count(), 2);
         assert_eq!(a.set_count(), 1);
+    }
+
+    #[test]
+    fn singleton_sets_are_memoized_per_path() {
+        let mut a = PathArena::new();
+        let mut twin = a.clone();
+        let other = a.intern_single(&[LinkId(9)]);
+        let first = a.intern_single(&[LinkId(1), LinkId(2)]);
+        let again = a.intern_single(&[LinkId(1), LinkId(2)]);
+        assert_eq!(first, again);
+        assert_ne!(first, other);
+        assert_eq!((a.path_count(), a.set_count()), (2, 2));
+        let path = a.intern_path(&[LinkId(1), LinkId(2)]);
+        assert_eq!(a.set(first), &[path]);
+        // The memo and `intern_set` agree, whichever is asked first.
+        let p = a.intern_path(&[LinkId(3)]);
+        let via_set = a.intern_set(vec![p]);
+        assert_eq!(a.intern_single(&[LinkId(3)]), via_set);
+        assert_eq!(a.intern_single(&[LinkId(3)]), via_set);
+
+        // A twin caught up by delta replay carries no memo for the
+        // replayed paths; it falls through to the set index and lands
+        // on the same ids.
+        twin.apply_delta(&a.delta_since(0, 0)).unwrap();
+        for (links, want) in [(&[LinkId(9)][..], other), (&[LinkId(1), LinkId(2)], first)] {
+            assert_eq!(twin.intern_single(links), want);
+            assert_eq!(twin.intern_single(links), want);
+        }
+        assert_eq!((twin.path_count(), twin.set_count()), (3, 3));
     }
 
     #[test]

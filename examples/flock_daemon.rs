@@ -435,6 +435,13 @@ struct EpochLog {
     /// refinement pass — the split of `ShardOutcome::elapsed`.
     shard_rebind_ms: f64,
     shard_search_ms: f64,
+    /// Where the caller-thread assembly stage went
+    /// (`StageTimings::{assemble, index, flow_table}`): producing the
+    /// observation set, touch signatures + accept lists, and keying the
+    /// evidence into the epoch's flow table.
+    prepare_assemble_ms: f64,
+    prepare_index_ms: f64,
+    prepare_flow_table_ms: f64,
 }
 
 fn ingest_and_log(
@@ -535,6 +542,9 @@ fn ingest_and_log(
             .sum::<std::time::Duration>()
             .as_secs_f64()
             * 1e3,
+        prepare_assemble_ms: report.stages.assemble.as_secs_f64() * 1e3,
+        prepare_index_ms: report.stages.index.as_secs_f64() * 1e3,
+        prepare_flow_table_ms: report.stages.flow_table.as_secs_f64() * 1e3,
     };
     if json {
         println!("{}", serde::json::to_string(&log));

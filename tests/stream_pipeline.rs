@@ -121,6 +121,17 @@ fn collector_to_stream_detects_fault_and_heal() {
             );
         }
     }
+    // The assembly stage accounts for itself: its three named parts are
+    // measured back to back inside `prepare`.
+    for report in &reports {
+        let st = report.stages;
+        assert!(!st.assemble.is_zero() && !st.index.is_zero() && !st.flow_table.is_zero());
+        assert!(
+            st.assemble + st.index + st.flow_table <= st.prepare,
+            "epoch {}: {st:?}",
+            report.epoch_index
+        );
+    }
     // The heal is detected: the faulty link vanishes from later verdicts.
     assert!(reports[1].result.predicted_links().contains(&faulty));
     assert!(reports[2].result.predicted_links().contains(&faulty));
