@@ -133,7 +133,7 @@ use crate::likelihood::{llf, EpochFlowTable, TermDirectory, TermTable};
 use crate::params::HyperParams;
 use crate::simd::{self, KernelDispatch};
 use crate::space::{CompIdx, ComponentSpace};
-use flock_telemetry::{ArenaView, CoalesceMode, DenseRemap, FlowObs, ObservationSet, ViewError};
+use flock_telemetry::{ArenaView, DenseRemap, FlowObs, ObservationSet, ViewError};
 use flock_topology::{Component, Topology};
 
 /// One set counter entry: `(comp, g, s)` — member paths with fail count 0
@@ -294,15 +294,6 @@ pub struct EngineOptions {
     /// `likelihood::score_is_linear_in_counts`) — and the default; turn
     /// off only to measure the raw-flow baseline.
     pub coalesce: bool,
-    /// How far coalescing reaches: [`CoalesceMode::Exact`] (the default)
-    /// merges equal keys only; [`CoalesceMode::Approx`] additionally
-    /// merges whole log-spaced `(sent, bad)` buckets into one super-flow
-    /// under the bucket's first observation as representative. The exact
-    /// likelihood perturbation each merge introduces is accumulated into
-    /// [`Engine::drift_bound`], so searches can certify approximate
-    /// verdicts against it (see [`crate::BudgetedSearch::margin`]).
-    /// Ignored when `coalesce` is off.
-    pub mode: CoalesceMode,
     /// Kernel dispatch override. `None` (the default) resolves once per
     /// process via [`KernelDispatch::resolve`] (runtime AVX2 detection,
     /// honoring `FLOCK_NO_SIMD`); `Some` forces a level — used by the
@@ -315,7 +306,6 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             coalesce: true,
-            mode: CoalesceMode::Exact,
             kernel: None,
         }
     }
@@ -432,11 +422,6 @@ pub struct Engine {
     delta: Vec<f64>,
     ll: f64,
     stats: EngineStats,
-    /// Accumulated worst-case log-likelihood drift of this epoch's flow
-    /// table versus exact coalescing: `Σ weightᵢ · |sᵢ − s_rep|` over all
-    /// approximately merged observations (see [`Engine::drift_bound`]).
-    /// Exactly 0.0 in exact mode.
-    drift: f64,
 
     /// Kernel dispatch level every sweep on this engine runs at
     /// (resolved or forced at construction; see [`EngineOptions`]).
@@ -625,7 +610,6 @@ impl Engine {
             delta: Vec::new(),
             ll: 0.0,
             stats: EngineStats::default(),
-            drift: 0.0,
             dispatch: opts
                 .kernel
                 .map(KernelDispatch::clamped)
@@ -947,19 +931,6 @@ impl Engine {
     /// observations by exactly that key and the view preserves
     /// observation order, so equal keys are adjacent; out-of-order input
     /// merely coalesces less — never incorrectly).
-    ///
-    /// Under [`CoalesceMode::Approx`] whole `(set, bucket)` runs collapse
-    /// instead: the run's first observation is the representative (its
-    /// term id and score, read from `table` like any other, become the
-    /// super-flow's) and every further observation in the bucket only
-    /// adds weight. Each such merge perturbs the
-    /// likelihood by at most `weight · |s_obs − s_rep|` — `llf` has
-    /// `∂/∂s ∈ [0, 1]` uniformly in `(w, b)` and the total is linear in
-    /// weight — and that perturbation is accumulated *exactly* into
-    /// [`Engine::drift_bound`]. Correctness therefore never depends on
-    /// the bucketing scheme: drift is measured from the merges actually
-    /// performed, and an approx engine over exactly-sorted input simply
-    /// coalesces less with zero measured drift.
     fn rebuild_flows(
         &mut self,
         topo: &Topology,
@@ -970,12 +941,8 @@ impl Engine {
         self.sflows.clear();
         self.members.clear();
         self.n_obs = 0;
-        self.drift = 0.0;
         self.terms.bind(table);
-        let approx = self.opts.coalesce && self.opts.mode.is_approx();
-        let quant = flock_telemetry::BucketQuantizer::new(self.opts.mode);
         let mut last_key: Option<(u32, u64, u64)> = None;
-        let mut last_rep: (u64, u64) = (0, 0);
         for &i in view.epoch_flows() {
             let o = &obs.flows[i as usize];
             let ls = view
@@ -986,12 +953,7 @@ impl Engine {
                 continue; // unroutable flow carries no information
             }
             self.n_obs += 1;
-            let key = if approx {
-                let (sb, rb) = quant.key(o.sent, o.bad);
-                (o.set.0, sb, rb)
-            } else {
-                o.evidence_key()
-            };
+            let key = o.evidence_key();
             if !(self.opts.coalesce && last_key == Some(key)) {
                 let at = self.members.len() as u32;
                 // The epoch's table keyed this observation already: the
@@ -1010,11 +972,6 @@ impl Engine {
                     tbl,
                 });
                 last_key = Some(key);
-                last_rep = (o.sent, o.bad);
-            } else if approx && (o.sent, o.bad) != last_rep {
-                let fi = self.sflows.len() - 1;
-                let (_, s) = table.term(i as usize);
-                self.drift += f64::from(o.weight) * (s - self.sflows[fi].score).abs();
             }
             let fi = self.sflows.len() - 1;
             self.sflows[fi].weight += f64::from(o.weight);
@@ -1032,9 +989,7 @@ impl Engine {
             }
         }
         // Extend-only `TermTable` contract: every flow's full ladder
-        // `terms.values()[tbl + b]`, `b ∈ 0..=w`, must be resident —
-        // bucketed keys resolve through the same path as exact keys, so
-        // representatives must never yield a truncated ladder.
+        // `terms.values()[tbl + b]`, `b ∈ 0..=w`, must be resident.
         debug_assert!(
             self.sflows
                 .iter()
@@ -1314,47 +1269,6 @@ impl Engine {
             &self.gain_move_bias,
             self.comps.globals(),
         )
-    }
-
-    /// Worst-case total log-likelihood drift of this epoch's flow table
-    /// versus exact coalescing: `Σ weightᵢ · |sᵢ − s_rep|` over every
-    /// observation merged into a bucket under a different `(sent, bad)`
-    /// than the bucket representative. Since the per-flow likelihood
-    /// `llf(s, w, b)` satisfies `∂llf/∂s = b·eˢ/(b·eˢ + (w−b)) ∈ [0, 1]`
-    /// uniformly in `(w, b)` (pinning included: `llf(s, w, w) = s`), and
-    /// the total is linear in the aggregation weight, this bounds
-    /// `|LL_approx(H) − LL_exact(H)|` for **every** hypothesis `H`
-    /// simultaneously. Exactly `0.0` in exact mode (or when approximate
-    /// bucketing never actually merged distinct counts), making the
-    /// derived verdict certificate trivially true there.
-    pub fn drift_bound(&self) -> f64 {
-        self.drift
-    }
-
-    /// The winner's lead over the runner-up in the warm-start move scan:
-    /// `winner_gain − max_{c ≠ winner}(delta[c] + move bias[c])`, or
-    /// `+inf` when there is no other candidate. Greedy search folds the
-    /// smallest such lead (and the smallest `|gain|` at its accept/stop
-    /// decisions) into [`crate::BudgetedSearch::margin`]: every
-    /// selection and stop decision differing between the approximate and
-    /// exact likelihood surfaces requires two gains to cross, which
-    /// `margin > 2 · drift_bound` rules out — the bound certifies the
-    /// approximate verdict *is* the exact one.
-    pub fn move_runner_up_gap(&self, winner: CompIdx, winner_gain: f64) -> f64 {
-        let mut ru = f64::NEG_INFINITY;
-        for (c, (&d, &b)) in self.delta.iter().zip(&self.gain_move_bias).enumerate() {
-            if c as CompIdx != winner {
-                let g = d + b;
-                if g > ru {
-                    ru = g;
-                }
-            }
-        }
-        if ru == f64::NEG_INFINITY {
-            f64::INFINITY
-        } else {
-            winner_gain - ru
-        }
     }
 
     /// Toggle local component `c`, maintaining the full Δ array (JLE
@@ -2072,15 +1986,13 @@ mod tests {
     /// Build a small observation set with a mix of passive (path-set) and
     /// known-path flows, with pseudo-random metrics.
     fn small_obs(seed: u64) -> (flock_topology::Topology, ObservationSet) {
-        small_obs_with(seed, &[InputKind::A2, InputKind::P], CoalesceMode::Exact)
+        small_obs_with(seed, &[InputKind::A2, InputKind::P])
     }
 
-    /// [`small_obs`] with explicit telemetry kinds and coalesce mode (the
-    /// assembler sorts observations for the mode).
+    /// [`small_obs`] with explicit telemetry kinds.
     fn small_obs_with(
         seed: u64,
         kinds: &[InputKind],
-        mode: CoalesceMode,
     ) -> (flock_topology::Topology, ObservationSet) {
         let topo = three_tier(ClosParams::tiny());
         let router = Router::new(&topo);
@@ -2118,9 +2030,7 @@ mod tests {
                 true_path: tp,
             });
         }
-        let mut asm = flock_telemetry::Assembler::new();
-        asm.set_coalesce(mode);
-        let obs = asm.assemble(&topo, &router, &flows, kinds, AnalysisMode::PerPacket);
+        let obs = assemble(&topo, &router, &flows, kinds, AnalysisMode::PerPacket);
         (topo, obs)
     }
 
@@ -2836,7 +2746,7 @@ mod tests {
             (17u64, &[InputKind::A2, InputKind::P][..]),
             (18u64, &[InputKind::Int][..]),
         ] {
-            let (topo, obs) = small_obs_with(seed, kinds, CoalesceMode::Exact);
+            let (topo, obs) = small_obs_with(seed, kinds);
             let table = keyed(&obs);
             let bound_view = || {
                 let mut view = ArenaView::new();
@@ -3093,146 +3003,5 @@ mod tests {
             .try_rebind_view(&topo, &obs, &clone, &table, &[])
             .unwrap_err();
         assert!(matches!(err, ViewError::ForeignView { .. }), "{err}");
-    }
-
-    /// `Approx { eps: 0 }` is bitwise identical to `Exact`: same
-    /// super-flow count, same likelihood and Δ array to the last bit,
-    /// same greedy verdict with bit-equal gains, and zero drift.
-    #[test]
-    fn approx_zero_eps_is_bitwise_exact() {
-        for seed in [5u64, 6, 7] {
-            let (topo, obs) = small_obs_with(
-                seed,
-                &[InputKind::A2, InputKind::P],
-                CoalesceMode::Approx { eps: 0.0 },
-            );
-            let params = HyperParams::default();
-            let mk = |mode| {
-                Engine::with_options(
-                    &topo,
-                    &obs,
-                    params,
-                    None,
-                    EngineOptions {
-                        coalesce: true,
-                        mode,
-                        ..Default::default()
-                    },
-                )
-            };
-            let mut ex = mk(CoalesceMode::Exact);
-            let mut ap = mk(CoalesceMode::Approx { eps: 0.0 });
-            assert_eq!(ex.n_flows(), ap.n_flows());
-            assert_eq!(ap.drift_bound(), 0.0);
-            assert_eq!(ex.log_likelihood().to_bits(), ap.log_likelihood().to_bits());
-            for (a, b) in ex.delta().iter().zip(ap.delta()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-            let greedy = crate::greedy::FlockGreedy::default();
-            let (pe, _) = greedy.search(&mut ex);
-            let (pa, _) = greedy.search(&mut ap);
-            let bits =
-                |p: &[(CompIdx, f64)]| p.iter().map(|(c, g)| (*c, g.to_bits())).collect::<Vec<_>>();
-            assert_eq!(bits(&pe), bits(&pa), "seed {seed}");
-        }
-    }
-
-    /// Approximate mode over an empty observation set: no flows, zero
-    /// drift, empty verdict, infinite margin — the exactness certificate
-    /// holds trivially.
-    #[test]
-    fn approx_empty_observation_set() {
-        let topo = three_tier(ClosParams::tiny());
-        let router = Router::new(&topo);
-        let mut asm = flock_telemetry::Assembler::new();
-        asm.set_coalesce(CoalesceMode::approx_default());
-        let obs = asm.assemble(
-            &topo,
-            &router,
-            &[],
-            &[InputKind::A2, InputKind::P],
-            AnalysisMode::PerPacket,
-        );
-        let mut e = Engine::with_options(
-            &topo,
-            &obs,
-            HyperParams::default(),
-            None,
-            EngineOptions {
-                coalesce: true,
-                mode: CoalesceMode::approx_default(),
-                ..Default::default()
-            },
-        );
-        assert_eq!(e.n_flows(), 0);
-        assert_eq!(e.drift_bound(), 0.0);
-        let out = crate::greedy::FlockGreedy::default().search_warm_deadline(&mut e, &[], None);
-        assert!(out.picked.is_empty());
-        assert!(out.margin.is_infinite());
-        assert!(!out.timed_out);
-    }
-
-    /// The JLE invariant holds on the *collapsed* surface: an engine in
-    /// approximate mode still has every Δ entry equal to brute-force
-    /// neighbor evaluation of its own (bucketed) flow table, after any
-    /// flip walk — correctness never depends on the bucketing choices.
-    #[test]
-    fn approx_delta_matches_brute_force() {
-        for (seed, kinds) in [
-            (8u64, &[InputKind::A2, InputKind::P][..]),
-            // All paths known: every member is pinned when its component
-            // flips, exercising the `llf(s, w, w) = s` edge of the drift
-            // ladder under bucketed merging.
-            (9u64, &[InputKind::Int][..]),
-        ] {
-            let mode = CoalesceMode::Approx { eps: 0.3 };
-            let (topo, obs) = small_obs_with(seed, kinds, mode);
-            let mut engine = Engine::with_options(
-                &topo,
-                &obs,
-                HyperParams::default(),
-                None,
-                EngineOptions {
-                    coalesce: true,
-                    mode,
-                    ..Default::default()
-                },
-            );
-            assert!(engine.drift_bound() >= 0.0);
-            let n = engine.n_comps() as u32;
-            assert!(n > 0);
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xa5);
-            for _ in 0..6 {
-                engine.flip(rng.random_range(0..n));
-            }
-            let h = engine.hypothesis().to_vec();
-            let base = engine.ll_of(&h);
-            assert!((base - engine.log_likelihood()).abs() < 1e-7);
-            for c in (0..n).step_by(5) {
-                let mut h2 = h.clone();
-                match h2.iter().position(|&x| x == c) {
-                    Some(p) => {
-                        h2.remove(p);
-                    }
-                    None => h2.push(c),
-                }
-                let expect = engine.ll_of(&h2) - base;
-                let got = engine.delta()[c as usize];
-                assert!(
-                    (expect - got).abs() < 1e-7 * (1.0 + expect.abs()),
-                    "comp {c}: delta {got} vs brute {expect}"
-                );
-            }
-        }
-    }
-
-    /// Exact coalescing is the default everywhere approximate mode is
-    /// configurable.
-    #[test]
-    fn exact_is_the_default_mode() {
-        assert_eq!(CoalesceMode::default(), CoalesceMode::Exact);
-        assert_eq!(EngineOptions::default().mode, CoalesceMode::Exact);
-        assert!(!CoalesceMode::default().is_approx());
-        assert_eq!(CoalesceMode::Exact.eps(), 0.0);
     }
 }

@@ -56,19 +56,6 @@ pub struct BudgetedSearch {
     /// The deadline fired before the search reached a local optimum;
     /// `picked` is a partial result.
     pub timed_out: bool,
-    /// The search's *decision margin*: the minimum, over every greedy
-    /// iteration, of (a) the winning move's lead over the runner-up and
-    /// (b) the absolute posterior gain at the accept/stop decision.
-    /// `+inf` when the search made no contested decision (e.g. empty
-    /// evidence). Against an engine running approximate coalescing, a
-    /// margin strictly above `2 · Engine::drift_bound()` certifies that
-    /// every decision — selection and stopping — would have been
-    /// identical on the exact likelihood surface: each per-hypothesis
-    /// likelihood is within `drift_bound` of exact, and gains are
-    /// likelihood *differences*, so a decision can only change if two
-    /// gains within `2 · drift_bound` of each other cross. The verdict
-    /// is then provably the exact verdict, not just empirically close.
-    pub margin: f64,
 }
 
 impl FlockGreedy {
@@ -128,7 +115,6 @@ impl FlockGreedy {
         let n = engine.n_comps() as u64;
         let mut scanned = n; // initial Δ computation evaluates n neighbors
         let mut timed_out = false;
-        let mut margin = f64::INFINITY;
         for &c in warm {
             if !engine.in_hypothesis(c) {
                 if self.use_jle {
@@ -143,29 +129,16 @@ impl FlockGreedy {
                 timed_out = true;
                 break;
             }
-            let (best, runner_up) = if self.use_jle {
-                (argmax_move(engine), f64::NEG_INFINITY)
+            let best = if self.use_jle {
+                argmax_move(engine)
             } else {
                 argmax_move_no_jle(engine)
             };
             scanned += n;
             let Some((c, gain)) = best else { break };
-            // Every decision the search makes narrows the margin: the
-            // accept/stop rule by |gain| (the exact surface flips it only
-            // if the gain crosses 0), the selection by the winner's lead
-            // over the runner-up (it changes only if two gains cross).
-            margin = margin.min(gain.abs());
             if gain <= 0.0 {
                 break;
             }
-            let gap = if self.use_jle {
-                engine.move_runner_up_gap(c, gain)
-            } else if runner_up == f64::NEG_INFINITY {
-                f64::INFINITY
-            } else {
-                gain - runner_up
-            };
-            margin = margin.min(gap);
             if self.use_jle {
                 engine.flip(c);
             } else {
@@ -200,7 +173,6 @@ impl FlockGreedy {
             picked,
             scanned,
             timed_out,
-            margin,
         }
     }
 
@@ -267,12 +239,9 @@ fn argmax_move(engine: &Engine) -> Option<(CompIdx, f64)> {
     engine.argmax_move()
 }
 
-/// Same move selection evaluated per candidate from state (no Δ array),
-/// also reporting the runner-up's gain (`-inf` when there is at most one
-/// candidate) for the decision-margin bookkeeping.
-fn argmax_move_no_jle(engine: &Engine) -> (Option<(CompIdx, f64)>, f64) {
+/// Same move selection evaluated per candidate from state (no Δ array).
+fn argmax_move_no_jle(engine: &Engine) -> Option<(CompIdx, f64)> {
     let mut best: Option<(CompIdx, f64)> = None;
-    let mut runner_up = f64::NEG_INFINITY;
     for c in 0..engine.n_comps() as CompIdx {
         let gain = if engine.in_hypothesis(c) {
             engine.delta_single(c) - engine.prior_logodds(c)
@@ -280,15 +249,10 @@ fn argmax_move_no_jle(engine: &Engine) -> (Option<(CompIdx, f64)>, f64) {
             engine.delta_single(c) + engine.prior_logodds(c)
         };
         if beats(engine, (c, gain), best) {
-            if let Some((_, bg)) = best {
-                runner_up = runner_up.max(bg);
-            }
             best = Some((c, gain));
-        } else {
-            runner_up = runner_up.max(gain);
         }
     }
-    (best, runner_up)
+    best
 }
 
 /// Same selection evaluated per candidate from state (no Δ array).

@@ -57,7 +57,6 @@ pub mod space;
 pub use engine::{
     ConvictingEvidence, Engine, EngineOptions, EngineStateSizes, EngineStats, FlowFilter,
 };
-pub use flock_telemetry::CoalesceMode;
 pub use gibbs::GibbsSampler;
 pub use greedy::{BudgetedSearch, FlockGreedy};
 pub use likelihood::{flow_score, llf, EpochFlowTable, TermDirectory, TermTable};

@@ -4,13 +4,12 @@
 //! regime (§4.2).
 
 use flock_core::{
-    flow_score, llf, simd, CoalesceMode, CompIdx, ComponentSpace, Engine, EngineOptions,
-    EpochFlowTable, FlockGreedy, HyperParams, Localizer, SherlockFerret, TermDirectory,
+    flow_score, llf, simd, CompIdx, ComponentSpace, Engine, EngineOptions, EpochFlowTable,
+    FlockGreedy, HyperParams, Localizer, SherlockFerret, TermDirectory,
 };
 use flock_telemetry::input::{assemble, AnalysisMode, InputKind};
 use flock_telemetry::{
-    ArenaView, Assembler, BucketQuantizer, FlowKey, FlowStats, MonitoredFlow, ObservationSet,
-    TrafficClass,
+    ArenaView, Assembler, FlowKey, FlowStats, MonitoredFlow, ObservationSet, TrafficClass,
 };
 use flock_topology::clos::{leaf_spine, three_tier, ClosParams, LeafSpineParams};
 use flock_topology::{LinkId, NodeId, Router, Topology};
@@ -157,16 +156,14 @@ fn initial_delta_by_path_sweep(
         })
         .collect();
 
-    // Evidence: runs of equal (bucketed) evidence keys collapse into one
-    // weighted super-flow under the run's first observation.
+    // Evidence: runs of equal evidence keys collapse into one weighted
+    // super-flow.
     struct SuperFlow {
         set: u32,
         score: f64,
         ladder: Vec<f64>,
         weight: f64,
     }
-    let approx = opts.coalesce && opts.mode.is_approx();
-    let quant = BucketQuantizer::new(opts.mode);
     let mut flows: Vec<SuperFlow> = Vec::new();
     let mut extras: Vec<(CompIdx, f64, usize)> = Vec::new(); // (comp, weight, flow)
     let mut last_key = None;
@@ -177,12 +174,7 @@ fn initial_delta_by_path_sweep(
         if w == 0 {
             continue;
         }
-        let key = if approx {
-            let (sent, bad) = quant.key(o.sent, o.bad);
-            (o.set.0, sent, bad)
-        } else {
-            o.evidence_key()
-        };
+        let key = o.evidence_key();
         if !(opts.coalesce && last_key == Some(key)) {
             let score = flow_score(&params, o.sent, o.bad);
             flows.push(SuperFlow {
@@ -255,8 +247,8 @@ fn initial_delta_by_path_sweep(
 }
 
 /// One epoch of random traffic among `hosts`, sizes from a small palette
-/// (with jitter) so both exact runs and approximate buckets have
-/// something to merge.
+/// (with jitter) so the evidence keys repeat and coalescing has runs to
+/// merge.
 fn epoch_traffic(
     topo: &Topology,
     router: &Router,
@@ -352,15 +344,19 @@ fn assert_engines_agree(a: &Engine, b: &Engine, what: &str) {
     }
 }
 
-/// Pairs of components whose Δ entries are the same bits in `e` and
-/// non-zero: observationally equivalent components (Fig. 5c) tie exactly
-/// because they receive the same terms in the same order.
+/// Pairs of observationally equivalent components (Fig. 5c): the same
+/// evidence sets, and non-zero Δ entries that are the same bits in `e`
+/// because both receive the same terms in the same order. Equal bits
+/// alone are not equivalence: two links whose evidence differs in one
+/// traced singleton set of equal score sum the same terms in different
+/// orders, which ties in one engine state and rounds apart in another.
 fn exact_ties(e: &Engine) -> Vec<(usize, usize)> {
     let d = e.delta();
+    let sets = |c: usize| e.convicting_evidence(c as CompIdx).sets;
     let mut ties = Vec::new();
     for i in 0..d.len() {
         for j in i + 1..d.len() {
-            if d[i] != 0.0 && d[i].to_bits() == d[j].to_bits() {
+            if d[i] != 0.0 && d[i].to_bits() == d[j].to_bits() && sets(i) == sets(j) {
                 ties.push((i, j));
             }
         }
@@ -376,12 +372,11 @@ proptest! {
     /// super-flows is bit-equal to the from-scratch path sweep — on the
     /// cold build and on every rebind over a view that keeps growing
     /// (each epoch adds hosts, so later epochs first-see new sets), for
-    /// full and filtered engines, exact and approximate coalescing.
+    /// full and filtered engines.
     #[test]
     fn cached_initial_delta_is_bit_equal_to_path_sweep(
         seed in 0u64..1000,
         filtered in any::<bool>(),
-        approx in any::<bool>(),
         mixed in any::<bool>(),
     ) {
         let topo = three_tier(ClosParams {
@@ -398,15 +393,9 @@ proptest! {
         } else {
             &[InputKind::P]
         };
-        let mode = if approx {
-            CoalesceMode::Approx { eps: 0.1 }
-        } else {
-            CoalesceMode::Exact
-        };
-        let opts = EngineOptions { mode, ..Default::default() };
+        let opts = EngineOptions::default();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut asm = Assembler::new();
-        asm.set_coalesce(mode);
         let mut view = ArenaView::new();
         let mut terms = TermDirectory::new(&HyperParams::default());
         let mut table = EpochFlowTable::new();
@@ -455,7 +444,7 @@ proptest! {
     /// every rebind over a view that first grows and then goes quiet
     /// (the last epoch's traffic shrinks to a corner of the fabric, so
     /// earlier components keep their local ids but lose their evidence),
-    /// for full and filtered engines, exact and approximate coalescing,
+    /// for full and filtered engines,
     /// with seeds mixing fabric links, devices, host links (prefix
     /// extras), components the engine has never seen, components it has
     /// no evidence for this epoch, and duplicates: the hypothesis is the
@@ -466,7 +455,6 @@ proptest! {
     fn seeded_bind_equals_brute_force_and_flip_reference(
         seed in 0u64..1000,
         filtered in any::<bool>(),
-        approx in any::<bool>(),
         mixed in any::<bool>(),
     ) {
         let topo = three_pod_clos();
@@ -477,16 +465,10 @@ proptest! {
         } else {
             &[InputKind::P]
         };
-        let mode = if approx {
-            CoalesceMode::Approx { eps: 0.1 }
-        } else {
-            CoalesceMode::Exact
-        };
         let params = HyperParams::default();
-        let opts = EngineOptions { mode, ..Default::default() };
+        let opts = EngineOptions::default();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut asm = Assembler::new();
-        asm.set_coalesce(mode);
         let mut terms = TermDirectory::new(&params);
         let mut table = EpochFlowTable::new();
         // Two engines over twin views: one binds at the seed, the other
@@ -619,29 +601,22 @@ proptest! {
     #[test]
     fn shared_flow_table_is_bit_equal_to_private_keying(
         seed in 0u64..1000,
-        approx in any::<bool>(),
     ) {
         let topo = three_pod_clos();
         let router = Router::new(&topo);
         let hosts = topo.hosts().to_vec();
         let kinds = [InputKind::A2, InputKind::P];
-        let mode = if approx {
-            CoalesceMode::Approx { eps: 0.1 }
-        } else {
-            CoalesceMode::Exact
-        };
         let params = HyperParams::default();
-        let opts = EngineOptions { mode, ..Default::default() };
+        let opts = EngineOptions::default();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut asm = Assembler::new();
-        asm.set_coalesce(mode);
         let mut terms = TermDirectory::new(&params);
         let mut table = EpochFlowTable::new();
         let mut view = ArenaView::new();
         let mut engines: Option<(Engine, Engine)> = None;
         let bits = |e: &Engine| {
             let d: Vec<u64> = e.delta().iter().map(|x| x.to_bits()).collect();
-            (e.log_likelihood().to_bits(), d, e.drift_bound().to_bits(), e.term_table_sizes())
+            (e.log_likelihood().to_bits(), d, e.term_table_sizes())
         };
         for epoch in 0..3 {
             let traffic = epoch_traffic(&topo, &router, &hosts, &mut rng, 60);

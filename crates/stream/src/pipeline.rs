@@ -46,8 +46,8 @@ use flock_core::{
     HyperParams, KernelDispatch, LocalizationResult, TermDirectory,
 };
 use flock_telemetry::{
-    AnalysisMode, ArenaDelta, ArenaView, Assembler, CoalesceMode, DrainBatch, FlowRecord,
-    InputKind, MonitoredFlow, ObservationSet, PathArena, StampedRecord, TrafficClass,
+    AnalysisMode, ArenaDelta, ArenaView, Assembler, DrainBatch, FlowRecord, InputKind,
+    MonitoredFlow, ObservationSet, PathArena, StampedRecord, TrafficClass,
 };
 use flock_topology::{Component, NodeId, NodeRole, Router, Topology};
 use serde::Serialize;
@@ -72,18 +72,6 @@ pub struct StreamConfig {
     /// spine *plane* ([`ShardPlan::by_pod`]) and run shards on separate
     /// threads (`false` = one shard owning everything).
     pub shard_by_pod: bool,
-    /// How far the shard engines' evidence coalescing reaches (equal
-    /// `(path set, sent, bad)` keys always merge into weighted
-    /// super-flows): [`CoalesceMode::Exact`] (the default)
-    /// merges equal keys only; [`CoalesceMode::Approx`] buckets
-    /// near-identical `(sent, bad)` pairs into log-spaced bins so
-    /// heavy-tailed traffic collapses into far fewer weighted
-    /// super-flows. The assembler sorts for the configured mode and
-    /// every shard engine (and the refinement pass) coalesces under it;
-    /// each [`ShardOutcome`] reports the accumulated likelihood drift
-    /// bound and the search's decision margin, and flags the verdict
-    /// `proven_exact` when the margin clears `2 ×` the bound.
-    pub coalesce_mode: CoalesceMode,
     /// Per-epoch inference deadline, measured from the start of
     /// [`StreamPipeline::run_flows`]. A shard search that crosses it
     /// stops cooperatively at the next outer greedy iteration and
@@ -157,8 +145,7 @@ impl fmt::Debug for ChaosHook {
 
 impl StreamConfig {
     /// The paper-shaped default: 30 s tumbling epochs, A2+P telemetry,
-    /// per-packet analysis, exact coalescing, one shard, sequential
-    /// epochs, no deadline.
+    /// per-packet analysis, one shard, sequential epochs, no deadline.
     pub fn paper_default() -> Self {
         StreamConfig {
             epoch: EpochConfig::tumbling(30_000),
@@ -166,7 +153,6 @@ impl StreamConfig {
             mode: AnalysisMode::PerPacket,
             params: HyperParams::default(),
             shard_by_pod: false,
-            coalesce_mode: CoalesceMode::Exact,
             epoch_deadline: None,
             chaos: None,
             pipelined: false,
@@ -380,20 +366,6 @@ pub struct ShardOutcome {
     /// paths are bit-identical by construction (property-tested), so a
     /// difference here never implies a verdict difference.
     pub kernel: KernelDispatch,
-    /// Worst-case log-likelihood drift the shard engine's approximate
-    /// coalescing introduced this epoch (`Engine::drift_bound`); exactly
-    /// `0.0` under [`CoalesceMode::Exact`] or whenever bucketing never
-    /// merged distinct counts.
-    pub drift_bound: f64,
-    /// The search's decision margin (`BudgetedSearch::margin`): the
-    /// narrowest gain gap across every selection and stop decision.
-    pub margin: f64,
-    /// The drift certificate: the shard's verdict is *provably* the
-    /// exact-coalescing verdict — true when the search completed and
-    /// either no drift was introduced or `margin > 2 · drift_bound`
-    /// (every decision would survive perturbing all likelihoods by the
-    /// drift bound). Trivially true in exact mode.
-    pub proven_exact: bool,
 }
 
 /// Where an epoch's wall time went, split at the executor boundary.
@@ -639,15 +611,13 @@ impl<'t> StreamPipeline<'t> {
             kind: ShardKind::Spine,
             owned: vec![false; ComponentSpace::new(topo).n_comps()],
         };
-        let mut assembler = Assembler::new();
-        assembler.set_coalesce(cfg.coalesce_mode);
         StreamPipeline {
             topo,
             router: Router::new(topo),
             manager: EpochManager::new(cfg.epoch),
             terms: TermDirectory::new(&cfg.params),
             cfg,
-            assembler,
+            assembler: Assembler::new(),
             plan,
             exec,
             task_ctx,
@@ -838,9 +808,10 @@ impl<'t> StreamPipeline<'t> {
                         t
                     } else {
                         // The parked copy missed more than one epoch of
-                        // growth (mixed sequential/pipelined driving,
-                        // where no delta was kept): re-clone instead of
-                        // handing the assembler a stale arena.
+                        // growth (sequential `run_flows` epochs since it
+                        // was parked; only the latest delta is kept):
+                        // re-clone instead of handing the assembler a
+                        // stale arena.
                         self.in_flight
                             .as_ref()
                             .map(clone_in_flight)
@@ -863,10 +834,11 @@ impl<'t> StreamPipeline<'t> {
             self.cfg.mode,
         );
         // Record this assembly's interning growth so the other arena
-        // copy can replay it instead of being re-cloned every epoch.
-        if self.cfg.pipelined {
-            self.last_delta = Some(obs.arena.delta_since(self.arena_wm.0, self.arena_wm.1));
-        }
+        // copy can replay it instead of being re-cloned every epoch —
+        // whatever `cfg.pipelined` says: `submit_flows` overlaps epochs
+        // on its own, and a collect without the delta would hand the
+        // assembler the copy that missed this interning.
+        self.last_delta = Some(obs.arena.delta_since(self.arena_wm.0, self.arena_wm.1));
         self.arena_wm = (obs.arena.path_count(), obs.arena.set_count());
         let assembled = Instant::now();
         self.touch.extend(self.topo, &obs);
@@ -1366,15 +1338,11 @@ fn localize_bound(
             .try_rebind_view(topo, obs, view, &ectx.flow_table, seed)
             .expect("the view is the engine's own"),
         None => {
-            let opts = EngineOptions {
-                mode: cfg.coalesce_mode,
-                ..Default::default()
-            };
             *slot = Some(Engine::with_view(
                 topo,
                 obs,
                 cfg.params,
-                opts,
+                EngineOptions::default(),
                 view,
                 &ectx.flow_table,
                 seed,
@@ -1399,9 +1367,6 @@ fn localize_bound(
         .filter_map(|(&g, &(_, score))| shard.owns(g).then_some((g, score)))
         .collect();
     let provenance = collect_provenance(engine, view, &shard.label, &kept);
-    let drift_bound = engine.drift_bound();
-    let proven_exact =
-        !search.timed_out && (drift_bound == 0.0 || search.margin > 2.0 * drift_bound);
     let outcome = ShardOutcome {
         label: shard.label.clone(),
         kind: shard.kind,
@@ -1418,9 +1383,6 @@ fn localize_bound(
         timed_out: search.timed_out,
         provenance,
         kernel: engine.kernel_dispatch(),
-        drift_bound,
-        margin: search.margin,
-        proven_exact,
     };
     (picked, kept, outcome)
 }

@@ -341,72 +341,6 @@ pub enum AnalysisMode {
     },
 }
 
-/// How near-identical observations coalesce into weighted super-flows.
-///
-/// [`Exact`](CoalesceMode::Exact) merges only observations with equal
-/// `(path set, sent, bad)` evidence keys — lossless, because the flow
-/// likelihood is linear in the aggregation weight. Under the paper's
-/// heavy-tailed (Pareto, shape ≈ 1) flow sizes almost no two flows share
-/// an exact `(sent, bad)` pair, so [`Approx`](CoalesceMode::Approx)
-/// additionally buckets `sent` and `bad` into log-spaced bins of relative
-/// width `eps` (see [`FlowObs::bucket_key`]): within one `sent` bucket,
-/// log-spaced `bad` buckets *are* log-spaced loss-rate buckets. The
-/// inference engine measures the exact likelihood drift each merge
-/// introduces and exposes it as a provable bound on the verdict (see
-/// `flock_core::Engine::drift_bound`), so approximate verdicts can be
-/// certified identical to exact ones — not just empirically so.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum CoalesceMode {
-    /// Lossless merging on equal `(set, sent, bad)` keys. The default.
-    #[default]
-    Exact,
-    /// Bucketed merging with relative tolerance `eps` (`eps <= 0` behaves
-    /// exactly like [`Exact`](CoalesceMode::Exact), including bitwise).
-    Approx {
-        /// Relative bucket width: counts within a factor of `1 + eps`
-        /// land in the same bucket.
-        eps: f64,
-    },
-}
-
-impl CoalesceMode {
-    /// Default relative tolerance for approximate coalescing: counts
-    /// within 10% merge. Small enough that every headline-scenario
-    /// verdict stays identical to exact inference (pinned by
-    /// `prop_approx`), large enough to collapse heavy-tailed traffic by
-    /// well over the exact ratio.
-    pub const DEFAULT_EPS: f64 = 0.1;
-
-    /// Approximate mode at [`DEFAULT_EPS`](Self::DEFAULT_EPS).
-    pub fn approx_default() -> Self {
-        CoalesceMode::Approx {
-            eps: Self::DEFAULT_EPS,
-        }
-    }
-
-    /// The effective tolerance: 0 for exact (or degenerate approx) mode.
-    pub fn eps(self) -> f64 {
-        match self {
-            CoalesceMode::Exact => 0.0,
-            CoalesceMode::Approx { eps } => eps.max(0.0),
-        }
-    }
-
-    /// Whether this mode actually buckets (approx with `eps > 0`).
-    pub fn is_approx(self) -> bool {
-        self.eps() > 0.0
-    }
-
-    /// Human/log label, e.g. `exact` or `approx(eps=0.05)`.
-    pub fn label(self) -> String {
-        if self.is_approx() {
-            format!("approx(eps={})", self.eps())
-        } else {
-            "exact".to_string()
-        }
-    }
-}
-
 /// One aggregated observation handed to inference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct FlowObs {
@@ -439,81 +373,6 @@ impl FlowObs {
     #[inline]
     pub fn evidence_key(&self) -> (u32, u64, u64) {
         (self.set.0, self.sent, self.bad)
-    }
-
-    /// The observation's *bucket key* under a coalesce mode: the
-    /// `(sent, bad)` component of the evidence key, bucketed when the
-    /// mode is approximate (see [`BucketQuantizer`]). Exact mode (and
-    /// `eps <= 0`) returns the raw counts, so the bucket key degenerates
-    /// to the exact key. Convenience for one-off keys — hot paths build
-    /// the quantizer once and call [`BucketQuantizer::key`] per count
-    /// pair.
-    #[inline]
-    pub fn bucket_key(&self, mode: CoalesceMode) -> (u64, u64) {
-        BucketQuantizer::new(mode).key(self.sent, self.bad)
-    }
-}
-
-/// Precomputed log-spaced quantizer for a [`CoalesceMode`]: resolves the
-/// mode's tolerance into a float-bits shift once, so per-observation keys
-/// cost two shifts instead of two `ln` calls.
-///
-/// A positive count is quantized by keeping the exponent and the top `m`
-/// mantissa bits of its `f64` representation — log-spaced buckets of
-/// relative width `2^(2^-m)`, with `m` the smallest bit count whose
-/// width stays within `1 + eps`. The advertised tolerance is therefore
-/// an upper bound: two counts sharing a bucket are always within a
-/// factor of `1 + eps`. The mapping is monotone in the count, which is
-/// all the assembler's sort order and the engine's run collapse rely on;
-/// the drift bound never depends on bucket geometry, because the engine
-/// measures the likelihood drift of each merge it actually performs.
-///
-/// `bad` counts use the same spacing as `sent`: within one `sent`
-/// bucket, log-spaced `bad` buckets *are* log-spaced loss-rate buckets.
-/// Zero-loss observations are isolated in `bad` bucket 0 — their
-/// likelihood ladder has exactly zero drift against each other, and
-/// merging them with lossy flows would inflate the drift bound for no
-/// reduction gain.
-#[derive(Debug, Clone, Copy)]
-pub struct BucketQuantizer {
-    shift: u32,
-    exact: bool,
-}
-
-impl BucketQuantizer {
-    /// Resolve a coalesce mode into a quantizer.
-    pub fn new(mode: CoalesceMode) -> Self {
-        let eps = mode.eps();
-        if eps <= 0.0 {
-            return BucketQuantizer {
-                shift: 0,
-                exact: true,
-            };
-        }
-        // Smallest m with bucket width 2^(2^-m) ≤ 1 + eps, i.e.
-        // 2^-m ≤ log2(1+eps); clamped to the f64 mantissa.
-        let m = (-(1.0 + eps).log2().log2()).ceil().max(0.0) as u32;
-        BucketQuantizer {
-            shift: 52 - m.min(52),
-            exact: false,
-        }
-    }
-
-    /// The `(sent bucket, bad bucket)` key for a count pair. Exact mode
-    /// returns the raw counts (bitwise-identical behavior to no
-    /// bucketing).
-    #[inline]
-    pub fn key(&self, sent: u64, bad: u64) -> (u64, u64) {
-        if self.exact {
-            return (sent, bad);
-        }
-        let sb = (sent.max(1) as f64).to_bits() >> self.shift;
-        let rb = if bad == 0 {
-            0
-        } else {
-            1 + ((bad as f64).to_bits() >> self.shift)
-        };
-        (sb, rb)
     }
 }
 
@@ -635,32 +494,12 @@ pub struct Assembler {
     /// reused across epochs so steady-state assembly allocates nothing.
     sort_scratch: Vec<FlowObs>,
     set_cursors: Vec<u32>,
-    /// The coalesce mode observations are sorted for. Exact by default;
-    /// approximate mode orders within-set runs by bucket key first so
-    /// the engine can collapse whole buckets from adjacent runs.
-    coalesce: CoalesceMode,
-    /// Scratch of `(bucket key, obs)` pairs for the approx within-set
-    /// sort — precomputing the key keeps it out of the comparator.
-    bucket_scratch: Vec<((u64, u64), FlowObs)>,
 }
 
 impl Assembler {
     /// An assembler with an empty arena.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Set the coalesce mode future [`Assembler::assemble`] calls sort
-    /// for. Changing the mode never invalidates the arena or lineage —
-    /// it only changes the within-set observation order (an engine in a
-    /// different mode still coalesces correctly, just less).
-    pub fn set_coalesce(&mut self, mode: CoalesceMode) {
-        self.coalesce = mode;
-    }
-
-    /// The coalesce mode observations are currently sorted for.
-    pub fn coalesce_mode(&self) -> CoalesceMode {
-        self.coalesce
     }
 
     /// Number of paths interned so far (across all epochs).
@@ -813,47 +652,15 @@ impl Assembler {
             *cursor += 1;
         }
         // After scattering, `set_cursors[s]` is the *end* of set `s`'s run.
-        // In approximate mode the bucket key leads the within-set order so
-        // the engine can collapse whole buckets; the bucket key is a pure
-        // function of the exact key, so equal exact keys stay adjacent and
-        // the exact run-merge below is unchanged. Keys are precomputed
-        // into a reusable scratch — `sort_unstable_by_key` recomputes
-        // keys per comparison, which would dominate the pipelined
-        // prepare stage at scale.
-        let approx = self.coalesce.is_approx();
-        let quant = BucketQuantizer::new(self.coalesce);
         let mut start = 0usize;
         for i in 0..sets {
             let end = self.set_cursors[i] as usize;
             if end - start > 1 {
-                if approx {
-                    self.bucket_scratch.clear();
-                    self.bucket_scratch.extend(
-                        out[start..end]
-                            .iter()
-                            .map(|&o| (quant.key(o.sent, o.bad), o)),
-                    );
-                    self.bucket_scratch.sort_unstable_by(|(ka, a), (kb, b)| {
-                        (ka, a.sent, a.bad, a.prefix).cmp(&(kb, b.sent, b.bad, b.prefix))
-                    });
-                    for (slot, (_, o)) in out[start..end].iter_mut().zip(&self.bucket_scratch) {
-                        *slot = *o;
-                    }
-                } else {
-                    out[start..end].sort_unstable_by_key(|o| (o.sent, o.bad, o.prefix));
-                }
+                out[start..end].sort_unstable_by_key(|o| (o.sent, o.bad, o.prefix));
             }
             start = end;
         }
-        debug_assert!(out.is_sorted_by_key(|o| {
-            (
-                o.set.0,
-                o.bucket_key(self.coalesce),
-                o.sent,
-                o.bad,
-                o.prefix,
-            )
-        }));
+        debug_assert!(out.is_sorted_by_key(|o| (o.set.0, o.sent, o.bad, o.prefix)));
         out.dedup_by(|dup, keep| {
             if dup.set == keep.set
                 && dup.sent == keep.sent

@@ -13,13 +13,8 @@
 //! store's registry.
 //!
 //! ```text
-//! cargo run --release --example flock_daemon [-- --json] [-- --approx]
+//! cargo run --release --example flock_daemon [-- --json]
 //! ```
-//!
-//! `--approx` switches evidence coalescing to the bucketed approximate
-//! mode (default ε): every epoch line then carries the likelihood drift
-//! bound, the search's decision margin, and whether the verdict is
-//! *proven* identical to exact inference (margin > 2 × bound).
 
 use flock::prelude::*;
 use flock::telemetry::agent::{AgentConfig, AgentCore, Exporter, FlowSample};
@@ -34,29 +29,15 @@ const METRICS_EVERY: u64 = 3;
 
 fn main() {
     let json = std::env::args().any(|a| a == "--json");
-    let coalesce_mode = if std::env::args().any(|a| a == "--approx") {
-        CoalesceMode::approx_default()
-    } else {
-        CoalesceMode::Exact
-    };
     // Resolve the inference kernel dispatch once, up front: every shard
     // engine this process builds runs its Δ sweeps and argmax at this
     // level. Scalar and SIMD are bit-identical (property-tested), so
     // the level never changes a verdict — only how fast it arrives.
     let kernel = KernelDispatch::resolve();
     if json {
-        println!(
-            "{}",
-            serde::json::to_string(&StartupLog {
-                kernel,
-                coalesce: coalesce_mode.label(),
-            })
-        );
+        println!("{}", serde::json::to_string(&StartupLog { kernel }));
     } else {
-        println!(
-            "kernels: {kernel} dispatch (FLOCK_NO_SIMD=1 forces portable) | coalesce {}",
-            coalesce_mode.label()
-        );
+        println!("kernels: {kernel} dispatch (FLOCK_NO_SIMD=1 forces portable)");
     }
     let topo = flock::topology::clos::three_tier(ClosParams {
         pods: 3,
@@ -108,7 +89,6 @@ fn main() {
             // drain() flushes the tail. Verdicts are bit-identical to
             // the sequential mode.
             pipelined: true,
-            coalesce_mode,
             ..StreamConfig::paper_default()
         },
     );
@@ -214,28 +194,12 @@ fn main() {
         assert_eq!(collector.pending(), expected, "collector lost records");
         pipeline.ingest_bucketed(collector.drain_buckets());
         for report in pipeline.poll((epoch + 1) * EPOCH_MS) {
-            ingest_and_log(
-                &topo,
-                &scenario,
-                &mut store,
-                &report,
-                &collector,
-                coalesce_mode,
-                json,
-            );
+            ingest_and_log(&topo, &scenario, &mut store, &report, &collector, json);
             reports.push(report);
         }
     }
     for report in pipeline.drain() {
-        ingest_and_log(
-            &topo,
-            &scenario,
-            &mut store,
-            &report,
-            &collector,
-            coalesce_mode,
-            json,
-        );
+        ingest_and_log(&topo, &scenario, &mut store, &report, &collector, json);
         reports.push(report);
     }
     store.sync().unwrap();
@@ -360,8 +324,6 @@ fn check_store(store: &mut VerdictStore, comp: flock::topology::Component, what:
 #[derive(serde::Serialize)]
 struct StartupLog {
     kernel: KernelDispatch,
-    /// The configured coalescing mode's label (`exact`, `approx(eps=…)`).
-    coalesce: String,
 }
 
 /// One structured log line per epoch — the same fields in both modes
@@ -380,18 +342,6 @@ struct EpochLog {
     /// Weighted super-flows actually inferred over, same accounting.
     shard_super_flows: usize,
     coalesce_ratio: f64,
-    /// The configured coalescing mode's label (`exact`,
-    /// `approx(eps=…)`).
-    coalesce: String,
-    /// Worst-case likelihood drift introduced by approximate coalescing,
-    /// summed over shards (0 in exact mode).
-    drift_bound: f64,
-    /// Smallest per-shard decision margin this epoch (clamped for JSON).
-    decision_margin: f64,
-    /// Every shard's verdict is provably identical to exact inference
-    /// (margin > 2 × drift bound, or no drift). Trivially true in exact
-    /// mode.
-    proven_exact: bool,
     /// Per spine-plane super-flow counts, plane order.
     plane_flows: Vec<usize>,
     /// Components kept by the cross-plane refinement pass, if it ran.
@@ -450,7 +400,6 @@ fn ingest_and_log(
     store: &mut VerdictStore,
     report: &EpochReport,
     collector: &Collector,
-    mode: CoalesceMode,
     json: bool,
 ) {
     let delta = store.ingest(report);
@@ -460,29 +409,7 @@ fn ingest_and_log(
     let raw: usize = report.shards.iter().map(|s| s.raw_flows).sum();
     let sflows: usize = report.shards.iter().map(|s| s.flows).sum();
     let coalesce_ratio = raw as f64 / sflows.max(1) as f64;
-    let drift_bound: f64 = report.shards.iter().map(|s| s.drift_bound).sum();
-    let decision_margin = report
-        .shards
-        .iter()
-        .map(|s| s.margin)
-        .fold(f64::INFINITY, f64::min)
-        .min(1e12);
-    let proven_exact = report.shards.iter().all(|s| s.proven_exact);
     let shard_runs = || report.shards.iter().chain(&report.refined);
-    // The approx accounting as gauges, so operators can alert on an
-    // uncertified epoch or a sagging merge ratio without parsing logs.
-    store
-        .metrics_mut()
-        .set_gauge("approx_coalesce_ratio", coalesce_ratio);
-    store
-        .metrics_mut()
-        .set_gauge("approx_drift_bound", drift_bound);
-    store
-        .metrics_mut()
-        .set_gauge("approx_decision_margin", decision_margin);
-    store
-        .metrics_mut()
-        .set_gauge("approx_proven_exact", f64::from(u8::from(proven_exact)));
     let log = EpochLog {
         epoch: report.epoch_index,
         start_ms: report.start_ms,
@@ -492,10 +419,6 @@ fn ingest_and_log(
         shard_raw_obs: raw,
         shard_super_flows: sflows,
         coalesce_ratio,
-        coalesce: mode.label(),
-        drift_bound,
-        decision_margin,
-        proven_exact,
         plane_flows: report.spine_planes().map(|s| s.flows).collect(),
         refine_kept: report.refined.as_ref().map(|r| r.kept),
         delta_local_comps: report
@@ -590,25 +513,11 @@ fn ingest_and_log(
         } else {
             String::new()
         };
-        let approx = if mode.is_approx() {
-            format!(
-                " | drift ≤{:.2} margin {:.2} {}",
-                log.drift_bound,
-                log.decision_margin,
-                if log.proven_exact {
-                    "PROVEN"
-                } else {
-                    "uncertified"
-                }
-            )
-        } else {
-            String::new()
-        };
         println!(
             "epoch {:>2} [{:>5}ms..{:>5}ms): {:>5} records → {:>4} obs | shard evidence \
              {:>5} → {:>4} super-flows (x{:.1}) | {} planes [{}]{refine} | \
              Δ≤{}/{} | blamed {:?} | truth {:?} | P {:.2} R {:.2} | {}/{} shards warm | \
-             {} agents live | conns {} up / {} closed | {:.1}ms{approx}{alerts}{health}{durability}",
+             {} agents live | conns {} up / {} closed | {:.1}ms{alerts}{health}{durability}",
             log.epoch,
             log.start_ms,
             log.end_ms,

@@ -84,8 +84,8 @@ pub mod prelude {
         StreamPipeline,
     };
     pub use flock_telemetry::{
-        AnalysisMode, CoalesceMode, Collector, CollectorConfig, DrainBatch, FlowKey, FlowRecord,
-        InputKind, MonitoredFlow, ObservationSet, StampedRecord, StatsSnapshot,
+        AnalysisMode, Collector, CollectorConfig, DrainBatch, FlowKey, FlowRecord, InputKind,
+        MonitoredFlow, ObservationSet, StampedRecord, StatsSnapshot,
     };
     pub use flock_topology::{
         ClosParams, Component, GroundTruth, LeafSpineParams, LinkId, NodeId, Router, Topology,

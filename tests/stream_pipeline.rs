@@ -144,7 +144,7 @@ fn collector_to_stream_detects_fault_and_heal() {
 /// `StreamConfig` — or bringing back a baseline switch — stops this
 /// file compiling until the count below is changed on purpose.
 #[test]
-fn stream_config_has_exactly_ten_knobs() {
+fn stream_config_has_exactly_nine_knobs() {
     let epoch = EpochConfig::tumbling(EPOCH_MS);
     let StreamConfig {
         epoch: got_epoch,
@@ -152,7 +152,6 @@ fn stream_config_has_exactly_ten_knobs() {
         mode,
         params: _,
         shard_by_pod,
-        coalesce_mode,
         epoch_deadline,
         chaos,
         pipelined,
@@ -168,7 +167,111 @@ fn stream_config_has_exactly_ten_knobs() {
     // Everything the benchmark leaves alone sits at the paper default.
     assert_eq!(kinds, vec![InputKind::A2, InputKind::P]);
     assert_eq!(mode, AnalysisMode::PerPacket);
-    assert_eq!(coalesce_mode, flock::telemetry::CoalesceMode::Exact);
     assert!(epoch_deadline.is_none() && chaos.is_none());
     assert_eq!(workers, 0);
+}
+
+/// Epoch `k` of the overlap regression below: traffic among the first
+/// `reach` hosts, sizes from a small palette, 5 % loss on every flow
+/// crossing `faulty`. Paths are traced for lossy flows (A2) and ECMP
+/// sets interned per ToR pair (P), so a wider `reach` interns new paths
+/// and sets.
+fn corner_traffic(
+    topo: &Topology,
+    router: &Router,
+    faulty: LinkId,
+    reach: usize,
+    rng: &mut rand::rngs::StdRng,
+) -> Vec<MonitoredFlow> {
+    use rand::RngExt;
+    let hosts = &topo.hosts()[..reach];
+    (0..400u16)
+        .map(|i| {
+            let s = hosts[rng.random_range(0..hosts.len())];
+            let mut d = hosts[rng.random_range(0..hosts.len())];
+            while d == s {
+                d = hosts[rng.random_range(0..hosts.len())];
+            }
+            let paths = router.paths(topo.host_leaf(s), topo.host_leaf(d));
+            let mut true_path = vec![topo.host_uplink(s)];
+            true_path.extend_from_slice(&paths[rng.random_range(0..paths.len())].links);
+            true_path.push(topo.host_downlink(d));
+            let packets = [40u64, 100, 250][rng.random_range(0..3usize)];
+            let retransmissions = if true_path.contains(&faulty) {
+                packets / 20
+            } else {
+                0
+            };
+            MonitoredFlow {
+                key: FlowKey::tcp(s, d, 1000 + i, 80),
+                stats: flock::telemetry::FlowStats {
+                    packets,
+                    retransmissions,
+                    bytes: packets * 1500,
+                    rtt_sum_us: 100,
+                    rtt_count: 1,
+                    rtt_max_us: 100,
+                },
+                class: flock::telemetry::TrafficClass::Passive,
+                true_path,
+            }
+        })
+        .collect()
+}
+
+/// `submit_flows` overlaps epochs whatever `StreamConfig::pipelined`
+/// says, so the collect path must catch the reclaimed arena copy up on
+/// the default config too. The reach schedule is a sawtooth with rising
+/// peaks: every peak interns new paths and sets into the copy the
+/// in-flight epoch holds, and the corner epoch after it is assembled on
+/// the *other* copy — which, if it missed the peak's interning, is
+/// smaller than what the shard views have already seen.
+#[test]
+fn back_to_back_submit_on_the_default_config_matches_run_flows() {
+    let topo = flock::topology::clos::three_tier(ClosParams {
+        pods: 4,
+        tors_per_pod: 2,
+        aggs_per_pod: 2,
+        spines_per_plane: 2,
+        hosts_per_tor: 3,
+    });
+    let router = Router::new(&topo);
+    let hosts = topo.hosts();
+    // A ToR uplink inside the corner every epoch's traffic covers.
+    let faulty = router.paths(topo.host_leaf(hosts[0]), topo.host_leaf(hosts[3]))[0].links[0];
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let epochs: Vec<Vec<MonitoredFlow>> = [2, 4, 2, 5, 2, 6, 2, 8]
+        .iter()
+        .map(|eighths| corner_traffic(&topo, &router, faulty, hosts.len() * eighths / 8, &mut rng))
+        .collect();
+
+    let mut overlapped = StreamPipeline::new(&topo, StreamConfig::paper_default());
+    let mut sequential = StreamPipeline::new(&topo, StreamConfig::paper_default());
+    let mut got: Vec<EpochReport> = Vec::new();
+    let mut want: Vec<EpochReport> = Vec::new();
+    for (k, flows) in epochs.iter().enumerate() {
+        let (k, start, end) = (k as u64, k as u64 * EPOCH_MS, (k as u64 + 1) * EPOCH_MS);
+        got.extend(overlapped.submit_flows(k, start, end, flows));
+        want.push(sequential.run_flows(k, start, end, flows));
+    }
+    got.extend(overlapped.flush_inflight());
+    assert_eq!(got.len(), epochs.len());
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(
+            g.health,
+            EpochHealth::Healthy,
+            "epoch {}: {:?}",
+            g.epoch_index,
+            g.health.reasons()
+        );
+        assert_eq!(g.epoch_index, w.epoch_index);
+        assert!(
+            g.result.predicted_links().contains(&faulty),
+            "epoch {}: blamed {:?}",
+            g.epoch_index,
+            g.result.predicted
+        );
+        assert_eq!(g.result.predicted, w.result.predicted);
+        assert_eq!(g.result.scores, w.result.scores);
+    }
 }
