@@ -377,7 +377,7 @@ mod tests {
     fn ignores_path_uncertain_input() {
         let topo = three_tier(ClosParams::tiny());
         let obs = ObservationSet {
-            arena: flock_telemetry::PathArena::new(),
+            arena: flock_telemetry::PathArena::new().into(),
             flows: Vec::new(),
             mode: AnalysisMode::PerPacket,
         };

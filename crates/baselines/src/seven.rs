@@ -213,7 +213,7 @@ mod tests {
     fn clean_input_blames_nothing() {
         let topo = three_tier(ClosParams::tiny());
         let obs = ObservationSet {
-            arena: flock_telemetry::PathArena::new(),
+            arena: flock_telemetry::PathArena::new().into(),
             flows: Vec::new(),
             mode: AnalysisMode::PerPacket,
         };

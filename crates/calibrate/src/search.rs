@@ -186,7 +186,7 @@ mod tests {
         let traces = vec![TrainingTrace {
             topo: Arc::clone(&topo),
             obs: Arc::new(ObservationSet {
-                arena: PathArena::new(),
+                arena: PathArena::new().into(),
                 flows: Vec::new(),
                 mode: AnalysisMode::PerPacket,
             }),

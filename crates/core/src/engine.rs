@@ -129,9 +129,9 @@
 //! and the total log-likelihood but skips the Δ bookkeeping, and
 //! [`Engine::delta_single`] evaluates one neighbor from current state.
 
+use crate::kernels;
 use crate::likelihood::{llf, EpochFlowTable, TermDirectory, TermTable};
 use crate::params::HyperParams;
-use crate::simd::{self, KernelDispatch};
 use crate::space::{CompIdx, ComponentSpace};
 use flock_telemetry::{ArenaView, DenseRemap, FlowObs, ObservationSet, ViewError};
 use flock_topology::{Component, Topology};
@@ -294,20 +294,11 @@ pub struct EngineOptions {
     /// `likelihood::score_is_linear_in_counts`) — and the default; turn
     /// off only to measure the raw-flow baseline.
     pub coalesce: bool,
-    /// Kernel dispatch override. `None` (the default) resolves once per
-    /// process via [`KernelDispatch::resolve`] (runtime AVX2 detection,
-    /// honoring `FLOCK_NO_SIMD`); `Some` forces a level — used by the
-    /// scalar-vs-SIMD bit-identity property tests and the bench probes.
-    /// A forced level the CPU cannot run is clamped to portable.
-    pub kernel: Option<KernelDispatch>,
 }
 
 impl Default for EngineOptions {
     fn default() -> Self {
-        EngineOptions {
-            coalesce: true,
-            kernel: None,
-        }
+        EngineOptions { coalesce: true }
     }
 }
 
@@ -423,9 +414,6 @@ pub struct Engine {
     ll: f64,
     stats: EngineStats,
 
-    /// Kernel dispatch level every sweep on this engine runs at
-    /// (resolved or forced at construction; see [`EngineOptions`]).
-    dispatch: KernelDispatch,
     /// Resident `llf` ladders of the term ids this engine has met;
     /// extend-only, so `SFlow::tbl` offsets survive rebinds.
     terms: TermTable,
@@ -444,7 +432,7 @@ pub struct Engine {
     scratch_g: Vec<u32>,
     scratch_s: Vec<u32>,
     // Pre-flip counter snapshots across the flip's affected sets, split
-    // into the SIMD-regular partition (components outside the hypothesis
+    // into the regular partition (components outside the hypothesis
     // and != the flipped comp — SoA lanes for the fabric kernel) and the
     // special partition (in-hypothesis comps plus the flipped comp,
     // handled by the scalar branchy path). The split predicate is stable
@@ -610,10 +598,6 @@ impl Engine {
             delta: Vec::new(),
             ll: 0.0,
             stats: EngineStats::default(),
-            dispatch: opts
-                .kernel
-                .map(KernelDispatch::clamped)
-                .unwrap_or_else(KernelDispatch::resolve),
             terms: TermTable::new(),
             gain_move_bias: Vec::new(),
             gain_add_bias: Vec::new(),
@@ -1227,12 +1211,6 @@ impl Engine {
         self.stats
     }
 
-    /// The kernel dispatch level this engine's sweeps run at (resolved
-    /// per process, or forced via [`EngineOptions::kernel`]).
-    pub fn kernel_dispatch(&self) -> KernelDispatch {
-        self.dispatch
-    }
-
     /// `(distinct evidence keys, total f64 entries)` of the memoized
     /// likelihood term table (diagnostics / bench reporting).
     pub fn term_table_sizes(&self) -> (usize, usize) {
@@ -1248,14 +1226,9 @@ impl Engine {
     /// toward the smallest *global* component id, so engines with
     /// different evidence histories (hence different local id orders)
     /// pick the same member of an observationally equivalent class.
-    /// One fused `delta + bias` scan through the dispatch kernel.
+    /// One fused `delta + bias` scan through [`kernels::argmax_gain`].
     pub fn argmax_addable(&self) -> Option<(CompIdx, f64)> {
-        simd::argmax_gain(
-            self.dispatch,
-            &self.delta,
-            &self.gain_add_bias,
-            self.comps.globals(),
-        )
+        kernels::argmax_gain(&self.delta, &self.gain_add_bias, self.comps.globals())
     }
 
     /// Best add-or-remove move under the current Δ array, with its
@@ -1263,12 +1236,7 @@ impl Engine {
     /// reclaims it); same tie-break and kernel as
     /// [`Engine::argmax_addable`]. This is the warm-start search scan.
     pub fn argmax_move(&self) -> Option<(CompIdx, f64)> {
-        simd::argmax_gain(
-            self.dispatch,
-            &self.delta,
-            &self.gain_move_bias,
-            self.comps.globals(),
-        )
+        kernels::argmax_gain(&self.delta, &self.gain_move_bias, self.comps.globals())
     }
 
     /// Toggle local component `c`, maintaining the full Δ array (JLE
@@ -1415,11 +1383,10 @@ impl Engine {
                 // Fabric comps of the set: only the active (unpinned)
                 // weight responds to fabric flips. The regular partition
                 // (components outside the hypothesis) goes through the
-                // dispatch kernel; the handful of special components
+                // fabric kernel; the handful of special components
                 // keep the branchy scalar path below.
                 if active > 0.0 {
-                    simd::fabric_delta_sweep(
-                        self.dispatch,
+                    kernels::fabric_delta_sweep(
                         seg,
                         old_bad,
                         new_bad,
@@ -1593,8 +1560,7 @@ impl Engine {
                     // Member unpins: the new `sb + g` term lands.
                     (false, ll_new)
                 };
-                simd::member_delta_sweep(
-                    self.dispatch,
+                kernels::member_delta_sweep(
                     seg,
                     sb,
                     ctr_g,
@@ -1759,7 +1725,7 @@ impl Engine {
                 let active = f.weight - f.pinned;
                 if active > 0.0 {
                     let seg = &self.terms.values()[f.tbl as usize..(f.tbl + f.w + 1) as usize];
-                    simd::weighted_table_accumulate(self.dispatch, seg, gs, active, &mut sums);
+                    kernels::weighted_table_accumulate(seg, gs, active, &mut sums);
                 }
             }
             if sb == 0 {
@@ -1914,7 +1880,7 @@ impl Engine {
 ///
 /// Components *outside* the predicate (the overwhelming majority: not in
 /// the hypothesis, not the flipped comp) land in the SoA pair
-/// `out_l`/`out_g` — the lanes the SIMD fabric kernel consumes; `s` is
+/// `out_l`/`out_g` — the lanes the fabric kernel consumes; `s` is
 /// not emitted for them because their contribution formula never reads
 /// it. Components matching the predicate land in `out_sp` as full
 /// `(comp, g, s)` counters for the scalar branchy path. Within each
@@ -1996,6 +1962,17 @@ mod tests {
     ) -> (flock_topology::Topology, ObservationSet) {
         let topo = three_tier(ClosParams::tiny());
         let router = Router::new(&topo);
+        let flows = small_flows(&topo, &router, seed);
+        let obs = assemble(&topo, &router, &flows, kinds, AnalysisMode::PerPacket);
+        (topo, obs)
+    }
+
+    /// The 60 random passive flows behind [`small_obs`].
+    fn small_flows(
+        topo: &flock_topology::Topology,
+        router: &Router<'_>,
+        seed: u64,
+    ) -> Vec<MonitoredFlow> {
         let mut rng = StdRng::seed_from_u64(seed);
         let hosts = topo.hosts().to_vec();
         let mut flows = Vec::new();
@@ -2030,8 +2007,7 @@ mod tests {
                 true_path: tp,
             });
         }
-        let obs = assemble(&topo, &router, &flows, kinds, AnalysisMode::PerPacket);
-        (topo, obs)
+        flows
     }
 
     /// The central JLE invariant: after any sequence of flips, every Δ
@@ -2217,7 +2193,7 @@ mod tests {
     fn empty_observation_set_has_empty_local_space() {
         let topo = three_tier(ClosParams::tiny());
         let obs = ObservationSet {
-            arena: flock_telemetry::PathArena::new(),
+            arena: flock_telemetry::PathArena::new().into(),
             flows: Vec::new(),
             mode: AnalysisMode::PerPacket,
         };
@@ -2508,10 +2484,7 @@ mod tests {
     fn coalesced_engine_matches_raw_engine() {
         let (topo, obs) = coalescable_obs(31);
         let params = HyperParams::default();
-        let raw_opts = EngineOptions {
-            coalesce: false,
-            ..Default::default()
-        };
+        let raw_opts = EngineOptions { coalesce: false };
         let mut co = Engine::new(&topo, &obs, params);
         let mut raw = Engine::with_options(&topo, &obs, params, None, raw_opts);
 
@@ -2663,12 +2636,22 @@ mod tests {
         assert_eq!(part.delta().len(), ps.comps);
     }
 
-    /// Rebinding against a foreign-lineage or rolled-back arena is a
-    /// typed error (not release-mode UB), and the engine stays usable on
-    /// its own lineage afterwards.
+    /// Rebinding against a foreign-lineage arena, or an older snapshot
+    /// than one already bound, is a typed error (not release-mode UB),
+    /// and the engine stays usable on its own lineage afterwards.
     #[test]
     fn rebind_rejects_foreign_and_shrunk_arenas() {
-        let (topo, obs) = small_obs(13);
+        use flock_telemetry::Assembler;
+        let topo = three_tier(ClosParams::tiny());
+        let router = Router::new(&topo);
+        let flows = small_flows(&topo, &router, 13);
+        let kinds = [InputKind::A2, InputKind::P];
+        // Two snapshots of one arena: the second assembly interns more.
+        let mut asm = Assembler::new();
+        let obs = asm.assemble(&topo, &router, &flows[..8], &kinds, AnalysisMode::PerPacket);
+        let extended = asm.assemble(&topo, &router, &flows, &kinds, AnalysisMode::PerPacket);
+        assert_eq!(extended.arena.lineage(), obs.arena.lineage());
+        assert!(extended.arena.set_count() > obs.arena.set_count());
         let mut engine = Engine::new(&topo, &obs, HyperParams::default());
 
         // Foreign lineage: a fresh assembly of the same flows.
@@ -2678,12 +2661,8 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ViewError::ForeignLineage { .. }), "{err}");
 
-        // Shrunk same-lineage arena: bind to an extended clone first,
-        // then offer the original.
-        let mut extended = obs.clone();
-        extended
-            .arena
-            .intern_single(&[flock_topology::LinkId(0), flock_topology::LinkId(1)]);
+        // Shrunk same-lineage arena: bind to the newer snapshot first,
+        // then offer the older one.
         engine.try_rebind_filtered(&topo, &extended, None).unwrap();
         let err = engine.try_rebind_filtered(&topo, &obs, None).unwrap_err();
         assert!(matches!(err, ViewError::ArenaShrunk { .. }), "{err}");
@@ -2866,7 +2845,7 @@ mod tests {
             })
             .collect();
         let obs = ObservationSet {
-            arena,
+            arena: arena.into(),
             flows,
             mode: AnalysisMode::PerPacket,
         };

@@ -199,7 +199,7 @@ mod tests {
     fn gibbs_is_deterministic_given_seed() {
         let topo = three_tier(ClosParams::tiny());
         let obs = ObservationSet {
-            arena: flock_telemetry::PathArena::new(),
+            arena: flock_telemetry::PathArena::new().into(),
             flows: Vec::new(),
             mode: AnalysisMode::PerPacket,
         };

@@ -224,7 +224,7 @@ fn beats(engine: &Engine, cand: (CompIdx, f64), best: Option<(CompIdx, f64)>) ->
 
 /// Best component to *add* under the current Δ array, with its
 /// prior-inclusive gain. One fused `delta + bias` scan through the
-/// engine's dispatch kernel ([`Engine::argmax_addable`]); in-hypothesis
+/// engine's argmax kernel ([`Engine::argmax_addable`]); in-hypothesis
 /// components carry a `-inf` bias, which can win only when nothing is
 /// addable — and then the `gain <= 0` stopping rule fires exactly as it
 /// would for an empty candidate set.

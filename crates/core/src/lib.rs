@@ -37,21 +37,18 @@
 //! [`ObservationSet`](flock_telemetry::ObservationSet) — the property that
 //! lets the evaluation compare them on identical input telemetry.
 
-// `unsafe` is denied crate-wide and opted back in only by the AVX2
-// intrinsic kernels in `simd::avx2`, which carry per-function safety
-// contracts enforced by their safe wrappers.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;
 pub mod gibbs;
 pub mod greedy;
+pub mod kernels;
 pub mod likelihood;
 pub mod localizer;
 pub mod metrics;
 pub mod params;
 pub mod sherlock;
-pub mod simd;
 pub mod space;
 
 pub use engine::{
@@ -59,10 +56,10 @@ pub use engine::{
 };
 pub use gibbs::GibbsSampler;
 pub use greedy::{BudgetedSearch, FlockGreedy};
+pub use kernels::KernelDispatch;
 pub use likelihood::{flow_score, llf, EpochFlowTable, TermDirectory, TermTable};
 pub use localizer::{LocalizationResult, Localizer};
 pub use metrics::{evaluate, fscore, MetricsAccumulator, PrecisionRecall};
 pub use params::HyperParams;
 pub use sherlock::SherlockFerret;
-pub use simd::KernelDispatch;
 pub use space::{CompIdx, ComponentSpace};

@@ -275,13 +275,11 @@ impl EpochFlowTable {
 /// One engine's resident `llf` ladders, addressed by term id.
 ///
 /// Flat `f64` storage: a flow holds an offset and reads
-/// `values()[off + b]`, so the sweep kernels (see [`crate::simd`]) index
-/// one contiguous slice. Which ids are resident is a dense id → offset
-/// array — no key, no hash. Entries are produced by [`llf`] itself
+/// `values()[off + b]`, so the sweep kernels (see [`crate::kernels`])
+/// index one contiguous slice. Which ids are resident is a dense id →
+/// offset array — no key, no hash. Entries are produced by [`llf`] itself
 /// (directly, or copied from a ladder the epoch's table minted with it),
-/// so a lookup is **bit-identical** to direct evaluation by construction
-/// — the property the SIMD kernels rely on to keep scalar and vector
-/// sweeps exactly equal.
+/// so a lookup is **bit-identical** to direct evaluation by construction.
 ///
 /// Extend-only: ladders resolved in earlier epochs stay valid across
 /// view rebinds, so offsets held by live super-flows never move.
@@ -481,7 +479,7 @@ mod tests {
             })
             .collect();
         ObservationSet {
-            arena,
+            arena: arena.into(),
             flows,
             mode: AnalysisMode::PerPacket,
         }

@@ -4,12 +4,13 @@
 //! regime (§4.2).
 
 use flock_core::{
-    flow_score, llf, simd, CompIdx, ComponentSpace, Engine, EngineOptions, EpochFlowTable,
-    FlockGreedy, HyperParams, Localizer, SherlockFerret, TermDirectory,
+    flow_score, kernels, llf, CompIdx, ComponentSpace, Engine, EngineOptions, EpochFlowTable,
+    FlockGreedy, HyperParams, Localizer, SherlockFerret, TermDirectory, TermTable,
 };
 use flock_telemetry::input::{assemble, AnalysisMode, InputKind};
 use flock_telemetry::{
-    ArenaView, Assembler, FlowKey, FlowStats, MonitoredFlow, ObservationSet, TrafficClass,
+    ArenaView, Assembler, FlowKey, FlowObs, FlowStats, MonitoredFlow, ObservationSet, PathArena,
+    TrafficClass,
 };
 use flock_topology::clos::{leaf_spine, three_tier, ClosParams, LeafSpineParams};
 use flock_topology::{LinkId, NodeId, Router, Topology};
@@ -227,13 +228,7 @@ fn initial_delta_by_path_sweep(
         gs.dedup();
         let mut sums = vec![0.0f64; gs.len()];
         for f in mine {
-            simd::weighted_table_accumulate(
-                engine.kernel_dispatch(),
-                &f.ladder,
-                &gs,
-                f.weight,
-                &mut sums,
-            );
+            kernels::weighted_table_accumulate(&f.ladder, &gs, f.weight, &mut sums);
         }
         for &c in comps {
             delta[c as usize] += sums[gs.binary_search(&g[c as usize]).unwrap()];
@@ -715,9 +710,9 @@ proptest! {
         let (topo, obs) = random_obs_sized(seed, 60, kinds, quantized);
         let params = HyperParams::default();
         let mut co = Engine::with_options(
-            &topo, &obs, params, None, EngineOptions { coalesce: true, ..Default::default() });
+            &topo, &obs, params, None, EngineOptions { coalesce: true });
         let mut raw = Engine::with_options(
-            &topo, &obs, params, None, EngineOptions { coalesce: false, ..Default::default() });
+            &topo, &obs, params, None, EngineOptions { coalesce: false });
         prop_assert!(co.n_flows() <= raw.n_flows());
         prop_assert_eq!(co.n_observations(), raw.n_observations());
 
@@ -745,9 +740,9 @@ proptest! {
         // either way — both verdicts are then correct greedy outcomes,
         // recognized by equal posteriors.
         let mut co2 = Engine::with_options(
-            &topo, &obs, params, None, EngineOptions { coalesce: true, ..Default::default() });
+            &topo, &obs, params, None, EngineOptions { coalesce: true });
         let mut raw2 = Engine::with_options(
-            &topo, &obs, params, None, EngineOptions { coalesce: false, ..Default::default() });
+            &topo, &obs, params, None, EngineOptions { coalesce: false });
         let greedy = FlockGreedy::default();
         let (pc, _) = greedy.search(&mut co2);
         let (pr, _) = greedy.search(&mut raw2);
@@ -779,6 +774,70 @@ proptest! {
         prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9, "llf {} outside [{}, {}]", v, lo, hi);
         prop_assert_eq!(llf(score, w, 0), 0.0);
         prop_assert!((llf(score, w, w) - score).abs() < 1e-12);
+    }
+
+    /// The term table is a memo, not an approximation: every resident
+    /// entry equals the direct `llf` evaluation bitwise — whether the
+    /// ladder was copied from the table of the epoch that minted its id
+    /// or computed epochs later from the score — re-resolving is a pure
+    /// hit (same offset, no growth), and offsets stay valid as the table
+    /// extends.
+    #[test]
+    fn term_table_matches_llf_bitwise(
+        sent in 1u64..5000,
+        bad_frac in 0.0f64..1.0,
+        w in 1u32..64,
+    ) {
+        let params = HyperParams::default();
+        let bad = ((sent as f64) * bad_frac) as u64;
+        // Two observations of `(sent, bad)`: over a set of `w` paths and
+        // over one of `w + 1`.
+        let mut arena = PathArena::new();
+        let paths: Vec<_> = (0..=w).map(|l| arena.intern_path(&[LinkId(l)])).collect();
+        let flows = [&paths[..w as usize], &paths[..]]
+            .map(|members| FlowObs {
+                prefix: [None, None],
+                set: arena.intern_set(members.to_vec()),
+                sent,
+                bad,
+                weight: 1,
+            })
+            .to_vec();
+        let obs = ObservationSet { arena: arena.into(), flows, mode: AnalysisMode::PerPacket };
+        let mut dir = TermDirectory::new(&params);
+        let mut minting = EpochFlowTable::new();
+        minting.rebuild(&mut dir, &obs);
+        let mut later = EpochFlowTable::new();
+        later.rebuild(&mut dir, &obs);
+        prop_assert_eq!((minting.minted(), later.minted()), (2, 0));
+
+        for table in [&minting, &later] {
+            let (id, score) = table.term(0);
+            prop_assert_eq!(score.to_bits(), flow_score(&params, sent, bad).to_bits());
+            let mut t = TermTable::new();
+            t.bind(table);
+            let off = t.resolve(id, score, w, table);
+            for b in 0..=w {
+                prop_assert_eq!(
+                    t.values()[(off + b) as usize].to_bits(),
+                    llf(score, w, b).to_bits(),
+                    "entry b={}", b
+                );
+            }
+            let (entries, tables) = (t.entries(), t.tables());
+            prop_assert_eq!(t.resolve(id, score, w, table), off);
+            prop_assert_eq!(t.entries(), entries);
+            prop_assert_eq!(t.tables(), tables);
+            // A different key extends the table without moving the old one.
+            let (wider, _) = table.term(1);
+            prop_assert_ne!(wider, id);
+            let off2 = t.resolve(wider, score, w + 1, table);
+            prop_assert!(off2 >= entries as u32);
+            prop_assert_eq!(
+                t.values()[(off + w) as usize].to_bits(),
+                llf(score, w, w).to_bits()
+            );
+        }
     }
 
     /// Greedy equals bounded exhaustive search when failures sit on

@@ -341,13 +341,6 @@ impl VerdictStore {
         &self.metrics
     }
 
-    /// Mutable access to the registry, for hosts that publish their own
-    /// gauges alongside the store's (e.g. the daemon's resolved kernel
-    /// dispatch level).
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
-    }
-
     /// A point-in-time metrics copy for serialization.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot()

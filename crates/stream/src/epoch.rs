@@ -12,7 +12,10 @@
 //! Records arriving for an already-closed window ("late" records, e.g. a
 //! stalled agent connection) are counted and dropped rather than
 //! reopening history — the localization loop is a monitoring system, not
-//! an exactly-once log.
+//! an exactly-once log. So are records stamped so far in the future that
+//! their window's end is past `u64::MAX` (stamps come off the wire
+//! unvalidated; an all-ones field is the likeliest corruption): such a
+//! window could never close against any watermark.
 
 use flock_telemetry::StampedRecord;
 use std::collections::BTreeMap;
@@ -82,10 +85,21 @@ impl EpochConfig {
         index * self.stride()
     }
 
-    /// End timestamp (exclusive) of window `index`.
+    /// End timestamp (exclusive) of window `index`, clamped to
+    /// `u64::MAX`.
     #[inline]
     pub fn window_end(&self, index: u64) -> u64 {
-        self.window_start(index) + self.epoch_ms
+        self.window_start(index).saturating_add(self.epoch_ms)
+    }
+
+    /// Whether window `index` ends at a representable timestamp. One
+    /// that does not can never close against any watermark, so the
+    /// manager never opens it.
+    #[inline]
+    fn closable(&self, index: u64) -> bool {
+        self.window_start(index)
+            .checked_add(self.epoch_ms)
+            .is_some()
     }
 
     /// Indices of every window containing timestamp `ts` (window `k`
@@ -169,7 +183,7 @@ impl EpochManager {
         let mut windows = self
             .config
             .windows_of(rec.export_ms)
-            .filter(|&w| w >= self.closed_below);
+            .filter(|&w| w >= self.closed_below && self.config.closable(w));
         let Some(mut current) = windows.next() else {
             self.late_records += 1;
             return;
@@ -211,7 +225,7 @@ impl EpochManager {
             self.extend(records);
             return;
         }
-        if epoch_seq < self.closed_below {
+        if epoch_seq < self.closed_below || !self.config.closable(epoch_seq) {
             self.late_records += records.len() as u64;
             return;
         }
@@ -284,7 +298,8 @@ impl EpochManager {
     }
 
     /// Records dropped because every window covering their stamp had
-    /// already closed.
+    /// already closed, or could never close (a stamp within one epoch of
+    /// `u64::MAX`).
     pub fn late_records(&self) -> u64 {
         self.late_records
     }
@@ -454,6 +469,61 @@ mod tests {
         m.push(rec(120));
         assert_eq!(m.late_records(), 0, "no horizon: open-window stamp kept");
         assert_eq!(m.open_windows(), 1);
+    }
+
+    /// One record stamped near `u64::MAX` (unvalidated wire input) must
+    /// cost exactly itself: no phantom epoch, no `closed_below` jump that
+    /// makes every later record late, no overflow panic.
+    #[test]
+    fn far_future_stamps_are_dropped_without_deafening_the_manager() {
+        let stamps = |epochs: &[Epoch]| -> Vec<(u64, Vec<u64>)> {
+            epochs
+                .iter()
+                .map(|e| (e.index, e.records.iter().map(|r| r.export_ms).collect()))
+                .collect()
+        };
+
+        // Tumbling, per-record route.
+        let mut m = EpochManager::new(EpochConfig::tumbling(1000));
+        m.push(rec(500));
+        m.push(rec(u64::MAX));
+        assert_eq!(stamps(&m.close_ready(1000)), vec![(0, vec![500])]);
+        assert_eq!(m.late_records(), 1);
+        m.push(rec(1500));
+        assert_eq!(stamps(&m.close_ready(2000)), vec![(1, vec![1500])]);
+        assert_eq!(m.late_records(), 1);
+
+        // Tumbling, pre-bucketed route: the hint validates (every stamp
+        // is in window `u64::MAX / 1000`), the window cannot close.
+        let mut m = EpochManager::new(EpochConfig::tumbling(1000));
+        m.push(rec(500));
+        m.extend_bucket(u64::MAX / 1000, vec![rec(u64::MAX), rec(u64::MAX - 1)]);
+        assert_eq!(m.open_windows(), 1);
+        assert_eq!(stamps(&m.close_ready(1000)), vec![(0, vec![500])]);
+        assert_eq!(m.late_records(), 2);
+        m.extend_bucket(1, vec![rec(1500)]);
+        assert_eq!(stamps(&m.close_ready(2000)), vec![(1, vec![1500])]);
+        assert_eq!(m.late_records(), 2);
+
+        // Sliding: both windows covering `u64::MAX` are unclosable; of
+        // the two covering `u64::MAX - 600` the earlier one ends at a
+        // representable timestamp and takes the record.
+        let mut m = EpochManager::new(EpochConfig::sliding(1000, 500));
+        m.push(rec(500));
+        m.push(rec(u64::MAX));
+        assert_eq!(m.late_records(), 1);
+        assert_eq!(stamps(&m.close_ready(1000)), vec![(0, vec![500])]);
+        m.push(rec(1500));
+        assert_eq!(
+            stamps(&m.close_ready(2000)),
+            vec![(1, vec![500]), (2, vec![1500])]
+        );
+        m.push(rec(u64::MAX - 600));
+        assert_eq!(m.late_records(), 1);
+        let tail = m.flush();
+        assert_eq!(tail.len(), 2, "window 3 (stamp 1500) and the far one");
+        assert_eq!(tail[1].records[0].export_ms, u64::MAX - 600);
+        assert_eq!(tail[1].end_ms - tail[1].start_ms, 1000);
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //!   with a cross-plane refinement pass when several planes hypothesize
 //!   at once, and merges shard verdicts into one
 //!   [`flock_core::LocalizationResult`] per epoch. With
-//!   [`StreamConfig::pipelined`] set, assembly of epoch `N + 1` runs
-//!   double-buffered against inference of epoch `N`
+//!   [`StreamConfig::pipelined`] set, assembly of epoch `N + 1` extends
+//!   the one arena while inference of epoch `N` reads its snapshot
 //!   ([`StreamPipeline::submit_flows`]), keeping steady-state wall time
 //!   near the slowest single shard's critical path.
 //!

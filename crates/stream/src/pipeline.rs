@@ -43,11 +43,11 @@ use crate::exec::ShardExecutor;
 use crate::shard::{SetTouch, SetTouchIndex, Shard, ShardKind, ShardPlan};
 use flock_core::{
     CompIdx, ComponentSpace, Engine, EngineOptions, EngineStateSizes, EpochFlowTable, FlockGreedy,
-    HyperParams, KernelDispatch, LocalizationResult, TermDirectory,
+    HyperParams, LocalizationResult, TermDirectory,
 };
 use flock_telemetry::{
-    AnalysisMode, ArenaDelta, ArenaView, Assembler, DrainBatch, FlowRecord, InputKind,
-    MonitoredFlow, ObservationSet, PathArena, StampedRecord, TrafficClass,
+    AnalysisMode, ArenaView, Assembler, DrainBatch, FlowRecord, InputKind, MonitoredFlow,
+    ObservationSet, StampedRecord, TrafficClass,
 };
 use flock_topology::{Component, NodeId, NodeRole, Router, Topology};
 use serde::Serialize;
@@ -89,7 +89,7 @@ pub struct StreamConfig {
     /// [`StreamPipeline::drain`] submit each epoch's shard jobs to the
     /// persistent executor and *then* collect the previous epoch's
     /// verdict, so epoch `N + 1`'s assembly (arena and term-directory
-    /// extension, double-buffered against the in-flight arena copy) and
+    /// extension; the in-flight epoch reads its own snapshot) and
     /// even its per-shard inference overlap epoch `N`'s. Reports are
     /// emitted exactly one epoch behind submission;
     /// [`StreamPipeline::drain`] flushes
@@ -360,12 +360,6 @@ pub struct ShardOutcome {
     /// Provenance for each kept component, in `kept` order (see
     /// [`Provenance`]).
     pub provenance: Vec<Provenance>,
-    /// Kernel dispatch level the shard's engine ran its sweeps at
-    /// (`Avx2` or `Portable`) — recorded per shard so a mixed-fleet
-    /// reader can tell which path produced a verdict. Scalar and SIMD
-    /// paths are bit-identical by construction (property-tested), so a
-    /// difference here never implies a verdict difference.
-    pub kernel: KernelDispatch,
 }
 
 /// Where an epoch's wall time went, split at the executor boundary.
@@ -384,7 +378,7 @@ pub struct StageTimings {
     /// Collect-stage wall time: refinement (when it ran) + merge.
     pub merge: Duration,
     /// The part of `prepare` spent producing the [`ObservationSet`]:
-    /// arena twin catch-up, interning, sorting, coalescing.
+    /// interning, sorting, coalescing.
     pub assemble: Duration,
     /// The part of `prepare` spent on per-observation touch signatures
     /// and per-shard accept lists.
@@ -464,7 +458,7 @@ struct TaskCtx {
 }
 
 /// One epoch's immutable inputs, shared by every shard job of that
-/// epoch. Dropped (and its arena reclaimed) when the epoch is collected.
+/// epoch. Taken apart (its buffers reclaimed) when the epoch is collected.
 struct EpochCtx {
     obs: ObservationSet,
     /// Each observation's combined (set ∪ prefix) touch signature.
@@ -511,15 +505,16 @@ struct InFlight {
 /// where agents traced or INT-stamped them). Takes records by value so
 /// the per-epoch hot path moves path vectors instead of cloning them.
 pub fn reconstruct(records: impl IntoIterator<Item = FlowRecord>) -> Vec<MonitoredFlow> {
-    records
-        .into_iter()
-        .map(|r| MonitoredFlow {
-            key: r.key,
-            stats: r.stats,
-            class: r.class,
-            true_path: r.path.unwrap_or_default(),
-        })
-        .collect()
+    records.into_iter().map(monitored_flow).collect()
+}
+
+fn monitored_flow(r: FlowRecord) -> MonitoredFlow {
+    MonitoredFlow {
+        key: r.key,
+        stats: r.stats,
+        class: r.class,
+        true_path: r.path.unwrap_or_default(),
+    }
 }
 
 /// The continuously-running localization pipeline over one topology.
@@ -536,23 +531,18 @@ pub struct StreamPipeline<'t> {
     task_ctx: Arc<TaskCtx>,
     /// The submitted-but-uncollected epoch (pipelined mode).
     in_flight: Option<InFlight>,
-    /// The second arena copy of the double buffer, parked between
-    /// epochs when the assembler already holds a live arena.
-    spare_arena: Option<PathArena>,
     /// Every `(sent, bad, w)` evidence key ever assembled → dense term
     /// id; the shard engines' ladders are addressed by these ids.
     terms: TermDirectory,
+    /// The flows reconstructed from the last closed epoch's records;
+    /// `run_epoch` refills the vector in place.
+    spare_monitored: Vec<MonitoredFlow>,
     /// Previous epoch's touch-signature, accept-list and flow-table
     /// buffers, reclaimed at collect and refilled in place the next
     /// epoch.
     spare_touches: Vec<SetTouch>,
     spare_accept: Vec<Vec<u32>>,
     spare_flow_table: EpochFlowTable,
-    /// Interning growth of the most recent assembly — replayed onto the
-    /// *other* arena copy to catch it up without re-assembly.
-    last_delta: Option<ArenaDelta>,
-    /// Arena watermark (paths, sets) before the most recent assembly.
-    arena_wm: (usize, usize),
     touch: SetTouchIndex,
     /// Persistent engine of the cross-plane refinement pass, built
     /// lazily on the first epoch that triggers it.
@@ -622,12 +612,10 @@ impl<'t> StreamPipeline<'t> {
             exec,
             task_ctx,
             in_flight: None,
-            spare_arena: None,
+            spare_monitored: Vec::new(),
             spare_touches: Vec::new(),
             spare_accept: Vec::new(),
             spare_flow_table: EpochFlowTable::new(),
-            last_delta: None,
-            arena_wm: (0, 0),
             touch: SetTouchIndex::new(),
             refine_engine: None,
             refine_view: ArenaView::new(),
@@ -704,7 +692,13 @@ impl<'t> StreamPipeline<'t> {
     /// collect its predecessor (pipelined mode — `None` on the very
     /// first epoch, when nothing is in flight yet).
     fn run_epoch(&mut self, epoch: Epoch) -> Option<EpochReport> {
-        let mut monitored = reconstruct(epoch.records.into_iter().map(|s| s.record));
+        // Refilled in place: a fresh vector per epoch would take over the
+        // records' own allocation (in-place collect), shrink it and free
+        // it at the smaller size — megabytes of allocator traffic per
+        // epoch that a kept buffer avoids.
+        let mut monitored = std::mem::take(&mut self.spare_monitored);
+        monitored.clear();
+        monitored.extend(epoch.records.into_iter().map(|s| monitored_flow(s.record)));
         // The wire has no payload checksum: a corrupted-but-framed
         // message decodes into records with arbitrary content. Reject
         // anything the topology cannot account for *before* assembly,
@@ -717,11 +711,13 @@ impl<'t> StreamPipeline<'t> {
             self.pending_flags
                 .push(DegradeReason::RejectedRecords { count: rejected });
         }
-        if self.cfg.pipelined {
+        let report = if self.cfg.pipelined {
             self.submit_flows(epoch.index, epoch.start_ms, epoch.end_ms, &monitored)
         } else {
             Some(self.run_flows(epoch.index, epoch.start_ms, epoch.end_ms, &monitored))
-        }
+        };
+        self.spare_monitored = monitored;
+        report
     }
 
     /// Total wire-delivered records rejected by content sanitation
@@ -781,8 +777,7 @@ impl<'t> StreamPipeline<'t> {
         Some(self.collect_inflight(f))
     }
 
-    /// The assembly stage: hand the assembler a caught-up arena copy
-    /// (double buffering), assemble, derive touch signatures and
+    /// The assembly stage: assemble, derive touch signatures and
     /// per-shard accept lists, key the evidence into the epoch's flow
     /// table, then queue one job per shard on the executor.
     fn submit_epoch(
@@ -794,38 +789,6 @@ impl<'t> StreamPipeline<'t> {
     ) -> InFlight {
         let prep_started = Instant::now();
         let deadline = self.cfg.epoch_deadline.map(|d| prep_started + d);
-        // Double-buffer handoff: when the previous epoch's observations
-        // still hold the assembler's arena (pipelined overlap), give the
-        // assembler the *other* copy — parked at the last collect, or
-        // cloned from the in-flight arena on the first overlap — caught
-        // up to the emitted watermark by delta replay.
-        if self.assembler.arena_is_out() {
-            let clone_in_flight = |f: &InFlight| f.ctx.obs.arena.clone();
-            let twin = match self.spare_arena.take() {
-                Some(mut t) => {
-                    self.catch_up(&mut t);
-                    if (t.path_count(), t.set_count()) == self.arena_wm {
-                        t
-                    } else {
-                        // The parked copy missed more than one epoch of
-                        // growth (sequential `run_flows` epochs since it
-                        // was parked; only the latest delta is kept):
-                        // re-clone instead of handing the assembler a
-                        // stale arena.
-                        self.in_flight
-                            .as_ref()
-                            .map(clone_in_flight)
-                            .expect("arena out implies an epoch in flight")
-                    }
-                }
-                None => self
-                    .in_flight
-                    .as_ref()
-                    .map(clone_in_flight)
-                    .expect("arena out implies an epoch in flight"),
-            };
-            self.assembler.recycle_arena(twin);
-        }
         let obs = self.assembler.assemble(
             self.topo,
             &self.router,
@@ -833,13 +796,6 @@ impl<'t> StreamPipeline<'t> {
             &self.cfg.kinds,
             self.cfg.mode,
         );
-        // Record this assembly's interning growth so the other arena
-        // copy can replay it instead of being re-cloned every epoch —
-        // whatever `cfg.pipelined` says: `submit_flows` overlaps epochs
-        // on its own, and a collect without the delta would hand the
-        // assembler the copy that missed this interning.
-        self.last_delta = Some(obs.arena.delta_since(self.arena_wm.0, self.arena_wm.1));
-        self.arena_wm = (obs.arena.path_count(), obs.arena.set_count());
         let assembled = Instant::now();
         self.touch.extend(self.topo, &obs);
         // Derive each observation's combined touch signature once and
@@ -939,27 +895,9 @@ impl<'t> StreamPipeline<'t> {
         }
     }
 
-    /// Replay the most recent assembly's interning growth onto the
-    /// other arena copy, if it sits exactly at the pre-assembly
-    /// watermark. A copy that already contains the growth (a fresh
-    /// clone, or the arena the assembly itself extended) skips — the
-    /// watermark guard makes the replay idempotent.
-    fn catch_up(&self, arena: &mut PathArena) {
-        if let Some(delta) = &self.last_delta {
-            if delta.lineage() == arena.lineage()
-                && delta.from_watermarks() == (arena.path_count(), arena.set_count())
-            {
-                arena
-                    .apply_delta(delta)
-                    .expect("lineage and watermark verified");
-            }
-        }
-    }
-
     /// The collect stage: receive every shard verdict, run the
     /// cross-plane refinement when warranted, merge under blame
-    /// ownership, and reclaim the epoch's arena copy for the double
-    /// buffer.
+    /// ownership, and reclaim the epoch's buffers for the next assembly.
     fn collect_inflight(&mut self, f: InFlight) -> EpochReport {
         let InFlight {
             epoch_index,
@@ -1155,7 +1093,7 @@ impl<'t> StreamPipeline<'t> {
         });
 
         let observations = ctx.obs.flows.len();
-        // Reclaim the epoch's arena copy: every shard job has sent its
+        // Reclaim the epoch's buffers: every shard job has sent its
         // result, so the workers' `Arc` clones are dropped (or about to
         // be — the send precedes the drop by a few instructions).
         let mut ctx = ctx;
@@ -1168,23 +1106,12 @@ impl<'t> StreamPipeline<'t> {
                 }
             }
         };
-        let mut arena = ectx.obs.arena;
-        // The touch, accept and flow-table buffers go back too: the next
-        // epoch refills them in place instead of re-allocating a
-        // megabyte on the assembly stage's critical path.
+        // The next epoch refills them in place instead of re-allocating
+        // a megabyte on the assembly stage's critical path.
         self.spare_touches = ectx.touches;
         self.spare_accept = ectx.accept;
         self.spare_flow_table = ectx.flow_table;
-        self.catch_up(&mut arena);
-        if self.assembler.arena_is_out() {
-            // Pipelined: the next epoch's observations hold the other
-            // copy; this one, caught up, becomes the assembler's.
-            self.assembler.recycle_arena(arena);
-        } else {
-            // Sequential tail (flush): the assembler is already live;
-            // park this copy for the next overlap.
-            self.spare_arena = Some(arena);
-        }
+        self.assembler.recycle(ectx.obs);
         stages.merge = merge_started.elapsed();
 
         EpochReport {
@@ -1382,7 +1309,6 @@ fn localize_bound(
         search: search_time,
         timed_out: search.timed_out,
         provenance,
-        kernel: engine.kernel_dispatch(),
     };
     (picked, kept, outcome)
 }

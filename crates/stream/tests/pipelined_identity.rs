@@ -1,14 +1,15 @@
 //! Pipelined execution is an *optimization*, never a semantic change:
 //!
-//! * verdicts from [`StreamConfig::pipelined`] (double-buffered
-//!   assembly + work-stealing executor, epochs overlapping) are
+//! * verdicts from [`StreamConfig::pipelined`] (assembly into the one
+//!   arena while the in-flight epoch reads its snapshot + work-stealing
+//!   executor, epochs overlapping) are
 //!   bit-identical to the sequential path — property-tested over
 //!   randomized topologies, fault scenarios, telemetry kinds, and
 //!   worker counts, including epochs that trigger the cross-plane
 //!   refinement pass;
-//! * the double-buffer handoff survives its edges: zero-record epochs,
-//!   a shard panic while the next epoch is already assembled into the
-//!   other buffer (the degraded epoch must not corrupt its successor),
+//! * the overlap survives its edges: zero-record epochs, a shard panic
+//!   while the next epoch is already assembled (the degraded epoch must
+//!   not corrupt its successor),
 //!   late records arriving during overlap, and dropping the pipeline
 //!   with an epoch still in flight.
 
@@ -200,9 +201,9 @@ proptest! {
     }
 }
 
-/// Zero-record epochs flow through the double buffer: an empty epoch
-/// extends nothing (the replay delta is empty), and the epochs around
-/// it still match the sequential run bit for bit.
+/// Zero-record epochs flow through the overlap: an empty epoch interns
+/// nothing (its snapshot equals its predecessor's), and the epochs
+/// around it still match the sequential run bit for bit.
 #[test]
 fn zero_record_epochs_flow_through_the_pipeline() {
     let topo = clos(3, 2);
@@ -222,11 +223,11 @@ fn zero_record_epochs_flow_through_the_pipeline() {
     assert_eq!(reports[3].observations, 0);
 }
 
-/// A shard panic while the *next* epoch is already assembled into the
-/// other buffer: the panicking epoch degrades exactly as in the
-/// sequential run, and its successor — whose assembly overlapped the
-/// panic — is untouched. This is the "a failed epoch must not corrupt
-/// the N+1 buffer" contract of the handoff.
+/// A shard panic while the *next* epoch is already assembled: the
+/// panicking epoch degrades exactly as in the sequential run, and its
+/// successor — whose assembly overlapped the panic — is untouched. This
+/// is the "a failed epoch must not corrupt epoch N+1" contract of the
+/// overlap.
 #[test]
 fn panic_during_overlap_degrades_only_its_epoch() {
     let topo = clos(3, 2);

@@ -13,8 +13,12 @@
 //!
 //! Records decoded from v2 frames arrive pre-bucketed: the shard bins
 //! them by the agent-stamped `epoch_seq` as it decodes, so
-//! [`Collector::drain_buckets`] is an O(connections + buckets) handoff
-//! and the stream layer can skip per-record window re-assignment. v1
+//! [`Collector::drain_buckets`] is one block copy per bucket and the
+//! stream layer can skip per-record window re-assignment. A shard keeps
+//! its bucket buffer: the drain copies the records out into one
+//! exactly-sized vector per epoch and hands the emptied buffer back, so
+//! in steady state a reactor thread allocates nothing per epoch and
+//! nothing it allocated is freed by another thread. v1
 //! frames (no hint) land in an `unhinted` side-buffer and take the
 //! classic re-bucketing path — both versions coexist on one socket.
 //!
@@ -286,6 +290,9 @@ impl DrainBatch {
 struct ShardStore {
     buckets: BTreeMap<u64, Vec<StampedRecord>>,
     unhinted: Vec<StampedRecord>,
+    /// An emptied bucket buffer handed back by the last drain; the next
+    /// new bucket starts in it instead of growing one by doubling.
+    spare: Vec<StampedRecord>,
 }
 
 /// A running collector. Dropping it (or calling [`Collector::shutdown`])
@@ -388,36 +395,57 @@ impl Collector {
     /// per-epoch pre-bucketing of v2 input — the entry point of the
     /// epoch-windowing stream layer's fast path.
     pub fn drain_buckets(&self) -> DrainBatch {
-        let mut merged: BTreeMap<u64, Vec<StampedRecord>> = BTreeMap::new();
-        let mut unhinted = Vec::new();
-        for store in &self.stores {
-            // The pending counter is adjusted while the shard lock is
-            // held (on both the producer and consumer side): releasing
-            // the freed capacity only after all stores were taken would
-            // leave shards seeing a phantom-full store and shedding
-            // messages right after a drain.
-            let taken = {
+        // Take every shard's records, holding each lock only for the
+        // swap. The pending counter is adjusted while the shard lock is
+        // held (on both the producer and consumer side): releasing the
+        // freed capacity only after all stores were taken would leave
+        // shards seeing a phantom-full store and shedding messages right
+        // after a drain.
+        let taken: Vec<_> = self
+            .stores
+            .iter()
+            .map(|store| {
                 let mut guard = store.lock();
-                let taken = std::mem::take(&mut *guard);
-                let count =
-                    taken.unhinted.len() + taken.buckets.values().map(Vec::len).sum::<usize>();
+                let buckets = std::mem::take(&mut guard.buckets);
+                let unhinted = std::mem::take(&mut guard.unhinted);
+                let count = unhinted.len() + buckets.values().map(Vec::len).sum::<usize>();
                 self.pending.fetch_sub(count, Ordering::Relaxed);
-                taken
-            };
-            for (seq, mut bucket) in taken.buckets {
-                match merged.entry(seq) {
-                    std::collections::btree_map::Entry::Vacant(v) => {
-                        v.insert(bucket);
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut o) => {
-                        o.get_mut().append(&mut bucket);
-                    }
+                (buckets, unhinted)
+            })
+            .collect();
+        // One exactly-sized vector per epoch, allocated (and later
+        // freed) by the draining thread; the shards' own buffers are
+        // emptied into it and go back to their shard.
+        let mut sizes: BTreeMap<u64, usize> = BTreeMap::new();
+        for (buckets, _) in &taken {
+            for (seq, bucket) in buckets {
+                *sizes.entry(*seq).or_default() += bucket.len();
+            }
+        }
+        let mut merged: BTreeMap<u64, Vec<StampedRecord>> = sizes
+            .into_iter()
+            .map(|(seq, n)| (seq, Vec::with_capacity(n)))
+            .collect();
+        let mut unhinted = Vec::new();
+        for (store, (buckets, shard_unhinted)) in self.stores.iter().zip(taken) {
+            let mut spare = Vec::new();
+            for (seq, mut bucket) in buckets {
+                merged
+                    .get_mut(&seq)
+                    .expect("every taken bucket was sized above")
+                    .append(&mut bucket);
+                if bucket.capacity() > spare.capacity() {
+                    spare = bucket;
                 }
             }
             if unhinted.is_empty() {
-                unhinted = taken.unhinted;
+                unhinted = shard_unhinted;
             } else {
-                unhinted.extend(taken.unhinted);
+                unhinted.extend(shard_unhinted);
+            }
+            let mut guard = store.lock();
+            if spare.capacity() > guard.spare.capacity() {
+                guard.spare = spare;
             }
         }
         DrainBatch {
@@ -744,7 +772,13 @@ fn store_message(
         return;
     }
     match msg.epoch_seq {
-        Some(seq) => s.buckets.entry(seq).or_default().extend(stamped),
+        Some(seq) => {
+            let ShardStore { buckets, spare, .. } = &mut *s;
+            buckets
+                .entry(seq)
+                .or_insert_with(|| std::mem::take(spare))
+                .extend(stamped)
+        }
         None => s.unhinted.extend(stamped),
     }
     pending.fetch_add(n, Ordering::Relaxed);
@@ -1098,6 +1132,38 @@ mod tests {
             }
         }
         assert_eq!(collector.pending(), 0);
+    }
+
+    #[test]
+    fn drained_bucket_buffers_are_reused_empty() {
+        let collector = Collector::bind(ephemeral()).unwrap();
+        let mut agent = AgentCore::new(AgentConfig {
+            agent_id: 3,
+            epoch_hint_ms: Some(1_000),
+            ..Default::default()
+        });
+        let mut exporter = Exporter::connect(collector.local_addr()).unwrap();
+        // Three epochs over one connection with a drain after each: from
+        // the second on, the shard fills the buffer the drain handed
+        // back. Every drain must see exactly its own epoch's records.
+        for (seq, n) in [(1u64, 7u32), (2, 3), (3, 9)] {
+            for i in 0..n {
+                agent.observe(passive_sample(seq as u32 * 100 + i, 4000 + i as u16));
+            }
+            let records = agent.export();
+            for m in &agent.encode_export(seq * 1_000 + 500, &records) {
+                exporter.send(m).unwrap();
+            }
+            assert!(wait_for(|| collector.pending() == n as usize, 2000));
+            let batch = collector.drain_buckets();
+            assert_eq!(batch.buckets.len(), 1);
+            let (got_seq, bucket) = &batch.buckets[0];
+            assert_eq!(*got_seq, seq);
+            assert_eq!(bucket.len(), n as usize);
+            assert!(bucket.iter().all(|r| r.export_ms / 1_000 == seq));
+            assert_eq!(collector.pending(), 0);
+        }
+        exporter.finish().unwrap();
     }
 
     #[test]

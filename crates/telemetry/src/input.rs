@@ -22,6 +22,7 @@
 use crate::flow::{MonitoredFlow, TrafficClass};
 use flock_topology::{FxHashMap, LinkId, NodeRole, Router, Topology};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Content hash used by the arena's hashed-over-storage dedup indexes.
 /// A weak hash only costs an extra content compare on collision — the
@@ -41,34 +42,125 @@ pub struct PathId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PathSetId(pub u32);
 
-/// Interning arena for fabric paths and path sets.
+/// Rows per storage chunk of a [`Rows`] table. Interning into an arena
+/// whose tail chunk a live [`ArenaSnapshot`] still shares copies at most
+/// this many rows once; full chunks are never copied.
+const CHUNK_ROWS: usize = 4096;
+
+/// One chunk of a [`Rows`] table in CSR form: row `r` is
+/// `items[offsets[r]..offsets[r + 1]]`.
+#[derive(Debug, Clone)]
+struct Chunk<T> {
+    offsets: Vec<u32>,
+    items: Vec<T>,
+}
+
+/// An append-only table of variable-length rows whose storage is shared
+/// by `Arc` in chunks of [`CHUNK_ROWS`] rows: cloning the table clones a
+/// few `Arc`s, and pushing to one clone never changes what another
+/// reads (`Arc::make_mut` copies the tail chunk if it is still shared).
+#[derive(Debug, Clone)]
+struct Rows<T> {
+    chunks: Vec<Arc<Chunk<T>>>,
+    len: usize,
+}
+
+impl<T> Default for Rows<T> {
+    fn default() -> Self {
+        Rows {
+            chunks: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<T: Clone> Rows<T> {
+    fn push(&mut self, row: &[T]) {
+        if self.len % CHUNK_ROWS == 0 {
+            self.chunks.push(Arc::new(Chunk {
+                offsets: vec![0],
+                items: Vec::new(),
+            }));
+        }
+        let tail = Arc::make_mut(self.chunks.last_mut().expect("tail chunk pushed above"));
+        tail.items.extend_from_slice(row);
+        let end = u32::try_from(tail.items.len()).expect("arena chunk exceeds u32 items");
+        tail.offsets.push(end);
+        self.len += 1;
+    }
+
+    #[inline]
+    fn get(&self, row: usize) -> &[T] {
+        let chunk = &self.chunks[row / CHUNK_ROWS];
+        let r = row % CHUNK_ROWS;
+        &chunk.items[chunk.offsets[r] as usize..chunk.offsets[r + 1] as usize]
+    }
+}
+
+/// The read side of a [`PathArena`]: interned content by id, without the
+/// dedup indexes only the writer needs. Cheap to clone (storage is
+/// shared in chunks) and frozen: whatever the arena it was taken from
+/// interns later, a snapshot keeps reading exactly the rows it was taken
+/// with. This is what an [`ObservationSet`] carries, so an in-flight
+/// epoch reads its snapshot while the assembler extends the one arena.
+#[derive(Debug, Clone)]
+pub struct ArenaSnapshot {
+    paths: Rows<LinkId>,
+    sets: Rows<PathId>,
+    /// Process-unique token of the arena this content belongs to. Ids are
+    /// append-only per lineage, so two snapshots of one lineage agree on
+    /// every id both contain. Lets holders of interned ids (views,
+    /// engines) verify a snapshot is of the arena they interned against.
+    lineage: u64,
+}
+
+impl ArenaSnapshot {
+    /// The process-unique lineage token of the arena this is a state of.
+    pub fn lineage(&self) -> u64 {
+        self.lineage
+    }
+
+    /// The links of an interned path.
+    #[inline]
+    pub fn path(&self, id: PathId) -> &[LinkId] {
+        self.paths.get(id.0 as usize)
+    }
+
+    /// The member paths of an interned set.
+    #[inline]
+    pub fn set(&self, id: PathSetId) -> &[PathId] {
+        self.sets.get(id.0 as usize)
+    }
+
+    /// Number of interned paths.
+    pub fn path_count(&self) -> usize {
+        self.paths.len
+    }
+
+    /// Number of interned sets.
+    pub fn set_count(&self) -> usize {
+        self.sets.len
+    }
+}
+
+/// Interning arena for fabric paths and path sets: the one writer of a
+/// lineage. Reads go through [`ArenaSnapshot`] (which the arena derefs
+/// to); [`PathArena::snapshot`] hands the current content to readers.
 ///
 /// The dedup indexes hash *over the stored content* — they map a content
 /// hash to the candidate ids whose stored path/set must be compared — so
 /// interning keeps exactly one copy of every link/path sequence. The
 /// naive `HashMap<Vec<_>, id>` alternative clones each sequence into its
 /// key: at millions of interned sets that doubles the arena's memory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct PathArena {
-    paths: Vec<Vec<LinkId>>,
-    sets: Vec<Vec<PathId>>,
-    #[serde(skip)]
+    content: ArenaSnapshot,
     path_lookup: FxHashMap<u64, Vec<PathId>>,
-    #[serde(skip)]
     set_lookup: FxHashMap<u64, Vec<PathSetId>>,
     /// Path id → the singleton set `{path}`, once
     /// [`intern_single`](Self::intern_single) has found it — a memo in
-    /// front of `set_lookup`, not part of the arena's content: a copy
-    /// without an entry falls through to
-    /// [`intern_set`](Self::intern_set), which dedups to the same id.
-    #[serde(skip)]
+    /// front of `set_lookup`, not part of the arena's content.
     singles: FxHashMap<PathId, PathSetId>,
-    /// Process-unique lineage token, stamped at creation and preserved by
-    /// `Clone` (a clone shares content, so ids interned against either
-    /// copy resolve identically). Lets holders of interned ids
-    /// ([`Assembler`]) verify an arena is the one they interned against.
-    #[serde(skip)]
-    lineage: u64,
 }
 
 impl Default for PathArena {
@@ -76,13 +168,29 @@ impl Default for PathArena {
         use std::sync::atomic::{AtomicU64, Ordering};
         static NEXT_LINEAGE: AtomicU64 = AtomicU64::new(1);
         PathArena {
-            paths: Vec::new(),
-            sets: Vec::new(),
+            content: ArenaSnapshot {
+                paths: Rows::default(),
+                sets: Rows::default(),
+                lineage: NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed),
+            },
             path_lookup: FxHashMap::default(),
             set_lookup: FxHashMap::default(),
             singles: FxHashMap::default(),
-            lineage: NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed),
         }
+    }
+}
+
+impl std::ops::Deref for PathArena {
+    type Target = ArenaSnapshot;
+
+    fn deref(&self) -> &ArenaSnapshot {
+        &self.content
+    }
+}
+
+impl From<PathArena> for ArenaSnapshot {
+    fn from(arena: PathArena) -> ArenaSnapshot {
+        arena.content
     }
 }
 
@@ -92,9 +200,10 @@ impl PathArena {
         Self::default()
     }
 
-    /// The arena's process-unique lineage token.
-    pub fn lineage(&self) -> u64 {
-        self.lineage
+    /// The arena's current content, unaffected by anything interned
+    /// afterwards.
+    pub fn snapshot(&self) -> ArenaSnapshot {
+        self.content.clone()
     }
 
     /// Intern a fabric path (a link sequence; may be empty for same-ToR
@@ -103,13 +212,12 @@ impl PathArena {
         let h = content_hash(links);
         if let Some(cands) = self.path_lookup.get(&h) {
             for &id in cands {
-                if self.paths[id.0 as usize] == links {
+                if self.content.path(id) == links {
                     return id;
                 }
             }
         }
-        let id = PathId(self.paths.len() as u32);
-        self.paths.push(links.to_vec());
+        let id = self.intern_path_nodedup(links);
         self.path_lookup.entry(h).or_default().push(id);
         id
     }
@@ -120,13 +228,13 @@ impl PathArena {
     /// (tens of millions of paths) the map's key copies would dominate
     /// memory.
     pub fn intern_path_nodedup(&mut self, links: &[LinkId]) -> PathId {
-        let id = PathId(self.paths.len() as u32);
-        self.paths.push(links.to_vec());
+        let id = PathId(self.content.paths.len as u32);
+        self.content.paths.push(links);
         id
     }
 
     /// Intern a set of already-interned paths. Order-insensitive: the set
-    /// is canonicalized by sorting. The canonical vector is stored once —
+    /// is canonicalized by sorting. The canonical sequence is stored once —
     /// the dedup index holds only a content hash, not a key copy.
     pub fn intern_set(&mut self, mut paths: Vec<PathId>) -> PathSetId {
         paths.sort_unstable_by_key(|p| p.0);
@@ -134,13 +242,13 @@ impl PathArena {
         let h = content_hash(&paths);
         if let Some(cands) = self.set_lookup.get(&h) {
             for &id in cands {
-                if self.sets[id.0 as usize] == paths {
+                if self.content.set(id) == paths {
                     return id;
                 }
             }
         }
-        let id = PathSetId(self.sets.len() as u32);
-        self.sets.push(paths);
+        let id = PathSetId(self.content.sets.len as u32);
+        self.content.sets.push(&paths);
         self.set_lookup.entry(h).or_default().push(id);
         id
     }
@@ -157,174 +265,7 @@ impl PathArena {
         self.singles.insert(p, set);
         set
     }
-
-    /// The links of an interned path.
-    #[inline]
-    pub fn path(&self, id: PathId) -> &[LinkId] {
-        &self.paths[id.0 as usize]
-    }
-
-    /// The member paths of an interned set.
-    #[inline]
-    pub fn set(&self, id: PathSetId) -> &[PathId] {
-        &self.sets[id.0 as usize]
-    }
-
-    /// Number of interned paths.
-    pub fn path_count(&self) -> usize {
-        self.paths.len()
-    }
-
-    /// Number of interned sets.
-    pub fn set_count(&self) -> usize {
-        self.sets.len()
-    }
-
-    /// Capture everything interned since the `(from_paths, from_sets)`
-    /// watermark as a replayable [`ArenaDelta`].
-    ///
-    /// The delta records, per new path, whether the path was *indexed*
-    /// (interned through the dedup lookup) or appended via
-    /// [`intern_path_nodedup`](Self::intern_path_nodedup): a twin arena
-    /// replaying the delta must mirror that choice exactly, or its future
-    /// dedup decisions — and therefore the ids it hands out — diverge
-    /// from the original's.
-    pub fn delta_since(&self, from_paths: usize, from_sets: usize) -> ArenaDelta {
-        let paths = self.paths[from_paths..]
-            .iter()
-            .enumerate()
-            .map(|(i, links)| {
-                let id = PathId((from_paths + i) as u32);
-                let indexed = self
-                    .path_lookup
-                    .get(&content_hash(links))
-                    .is_some_and(|cands| cands.contains(&id));
-                (links.clone(), indexed)
-            })
-            .collect();
-        ArenaDelta {
-            from_paths,
-            from_sets,
-            lineage: self.lineage,
-            paths,
-            sets: self.sets[from_sets..].to_vec(),
-        }
-    }
-
-    /// Replay a delta captured from this arena's twin (same lineage, via
-    /// `Clone`), appending exactly the paths and sets the twin interned —
-    /// index membership included — so both copies keep resolving every
-    /// id identically and making identical future dedup decisions.
-    ///
-    /// Fails without modifying the arena if the delta is from a different
-    /// lineage or this arena is not exactly at the delta's watermark
-    /// (replaying out of order would assign different ids).
-    pub fn apply_delta(&mut self, delta: &ArenaDelta) -> Result<(), DeltaError> {
-        if delta.lineage != self.lineage {
-            return Err(DeltaError::LineageMismatch {
-                expected: delta.lineage,
-                actual: self.lineage,
-            });
-        }
-        if (self.paths.len(), self.sets.len()) != (delta.from_paths, delta.from_sets) {
-            return Err(DeltaError::WatermarkMismatch {
-                expected: (delta.from_paths, delta.from_sets),
-                actual: (self.paths.len(), self.sets.len()),
-            });
-        }
-        for (links, indexed) in &delta.paths {
-            let id = PathId(self.paths.len() as u32);
-            if *indexed {
-                self.path_lookup
-                    .entry(content_hash(links))
-                    .or_default()
-                    .push(id);
-            }
-            self.paths.push(links.clone());
-        }
-        for members in &delta.sets {
-            let id = PathSetId(self.sets.len() as u32);
-            self.set_lookup
-                .entry(content_hash(members))
-                .or_default()
-                .push(id);
-            self.sets.push(members.clone());
-        }
-        Ok(())
-    }
 }
-
-/// Everything a [`PathArena`] interned past a watermark, in intern order,
-/// captured by [`PathArena::delta_since`] and replayed onto a same-lineage
-/// twin by [`PathArena::apply_delta`].
-///
-/// This is the handoff mechanism behind double-buffered assembly: while
-/// one arena copy is out with an epoch's [`ObservationSet`], the
-/// assembler extends the other, and the delta catches the returning copy
-/// up so the two stay content- and index-identical.
-#[derive(Debug, Clone)]
-pub struct ArenaDelta {
-    from_paths: usize,
-    from_sets: usize,
-    lineage: u64,
-    /// New paths with their dedup-index membership (nodedup'd ECMP
-    /// fabric paths are unindexed and must stay so in the twin).
-    paths: Vec<(Vec<LinkId>, bool)>,
-    sets: Vec<Vec<PathId>>,
-}
-
-impl ArenaDelta {
-    /// The `(paths, sets)` watermark the delta starts from.
-    pub fn from_watermarks(&self) -> (usize, usize) {
-        (self.from_paths, self.from_sets)
-    }
-
-    /// Lineage of the arena the delta was captured from.
-    pub fn lineage(&self) -> u64 {
-        self.lineage
-    }
-
-    /// Whether the delta carries no growth.
-    pub fn is_empty(&self) -> bool {
-        self.paths.is_empty() && self.sets.is_empty()
-    }
-}
-
-/// Why [`PathArena::apply_delta`] refused a delta.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaError {
-    /// The delta was captured from an arena of a different lineage.
-    LineageMismatch {
-        /// Lineage the delta was captured from.
-        expected: u64,
-        /// Lineage of the arena it was applied to.
-        actual: u64,
-    },
-    /// The arena is not at the delta's starting watermark.
-    WatermarkMismatch {
-        /// `(paths, sets)` watermark the delta starts from.
-        expected: (usize, usize),
-        /// The arena's actual `(paths, sets)` counts.
-        actual: (usize, usize),
-    },
-}
-
-impl std::fmt::Display for DeltaError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DeltaError::LineageMismatch { expected, actual } => write!(
-                f,
-                "arena delta lineage {expected} does not match arena lineage {actual}"
-            ),
-            DeltaError::WatermarkMismatch { expected, actual } => write!(
-                f,
-                "arena delta expects watermark {expected:?}, arena is at {actual:?}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for DeltaError {}
 
 /// How flow metrics are turned into the model's `(sent, bad)` counts.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -360,7 +301,7 @@ pub struct FlowObs {
 
 impl FlowObs {
     /// Whether the exact path of this observation is known.
-    pub fn path_known(&self, arena: &PathArena) -> bool {
+    pub fn path_known(&self, arena: &ArenaSnapshot) -> bool {
         arena.set(self.set).len() == 1
     }
 
@@ -378,10 +319,10 @@ impl FlowObs {
 
 /// The input to every inference scheme: interned paths plus aggregated
 /// flow observations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ObservationSet {
-    /// Path/set interning arena.
-    pub arena: PathArena,
+    /// The interned paths and sets the observations refer to.
+    pub arena: ArenaSnapshot,
     /// Aggregated observations.
     pub flows: Vec<FlowObs>,
     /// The analysis mode the observations were assembled under.
@@ -472,24 +413,16 @@ pub fn assemble(
 /// (see `flock_core::Engine::rebind`). The ECMP set cache persists for the
 /// same reason — per ToR pair, the set is interned exactly once, ever.
 ///
-/// The arena physically moves into the returned `ObservationSet` (every
-/// consumer expects an owning set); hand the set back via
-/// [`Assembler::recycle`] once inference is done to keep the lineage.
-/// Assembling again *without* recycling is safe but forfeits the lineage:
-/// the assembler starts a fresh arena (and drops its set-id cache, which
-/// would otherwise refer into the departed arena).
+/// The assembler never gives its arena away: each returned set carries an
+/// [`ArenaSnapshot`], so any number of earlier sets may still be in use
+/// (an in-flight epoch's shard engines) while the next one is assembled.
 #[derive(Debug, Default)]
 pub struct Assembler {
     arena: PathArena,
     ecmp_cache: FxHashMap<(flock_topology::NodeId, flock_topology::NodeId), PathSetId>,
-    /// Whether the arena is currently out with an un-recycled
-    /// `ObservationSet` (the struct's `arena` is then a fresh default).
-    arena_out: bool,
-    /// Lineage token and path/set counts of the arena as last emitted,
-    /// used by [`Assembler::recycle`] to recognize its own lineage.
-    emitted_lineage: u64,
-    emitted_paths: usize,
-    emitted_sets: usize,
+    /// The next epoch's output buffer: a finished set's observation
+    /// vector, handed back through [`Assembler::recycle`].
+    out: Vec<FlowObs>,
     /// Scratch for the counting scatter in [`Assembler::assemble`],
     /// reused across epochs so steady-state assembly allocates nothing.
     sort_scratch: Vec<FlowObs>,
@@ -507,41 +440,12 @@ impl Assembler {
         self.arena.path_count()
     }
 
-    /// Reclaim the arena from an observation set produced by the **last**
-    /// [`Assembler::assemble`] call on this assembler.
-    ///
-    /// The set is recognized by its arena's process-unique lineage token
-    /// plus size monotonicity (append-only interning means a legitimate
-    /// descendant has at least the emitted path/set counts). Handing back
-    /// a set from a different lineage replaces the arena wholesale and
-    /// drops the ECMP set cache, whose ids would otherwise dangle into
-    /// the departed arena.
+    /// Hand back a set inference is done with: its observation vector
+    /// becomes the next [`Assembler::assemble`] call's output buffer.
+    /// Optional — an assembler that is never handed a set back allocates
+    /// a fresh vector per epoch.
     pub fn recycle(&mut self, obs: ObservationSet) {
-        self.recycle_arena(obs.arena);
-    }
-
-    /// [`recycle`](Self::recycle) for a bare arena — the double-buffered
-    /// pipeline hands back an arena *twin* (same lineage via `Clone`,
-    /// caught up by [`PathArena::apply_delta`]) rather than the emitted
-    /// observation set itself, which is still feeding the in-flight
-    /// epoch's shard engines.
-    pub fn recycle_arena(&mut self, arena: PathArena) {
-        let ours = self.arena_out
-            && arena.lineage() == self.emitted_lineage
-            && arena.path_count() >= self.emitted_paths
-            && arena.set_count() >= self.emitted_sets;
-        if !ours {
-            self.ecmp_cache.clear();
-        }
-        self.arena = arena;
-        self.arena_out = false;
-    }
-
-    /// Whether the arena is currently out with an un-recycled
-    /// [`ObservationSet`] — assembling in that state starts a fresh
-    /// lineage (and invalidates every view bound to the old one).
-    pub fn arena_is_out(&self) -> bool {
-        self.arena_out
+        self.out = obs.flows;
     }
 
     /// Assemble one observation set against the persistent arena. See
@@ -555,15 +459,11 @@ impl Assembler {
         mode: AnalysisMode,
     ) -> ObservationSet {
         let has = |k: InputKind| kinds.contains(&k);
-        if self.arena_out {
-            // The previous set was never recycled: the cached set ids
-            // refer into an arena we no longer hold. Start clean.
-            self.ecmp_cache.clear();
-            self.arena = PathArena::new();
-        }
         let arena = &mut self.arena;
         let ecmp_cache = &mut self.ecmp_cache;
-        let mut out: Vec<FlowObs> = Vec::with_capacity(flows.len());
+        let mut out = std::mem::take(&mut self.out);
+        out.clear();
+        out.reserve(flows.len());
 
         for mf in flows {
             let (sent, bad) = metrics(mf, mode);
@@ -673,12 +573,8 @@ impl Assembler {
                 false
             }
         });
-        self.arena_out = true;
-        self.emitted_lineage = self.arena.lineage();
-        self.emitted_paths = self.arena.path_count();
-        self.emitted_sets = self.arena.set_count();
         ObservationSet {
-            arena: std::mem::take(&mut self.arena),
+            arena: self.arena.snapshot(),
             flows: out,
             mode,
         }
@@ -786,7 +682,6 @@ mod tests {
     #[test]
     fn singleton_sets_are_memoized_per_path() {
         let mut a = PathArena::new();
-        let mut twin = a.clone();
         let other = a.intern_single(&[LinkId(9)]);
         let first = a.intern_single(&[LinkId(1), LinkId(2)]);
         let again = a.intern_single(&[LinkId(1), LinkId(2)]);
@@ -800,16 +695,6 @@ mod tests {
         let via_set = a.intern_set(vec![p]);
         assert_eq!(a.intern_single(&[LinkId(3)]), via_set);
         assert_eq!(a.intern_single(&[LinkId(3)]), via_set);
-
-        // A twin caught up by delta replay carries no memo for the
-        // replayed paths; it falls through to the set index and lands
-        // on the same ids.
-        twin.apply_delta(&a.delta_since(0, 0)).unwrap();
-        for (links, want) in [(&[LinkId(9)][..], other), (&[LinkId(1), LinkId(2)], first)] {
-            assert_eq!(twin.intern_single(links), want);
-            assert_eq!(twin.intern_single(links), want);
-        }
-        assert_eq!((twin.path_count(), twin.set_count()), (3, 3));
     }
 
     #[test]
@@ -960,66 +845,64 @@ mod tests {
     }
 
     #[test]
-    fn delta_replay_keeps_twins_identical() {
-        // A twin cloned at a watermark and caught up via apply_delta must
-        // resolve every id identically AND keep making the same dedup
-        // decisions as the original afterwards.
+    fn a_snapshot_is_unaffected_by_later_interning() {
+        // Row `i` of the path table is `[i, i + 1]`; every third path is
+        // also a singleton set, so both tables cross chunk boundaries.
+        let links = |i: usize| [LinkId(i as u32), LinkId(i as u32 + 1)];
+        let grow = |a: &mut PathArena, upto: usize| {
+            for i in a.path_count()..upto {
+                let p = a.intern_path(&links(i));
+                assert_eq!(p, PathId(i as u32));
+                if i % 3 == 0 {
+                    assert_eq!(a.intern_set(vec![p]), PathSetId((i / 3) as u32));
+                }
+            }
+        };
+        let check = |s: &ArenaSnapshot, paths: usize| {
+            assert_eq!(s.path_count(), paths);
+            assert_eq!(s.set_count(), paths.div_ceil(3));
+            for i in 0..paths {
+                assert_eq!(s.path(PathId(i as u32)), &links(i), "path {i} of {paths}");
+            }
+            for j in 0..s.set_count() {
+                assert_eq!(s.set(PathSetId(j as u32)), &[PathId(3 * j as u32)]);
+            }
+        };
+
         let mut a = PathArena::new();
-        a.intern_path(&[LinkId(1)]);
-        a.intern_set(vec![PathId(0)]);
-        let mut twin = a.clone();
-        let wm = (a.path_count(), a.set_count());
-
-        // Growth past the watermark: an indexed path, a nodedup'd path
-        // (same content as nothing else), and a set over both.
-        let p1 = a.intern_path(&[LinkId(2), LinkId(3)]);
-        let p2 = a.intern_path_nodedup(&[LinkId(4), LinkId(5)]);
-        let s = a.intern_set(vec![p1, p2]);
-
-        let delta = a.delta_since(wm.0, wm.1);
-        assert!(!delta.is_empty());
-        assert_eq!(delta.from_watermarks(), wm);
-        twin.apply_delta(&delta)
-            .expect("same lineage, exact watermark");
-
-        assert_eq!(twin.path_count(), a.path_count());
-        assert_eq!(twin.set_count(), a.set_count());
-        for i in 0..a.path_count() {
-            assert_eq!(twin.path(PathId(i as u32)), a.path(PathId(i as u32)));
+        let mut snaps = Vec::new();
+        // One row short of a chunk boundary (the snapshot shares a tail
+        // chunk the arena then fills and leaves), exactly on one, mid-
+        // chunk, and after two more boundaries.
+        for fill in [
+            CHUNK_ROWS - 1,
+            CHUNK_ROWS,
+            CHUNK_ROWS + 17,
+            3 * CHUNK_ROWS + 5,
+        ] {
+            grow(&mut a, fill);
+            snaps.push((a.snapshot(), fill));
+            // Every earlier snapshot still reads exactly what it was
+            // taken with, whatever the arena interned since.
+            for (s, paths) in &snaps {
+                check(s, *paths);
+                assert_eq!(s.lineage(), a.lineage());
+            }
+            check(&a, fill);
         }
-        // Indexed path dedups in both copies…
-        assert_eq!(twin.intern_path(&[LinkId(2), LinkId(3)]), p1);
-        assert_eq!(a.intern_path(&[LinkId(2), LinkId(3)]), p1);
-        // …the nodedup'd path stays unindexed in both (re-interning it
-        // allocates a fresh id in each, and both pick the same id).
-        let fresh_twin = twin.intern_path(&[LinkId(4), LinkId(5)]);
-        let fresh_a = a.intern_path(&[LinkId(4), LinkId(5)]);
-        assert_eq!(fresh_twin, fresh_a);
-        assert_ne!(fresh_twin, p2);
-        // Sets dedup in both.
-        assert_eq!(twin.intern_set(vec![p2, p1]), s);
-        assert_eq!(a.intern_set(vec![p2, p1]), s);
-    }
-
-    #[test]
-    fn delta_refuses_wrong_lineage_and_watermark() {
-        let mut a = PathArena::new();
-        a.intern_path(&[LinkId(1)]);
-        let delta = a.delta_since(0, 0);
-
-        let mut foreign = PathArena::new();
-        assert!(matches!(
-            foreign.apply_delta(&delta),
-            Err(DeltaError::LineageMismatch { .. })
-        ));
-
-        let mut late = a.clone();
-        assert!(matches!(
-            late.apply_delta(&delta),
-            Err(DeltaError::WatermarkMismatch { .. })
-        ));
-        // Refusal leaves the arena untouched.
-        assert_eq!(late.path_count(), 1);
+        // A set over old and new paths lands in the arena only.
+        let wide = a.intern_set(vec![PathId(0), PathId(3 * CHUNK_ROWS as u32)]);
+        assert_eq!(a.set(wide), &[PathId(0), PathId(3 * CHUNK_ROWS as u32)]);
+        let (last, paths) = snaps.last().unwrap();
+        assert_eq!(last.set_count() + 1, a.set_count());
+        check(last, *paths);
+        // Dedup still sees every row, including those in chunks that were
+        // copied away from a snapshot.
+        assert_eq!(
+            a.intern_path(&links(CHUNK_ROWS - 2)),
+            PathId(CHUNK_ROWS as u32 - 2)
+        );
+        assert_eq!(a.path_count(), 3 * CHUNK_ROWS + 5);
     }
 
     #[test]
@@ -1126,7 +1009,7 @@ mod tests {
     }
 
     #[test]
-    fn assemble_without_recycle_starts_a_fresh_lineage() {
+    fn assembling_without_recycling_keeps_lineage_and_ids() {
         let topo = three_tier(ClosParams::tiny());
         let router = Router::new(&topo);
         let hosts = topo.hosts();
@@ -1139,58 +1022,30 @@ mod tests {
             &[InputKind::P],
             AnalysisMode::PerPacket,
         );
-        // obs1 deliberately NOT recycled: the cached set id must not leak
-        // into the next (fresh-arena) assembly.
+        let counts1 = (obs1.arena.path_count(), obs1.arena.set_count());
+        // obs1 is deliberately held, not recycled — an in-flight epoch.
+        // The next assembly extends the same arena: the same ToR pair
+        // keeps its set id, a new pair extends the arena, and obs1 does
+        // not move.
+        let g = mk_passive(&topo, &router, hosts[1], hosts[4], 30, 0);
         let obs2 = asm.assemble(
             &topo,
             &router,
-            std::slice::from_ref(&f),
+            &[f, g],
             &[InputKind::P],
             AnalysisMode::PerPacket,
         );
-        assert_eq!(obs2.flows.len(), 1);
-        let set = obs2.flows[0].set;
-        assert!(
-            (set.0 as usize) < obs2.arena.set_count(),
-            "set id must refer into obs2's own arena"
-        );
+        assert_eq!(obs2.arena.lineage(), obs1.arena.lineage());
+        let set = obs1.flows[0].set;
+        assert_eq!(obs2.flows.iter().filter(|o| o.set == set).count(), 1);
+        assert_eq!(obs2.arena.set(set), obs1.arena.set(set));
+        assert!(obs2.arena.path_count() > counts1.0);
+        assert!(obs2.arena.set_count() > counts1.1);
         assert_eq!(
-            obs2.arena.set(set).len(),
-            obs1.arena.set(obs1.flows[0].set).len()
+            (obs1.arena.path_count(), obs1.arena.set_count()),
+            counts1,
+            "the held set's snapshot is frozen"
         );
-    }
-
-    #[test]
-    fn recycling_a_foreign_set_drops_the_cache() {
-        let topo = three_tier(ClosParams::tiny());
-        let router = Router::new(&topo);
-        let hosts = topo.hosts();
-        let mut asm = Assembler::new();
-        let f = mk_passive(&topo, &router, hosts[0], hosts[11], 50, 0);
-        let obs = asm.assemble(
-            &topo,
-            &router,
-            std::slice::from_ref(&f),
-            &[InputKind::P],
-            AnalysisMode::PerPacket,
-        );
-        drop(obs);
-        // Hand back an empty, unrelated set: the assembler must not keep
-        // serving cached ids into it.
-        asm.recycle(ObservationSet {
-            arena: PathArena::new(),
-            flows: Vec::new(),
-            mode: AnalysisMode::PerPacket,
-        });
-        let obs2 = asm.assemble(
-            &topo,
-            &router,
-            std::slice::from_ref(&f),
-            &[InputKind::P],
-            AnalysisMode::PerPacket,
-        );
-        assert_eq!(obs2.flows.len(), 1);
-        assert!((obs2.flows[0].set.0 as usize) < obs2.arena.set_count());
     }
 
     #[test]

@@ -50,8 +50,8 @@ pub use collector::{
 };
 pub use flow::{FlowKey, FlowRecord, FlowStats, MonitoredFlow, TrafficClass};
 pub use input::{
-    AnalysisMode, ArenaDelta, Assembler, DeltaError, FlowObs, InputKind, ObservationSet, PathArena,
-    PathId, PathSetId,
+    AnalysisMode, ArenaSnapshot, Assembler, FlowObs, InputKind, ObservationSet, PathArena, PathId,
+    PathSetId,
 };
 pub use probes::{plan_a1_probes, ProbeSpec};
 pub use view::{ArenaView, DenseRemap, ViewError};

@@ -1,8 +1,9 @@
-//! Per-shard arena views: dense local projections of a [`PathArena`].
+//! Per-shard arena views: dense local projections of a
+//! [`PathArena`](crate::input::PathArena).
 //!
 //! A sharded executor runs one inference engine per shard, each over the
 //! subset of the epoch's observations its relevance filter accepts. The
-//! shared [`PathArena`] interns *every* shard's paths and sets, so an
+//! shared `PathArena` interns *every* shard's paths and sets, so an
 //! engine indexing its state by global ids pays O(total arena) fixed
 //! costs every epoch — full-array resets on rebind, all-sets sweeps,
 //! strided access over globally-indexed arrays — even when its own
@@ -14,17 +15,21 @@
 //!
 //! # Ownership and lineage rules
 //!
-//! * A view binds to one arena **lineage** ([`PathArena::lineage`]) on
-//!   first use and is append-only from then on, mirroring the arena's
+//! * A view binds to one arena **lineage** ([`ArenaSnapshot::lineage`])
+//!   on first use and is append-only from then on, mirroring the arena's
 //!   own contract: local ids, once assigned, permanently denote the same
 //!   global path/set. Holders of local ids (an engine's per-path and
 //!   per-set structures, a warm-start hypothesis) stay valid across
 //!   epochs without re-translation.
-//! * [`ArenaView::bind_epoch`] *validates* the arena each epoch and
-//!   rejects a shrunk or foreign-lineage arena with a typed
-//!   [`ViewError`] — the conditions that were previously only a
-//!   `debug_assert` in the engine's rebind path (silent state corruption
-//!   in release builds) are now a real error path.
+//! * What a view is offered each epoch is an [`ArenaSnapshot`] — the
+//!   arena's content as of that epoch's assembly. A lineage has one
+//!   writer (`PathArena` is not `Clone`), so successive snapshots of
+//!   it only ever grow.
+//! * [`ArenaView::bind_epoch`] *validates* the snapshot each epoch and
+//!   rejects a foreign-lineage one, or one older than a snapshot the
+//!   view has already bound (`ArenaShrunk`), with a typed [`ViewError`]
+//!   — a real error path, not a `debug_assert`, so release builds cannot
+//!   silently misindex.
 //! * One view serves one shard. The view records which observations the
 //!   shard accepted *this epoch* ([`ArenaView::epoch_flows`]); the
 //!   projection itself (`sets`/`paths` tables) persists and only grows.
@@ -39,12 +44,12 @@
 //! the same convention (dense local component ids internally, global
 //! [`Component`](flock_topology::Component)s at report time).
 
-use crate::input::{FlowObs, ObservationSet, PathArena, PathId, PathSetId};
+use crate::input::{ArenaSnapshot, FlowObs, ObservationSet, PathId, PathSetId};
 
 /// Why a view refused to bind an observation set. Both cases mean the
-/// caller handed state from a different stream (or rolled an arena
-/// back), which would silently scramble every local↔global mapping if
-/// accepted.
+/// caller handed state from a different stream (or an older snapshot
+/// than one already bound), which would silently scramble every
+/// local↔global mapping if accepted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViewError {
     /// The arena's lineage token differs from the one the view bound at
@@ -56,9 +61,9 @@ pub enum ViewError {
         /// Lineage of the offered arena.
         got: u64,
     },
-    /// The arena has fewer paths or sets than the view has already
-    /// projected — arenas are append-only, so a shrunk arena cannot be a
-    /// later state of the bound lineage.
+    /// The snapshot has fewer paths or sets than one the view has
+    /// already bound — arenas are append-only, so it is an *earlier*
+    /// state of the bound lineage, not a later one.
     ArenaShrunk {
         /// Paths/sets the view has seen.
         seen_paths: usize,
@@ -188,7 +193,7 @@ impl DenseRemap {
 }
 
 /// A persistent, incrementally-extended projection of one shard's slice
-/// of a global [`PathArena`]. See the module docs for the ownership and
+/// of a global [`PathArena`](crate::input::PathArena). See the module docs for the ownership and
 /// id conventions.
 #[derive(Debug)]
 pub struct ArenaView {
@@ -304,7 +309,7 @@ impl ArenaView {
     /// local ids (engines) call this before indexing an offered arena,
     /// so a mismatched observation set is a typed error, not silent
     /// misindexing.
-    pub fn covers(&self, arena: &PathArena) -> Result<(), ViewError> {
+    pub fn covers(&self, arena: &ArenaSnapshot) -> Result<(), ViewError> {
         match self.lineage {
             Some(expected) if expected == arena.lineage() => {}
             other => {
@@ -390,7 +395,7 @@ impl ArenaView {
     }
 
     /// Check that `arena` is a later state of the bound lineage.
-    fn validate(&mut self, arena: &PathArena) -> Result<(), ViewError> {
+    fn validate(&mut self, arena: &ArenaSnapshot) -> Result<(), ViewError> {
         match self.lineage {
             None => self.lineage = Some(arena.lineage()),
             Some(expected) if expected != arena.lineage() => {
@@ -414,7 +419,7 @@ impl ArenaView {
 
     /// Assign a local id to `g` (and to each of its member paths) if it
     /// has none yet.
-    fn project_set(&mut self, arena: &PathArena, g: PathSetId) {
+    fn project_set(&mut self, arena: &ArenaSnapshot, g: PathSetId) {
         if self.sets.local(g.0).is_some() {
             return;
         }
@@ -428,10 +433,11 @@ impl ArenaView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::AnalysisMode;
+    use crate::input::{AnalysisMode, PathArena};
     use flock_topology::LinkId;
 
-    fn obs_with(arena: PathArena, sets: &[PathSetId]) -> ObservationSet {
+    /// An observation set over `arena`'s current content.
+    fn obs_with(arena: &PathArena, sets: &[PathSetId]) -> ObservationSet {
         let flows = sets
             .iter()
             .map(|&s| FlowObs {
@@ -443,7 +449,7 @@ mod tests {
             })
             .collect();
         ObservationSet {
-            arena,
+            arena: arena.snapshot(),
             flows,
             mode: AnalysisMode::PerPacket,
         }
@@ -458,7 +464,7 @@ mod tests {
         let mut arena = PathArena::new();
         let s0 = arena.intern_single(&links(&[0, 1]));
         let s1 = arena.intern_single(&links(&[2, 3]));
-        let obs1 = obs_with(arena, &[s1, s0, s1]);
+        let obs1 = obs_with(&arena, &[s1, s0, s1]);
 
         let mut view = ArenaView::new();
         view.bind_epoch(&obs1, |_, _| true).unwrap();
@@ -471,9 +477,8 @@ mod tests {
         assert_eq!(view.global_set(0), s1);
 
         // Epoch 2: the arena grows; previously assigned locals persist.
-        let mut arena = obs1.arena;
         let s2 = arena.intern_single(&links(&[4]));
-        let obs2 = obs_with(arena, &[s2, s0]);
+        let obs2 = obs_with(&arena, &[s2, s0]);
         view.bind_epoch(&obs2, |_, _| true).unwrap();
         assert_eq!(view.local_set(s1), Some(0), "locals are stable");
         assert_eq!(view.local_set(s0), Some(1));
@@ -486,7 +491,7 @@ mod tests {
         let mut arena = PathArena::new();
         let s0 = arena.intern_single(&links(&[0]));
         let s1 = arena.intern_single(&links(&[1]));
-        let obs = obs_with(arena, &[s0, s1, s0]);
+        let obs = obs_with(&arena, &[s0, s1, s0]);
         let mut view = ArenaView::new();
         view.bind_epoch(&obs, |i, _| i != 1).unwrap();
         assert_eq!(view.epoch_flows(), &[0, 2]);
@@ -498,13 +503,13 @@ mod tests {
     fn foreign_lineage_is_a_typed_error() {
         let mut a = PathArena::new();
         let s = a.intern_single(&links(&[0]));
-        let obs_a = obs_with(a, &[s]);
+        let obs_a = obs_with(&a, &[s]);
         let mut view = ArenaView::new();
         view.bind_epoch(&obs_a, |_, _| true).unwrap();
 
         let mut b = PathArena::new();
         let sb = b.intern_single(&links(&[0]));
-        let obs_b = obs_with(b, &[sb]);
+        let obs_b = obs_with(&b, &[sb]);
         let err = view.bind_epoch(&obs_b, |_, _| true).unwrap_err();
         assert!(matches!(err, ViewError::ForeignLineage { .. }), "{err}");
         // The view still works against its own lineage.
@@ -513,20 +518,20 @@ mod tests {
 
     #[test]
     fn shrunk_arena_is_a_typed_error() {
-        // A clone shares the lineage token, so binding to an extended
-        // clone and then offering the original models an arena rolled
-        // back to an earlier state of the same lineage.
+        // An older snapshot of one arena offered after a newer one: an
+        // earlier state of the same lineage.
         let mut arena = PathArena::new();
         let s0 = arena.intern_single(&links(&[0]));
         let s1 = arena.intern_single(&links(&[1]));
-        let mut extended = arena.clone();
-        extended.intern_single(&links(&[2]));
+        let obs_small = obs_with(&arena, &[s0]);
+        arena.intern_single(&links(&[2]));
+        let obs_big = obs_with(&arena, &[s0, s1]);
 
-        let obs_big = obs_with(extended, &[s0, s1]);
         let mut view = ArenaView::new();
         view.bind_epoch(&obs_big, |_, _| true).unwrap();
-        let obs_small = obs_with(arena, &[s0]);
         let err = view.bind_epoch(&obs_small, |_, _| true).unwrap_err();
         assert!(matches!(err, ViewError::ArenaShrunk { .. }), "{err}");
+        // The view is unchanged and still binds the newer snapshot.
+        view.bind_epoch(&obs_big, |_, _| true).unwrap();
     }
 }

@@ -29,16 +29,6 @@ const METRICS_EVERY: u64 = 3;
 
 fn main() {
     let json = std::env::args().any(|a| a == "--json");
-    // Resolve the inference kernel dispatch once, up front: every shard
-    // engine this process builds runs its Δ sweeps and argmax at this
-    // level. Scalar and SIMD are bit-identical (property-tested), so
-    // the level never changes a verdict — only how fast it arrives.
-    let kernel = KernelDispatch::resolve();
-    if json {
-        println!("{}", serde::json::to_string(&StartupLog { kernel }));
-    } else {
-        println!("kernels: {kernel} dispatch (FLOCK_NO_SIMD=1 forces portable)");
-    }
     let topo = flock::topology::clos::three_tier(ClosParams {
         pods: 3,
         tors_per_pod: 2,
@@ -119,9 +109,6 @@ fn main() {
         },
     };
     let mut store = VerdictStore::create(store_cfg, &store_path).unwrap();
-    store
-        .metrics_mut()
-        .set_gauge("kernel_dispatch_level", kernel.level() as f64);
     if !json {
         println!(
             "store: durable segment at {} (ring {} epochs, raise after {}, clear after {})\n",
@@ -316,14 +303,6 @@ fn check_store(store: &mut VerdictStore, comp: flock::topology::Component, what:
         assert!(prov.super_flows > 0, "{what}: provenance names super-flows");
         assert!(!prov.shard.is_empty(), "{what}: provenance names its shard");
     }
-}
-
-/// The one-time startup line in `--json` mode: which kernel dispatch
-/// level this process resolved (also exported as the store's
-/// `kernel_dispatch_level` gauge, `0` portable / `1` AVX2).
-#[derive(serde::Serialize)]
-struct StartupLog {
-    kernel: KernelDispatch,
 }
 
 /// One structured log line per epoch — the same fields in both modes
