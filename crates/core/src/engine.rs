@@ -9,7 +9,7 @@
 //! global arena/component ids, each would pay O(total arena) fixed costs
 //! per epoch — full-array resets on rebind, all-sets sweeps, strided
 //! access over fleet-wide arrays — regardless of how little evidence its
-//! shard actually sees. Instead, every engine is bound to an
+//! shard actually sees. Instead, every engine owns an
 //! [`ArenaView`]: a persistent dense projection of the arena onto the
 //! paths/sets its accepted observations touch. **All internal state and
 //! every public index on this type — `delta()`, `flip()`, `hypothesis()`
@@ -23,11 +23,13 @@
 //! makes a plane engine's Δ scans, resets, and searches O(its own
 //! evidence).
 //!
-//! Engines built through the plain constructors ([`Engine::new`],
-//! [`Engine::with_options`]) own a private view (and a private
-//! [`TermDirectory`]) internally; sharded executors that maintain one
-//! view per shard and one directory for all of them bind externally via
-//! [`Engine::with_view`] / [`Engine::try_rebind_view`].
+//! The view is a private field ([`Engine::view`] lends it read-only),
+//! extended by the one bind, [`Engine::try_bind`]: an executor builds an
+//! [`Engine::unbound`] engine per shard and binds it each epoch to the
+//! observations the shard accepts, keyed by the epoch's shared
+//! [`EpochFlowTable`]. [`Engine::new`] / [`Engine::rebind`] are that
+//! bind over every observation, keyed through a [`TermDirectory`] the
+//! engine keeps for itself.
 //!
 //! # State
 //!
@@ -46,7 +48,7 @@
 //!   member paths with a non-zero fail count (`set_bad`), shared by every
 //!   flow using the set.
 //!
-//! The evidence layer is rebuilt every epoch, from the view's accepted
+//! The evidence layer is rebuilt every epoch, from the accepted
 //! observations and the epoch's [`EpochFlowTable`] — the evidence keys
 //! `(sent, bad, w)` looked up in the [`TermDirectory`] and scored **once
 //! per epoch** by whoever assembled it, however many engines the
@@ -85,7 +87,7 @@
 //! [`EngineOptions`]).
 //!
 //! A bind computes the array from scratch, at the hypothesis it was
-//! asked to *enter* ([`Engine::try_rebind_view`]'s `seed`: typically the
+//! asked to *enter* ([`Engine::try_bind`]'s `seed`: typically the
 //! previous epoch's verdict, so a warm epoch starts where the last one
 //! ended instead of flipping its way back there — one evidence pass
 //! instead of one JLE sweep per seeded component).
@@ -122,7 +124,7 @@
 //!
 //! The flip path is allocation-free in steady state: counter snapshots,
 //! inverted-index walks, and per-set scratch all reuse persistent arenas
-//! that survive across flips *and* epochs ([`Engine::rebind`]).
+//! that survive across flips *and* epochs ([`Engine::try_bind`]).
 //!
 //! For search algorithms that do not want Δ maintenance (Sherlock without
 //! JLE, greedy without JLE), [`Engine::flip_ll_only`] updates the state
@@ -133,7 +135,7 @@ use crate::kernels;
 use crate::likelihood::{llf, EpochFlowTable, TermDirectory, TermTable};
 use crate::params::HyperParams;
 use crate::space::{CompIdx, ComponentSpace};
-use flock_telemetry::{ArenaView, DenseRemap, FlowObs, ObservationSet, ViewError};
+use flock_telemetry::{ArenaView, DenseRemap, FlowObs, ObservationSet, PathSetId, ViewError};
 use flock_topology::{Component, Topology};
 
 /// One set counter entry: `(comp, g, s)` — member paths with fail count 0
@@ -304,9 +306,7 @@ impl Default for EngineOptions {
 
 /// The evidence behind one conviction, as reported by
 /// [`Engine::convicting_evidence`]: which super-flows (and through which
-/// path sets) contributed likelihood terms to the component's Δ. Set ids
-/// are *view-local*; sharded callers translate through their
-/// `ArenaView::global_set` before reporting.
+/// path sets) contributed likelihood terms to the component's Δ.
 #[derive(Debug, Clone, Default)]
 pub struct ConvictingEvidence {
     /// Distinct super-flows whose likelihood involves the component.
@@ -314,9 +314,9 @@ pub struct ConvictingEvidence {
     /// Total aggregation weight behind those super-flows — the number of
     /// raw merged observations implicating the component.
     pub weight: f64,
-    /// Per path set touching the component: `(local set id, aggregate
-    /// super-flow weight)`, heaviest first.
-    pub sets: Vec<(u32, f64)>,
+    /// Per path set touching the component: `(set, aggregate super-flow
+    /// weight)`, heaviest first.
+    pub sets: Vec<(PathSetId, f64)>,
 }
 
 /// Counters reported by the engine for performance accounting.
@@ -358,12 +358,13 @@ pub struct Engine {
     params: HyperParams,
     opts: EngineOptions,
 
-    /// What an engine built through the plain constructors keeps to
-    /// assemble its own epochs; `None` when an executor binds it
-    /// externally ([`Engine::with_view`]).
-    own: Option<OwnEpoch>,
-    /// Identity of the view the structures were built over.
-    bound_view: Option<u64>,
+    /// The projection of the arena onto the evidence this engine has
+    /// ever accepted; assigns the local path/set ids below.
+    view: ArenaView,
+    /// The directory [`Engine::rebind`] keys its epochs through, made on
+    /// first use (an engine bound through [`Engine::try_bind`] reads its
+    /// caller's tables and never has one).
+    own_terms: Option<TermDirectory>,
 
     /// Component localization: dense local ids in first-touch order,
     /// sharing the [`DenseRemap`] implementation with the view's
@@ -465,105 +466,18 @@ pub struct Engine {
     scratch_rung: Vec<u32>,
 }
 
-/// Predicate selecting the observations an engine sees (sharded
-/// executors build several engines over one `ObservationSet`, each
-/// restricted to the flows that can implicate its components). The
-/// first argument is the observation's index in `obs.flows`, so
-/// executors that precompute a per-flow relevance signature *once* per
-/// epoch (e.g. `flock-stream`'s pod/plane touch masks) can answer in
-/// O(1) per shard instead of re-deriving the signature per engine —
-/// with one engine per spine plane, that per-engine derivation would
-/// otherwise dominate the plane engines' (much smaller) real work.
-///
-/// Because the total log-likelihood is a sum of independent per-flow
-/// terms, filters that *partition* the observations yield engines whose
-/// likelihoods and Δ arrays sum exactly to the unfiltered engine's
-/// (projected onto global component ids) — the invariant per-plane spine
-/// sharding relies on: traced evidence splits by plane losslessly, and
-/// each plane engine's Δ entries for its own components equal the full
-/// engine's whenever the filter accepts every flow containing those
-/// components (see `filtered_engines_partition_evidence`).
-pub type FlowFilter<'a> = &'a dyn Fn(usize, &FlowObs) -> bool;
-
-/// The persistent inputs a sharded executor maintains outside its
-/// engines, kept privately by an engine built through [`Engine::new`] /
-/// [`Engine::with_options`]: the view projecting the accepted evidence
-/// and the term directory keying it.
-struct OwnEpoch {
-    view: ArenaView,
-    terms: TermDirectory,
-}
-
 impl Engine {
-    /// Build an engine for `obs` over `topo`.
+    /// Build an engine for `obs` over `topo`: [`Engine::unbound`] with the
+    /// default options, then [`Engine::rebind`].
     pub fn new(topo: &Topology, obs: &ObservationSet, params: HyperParams) -> Engine {
-        Self::with_options(topo, obs, params, None, EngineOptions::default())
-    }
-
-    /// Build an engine over the subset of `obs` selected by `filter`
-    /// (`None` = all observations) with explicit [`EngineOptions`]. The
-    /// filter restricts evidence; blame targets are whatever components
-    /// that evidence touches. The engine owns a private [`ArenaView`]
-    /// projecting the accepted evidence and a private [`TermDirectory`]
-    /// keying it; use [`Engine::with_view`] to bind externally
-    /// maintained ones instead.
-    pub fn with_options(
-        topo: &Topology,
-        obs: &ObservationSet,
-        params: HyperParams,
-        filter: Option<FlowFilter<'_>>,
-        opts: EngineOptions,
-    ) -> Engine {
-        let own = OwnEpoch {
-            view: ArenaView::new(),
-            terms: TermDirectory::new(&params),
-        };
-        let mut engine = Self::empty(topo, params, opts, Some(own));
-        engine
-            .try_rebind_filtered(topo, obs, filter)
-            .expect("a fresh view accepts any arena");
+        let mut engine = Self::unbound(topo, params, EngineOptions::default());
+        engine.rebind(topo, obs);
         engine
     }
 
-    /// Build an engine over the evidence recorded in `view` (which must
-    /// have been bound to `obs` via [`ArenaView::bind_epoch`] already),
-    /// keyed by `table` (built over `obs`), starting at the hypothesis
-    /// `seed` — see [`Engine::try_rebind_view`], which this goes through.
-    /// The caller keeps ownership of the view and of the
-    /// [`TermDirectory`] behind the table and passes both back on every
-    /// rebind; this is how `flock-stream` maintains one view per shard
-    /// and one directory per pipeline.
-    ///
-    /// # Panics
-    /// If the view has never been bound to an arena (a programming
-    /// error; epoch binding also records the epoch's accepted flows,
-    /// without which the engine has no evidence to build from).
-    pub fn with_view(
-        topo: &Topology,
-        obs: &ObservationSet,
-        params: HyperParams,
-        opts: EngineOptions,
-        view: &ArenaView,
-        table: &EpochFlowTable,
-        seed: &[CompIdx],
-    ) -> Engine {
-        assert!(
-            view.lineage().is_some(),
-            "bind_epoch the view before building an engine over it"
-        );
-        let mut engine = Self::empty(topo, params, opts, None);
-        engine
-            .try_rebind_view(topo, obs, view, table, seed)
-            .expect("the view must have been bound to this observation set's arena");
-        engine
-    }
-
-    fn empty(
-        topo: &Topology,
-        params: HyperParams,
-        opts: EngineOptions,
-        own: Option<OwnEpoch>,
-    ) -> Engine {
+    /// An engine over `topo` with no evidence yet: empty local spaces,
+    /// free to bind any arena lineage ([`Engine::try_bind`]).
+    pub fn unbound(topo: &Topology, params: HyperParams, opts: EngineOptions) -> Engine {
         params.validate();
         let space = ComponentSpace::new(topo);
         let n_global = space.n_comps();
@@ -571,8 +485,8 @@ impl Engine {
             space,
             params,
             opts,
-            own,
-            bound_view: None,
+            view: ArenaView::new(),
+            own_terms: None,
             comps: {
                 let mut m = DenseRemap::new();
                 m.ensure_ids(n_global);
@@ -617,63 +531,50 @@ impl Engine {
         }
     }
 
-    /// Rebind the engine to a *new* observation set whose arena extends
-    /// the one this engine was built on (the contract kept by
-    /// [`flock_telemetry::Assembler`]: interning is append-only, so every
-    /// previously seen path/set id denotes identical content).
-    ///
-    /// This is the warm-start fast path of the online pipeline: per-path
-    /// and per-set component structures — the dominant cost of
-    /// [`Engine::new`] — are reused and only *extended* for newly viewed
-    /// paths; the per-flow layer is rebuilt for the epoch. The hypothesis
-    /// is cleared and the Δ array recomputed; re-seed via
-    /// [`Engine::flip`] (see `FlockGreedy::search_warm`). Every reset in
-    /// this path is O(the engine's own evidence), not O(total arena).
+    /// Bind the engine to every observation of `obs`, at the empty
+    /// hypothesis, keying the epoch through the engine's own
+    /// [`TermDirectory`] — [`Engine::try_bind`] for callers that run one
+    /// engine over whole observation sets.
     ///
     /// # Panics
     /// On a shrunk or foreign-lineage arena — the conditions
-    /// [`Engine::try_rebind_filtered`] reports as a typed [`ViewError`].
+    /// [`Engine::try_bind`] reports as a typed [`ViewError`].
     pub fn rebind(&mut self, topo: &Topology, obs: &ObservationSet) {
-        if let Err(e) = self.try_rebind_filtered(topo, obs, None) {
+        let params = self.params;
+        let dir = self
+            .own_terms
+            .get_or_insert_with(|| TermDirectory::new(&params));
+        let mut table = EpochFlowTable::new();
+        table.rebuild(dir, obs);
+        let all: Vec<u32> = (0..obs.flows.len() as u32).collect();
+        if let Err(e) = self.try_bind(topo, obs, &all, &table, &[]) {
             panic!("Engine::rebind: {e}");
         }
     }
 
-    /// Fallible [`Engine::rebind`], restricted to the observations
-    /// selected by `filter` (`None` = all): the engine's view validates
-    /// the arena and rejects a shrunk or foreign-lineage one with a
-    /// typed error, leaving the engine's previous state intact (the
-    /// epoch's flow layer is untouched on error). The engine keys the
-    /// epoch itself, over its own directory, and binds at the empty
-    /// hypothesis.
-    pub fn try_rebind_filtered(
-        &mut self,
-        topo: &Topology,
-        obs: &ObservationSet,
-        filter: Option<FlowFilter<'_>>,
-    ) -> Result<(), ViewError> {
-        let mut own = self
-            .own
-            .take()
-            .expect("engine bound to an external view must rebind via try_rebind_view");
-        let bound = own.view.bind_epoch(obs, |i, o| match filter {
-            Some(keep) => keep(i, o),
-            None => true,
-        });
-        let result = bound.and_then(|()| {
-            let mut table = EpochFlowTable::new();
-            table.rebuild(&mut own.terms, obs);
-            self.try_rebind_view(topo, obs, &own.view, &table, &[])
-        });
-        self.own = Some(own);
-        result
-    }
-
-    /// Rebind over an externally maintained view (already
-    /// [bound](ArenaView::bind_epoch) to `obs` for this epoch), reading
-    /// the evidence keys from `table` ([built](EpochFlowTable::rebuild)
-    /// over `obs`, always through the same [`TermDirectory`]) and
-    /// starting at the hypothesis `seed`.
+    /// Bind the engine to one epoch's evidence: the observations of
+    /// `obs` at the indices `accepted` (ascending, into `obs.flows`),
+    /// their evidence keys read from `table`
+    /// ([built](EpochFlowTable::rebuild) over `obs`, always through the
+    /// same [`TermDirectory`]), starting at the hypothesis `seed`.
+    ///
+    /// The accept list restricts evidence; blame targets are whatever
+    /// components that evidence touches. The log-likelihood is a sum of
+    /// independent per-flow terms, so accept lists that *partition* the
+    /// observations yield engines whose likelihoods and Δ arrays sum
+    /// exactly to the full engine's (projected onto global component
+    /// ids) — the invariant per-plane spine sharding relies on (see
+    /// `filtered_engines_partition_evidence`).
+    ///
+    /// `obs`'s arena must extend the one the engine bound before (the
+    /// contract kept by [`flock_telemetry::Assembler`]: interning is
+    /// append-only, so every previously seen path/set id denotes
+    /// identical content). This is the warm-start fast path of the
+    /// online pipeline: per-path and per-set component structures — the
+    /// dominant cost of a first bind — are reused and only *extended*
+    /// for newly viewed paths; the per-flow layer is rebuilt for the
+    /// epoch. Every reset in this path is O(the engine's own evidence),
+    /// not O(total arena).
     ///
     /// `seed` is a list of *global* component ids — typically the
     /// previous epoch's verdict, which survives engine rebuilds in that
@@ -686,41 +587,31 @@ impl Engine {
     /// skipped (they have no local id); duplicates are entered once. An
     /// empty seed binds at the empty hypothesis.
     ///
-    /// Rejects a view other than the one the engine's local ids were
-    /// assigned by with [`ViewError::ForeignView`], and an observation
-    /// set whose arena the view does not cover (foreign lineage, or an
-    /// earlier state of the right lineage) with the matching
-    /// [`ViewError`] — indexing `obs` with another arena's view ids
-    /// would be silent misindexing, the exact failure class the typed
-    /// errors exist for.
+    /// Rejects an observation set whose arena is of a foreign lineage,
+    /// or an earlier state of the right one, with the matching
+    /// [`ViewError`] — indexing it with the view's ids would be silent
+    /// misindexing, the exact failure class the typed errors exist for.
+    /// Every check precedes the first mutation: a rejected bind leaves
+    /// the engine exactly as it was.
     ///
     /// # Panics
     /// If `table` does not cover `obs`, or was built over another
     /// directory than this engine's earlier tables (see
     /// [`TermTable::bind`]).
-    pub fn try_rebind_view(
+    pub fn try_bind(
         &mut self,
         topo: &Topology,
         obs: &ObservationSet,
-        view: &ArenaView,
+        accepted: &[u32],
         table: &EpochFlowTable,
         seed: &[CompIdx],
     ) -> Result<(), ViewError> {
-        if let Some(expected) = self.bound_view.filter(|&id| id != view.id()) {
-            return Err(ViewError::ForeignView {
-                expected,
-                got: view.id(),
-            });
-        }
-        view.covers(&obs.arena)?;
         assert_eq!(
             table.len(),
             obs.flows.len(),
             "the flow table must be built over the observation set it keys"
         );
-        // Bind only once every check has passed: a rejected first bind
-        // must leave a fresh engine free to bind the right view later.
-        self.bound_view = Some(view.id());
+        self.view.bind_epoch(obs, accepted)?;
 
         // Reset hypothesis-dependent state — all O(local).
         self.in_h.fill(false);
@@ -729,8 +620,8 @@ impl Engine {
         self.set_bad.fill(0);
         self.delta.fill(0.0);
 
-        let structures_grew = self.extend_structures(topo, obs, view);
-        self.rebuild_flows(topo, obs, view, table);
+        let structures_grew = self.extend_structures(topo, obs);
+        self.rebuild_flows(topo, obs, accepted, table);
 
         // Component-indexed arrays and inverted indexes span the local
         // component space, which extras may have widened just now.
@@ -828,14 +719,9 @@ impl Engine {
     /// component lists plus their localization) to cover the view's
     /// current projection. No-op when the view has not grown — the
     /// steady-state case that makes warm rebinding cheap.
-    fn extend_structures(
-        &mut self,
-        topo: &Topology,
-        obs: &ObservationSet,
-        view: &ArenaView,
-    ) -> bool {
+    fn extend_structures(&mut self, topo: &Topology, obs: &ObservationSet) -> bool {
         let old_paths = self.path_comps.n_rows();
-        let n_paths = view.n_paths();
+        let n_paths = self.view.n_paths();
         // Row staging, reused across the loop (and never allocated on the
         // steady-state call where the view has not grown).
         let mut row: Vec<CompIdx> = Vec::new();
@@ -844,7 +730,7 @@ impl Engine {
         // device twice but it is one component).
         for lp in old_paths as u32..n_paths as u32 {
             row.clear();
-            for &l in obs.arena.path(view.global_path(lp)) {
+            for &l in obs.arena.path(self.view.global_path(lp)) {
                 row.push(self.localize_link(l));
                 let link = topo.link(l);
                 for end in [link.src, link.dst] {
@@ -865,10 +751,11 @@ impl Engine {
         // is duplicate-free) and kept as a per-set ladder of distinct
         // values plus a per-component index into it.
         let old_sets = self.sets.n_rows();
-        let n_sets = view.n_sets();
+        let n_sets = self.view.n_sets();
         let mut ladder: Vec<u32> = Vec::new();
         self.scratch_g.resize(self.comps.len(), 0);
         for ls in old_sets as u32..n_sets as u32 {
+            let view = &self.view;
             self.sets
                 .push_row(obs.arena.set(view.global_set(ls)).iter().map(|p| {
                     view.local_path(*p)
@@ -909,17 +796,16 @@ impl Engine {
         self.localize(g)
     }
 
-    /// Rebuild the per-epoch flow layer from the view's accepted
-    /// observations, collapsing runs sharing the `(set, sent, bad)`
-    /// evidence key into weighted super-flows (the assembler sorts
-    /// observations by exactly that key and the view preserves
-    /// observation order, so equal keys are adjacent; out-of-order input
-    /// merely coalesces less — never incorrectly).
+    /// Rebuild the per-epoch flow layer from the accepted observations,
+    /// collapsing runs sharing the `(set, sent, bad)` evidence key into
+    /// weighted super-flows (the assembler sorts observations by exactly
+    /// that key and `accepted` is ascending, so equal keys are adjacent;
+    /// out-of-order input merely coalesces less — never incorrectly).
     fn rebuild_flows(
         &mut self,
         topo: &Topology,
         obs: &ObservationSet,
-        view: &ArenaView,
+        accepted: &[u32],
         table: &EpochFlowTable,
     ) {
         self.sflows.clear();
@@ -927,9 +813,10 @@ impl Engine {
         self.n_obs = 0;
         self.terms.bind(table);
         let mut last_key: Option<(u32, u64, u64)> = None;
-        for &i in view.epoch_flows() {
+        for &i in accepted {
             let o = &obs.flows[i as usize];
-            let ls = view
+            let ls = self
+                .view
                 .local_set(o.set)
                 .expect("bind_epoch projected every accepted set");
             let w = self.sets.get(ls).len() as u32;
@@ -1048,6 +935,12 @@ impl Engine {
     /// The options the engine was built with.
     pub fn options(&self) -> EngineOptions {
         self.opts
+    }
+
+    /// The engine's projection of the arena: which global paths and sets
+    /// its local ids denote.
+    pub fn view(&self) -> &ArenaView {
+        &self.view
     }
 
     /// Number of *local* components — components touched by this
@@ -1183,6 +1076,7 @@ impl Engine {
             *per_set.entry(f.set).or_insert(0.0) += f.weight;
         }
         let mut sets: Vec<(u32, f64)> = per_set.into_iter().collect();
+        // Equal weights keep first-touch (local id) order.
         sets.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -1191,7 +1085,10 @@ impl Engine {
         ConvictingEvidence {
             super_flows: flows.len(),
             weight,
-            sets,
+            sets: sets
+                .into_iter()
+                .map(|(ls, w)| (self.view.global_set(ls), w))
+                .collect(),
         }
     }
 
@@ -1940,13 +1837,65 @@ mod tests {
     use flock_topology::Router;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    /// Key `obs` the way an executor would before binding an external
-    /// view: a fresh directory's first table.
+    /// Key `obs` the way an executor would before binding its engines:
+    /// a fresh directory's first table.
     fn keyed(obs: &ObservationSet) -> EpochFlowTable {
         let mut table = EpochFlowTable::new();
         table.rebuild(&mut TermDirectory::new(&HyperParams::default()), obs);
         table
+    }
+
+    /// The accept list of the observations `keep` selects.
+    fn accept(obs: &ObservationSet, keep: impl Fn(usize, &FlowObs) -> bool) -> Vec<u32> {
+        (0u32..)
+            .zip(&obs.flows)
+            .filter(|&(i, o)| keep(i as usize, o))
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    fn unbound(topo: &flock_topology::Topology) -> Engine {
+        Engine::unbound(topo, HyperParams::default(), EngineOptions::default())
+    }
+
+    /// A fresh engine bound to the `accepted` observations of `obs` at
+    /// `seed`.
+    fn bound(
+        topo: &flock_topology::Topology,
+        obs: &ObservationSet,
+        accepted: &[u32],
+        seed: &[CompIdx],
+    ) -> Engine {
+        let mut engine = unbound(topo);
+        engine
+            .try_bind(topo, obs, accepted, &keyed(obs), seed)
+            .unwrap();
+        engine
+    }
+
+    /// Bind `engine` to every observation of `obs` at `seed`, keyed
+    /// through its long-lived directory `dir`.
+    fn bind_all(
+        engine: &mut Engine,
+        topo: &flock_topology::Topology,
+        obs: &ObservationSet,
+        dir: &mut TermDirectory,
+        seed: &[CompIdx],
+    ) -> Result<(), ViewError> {
+        let mut table = EpochFlowTable::new();
+        table.rebuild(dir, obs);
+        engine.try_bind(topo, obs, &accept(obs, |_, _| true), &table, seed)
+    }
+
+    /// Hypothesis, Δ and log-likelihood, to the bit.
+    fn state_bits(e: &Engine) -> (Vec<CompIdx>, Vec<u64>, u64) {
+        (
+            e.hypothesis().to_vec(),
+            e.delta().iter().map(|d| d.to_bits()).collect(),
+            e.log_likelihood().to_bits(),
+        )
     }
 
     /// Build a small observation set with a mix of passive (path-set) and
@@ -2295,31 +2244,19 @@ mod tests {
     #[test]
     fn filtered_engine_sees_only_selected_flows() {
         let (topo, obs) = small_obs(6);
-        let all = Engine::with_options(
-            &topo,
-            &obs,
-            HyperParams::default(),
-            Some(&|_, _| true),
-            EngineOptions::default(),
-        );
+        let all = bound(&topo, &obs, &accept(&obs, |_, _| true), &[]);
         let full = Engine::new(&topo, &obs, HyperParams::default());
         assert_eq!(all.n_flows(), full.n_flows());
         assert_eq!(all.n_comps(), full.n_comps());
         for (a, b) in all.delta().iter().zip(full.delta()) {
             assert!((a - b).abs() < 1e-12);
         }
-        let none = Engine::with_options(
-            &topo,
-            &obs,
-            HyperParams::default(),
-            Some(&|_, _| false),
-            EngineOptions::default(),
-        );
+        let none = bound(&topo, &obs, &[], &[]);
         assert_eq!(none.n_flows(), 0);
         assert_eq!(none.n_comps(), 0, "no evidence, no local components");
     }
 
-    /// Filters that partition the observation set produce engines whose
+    /// Accept lists that partition the observation set produce engines whose
     /// evidence is exactly additive: at any hypothesis reached by the
     /// same (global-id) flip sequence, the partial likelihoods and
     /// per-global-component Δs sum to the full engine's. This is the
@@ -2335,15 +2272,7 @@ mod tests {
         // A 3-way partition by path-set id (arbitrary but disjoint and
         // exhaustive, like plane membership is for traced evidence).
         let mut parts: Vec<Engine> = (0..3u32)
-            .map(|k| {
-                Engine::with_options(
-                    &topo,
-                    &obs,
-                    params,
-                    Some(&|_, o: &FlowObs| o.set.0 % 3 == k),
-                    EngineOptions::default(),
-                )
-            })
+            .map(|k| bound(&topo, &obs, &accept(&obs, |_, o| o.set.0 % 3 == k), &[]))
             .collect();
         assert_eq!(
             parts.iter().map(Engine::n_observations).sum::<usize>(),
@@ -2486,7 +2415,8 @@ mod tests {
         let params = HyperParams::default();
         let raw_opts = EngineOptions { coalesce: false };
         let mut co = Engine::new(&topo, &obs, params);
-        let mut raw = Engine::with_options(&topo, &obs, params, None, raw_opts);
+        let mut raw = Engine::unbound(&topo, params, raw_opts);
+        raw.rebind(&topo, &obs);
 
         assert!(
             co.n_flows() < raw.n_flows(),
@@ -2620,13 +2550,7 @@ mod tests {
     fn filtered_engine_state_is_local() {
         let (topo, obs) = small_obs(12);
         let full = Engine::new(&topo, &obs, HyperParams::default());
-        let part = Engine::with_options(
-            &topo,
-            &obs,
-            HyperParams::default(),
-            Some(&|i, _| i % 7 == 0),
-            EngineOptions::default(),
-        );
+        let part = bound(&topo, &obs, &accept(&obs, |i, _| i % 7 == 0), &[]);
         let fs = full.state_sizes();
         let ps = part.state_sizes();
         assert!(ps.sets < fs.sets, "sets {} !< {}", ps.sets, fs.sets);
@@ -2636,9 +2560,11 @@ mod tests {
         assert_eq!(part.delta().len(), ps.comps);
     }
 
-    /// Rebinding against a foreign-lineage arena, or an older snapshot
-    /// than one already bound, is a typed error (not release-mode UB),
-    /// and the engine stays usable on its own lineage afterwards.
+    /// Binding a foreign-lineage arena, or an older snapshot than one
+    /// already bound, is a typed error (not release-mode UB) that leaves
+    /// the engine exactly as it was: its state is untouched, and the
+    /// next accepted bind is bit-equal to a twin's that never saw the
+    /// rejected set.
     #[test]
     fn rebind_rejects_foreign_and_shrunk_arenas() {
         use flock_telemetry::Assembler;
@@ -2652,64 +2578,69 @@ mod tests {
         let extended = asm.assemble(&topo, &router, &flows, &kinds, AnalysisMode::PerPacket);
         assert_eq!(extended.arena.lineage(), obs.arena.lineage());
         assert!(extended.arena.set_count() > obs.arena.set_count());
-        let mut engine = Engine::new(&topo, &obs, HyperParams::default());
+
+        let params = HyperParams::default();
+        let (mut engine, mut dir) = (unbound(&topo), TermDirectory::new(&params));
+        let (mut twin, mut twin_dir) = (unbound(&topo), TermDirectory::new(&params));
+        bind_all(&mut engine, &topo, &obs, &mut dir, &[]).unwrap();
+        bind_all(&mut twin, &topo, &obs, &mut twin_dir, &[]).unwrap();
+        let seed = [engine.global_comp(0), engine.global_comp(5)];
 
         // Foreign lineage: a fresh assembly of the same flows.
         let (_, foreign) = small_obs(13);
-        let err = engine
-            .try_rebind_filtered(&topo, &foreign, None)
-            .unwrap_err();
+        let before = state_bits(&engine);
+        let err = bind_all(&mut engine, &topo, &foreign, &mut dir, &seed).unwrap_err();
         assert!(matches!(err, ViewError::ForeignLineage { .. }), "{err}");
+        assert_eq!(state_bits(&engine), before);
+        bind_all(&mut engine, &topo, &extended, &mut dir, &seed).unwrap();
+        bind_all(&mut twin, &topo, &extended, &mut twin_dir, &seed).unwrap();
+        assert_eq!(state_bits(&engine), state_bits(&twin));
+        assert_eq!(engine.hypothesis().len(), 2);
 
-        // Shrunk same-lineage arena: bind to the newer snapshot first,
-        // then offer the older one.
-        engine.try_rebind_filtered(&topo, &extended, None).unwrap();
-        let err = engine.try_rebind_filtered(&topo, &obs, None).unwrap_err();
+        // Shrunk same-lineage arena: the older snapshot, after the newer.
+        let before = state_bits(&engine);
+        let err = bind_all(&mut engine, &topo, &obs, &mut dir, &[]).unwrap_err();
         assert!(matches!(err, ViewError::ArenaShrunk { .. }), "{err}");
-
-        // Still fully usable on the valid lineage.
-        engine.try_rebind_filtered(&topo, &extended, None).unwrap();
-        let fresh = Engine::new(&topo, &extended, HyperParams::default());
-        assert!((engine.log_likelihood() - fresh.log_likelihood()).abs() < 1e-12);
+        assert_eq!(state_bits(&engine), before);
+        bind_all(&mut engine, &topo, &extended, &mut dir, &[]).unwrap();
+        bind_all(&mut twin, &topo, &extended, &mut twin_dir, &[]).unwrap();
+        assert_eq!(state_bits(&engine), state_bits(&twin));
+        assert_eq!(engine.n_flows(), twin.n_flows());
     }
 
-    /// A first bind the view rejects must not bind the engine: the next
-    /// bind, through the right view, succeeds instead of reporting a
-    /// spurious `ForeignView` against a view the engine never built over.
+    /// Every check precedes the first mutation. A fresh view accepts any
+    /// lineage, so the one refusal an unbound engine can meet is the
+    /// table-coverage assert: it must latch nothing — the engine then
+    /// binds *another* lineage, as a fresh one would. Only a successful
+    /// bind fixes the lineage, and a typed rejection after it leaves no
+    /// trace in the next accepted bind.
     #[test]
     fn rejected_first_bind_leaves_the_engine_unbound() {
         let (topo, obs) = small_obs(13);
-        let (_, foreign) = small_obs(13);
-        let mut wrong = ArenaView::new();
-        wrong.bind_epoch(&foreign, |_, _| true).unwrap();
-        let mut engine = Engine::empty(
-            &topo,
-            HyperParams::default(),
-            EngineOptions::default(),
-            None,
-        );
-        let table = keyed(&obs);
-        let err = engine
-            .try_rebind_view(&topo, &obs, &wrong, &table, &[])
-            .unwrap_err();
-        assert!(matches!(err, ViewError::ForeignLineage { .. }), "{err}");
+        let (_, other) = small_obs(13);
+        let all = accept(&obs, |_, _| true);
+        let mut short = obs.clone();
+        short.flows.truncate(1);
+        let short_table = keyed(&short);
+        let mut engine = unbound(&topo);
+        let refused = catch_unwind(AssertUnwindSafe(|| {
+            engine.try_bind(&topo, &obs, &all, &short_table, &[])
+        }));
+        assert!(refused.is_err(), "a table over another set must not bind");
+        assert_eq!(engine.view().lineage(), None);
+        assert_eq!(engine.n_sets(), 0);
 
-        let mut right = ArenaView::new();
-        right.bind_epoch(&obs, |_, _| true).unwrap();
-        engine
-            .try_rebind_view(&topo, &obs, &right, &table, &[])
-            .unwrap();
-        let fresh = Engine::new(&topo, &obs, HyperParams::default());
-        assert_eq!(
-            engine.log_likelihood().to_bits(),
-            fresh.log_likelihood().to_bits()
-        );
+        let mut dir = TermDirectory::new(&HyperParams::default());
+        bind_all(&mut engine, &topo, &other, &mut dir, &[]).unwrap();
+        let fresh = Engine::new(&topo, &other, HyperParams::default());
+        assert_eq!(state_bits(&engine), state_bits(&fresh));
         assert_eq!(engine.n_flows(), fresh.n_flows());
-        // Bound now: any other view is foreign.
-        let err = engine
-            .try_rebind_view(&topo, &obs, &wrong, &table, &[])
-            .unwrap_err();
-        assert!(matches!(err, ViewError::ForeignView { .. }), "{err}");
+
+        // Bound now: the first lineage is foreign.
+        let err = bind_all(&mut engine, &topo, &obs, &mut dir, &[]).unwrap_err();
+        assert!(matches!(err, ViewError::ForeignLineage { .. }), "{err}");
+        bind_all(&mut engine, &topo, &other, &mut dir, &[]).unwrap();
+        assert_eq!(state_bits(&engine), state_bits(&fresh));
     }
 
     /// Entering a seed at bind leaves exactly the hypothesis state that
@@ -2726,25 +2657,9 @@ mod tests {
             (18u64, &[InputKind::Int][..]),
         ] {
             let (topo, obs) = small_obs_with(seed, kinds);
-            let table = keyed(&obs);
-            let bound_view = || {
-                let mut view = ArenaView::new();
-                view.bind_epoch(&obs, |i, _| i % 5 == 0).unwrap();
-                view
-            };
-            let (vf, vs) = (bound_view(), bound_view());
-            let build = |view: &ArenaView, seed: &[CompIdx]| {
-                Engine::with_view(
-                    &topo,
-                    &obs,
-                    HyperParams::default(),
-                    EngineOptions::default(),
-                    view,
-                    &table,
-                    seed,
-                )
-            };
-            let mut flipped = build(&vf, &[]);
+            let accepted = accept(&obs, |i, _| i % 5 == 0);
+            let build = |seed: &[CompIdx]| bound(&topo, &obs, &accepted, seed);
+            let mut flipped = build(&[]);
             let n = flipped.n_comps() as u32;
             let extras: Vec<CompIdx> = flipped
                 .members
@@ -2765,7 +2680,7 @@ mod tests {
             hyp.insert(1, unseen);
             hyp.push(hyp[0]);
 
-            let seeded = build(&vs, &hyp);
+            let seeded = build(&hyp);
             for &c in &locals {
                 if !flipped.in_hypothesis(c) {
                     flipped.flip(c);
@@ -2877,110 +2792,25 @@ mod tests {
         }
     }
 
-    /// An engine bound to an external view matches one built through the
-    /// legacy filter API, and rejects a different view with a typed
-    /// error.
-    #[test]
-    fn external_view_matches_internal_and_rejects_foreign_view() {
-        let (topo, obs) = small_obs(14);
-        let params = HyperParams::default();
-        let keep = |i: usize, _: &FlowObs| i % 2 == 0;
-
-        let mut view = ArenaView::new();
-        view.bind_epoch(&obs, keep).unwrap();
-        let table = keyed(&obs);
-        let mut viewed = Engine::with_view(
-            &topo,
-            &obs,
-            params,
-            EngineOptions::default(),
-            &view,
-            &table,
-            &[],
-        );
-        let legacy =
-            Engine::with_options(&topo, &obs, params, Some(&keep), EngineOptions::default());
-
-        assert_eq!(viewed.n_flows(), legacy.n_flows());
-        assert_eq!(viewed.n_comps(), legacy.n_comps());
-        assert!((viewed.log_likelihood() - legacy.log_likelihood()).abs() < 1e-12);
-        for (a, b) in viewed.delta().iter().zip(legacy.delta()) {
-            assert!((a - b).abs() < 1e-12);
-        }
-
-        // Rebinding through a *different* view is rejected: local ids
-        // belong to the view that assigned them.
-        let mut other = ArenaView::new();
-        other.bind_epoch(&obs, keep).unwrap();
-        let err = viewed
-            .try_rebind_view(&topo, &obs, &other, &table, &[])
-            .unwrap_err();
-        assert!(matches!(err, ViewError::ForeignView { .. }), "{err}");
-
-        // Rebinding through the right view works and is idempotent.
-        view.bind_epoch(&obs, keep).unwrap();
-        viewed
-            .try_rebind_view(&topo, &obs, &view, &table, &[])
-            .unwrap();
-        assert!((viewed.log_likelihood() - legacy.log_likelihood()).abs() < 1e-12);
-    }
-
-    /// The engine validates that the offered observation set is one the
-    /// view actually covers — handing obs from another assembly would
-    /// index the wrong arena with the view's ids.
+    /// The engine validates that the offered observation set is one its
+    /// view covers — handing obs from another assembly would index the
+    /// wrong arena with the view's ids.
     #[test]
     fn rebind_view_rejects_uncovered_observation_set() {
         let (topo, obs) = small_obs(15);
-        let mut view = ArenaView::new();
-        view.bind_epoch(&obs, |_, _| true).unwrap();
         let table = keyed(&obs);
-        let mut engine = Engine::with_view(
-            &topo,
-            &obs,
-            HyperParams::default(),
-            EngineOptions::default(),
-            &view,
-            &table,
-            &[],
-        );
+        let all = accept(&obs, |_, _| true);
+        let mut engine = unbound(&topo);
+        engine.try_bind(&topo, &obs, &all, &table, &[]).unwrap();
 
         // Same flows, fresh assembly: different arena lineage.
         let (_, foreign) = small_obs(15);
         let err = engine
-            .try_rebind_view(&topo, &foreign, &view, &table, &[])
+            .try_bind(&topo, &foreign, &all, &table, &[])
             .unwrap_err();
         assert!(matches!(err, ViewError::ForeignLineage { .. }), "{err}");
 
         // The engine is still usable against the covered set.
-        view.bind_epoch(&obs, |_, _| true).unwrap();
-        engine
-            .try_rebind_view(&topo, &obs, &view, &table, &[])
-            .unwrap();
-    }
-
-    /// Cloning a view stamps a fresh identity: clones serve new
-    /// consumers, never an engine bound to the original (diverging
-    /// clones would assign conflicting local ids).
-    #[test]
-    fn cloned_view_is_foreign_to_the_original_engine() {
-        let (topo, obs) = small_obs(16);
-        let mut view = ArenaView::new();
-        view.bind_epoch(&obs, |_, _| true).unwrap();
-        let table = keyed(&obs);
-        let mut engine = Engine::with_view(
-            &topo,
-            &obs,
-            HyperParams::default(),
-            EngineOptions::default(),
-            &view,
-            &table,
-            &[],
-        );
-        let clone = view.clone();
-        assert_ne!(view.id(), clone.id());
-        let err = engine
-            .try_rebind_view(&topo, &obs, &clone, &table, &[])
-            .unwrap_err();
-        assert!(matches!(err, ViewError::ForeignView { .. }), "{err}");
+        engine.try_bind(&topo, &obs, &all, &table, &[]).unwrap();
     }
 }

@@ -51,9 +51,7 @@ pub mod params;
 pub mod sherlock;
 pub mod space;
 
-pub use engine::{
-    ConvictingEvidence, Engine, EngineOptions, EngineStateSizes, EngineStats, FlowFilter,
-};
+pub use engine::{ConvictingEvidence, Engine, EngineOptions, EngineStateSizes, EngineStats};
 pub use gibbs::GibbsSampler;
 pub use greedy::{BudgetedSearch, FlockGreedy};
 pub use kernels::KernelDispatch;

@@ -9,8 +9,7 @@ use flock_core::{
 };
 use flock_telemetry::input::{assemble, AnalysisMode, InputKind};
 use flock_telemetry::{
-    ArenaView, Assembler, FlowKey, FlowObs, FlowStats, MonitoredFlow, ObservationSet, PathArena,
-    TrafficClass,
+    Assembler, FlowKey, FlowObs, FlowStats, MonitoredFlow, ObservationSet, PathArena, TrafficClass,
 };
 use flock_topology::clos::{leaf_spine, three_tier, ClosParams, LeafSpineParams};
 use flock_topology::{LinkId, NodeId, Router, Topology};
@@ -112,9 +111,10 @@ fn random_obs(seed: u64, n_flows: usize, kinds: &[InputKind]) -> (Topology, Obse
 fn initial_delta_by_path_sweep(
     topo: &Topology,
     obs: &ObservationSet,
-    view: &ArenaView,
+    accepted: &[u32],
     engine: &Engine,
 ) -> Vec<f64> {
+    let view = engine.view();
     let space = engine.space();
     let params = *engine.params();
     let opts = engine.options();
@@ -168,7 +168,7 @@ fn initial_delta_by_path_sweep(
     let mut flows: Vec<SuperFlow> = Vec::new();
     let mut extras: Vec<(CompIdx, f64, usize)> = Vec::new(); // (comp, weight, flow)
     let mut last_key = None;
-    for &i in view.epoch_flows() {
+    for &i in accepted {
         let o = &obs.flows[i as usize];
         let ls = view.local_set(o.set).unwrap();
         let w = sets[ls as usize].len() as u32;
@@ -239,6 +239,21 @@ fn initial_delta_by_path_sweep(
         delta[c as usize] += weight * flows[fi].score;
     }
     delta
+}
+
+/// The accept list of a full (`!filtered`) or filtered engine: every
+/// observation, or all but each third.
+fn accept_list(obs: &ObservationSet, filtered: bool) -> Vec<u32> {
+    (0..obs.flows.len() as u32)
+        .filter(|i| !filtered || i % 3 != 0)
+        .collect()
+}
+
+/// An engine with `opts`, bound to all of `obs` through its own keying.
+fn built(topo: &Topology, obs: &ObservationSet, opts: EngineOptions) -> Engine {
+    let mut engine = Engine::unbound(topo, HyperParams::default(), opts);
+    engine.rebind(topo, obs);
+    engine
 }
 
 /// One epoch of random traffic among `hosts`, sizes from a small palette
@@ -391,27 +406,19 @@ proptest! {
         let opts = EngineOptions::default();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut asm = Assembler::new();
-        let mut view = ArenaView::new();
         let mut terms = TermDirectory::new(&HyperParams::default());
         let mut table = EpochFlowTable::new();
-        let mut engine: Option<Engine> = None;
+        let mut e = Engine::unbound(&topo, HyperParams::default(), opts);
         let mut sets_seen = Vec::new();
         const EPOCHS: usize = 4;
         for epoch in 0..EPOCHS {
             let reach = hosts.len() * (epoch + 1) / EPOCHS;
             let traffic = epoch_traffic(&topo, &router, &hosts[..reach], &mut rng, 60);
             let obs = asm.assemble(&topo, &router, &traffic, kinds, AnalysisMode::PerPacket);
-            view.bind_epoch(&obs, |i, _| !filtered || i % 3 != 0).unwrap();
+            let accepted = accept_list(&obs, filtered);
             table.rebuild(&mut terms, &obs);
-            match engine.as_mut() {
-                Some(e) => e.try_rebind_view(&topo, &obs, &view, &table, &[]).unwrap(),
-                None => {
-                    engine = Some(Engine::with_view(
-                        &topo, &obs, HyperParams::default(), opts, &view, &table, &[]));
-                }
-            }
-            let e = engine.as_mut().unwrap();
-            let expect = initial_delta_by_path_sweep(&topo, &obs, &view, e);
+            e.try_bind(&topo, &obs, &accepted, &table, &[]).unwrap();
+            let expect = initial_delta_by_path_sweep(&topo, &obs, &accepted, &e);
             prop_assert_eq!(e.delta().len(), expect.len());
             for (c, (got, want)) in e.delta().iter().zip(&expect).enumerate() {
                 prop_assert_eq!(
@@ -425,7 +432,7 @@ proptest! {
                 e.flip(rng.random_range(0..n));
                 e.flip(rng.random_range(0..n));
             }
-            sets_seen.push(view.n_sets());
+            sets_seen.push(e.n_sets());
             asm.recycle(obs);
         }
         prop_assert!(
@@ -466,10 +473,10 @@ proptest! {
         let mut asm = Assembler::new();
         let mut terms = TermDirectory::new(&params);
         let mut table = EpochFlowTable::new();
-        // Two engines over twin views: one binds at the seed, the other
-        // at the empty hypothesis and flips its way there.
-        let (mut view, mut flip_view) = (ArenaView::new(), ArenaView::new());
-        let mut engines: Option<(Engine, Engine)> = None;
+        // Twin engines: one binds at the seed, the other at the empty
+        // hypothesis and flips its way there.
+        let mut e = Engine::unbound(&topo, params, opts);
+        let mut r = Engine::unbound(&topo, params, opts);
         let mut sets_seen = Vec::new();
         let mut unseen = 0;
         let mut quiet = 0;
@@ -482,9 +489,7 @@ proptest! {
             };
             let traffic = epoch_traffic(&topo, &router, &hosts[..reach], &mut rng, 60);
             let obs = asm.assemble(&topo, &router, &traffic, kinds, AnalysisMode::PerPacket);
-            for v in [&mut view, &mut flip_view] {
-                v.bind_epoch(&obs, |i, _| !filtered || i % 3 != 0).unwrap();
-            }
+            let accepted = accept_list(&obs, filtered);
             table.rebuild(&mut terms, &obs);
 
             // Global ids: random components of the whole fabric, one the
@@ -493,24 +498,14 @@ proptest! {
             let mut hyp: Vec<CompIdx> = (0..rng.random_range(1..5usize))
                 .map(|_| rng.random_range(0..n_global))
                 .collect();
-            if let Some((e, _)) = &engines {
+            if e.n_comps() > 0 {
                 hyp.push(e.global_comp(rng.random_range(0..e.n_comps() as u32)));
             }
             hyp.push(hyp[0]);
 
-            match engines.as_mut() {
-                Some((e, r)) => {
-                    e.try_rebind_view(&topo, &obs, &view, &table, &hyp).unwrap();
-                    r.try_rebind_view(&topo, &obs, &flip_view, &table, &[]).unwrap();
-                }
-                None => {
-                    engines = Some((
-                        Engine::with_view(&topo, &obs, params, opts, &view, &table, &hyp),
-                        Engine::with_view(&topo, &obs, params, opts, &flip_view, &table, &[]),
-                    ));
-                }
-            }
-            let (e, r) = engines.as_mut().unwrap();
+            e.try_bind(&topo, &obs, &accepted, &table, &hyp).unwrap();
+            r.try_bind(&topo, &obs, &accepted, &table, &[]).unwrap();
+            let (e, r) = (&mut e, &mut r);
             let ties_at_empty = exact_ties(r);
             let mut expect: Vec<CompIdx> = Vec::new();
             for &g in &hyp {
@@ -574,7 +569,7 @@ proptest! {
                 e.flip(c);
                 r.flip(c);
             }
-            sets_seen.push(view.n_sets());
+            sets_seen.push(e.n_sets());
             asm.recycle(obs);
         }
         prop_assert!(
@@ -607,8 +602,8 @@ proptest! {
         let mut asm = Assembler::new();
         let mut terms = TermDirectory::new(&params);
         let mut table = EpochFlowTable::new();
-        let mut view = ArenaView::new();
-        let mut engines: Option<(Engine, Engine)> = None;
+        let mut shared = Engine::unbound(&topo, params, opts);
+        let mut private = Engine::unbound(&topo, params, opts);
         let bits = |e: &Engine| {
             let d: Vec<u64> = e.delta().iter().map(|x| x.to_bits()).collect();
             (e.log_likelihood().to_bits(), d, e.term_table_sizes())
@@ -616,33 +611,21 @@ proptest! {
         for epoch in 0..3 {
             let traffic = epoch_traffic(&topo, &router, &hosts, &mut rng, 60);
             let obs = asm.assemble(&topo, &router, &traffic, &kinds, AnalysisMode::PerPacket);
-            view.bind_epoch(&obs, |_, _| true).unwrap();
+            let all = accept_list(&obs, false);
             table.rebuild(&mut terms, &obs);
-            match engines.as_mut() {
-                Some((shared, private)) => {
-                    shared.try_rebind_view(&topo, &obs, &view, &table, &[]).unwrap();
-                    private.try_rebind_filtered(&topo, &obs, None).unwrap();
-                }
-                None => {
-                    engines = Some((
-                        Engine::with_view(&topo, &obs, params, opts, &view, &table, &[]),
-                        Engine::with_options(&topo, &obs, params, None, opts),
-                    ));
-                }
-            }
-            let (shared, private) = engines.as_mut().unwrap();
-            prop_assert_eq!(bits(shared), bits(private), "epoch {}", epoch);
+            shared.try_bind(&topo, &obs, &all, &table, &[]).unwrap();
+            private.rebind(&topo, &obs);
+            prop_assert_eq!(bits(&shared), bits(&private), "epoch {}", epoch);
             let c = rng.random_range(0..shared.n_comps() as u32);
             prop_assert_eq!(shared.flip(c).to_bits(), private.flip(c).to_bits());
-            prop_assert_eq!(bits(shared), bits(private), "epoch {} after flip({})", epoch, c);
+            prop_assert_eq!(bits(&shared), bits(&private), "epoch {} after flip({})", epoch, c);
 
             if epoch == 2 {
                 // A latecomer over the shared directory vs a fresh
                 // engine: same first-touch order, so same local ids.
-                let mut late_view = ArenaView::new();
-                late_view.bind_epoch(&obs, |_, _| true).unwrap();
-                let late = Engine::with_view(&topo, &obs, params, opts, &late_view, &table, &[]);
-                let fresh = Engine::with_options(&topo, &obs, params, None, opts);
+                let mut late = Engine::unbound(&topo, params, opts);
+                late.try_bind(&topo, &obs, &all, &table, &[]).unwrap();
+                let fresh = built(&topo, &obs, opts);
                 prop_assert!(
                     late.term_table_sizes().0 > table.minted(),
                     "the palette repeats: most keys were minted in epochs 0 and 1"
@@ -708,11 +691,8 @@ proptest! {
             &[InputKind::P]
         };
         let (topo, obs) = random_obs_sized(seed, 60, kinds, quantized);
-        let params = HyperParams::default();
-        let mut co = Engine::with_options(
-            &topo, &obs, params, None, EngineOptions { coalesce: true });
-        let mut raw = Engine::with_options(
-            &topo, &obs, params, None, EngineOptions { coalesce: false });
+        let mut co = built(&topo, &obs, EngineOptions { coalesce: true });
+        let mut raw = built(&topo, &obs, EngineOptions { coalesce: false });
         prop_assert!(co.n_flows() <= raw.n_flows());
         prop_assert_eq!(co.n_observations(), raw.n_observations());
 
@@ -739,10 +719,8 @@ proptest! {
         // equivalence classes), float summation order can break the tie
         // either way — both verdicts are then correct greedy outcomes,
         // recognized by equal posteriors.
-        let mut co2 = Engine::with_options(
-            &topo, &obs, params, None, EngineOptions { coalesce: true });
-        let mut raw2 = Engine::with_options(
-            &topo, &obs, params, None, EngineOptions { coalesce: false });
+        let mut co2 = built(&topo, &obs, EngineOptions { coalesce: true });
+        let mut raw2 = built(&topo, &obs, EngineOptions { coalesce: false });
         let greedy = FlockGreedy::default();
         let (pc, _) = greedy.search(&mut co2);
         let (pr, _) = greedy.search(&mut raw2);

@@ -2,12 +2,10 @@
 //!
 //! Agents stamp every export message with `export_time_ms`; the
 //! [`EpochManager`] assigns each drained [`StampedRecord`] to the
-//! fixed-size window(s) covering its stamp and closes windows as the
-//! caller's watermark advances. Tumbling windows (the default, the
-//! paper's 30 s cadence) partition the stream losslessly: every record
-//! lands in exactly one epoch. Sliding windows (stride < length) trade
-//! duplication for smoother time resolution; a record then belongs to
-//! every window overlapping its stamp.
+//! fixed-size window covering its stamp and closes windows as the
+//! caller's watermark advances. Windows tumble (the paper's 30 s
+//! cadence), so they partition the stream losslessly: every record
+//! lands in exactly one epoch.
 //!
 //! Records arriving for an already-closed window ("late" records, e.g. a
 //! stalled agent connection) are counted and dropped rather than
@@ -19,16 +17,12 @@
 
 use flock_telemetry::StampedRecord;
 use std::collections::BTreeMap;
-use std::ops::RangeInclusive;
 
 /// Epoch windowing parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochConfig {
     /// Window length in milliseconds.
     pub epoch_ms: u64,
-    /// Window stride in milliseconds; `None` means tumbling
-    /// (stride = length).
-    pub slide_ms: Option<u64>,
     /// Lateness horizon in milliseconds: a record whose stamp is more
     /// than this far behind the manager's watermark is rejected as late
     /// (counted in `late_records`) even when its window is still open.
@@ -48,21 +42,6 @@ impl EpochConfig {
         assert!(epoch_ms > 0, "epoch length must be positive");
         EpochConfig {
             epoch_ms,
-            slide_ms: None,
-            late_horizon_ms: None,
-        }
-    }
-
-    /// Sliding windows: length `epoch_ms`, advancing by `slide_ms`.
-    pub fn sliding(epoch_ms: u64, slide_ms: u64) -> Self {
-        assert!(epoch_ms > 0 && slide_ms > 0, "lengths must be positive");
-        assert!(
-            slide_ms <= epoch_ms,
-            "stride beyond the window length would drop records"
-        );
-        EpochConfig {
-            epoch_ms,
-            slide_ms: Some(slide_ms),
             late_horizon_ms: None,
         }
     }
@@ -73,16 +52,10 @@ impl EpochConfig {
         self
     }
 
-    /// The window stride.
-    #[inline]
-    pub fn stride(&self) -> u64 {
-        self.slide_ms.unwrap_or(self.epoch_ms)
-    }
-
     /// Start timestamp of window `index`.
     #[inline]
     pub fn window_start(&self, index: u64) -> u64 {
-        index * self.stride()
+        index * self.epoch_ms
     }
 
     /// End timestamp (exclusive) of window `index`, clamped to
@@ -102,17 +75,11 @@ impl EpochConfig {
             .is_some()
     }
 
-    /// Indices of every window containing timestamp `ts` (window `k`
-    /// covers `[k·stride, k·stride + epoch_ms)`).
-    pub fn windows_of(&self, ts: u64) -> RangeInclusive<u64> {
-        let stride = self.stride();
-        let hi = ts / stride;
-        let lo = if ts < self.epoch_ms {
-            0
-        } else {
-            (ts - self.epoch_ms) / stride + 1
-        };
-        lo..=hi
+    /// Index of the window containing timestamp `ts` (window `k` covers
+    /// `[k·epoch_ms, (k + 1)·epoch_ms)`).
+    #[inline]
+    pub fn window_of(&self, ts: u64) -> u64 {
+        ts / self.epoch_ms
     }
 }
 
@@ -171,28 +138,14 @@ impl EpochManager {
         }
     }
 
-    /// Assign one record to its window(s). The record is moved into its
-    /// last covering window (the only one, for tumbling epochs — the hot
-    /// path is clone-free) and cloned only for the extra windows a
-    /// sliding configuration adds.
+    /// Assign one record to its window.
     pub fn push(&mut self, rec: StampedRecord) {
-        if self.beyond_horizon(rec.export_ms) {
+        let w = self.config.window_of(rec.export_ms);
+        if self.beyond_horizon(rec.export_ms) || w < self.closed_below || !self.config.closable(w) {
             self.late_records += 1;
             return;
         }
-        let mut windows = self
-            .config
-            .windows_of(rec.export_ms)
-            .filter(|&w| w >= self.closed_below && self.config.closable(w));
-        let Some(mut current) = windows.next() else {
-            self.late_records += 1;
-            return;
-        };
-        for next in windows {
-            self.open.entry(current).or_default().push(rec.clone());
-            current = next;
-        }
-        self.open.entry(current).or_default().push(rec);
+        self.open.entry(w).or_default().push(rec);
     }
 
     /// Assign a batch of records (the typical `drain_stamped` hand-off).
@@ -207,11 +160,10 @@ impl EpochManager {
     /// window lookup instead of one per record.
     ///
     /// The lossless-partition property is preserved by validation, not
-    /// trust: the hint is honored only when the configuration is
-    /// tumbling with windows matching the stamp cadence (`export_ms /
-    /// epoch_ms == epoch_seq` for every record, a branch-predictable
-    /// scan). A bucket that fails validation — cadence drift, sliding
-    /// windows, a misbehaving agent — falls back to the per-record
+    /// trust: the hint is honored only when the windows match the stamp
+    /// cadence (`export_ms / epoch_ms == epoch_seq` for every record, a
+    /// branch-predictable scan). A bucket that fails validation —
+    /// cadence drift, a misbehaving agent — falls back to the per-record
     /// [`push`](Self::push) path, so the partition is always identical
     /// to what unhinted input would produce.
     pub fn extend_bucket(&mut self, epoch_seq: u64, mut records: Vec<StampedRecord>) {
@@ -219,8 +171,7 @@ impl EpochManager {
             return;
         }
         let epoch_ms = self.config.epoch_ms;
-        let hint_ok = self.config.slide_ms.is_none()
-            && records.iter().all(|r| r.export_ms / epoch_ms == epoch_seq);
+        let hint_ok = records.iter().all(|r| r.export_ms / epoch_ms == epoch_seq);
         if !hint_ok {
             self.extend(records);
             return;
@@ -269,8 +220,8 @@ impl EpochManager {
         }
         // Even with no emittable window, advance the late horizon so a
         // subsequent push for long-gone windows counts as late.
-        if let Some(stride_windows) = watermark_ms.checked_sub(self.config.epoch_ms) {
-            let horizon = stride_windows / self.config.stride() + 1;
+        if let Some(past) = watermark_ms.checked_sub(self.config.epoch_ms) {
+            let horizon = self.config.window_of(past) + 1;
             self.closed_below = self.closed_below.max(horizon);
         }
         out
@@ -328,22 +279,8 @@ mod tests {
     fn tumbling_assigns_each_record_once() {
         let cfg = EpochConfig::tumbling(100);
         for ts in [0, 1, 99, 100, 101, 250, 999] {
-            let ws: Vec<u64> = cfg.windows_of(ts).collect();
-            assert_eq!(ws, vec![ts / 100], "ts {ts}");
+            assert_eq!(cfg.window_of(ts), ts / 100, "ts {ts}");
         }
-    }
-
-    #[test]
-    fn sliding_covers_overlapping_windows() {
-        let cfg = EpochConfig::sliding(100, 50);
-        // ts 120 is inside windows starting at 50 and 100 → indices 1, 2.
-        assert_eq!(cfg.windows_of(120).collect::<Vec<_>>(), vec![1, 2]);
-        // Interior records belong to exactly len/stride windows.
-        for ts in 100..1000u64 {
-            assert_eq!(cfg.windows_of(ts).count(), 2, "ts {ts}");
-        }
-        // Stream-start boundary: ts < len has fewer covering windows.
-        assert_eq!(cfg.windows_of(20).collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]
@@ -398,17 +335,6 @@ mod tests {
         assert_eq!(closed[0].records[0].export_ms, 150);
         assert_eq!(closed[1].index, 3);
         assert_eq!(closed[1].records[0].export_ms, 350);
-    }
-
-    #[test]
-    fn extend_bucket_sliding_config_ignores_hint() {
-        let mut m = EpochManager::new(EpochConfig::sliding(100, 50));
-        m.extend_bucket(2, vec![rec(120)]);
-        // Sliding: the record must be duplicated into both covering
-        // windows, which only the slow path does.
-        let all = m.flush();
-        let total: usize = all.iter().map(|e| e.records.len()).sum();
-        assert_eq!(total, 2);
     }
 
     #[test]
@@ -483,7 +409,7 @@ mod tests {
                 .collect()
         };
 
-        // Tumbling, per-record route.
+        // Per-record route.
         let mut m = EpochManager::new(EpochConfig::tumbling(1000));
         m.push(rec(500));
         m.push(rec(u64::MAX));
@@ -493,8 +419,8 @@ mod tests {
         assert_eq!(stamps(&m.close_ready(2000)), vec![(1, vec![1500])]);
         assert_eq!(m.late_records(), 1);
 
-        // Tumbling, pre-bucketed route: the hint validates (every stamp
-        // is in window `u64::MAX / 1000`), the window cannot close.
+        // Pre-bucketed route: the hint validates (every stamp is in
+        // window `u64::MAX / 1000`), the window cannot close.
         let mut m = EpochManager::new(EpochConfig::tumbling(1000));
         m.push(rec(500));
         m.extend_bucket(u64::MAX / 1000, vec![rec(u64::MAX), rec(u64::MAX - 1)]);
@@ -504,36 +430,16 @@ mod tests {
         m.extend_bucket(1, vec![rec(1500)]);
         assert_eq!(stamps(&m.close_ready(2000)), vec![(1, vec![1500])]);
         assert_eq!(m.late_records(), 2);
-
-        // Sliding: both windows covering `u64::MAX` are unclosable; of
-        // the two covering `u64::MAX - 600` the earlier one ends at a
-        // representable timestamp and takes the record.
-        let mut m = EpochManager::new(EpochConfig::sliding(1000, 500));
-        m.push(rec(500));
-        m.push(rec(u64::MAX));
-        assert_eq!(m.late_records(), 1);
-        assert_eq!(stamps(&m.close_ready(1000)), vec![(0, vec![500])]);
-        m.push(rec(1500));
-        assert_eq!(
-            stamps(&m.close_ready(2000)),
-            vec![(1, vec![500]), (2, vec![1500])]
-        );
-        m.push(rec(u64::MAX - 600));
-        assert_eq!(m.late_records(), 1);
-        let tail = m.flush();
-        assert_eq!(tail.len(), 2, "window 3 (stamp 1500) and the far one");
-        assert_eq!(tail[1].records[0].export_ms, u64::MAX - 600);
-        assert_eq!(tail[1].end_ms - tail[1].start_ms, 1000);
     }
 
     #[test]
     fn flush_closes_everything() {
-        let mut m = EpochManager::new(EpochConfig::sliding(100, 50));
+        let mut m = EpochManager::new(EpochConfig::tumbling(100));
         m.extend([rec(120), rec(500)]);
         let all = m.flush();
-        assert!(all.len() >= 3, "120 covers two windows, 500 two more");
+        assert_eq!(all.len(), 2);
         assert_eq!(m.open_windows(), 0);
         let total: usize = all.iter().map(|e| e.records.len()).sum();
-        assert_eq!(total, 4, "each record duplicated into 2 windows");
+        assert_eq!(total, 2);
     }
 }

@@ -9,9 +9,9 @@
 //! that into the online loop:
 //!
 //! * [`epoch`] — windows the collector's stamped record stream into
-//!   fixed (tumbling) or sliding epochs against a caller-driven
-//!   watermark, with an O(buckets) fast path for wire-v2 input the
-//!   collector reactor already grouped by agent-stamped epoch;
+//!   fixed (tumbling) epochs against a caller-driven watermark, with
+//!   an O(buckets) fast path for wire-v2 input the collector reactor
+//!   already grouped by agent-stamped epoch;
 //! * [`shard`] — partitions blame ownership over the component space
 //!   (per pod, plus one shard per spine *plane*, derived from the
 //!   fabric's stripe structure via [`flock_topology::SpinePlanes`]) so
@@ -24,7 +24,7 @@
 //! * [`pipeline`] — the driver: per epoch it assembles observations
 //!   against a persistent arena ([`flock_telemetry::Assembler`]),
 //!   **warm-starts** each shard's engine from the previous epoch
-//!   ([`flock_core::Engine::try_rebind_view`] +
+//!   ([`flock_core::Engine::try_bind`] +
 //!   [`flock_core::FlockGreedy::search_warm`], with removal moves so
 //!   healed faults are dropped), arbitrates spine blame across planes
 //!   with a cross-plane refinement pass when several planes hypothesize

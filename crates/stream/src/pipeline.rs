@@ -15,23 +15,23 @@
 //!    engine coalesces equal-key runs into weighted super-flows — the
 //!    spine shard, which sees nearly all inter-pod traffic, drops from
 //!    O(inter-pod flows) to O(distinct evidence keys) per epoch;
-//! 3. one engine per shard localizes the epoch over the shard's
-//!    persistent [`ArenaView`] — a dense local projection of the shared
-//!    arena onto the evidence the shard has ever accepted — so every
-//!    per-epoch reset, sweep, and Δ scan inside the engine is O(the
-//!    shard's own evidence), not O(total arena). The epoch's evidence
-//!    keys are looked up and scored once, on the assembly stage, into an
+//! 3. one engine per shard localizes the epoch over its own persistent
+//!    view — a dense local projection of the shared arena onto the
+//!    evidence the shard has ever accepted — so every per-epoch reset,
+//!    sweep, and Δ scan inside the engine is O(the shard's own
+//!    evidence), not O(total arena). The epoch's evidence keys are
+//!    looked up and scored once, on the assembly stage, into an
 //!    [`EpochFlowTable`] every shard engine reads. Engines are
 //!    **warm-started** from the shard's previous verdict: rebound
-//!    ([`flock_core::Engine::try_rebind_view`]) instead of rebuilt, *at*
-//!    the previous hypothesis, and the greedy search continues from
-//!    there with removals enabled so heals are detected
+//!    ([`flock_core::Engine::try_bind`]) instead of rebuilt, *at* the
+//!    previous hypothesis, and the greedy search continues from there
+//!    with removals enabled so heals are detected
 //!    ([`FlockGreedy::search_warm`]);
 //! 4. when two or more spine-*plane* shards blame components — each from
 //!    its plane-filtered slice of the evidence — a **cross-plane
 //!    refinement pass** re-searches the union of their hypotheses over
 //!    the evidence touching the *blaming planes only* (its own
-//!    persistent view), so a flow pinned to one plane by ECMP hashing is
+//!    persistent engine), so a flow pinned to one plane by ECMP hashing is
 //!    never double-blamed when its passive path set straddles planes
 //!    (the refined verdict supersedes the blaming planes' own), and a
 //!    steady multi-plane fault never pays full single-spine cost;
@@ -46,8 +46,8 @@ use flock_core::{
     HyperParams, LocalizationResult, TermDirectory,
 };
 use flock_telemetry::{
-    AnalysisMode, ArenaView, Assembler, DrainBatch, FlowRecord, InputKind, MonitoredFlow,
-    ObservationSet, StampedRecord, TrafficClass,
+    AnalysisMode, Assembler, DrainBatch, FlowRecord, InputKind, MonitoredFlow, ObservationSet,
+    StampedRecord, TrafficClass,
 };
 use flock_topology::{Component, NodeId, NodeRole, Router, Topology};
 use serde::Serialize;
@@ -271,8 +271,8 @@ impl EpochHealth {
 /// A shard whose inference thread panicked this epoch, caught at the
 /// pipeline's per-shard isolation boundary. The shard contributes
 /// nothing to the merged verdict; its persistent state was reset to a
-/// valid initial state (fresh view, no engine) and it rebuilds cold on
-/// the next epoch, re-seeded from its last good hypothesis.
+/// valid initial state (no engine) and it rebuilds cold on the next
+/// epoch, re-seeded from its last good hypothesis.
 #[derive(Debug, Clone, Serialize)]
 pub struct ShardFailure {
     /// Label of the failed shard (`pod3`, `spine-p0`, `spine-refine`…).
@@ -437,11 +437,6 @@ impl EpochReport {
 /// Per-shard persistent inference state.
 struct ShardState {
     engine: Option<Engine>,
-    /// The shard's persistent arena view: the dense projection of the
-    /// shared arena onto the evidence this shard has ever accepted. The
-    /// engine's local ids are assigned by (and only valid against) this
-    /// view.
-    view: ArenaView,
     /// Previous epoch's hypothesis as *global* component ids (stable
     /// across engine rebuilds), translated into the engine's local space
     /// when seeding the warm search.
@@ -545,11 +540,9 @@ pub struct StreamPipeline<'t> {
     spare_flow_table: EpochFlowTable,
     touch: SetTouchIndex,
     /// Persistent engine of the cross-plane refinement pass, built
-    /// lazily on the first epoch that triggers it.
+    /// lazily on the first epoch that triggers it; its view accumulates
+    /// evidence from whichever planes have ever blamed.
     refine_engine: Option<Engine>,
-    /// The refinement engine's persistent view: accumulates evidence
-    /// from whichever planes have ever blamed.
-    refine_view: ArenaView,
     /// The refinement pass's blame scope, as a shard: `owned` is
     /// rewritten each refining epoch to the union of the blaming
     /// planes' ownership.
@@ -586,7 +579,6 @@ impl<'t> StreamPipeline<'t> {
             .iter()
             .map(|_| ShardState {
                 engine: None,
-                view: ArenaView::new(),
                 prev: Vec::new(),
             })
             .collect();
@@ -618,7 +610,6 @@ impl<'t> StreamPipeline<'t> {
             spare_flow_table: EpochFlowTable::new(),
             touch: SetTouchIndex::new(),
             refine_engine: None,
-            refine_view: ArenaView::new(),
             refine_shard,
             late_attributed: 0,
             rejected_records: 0,
@@ -857,16 +848,14 @@ impl<'t> StreamPipeline<'t> {
             // Panics are caught *inside* the job — a panicking shard
             // degrades its own slice of the verdict instead of taking
             // the epoch with it. The failed shard's state resets to a
-            // valid initial state: a fresh view (a half-bound view may
-            // hold a partially extended epoch) and no engine; `prev` is
-            // kept — global component ids survive the rebuild, so the
-            // recovered shard re-seeds its warm search from its last
-            // good hypothesis.
+            // valid initial state: no engine (a half-bound one may hold
+            // a partially extended epoch); `prev` is kept — global
+            // component ids survive the rebuild, so the recovered shard
+            // re-seeds its warm search from its last good hypothesis.
             self.exec.submit(i, move |state| {
                 let run = catch_unwind(AssertUnwindSafe(|| run_shard(&tctx, i, state, &ectx)))
                     .map_err(|payload| {
                         state.engine = None;
-                        state.view = ArenaView::new();
                         ShardFailure {
                             shard: tctx.shards[i].label.clone(),
                             panic_message: panic_message(payload.as_ref()),
@@ -968,15 +957,14 @@ impl<'t> StreamPipeline<'t> {
             seed.sort_unstable();
             seed.dedup();
             // Same isolation boundary as the shards: a panicking
-            // refinement pass resets its persistent engine and view and
-            // lets the blaming planes' own verdicts stand un-refined.
+            // refinement pass resets its persistent engine and lets the
+            // blaming planes' own verdicts stand un-refined.
             match catch_unwind(AssertUnwindSafe(|| {
                 self.refine_spine(&ctx, &seed, &blaming)
             })) {
                 Ok(r) => refined = Some(r),
                 Err(payload) => {
                     self.refine_engine = None;
-                    self.refine_view = ArenaView::new();
                     refinement_panic = Some(panic_message(payload.as_ref()));
                 }
             }
@@ -1164,10 +1152,11 @@ impl<'t> StreamPipeline<'t> {
             }
         }
         let blame_mask: u64 = blaming.iter().fold(0u64, |m, &p| m | 1u64 << (p % 64));
-        let touches: &[SetTouch] = &ctx.touches;
-        self.refine_view
-            .bind_epoch(&ctx.obs, |i, _| touches[i].planes & blame_mask != 0)
-            .expect("pipeline assembler keeps one arena lineage");
+        let accepted: Vec<u32> = (0u32..)
+            .zip(&ctx.touches)
+            .filter(|(_, t)| t.planes & blame_mask != 0)
+            .map(|(i, _)| i)
+            .collect();
         // Blame scope: comps owned by the blaming planes.
         self.refine_shard.owned.fill(false);
         for s in &self.plan.shards {
@@ -1182,7 +1171,7 @@ impl<'t> StreamPipeline<'t> {
         // touch that (blaming) plane, so the filter above accepted them.
         let (_, kept, outcome) = localize_bound(
             &mut self.refine_engine,
-            &self.refine_view,
+            &accepted,
             &self.task_ctx,
             ctx,
             &self.refine_shard,
@@ -1193,13 +1182,12 @@ impl<'t> StreamPipeline<'t> {
     }
 }
 
-/// Localize one epoch on one shard: bind the shard's persistent view to
-/// the epoch's accepted observations (the accept list computed on the
-/// assembly stage), rebind or build the engine over it, search warm
-/// from the previous verdict, and return the owned predictions as
-/// *global* dense component indices (the merge translates through each
-/// verdict's provenance, and the cross-plane refinement seeds from
-/// them). Runs on an executor worker thread.
+/// Localize one epoch on one shard: bind the shard's persistent engine
+/// to the epoch's accepted observations (the accept list computed on the
+/// assembly stage), search warm from the previous verdict, and return
+/// the owned predictions as *global* dense component indices (the merge
+/// translates through each verdict's provenance, and the cross-plane
+/// refinement seeds from them). Runs on an executor worker thread.
 fn run_shard(
     tctx: &TaskCtx,
     idx: usize,
@@ -1219,13 +1207,9 @@ fn run_shard(
             None => {}
         }
     }
-    state
-        .view
-        .bind_epoch_indices(&ectx.obs, &ectx.accept[idx])
-        .expect("pipeline assembler keeps one arena lineage");
     let (picked, kept, outcome) = localize_bound(
         &mut state.engine,
-        &state.view,
+        &ectx.accept[idx],
         tctx,
         ectx,
         shard,
@@ -1240,17 +1224,22 @@ fn run_shard(
 }
 
 /// How an epoch binds an engine, for the shards and the refinement pass
-/// alike: rebind the engine in `slot` over `view` (already bound to the
-/// epoch's accepted observations) or build it on first use — either way
-/// *at* the hypothesis `seed`, reading the epoch's flow table — continue
-/// the warm search from there, and report what `shard` owns of the
-/// result. `seed` and every returned component are *global* dense ids —
-/// stable across engine rebuilds, and what the merge and refinement
-/// layers speak. Returns `(every pick, owned picks with scores,
-/// outcome)`.
+/// alike: bind the engine in `slot` (made on first use) to the epoch's
+/// `accepted` observations *at* the hypothesis `seed`, reading the
+/// epoch's flow table, continue the warm search from there, and report
+/// what `shard` owns of the result. `seed` and every returned component
+/// are *global* dense ids — stable across engine rebuilds, and what the
+/// merge and refinement layers speak. Returns `(every pick, owned picks
+/// with scores, outcome)`.
+///
+/// # Panics
+/// If the engine refuses the epoch's arena. The pipeline has one
+/// assembler — one lineage, snapshots that only grow — so a
+/// [`flock_telemetry::ViewError`] here is a pipeline bug, contained at
+/// the caller's `catch_unwind` like any other shard panic.
 fn localize_bound(
     slot: &mut Option<Engine>,
-    view: &ArenaView,
+    accepted: &[u32],
     tctx: &TaskCtx,
     ectx: &EpochCtx,
     shard: &Shard,
@@ -1260,23 +1249,11 @@ fn localize_bound(
     let (topo, cfg, obs) = (&tctx.topo, &tctx.cfg, &ectx.obs);
     let warm = slot.is_some();
     let rebind_started = Instant::now();
-    match slot.as_mut() {
-        Some(engine) => engine
-            .try_rebind_view(topo, obs, view, &ectx.flow_table, seed)
-            .expect("the view is the engine's own"),
-        None => {
-            *slot = Some(Engine::with_view(
-                topo,
-                obs,
-                cfg.params,
-                EngineOptions::default(),
-                view,
-                &ectx.flow_table,
-                seed,
-            ));
-        }
+    let engine =
+        slot.get_or_insert_with(|| Engine::unbound(topo, cfg.params, EngineOptions::default()));
+    if let Err(e) = engine.try_bind(topo, obs, accepted, &ectx.flow_table, seed) {
+        panic!("shard `{}` cannot bind the epoch: {e}", shard.label);
     }
-    let engine = slot.as_mut().expect("engine just installed");
     let search_started = Instant::now();
     let rebind = search_started - rebind_started;
 
@@ -1293,7 +1270,7 @@ fn localize_bound(
         .zip(&search.picked)
         .filter_map(|(&g, &(_, score))| shard.owns(g).then_some((g, score)))
         .collect();
-    let provenance = collect_provenance(engine, view, &shard.label, &kept);
+    let provenance = collect_provenance(engine, &shard.label, &kept);
     let outcome = ShardOutcome {
         label: shard.label.clone(),
         kind: shard.kind,
@@ -1377,12 +1354,9 @@ fn flow_is_sane(topo: &Topology, f: &MonitoredFlow) -> bool {
 }
 
 /// Capture [`Provenance`] for each kept component (global ids, in `kept`
-/// order) from the engine that convicted them, translating the
-/// convicting evidence's view-local set ids to global
-/// [`flock_telemetry::PathSetId`]s.
+/// order) from the engine that convicted them.
 fn collect_provenance(
     engine: &Engine,
-    view: &ArenaView,
     shard_label: &str,
     kept: &[(CompIdx, f64)],
 ) -> Vec<Provenance> {
@@ -1402,7 +1376,7 @@ fn collect_provenance(
                     .sets
                     .iter()
                     .take(PROVENANCE_SETS_CAP)
-                    .map(|&(ls, _)| view.global_set(ls).0)
+                    .map(|&(set, _)| set.0)
                     .collect(),
             }
         })

@@ -27,8 +27,7 @@
 //! shed (counted in `dropped_records`) instead of growing without bound
 //! when the consumer stalls. Throughput counters allow the Fig. 7
 //! scalability experiment (connections/sec × records/conn) to be
-//! reproduced against the real socket path; see the `collector_storm`
-//! bench for the reactor vs thread-per-connection comparison.
+//! reproduced against the real socket path.
 
 use crate::flow::FlowRecord;
 use crate::wire::{DecodeStep, ExportMessage, StreamDecoder, WireError};

@@ -27,10 +27,10 @@
 //!   set of telemetry kinds (A1 / A2 / P / INT), produce the
 //!   [`ObservationSet`] consumed by every inference
 //!   scheme, with interned fabric paths and ECMP path sets.
-//! * [`view`] — per-shard [`ArenaView`]s: persistent dense projections of
-//!   the global path arena onto one shard's evidence, the layer that lets
-//!   a sharded executor's engines allocate and iterate O(their own
-//!   evidence) instead of O(total arena).
+//! * [`view`] — [`ArenaView`]s: persistent dense projections of the
+//!   global path arena onto one engine's evidence (each engine owns
+//!   its own), the layer that lets a sharded executor's engines allocate
+//!   and iterate O(their own evidence) instead of O(total arena).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

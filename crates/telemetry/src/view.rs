@@ -1,26 +1,30 @@
-//! Per-shard arena views: dense local projections of a
+//! Arena views: dense local projections of a
 //! [`PathArena`](crate::input::PathArena).
 //!
 //! A sharded executor runs one inference engine per shard, each over the
-//! subset of the epoch's observations its relevance filter accepts. The
-//! shared `PathArena` interns *every* shard's paths and sets, so an
-//! engine indexing its state by global ids pays O(total arena) fixed
-//! costs every epoch — full-array resets on rebind, all-sets sweeps,
-//! strided access over globally-indexed arrays — even when its own
-//! evidence is a small slice. An [`ArenaView`] removes that coupling:
-//! it projects the global arena onto the paths and sets one shard's
-//! accepted observations actually touch, with **dense local ids** and
-//! local↔global remap tables, so everything an engine allocates and
-//! iterates can be sized by the shard's evidence instead of the fleet's.
+//! subset of the epoch's observations the shard accepts. The shared
+//! `PathArena` interns *every* shard's paths and sets, so an engine
+//! indexing its state by global ids pays O(total arena) fixed costs
+//! every epoch — full-array resets on rebind, all-sets sweeps, strided
+//! access over globally-indexed arrays — even when its own evidence is a
+//! small slice. An [`ArenaView`] removes that coupling: it projects the
+//! global arena onto the paths and sets one engine's accepted
+//! observations actually touch, with **dense local ids** and
+//! local↔global remap tables, so everything the engine allocates and
+//! iterates can be sized by its own evidence instead of the fleet's.
 //!
 //! # Ownership and lineage rules
 //!
+//! * A view is a private field of the engine whose local ids it assigns
+//!   (`flock_core::Engine`): the engine creates it, is the only caller of
+//!   [`ArenaView::bind_epoch`], and lends it out read-only. Pairing an
+//!   engine with another engine's view is unrepresentable, and dropping
+//!   the engine drops the projection with it.
 //! * A view binds to one arena **lineage** ([`ArenaSnapshot::lineage`])
 //!   on first use and is append-only from then on, mirroring the arena's
 //!   own contract: local ids, once assigned, permanently denote the same
-//!   global path/set. Holders of local ids (an engine's per-path and
-//!   per-set structures, a warm-start hypothesis) stay valid across
-//!   epochs without re-translation.
+//!   global path/set, so the engine's per-path and per-set structures
+//!   stay valid across epochs without re-translation.
 //! * What a view is offered each epoch is an [`ArenaSnapshot`] — the
 //!   arena's content as of that epoch's assembly. A lineage has one
 //!   writer (`PathArena` is not `Clone`), so successive snapshots of
@@ -28,11 +32,8 @@
 //! * [`ArenaView::bind_epoch`] *validates* the snapshot each epoch and
 //!   rejects a foreign-lineage one, or one older than a snapshot the
 //!   view has already bound (`ArenaShrunk`), with a typed [`ViewError`]
-//!   — a real error path, not a `debug_assert`, so release builds cannot
-//!   silently misindex.
-//! * One view serves one shard. The view records which observations the
-//!   shard accepted *this epoch* ([`ArenaView::epoch_flows`]); the
-//!   projection itself (`sets`/`paths` tables) persists and only grows.
+//!   before it changes anything — a real error path, not a
+//!   `debug_assert`, so release builds cannot silently misindex.
 //!
 //! # Local-vs-global id conventions
 //!
@@ -40,11 +41,11 @@
 //! order. Global ids keep their [`PathId`]/[`PathSetId`] newtypes. APIs
 //! on this type take and return global newtypes at the boundary
 //! (`local_set(PathSetId)`, `global_path(local) -> PathId`) so the two
-//! spaces cannot be confused silently; engines built over a view follow
-//! the same convention (dense local component ids internally, global
+//! spaces cannot be confused silently; the engine follows the same
+//! convention (dense local component ids internally, global
 //! [`Component`](flock_topology::Component)s at report time).
 
-use crate::input::{ArenaSnapshot, FlowObs, ObservationSet, PathId, PathSetId};
+use crate::input::{ArenaSnapshot, ObservationSet, PathId, PathSetId};
 
 /// Why a view refused to bind an observation set. Both cases mean the
 /// caller handed state from a different stream (or an older snapshot
@@ -74,15 +75,6 @@ pub enum ViewError {
         /// Sets in the offered arena.
         got_sets: usize,
     },
-    /// A consumer of local ids (an engine) was offered a different view
-    /// than the one its structures were built over: local ids are only
-    /// meaningful against the view that assigned them.
-    ForeignView {
-        /// View identity the consumer is bound to.
-        expected: u64,
-        /// Identity of the offered view.
-        got: u64,
-    },
 }
 
 impl std::fmt::Display for ViewError {
@@ -101,10 +93,6 @@ impl std::fmt::Display for ViewError {
                 f,
                 "arena shrank below the view's coverage \
                  (paths {got_paths} < {seen_paths} or sets {got_sets} < {seen_sets})"
-            ),
-            ViewError::ForeignView { expected, got } => write!(
-                f,
-                "view {got} is not the view ({expected}) these local ids were assigned by"
             ),
         }
     }
@@ -192,17 +180,11 @@ impl DenseRemap {
     }
 }
 
-/// A persistent, incrementally-extended projection of one shard's slice
-/// of a global [`PathArena`](crate::input::PathArena). See the module docs for the ownership and
-/// id conventions.
-#[derive(Debug)]
+/// A persistent, incrementally-extended projection of one engine's slice
+/// of a global [`PathArena`](crate::input::PathArena). See the module
+/// docs for the ownership and id conventions.
+#[derive(Debug, Default)]
 pub struct ArenaView {
-    /// Process-unique identity token. Lets holders of local ids
-    /// (engines) verify a view is the one that assigned them; cloning
-    /// stamps a *fresh* token, because two clones that diverge after the
-    /// copy assign conflicting local ids — a clone serves a new
-    /// consumer, never an existing engine.
-    id: u64,
     /// Lineage of the bound arena (`None` until the first bind).
     lineage: Option<u64>,
     /// Global↔local path projection.
@@ -212,55 +194,12 @@ pub struct ArenaView {
     /// Arena growth watermarks at the last successful bind.
     seen_paths: usize,
     seen_sets: usize,
-    /// Indices (into `obs.flows`) of the observations the shard's filter
-    /// accepted this epoch, in observation order (preserving the
-    /// assembler's evidence-key sort, which coalescing relies on).
-    epoch_flows: Vec<u32>,
-}
-
-impl Clone for ArenaView {
-    fn clone(&self) -> Self {
-        ArenaView {
-            id: next_view_id(),
-            lineage: self.lineage,
-            paths: self.paths.clone(),
-            sets: self.sets.clone(),
-            seen_paths: self.seen_paths,
-            seen_sets: self.seen_sets,
-            epoch_flows: self.epoch_flows.clone(),
-        }
-    }
-}
-
-fn next_view_id() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-    NEXT_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-impl Default for ArenaView {
-    fn default() -> Self {
-        ArenaView {
-            id: next_view_id(),
-            lineage: None,
-            paths: DenseRemap::new(),
-            sets: DenseRemap::new(),
-            seen_paths: 0,
-            seen_sets: 0,
-            epoch_flows: Vec::new(),
-        }
-    }
 }
 
 impl ArenaView {
     /// An empty, unbound view.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The view's process-unique identity token.
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// The arena lineage this view is bound to (`None` before first
@@ -303,21 +242,21 @@ impl ArenaView {
         PathId(self.paths.global(local))
     }
 
-    /// Check that `arena` is a state of the bound lineage at least as
-    /// large as the last successful bind — i.e. every global id this
-    /// view has handed out resolves in `arena`. Consumers of the view's
-    /// local ids (engines) call this before indexing an offered arena,
-    /// so a mismatched observation set is a typed error, not silent
-    /// misindexing.
-    pub fn covers(&self, arena: &ArenaSnapshot) -> Result<(), ViewError> {
-        match self.lineage {
-            Some(expected) if expected == arena.lineage() => {}
-            other => {
-                return Err(ViewError::ForeignLineage {
-                    expected: other.unwrap_or(0),
-                    got: arena.lineage(),
-                });
-            }
+    /// Validate `obs`'s arena against the bound lineage, then extend the
+    /// projection with any set (and its member paths) an accepted
+    /// observation touches for the first time. `accepted` holds the
+    /// indices (into `obs.flows`) of the observations the engine takes
+    /// this epoch — executors derive them for every shard in one pass
+    /// over the epoch's touch signatures, so the bind on the inference
+    /// critical path is O(accepted), not O(observations). On error the
+    /// view is unchanged.
+    pub fn bind_epoch(&mut self, obs: &ObservationSet, accepted: &[u32]) -> Result<(), ViewError> {
+        let arena = &obs.arena;
+        if let Some(expected) = self.lineage.filter(|&l| l != arena.lineage()) {
+            return Err(ViewError::ForeignLineage {
+                expected,
+                got: arena.lineage(),
+            });
         }
         if arena.path_count() < self.seen_paths || arena.set_count() < self.seen_sets {
             return Err(ViewError::ArenaShrunk {
@@ -327,93 +266,17 @@ impl ArenaView {
                 got_sets: arena.set_count(),
             });
         }
-        Ok(())
-    }
-
-    /// The observations accepted this epoch, as indices into the bound
-    /// `obs.flows`, in observation order.
-    pub fn epoch_flows(&self) -> &[u32] {
-        &self.epoch_flows
-    }
-
-    /// Validate `obs`'s arena against the bound lineage, record the
-    /// epoch's accepted observations, and extend the projection with any
-    /// set (and its member paths) an accepted observation touches for
-    /// the first time.
-    ///
-    /// `filter` sees each observation's index in `obs.flows` plus the
-    /// observation, exactly like the engine-level flow filters, so
-    /// executors can answer from per-epoch precomputed signatures in
-    /// O(1). On error the view is unchanged (the epoch flow list is
-    /// cleared, never partially filled).
-    pub fn bind_epoch(
-        &mut self,
-        obs: &ObservationSet,
-        mut filter: impl FnMut(usize, &FlowObs) -> bool,
-    ) -> Result<(), ViewError> {
-        self.validate(&obs.arena)?;
-        self.epoch_flows.clear();
+        self.lineage = Some(arena.lineage());
         // Remap tables cover the whole arena (they are id-width, not
         // content-width — the dense structures an engine sizes by view
         // counts are what sparsity is about).
-        self.paths.ensure_ids(obs.arena.path_count());
-        self.sets.ensure_ids(obs.arena.set_count());
-        for (i, o) in obs.flows.iter().enumerate() {
-            if !filter(i, o) {
-                continue;
-            }
-            self.epoch_flows.push(i as u32);
-            self.project_set(&obs.arena, o.set);
-        }
-        self.seen_paths = obs.arena.path_count();
-        self.seen_sets = obs.arena.set_count();
-        Ok(())
-    }
-
-    /// [`bind_epoch`](Self::bind_epoch) from a precomputed accept list:
-    /// `accepted` holds the indices (into `obs.flows`, ascending) of the
-    /// observations this shard takes. The pipelined executor derives
-    /// accept lists for every shard in one pass over the epoch's touch
-    /// signatures during the assembly stage, so the per-shard bind on
-    /// the inference critical path is O(accepted), not O(observations).
-    pub fn bind_epoch_indices(
-        &mut self,
-        obs: &ObservationSet,
-        accepted: &[u32],
-    ) -> Result<(), ViewError> {
-        self.validate(&obs.arena)?;
-        self.epoch_flows.clear();
-        self.paths.ensure_ids(obs.arena.path_count());
-        self.sets.ensure_ids(obs.arena.set_count());
+        self.paths.ensure_ids(arena.path_count());
+        self.sets.ensure_ids(arena.set_count());
         for &i in accepted {
-            self.epoch_flows.push(i);
-            self.project_set(&obs.arena, obs.flows[i as usize].set);
+            self.project_set(arena, obs.flows[i as usize].set);
         }
-        self.seen_paths = obs.arena.path_count();
-        self.seen_sets = obs.arena.set_count();
-        Ok(())
-    }
-
-    /// Check that `arena` is a later state of the bound lineage.
-    fn validate(&mut self, arena: &ArenaSnapshot) -> Result<(), ViewError> {
-        match self.lineage {
-            None => self.lineage = Some(arena.lineage()),
-            Some(expected) if expected != arena.lineage() => {
-                return Err(ViewError::ForeignLineage {
-                    expected,
-                    got: arena.lineage(),
-                });
-            }
-            Some(_) => {}
-        }
-        if arena.path_count() < self.seen_paths || arena.set_count() < self.seen_sets {
-            return Err(ViewError::ArenaShrunk {
-                seen_paths: self.seen_paths,
-                seen_sets: self.seen_sets,
-                got_paths: arena.path_count(),
-                got_sets: arena.set_count(),
-            });
-        }
+        self.seen_paths = arena.path_count();
+        self.seen_sets = arena.set_count();
         Ok(())
     }
 
@@ -433,7 +296,7 @@ impl ArenaView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{AnalysisMode, PathArena};
+    use crate::input::{AnalysisMode, FlowObs, PathArena};
     use flock_topology::LinkId;
 
     /// An observation set over `arena`'s current content.
@@ -467,8 +330,7 @@ mod tests {
         let obs1 = obs_with(&arena, &[s1, s0, s1]);
 
         let mut view = ArenaView::new();
-        view.bind_epoch(&obs1, |_, _| true).unwrap();
-        assert_eq!(view.epoch_flows(), &[0, 1, 2]);
+        view.bind_epoch(&obs1, &[0, 1, 2]).unwrap();
         assert_eq!(view.n_sets(), 2);
         assert_eq!(view.n_paths(), 2);
         // First-touch order: s1 before s0.
@@ -479,11 +341,10 @@ mod tests {
         // Epoch 2: the arena grows; previously assigned locals persist.
         let s2 = arena.intern_single(&links(&[4]));
         let obs2 = obs_with(&arena, &[s2, s0]);
-        view.bind_epoch(&obs2, |_, _| true).unwrap();
+        view.bind_epoch(&obs2, &[0, 1]).unwrap();
         assert_eq!(view.local_set(s1), Some(0), "locals are stable");
         assert_eq!(view.local_set(s0), Some(1));
         assert_eq!(view.local_set(s2), Some(2));
-        assert_eq!(view.epoch_flows(), &[0, 1]);
     }
 
     #[test]
@@ -493,8 +354,7 @@ mod tests {
         let s1 = arena.intern_single(&links(&[1]));
         let obs = obs_with(&arena, &[s0, s1, s0]);
         let mut view = ArenaView::new();
-        view.bind_epoch(&obs, |i, _| i != 1).unwrap();
-        assert_eq!(view.epoch_flows(), &[0, 2]);
+        view.bind_epoch(&obs, &[0, 2]).unwrap();
         assert_eq!(view.n_sets(), 1, "the filtered-out set is unprojected");
         assert_eq!(view.local_set(s1), None);
     }
@@ -505,15 +365,15 @@ mod tests {
         let s = a.intern_single(&links(&[0]));
         let obs_a = obs_with(&a, &[s]);
         let mut view = ArenaView::new();
-        view.bind_epoch(&obs_a, |_, _| true).unwrap();
+        view.bind_epoch(&obs_a, &[0]).unwrap();
 
         let mut b = PathArena::new();
         let sb = b.intern_single(&links(&[0]));
         let obs_b = obs_with(&b, &[sb]);
-        let err = view.bind_epoch(&obs_b, |_, _| true).unwrap_err();
+        let err = view.bind_epoch(&obs_b, &[0]).unwrap_err();
         assert!(matches!(err, ViewError::ForeignLineage { .. }), "{err}");
         // The view still works against its own lineage.
-        view.bind_epoch(&obs_a, |_, _| true).unwrap();
+        view.bind_epoch(&obs_a, &[0]).unwrap();
     }
 
     #[test]
@@ -528,10 +388,10 @@ mod tests {
         let obs_big = obs_with(&arena, &[s0, s1]);
 
         let mut view = ArenaView::new();
-        view.bind_epoch(&obs_big, |_, _| true).unwrap();
-        let err = view.bind_epoch(&obs_small, |_, _| true).unwrap_err();
+        view.bind_epoch(&obs_big, &[0, 1]).unwrap();
+        let err = view.bind_epoch(&obs_small, &[0]).unwrap_err();
         assert!(matches!(err, ViewError::ArenaShrunk { .. }), "{err}");
         // The view is unchanged and still binds the newer snapshot.
-        view.bind_epoch(&obs_big, |_, _| true).unwrap();
+        view.bind_epoch(&obs_big, &[0, 1]).unwrap();
     }
 }

@@ -347,52 +347,12 @@ impl StreamDecoder {
         self.buf.extend_from_slice(chunk);
     }
 
-    /// Pop the next complete message, if one is fully buffered.
-    ///
-    /// On a framing/decoding error the buffered data cannot be resynced
-    /// (it is a TCP stream we no longer trust), so the decoder drains its
-    /// buffer and surfaces the error; the collector drops the connection.
-    pub fn next_message(&mut self) -> Result<Option<ExportMessage>, WireError> {
-        if self.buf.len() < HEADER_LEN {
-            return Ok(None);
-        }
-        let magic = u32::from_be_bytes(self.buf[0..4].try_into().unwrap());
-        if magic != MAGIC {
-            self.buf.clear();
-            return Err(WireError::BadMagic(magic));
-        }
-        let version = u16::from_be_bytes(self.buf[4..6].try_into().unwrap());
-        if version != VERSION_V1 && version != VERSION {
-            self.buf.clear();
-            return Err(WireError::BadVersion(version));
-        }
-        let msg_len = u32::from_be_bytes(self.buf[8..12].try_into().unwrap()) as usize;
-        if msg_len < header_len(version) {
-            self.buf.clear();
-            return Err(WireError::LengthMismatch {
-                declared: msg_len as u32,
-                consumed: header_len(version) as u32,
-            });
-        }
-        if self.buf.len() < msg_len {
-            return Ok(None);
-        }
-        let frame = self.buf.split_to(msg_len);
-        match decode_message(&frame) {
-            Ok(msg) => Ok(Some(msg)),
-            Err(e) => {
-                self.buf.clear();
-                Err(e)
-            }
-        }
-    }
-
     /// Pop the next decode event without poisoning the stream.
     ///
-    /// Unlike [`next_message`](Self::next_message), a malformed region of
-    /// the stream does not discard everything buffered: a frame whose
-    /// length field is trustworthy but whose content is not is dropped as
-    /// a unit ([`DecodeStep::Quarantined`]), and garbage with no usable
+    /// A malformed region of the stream does not discard everything
+    /// buffered: a frame whose length field is trustworthy but whose
+    /// content is not is dropped as a unit
+    /// ([`DecodeStep::Quarantined`]), and garbage with no usable
     /// header is skipped byte-wise to the next plausible frame boundary
     /// ([`DecodeStep::Resynced`]). The caller decides when accumulated
     /// quarantine/resync volume crosses its kill threshold — teardown is
@@ -489,6 +449,23 @@ pub enum DecodeStep {
 mod tests {
     use super::*;
 
+    /// Feed `stream` in `chunk`-byte pieces and collect every message; a
+    /// clean stream must never quarantine or resync.
+    fn decode_chunked(dec: &mut StreamDecoder, stream: &[u8], chunk: usize) -> Vec<ExportMessage> {
+        let mut out = Vec::new();
+        for piece in stream.chunks(chunk) {
+            dec.feed(piece);
+            loop {
+                match dec.next_step() {
+                    DecodeStep::Message(msg) => out.push(msg),
+                    DecodeStep::NeedMore => break,
+                    other => panic!("clean stream produced {other:?}"),
+                }
+            }
+        }
+        out
+    }
+
     fn sample_records() -> Vec<FlowRecord> {
         vec![
             FlowRecord {
@@ -567,13 +544,7 @@ mod tests {
         all.extend_from_slice(&encode_message(1, 20, 2, &recs));
 
         let mut dec = StreamDecoder::new();
-        let mut out = Vec::new();
-        for chunk in all.chunks(11) {
-            dec.feed(chunk);
-            while let Some(msg) = dec.next_message().unwrap() {
-                out.push(msg);
-            }
-        }
+        let out = decode_chunked(&mut dec, &all, 11);
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].epoch_seq, None);
         assert_eq!(out[1].epoch_seq, Some(1));
@@ -588,8 +559,11 @@ mod tests {
         let mut hdr = encode_message(1, 0, 0, &[]).to_vec();
         hdr[4..6].copy_from_slice(&9u16.to_be_bytes());
         dec.feed(&hdr);
-        assert!(matches!(dec.next_message(), Err(WireError::BadVersion(9))));
-        assert_eq!(dec.buffered(), 0, "poisoned buffer must be dropped");
+        assert!(matches!(
+            dec.next_step(),
+            DecodeStep::Quarantined(WireError::BadVersion(9))
+        ));
+        assert_eq!(dec.buffered(), 0, "the frame is dropped as a unit");
     }
 
     #[test]
@@ -614,14 +588,8 @@ mod tests {
         all.extend_from_slice(&m2);
 
         let mut dec = StreamDecoder::new();
-        let mut out = Vec::new();
         // Feed in awkward 7-byte chunks.
-        for chunk in all.chunks(7) {
-            dec.feed(chunk);
-            while let Some(msg) = dec.next_message().unwrap() {
-                out.push(msg);
-            }
-        }
+        let out = decode_chunked(&mut dec, &all, 7);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].sequence, 0);
         assert_eq!(out[1].sequence, 1);
@@ -633,8 +601,14 @@ mod tests {
     fn bad_magic_is_rejected() {
         let mut dec = StreamDecoder::new();
         dec.feed(&[0u8; HEADER_LEN]);
-        assert!(matches!(dec.next_message(), Err(WireError::BadMagic(0))));
-        assert_eq!(dec.buffered(), 0, "poisoned buffer must be dropped");
+        assert!(matches!(
+            dec.next_step(),
+            DecodeStep::Resynced {
+                cause: WireError::BadMagic(0),
+                ..
+            }
+        ));
+        assert_eq!(dec.buffered(), 3, "only a possible partial magic stays");
     }
 
     #[test]

@@ -119,7 +119,12 @@ proptest! {
         let mut seen = 0usize;
         for piece in all.chunks(chunk) {
             dec.feed(piece);
-            while let Some(msg) = dec.next_message().unwrap() {
+            loop {
+                let msg = match dec.next_step() {
+                    DecodeStep::Message(msg) => msg,
+                    DecodeStep::NeedMore => break,
+                    other => panic!("clean stream produced {other:?}"),
+                };
                 prop_assert_eq!(&msg.records, &records);
                 prop_assert_eq!(msg.export_time_ms, seen as u64);
                 let expect_v2 = versions[seen % versions.len()];
