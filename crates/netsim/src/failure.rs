@@ -178,9 +178,7 @@ fn plane_incident_links(topo: &Topology, planes: &SpinePlanes, plane: u16) -> Ve
 /// to the spines of one plane, with drop rates from `fail_range`.
 ///
 /// Because a striped Clos carries disjoint ECMP slices per plane, every
-/// flow that can observe these failures crosses exactly this plane —
-/// the workload the per-plane spine shards of `flock-stream` localize
-/// without consulting any other plane's engine.
+/// flow that can observe these failures crosses exactly this plane.
 pub fn plane_link_drops<R: Rng + ?Sized>(
     topo: &Topology,
     planes: &SpinePlanes,
@@ -195,11 +193,10 @@ pub fn plane_link_drops<R: Rng + ?Sized>(
 
 /// [`plane_link_drops`] across several planes at once: `n_failed` links
 /// in *each* listed plane, one shared noise floor. Simultaneous faults
-/// in two or more planes are the workload that forces the cross-plane
-/// refinement pass of `flock-stream` every epoch — the property tests
-/// and the `fixed_cost` bench both build their scenarios through this
-/// helper so the composition (noise applied once, per-plane candidate
-/// selection, merged ground truth) cannot drift between them.
+/// in two or more planes give every spine-plane slice of the evidence
+/// its own fault at once; the stream tests build such scenarios through
+/// this helper so the composition (noise applied once, per-plane
+/// candidate selection, merged ground truth) cannot drift between them.
 pub fn multi_plane_link_drops<R: Rng + ?Sized>(
     topo: &Topology,
     planes: &SpinePlanes,

@@ -190,7 +190,7 @@ impl VerdictStore {
                 report.result.hypotheses_scanned as f64 / runtime_s,
             );
         }
-        for shard in report.shards.iter().chain(&report.refined) {
+        for shard in &report.shards {
             self.metrics
                 .observe("shard_engine_ms", shard.elapsed.as_secs_f64() * 1e3);
         }

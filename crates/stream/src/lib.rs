@@ -13,10 +13,8 @@
 //!   an O(buckets) fast path for wire-v2 input the collector reactor
 //!   already grouped by agent-stamped epoch;
 //! * [`shard`] — partitions blame ownership over the component space
-//!   (per pod, plus one shard per spine *plane*, derived from the
-//!   fabric's stripe structure via [`flock_topology::SpinePlanes`]) so
-//!   per-epoch inference can run shard-parallel on a thread pool with
-//!   no single spine engine on the critical path;
+//!   (one shard per pod plus one for the spine tier) so per-epoch
+//!   inference can run shard-parallel on a thread pool;
 //! * [`exec`] — a persistent work-stealing shard executor: fixed worker
 //!   threads over per-shard FIFO task queues, replacing the per-epoch
 //!   spawn/join barrier and letting consecutive epochs overlap per
@@ -26,9 +24,7 @@
 //!   **warm-starts** each shard's engine from the previous epoch
 //!   ([`flock_core::Engine::try_bind`] +
 //!   [`flock_core::FlockGreedy::search_warm`], with removal moves so
-//!   healed faults are dropped), arbitrates spine blame across planes
-//!   with a cross-plane refinement pass when several planes hypothesize
-//!   at once, and merges shard verdicts into one
+//!   healed faults are dropped), and merges shard verdicts into one
 //!   [`flock_core::LocalizationResult`] per epoch. With
 //!   [`StreamConfig::pipelined`] set, assembly of epoch `N + 1` extends
 //!   the one arena while inference of epoch `N` reads its snapshot

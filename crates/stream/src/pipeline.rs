@@ -27,23 +27,15 @@
 //!    previous hypothesis, and the greedy search continues from there
 //!    with removals enabled so heals are detected
 //!    ([`FlockGreedy::search_warm`]);
-//! 4. when two or more spine-*plane* shards blame components — each from
-//!    its plane-filtered slice of the evidence — a **cross-plane
-//!    refinement pass** re-searches the union of their hypotheses over
-//!    the evidence touching the *blaming planes only* (its own
-//!    persistent engine), so a flow pinned to one plane by ECMP hashing is
-//!    never double-blamed when its passive path set straddles planes
-//!    (the refined verdict supersedes the blaming planes' own), and a
-//!    steady multi-plane fault never pays full single-spine cost;
-//! 5. shard verdicts are merged under blame ownership into one
+//! 4. shard verdicts are merged under blame ownership into one
 //!    [`LocalizationResult`] per epoch.
 
 use crate::epoch::{Epoch, EpochConfig, EpochManager};
 use crate::exec::ShardExecutor;
-use crate::shard::{SetTouch, SetTouchIndex, Shard, ShardKind, ShardPlan};
+use crate::shard::{SetTouchIndex, Shard, ShardKind, ShardPlan};
 use flock_core::{
-    CompIdx, ComponentSpace, Engine, EngineOptions, EngineStateSizes, EpochFlowTable, FlockGreedy,
-    HyperParams, LocalizationResult, TermDirectory,
+    CompIdx, Engine, EngineOptions, EngineStateSizes, EpochFlowTable, FlockGreedy, HyperParams,
+    LocalizationResult, TermDirectory,
 };
 use flock_telemetry::{
     AnalysisMode, Assembler, DrainBatch, FlowRecord, InputKind, MonitoredFlow, ObservationSet,
@@ -68,8 +60,8 @@ pub struct StreamConfig {
     pub mode: AnalysisMode,
     /// Inference hyperparameters.
     pub params: HyperParams,
-    /// Partition the component space into one shard per pod plus one per
-    /// spine *plane* ([`ShardPlan::by_pod`]) and run shards on separate
+    /// Partition the component space into one shard per pod plus one
+    /// spine shard ([`ShardPlan::by_pod`]) and run shards on separate
     /// threads (`false` = one shard owning everything).
     pub shard_by_pod: bool,
     /// Per-epoch inference deadline, measured from the start of
@@ -80,10 +72,10 @@ pub struct StreamConfig {
     /// [`DegradeReason::ShardDeadline`]. `None` (the default) never
     /// truncates.
     pub epoch_deadline: Option<Duration>,
-    /// Fault-injection hook consulted by every shard (and the
-    /// refinement pass) at the top of its epoch run — the seam the
-    /// chaos harness uses to panic or stall inference threads without a
-    /// test-only build. `None` (the default) injects nothing.
+    /// Fault-injection hook consulted by every shard at the top of its
+    /// epoch run — the seam the chaos harness uses to panic or stall
+    /// inference threads without a test-only build. `None` (the
+    /// default) injects nothing.
     pub chaos: Option<ChaosHook>,
     /// Overlap epochs: [`StreamPipeline::poll`] /
     /// [`StreamPipeline::drain`] submit each epoch's shard jobs to the
@@ -179,10 +171,6 @@ pub enum DegradeReason {
         /// Label of the truncated shard.
         shard: String,
     },
-    /// The cross-plane refinement pass panicked; the blaming planes'
-    /// own verdicts stand un-refined (straddling path sets may be
-    /// double-blamed this epoch).
-    RefinementPanicked,
     /// The windowing layer dropped records as late (closed window or
     /// beyond the lateness horizon) since the previous report — evidence
     /// that never reached any shard.
@@ -213,7 +201,6 @@ impl fmt::Display for DegradeReason {
         match self {
             DegradeReason::ShardPanicked { shard } => write!(f, "shard-panicked:{shard}"),
             DegradeReason::ShardDeadline { shard } => write!(f, "shard-deadline:{shard}"),
-            DegradeReason::RefinementPanicked => f.write_str("refinement-panicked"),
             DegradeReason::LateRecords { count } => write!(f, "late-records:{count}"),
             DegradeReason::RejectedRecords { count } => write!(f, "rejected-records:{count}"),
             DegradeReason::External { what } => write!(f, "external:{what}"),
@@ -275,7 +262,7 @@ impl EpochHealth {
 /// epoch, re-seeded from its last good hypothesis.
 #[derive(Debug, Clone, Serialize)]
 pub struct ShardFailure {
-    /// Label of the failed shard (`pod3`, `spine-p0`, `spine-refine`…).
+    /// Label of the failed shard (`pod3`, `spine`, `all`).
     pub shard: String,
     /// The panic payload, stringified when it was a `&str`/`String`.
     pub panic_message: String,
@@ -290,9 +277,9 @@ pub struct ShardFailure {
 pub struct Provenance {
     /// The convicted component.
     pub component: Component,
-    /// Label of the shard whose engine convicted it (`pod1`,
-    /// `spine-p0`, `spine-refine`, …) — after the merge, the shard
-    /// whose score won blame ownership.
+    /// Label of the shard whose engine convicted it (`pod1`, `spine`,
+    /// `all`) — after the merge, the shard whose score won blame
+    /// ownership.
     pub shard: String,
     /// The conviction score (log-likelihood gain; the merge key).
     pub score: f64,
@@ -314,15 +301,11 @@ pub const PROVENANCE_SETS_CAP: usize = 8;
 /// Per-shard outcome inside an [`EpochReport`].
 #[derive(Debug, Clone, Serialize)]
 pub struct ShardOutcome {
-    /// Shard label (`pod3`, `spine`, `spine-p0`, `spine-refine`, `all`).
-    /// Unique within a report.
+    /// Shard label (`pod3`, `spine`, `all`). Unique within a report.
     pub label: String,
-    /// What the shard covered (refinement reports [`ShardKind::Spine`],
-    /// since it re-searches the whole spine tier).
+    /// What the shard covered.
     pub kind: ShardKind,
-    /// Components the shard blamed *and owns* — what the merge keeps,
-    /// unless a cross-plane refinement pass superseded the plane shards
-    /// this epoch (see [`EpochReport::refined`]).
+    /// Components the shard blamed *and owns* — what the merge keeps.
     pub kept: usize,
     /// Super-flows the shard's engine built this epoch (distinct evidence
     /// keys).
@@ -340,7 +323,7 @@ pub struct ShardOutcome {
     /// Resident state sizes of the shard's engine — each entry scales
     /// with the shard's own evidence history, not the shared arena (the
     /// sparsity invariant of the per-shard view layer, asserted by the
-    /// `state_sparsity` tests).
+    /// `state_sparsity` test).
     pub state: EngineStateSizes,
     /// Wall-clock time this shard spent binding, rebinding, and
     /// searching this epoch (the per-shard engine-time metric).
@@ -365,9 +348,9 @@ pub struct ShardOutcome {
 /// Where an epoch's wall time went, split at the executor boundary.
 ///
 /// `prepare` (the assembly stage: `assemble`, `index` and `flow_table`
-/// below, plus job submission) and `merge` (refinement +
-/// blame-ownership merge + provenance) both run on the *caller's*
-/// thread; the shard searches between them run on the executor. Under
+/// below, plus job submission) and `merge` (blame-ownership merge +
+/// provenance) both run on the *caller's* thread; the shard searches
+/// between them run on the executor. Under
 /// [`StreamConfig::pipelined`], `prepare` of epoch `N + 1` overlaps the
 /// shard searches of epoch `N`, so the steady-state cost per epoch is
 /// `max(prepare + merge, slowest shard chain)`.
@@ -375,7 +358,7 @@ pub struct ShardOutcome {
 pub struct StageTimings {
     /// Assembly-stage wall time (caller thread, overlappable).
     pub prepare: Duration,
-    /// Collect-stage wall time: refinement (when it ran) + merge.
+    /// Collect-stage wall time: the blame-ownership merge.
     pub merge: Duration,
     /// The part of `prepare` spent producing the [`ObservationSet`]:
     /// interning, sorting, coalescing.
@@ -405,11 +388,10 @@ pub struct EpochReport {
     pub result: LocalizationResult,
     /// Per-shard accounting.
     pub shards: Vec<ShardOutcome>,
-    /// Cross-plane refinement accounting — present only on epochs where
-    /// two or more spine-plane shards blamed components and the
-    /// refinement pass re-searched the union of their hypotheses over
-    /// the evidence touching the blaming planes. When present, the
-    /// refined picks replace the plane shards' in the merged verdict.
+    /// Always `None`: the pipeline runs no second pass over the shard
+    /// verdicts. Kept only for the benchmark driver, which reads it for
+    /// `pipeline.refined_epochs` and its per-shard sums; it goes with
+    /// that read (ROADMAP 1(a)). Nothing in the product sets it.
     pub refined: Option<ShardOutcome>,
     /// Provenance of each merged verdict, in `result.predicted` order:
     /// the convicting shard's evidence for the component (the shard
@@ -423,15 +405,6 @@ pub struct EpochReport {
     pub failures: Vec<ShardFailure>,
     /// Caller-thread stage costs (see [`StageTimings`]).
     pub stages: StageTimings,
-}
-
-impl EpochReport {
-    /// Outcomes of the spine-plane shards, in plane order.
-    pub fn spine_planes(&self) -> impl Iterator<Item = &ShardOutcome> {
-        self.shards
-            .iter()
-            .filter(|s| matches!(s.kind, ShardKind::SpinePlane(_)))
-    }
 }
 
 /// Per-shard persistent inference state.
@@ -456,8 +429,6 @@ struct TaskCtx {
 /// epoch. Taken apart (its buffers reclaimed) when the epoch is collected.
 struct EpochCtx {
     obs: ObservationSet,
-    /// Each observation's combined (set ∪ prefix) touch signature.
-    touches: Vec<SetTouch>,
     /// Per shard: ascending indices of the observations it accepts —
     /// computed once on the assembly stage so shard binding is a
     /// replay, not a filter scan.
@@ -476,7 +447,7 @@ struct TaskDone {
     run: ShardRun,
 }
 
-type ShardRun = Result<(Vec<(CompIdx, f64)>, ShardOutcome), ShardFailure>;
+type ShardRun = Result<ShardOutcome, ShardFailure>;
 
 /// An epoch submitted to the executor and not yet collected.
 struct InFlight {
@@ -532,21 +503,11 @@ pub struct StreamPipeline<'t> {
     /// The flows reconstructed from the last closed epoch's records;
     /// `run_epoch` refills the vector in place.
     spare_monitored: Vec<MonitoredFlow>,
-    /// Previous epoch's touch-signature, accept-list and flow-table
-    /// buffers, reclaimed at collect and refilled in place the next
-    /// epoch.
-    spare_touches: Vec<SetTouch>,
+    /// Previous epoch's accept-list and flow-table buffers, reclaimed
+    /// at collect and refilled in place the next epoch.
     spare_accept: Vec<Vec<u32>>,
     spare_flow_table: EpochFlowTable,
     touch: SetTouchIndex,
-    /// Persistent engine of the cross-plane refinement pass, built
-    /// lazily on the first epoch that triggers it; its view accumulates
-    /// evidence from whichever planes have ever blamed.
-    refine_engine: Option<Engine>,
-    /// The refinement pass's blame scope, as a shard: `owned` is
-    /// rewritten each refining epoch to the union of the blaming
-    /// planes' ownership.
-    refine_shard: Shard,
     /// Late-record count already attributed to an emitted report's
     /// health; the delta above this degrades the next report.
     late_attributed: u64,
@@ -567,13 +528,6 @@ impl<'t> StreamPipeline<'t> {
         } else {
             ShardPlan::single(topo)
         };
-        Self::with_plan(topo, cfg, plan)
-    }
-
-    /// Build a pipeline over `topo` running an explicit shard `plan`
-    /// ([`StreamConfig::shard_by_pod`] is not consulted) — how tests
-    /// construct reference plans a deployment cannot select.
-    pub fn with_plan(topo: &'t Topology, cfg: StreamConfig, plan: ShardPlan) -> Self {
         let states: Vec<ShardState> = plan
             .shards
             .iter()
@@ -588,11 +542,6 @@ impl<'t> StreamPipeline<'t> {
             cfg: cfg.clone(),
             shards: plan.shards.clone(),
         });
-        let refine_shard = Shard {
-            label: "spine-refine".into(),
-            kind: ShardKind::Spine,
-            owned: vec![false; ComponentSpace::new(topo).n_comps()],
-        };
         StreamPipeline {
             topo,
             router: Router::new(topo),
@@ -605,12 +554,9 @@ impl<'t> StreamPipeline<'t> {
             task_ctx,
             in_flight: None,
             spare_monitored: Vec::new(),
-            spare_touches: Vec::new(),
             spare_accept: Vec::new(),
             spare_flow_table: EpochFlowTable::new(),
             touch: SetTouchIndex::new(),
-            refine_engine: None,
-            refine_shard,
             late_attributed: 0,
             rejected_records: 0,
             pending_flags: Vec::new(),
@@ -792,19 +738,14 @@ impl<'t> StreamPipeline<'t> {
         // Derive each observation's combined touch signature once and
         // answer every shard's relevance from it in the same pass; each
         // shard then binds by replaying its accept list instead of
-        // re-filtering the epoch. The buffers are the previous epoch's,
+        // re-filtering the epoch. The lists are the previous epoch's,
         // reclaimed at collect — warm capacity, no per-epoch allocation.
         let n_shards = self.plan.shards.len();
-        let mut touches = std::mem::take(&mut self.spare_touches);
-        touches.clear();
-        touches.reserve(obs.flows.len());
         let mut accept = std::mem::take(&mut self.spare_accept);
         accept.resize_with(n_shards, Vec::new);
         accept.iter_mut().for_each(Vec::clear);
         for (i, o) in obs.flows.iter().enumerate() {
-            let (set_touch, prefix_touch) = self.touch.flow_touch(self.topo, o);
-            let t = set_touch.union(prefix_touch);
-            touches.push(t);
+            let t = self.touch.flow_touch(o);
             for (si, shard) in self.plan.shards.iter().enumerate() {
                 if shard.relevant_combined(t) {
                     accept[si].push(i as u32);
@@ -834,7 +775,6 @@ impl<'t> StreamPipeline<'t> {
         let records = monitored.len();
         let ctx = Arc::new(EpochCtx {
             obs,
-            touches,
             accept,
             flow_table,
             deadline,
@@ -884,8 +824,7 @@ impl<'t> StreamPipeline<'t> {
         }
     }
 
-    /// The collect stage: receive every shard verdict, run the
-    /// cross-plane refinement when warranted, merge under blame
+    /// The collect stage: receive every shard verdict, merge under blame
     /// ownership, and reclaim the epoch's buffers for the next assembly.
     fn collect_inflight(&mut self, f: InFlight) -> EpochReport {
         let InFlight {
@@ -924,71 +863,6 @@ impl<'t> StreamPipeline<'t> {
             .collect();
         let merge_started = Instant::now();
 
-        // Cross-plane refinement: when two or more plane shards blame
-        // spine components — each having seen only its plane-filtered
-        // slice of the evidence — re-search the union of their
-        // hypotheses over the evidence touching the blaming planes,
-        // with removals, so blame duplicated across planes by straddling
-        // path sets is dropped. Epochs where at most one plane blames
-        // (the common case) skip this entirely, which is what lets plane
-        // sharding scale the spine tier; the narrow evidence scope keeps
-        // even the refining epochs O(blaming planes' evidence) instead
-        // of full single-spine cost.
-        let mut refined: Option<(Vec<(CompIdx, f64)>, ShardOutcome)> = None;
-        let mut refinement_panic: Option<String> = None;
-        let blaming: Vec<u16> = outcomes
-            .iter()
-            .zip(&self.plan.shards)
-            .filter_map(|(run, s)| match (run, s.kind) {
-                (Ok((kept, _)), ShardKind::SpinePlane(p)) if !kept.is_empty() => Some(p),
-                _ => None,
-            })
-            .collect();
-        if blaming.len() >= 2 {
-            let mut seed: Vec<CompIdx> = outcomes
-                .iter()
-                .zip(&self.plan.shards)
-                .filter(|(_, s)| matches!(s.kind, ShardKind::SpinePlane(_)))
-                .flat_map(|(run, _)| {
-                    run.iter()
-                        .flat_map(|(kept, _)| kept.iter().map(|&(c, _)| c))
-                })
-                .collect();
-            seed.sort_unstable();
-            seed.dedup();
-            // Same isolation boundary as the shards: a panicking
-            // refinement pass resets its persistent engine and lets the
-            // blaming planes' own verdicts stand un-refined.
-            match catch_unwind(AssertUnwindSafe(|| {
-                self.refine_spine(&ctx, &seed, &blaming)
-            })) {
-                Ok(r) => refined = Some(r),
-                Err(payload) => {
-                    self.refine_engine = None;
-                    refinement_panic = Some(panic_message(payload.as_ref()));
-                }
-            }
-        }
-        let refine_ran = refined.is_some();
-
-        // Merge under blame ownership: max score wins on overlap; plane
-        // shards are superseded by the refinement pass when it ran. The
-        // winning shard's provenance travels with its score.
-        let mut merged: HashMap<Component, Provenance> = HashMap::new();
-        let mut merge_in = |kept: Vec<(CompIdx, f64)>, provs: &[Provenance]| {
-            for ((_, score), prov) in kept.into_iter().zip(provs) {
-                match merged.entry(prov.component) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        if score > e.get().score {
-                            e.insert(prov.clone());
-                        }
-                    }
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert(prov.clone());
-                    }
-                }
-            }
-        };
         // Evidence coverage: the fraction of shard-relevant observation
         // slots whose shard search completed. A panicked shard zeroes
         // its slots; a deadline-truncated shard saw its evidence (the
@@ -1009,14 +883,17 @@ impl<'t> StreamPipeline<'t> {
             covered_slots as f64 / relevant_slots as f64
         };
 
+        // Merge under blame ownership: max score wins on overlap, and the
+        // winning shard's provenance travels with its score.
+        let mut merged: HashMap<Component, Provenance> = HashMap::new();
         let mut reasons: Vec<DegradeReason> = Vec::new();
         let mut failures: Vec<ShardFailure> = Vec::new();
         let mut scanned = 0u64;
         let mut log_likelihood = 0.0f64;
         let mut shard_outcomes = Vec::with_capacity(outcomes.len());
-        for (run, shard) in outcomes.into_iter().zip(&self.plan.shards) {
-            let (kept, outcome) = match run {
-                Ok(r) => r,
+        for run in outcomes {
+            let outcome = match run {
+                Ok(outcome) => outcome,
                 Err(failure) => {
                     reasons.push(DegradeReason::ShardPanicked {
                         shard: failure.shard.clone(),
@@ -1030,36 +907,26 @@ impl<'t> StreamPipeline<'t> {
             // the engine's LL exactly; with several it sums over the
             // shard-filtered flow subsets (flows relevant to multiple
             // shards contribute once per shard), so it is comparable
-            // across epochs of the same plan, not across plans. The
-            // refinement pass is excluded for the same reason: it runs
-            // only on some epochs.
+            // across epochs of the same plan, not across plans.
             log_likelihood += outcome.log_likelihood;
             if outcome.timed_out {
                 reasons.push(DegradeReason::ShardDeadline {
                     shard: outcome.label.clone(),
                 });
             }
-            if !(refine_ran && matches!(shard.kind, ShardKind::SpinePlane(_))) {
-                merge_in(kept, &outcome.provenance);
+            for prov in &outcome.provenance {
+                match merged.entry(prov.component) {
+                    std::collections::hash_map::Entry::Occupied(mut e) => {
+                        if prov.score > e.get().score {
+                            e.insert(prov.clone());
+                        }
+                    }
+                    std::collections::hash_map::Entry::Vacant(v) => {
+                        v.insert(prov.clone());
+                    }
+                }
             }
             shard_outcomes.push(outcome);
-        }
-        let refined_outcome = refined.map(|(kept, outcome)| {
-            scanned += outcome.hypotheses_scanned;
-            if outcome.timed_out {
-                reasons.push(DegradeReason::ShardDeadline {
-                    shard: outcome.label.clone(),
-                });
-            }
-            merge_in(kept, &outcome.provenance);
-            outcome
-        });
-        if let Some(panic_message) = refinement_panic {
-            reasons.push(DegradeReason::RefinementPanicked);
-            failures.push(ShardFailure {
-                shard: self.refine_shard.label.clone(),
-                panic_message,
-            });
         }
         // Late-record and externally-flagged reasons were sampled when
         // this epoch was submitted (they are its news, not the next
@@ -1096,7 +963,6 @@ impl<'t> StreamPipeline<'t> {
         };
         // The next epoch refills them in place instead of re-allocating
         // a megabyte on the assembly stage's critical path.
-        self.spare_touches = ectx.touches;
         self.spare_accept = ectx.accept;
         self.spare_flow_table = ectx.flow_table;
         self.assembler.recycle(ectx.obs);
@@ -1117,87 +983,35 @@ impl<'t> StreamPipeline<'t> {
                 runtime: stages.prepare + submitted.elapsed(),
             },
             shards: shard_outcomes,
-            refined: refined_outcome,
+            refined: None,
             provenance,
             health,
             failures,
             stages,
         }
     }
-
-    /// The cross-plane refinement pass: warm-rebind (or build) the
-    /// persistent refinement engine over the evidence touching the
-    /// epoch's blaming planes and re-search from the union of the
-    /// blaming planes' hypotheses (`seed`, global component ids).
-    ///
-    /// Blame scope follows the evidence scope: only components owned by
-    /// the blaming planes are kept. Verdict identity against the
-    /// single-spine reference plan is property-tested in
-    /// `plane_sharding.rs`.
-    fn refine_spine(
-        &mut self,
-        ctx: &EpochCtx,
-        seed: &[CompIdx],
-        blaming: &[u16],
-    ) -> (Vec<(CompIdx, f64)>, ShardOutcome) {
-        let started = Instant::now();
-        let epoch_index = ctx.epoch_index;
-        if let Some(chaos) = &self.cfg.chaos {
-            match chaos.call(&self.refine_shard.label, epoch_index) {
-                Some(ShardChaos::Panic) => {
-                    panic!("chaos: injected panic in refinement pass (epoch {epoch_index})")
-                }
-                Some(ShardChaos::Stall(d)) => chaos_stall(d, ctx.deadline),
-                None => {}
-            }
-        }
-        let blame_mask: u64 = blaming.iter().fold(0u64, |m, &p| m | 1u64 << (p % 64));
-        let accepted: Vec<u32> = (0u32..)
-            .zip(&ctx.touches)
-            .filter(|(_, t)| t.planes & blame_mask != 0)
-            .map(|(i, _)| i)
-            .collect();
-        // Blame scope: comps owned by the blaming planes.
-        self.refine_shard.owned.fill(false);
-        for s in &self.plan.shards {
-            if matches!(s.kind, ShardKind::SpinePlane(p) if blaming.contains(&p)) {
-                for (mine, &theirs) in self.refine_shard.owned.iter_mut().zip(&s.owned) {
-                    *mine |= theirs;
-                }
-            }
-        }
-        // A seed component always has evidence in the refinement
-        // engine: the flows that implicated it in its plane's engine
-        // touch that (blaming) plane, so the filter above accepted them.
-        let (_, kept, outcome) = localize_bound(
-            &mut self.refine_engine,
-            &accepted,
-            &self.task_ctx,
-            ctx,
-            &self.refine_shard,
-            seed,
-            started,
-        );
-        (kept, outcome)
-    }
 }
 
 /// Localize one epoch on one shard: bind the shard's persistent engine
-/// to the epoch's accepted observations (the accept list computed on the
-/// assembly stage), search warm from the previous verdict, and return
-/// the owned predictions as *global* dense component indices (the merge
-/// translates through each verdict's provenance, and the cross-plane
-/// refinement seeds from them). Runs on an executor worker thread.
-fn run_shard(
-    tctx: &TaskCtx,
-    idx: usize,
-    state: &mut ShardState,
-    ectx: &EpochCtx,
-) -> (Vec<(CompIdx, f64)>, ShardOutcome) {
+/// (made on first use) to the epoch's accepted observations (the accept
+/// list computed on the assembly stage) *at* the shard's previous
+/// verdict, reading the epoch's flow table, continue the warm search
+/// from there, and report what the shard owns of the result. The seed
+/// and every reported component are *global* dense ids — stable across
+/// engine rebuilds, and what the merge speaks. Runs on an executor
+/// worker thread.
+///
+/// # Panics
+/// If the engine refuses the epoch's arena. The pipeline has one
+/// assembler — one lineage, snapshots that only grow — so a
+/// [`flock_telemetry::ViewError`] here is a pipeline bug, contained at
+/// the job's `catch_unwind` like any other shard panic.
+fn run_shard(tctx: &TaskCtx, idx: usize, state: &mut ShardState, ectx: &EpochCtx) -> ShardOutcome {
     let started = Instant::now();
+    let (topo, cfg, obs) = (&tctx.topo, &tctx.cfg, &ectx.obs);
     let shard = &tctx.shards[idx];
     let epoch_index = ectx.epoch_index;
-    if let Some(chaos) = &tctx.cfg.chaos {
+    if let Some(chaos) = &cfg.chaos {
         match chaos.call(&shard.label, epoch_index) {
             Some(ShardChaos::Panic) => panic!(
                 "chaos: injected panic in shard `{}` (epoch {epoch_index})",
@@ -1207,51 +1021,12 @@ fn run_shard(
             None => {}
         }
     }
-    let (picked, kept, outcome) = localize_bound(
-        &mut state.engine,
-        &ectx.accept[idx],
-        tctx,
-        ectx,
-        shard,
-        &state.prev,
-        started,
-    );
-    // A deadline-truncated hypothesis still seeds the next epoch: every
-    // pick in it improved the posterior, and the warm search removes
-    // seeds that stop paying.
-    state.prev = picked;
-    (kept, outcome)
-}
-
-/// How an epoch binds an engine, for the shards and the refinement pass
-/// alike: bind the engine in `slot` (made on first use) to the epoch's
-/// `accepted` observations *at* the hypothesis `seed`, reading the
-/// epoch's flow table, continue the warm search from there, and report
-/// what `shard` owns of the result. `seed` and every returned component
-/// are *global* dense ids — stable across engine rebuilds, and what the
-/// merge and refinement layers speak. Returns `(every pick, owned picks
-/// with scores, outcome)`.
-///
-/// # Panics
-/// If the engine refuses the epoch's arena. The pipeline has one
-/// assembler — one lineage, snapshots that only grow — so a
-/// [`flock_telemetry::ViewError`] here is a pipeline bug, contained at
-/// the caller's `catch_unwind` like any other shard panic.
-fn localize_bound(
-    slot: &mut Option<Engine>,
-    accepted: &[u32],
-    tctx: &TaskCtx,
-    ectx: &EpochCtx,
-    shard: &Shard,
-    seed: &[CompIdx],
-    started: Instant,
-) -> (Vec<CompIdx>, Vec<(CompIdx, f64)>, ShardOutcome) {
-    let (topo, cfg, obs) = (&tctx.topo, &tctx.cfg, &ectx.obs);
-    let warm = slot.is_some();
+    let warm = state.engine.is_some();
     let rebind_started = Instant::now();
-    let engine =
-        slot.get_or_insert_with(|| Engine::unbound(topo, cfg.params, EngineOptions::default()));
-    if let Err(e) = engine.try_bind(topo, obs, accepted, &ectx.flow_table, seed) {
+    let engine = state
+        .engine
+        .get_or_insert_with(|| Engine::unbound(topo, cfg.params, EngineOptions::default()));
+    if let Err(e) = engine.try_bind(topo, obs, &ectx.accept[idx], &ectx.flow_table, &state.prev) {
         panic!("shard `{}` cannot bind the epoch: {e}", shard.label);
     }
     let search_started = Instant::now();
@@ -1287,7 +1062,11 @@ fn localize_bound(
         timed_out: search.timed_out,
         provenance,
     };
-    (picked, kept, outcome)
+    // A deadline-truncated hypothesis still seeds the next epoch: every
+    // pick in it improved the posterior, and the warm search removes
+    // seeds that stop paying.
+    state.prev = picked;
+    outcome
 }
 
 /// Stringify a caught panic payload (panics raised by `panic!` carry a

@@ -4,18 +4,17 @@
 //! planes: spine plane `j` serves aggregation position `j` of every pod,
 //! so the ECMP path set between two pods decomposes into per-plane
 //! slices that share no spine switch or spine-incident link. That
-//! structural independence is what lets the online pipeline run one
-//! inference engine per plane (`flock-stream`'s
-//! `ShardKind::SpinePlane`): evidence against a plane's components can
-//! only come from flows whose candidate paths cross that plane.
+//! structural independence is what plane-confined failure scenarios
+//! (`flock-netsim`'s `plane_link_drops`) build on: evidence against a
+//! plane's components can only come from flows whose candidate paths
+//! cross that plane.
 //!
 //! [`SpinePlanes::derive`] recovers the striping from the graph alone —
 //! no builder metadata needed — by grouping spines on the set of
 //! down-neighbor positions they attach to, and *validates* the grouping
 //! (groups must be pairwise disjoint in the positions they serve). On
 //! arbitrary graphs where the validation fails, it falls back to a
-//! single plane containing every spine, which degrades per-plane
-//! sharding to the single-spine-shard plan rather than producing an
+//! single plane containing every spine rather than producing an
 //! incorrect partition.
 
 use crate::graph::{LinkId, NodeId, NodeRole, Topology};
@@ -132,21 +131,9 @@ impl SpinePlanes {
         &self.members[plane as usize]
     }
 
-    /// The plane a directed link belongs to: the plane of its spine
-    /// endpoint (`None` for links not incident to the spine tier). A
-    /// link cannot span two planes — planes share no spine, and links
-    /// have at most one spine endpoint in a valley-free fabric — so this
-    /// is the link-level plane→component ownership the per-plane shard
-    /// plans and evidence views are built from.
-    #[inline]
-    pub fn plane_of_link(&self, topo: &Topology, l: LinkId) -> Option<u16> {
-        let lk = topo.link(l);
-        self.plane_of(lk.src).or_else(|| self.plane_of(lk.dst))
-    }
-
     /// All directed links incident to the spines of one plane, sorted
     /// and deduplicated — the component footprint of a plane, used by
-    /// plane-confined failure scenarios and state-sparsity accounting.
+    /// plane-confined failure scenarios.
     pub fn incident_links(&self, topo: &Topology, plane: u16) -> Vec<LinkId> {
         let mut links: Vec<LinkId> = self
             .spines_in(plane)
@@ -209,7 +196,7 @@ mod tests {
     #[test]
     fn plane_paths_are_confined() {
         // Every valley-free ECMP path visits spines of exactly one plane
-        // — the independence per-plane sharding relies on.
+        // — the independence plane-confined scenarios rely on.
         let topo = three_tier(ClosParams::tiny());
         let planes = SpinePlanes::derive(&topo);
         let router = crate::routing::Router::new(&topo);
@@ -241,21 +228,28 @@ mod tests {
     fn link_planes_match_endpoint_planes() {
         let topo = three_tier(ClosParams::tiny());
         let planes = SpinePlanes::derive(&topo);
+        // Each spine-incident link lies in exactly one plane's footprint:
+        // the plane of its spine endpoint. Other links lie in none.
+        let mut owners = vec![0usize; topo.link_count()];
         for plane in 0..planes.n_planes() as u16 {
             let incident = planes.incident_links(&topo, plane);
             assert!(!incident.is_empty());
             for &l in &incident {
-                assert_eq!(planes.plane_of_link(&topo, l), Some(plane));
+                let lk = topo.link(l);
+                let endpoint_planes: Vec<u16> = [lk.src, lk.dst]
+                    .into_iter()
+                    .filter_map(|n| planes.plane_of(n))
+                    .collect();
+                assert_eq!(endpoint_planes, vec![plane]);
+                owners[l.idx()] += 1;
             }
         }
-        // Links with no spine endpoint have no plane.
-        for (i, _) in (0..topo.link_count()).enumerate() {
-            let l = LinkId(i as u32);
-            let lk = topo.link(l);
+        for (i, &n) in owners.iter().enumerate() {
+            let lk = topo.link(LinkId(i as u32));
             let spine_incident = [lk.src, lk.dst]
                 .iter()
                 .any(|&n| topo.node(n).role == NodeRole::Spine);
-            assert_eq!(planes.plane_of_link(&topo, l).is_some(), spine_incident);
+            assert_eq!(n, usize::from(spine_incident), "link {i}");
         }
     }
 

@@ -306,8 +306,8 @@ fn check_store(store: &mut VerdictStore, comp: flock::topology::Component, what:
 }
 
 /// One structured log line per epoch — the same fields in both modes
-/// (the PR 2–5 accounting: obs→super-flow ratio, plane evidence, Δ
-/// local/global bound, warm counts; plus the store's alert activity).
+/// (obs→super-flow ratio, Δ local/global bound, warm counts; plus the
+/// store's alert activity).
 #[derive(serde::Serialize)]
 struct EpochLog {
     epoch: u64,
@@ -321,10 +321,6 @@ struct EpochLog {
     /// Weighted super-flows actually inferred over, same accounting.
     shard_super_flows: usize,
     coalesce_ratio: f64,
-    /// Per spine-plane super-flow counts, plane order.
-    plane_flows: Vec<usize>,
-    /// Components kept by the cross-plane refinement pass, if it ran.
-    refine_kept: Option<usize>,
     /// Largest shard engine's local component space (the Δ bound)…
     delta_local_comps: usize,
     /// …vs the topology-wide component space.
@@ -360,8 +356,8 @@ struct EpochLog {
     conns_closed: u64,
     runtime_ms: f64,
     /// Engine rebind (structure extension, flow table, initial Δ) and
-    /// warm-search time summed over the epoch's shards and its
-    /// refinement pass — the split of `ShardOutcome::elapsed`.
+    /// warm-search time summed over the epoch's shards — the split of
+    /// `ShardOutcome::elapsed`.
     shard_rebind_ms: f64,
     shard_search_ms: f64,
     /// Where the caller-thread assembly stage went
@@ -388,7 +384,6 @@ fn ingest_and_log(
     let raw: usize = report.shards.iter().map(|s| s.raw_flows).sum();
     let sflows: usize = report.shards.iter().map(|s| s.flows).sum();
     let coalesce_ratio = raw as f64 / sflows.max(1) as f64;
-    let shard_runs = || report.shards.iter().chain(&report.refined);
     let log = EpochLog {
         epoch: report.epoch_index,
         start_ms: report.start_ms,
@@ -398,8 +393,6 @@ fn ingest_and_log(
         shard_raw_obs: raw,
         shard_super_flows: sflows,
         coalesce_ratio,
-        plane_flows: report.spine_planes().map(|s| s.flows).collect(),
-        refine_kept: report.refined.as_ref().map(|r| r.kept),
         delta_local_comps: report
             .shards
             .iter()
@@ -434,12 +427,16 @@ fn ingest_and_log(
         conns_up: snap.active_connections,
         conns_closed: snap.closed_connections,
         runtime_ms: report.result.runtime.as_secs_f64() * 1e3,
-        shard_rebind_ms: shard_runs()
+        shard_rebind_ms: report
+            .shards
+            .iter()
             .map(|s| s.rebind)
             .sum::<std::time::Duration>()
             .as_secs_f64()
             * 1e3,
-        shard_search_ms: shard_runs()
+        shard_search_ms: report
+            .shards
+            .iter()
             .map(|s| s.search)
             .sum::<std::time::Duration>()
             .as_secs_f64()
@@ -451,11 +448,6 @@ fn ingest_and_log(
     if json {
         println!("{}", serde::json::to_string(&log));
     } else {
-        let planes: Vec<String> = log.plane_flows.iter().map(|f| f.to_string()).collect();
-        let refine = match log.refine_kept {
-            Some(k) => format!(" | refine kept {k}"),
-            None => String::new(),
-        };
         let alerts = if !log.alerts_raised.is_empty() {
             format!(
                 " | ALERT raised {:?}",
@@ -494,9 +486,8 @@ fn ingest_and_log(
         };
         println!(
             "epoch {:>2} [{:>5}ms..{:>5}ms): {:>5} records → {:>4} obs | shard evidence \
-             {:>5} → {:>4} super-flows (x{:.1}) | {} planes [{}]{refine} | \
-             Δ≤{}/{} | blamed {:?} | truth {:?} | P {:.2} R {:.2} | {}/{} shards warm | \
-             {} agents live | conns {} up / {} closed | {:.1}ms{alerts}{health}{durability}",
+             {:>5} → {:>4} super-flows (x{:.1}) | Δ≤{}/{} | blamed {:?} | truth {:?} | \
+             P {:.2} R {:.2} | {}/{} shards warm | {} agents live | conns {} up / {} closed | {:.1}ms{alerts}{health}{durability}",
             log.epoch,
             log.start_ms,
             log.end_ms,
@@ -505,8 +496,6 @@ fn ingest_and_log(
             log.shard_raw_obs,
             log.shard_super_flows,
             log.coalesce_ratio,
-            log.plane_flows.len(),
-            planes.join("/"),
             log.delta_local_comps,
             log.delta_global_comps,
             log.blamed,
