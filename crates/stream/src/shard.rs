@@ -258,6 +258,41 @@ mod tests {
     }
 
     #[test]
+    fn by_pod_single_spine_covers_every_component() {
+        // The whole spine tier is one shard: it owns every spine device
+        // and every spine-incident link, and no pod shard owns a spine.
+        let topo = three_tier(ClosParams::tiny());
+        let plan = ShardPlan::by_pod(&topo);
+        let space = ComponentSpace::new(&topo);
+        let spines: Vec<&Shard> = plan
+            .shards
+            .iter()
+            .filter(|s| s.kind == ShardKind::Spine)
+            .collect();
+        assert_eq!(spines.len(), 1, "one spine shard");
+        let is_spine = |n: flock_topology::NodeId| topo.node(n).role == NodeRole::Spine;
+        for c in 0..space.n_comps() as u32 {
+            let (spine_comp, spine_device) = match space.component(c) {
+                flock_topology::Component::Device(n) => (is_spine(n), is_spine(n)),
+                flock_topology::Component::Link(l) => {
+                    let link = topo.link(l);
+                    (is_spine(link.src) || is_spine(link.dst), false)
+                }
+            };
+            if spine_comp {
+                assert!(spines[0].owns(c), "spine comp {c} not in the spine shard");
+            }
+            if spine_device {
+                assert!(
+                    plan.shards.iter().filter(|s| s.owns(c)).count() == 1,
+                    "spine device {c} owned by a pod shard"
+                );
+            }
+        }
+        assert!(plan.covers(space.n_comps()));
+    }
+
+    #[test]
     fn pod_shards_do_not_own_foreign_pods() {
         let topo = three_tier(ClosParams::tiny());
         let plan = ShardPlan::by_pod(&topo);
