@@ -54,8 +54,9 @@ impl ClosParams {
     /// directed links with 3× oversubscription at the ToRs
     /// (12 host links vs 4 uplinks per ToR).
     pub fn ns3_scale() -> Self {
-        // Fabric cables: pods*tors*aggs (tor-agg) + aggs*spines_total (agg-spine)
-        //   = 8*8*4 + 4*8*... see `three_tier` tests for the exact count.
+        // Fabric cables: pods*tors*aggs (tor-agg) + pods*aggs*spines_per_plane
+        // (agg-spine) = 256 + 256; `ClosParams::total_links` gives the exact
+        // directed count with host links: 2 * (256 + 256 + 768) = 2560.
         ClosParams {
             pods: 8,
             tors_per_pod: 8,

@@ -11,10 +11,10 @@
 //!   fraction of fabric links (§7.6), preserving host reachability.
 //! * [`planes`] — spine-plane membership recovered from the stripe
 //!   structure of the graph (with a validated single-plane fallback),
-//!   the partition behind per-plane spine sharding in `flock-stream`.
+//!   which `flock-netsim` uses to draw plane-confined failures.
 //! * [`routing`] — valley-free (up–down) ECMP shortest-path enumeration
-//!   with per-pair caching, producing the path sets that define the PGM's
-//!   path layer (§3.2).
+//!   with per-pair path-set and per-switch up-sweep caching, producing the
+//!   path sets that define the PGM's path layer (§3.2).
 //! * [`equivalence`] — link equivalence classes under passive observation
 //!   and the theoretical maximum precision used in Fig. 5c.
 //! * [`fasthash`] — the deterministic multiply-mix hasher behind every

@@ -7,16 +7,20 @@
 //! is the flow's parent path-nodes; for known-path telemetry (A1/A2/INT)
 //! a single member is selected.
 //!
-//! Enumeration is implemented as two upward BFS sweeps (from the source
-//! and destination switches) that meet at a common apex: a valley-free
-//! path of shape `up* down*` is an up-path from the source joined to the
-//! reverse of an up-path from the destination. This covers regular and
-//! irregular Clos fabrics alike and yields *all* minimal-hop valley-free
-//! paths.
+//! Enumeration joins the upward BFS sweeps of the source and destination
+//! switches at a common apex: a valley-free path of shape `up* down*` is
+//! an up-path from the source joined to the reverse of an up-path from the
+//! destination. This covers regular and irregular Clos fabrics alike and
+//! yields *all* minimal-hop valley-free paths.
+//!
+//! A [`Router`] caches two things for its lifetime: each switch's upward
+//! sweep, computed the first time any pair needs it, and each ordered
+//! pair's path set. A fabric with `n` ToRs thus pays `n` sweeps for its
+//! `n²` ToR pairs, not two per pair.
 
 use crate::graph::{LinkId, NodeId, Topology};
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// A directed switch-to-switch path through the fabric, as a sequence of
 /// links. The empty path (same source and destination switch) is valid and
@@ -54,13 +58,17 @@ impl FabricPath {
 /// Shared handle to an ECMP path set (cheap to clone).
 pub type PathSetHandle = Arc<Vec<FabricPath>>;
 
-/// ECMP route computer with per-pair caching.
+/// ECMP route computer with per-pair path-set and per-switch sweep caching.
 ///
-/// `Router` is `Sync`: the cache uses a `RwLock`, so evaluation code can
-/// resolve path sets from worker threads.
+/// `Router` is `Sync`: the pair cache uses a `RwLock` and each sweep is a
+/// `OnceLock`, so evaluation code can resolve path sets from worker
+/// threads.
 pub struct Router<'t> {
     topo: &'t Topology,
     cache: RwLock<HashMap<(NodeId, NodeId), PathSetHandle>>,
+    /// Upward sweep from each node, indexed by `NodeId::idx`; filled for a
+    /// switch the first time a pair needs it.
+    sweeps: Vec<OnceLock<UpSweep>>,
 }
 
 impl<'t> Router<'t> {
@@ -69,6 +77,9 @@ impl<'t> Router<'t> {
         Router {
             topo,
             cache: RwLock::new(HashMap::new()),
+            sweeps: std::iter::repeat_with(OnceLock::new)
+                .take(topo.node_count())
+                .collect(),
         }
     }
 
@@ -108,12 +119,12 @@ impl<'t> Router<'t> {
         if src == dst {
             return vec![FabricPath { links: Vec::new() }];
         }
-        let up_src = self.up_bfs(src);
-        let up_dst = self.up_bfs(dst);
+        let up_src = self.up_sweep(src);
+        let up_dst = self.up_sweep(dst);
 
         // Find the minimal total length over all meeting points.
         let mut best = usize::MAX;
-        for (node, sa) in &up_src {
+        for (node, sa) in up_src {
             if let Some(sb) = up_dst.get(node) {
                 best = best.min(sa.dist + sb.dist);
             }
@@ -123,13 +134,13 @@ impl<'t> Router<'t> {
         }
 
         let mut out = Vec::new();
-        for (node, sa) in &up_src {
+        for (node, sa) in up_src {
             let Some(sb) = up_dst.get(node) else { continue };
             if sa.dist + sb.dist != best {
                 continue;
             }
-            let ups = enumerate_up_paths(self.topo, &up_src, *node);
-            let downs = enumerate_up_paths(self.topo, &up_dst, *node);
+            let ups = enumerate_up_paths(self.topo, up_src, *node);
+            let downs = enumerate_up_paths(self.topo, up_dst, *node);
             for u in &ups {
                 for d in &downs {
                     let mut links = u.clone();
@@ -145,10 +156,16 @@ impl<'t> Router<'t> {
         out
     }
 
+    /// The upward sweep from `start`, computed on first use and shared for
+    /// the router's lifetime.
+    fn up_sweep(&self, start: NodeId) -> &UpSweep {
+        self.sweeps[start.idx()].get_or_init(|| self.up_bfs(start))
+    }
+
     /// Upward BFS: explore strictly tier-increasing links from `start`,
     /// recording distance and all shortest-path parent links per node.
-    fn up_bfs(&self, start: NodeId) -> HashMap<NodeId, UpState> {
-        let mut seen: HashMap<NodeId, UpState> = HashMap::new();
+    fn up_bfs(&self, start: NodeId) -> UpSweep {
+        let mut seen = UpSweep::new();
         seen.insert(
             start,
             UpState {
@@ -196,13 +213,13 @@ struct UpState {
     parents: Vec<LinkId>,
 }
 
+/// One upward BFS: every node reachable by strictly upward links, with
+/// its distance and shortest-path parent links.
+type UpSweep = HashMap<NodeId, UpState>;
+
 /// All shortest up-paths from the BFS root to `node`, each as the link
 /// sequence root→…→node.
-fn enumerate_up_paths(
-    topo: &Topology,
-    states: &HashMap<NodeId, UpState>,
-    node: NodeId,
-) -> Vec<Vec<LinkId>> {
+fn enumerate_up_paths(topo: &Topology, states: &UpSweep, node: NodeId) -> Vec<Vec<LinkId>> {
     let st = &states[&node];
     if st.dist == 0 {
         return vec![Vec::new()];

@@ -3,10 +3,13 @@
 
 use flock_topology::clos::{leaf_spine, three_tier, ClosParams, LeafSpineParams};
 use flock_topology::irregular::omit_links;
-use flock_topology::{NodeRole, Router};
+use flock_topology::{FabricPath, LinkId, NodeId, NodeRole, Router, Topology};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 fn arb_clos() -> impl Strategy<Value = ClosParams> {
     (2u32..5, 1u32..4, 1u32..4, 1u32..4, 1u32..5).prop_map(|(pods, tors, aggs, spines, hosts)| {
@@ -18,6 +21,71 @@ fn arb_clos() -> impl Strategy<Value = ClosParams> {
             hosts_per_tor: hosts,
         }
     })
+}
+
+/// Every ordered pair of switches: leaves, aggs and spines alike.
+fn switch_pairs(t: &Topology) -> Vec<(NodeId, NodeId)> {
+    let sw = t.switches();
+    sw.iter()
+        .flat_map(|&a| sw.iter().map(move |&b| (a, b)))
+        .collect()
+}
+
+/// The fabrics the routing oracle covers for one draw: the Clos and a
+/// leaf–spine of matching size, each whole and with up to half its cables
+/// omitted (irregular fabrics, where switches differ in what their upward
+/// sweeps reach).
+fn oracle_fabrics(p: ClosParams, frac: f64, seed: u64) -> Vec<Topology> {
+    let clos = three_tier(p);
+    let ls = leaf_spine(LeafSpineParams {
+        spines: p.aggs_per_pod * p.spines_per_plane,
+        leaves: p.pods * p.tors_per_pod,
+        hosts_per_leaf: 1,
+    });
+    let mut rng = StdRng::seed_from_u64(seed);
+    let clos_omitted = omit_links(&clos, frac, &mut rng).0;
+    let ls_omitted = omit_links(&ls, frac, &mut rng).0;
+    vec![clos, clos_omitted, ls, ls_omitted]
+}
+
+/// Brute-force routing oracle: a DFS from `src` over strictly tier-rising
+/// links, then strictly tier-falling ones, recording every valley-free path
+/// it finds. Returns, per reached switch, the minimal-hop paths in link
+/// order (the order `Router::paths` promises).
+fn valley_free_oracle(t: &Topology, src: NodeId) -> HashMap<NodeId, Vec<FabricPath>> {
+    fn dfs(
+        t: &Topology,
+        node: NodeId,
+        descending: bool,
+        links: &mut Vec<LinkId>,
+        found: &mut HashMap<NodeId, Vec<FabricPath>>,
+    ) {
+        found.entry(node).or_default().push(FabricPath {
+            links: links.clone(),
+        });
+        let tier = t.node(node).role.tier();
+        for &l in t.out_links(node) {
+            let next = t.link(l).dst;
+            let next_tier = t.node(next).role.tier();
+            let descend = match next_tier.cmp(&tier) {
+                std::cmp::Ordering::Greater if !descending => false,
+                std::cmp::Ordering::Less => true,
+                _ => continue,
+            };
+            links.push(l);
+            dfs(t, next, descend, links, found);
+            links.pop();
+        }
+    }
+    let mut found = HashMap::new();
+    dfs(t, src, false, &mut Vec::new(), &mut found);
+    found.retain(|n, _| t.node(*n).role.is_switch());
+    for paths in found.values_mut() {
+        let min = paths.iter().map(FabricPath::len).min().unwrap();
+        paths.retain(|p| p.len() == min);
+        paths.sort_by(|a, b| a.links.cmp(&b.links));
+    }
+    found
 }
 
 proptest! {
@@ -71,6 +139,75 @@ proptest! {
         let ls: Vec<_> = t.switches().iter().copied()
             .filter(|s| t.node(*s).role == NodeRole::Leaf).collect();
         prop_assert_eq!(r.paths(ls[0], ls[1]).len(), spines as usize);
+    }
+
+    #[test]
+    fn router_paths_equal_brute_force_oracle(p in arb_clos(), frac in 0.0f64..0.5, seed: u64) {
+        for t in oracle_fabrics(p, frac, seed) {
+            let r = Router::new(&t);
+            for &src in t.switches() {
+                let oracle = valley_free_oracle(&t, src);
+                for &dst in t.switches() {
+                    let expect = oracle.get(&dst).map_or(&[][..], Vec::as_slice);
+                    prop_assert_eq!(
+                        r.paths(src, dst).as_slice(),
+                        expect,
+                        "{}: {:?} -> {:?}",
+                        t.name,
+                        src,
+                        dst
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn router_memo_is_order_and_thread_independent(
+        p in arb_clos(),
+        frac in 0.0f64..0.5,
+        seed: u64,
+    ) {
+        let t = omit_links(&three_tier(p), frac, &mut StdRng::seed_from_u64(seed)).0;
+        // Shuffled over every ordered switch pair: `a→b` lands before
+        // `b→a` for some pairs and after it for others, with leaf→spine,
+        // spine→leaf and agg pairs in between.
+        let mut pairs = switch_pairs(&t);
+        pairs.shuffle(&mut StdRng::seed_from_u64(seed ^ 0x5eed));
+        // A fresh router per pair has no memo to get wrong.
+        let fresh: HashMap<_, _> = pairs
+            .iter()
+            .map(|&(a, b)| ((a, b), Router::new(&t).paths(a, b)))
+            .collect();
+
+        let shared = Router::new(&t);
+        for &(a, b) in &pairs {
+            prop_assert_eq!(&shared.paths(a, b), &fresh[&(a, b)]);
+        }
+        prop_assert_eq!(shared.cached_pairs(), pairs.len());
+
+        // Two threads through one `&Router`, over lists that overlap in
+        // their middle third, one walked in reverse.
+        let concurrent = Router::new(&t);
+        let third = pairs.len() / 3;
+        let (front, back) = (&pairs[..2 * third], &pairs[third..]);
+        let (got_front, got_back) = std::thread::scope(|s| {
+            let r = &concurrent;
+            let a = s.spawn(move || front.iter().map(|&(x, y)| r.paths(x, y)).collect::<Vec<_>>());
+            let b = s.spawn(move || {
+                back.iter().rev().map(|&(x, y)| r.paths(x, y)).collect::<Vec<_>>()
+            });
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        let got_back: Vec<_> = got_back.into_iter().rev().collect();
+        for (pair, got) in front.iter().zip(&got_front).chain(back.iter().zip(&got_back)) {
+            prop_assert_eq!(got, &fresh[pair]);
+        }
+        // On the overlap both threads hold the one cached handle.
+        for (i, got) in got_front[third..].iter().enumerate() {
+            prop_assert!(Arc::ptr_eq(got, &got_back[i]));
+        }
+        prop_assert_eq!(concurrent.cached_pairs(), pairs.len());
     }
 
     #[test]
