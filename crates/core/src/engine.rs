@@ -20,8 +20,8 @@
 //! [`Engine::component`]. [`Engine::n_comps`] is therefore the number of
 //! components *with evidence in this shard's history*, not the topology's
 //! component count ([`Engine::n_global_comps`]) — which is exactly what
-//! makes a plane engine's Δ scans, resets, and searches O(its own
-//! evidence).
+//! makes a pod or spine shard engine's Δ scans, resets, and searches
+//! O(its own evidence).
 //!
 //! The view is a private field ([`Engine::view`] lends it read-only),
 //! extended by the one bind, [`Engine::try_bind`]: an executor builds an
@@ -563,7 +563,8 @@ impl Engine {
     /// independent per-flow terms, so accept lists that *partition* the
     /// observations yield engines whose likelihoods and Δ arrays sum
     /// exactly to the full engine's (projected onto global component
-    /// ids) — the invariant per-plane spine sharding relies on (see
+    /// ids). That additivity is what lets a pod or spine shard engine
+    /// score only the slice its accept list names (see
     /// `filtered_engines_partition_evidence`).
     ///
     /// `obs`'s arena must extend the one the engine bound before (the
@@ -2260,9 +2261,9 @@ mod tests {
     /// evidence is exactly additive: at any hypothesis reached by the
     /// same (global-id) flip sequence, the partial likelihoods and
     /// per-global-component Δs sum to the full engine's. This is the
-    /// engine-level foundation of per-plane spine sharding, where each
-    /// plane engine is constructed from a plane-filtered slice of the
-    /// evidence. Components absent from a part's local space contribute
+    /// engine-level foundation of pod/spine sharding, where each shard
+    /// engine binds only the slice of the evidence its accept list
+    /// names. Components absent from a part's local space contribute
     /// zero from that part.
     #[test]
     fn filtered_engines_partition_evidence() {
@@ -2270,7 +2271,7 @@ mod tests {
         let params = HyperParams::default();
         let mut full = Engine::new(&topo, &obs, params);
         // A 3-way partition by path-set id (arbitrary but disjoint and
-        // exhaustive, like plane membership is for traced evidence).
+        // exhaustive).
         let mut parts: Vec<Engine> = (0..3u32)
             .map(|k| bound(&topo, &obs, &accept(&obs, |_, o| o.set.0 % 3 == k), &[]))
             .collect();

@@ -1,11 +1,13 @@
 //! Epoch windowing of the collector's record stream.
 //!
-//! Agents stamp every export message with `export_time_ms`; the
-//! [`EpochManager`] assigns each drained [`StampedRecord`] to the
-//! fixed-size window covering its stamp and closes windows as the
-//! caller's watermark advances. Windows tumble (the paper's 30 s
-//! cadence), so they partition the stream losslessly: every record
-//! lands in exactly one epoch.
+//! Agents stamp every export message with `export_time_ms`, and the
+//! collector drains records in runs that share one stamp. The
+//! [`EpochManager`] places each run in the fixed-size window covering
+//! its stamp (`export_ms / epoch_ms`) and closes windows as the caller's
+//! watermark advances. Windows tumble (the paper's 30 s cadence), so
+//! they partition the stream losslessly: every record lands in exactly
+//! one epoch. Since a run has one stamp, one judgement of that stamp
+//! places or drops the whole run exactly as judging each record would.
 //!
 //! Records arriving for an already-closed window ("late" records, e.g. a
 //! stalled agent connection) are counted and dropped rather than
@@ -138,60 +140,26 @@ impl EpochManager {
         }
     }
 
-    /// Assign one record to its window.
-    pub fn push(&mut self, rec: StampedRecord) {
-        let w = self.config.window_of(rec.export_ms);
-        if self.beyond_horizon(rec.export_ms) || w < self.closed_below || !self.config.closable(w) {
-            self.late_records += 1;
-            return;
-        }
-        self.open.entry(w).or_default().push(rec);
-    }
-
-    /// Assign a batch of records (the typical `drain_stamped` hand-off).
-    pub fn extend(&mut self, recs: impl IntoIterator<Item = StampedRecord>) {
-        for r in recs {
-            self.push(r);
-        }
-    }
-
-    /// Fast path for wire-v2 pre-bucketed input: a whole bucket of
-    /// records that agents stamped with `epoch_seq` is appended with one
-    /// window lookup instead of one per record.
+    /// Place a run of records that share the export stamp `export_ms`
+    /// (one bucket of
+    /// [`Collector::drain_buckets`](flock_telemetry::Collector::drain_buckets))
+    /// in the window covering that stamp. The run is dropped whole, each
+    /// record counted late, when the stamp is beyond the lateness
+    /// horizon or its window is closed or could never close.
     ///
-    /// The lossless-partition property is preserved by validation, not
-    /// trust: the hint is honored only when the windows match the stamp
-    /// cadence (`export_ms / epoch_ms == epoch_seq` for every record, a
-    /// branch-predictable scan). A bucket that fails validation —
-    /// cadence drift, a misbehaving agent — falls back to the per-record
-    /// [`push`](Self::push) path, so the partition is always identical
-    /// to what unhinted input would produce.
-    pub fn extend_bucket(&mut self, epoch_seq: u64, mut records: Vec<StampedRecord>) {
+    /// Every record's `export_ms` must equal `export_ms`; the collector
+    /// keys its buckets that way. The stamp is judged once and no record
+    /// is scanned.
+    pub fn extend_bucket(&mut self, export_ms: u64, mut records: Vec<StampedRecord>) {
         if records.is_empty() {
             return;
         }
-        let epoch_ms = self.config.epoch_ms;
-        let hint_ok = records.iter().all(|r| r.export_ms / epoch_ms == epoch_seq);
-        if !hint_ok {
-            self.extend(records);
-            return;
-        }
-        if epoch_seq < self.closed_below || !self.config.closable(epoch_seq) {
+        let w = self.config.window_of(export_ms);
+        if self.beyond_horizon(export_ms) || w < self.closed_below || !self.config.closable(w) {
             self.late_records += records.len() as u64;
             return;
         }
-        // Under a lateness horizon the oldest stamp a valid bucket member
-        // can carry is the window start; when even that would be within
-        // the horizon the whole bucket is provably on time and the
-        // wholesale append stands. Otherwise fall back to the per-record
-        // path so each stamp is judged (and counted) individually.
-        if self.config.late_horizon_ms.is_some()
-            && self.beyond_horizon(self.config.window_start(epoch_seq))
-        {
-            self.extend(records);
-            return;
-        }
-        let slot = self.open.entry(epoch_seq).or_default();
+        let slot = self.open.entry(w).or_default();
         if slot.is_empty() {
             *slot = records;
         } else {
@@ -275,6 +243,18 @@ mod tests {
         }
     }
 
+    /// A run of `n` records sharing the stamp `ts`.
+    fn run(ts: u64, n: usize) -> Vec<StampedRecord> {
+        vec![rec(ts); n]
+    }
+
+    /// Place each stamp as its own one-record run.
+    fn place(m: &mut EpochManager, stamps: &[u64]) {
+        for &ts in stamps {
+            m.extend_bucket(ts, run(ts, 1));
+        }
+    }
+
     #[test]
     fn tumbling_assigns_each_record_once() {
         let cfg = EpochConfig::tumbling(100);
@@ -286,7 +266,7 @@ mod tests {
     #[test]
     fn close_ready_respects_watermark() {
         let mut m = EpochManager::new(EpochConfig::tumbling(100));
-        m.extend([rec(10), rec(150), rec(210)]);
+        place(&mut m, &[10, 150, 210]);
         assert_eq!(m.open_windows(), 3);
         let closed = m.close_ready(200);
         assert_eq!(closed.len(), 2);
@@ -304,10 +284,10 @@ mod tests {
     #[test]
     fn late_records_are_counted_and_dropped() {
         let mut m = EpochManager::new(EpochConfig::tumbling(100));
-        m.push(rec(50));
+        place(&mut m, &[50]);
         let _ = m.close_ready(200);
         assert_eq!(m.late_records(), 0);
-        m.push(rec(60)); // window 0 is long closed
+        place(&mut m, &[60]); // window 0 is long closed
         assert_eq!(m.late_records(), 1);
         assert_eq!(m.open_windows(), 0);
     }
@@ -315,34 +295,23 @@ mod tests {
     #[test]
     fn extend_bucket_fast_path_appends_wholesale() {
         let mut m = EpochManager::new(EpochConfig::tumbling(100));
-        m.extend_bucket(2, vec![rec(210), rec(250), rec(299)]);
-        m.extend_bucket(2, vec![rec(220)]);
+        m.extend_bucket(210, run(210, 3));
+        m.extend_bucket(250, run(250, 1));
+        m.extend_bucket(299, run(299, 2));
         assert_eq!(m.open_windows(), 1);
         let closed = m.close_ready(300);
         assert_eq!(closed.len(), 1);
         assert_eq!(closed[0].index, 2);
-        assert_eq!(closed[0].records.len(), 4);
-    }
-
-    #[test]
-    fn extend_bucket_mis_stamped_falls_back_to_per_record_path() {
-        let mut m = EpochManager::new(EpochConfig::tumbling(100));
-        // Bucket claims epoch 1 but one record belongs to epoch 3.
-        m.extend_bucket(1, vec![rec(150), rec(350)]);
-        let closed = m.close_ready(400);
-        assert_eq!(closed.len(), 2);
-        assert_eq!(closed[0].index, 1);
-        assert_eq!(closed[0].records[0].export_ms, 150);
-        assert_eq!(closed[1].index, 3);
-        assert_eq!(closed[1].records[0].export_ms, 350);
+        let stamps: Vec<u64> = closed[0].records.iter().map(|r| r.export_ms).collect();
+        assert_eq!(stamps, vec![210, 210, 210, 250, 299, 299]);
     }
 
     #[test]
     fn extend_bucket_late_bucket_is_counted() {
         let mut m = EpochManager::new(EpochConfig::tumbling(100));
-        m.push(rec(250));
+        place(&mut m, &[250]);
         let _ = m.close_ready(300);
-        m.extend_bucket(0, vec![rec(10), rec(20)]);
+        m.extend_bucket(10, run(10, 2));
         assert_eq!(m.late_records(), 2);
         assert_eq!(m.open_windows(), 0);
     }
@@ -351,16 +320,16 @@ mod tests {
     fn late_horizon_rejects_clock_skewed_records_in_open_windows() {
         let cfg = EpochConfig::tumbling(100).with_late_horizon(20);
         let mut m = EpochManager::new(cfg);
-        m.push(rec(50));
+        place(&mut m, &[50]);
         let closed = m.close_ready(150);
         assert_eq!(closed.len(), 1, "window 0 emitted");
 
         // Window 1 is still open, but a stamp 30ms behind the watermark
         // violates the 20ms horizon.
-        m.push(rec(120));
+        place(&mut m, &[120]);
         assert_eq!(m.late_records(), 1);
         // A stamp inside the horizon is accepted into the same window.
-        m.push(rec(140));
+        place(&mut m, &[140]);
         let closed = m.close_ready(250);
         assert_eq!(closed.len(), 1);
         assert_eq!(closed[0].index, 1);
@@ -369,19 +338,20 @@ mod tests {
     }
 
     #[test]
-    fn late_horizon_bucket_falls_back_to_exact_per_record_count() {
+    fn late_horizon_judges_each_run_by_its_stamp() {
         let cfg = EpochConfig::tumbling(100).with_late_horizon(20);
         let mut m = EpochManager::new(cfg);
-        m.push(rec(50));
+        place(&mut m, &[50]);
         let _ = m.close_ready(150);
 
-        // Bucket for the open window 1: its window start (100) is beyond
-        // the horizon (150 - 20 = 130), so each stamp is judged alone.
-        m.extend_bucket(1, vec![rec(120), rec(140)]);
-        assert_eq!(m.late_records(), 1, "only the 120ms stamp is late");
+        // Two runs for the open window 1: the horizon (150 - 20 = 130)
+        // drops the whole 120ms run and keeps the whole 140ms one.
+        m.extend_bucket(120, run(120, 2));
+        m.extend_bucket(140, run(140, 3));
+        assert_eq!(m.late_records(), 2, "exactly the 120ms run is late");
         let closed = m.close_ready(250);
-        assert_eq!(closed[0].records.len(), 1);
-        assert_eq!(closed[0].records[0].export_ms, 140);
+        assert_eq!(closed[0].records.len(), 3);
+        assert!(closed[0].records.iter().all(|r| r.export_ms == 140));
     }
 
     #[test]
@@ -390,15 +360,15 @@ mod tests {
         // the 30ms-behind-watermark record is kept because its window is
         // still open.
         let mut m = EpochManager::new(EpochConfig::tumbling(100));
-        m.push(rec(50));
+        place(&mut m, &[50]);
         let _ = m.close_ready(150);
-        m.push(rec(120));
+        place(&mut m, &[120]);
         assert_eq!(m.late_records(), 0, "no horizon: open-window stamp kept");
         assert_eq!(m.open_windows(), 1);
     }
 
-    /// One record stamped near `u64::MAX` (unvalidated wire input) must
-    /// cost exactly itself: no phantom epoch, no `closed_below` jump that
+    /// Runs stamped near `u64::MAX` (unvalidated wire input) must cost
+    /// exactly themselves: no phantom epoch, no `closed_below` jump that
     /// makes every later record late, no overflow panic.
     #[test]
     fn far_future_stamps_are_dropped_without_deafening_the_manager() {
@@ -409,33 +379,22 @@ mod tests {
                 .collect()
         };
 
-        // Per-record route.
         let mut m = EpochManager::new(EpochConfig::tumbling(1000));
-        m.push(rec(500));
-        m.push(rec(u64::MAX));
-        assert_eq!(stamps(&m.close_ready(1000)), vec![(0, vec![500])]);
-        assert_eq!(m.late_records(), 1);
-        m.push(rec(1500));
-        assert_eq!(stamps(&m.close_ready(2000)), vec![(1, vec![1500])]);
-        assert_eq!(m.late_records(), 1);
-
-        // Pre-bucketed route: the hint validates (every stamp is in
-        // window `u64::MAX / 1000`), the window cannot close.
-        let mut m = EpochManager::new(EpochConfig::tumbling(1000));
-        m.push(rec(500));
-        m.extend_bucket(u64::MAX / 1000, vec![rec(u64::MAX), rec(u64::MAX - 1)]);
+        place(&mut m, &[500]);
+        m.extend_bucket(u64::MAX, run(u64::MAX, 2));
+        m.extend_bucket(u64::MAX - 1, run(u64::MAX - 1, 1));
         assert_eq!(m.open_windows(), 1);
         assert_eq!(stamps(&m.close_ready(1000)), vec![(0, vec![500])]);
-        assert_eq!(m.late_records(), 2);
-        m.extend_bucket(1, vec![rec(1500)]);
+        assert_eq!(m.late_records(), 3);
+        place(&mut m, &[1500]);
         assert_eq!(stamps(&m.close_ready(2000)), vec![(1, vec![1500])]);
-        assert_eq!(m.late_records(), 2);
+        assert_eq!(m.late_records(), 3);
     }
 
     #[test]
     fn flush_closes_everything() {
         let mut m = EpochManager::new(EpochConfig::tumbling(100));
-        m.extend([rec(120), rec(500)]);
+        place(&mut m, &[120, 500]);
         let all = m.flush();
         assert_eq!(all.len(), 2);
         assert_eq!(m.open_windows(), 0);

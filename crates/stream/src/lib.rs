@@ -9,9 +9,9 @@
 //! that into the online loop:
 //!
 //! * [`epoch`] — windows the collector's stamped record stream into
-//!   fixed (tumbling) epochs against a caller-driven watermark, with
-//!   an O(buckets) fast path for wire-v2 input the collector reactor
-//!   already grouped by agent-stamped epoch;
+//!   fixed (tumbling) epochs against a caller-driven watermark, placing
+//!   each run of records that shares one export stamp with one
+//!   judgement of that stamp;
 //! * [`shard`] — partitions blame ownership over the component space
 //!   (one shard per pod plus one for the spine tier) so per-epoch
 //!   inference can run shard-parallel on a thread pool;

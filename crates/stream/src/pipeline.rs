@@ -3,11 +3,10 @@
 //! [`StreamPipeline`] owns the continuously-running state of §5.1's
 //! deployment loop between collector and operator:
 //!
-//! 1. drained [`StampedRecord`]s are windowed by an
-//!    [`EpochManager`] — wire-v2 input
-//!    arrives pre-bucketed by the collector reactor and is handed over
-//!    bucket-at-a-time ([`StreamPipeline::ingest_bucketed`]), skipping
-//!    per-record window assignment;
+//! 1. drained [`StampedRecord`](flock_telemetry::StampedRecord)s are
+//!    windowed by an [`EpochManager`] — the collector reactor drains
+//!    them in runs that share one export stamp, and each run is handed
+//!    over and placed whole ([`StreamPipeline::ingest_bucketed`]);
 //! 2. each closed epoch's records are reconstructed into
 //!    [`MonitoredFlow`]s and assembled into an [`ObservationSet`] against
 //!    a *persistent* [`Assembler`] arena (append-only interning), emitted
@@ -39,7 +38,7 @@ use flock_core::{
 };
 use flock_telemetry::{
     AnalysisMode, Assembler, DrainBatch, FlowRecord, InputKind, MonitoredFlow, ObservationSet,
-    StampedRecord, TrafficClass,
+    TrafficClass,
 };
 use flock_topology::{Component, NodeId, NodeRole, Router, Topology};
 use serde::Serialize;
@@ -583,21 +582,14 @@ impl<'t> StreamPipeline<'t> {
         self.manager.late_records()
     }
 
-    /// Feed drained collector records into the windowing layer.
-    pub fn ingest(&mut self, recs: impl IntoIterator<Item = StampedRecord>) {
-        self.manager.extend(recs);
-    }
-
-    /// Feed a pre-bucketed drain batch
+    /// Feed a drain batch
     /// ([`Collector::drain_buckets`](flock_telemetry::Collector::drain_buckets))
-    /// into the windowing layer. Buckets of wire-v2 records take the
-    /// O(buckets) fast path ([`EpochManager::extend_bucket`]); v1
-    /// records are assigned per record as with [`ingest`](Self::ingest).
+    /// into the windowing layer, one export-stamp run at a time
+    /// ([`EpochManager::extend_bucket`]).
     pub fn ingest_bucketed(&mut self, batch: DrainBatch) {
-        for (seq, bucket) in batch.buckets {
-            self.manager.extend_bucket(seq, bucket);
+        for (export_ms, bucket) in batch.buckets {
+            self.manager.extend_bucket(export_ms, bucket);
         }
-        self.manager.extend(batch.unhinted);
     }
 
     /// Close every window ending at or before `watermark_ms` and localize

@@ -11,7 +11,9 @@ use flock_netsim::traffic::{generate_demands, TrafficConfig, TrafficPattern};
 use flock_stream::{
     ChaosHook, DegradeReason, EpochConfig, ShardChaos, StreamConfig, StreamPipeline,
 };
-use flock_telemetry::{AnalysisMode, FlowRecord, InputKind, MonitoredFlow, StampedRecord};
+use flock_telemetry::{
+    AnalysisMode, DrainBatch, FlowRecord, InputKind, MonitoredFlow, StampedRecord,
+};
 use flock_topology::clos::{three_tier, ClosParams};
 use flock_topology::{Router, Topology};
 use rand::rngs::StdRng;
@@ -252,8 +254,9 @@ fn external_flags_and_late_records_degrade_next_report() {
     cfg.epoch = EpochConfig::tumbling(1_000).with_late_horizon(100);
     let mut pipe = StreamPipeline::new(&topo, cfg);
 
-    let stamp = |flows: &[MonitoredFlow], agent: u32, ms: u64| -> Vec<StampedRecord> {
-        flows
+    // One agent's export: a drain batch holding one stamp's run.
+    let stamp = |flows: &[MonitoredFlow], agent: u32, ms: u64| -> DrainBatch {
+        let run = flows
             .iter()
             .map(|f| StampedRecord {
                 agent_id: agent,
@@ -265,13 +268,16 @@ fn external_flags_and_late_records_degrade_next_report() {
                     path: Some(f.true_path.clone()),
                 },
             })
-            .collect()
+            .collect();
+        DrainBatch {
+            buckets: vec![(ms, run)],
+        }
     };
 
     // Epoch 0 closes healthy, but an externally-flagged store fault
     // attaches to its report.
     let flows0 = epoch_flows(&topo, &router, &sc, 0, &mut rng);
-    pipe.ingest(stamp(&flows0, 1, 500));
+    pipe.ingest_bucketed(stamp(&flows0, 1, 500));
     pipe.flag_degraded(DegradeReason::External {
         what: "store-append:disk-full".into(),
     });
@@ -286,8 +292,8 @@ fn external_flags_and_late_records_degrade_next_report() {
     // A record far behind the watermark is dropped as late; the *next*
     // report carries the evidence loss.
     let flows1 = epoch_flows(&topo, &router, &sc, 1, &mut rng);
-    pipe.ingest(stamp(&flows1, 1, 1_500));
-    pipe.ingest(stamp(&flows0[..3], 2, 400)); // window 0: closed + beyond horizon
+    pipe.ingest_bucketed(stamp(&flows1, 1, 1_500));
+    pipe.ingest_bucketed(stamp(&flows0[..3], 2, 400)); // window 0: closed + beyond horizon
     assert_eq!(pipe.late_records(), 3);
     let reports = pipe.poll(2_000);
     assert_eq!(reports.len(), 1);
@@ -302,7 +308,7 @@ fn external_flags_and_late_records_degrade_next_report() {
 
     // With the faults cleared, reports return to Healthy.
     let flows2 = epoch_flows(&topo, &router, &sc, 2, &mut rng);
-    pipe.ingest(stamp(&flows2, 1, 2_500));
+    pipe.ingest_bucketed(stamp(&flows2, 1, 2_500));
     let reports = pipe.poll(3_000);
     assert_eq!(reports.len(), 1);
     assert!(!reports[0].health.is_degraded());
@@ -354,7 +360,9 @@ fn garbage_records_are_rejected_not_panicked() {
     garbage_stats.record.stats.retransmissions = garbage_stats.record.stats.packets + 1;
     records.extend([garbage_node, garbage_link, garbage_stats]);
 
-    pipe.ingest(records);
+    pipe.ingest_bucketed(DrainBatch {
+        buckets: vec![(500, records)],
+    });
     let reports = pipe.poll(1_000);
     assert_eq!(reports.len(), 1);
     let report = &reports[0];

@@ -259,35 +259,43 @@ fn panic_during_overlap_degrades_only_its_epoch() {
 /// double-counted — and the verdict stream still matches sequential.
 #[test]
 fn late_records_during_overlap_are_flagged_once() {
-    use flock_telemetry::{FlowKey, FlowRecord, FlowStats, StampedRecord, TrafficClass};
+    use flock_telemetry::{
+        DrainBatch, FlowKey, FlowRecord, FlowStats, StampedRecord, TrafficClass,
+    };
 
     let topo = clos(2, 2);
     let hosts = topo.hosts().to_vec();
-    let rec = |ts: u64| StampedRecord {
-        agent_id: 1,
-        export_ms: ts,
-        record: FlowRecord {
-            key: FlowKey::tcp(hosts[0], hosts[hosts.len() - 1], 10_000, 443),
-            stats: FlowStats {
-                packets: 100,
-                ..Default::default()
-            },
-            class: TrafficClass::Passive,
-            path: None,
-        },
+    // A drain batch holding one record stamped `ts`.
+    let rec = |ts: u64| DrainBatch {
+        buckets: vec![(
+            ts,
+            vec![StampedRecord {
+                agent_id: 1,
+                export_ms: ts,
+                record: FlowRecord {
+                    key: FlowKey::tcp(hosts[0], hosts[hosts.len() - 1], 10_000, 443),
+                    stats: FlowStats {
+                        packets: 100,
+                        ..Default::default()
+                    },
+                    class: TrafficClass::Passive,
+                    path: None,
+                },
+            }],
+        )],
     };
     let run = |pipelined: bool| -> Vec<EpochReport> {
         let mut pipe = StreamPipeline::new(&topo, sharded_cfg(pipelined, 0));
         let mut reports = Vec::new();
         for e in 0..3u64 {
             for i in 0..20 {
-                pipe.ingest([rec(e * 1_000 + i * 37)]);
+                pipe.ingest_bucketed(rec(e * 1_000 + i * 37));
             }
             reports.extend(pipe.poll((e + 1) * 1_000));
             if e == 1 {
                 // Arrives after epoch 1 closed: dropped as late, and the
                 // drop must surface on a subsequent report's health.
-                pipe.ingest([rec(10)]);
+                pipe.ingest_bucketed(rec(10));
             }
         }
         reports.extend(pipe.drain());

@@ -6,7 +6,10 @@ use flock_stream::{EpochConfig, EpochManager};
 use flock_telemetry::{FlowKey, FlowRecord, FlowStats, StampedRecord, TrafficClass};
 use flock_topology::NodeId;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use std::collections::{BTreeMap, HashMap};
 
 /// A stamped record whose identity survives windowing (encoded in the
 /// flow key's ports so no two generated records collide).
@@ -34,9 +37,9 @@ fn rec(id: u32, ts: u64) -> StampedRecord {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Tumbling epochs partition the stream: every pushed record lands in
-    /// exactly one closed epoch, inside that epoch's bounds, regardless
-    /// of push order or how the watermark advances.
+    /// Tumbling epochs partition the stream: every placed record lands
+    /// in exactly one closed epoch, inside that epoch's bounds,
+    /// regardless of placement order or how the watermark advances.
     #[test]
     fn tumbling_partitions_losslessly(
         epoch_ms in 1u64..500,
@@ -45,7 +48,7 @@ proptest! {
     ) {
         let mut mgr = EpochManager::new(EpochConfig::tumbling(epoch_ms));
         for (i, &ts) in stamps.iter().enumerate() {
-            mgr.push(rec(i as u32, ts));
+            mgr.extend_bucket(ts, vec![rec(i as u32, ts)]);
         }
         let mut closed = Vec::new();
         let mut wm = 0u64;
@@ -56,7 +59,7 @@ proptest! {
         }
         closed.extend(mgr.flush());
 
-        // No late drops: everything was pushed before any close.
+        // No late drops: everything was placed before any close.
         prop_assert_eq!(mgr.late_records(), 0);
 
         // Each record id appears exactly once, within its window.
@@ -82,47 +85,45 @@ proptest! {
         }
     }
 
-    /// The wire-v2 fast path partitions records identically to the v1
-    /// per-record sort path: feeding pre-bucketed input through
-    /// `extend_bucket` — including deliberately mis-stamped buckets,
-    /// which must fall back — closes exactly the same epochs with
-    /// exactly the same record sets as pushing records one at a time.
+    /// Placing stamp runs closes the same epochs as placing one record
+    /// at a time: however a stamp's records are split into runs, and in
+    /// whatever order the runs arrive, every epoch holds exactly the
+    /// same records.
     #[test]
-    fn bucketed_drain_partitions_identically_to_v1_path(
+    fn stamp_runs_partition_identically_to_single_records(
         epoch_ms in 1u64..500,
         stamps in prop::collection::vec(0u64..5_000, 1..200),
-        skew in prop::collection::vec(any::<bool>(), 8..9),
+        splits in prop::collection::vec(1usize..4, 8..9),
+        order_seed: u64,
     ) {
         let records: Vec<StampedRecord> =
             stamps.iter().enumerate().map(|(i, &ts)| rec(i as u32, ts)).collect();
 
-        // v1 path: per-record assignment in stream order.
-        let mut v1 = EpochManager::new(EpochConfig::tumbling(epoch_ms));
+        // Reference: one record at a time, in stream order.
+        let mut single = EpochManager::new(EpochConfig::tumbling(epoch_ms));
         for r in &records {
-            v1.push(r.clone());
+            single.extend_bucket(r.export_ms, vec![r.clone()]);
         }
 
-        // v2 path: group by the agent-stamped epoch (as the collector
-        // reactor does), then hand over bucket-at-a-time. Every 8th
-        // bucket key is optionally skewed to simulate a mis-stamping
-        // agent — those must take the fallback path, not corrupt the
-        // partition.
-        let mut buckets: HashMap<u64, Vec<StampedRecord>> = HashMap::new();
+        // Group by stamp, split each stamp's records into 1–3 runs, and
+        // hand the runs over in a shuffled order.
+        let mut by_stamp: BTreeMap<u64, Vec<StampedRecord>> = BTreeMap::new();
         for r in &records {
-            buckets.entry(r.export_ms / epoch_ms).or_default().push(r.clone());
+            by_stamp.entry(r.export_ms).or_default().push(r.clone());
         }
-        let mut v2 = EpochManager::new(EpochConfig::tumbling(epoch_ms));
-        let mut keys: Vec<u64> = buckets.keys().copied().collect();
-        keys.sort_unstable();
-        for (i, key) in keys.into_iter().enumerate() {
-            let bucket = buckets.remove(&key).unwrap();
-            let claimed = if skew[i % skew.len()] { key + 1 } else { key };
-            v2.extend_bucket(claimed, bucket);
+        let mut runs: Vec<(u64, Vec<StampedRecord>)> = Vec::new();
+        for (k, (ts, recs)) in by_stamp.into_iter().enumerate() {
+            let size = recs.len().div_ceil(splits[k % splits.len()]);
+            runs.extend(recs.chunks(size).map(|run| (ts, run.to_vec())));
+        }
+        runs.shuffle(&mut StdRng::seed_from_u64(order_seed));
+        let mut grouped = EpochManager::new(EpochConfig::tumbling(epoch_ms));
+        for (ts, run) in runs {
+            grouped.extend_bucket(ts, run);
         }
 
         let close = |mgr: &mut EpochManager| {
-            let mut out: Vec<(u64, Vec<u32>)> = mgr
-                .flush()
+            mgr.flush()
                 .into_iter()
                 .map(|ep| {
                     let mut ids: Vec<u32> =
@@ -130,12 +131,10 @@ proptest! {
                     ids.sort_unstable();
                     (ep.index, ids)
                 })
-                .collect();
-            out.sort_by_key(|(idx, _)| *idx);
-            out
+                .collect::<Vec<_>>()
         };
-        prop_assert_eq!(close(&mut v1), close(&mut v2));
-        prop_assert_eq!(v1.late_records(), 0);
-        prop_assert_eq!(v2.late_records(), 0);
+        prop_assert_eq!(close(&mut single), close(&mut grouped));
+        prop_assert_eq!(single.late_records(), 0);
+        prop_assert_eq!(grouped.late_records(), 0);
     }
 }

@@ -9,7 +9,7 @@
 //! records. [`Exporter`] ships records to a collector over TCP.
 
 use crate::flow::{FlowKey, FlowRecord, FlowStats, TrafficClass};
-use crate::wire::{self, encode_message, encode_message_v2};
+use crate::wire::encode_message;
 use flock_topology::LinkId;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -27,17 +27,14 @@ pub struct AgentConfig {
     /// packet, so a sampled flow's statistics stay complete (§3.1's
     /// "optionally randomly sampled to reduce volume").
     pub sample_rate: f64,
-    /// Maximum records per export message; larger exports are chunked.
+    /// Maximum records per export message, in `1..=u16::MAX`; larger
+    /// exports are chunked.
     pub max_records_per_message: usize,
-    /// Wire protocol version to emit (1 or 2). v2 frames additionally
-    /// carry the epoch hint when [`AgentConfig::epoch_hint_ms`] is set;
-    /// without a hint the agent falls back to v1 frames, so the default
-    /// config is wire-compatible with a v1 collector.
-    pub wire_version: u16,
-    /// Collector-agreed tumbling epoch length in milliseconds. When set
-    /// (and `wire_version >= 2`), every export message is stamped with
-    /// `epoch_seq = export_time_ms / epoch_hint_ms`, letting the
-    /// collector pre-bucket records by epoch as it decodes.
+    /// Inert: nothing in the product reads it. A message's
+    /// `export_time_ms` already places its records
+    /// (`export_time_ms / epoch_ms`), so frames carry no epoch index.
+    /// Kept only for the benchmark generator, which sets it; it goes with
+    /// that write (ROADMAP 1(a)). No test or example sets it.
     pub epoch_hint_ms: Option<u64>,
 }
 
@@ -47,7 +44,6 @@ impl Default for AgentConfig {
             agent_id: 0,
             sample_rate: 1.0,
             max_records_per_message: 4096,
-            wire_version: wire::VERSION,
             epoch_hint_ms: None,
         }
     }
@@ -91,17 +87,14 @@ pub struct AgentCore {
 }
 
 impl AgentCore {
-    /// Create an agent core.
+    /// Create an agent core. Panics on a `sample_rate` outside `[0, 1]`
+    /// or a `max_records_per_message` one message cannot carry.
     pub fn new(cfg: AgentConfig) -> Self {
         assert!((0.0..=1.0).contains(&cfg.sample_rate));
         assert!(
-            cfg.wire_version == wire::VERSION_V1 || cfg.wire_version == wire::VERSION,
-            "unsupported wire version {}",
-            cfg.wire_version
-        );
-        assert!(
-            cfg.epoch_hint_ms != Some(0),
-            "epoch hint length must be positive"
+            (1..=usize::from(u16::MAX)).contains(&cfg.max_records_per_message),
+            "max_records_per_message {} outside 1..=65535",
+            cfg.max_records_per_message
         );
         AgentCore {
             cfg,
@@ -189,25 +182,20 @@ impl AgentCore {
     }
 
     /// Encode `records` into wire messages (chunked), advancing the
-    /// sequence counter. Emits v2 frames stamped with the epoch index
-    /// when the config carries an epoch hint, v1 frames otherwise.
+    /// sequence counter.
     pub fn encode_export(
         &mut self,
         export_time_ms: u64,
         records: &[FlowRecord],
     ) -> Vec<bytes::Bytes> {
-        let epoch_seq = match self.cfg.epoch_hint_ms {
-            Some(ms) if self.cfg.wire_version >= wire::VERSION => Some(export_time_ms / ms),
-            _ => None,
-        };
         let mut msgs = Vec::new();
-        for chunk in records.chunks(self.cfg.max_records_per_message.max(1)) {
-            msgs.push(match epoch_seq {
-                Some(seq) => {
-                    encode_message_v2(self.cfg.agent_id, export_time_ms, self.sequence, seq, chunk)
-                }
-                None => encode_message(self.cfg.agent_id, export_time_ms, self.sequence, chunk),
-            });
+        for chunk in records.chunks(self.cfg.max_records_per_message) {
+            msgs.push(encode_message(
+                self.cfg.agent_id,
+                export_time_ms,
+                self.sequence,
+                chunk,
+            ));
             self.sequence += 1;
         }
         msgs
@@ -455,35 +443,33 @@ mod tests {
     }
 
     #[test]
-    fn epoch_hint_stamps_v2_frames() {
+    fn message_size_is_validated_at_construction() {
+        let max = usize::from(u16::MAX);
+        for bad in [0, max + 1] {
+            let built = std::panic::catch_unwind(|| {
+                AgentCore::new(AgentConfig {
+                    max_records_per_message: bad,
+                    ..Default::default()
+                })
+            });
+            assert!(built.is_err(), "max_records_per_message {bad} accepted");
+        }
+        // The largest legal size fills exactly one message that decodes.
         let mut agent = AgentCore::new(AgentConfig {
-            epoch_hint_ms: Some(1_000),
-            max_records_per_message: 2,
+            max_records_per_message: max,
             ..Default::default()
         });
-        for i in 0..5u32 {
-            agent.observe(sample(i, 1000, 0));
-        }
-        let recs = agent.export();
-        let msgs = agent.encode_export(3_500, &recs);
-        assert_eq!(msgs.len(), 3);
-        for m in &msgs {
-            let decoded = crate::wire::decode_message(m).unwrap();
-            assert_eq!(decoded.epoch_seq, Some(3), "3500ms / 1000ms = epoch 3");
-        }
-        // Forcing v1 drops the hint even when configured.
-        let mut v1 = AgentCore::new(AgentConfig {
-            epoch_hint_ms: Some(1_000),
-            wire_version: crate::wire::VERSION_V1,
-            ..Default::default()
-        });
-        v1.observe(sample(1, 1000, 0));
-        let recs = v1.export();
-        let msgs = v1.encode_export(3_500, &recs);
-        assert_eq!(
-            crate::wire::decode_message(&msgs[0]).unwrap().epoch_seq,
-            None
-        );
+        let recs: Vec<FlowRecord> = (0..max as u32)
+            .map(|i| FlowRecord {
+                key: FlowKey::tcp(NodeId(i), NodeId(99), 1000, 80),
+                stats: FlowStats::default(),
+                class: TrafficClass::Passive,
+                path: None,
+            })
+            .collect();
+        let msgs = agent.encode_export(0, &recs);
+        assert_eq!(msgs.len(), 1);
+        assert_eq!(crate::wire::decode_message(&msgs[0]).unwrap().records, recs);
     }
 
     #[test]

@@ -11,16 +11,15 @@
 //! (the shard store's lock is only ever contended by the periodic
 //! drain).
 //!
-//! Records decoded from v2 frames arrive pre-bucketed: the shard bins
-//! them by the agent-stamped `epoch_seq` as it decodes, so
-//! [`Collector::drain_buckets`] is one block copy per bucket and the
-//! stream layer can skip per-record window re-assignment. A shard keeps
-//! its bucket buffer: the drain copies the records out into one
-//! exactly-sized vector per epoch and hands the emptied buffer back, so
-//! in steady state a reactor thread allocates nothing per epoch and
-//! nothing it allocated is freed by another thread. v1
-//! frames (no hint) land in an `unhinted` side-buffer and take the
-//! classic re-bucketing path — both versions coexist on one socket.
+//! The shard bins records by their message's `export_time_ms` as it
+//! decodes, so every bucket is a run of records sharing one export
+//! stamp: [`Collector::drain_buckets`] is one block copy per bucket, and
+//! the stream layer places each run in its epoch window with one
+//! judgement of that stamp. A shard keeps its bucket buffer: the drain
+//! copies the records out into one exactly-sized vector per stamp and
+//! hands the emptied buffer back, so in steady state a reactor thread
+//! allocates nothing per epoch and nothing it allocated is freed by
+//! another thread.
 //!
 //! The pending-record store is bounded: past
 //! [`CollectorConfig::high_water`] records, newly decoded messages are
@@ -46,8 +45,7 @@ use std::time::{Duration, Instant};
 /// pipeline windows on: which agent sent it and the agent's export
 /// timestamp (milliseconds, agent-chosen epoch). The offline path
 /// ([`Collector::drain`]) discards the stamp; the streaming path
-/// ([`Collector::drain_stamped`] / [`Collector::drain_buckets`])
-/// preserves it for epoch assignment.
+/// ([`Collector::drain_buckets`]) preserves it for epoch assignment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StampedRecord {
     /// Agent that exported the record.
@@ -249,37 +247,23 @@ pub struct AgentSeen {
     pub messages: u64,
 }
 
-/// Records drained from the collector with the reactor's per-epoch
-/// pre-bucketing preserved.
+/// Records drained from the collector, bucketed by export stamp.
 #[derive(Debug, Default)]
 pub struct DrainBatch {
-    /// v2 records grouped by their agent-stamped `epoch_seq`, in
-    /// ascending epoch order.
+    /// `(export_ms, records)` runs in ascending stamp order; every record
+    /// in a run carries that `export_ms`.
     pub buckets: Vec<(u64, Vec<StampedRecord>)>,
-    /// v1 records (no epoch hint on the wire); the stream layer assigns
-    /// these per record as before.
-    pub unhinted: Vec<StampedRecord>,
 }
 
 impl DrainBatch {
     /// Total records in the batch.
     pub fn len(&self) -> usize {
-        self.unhinted.len() + self.buckets.iter().map(|(_, b)| b.len()).sum::<usize>()
+        self.buckets.iter().map(|(_, b)| b.len()).sum()
     }
 
     /// Whether the batch holds no records.
     pub fn is_empty(&self) -> bool {
-        self.unhinted.is_empty() && self.buckets.iter().all(|(_, b)| b.is_empty())
-    }
-
-    /// Flatten into a plain stamped-record list (bucketing discarded).
-    pub fn into_stamped(self) -> Vec<StampedRecord> {
-        let mut out = Vec::with_capacity(self.len());
-        for (_, bucket) in self.buckets {
-            out.extend(bucket);
-        }
-        out.extend(self.unhinted);
-        out
+        self.buckets.iter().all(|(_, b)| b.is_empty())
     }
 }
 
@@ -287,8 +271,8 @@ impl DrainBatch {
 /// thread (producer) and the periodic drain (consumer).
 #[derive(Debug, Default)]
 struct ShardStore {
+    /// Records by their message's `export_time_ms`.
     buckets: BTreeMap<u64, Vec<StampedRecord>>,
-    unhinted: Vec<StampedRecord>,
     /// An emptied bucket buffer handed back by the last drain; the next
     /// new bucket starts in it instead of growing one by doubling.
     spare: Vec<StampedRecord>,
@@ -381,18 +365,16 @@ impl Collector {
 
     /// Drain all records received so far, discarding export stamps.
     pub fn drain(&self) -> Vec<FlowRecord> {
-        self.drain_stamped().into_iter().map(|s| s.record).collect()
+        self.drain_buckets()
+            .buckets
+            .into_iter()
+            .flat_map(|(_, bucket)| bucket)
+            .map(|s| s.record)
+            .collect()
     }
 
-    /// Drain all records received so far with their agent/export stamps,
-    /// flattened into one list (epoch pre-bucketing discarded).
-    pub fn drain_stamped(&self) -> Vec<StampedRecord> {
-        self.drain_buckets().into_stamped()
-    }
-
-    /// Drain all records received so far, preserving the reactor's
-    /// per-epoch pre-bucketing of v2 input — the entry point of the
-    /// epoch-windowing stream layer's fast path.
+    /// Drain all records received so far in runs that share one export
+    /// stamp — the input of the epoch-windowing stream layer.
     pub fn drain_buckets(&self) -> DrainBatch {
         // Take every shard's records, holding each lock only for the
         // swap. The pending counter is adjusted while the shard lock is
@@ -406,41 +388,34 @@ impl Collector {
             .map(|store| {
                 let mut guard = store.lock();
                 let buckets = std::mem::take(&mut guard.buckets);
-                let unhinted = std::mem::take(&mut guard.unhinted);
-                let count = unhinted.len() + buckets.values().map(Vec::len).sum::<usize>();
+                let count = buckets.values().map(Vec::len).sum::<usize>();
                 self.pending.fetch_sub(count, Ordering::Relaxed);
-                (buckets, unhinted)
+                buckets
             })
             .collect();
-        // One exactly-sized vector per epoch, allocated (and later
+        // One exactly-sized vector per stamp, allocated (and later
         // freed) by the draining thread; the shards' own buffers are
         // emptied into it and go back to their shard.
         let mut sizes: BTreeMap<u64, usize> = BTreeMap::new();
-        for (buckets, _) in &taken {
-            for (seq, bucket) in buckets {
-                *sizes.entry(*seq).or_default() += bucket.len();
+        for buckets in &taken {
+            for (stamp, bucket) in buckets {
+                *sizes.entry(*stamp).or_default() += bucket.len();
             }
         }
         let mut merged: BTreeMap<u64, Vec<StampedRecord>> = sizes
             .into_iter()
-            .map(|(seq, n)| (seq, Vec::with_capacity(n)))
+            .map(|(stamp, n)| (stamp, Vec::with_capacity(n)))
             .collect();
-        let mut unhinted = Vec::new();
-        for (store, (buckets, shard_unhinted)) in self.stores.iter().zip(taken) {
+        for (store, buckets) in self.stores.iter().zip(taken) {
             let mut spare = Vec::new();
-            for (seq, mut bucket) in buckets {
+            for (stamp, mut bucket) in buckets {
                 merged
-                    .get_mut(&seq)
+                    .get_mut(&stamp)
                     .expect("every taken bucket was sized above")
                     .append(&mut bucket);
                 if bucket.capacity() > spare.capacity() {
                     spare = bucket;
                 }
-            }
-            if unhinted.is_empty() {
-                unhinted = shard_unhinted;
-            } else {
-                unhinted.extend(shard_unhinted);
             }
             let mut guard = store.lock();
             if spare.capacity() > guard.spare.capacity() {
@@ -449,7 +424,6 @@ impl Collector {
         }
         DrainBatch {
             buckets: merged.into_iter().collect(),
-            unhinted,
         }
     }
 
@@ -770,16 +744,11 @@ fn store_message(
         stats.dropped_records.fetch_add(n as u64, Ordering::Relaxed);
         return;
     }
-    match msg.epoch_seq {
-        Some(seq) => {
-            let ShardStore { buckets, spare, .. } = &mut *s;
-            buckets
-                .entry(seq)
-                .or_insert_with(|| std::mem::take(spare))
-                .extend(stamped)
-        }
-        None => s.unhinted.extend(stamped),
-    }
+    let ShardStore { buckets, spare } = &mut *s;
+    buckets
+        .entry(export_ms)
+        .or_insert_with(|| std::mem::take(spare))
+        .extend(stamped);
     pending.fetch_add(n, Ordering::Relaxed);
 }
 
@@ -858,7 +827,7 @@ mod tests {
     }
 
     #[test]
-    fn drain_stamped_preserves_export_metadata() {
+    fn drain_buckets_preserves_export_metadata() {
         let collector = Collector::bind(ephemeral()).unwrap();
         let mut agent = AgentCore::new(AgentConfig {
             agent_id: 42,
@@ -881,8 +850,10 @@ mod tests {
         }
         exporter.finish().unwrap();
         assert!(wait_for(|| collector.pending() == 1, 2000));
-        let stamped = collector.drain_stamped();
-        assert_eq!(stamped.len(), 1);
+        let batch = collector.drain_buckets();
+        assert_eq!(batch.len(), 1);
+        let (stamp, stamped) = &batch.buckets[0];
+        assert_eq!(*stamp, 90_500);
         assert_eq!(stamped[0].agent_id, 42);
         assert_eq!(stamped[0].export_ms, 90_500);
         assert_eq!(stamped[0].record.key.src, NodeId(1));
@@ -1099,16 +1070,16 @@ mod tests {
     }
 
     #[test]
-    fn v2_records_arrive_pre_bucketed() {
+    fn records_are_bucketed_by_export_stamp() {
         let collector = Collector::bind(ephemeral()).unwrap();
         let mut agent = AgentCore::new(AgentConfig {
             agent_id: 3,
-            epoch_hint_ms: Some(1_000),
             ..Default::default()
         });
         let mut exporter = Exporter::connect(collector.local_addr()).unwrap();
-        // Two exports landing in epochs 1 and 4.
-        for (export_ms, base) in [(1_500u64, 0u32), (4_250, 100)] {
+        // Three exports, the first two inside one 1 s window: buckets are
+        // runs of one stamp, not of one window.
+        for (export_ms, base) in [(1_500u64, 0u32), (1_700, 50), (4_250, 100)] {
             for i in 0..5u32 {
                 agent.observe(passive_sample(base + i, 4000 + i as u16));
             }
@@ -1119,16 +1090,13 @@ mod tests {
         }
         exporter.finish().unwrap();
 
-        assert!(wait_for(|| collector.pending() == 10, 2000));
+        assert!(wait_for(|| collector.pending() == 15, 2000));
         let batch = collector.drain_buckets();
-        assert!(batch.unhinted.is_empty(), "all frames were v2");
-        let seqs: Vec<u64> = batch.buckets.iter().map(|(s, _)| *s).collect();
-        assert_eq!(seqs, vec![1, 4]);
-        for (seq, bucket) in &batch.buckets {
+        let stamps: Vec<u64> = batch.buckets.iter().map(|(s, _)| *s).collect();
+        assert_eq!(stamps, vec![1_500, 1_700, 4_250]);
+        for (stamp, bucket) in &batch.buckets {
             assert_eq!(bucket.len(), 5);
-            for r in bucket {
-                assert_eq!(r.export_ms / 1_000, *seq);
-            }
+            assert!(bucket.iter().all(|r| r.export_ms == *stamp));
         }
         assert_eq!(collector.pending(), 0);
     }
@@ -1138,73 +1106,31 @@ mod tests {
         let collector = Collector::bind(ephemeral()).unwrap();
         let mut agent = AgentCore::new(AgentConfig {
             agent_id: 3,
-            epoch_hint_ms: Some(1_000),
             ..Default::default()
         });
         let mut exporter = Exporter::connect(collector.local_addr()).unwrap();
         // Three epochs over one connection with a drain after each: from
         // the second on, the shard fills the buffer the drain handed
-        // back. Every drain must see exactly its own epoch's records.
+        // back. Every drain must see exactly its own export's records.
         for (seq, n) in [(1u64, 7u32), (2, 3), (3, 9)] {
             for i in 0..n {
                 agent.observe(passive_sample(seq as u32 * 100 + i, 4000 + i as u16));
             }
             let records = agent.export();
-            for m in &agent.encode_export(seq * 1_000 + 500, &records) {
+            let export_ms = seq * 1_000 + 500;
+            for m in &agent.encode_export(export_ms, &records) {
                 exporter.send(m).unwrap();
             }
             assert!(wait_for(|| collector.pending() == n as usize, 2000));
             let batch = collector.drain_buckets();
             assert_eq!(batch.buckets.len(), 1);
-            let (got_seq, bucket) = &batch.buckets[0];
-            assert_eq!(*got_seq, seq);
+            let (stamp, bucket) = &batch.buckets[0];
+            assert_eq!(*stamp, export_ms);
             assert_eq!(bucket.len(), n as usize);
-            assert!(bucket.iter().all(|r| r.export_ms / 1_000 == seq));
+            assert!(bucket.iter().all(|r| r.export_ms == export_ms));
             assert_eq!(collector.pending(), 0);
         }
         exporter.finish().unwrap();
-    }
-
-    #[test]
-    fn v1_and_v2_agents_coexist() {
-        let collector = Collector::bind(ephemeral()).unwrap();
-        let addr = collector.local_addr();
-
-        let mut v1 = AgentCore::new(AgentConfig {
-            agent_id: 1,
-            ..Default::default() // no epoch hint → v1 frames
-        });
-        v1.observe(passive_sample(1, 1000));
-        let recs = v1.export();
-        let msgs = v1.encode_export(2_500, &recs);
-        let mut e1 = Exporter::connect(addr).unwrap();
-        for m in &msgs {
-            e1.send(m).unwrap();
-        }
-        e1.finish().unwrap();
-
-        let mut v2 = AgentCore::new(AgentConfig {
-            agent_id: 2,
-            epoch_hint_ms: Some(1_000),
-            ..Default::default()
-        });
-        v2.observe(passive_sample(2, 1000));
-        v2.observe(passive_sample(3, 1001));
-        let recs = v2.export();
-        let msgs = v2.encode_export(2_500, &recs);
-        let mut e2 = Exporter::connect(addr).unwrap();
-        for m in &msgs {
-            e2.send(m).unwrap();
-        }
-        e2.finish().unwrap();
-
-        assert!(wait_for(|| collector.pending() == 3, 2000));
-        let batch = collector.drain_buckets();
-        assert_eq!(batch.unhinted.len(), 1, "the v1 agent's record");
-        assert_eq!(batch.unhinted[0].agent_id, 1);
-        assert_eq!(batch.buckets.len(), 1);
-        assert_eq!(batch.buckets[0].0, 2);
-        assert_eq!(batch.buckets[0].1.len(), 2);
     }
 
     #[test]
@@ -1212,7 +1138,6 @@ mod tests {
         let collector = Collector::bind(ephemeral()).unwrap();
         let mut agent = AgentCore::new(AgentConfig {
             agent_id: 9,
-            epoch_hint_ms: Some(1_000),
             ..Default::default()
         });
         for i in 0..3u32 {
@@ -1245,9 +1170,8 @@ mod tests {
 
         assert!(wait_for(|| collector.pending() == 4, 3000));
         let batch = collector.drain_buckets();
-        assert_eq!(batch.buckets.len(), 1, "both messages hint epoch 1");
-        assert_eq!(batch.buckets[0].0, 1);
-        assert_eq!(batch.buckets[0].1.len(), 4);
+        let runs: Vec<(u64, usize)> = batch.buckets.iter().map(|(s, b)| (*s, b.len())).collect();
+        assert_eq!(runs, vec![(1_200, 3), (1_300, 1)], "one run per stamp");
         assert_eq!(collector.stats().snapshot().decode_errors, 0);
     }
 
@@ -1258,10 +1182,12 @@ mod tests {
         let mk_agent = |id| {
             AgentCore::new(AgentConfig {
                 agent_id: id,
-                epoch_hint_ms: Some(1_000),
                 ..Default::default()
             })
         };
+        // The agent re-exports under the epoch's one stamp after it
+        // reconnects.
+        let export_ms = 3_500;
 
         // First connection: half the epoch's records, then hang up.
         let mut agent = mk_agent(5);
@@ -1269,7 +1195,7 @@ mod tests {
             agent.observe(passive_sample(i, 7000 + i as u16));
         }
         let recs = agent.export();
-        let msgs = agent.encode_export(3_400, &recs);
+        let msgs = agent.encode_export(export_ms, &recs);
         let mut e = Exporter::connect(addr).unwrap();
         for m in &msgs {
             e.send(m).unwrap();
@@ -1287,7 +1213,7 @@ mod tests {
             agent.observe(passive_sample(i, 7000 + i as u16));
         }
         let recs = agent.export();
-        let msgs = agent.encode_export(3_900, &recs);
+        let msgs = agent.encode_export(export_ms, &recs);
         let mut e = Exporter::connect(addr).unwrap();
         for m in &msgs {
             e.send(m).unwrap();
@@ -1303,10 +1229,10 @@ mod tests {
         assert_eq!(snap.connections, 2);
         assert_eq!(snap.active_connections, 0);
 
-        // Both connections' records merged into the one epoch-3 bucket.
+        // Both connections' records merged into the stamp's one bucket.
         let batch = collector.drain_buckets();
         assert_eq!(batch.buckets.len(), 1);
-        assert_eq!(batch.buckets[0].0, 3);
+        assert_eq!(batch.buckets[0].0, export_ms);
         assert_eq!(batch.buckets[0].1.len(), 7);
     }
 
@@ -1346,7 +1272,7 @@ mod tests {
         assert_eq!(snap.dropped_records, 40, "store capped at 2 messages");
         assert_eq!(collector.pending(), 10);
         // Draining reopens the store for new messages.
-        assert_eq!(collector.drain_stamped().len(), 10);
+        assert_eq!(collector.drain_buckets().len(), 10);
         assert_eq!(collector.pending(), 0);
     }
 

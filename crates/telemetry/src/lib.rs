@@ -8,16 +8,13 @@
 //! * [`wire`] — the IPFIX-style export format: fixed message header plus
 //!   52-byte fixed flow-stats records (matching the paper's "52 bytes per
 //!   flow"), with an optional variable-length path attachment for flows
-//!   whose exact route is known (active probes / INT). Two negotiated
-//!   header versions: v1 (32 B) and v2 (40 B, adding the agent-stamped
-//!   `epoch_seq` hint).
+//!   whose exact route is known (active probes / INT). One 32-byte
+//!   header version; its `export_time_ms` is what epochs are cut by.
 //! * [`agent`] — the end-host agent: aggregates packet/flow samples by flow
-//!   key, optionally downsamples, and periodically exports records,
-//!   stamping each export with its epoch index when configured with the
-//!   collector-agreed cadence.
+//!   key, optionally downsamples, and periodically exports records.
 //! * [`collector`] — a sharded, event-driven TCP reactor that multiplexes
 //!   many agent connections over a few threads, decodes export messages
-//!   into shard-local stores pre-bucketed by epoch, and sheds load at a
+//!   into shard-local stores bucketed by export stamp, and sheds load at a
 //!   configurable high-water mark (reproduces the Fig. 7 scalability
 //!   measurements).
 //! * [`probes`] — active-probe planning: A1 host↔spine bounce probes with

@@ -6,20 +6,16 @@
 //! variable-length path attachment when the exporter knows the flow's
 //! exact route (probes, INT, A2 traceroutes).
 //!
-//! Two header versions are in the field. v1 is the original 32-byte
-//! header; v2 appends an agent-stamped `epoch_seq:u64` — the index of
-//! the collector-agreed tumbling epoch the export belongs to — which
-//! lets the collector pre-bucket records by epoch as it decodes and the
-//! stream layer skip per-record window re-assignment on drain.
-//! Negotiation is per-message and passive: each frame declares its
-//! version, a v2 decoder accepts both, so v1 agents keep working against
-//! a v2 collector unchanged.
+//! One header version is spoken: the 32-byte v1 header. Its
+//! `export_time_ms` is all the stream layer needs to window a record
+//! (`export_time_ms / epoch_ms`), so the header carries no epoch field.
+//! Every frame declares its version; a frame of any other version is
+//! quarantined whole as [`WireError::BadVersion`].
 //!
 //! ```text
 //! message   := header record*
-//! header_v1 := magic:u32 version:u16 record_count:u16 msg_len:u32
+//! header    := magic:u32 version:u16 record_count:u16 msg_len:u32
 //!              agent_id:u32 export_time_ms:u64 sequence:u64       (32 B)
-//! header_v2 := header_v1 epoch_seq:u64                            (40 B)
 //! record    := src:u32 dst:u32 sport:u16 dport:u16 proto:u8 flags:u8
 //!              packets:u48 retrans:u48 bytes:u64 rtt_sum_us:u64
 //!              rtt_count:u32 rtt_max_us:u32 reserved:u16          (52 B)
@@ -37,26 +33,12 @@ use std::fmt;
 
 /// Message magic: `"FLK1"`.
 pub const MAGIC: u32 = 0x464c_4b31;
-/// The original wire protocol version (no epoch hint).
-pub const VERSION_V1: u16 = 1;
-/// Current wire protocol version: v2, with the `epoch_seq` header field.
-pub const VERSION: u16 = 2;
-/// Size of the v1 message header in bytes.
+/// The wire protocol version.
+pub const VERSION: u16 = 1;
+/// Size of the message header in bytes.
 pub const HEADER_LEN: usize = 32;
-/// Size of the v2 message header in bytes (v1 plus `epoch_seq:u64`).
-pub const HEADER_LEN_V2: usize = 40;
 /// Size of the fixed flow-stats record in bytes.
 pub const RECORD_LEN: usize = 52;
-
-/// Header size for a given protocol version (panics on unknown versions;
-/// decoders reject those before asking).
-pub fn header_len(version: u16) -> usize {
-    match version {
-        VERSION_V1 => HEADER_LEN,
-        VERSION => HEADER_LEN_V2,
-        v => panic!("unknown wire version {v}"),
-    }
-}
 
 /// Record flag: a path attachment follows the fixed record.
 pub const FLAG_HAS_PATH: u8 = 0b0000_0001;
@@ -66,11 +48,11 @@ pub const FLAG_PROBE: u8 = 0b0000_0010;
 const MAX_PATH_LEN: usize = 64;
 const MAX_RECORDS: usize = u16::MAX as usize;
 
-/// Largest `msg_len` a header can legitimately declare: a full v2 header
-/// plus `MAX_RECORDS` records each carrying a maximal path attachment.
+/// Largest `msg_len` a header can legitimately declare: a header plus
+/// `MAX_RECORDS` records each carrying a maximal path attachment.
 /// Anything larger is corruption — the framing layer refuses to buffer
 /// toward it and resyncs instead.
-pub const MAX_MSG_LEN: usize = HEADER_LEN_V2 + MAX_RECORDS * (RECORD_LEN + 2 + MAX_PATH_LEN * 4);
+pub const MAX_MSG_LEN: usize = HEADER_LEN + MAX_RECORDS * (RECORD_LEN + 2 + MAX_PATH_LEN * 4);
 
 /// Decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,67 +102,31 @@ pub struct ExportMessage {
     pub export_time_ms: u64,
     /// Per-agent message sequence number.
     pub sequence: u64,
-    /// Agent-stamped epoch index (v2 frames only; `None` for v1).
-    pub epoch_seq: Option<u64>,
     /// The flow records.
     pub records: Vec<FlowRecord>,
 }
 
-/// Encode a v1 export message (no epoch hint). Panics if more than
-/// `u16::MAX` records are passed (the agent's exporter chunks before
-/// calling this).
+/// Encode an export message. Panics if more than `u16::MAX` records are
+/// passed (the agent's exporter chunks before calling this).
 pub fn encode_message(
     agent_id: u32,
     export_time_ms: u64,
     sequence: u64,
     records: &[FlowRecord],
 ) -> Bytes {
-    encode_message_impl(agent_id, export_time_ms, sequence, None, records)
-}
-
-/// Encode a v2 export message carrying the agent-stamped epoch index.
-pub fn encode_message_v2(
-    agent_id: u32,
-    export_time_ms: u64,
-    sequence: u64,
-    epoch_seq: u64,
-    records: &[FlowRecord],
-) -> Bytes {
-    encode_message_impl(agent_id, export_time_ms, sequence, Some(epoch_seq), records)
-}
-
-fn encode_message_impl(
-    agent_id: u32,
-    export_time_ms: u64,
-    sequence: u64,
-    epoch_seq: Option<u64>,
-    records: &[FlowRecord],
-) -> Bytes {
     assert!(
         records.len() <= MAX_RECORDS,
         "too many records in one message"
     );
-    let header = if epoch_seq.is_some() {
-        HEADER_LEN_V2
-    } else {
-        HEADER_LEN
-    };
-    let mut body = BytesMut::with_capacity(header + records.len() * (RECORD_LEN + 8));
+    let mut body = BytesMut::with_capacity(HEADER_LEN + records.len() * (RECORD_LEN + 8));
     body.put_u32(MAGIC);
-    body.put_u16(if epoch_seq.is_some() {
-        VERSION
-    } else {
-        VERSION_V1
-    });
+    body.put_u16(VERSION);
     body.put_u16(records.len() as u16);
     body.put_u32(0); // msg_len backpatched below
     body.put_u32(agent_id);
     body.put_u64(export_time_ms);
     body.put_u64(sequence);
-    if let Some(seq) = epoch_seq {
-        body.put_u64(seq);
-    }
-    debug_assert_eq!(body.len(), header);
+    debug_assert_eq!(body.len(), HEADER_LEN);
 
     for rec in records {
         encode_record(&mut body, rec);
@@ -237,7 +183,7 @@ pub fn decode_message(mut buf: &[u8]) -> Result<ExportMessage, WireError> {
         return Err(WireError::BadMagic(magic));
     }
     let version = buf.get_u16();
-    if version != VERSION_V1 && version != VERSION {
+    if version != VERSION {
         return Err(WireError::BadVersion(version));
     }
     let record_count = buf.get_u16() as usize;
@@ -245,14 +191,6 @@ pub fn decode_message(mut buf: &[u8]) -> Result<ExportMessage, WireError> {
     let agent_id = buf.get_u32();
     let export_time_ms = buf.get_u64();
     let sequence = buf.get_u64();
-    let epoch_seq = if version == VERSION {
-        if buf.remaining() < 8 {
-            return Err(WireError::Truncated);
-        }
-        Some(buf.get_u64())
-    } else {
-        None
-    };
 
     let mut records = Vec::with_capacity(record_count);
     for _ in 0..record_count {
@@ -324,7 +262,6 @@ pub fn decode_message(mut buf: &[u8]) -> Result<ExportMessage, WireError> {
         agent_id,
         export_time_ms,
         sequence,
-        epoch_seq,
         records,
     })
 }
@@ -367,25 +304,19 @@ impl StreamDecoder {
         }
         let version = u16::from_be_bytes(self.buf[4..6].try_into().unwrap());
         let msg_len = u32::from_be_bytes(self.buf[8..12].try_into().unwrap()) as usize;
-        let known_version = version == VERSION_V1 || version == VERSION;
         // The declared length is only trusted inside sane bounds; an insane
         // length means the header itself is corrupt, so frame-skipping
         // would desynchronize us further — hunt for the next magic instead.
-        let min_len = if known_version {
-            header_len(version)
-        } else {
-            HEADER_LEN
-        };
-        if msg_len < min_len || msg_len > MAX_MSG_LEN {
+        if !(HEADER_LEN..=MAX_MSG_LEN).contains(&msg_len) {
             return self.resync(WireError::LengthMismatch {
                 declared: msg_len as u32,
-                consumed: min_len as u32,
+                consumed: HEADER_LEN as u32,
             });
         }
         if self.buf.len() < msg_len {
             return DecodeStep::NeedMore;
         }
-        if !known_version {
+        if version != VERSION {
             // Length-framed but undecodable: drop exactly this frame and
             // keep the boundary for the next one.
             let _ = self.buf.split_to(msg_len);
@@ -512,44 +443,48 @@ mod tests {
         assert_eq!(msg.agent_id, 42);
         assert_eq!(msg.export_time_ms, 1111);
         assert_eq!(msg.sequence, 5);
-        assert_eq!(msg.epoch_seq, None, "v1 frames carry no epoch hint");
         assert_eq!(msg.records, recs);
     }
 
-    #[test]
-    fn v2_roundtrip_carries_epoch_seq() {
-        let recs = sample_records();
-        let bytes = encode_message_v2(42, 61_500, 5, 2, &recs);
-        let msg = decode_message(&bytes).unwrap();
-        assert_eq!(msg.agent_id, 42);
-        assert_eq!(msg.export_time_ms, 61_500);
-        assert_eq!(msg.sequence, 5);
-        assert_eq!(msg.epoch_seq, Some(2));
-        assert_eq!(msg.records, recs);
-    }
-
-    #[test]
-    fn v2_header_is_exactly_40_bytes() {
-        let bytes = encode_message_v2(0, 0, 0, 7, &[]);
-        assert_eq!(bytes.len(), HEADER_LEN_V2);
-        assert_eq!(u16::from_be_bytes(bytes[4..6].try_into().unwrap()), VERSION);
+    /// A frame laid out as the retired version 2 did: the header with
+    /// version 2, an 8-byte epoch field, then the records (40-byte
+    /// header, `msg_len` covering all of it).
+    fn v2_frame(recs: &[FlowRecord]) -> Vec<u8> {
+        let v1 = encode_message(7, 1_500, 1, recs);
+        let mut frame = v1[..HEADER_LEN].to_vec();
+        frame[4..6].copy_from_slice(&2u16.to_be_bytes());
+        frame.extend_from_slice(&1u64.to_be_bytes());
+        frame.extend_from_slice(&v1[HEADER_LEN..]);
+        let len = frame.len() as u32;
+        frame[8..12].copy_from_slice(&len.to_be_bytes());
+        frame
     }
 
     #[test]
     fn stream_decoder_handles_mixed_versions() {
+        // A version-2 frame between two current ones, fed in chunks that
+        // split all three: it is quarantined whole once its last byte
+        // arrives, and both neighbours decode.
         let recs = sample_records();
         let mut all = Vec::new();
         all.extend_from_slice(&encode_message(1, 10, 0, &recs));
-        all.extend_from_slice(&encode_message_v2(1, 1_500, 1, 1, &recs[..1]));
+        all.extend_from_slice(&v2_frame(&recs[..1]));
         all.extend_from_slice(&encode_message(1, 20, 2, &recs));
 
         let mut dec = StreamDecoder::new();
-        let out = decode_chunked(&mut dec, &all, 11);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].epoch_seq, None);
-        assert_eq!(out[1].epoch_seq, Some(1));
-        assert_eq!(out[1].records.len(), 1);
-        assert_eq!(out[2].epoch_seq, None);
+        let mut steps = Vec::new();
+        for piece in all.chunks(11) {
+            dec.feed(piece);
+            loop {
+                match dec.next_step() {
+                    DecodeStep::Message(m) => steps.push(Ok(m.sequence)),
+                    DecodeStep::Quarantined(e) => steps.push(Err(e)),
+                    DecodeStep::NeedMore => break,
+                    other => panic!("aligned stream produced {other:?}"),
+                }
+            }
+        }
+        assert_eq!(steps, vec![Ok(0), Err(WireError::BadVersion(2)), Ok(2)]);
         assert_eq!(dec.buffered(), 0);
     }
 
@@ -656,7 +591,7 @@ mod tests {
     #[test]
     fn next_step_resyncs_across_garbage() {
         let recs = sample_records();
-        let good = encode_message_v2(7, 100, 0, 1, &recs);
+        let good = encode_message(7, 100, 0, &recs);
         let mut all = Vec::new();
         all.extend_from_slice(&good);
         all.extend_from_slice(&[0xde; 57]); // garbage, no magic
@@ -713,17 +648,25 @@ mod tests {
     fn next_step_quarantines_unknown_version_by_frame() {
         let recs = sample_records();
         let good = encode_message(7, 100, 0, &recs);
-        let mut bad = good.to_vec();
-        bad[4..6].copy_from_slice(&9u16.to_be_bytes());
+        let mut v9 = good.to_vec();
+        v9[4..6].copy_from_slice(&9u16.to_be_bytes());
 
-        let mut dec = StreamDecoder::new();
-        dec.feed(&bad);
-        dec.feed(&good);
-        assert!(matches!(
-            dec.next_step(),
-            DecodeStep::Quarantined(WireError::BadVersion(9))
-        ));
-        assert!(matches!(dec.next_step(), DecodeStep::Message(_)));
+        // An unknown version on the current header, and a version-2
+        // frame with its longer header: each is dropped as a unit.
+        for (bad, version) in [(v9, 9), (v2_frame(&recs), 2)] {
+            let mut dec = StreamDecoder::new();
+            dec.feed(&bad);
+            dec.feed(&good);
+            assert!(matches!(
+                dec.next_step(),
+                DecodeStep::Quarantined(WireError::BadVersion(v)) if v == version
+            ));
+            match dec.next_step() {
+                DecodeStep::Message(m) => assert_eq!(m.records, recs),
+                other => panic!("expected the following message, got {other:?}"),
+            }
+            assert_eq!(dec.buffered(), 0);
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! request for more input; never a panic, never a livelock.
 
 use flock_telemetry::wire::{
-    decode_message, encode_message, encode_message_v2, DecodeStep, StreamDecoder,
+    decode_message, encode_message, DecodeStep, StreamDecoder, WireError, HEADER_LEN,
 };
 use flock_telemetry::{FlowKey, FlowRecord, FlowStats, TrafficClass};
 use flock_topology::{LinkId, NodeId};
@@ -62,6 +62,18 @@ fn arb_record() -> impl Strategy<Value = FlowRecord> {
     )
 }
 
+/// `frame` re-laid in the retired version-2 layout: version 2 and an
+/// 8-byte epoch field after the header (40 bytes), `msg_len` adjusted.
+fn v2_frame(frame: &[u8]) -> Vec<u8> {
+    let mut v2 = frame[..HEADER_LEN].to_vec();
+    v2[4..6].copy_from_slice(&2u16.to_be_bytes());
+    v2.extend_from_slice(&0u64.to_be_bytes());
+    v2.extend_from_slice(&frame[HEADER_LEN..]);
+    let len = v2.len() as u32;
+    v2[8..12].copy_from_slice(&len.to_be_bytes());
+    v2
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -81,38 +93,22 @@ proptest! {
     }
 
     #[test]
-    fn v2_roundtrip_any_batch(
-        records in prop::collection::vec(arb_record(), 0..20),
-        agent_id: u32,
-        time: u64,
-        seq: u64,
-        epoch_seq: u64,
-    ) {
-        let bytes = encode_message_v2(agent_id, time, seq, epoch_seq, &records);
-        let msg = decode_message(&bytes).unwrap();
-        prop_assert_eq!(msg.agent_id, agent_id);
-        prop_assert_eq!(msg.export_time_ms, time);
-        prop_assert_eq!(msg.sequence, seq);
-        prop_assert_eq!(msg.epoch_seq, Some(epoch_seq));
-        prop_assert_eq!(msg.records, records);
-    }
-
-    #[test]
     fn stream_decoder_reassembles_any_chunking(
         records in prop::collection::vec(arb_record(), 1..8),
         chunk in 1usize..64,
         n_messages in 1usize..4,
         versions in prop::collection::vec(any::<bool>(), 1..4),
     ) {
-        // Interleave v1 and v2 frames on one stream: the decoder must
-        // negotiate per message.
+        // Interleave current frames with frames in the retired version-2
+        // layout: under any chunking the decoder delivers every current
+        // frame and quarantines each version-2 frame whole.
         let mut all = Vec::new();
         for i in 0..n_messages {
-            let v2 = versions[i % versions.len()];
-            if v2 {
-                all.extend_from_slice(&encode_message_v2(7, i as u64, i as u64, i as u64 + 9, &records));
+            let frame = encode_message(7, i as u64, i as u64, &records);
+            if versions[i % versions.len()] {
+                all.extend_from_slice(&v2_frame(&frame));
             } else {
-                all.extend_from_slice(&encode_message(7, i as u64, i as u64, &records));
+                all.extend_from_slice(&frame);
             }
         }
         let mut dec = StreamDecoder::new();
@@ -120,15 +116,18 @@ proptest! {
         for piece in all.chunks(chunk) {
             dec.feed(piece);
             loop {
-                let msg = match dec.next_step() {
-                    DecodeStep::Message(msg) => msg,
+                match dec.next_step() {
+                    DecodeStep::Message(msg) => {
+                        prop_assert!(!versions[seen % versions.len()]);
+                        prop_assert_eq!(&msg.records, &records);
+                        prop_assert_eq!(msg.export_time_ms, seen as u64);
+                    }
+                    DecodeStep::Quarantined(WireError::BadVersion(2)) => {
+                        prop_assert!(versions[seen % versions.len()]);
+                    }
                     DecodeStep::NeedMore => break,
-                    other => panic!("clean stream produced {other:?}"),
-                };
-                prop_assert_eq!(&msg.records, &records);
-                prop_assert_eq!(msg.export_time_ms, seen as u64);
-                let expect_v2 = versions[seen % versions.len()];
-                prop_assert_eq!(msg.epoch_seq, expect_v2.then(|| seen as u64 + 9));
+                    other => panic!("aligned stream produced {other:?}"),
+                }
                 seen += 1;
             }
         }
@@ -175,7 +174,7 @@ proptest! {
     ) {
         // Garbage, frame, garbage, frame: the decoder must deliver both
         // messages, resyncing over every byte it cannot use.
-        let frame_a = encode_message_v2(3, 10, 0, 7, &records);
+        let frame_a = encode_message(3, 10, 0, &records);
         let frame_b = encode_message(3, 11, 1, &records);
         let mut stream = Vec::new();
         stream.extend_from_slice(&pre);
@@ -215,13 +214,8 @@ proptest! {
     fn truncation_never_panics(
         records in prop::collection::vec(arb_record(), 1..6),
         cut_fraction in 0.0f64..1.0,
-        v2: bool,
     ) {
-        let bytes = if v2 {
-            encode_message_v2(1, 2, 3, 4, &records)
-        } else {
-            encode_message(1, 2, 3, &records)
-        };
+        let bytes = encode_message(1, 2, 3, &records);
         let cut = ((bytes.len() as f64) * cut_fraction) as usize;
         // Any prefix must decode to Ok or a clean error — never panic.
         let _ = decode_message(&bytes[..cut]);

@@ -1,9 +1,9 @@
 //! `flock-daemon` — the continuously-running localization service of
 //! §5.1, end to end: per-host agents export 52-byte IPFIX-style records
-//! (wire v2, epoch-stamped) over real TCP sockets to the sharded
-//! reactor collector; the stream layer takes the pre-bucketed drain
-//! into epochs and localizes each one with warm-started, pod-sharded
-//! inference while a fault appears, persists, and heals — and every
+//! over real TCP sockets to the sharded reactor collector; the stream
+//! layer windows the drain into epochs by export stamp and localizes
+//! each one with warm-started, pod-sharded inference while a fault
+//! appears, persists, and heals — and every
 //! verdict lands in a durable [`VerdictStore`]: blame history, debounced
 //! alerts, and per-verdict provenance, all queryable and all surviving
 //! a store close/reopen (asserted at the end of the run).
@@ -144,11 +144,10 @@ fn main() {
         }
         let export_ms = epoch * EPOCH_MS + EPOCH_MS / 2;
         for (host, host_flows) in &per_host {
-            // Wire v2: exports are stamped with the collector-agreed
-            // epoch so records arrive pre-bucketed.
+            // Every export carries `export_ms`, which alone places its
+            // records in this epoch's window.
             let mut agent = AgentCore::new(AgentConfig {
                 agent_id: host.0,
-                epoch_hint_ms: Some(EPOCH_MS),
                 ..Default::default()
             });
             for f in host_flows {

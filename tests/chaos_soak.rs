@@ -124,7 +124,6 @@ fn canonicalize(batch: &mut DrainBatch) {
     let key = |r: &StampedRecord| {
         (
             r.agent_id,
-            r.export_ms,
             r.record.key.src,
             r.record.key.dst,
             r.record.key.src_port,
@@ -138,7 +137,6 @@ fn canonicalize(batch: &mut DrainBatch) {
     for (_, bucket) in &mut batch.buckets {
         bucket.sort_by_key(key);
     }
-    batch.unhinted.sort_by_key(key);
 }
 
 struct RunOutcome {
@@ -246,7 +244,6 @@ fn run_pipeline(
             // permutes something and a tear lands mid-stream.
             let mut agent = AgentCore::new(AgentConfig {
                 agent_id: host.0,
-                epoch_hint_ms: Some(EPOCH_MS),
                 max_records_per_message: 24,
                 ..Default::default()
             });
@@ -269,7 +266,7 @@ fn run_pipeline(
                 .collect();
             // Clock skew re-stamps the export before encoding; a skew
             // past the epoch boundary lands the records in the *next*
-            // epoch's bucket (buffered, not lost).
+            // epoch's window (buffered, not lost).
             for f in &my_faults {
                 if f.kind == FaultKind::ClockSkew {
                     export_ms =

@@ -96,7 +96,7 @@ fn collector_to_stream_detects_fault_and_heal() {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         assert_eq!(collector.pending(), expected, "records lost in transit");
-        pipeline.ingest(collector.drain_stamped());
+        pipeline.ingest_bucketed(collector.drain_buckets());
         reports.extend(pipeline.poll((epoch + 1) * EPOCH_MS));
     }
     reports.extend(pipeline.drain());
