@@ -32,12 +32,12 @@
 use flock_core::{LocalizationResult, Localizer};
 use flock_telemetry::ObservationSet;
 use flock_topology::{Component, LinkId, NodeId, Topology};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::time::Instant;
 
 /// The NetBouncer baseline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct NetBouncer {
     /// Regularization weight λ.
     pub lambda: f64,

@@ -16,11 +16,11 @@
 use flock_core::{LocalizationResult, Localizer};
 use flock_telemetry::ObservationSet;
 use flock_topology::{Component, LinkId, Topology};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Instant;
 
 /// The 007 baseline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ZeroZeroSeven {
     /// Minimum vote total for a link to be blamed (007's single
     /// hyperparameter, calibrated in §5.2).

@@ -4,10 +4,10 @@
 
 use crate::scheme::SchemeConfig;
 use flock_core::HyperParams;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Grid over Flock's three hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FlockGrid {
     /// Values of `p_g`.
     pub p_g: Vec<f64>,
@@ -51,7 +51,7 @@ impl FlockGrid {
 }
 
 /// Grid over NetBouncer's three hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct NetBouncerGrid {
     /// Regularization weights.
     pub lambda: Vec<f64>,
@@ -91,7 +91,7 @@ impl NetBouncerGrid {
 }
 
 /// Grid over 007's single hyperparameter.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SevenGrid {
     /// Vote thresholds.
     pub vote_threshold: Vec<f64>,

@@ -2,11 +2,11 @@
 
 use flock_baselines::{NetBouncer, ZeroZeroSeven};
 use flock_core::{FlockGreedy, HyperParams, Localizer};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A fully-specified scheme configuration; `build` instantiates the
 /// corresponding localizer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum SchemeConfig {
     /// Flock greedy inference with the given model hyperparameters.
     Flock(HyperParams),

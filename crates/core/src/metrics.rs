@@ -11,11 +11,11 @@
 //!   is empty (a non-empty answer is a wrong answer).
 
 use flock_topology::{Component, GroundTruth, LinkId, NodeId, Topology};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashSet;
 
 /// A precision/recall pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PrecisionRecall {
     /// Fraction of predictions that are correct.
     pub precision: f64,

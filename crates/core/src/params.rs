@@ -1,6 +1,6 @@
 //! Model hyperparameters (§3.2, §5.2).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Hyperparameters of Flock's PGM.
 ///
@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Defaults sit mid-range of the calibration grids of Fig. 8; the
 /// `flock-calibrate` crate reproduces the paper's automated calibration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct HyperParams {
     /// Per-packet problem probability on good paths.
     pub p_g: f64,

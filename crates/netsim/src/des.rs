@@ -26,12 +26,12 @@ use crate::traffic::FlowDemand;
 use flock_telemetry::{FlowKey, FlowStats, MonitoredFlow, TrafficClass};
 use flock_topology::{LinkId, Router, Topology};
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Simulator configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct DesConfig {
     /// Link rate in bits per second (testbed: 1 Gbps).
     pub link_rate_bps: f64,
@@ -66,7 +66,7 @@ impl Default for DesConfig {
 
 /// WRED marking parameters for a misconfigured queue (§6.4: p = 1%,
 /// threshold w = 0 — "the link works normally if the queue is empty").
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct WredParams {
     /// Queue length (packets already waiting) at/above which arriving
     /// packets are dropped with `drop_prob`.
@@ -76,7 +76,7 @@ pub struct WredParams {
 }
 
 /// A link flap: the link stops serving for the window but keeps buffering.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct Flap {
     /// Flapping link.
     pub link: LinkId,
@@ -87,7 +87,7 @@ pub struct Flap {
 }
 
 /// Fault injection for a DES run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct DesFaults {
     /// Silent random drop probability per link (sparse).
     pub silent_drop: Vec<(LinkId, f64)>,

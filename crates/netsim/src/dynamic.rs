@@ -13,11 +13,11 @@ use crate::failure::FailureScenario;
 use flock_topology::{GroundTruth, LinkId, Topology};
 use rand::seq::SliceRandom;
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One fault on the timeline: a link dropping packets over an epoch
 /// window.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct FaultEvent {
     /// The failing link.
     pub link: LinkId,
@@ -38,7 +38,7 @@ impl FaultEvent {
 }
 
 /// A per-link noise floor plus a timeline of faults.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DynamicScenario {
     /// Static noise drop rate per directed link (drawn once; real noise
     /// floors drift far slower than the epoch cadence).

@@ -9,12 +9,12 @@
 use flock_topology::{GroundTruth, LinkId, NodeId, SpinePlanes, Topology};
 use rand::seq::{IndexedRandom, SliceRandom};
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A latency fault on a link: flows crossing it within the fault window
 /// see their RTT inflated (the flow-level analogue of a link flap that
 /// buffers packets, §6.4).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct LatencyFault {
     /// The affected link.
     pub link: LinkId,
@@ -26,7 +26,7 @@ pub struct LatencyFault {
 }
 
 /// Per-link drop probabilities plus ground truth.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FailureScenario {
     /// Drop probability per directed link, indexed by `LinkId`.
     pub drop_rate: Vec<f64>,

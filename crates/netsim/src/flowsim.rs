@@ -19,10 +19,10 @@ use crate::traffic::FlowDemand;
 use flock_telemetry::{FlowKey, FlowStats, MonitoredFlow, ProbeSpec, TrafficClass};
 use flock_topology::{LinkId, Router, Topology};
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Flow-level simulator knobs.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct FlowSimConfig {
     /// Base per-hop latency contribution in microseconds.
     pub per_hop_latency_us: u32,

@@ -11,10 +11,10 @@ use crate::dist::Pareto;
 use flock_topology::{NodeId, Topology};
 use rand::seq::IndexedRandom;
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Traffic matrix shape.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum TrafficPattern {
     /// Source and destination hosts drawn uniformly at random.
     Uniform,
@@ -40,7 +40,7 @@ impl TrafficPattern {
 }
 
 /// Traffic generation parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct TrafficConfig {
     /// Traffic matrix shape.
     pub pattern: TrafficPattern,
@@ -68,7 +68,7 @@ impl TrafficConfig {
 }
 
 /// One generated flow demand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct FlowDemand {
     /// Source host.
     pub src: NodeId,

@@ -8,7 +8,7 @@
 //! frame    := payload_len u32 | checksum u32 (FNV-1a/32 of payload) | payload
 //! payload  := epoch u64 | start_ms u64 | end_ms u64 | records u64 |
 //!             observations u64 | hypotheses u64 | runtime_us u64 |
-//!             health (v2+) | n_verdicts u16 | verdict*
+//!             health | n_verdicts u16 | verdict*
 //! health   := degraded u8 | coverage f64 | n_reasons u8 |
 //!             (reason_len u16 | reason utf8)*
 //! verdict  := comp_tag u8 (0 link, 1 device) | comp_id u32 |
@@ -16,10 +16,10 @@
 //!             super_flows u32 | raw_weight f64 | n_sets u8 | set_id u32*
 //! ```
 //!
-//! Version 2 added the health block (the degraded-verdict contract).
-//! Version-1 segments open read-compatible — their records decode as
-//! healthy — and keep being *written* as version 1, since the file
-//! header's version governs every frame in the file.
+//! One codec version is spoken, [`SEGMENT_VERSION`] (2: the version
+//! that added the health block). A file whose header declares any other
+//! version is refused whole as [`SegmentError::BadVersion`] and left as
+//! it is.
 //!
 //! Appends are frame-at-a-time, so the only corruption a crash can
 //! produce is a *torn tail*: a final frame whose length, payload, or
@@ -43,8 +43,7 @@ use std::path::{Path, PathBuf};
 
 /// `"FLKV"` — flock verdict segment.
 pub const SEGMENT_MAGIC: u32 = 0x464c_4b56;
-/// Codec version this build writes to fresh segments. Version 1 (no
-/// health block) remains readable and appendable.
+/// The segment codec version: the only one written or read.
 pub const SEGMENT_VERSION: u16 = 2;
 /// Bytes of the file header.
 pub const HEADER_LEN: u64 = 8;
@@ -58,8 +57,7 @@ pub enum SegmentError {
     Io(std::io::Error),
     /// The file does not start with [`SEGMENT_MAGIC`].
     BadMagic(u32),
-    /// The file's codec version is newer than [`SEGMENT_VERSION`] (or
-    /// zero).
+    /// The file's codec version is not [`SEGMENT_VERSION`].
     BadVersion(u16),
     /// The file ends inside the 8-byte header.
     TruncatedHeader {
@@ -106,7 +104,7 @@ impl std::fmt::Display for SegmentError {
                 write!(f, "bad segment magic {m:#010x} (want {SEGMENT_MAGIC:#010x})")
             }
             SegmentError::BadVersion(v) => {
-                write!(f, "unsupported segment version {v} (want 1..={SEGMENT_VERSION})")
+                write!(f, "unsupported segment version {v} (want {SEGMENT_VERSION})")
             }
             SegmentError::TruncatedHeader { len } => {
                 write!(f, "file too short for segment header ({len} < {HEADER_LEN} bytes)")
@@ -182,9 +180,6 @@ pub enum AppendFault {
 pub struct Segment {
     file: File,
     path: PathBuf,
-    /// The file's codec version (frames are encoded/decoded per this,
-    /// not per the build's [`SEGMENT_VERSION`]).
-    version: u16,
     /// Compact index of the intact prefix, in file order.
     index: Vec<SegmentEntry>,
     /// Next append offset (end of the intact prefix).
@@ -216,7 +211,6 @@ impl Segment {
         Ok(Segment {
             file,
             path,
-            version: SEGMENT_VERSION,
             index: Vec::new(),
             end: HEADER_LEN,
             torn: None,
@@ -253,7 +247,7 @@ impl Segment {
             return Err(SegmentError::BadMagic(magic));
         }
         let version = cur.get_u16();
-        if version == 0 || version > SEGMENT_VERSION {
+        if version != SEGMENT_VERSION {
             return Err(SegmentError::BadVersion(version));
         }
         let _reserved = cur.get_u16();
@@ -263,7 +257,7 @@ impl Segment {
         let mut offset = HEADER_LEN;
         let mut torn = None;
         while offset < raw.len() as u64 {
-            match scan_frame(&raw, offset, version) {
+            match scan_frame(&raw, offset) {
                 Ok(entry) => {
                     offset = entry.offset + FRAME_HEADER_LEN + u64::from(entry.len);
                     index.push(entry);
@@ -284,18 +278,12 @@ impl Segment {
         Ok(Segment {
             file,
             path,
-            version,
             index,
             end: offset,
             torn,
             fault: None,
             buf: Vec::new(),
         })
-    }
-
-    /// The codec version of this file's frames.
-    pub fn version(&self) -> u16 {
-        self.version
     }
 
     /// Arm an [`AppendFault`] for the next append (single-shot: the
@@ -338,7 +326,7 @@ impl Segment {
     /// Append one record; returns its index entry.
     pub fn append(&mut self, rec: &EpochRecord) -> Result<SegmentEntry, SegmentError> {
         self.buf.clear();
-        encode_record(rec, &mut self.buf, self.version);
+        encode_record(rec, &mut self.buf);
         let mut frame = Vec::with_capacity(FRAME_HEADER_LEN as usize + self.buf.len());
         frame.put_u32(self.buf.len() as u32);
         frame.put_u32(fnv1a(&self.buf));
@@ -398,7 +386,7 @@ impl Segment {
         self.buf.resize(entry.len as usize, 0);
         self.file.read_exact(&mut self.buf)?;
         let mut cur: &[u8] = &self.buf;
-        decode_record(&mut cur, entry.offset, self.version)
+        decode_record(&mut cur, entry.offset)
     }
 
     /// Read the record for `epoch`, if stored (last write wins when an
@@ -420,7 +408,7 @@ impl Segment {
 
 /// Validate the frame at `offset` of `raw` (length, checksum, and a
 /// structural decode) and return its index entry.
-fn scan_frame(raw: &[u8], offset: u64, version: u16) -> Result<SegmentEntry, SegmentError> {
+fn scan_frame(raw: &[u8], offset: u64) -> Result<SegmentEntry, SegmentError> {
     let rest = &raw[offset as usize..];
     if (rest.len() as u64) < FRAME_HEADER_LEN {
         return Err(SegmentError::TornFrame {
@@ -449,7 +437,7 @@ fn scan_frame(raw: &[u8], offset: u64, version: u16) -> Result<SegmentEntry, Seg
         });
     }
     let mut pcur = payload;
-    let rec = decode_record(&mut pcur, offset, version)?;
+    let rec = decode_record(&mut pcur, offset)?;
     Ok(SegmentEntry {
         epoch: rec.epoch_index,
         offset,
@@ -468,11 +456,8 @@ pub fn fnv1a(data: &[u8]) -> u32 {
     hash
 }
 
-/// Encode one record payload (frame header excluded) at `version` —
-/// the *file's* codec version, which may be older than
-/// [`SEGMENT_VERSION`] when appending to an opened v1 segment (the
-/// health block is then dropped, not mis-framed).
-pub fn encode_record(rec: &EpochRecord, out: &mut Vec<u8>, version: u16) {
+/// Encode one record payload (frame header excluded).
+pub fn encode_record(rec: &EpochRecord, out: &mut Vec<u8>) {
     out.put_u64(rec.epoch_index);
     out.put_u64(rec.start_ms);
     out.put_u64(rec.end_ms);
@@ -480,17 +465,15 @@ pub fn encode_record(rec: &EpochRecord, out: &mut Vec<u8>, version: u16) {
     out.put_u64(rec.observations);
     out.put_u64(rec.hypotheses_scanned);
     out.put_u64(rec.runtime_us);
-    if version >= 2 {
-        out.put_u8(u8::from(rec.degraded));
-        out.put_u64(rec.evidence_coverage.to_bits());
-        let n = rec.degrade_reasons.len().min(u8::MAX as usize);
-        out.put_u8(n as u8);
-        for reason in rec.degrade_reasons.iter().take(n) {
-            let bytes = reason.as_bytes();
-            let len = bytes.len().min(u16::MAX as usize);
-            out.put_u16(len as u16);
-            out.put_slice(&bytes[..len]);
-        }
+    out.put_u8(u8::from(rec.degraded));
+    out.put_u64(rec.evidence_coverage.to_bits());
+    let n = rec.degrade_reasons.len().min(u8::MAX as usize);
+    out.put_u8(n as u8);
+    for reason in rec.degrade_reasons.iter().take(n) {
+        let bytes = reason.as_bytes();
+        let len = bytes.len().min(u16::MAX as usize);
+        out.put_u16(len as u16);
+        out.put_slice(&bytes[..len]);
     }
     out.put_u16(rec.verdicts.len() as u16);
     for v in &rec.verdicts {
@@ -526,14 +509,8 @@ macro_rules! need {
     };
 }
 
-/// Decode one record payload at the file's codec `version` (v1 records
-/// decode as healthy — the health block did not exist). `offset` is
-/// only for error reporting.
-pub fn decode_record(
-    cur: &mut &[u8],
-    offset: u64,
-    version: u16,
-) -> Result<EpochRecord, SegmentError> {
+/// Decode one record payload. `offset` is only for error reporting.
+pub fn decode_record(cur: &mut &[u8], offset: u64) -> Result<EpochRecord, SegmentError> {
     need!(cur, 56, offset, "payload shorter than fixed record head");
     let epoch_index = cur.get_u64();
     let start_ms = cur.get_u64();
@@ -542,27 +519,22 @@ pub fn decode_record(
     let observations = cur.get_u64();
     let hypotheses_scanned = cur.get_u64();
     let runtime_us = cur.get_u64();
-    let mut degraded = false;
-    let mut evidence_coverage = 1.0f64;
-    let mut degrade_reasons = Vec::new();
-    if version >= 2 {
-        need!(cur, 10, offset, "health block truncated");
-        degraded = cur.get_u8() != 0;
-        evidence_coverage = f64::from_bits(cur.get_u64());
-        let n_reasons = cur.get_u8() as usize;
-        degrade_reasons.reserve(n_reasons);
-        for _ in 0..n_reasons {
-            need!(cur, 2, offset, "degrade reason length truncated");
-            let len = cur.get_u16() as usize;
-            need!(cur, len, offset, "degrade reason truncated");
-            let reason = std::str::from_utf8(cur.take_bytes(len))
-                .map_err(|_| SegmentError::MalformedRecord {
-                    offset,
-                    detail: "degrade reason is not UTF-8",
-                })?
-                .to_string();
-            degrade_reasons.push(reason);
-        }
+    need!(cur, 10, offset, "health block truncated");
+    let degraded = cur.get_u8() != 0;
+    let evidence_coverage = f64::from_bits(cur.get_u64());
+    let n_reasons = cur.get_u8() as usize;
+    let mut degrade_reasons = Vec::with_capacity(n_reasons);
+    for _ in 0..n_reasons {
+        need!(cur, 2, offset, "degrade reason length truncated");
+        let len = cur.get_u16() as usize;
+        need!(cur, len, offset, "degrade reason truncated");
+        let reason = std::str::from_utf8(cur.take_bytes(len))
+            .map_err(|_| SegmentError::MalformedRecord {
+                offset,
+                detail: "degrade reason is not UTF-8",
+            })?
+            .to_string();
+        degrade_reasons.push(reason);
     }
     need!(cur, 2, offset, "verdict count truncated");
     let n_verdicts = cur.get_u16();

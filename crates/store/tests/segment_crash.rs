@@ -170,3 +170,24 @@ fn store_reopen_replays_the_intact_prefix() {
     assert!(store.provenance(comp, 5).is_none(), "torn epoch is gone");
     std::fs::remove_file(&path).unwrap();
 }
+
+#[test]
+fn other_version_is_refused_and_left_untouched() {
+    let path = temp_path("v1");
+    write_segment(&path, 3);
+    // Re-stamp the header as codec version 1 (before the health block).
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[4..6].copy_from_slice(&1u16.to_be_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    assert!(matches!(
+        Segment::open(&path),
+        Err(SegmentError::BadVersion(1))
+    ));
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        bytes,
+        "a refused segment is not truncated or rewritten"
+    );
+    std::fs::remove_file(&path).unwrap();
+}

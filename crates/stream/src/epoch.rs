@@ -17,7 +17,7 @@
 //! unvalidated; an all-ones field is the likeliest corruption): such a
 //! window could never close against any watermark.
 
-use flock_telemetry::StampedRecord;
+use flock_telemetry::MonitoredFlow;
 use std::collections::BTreeMap;
 
 /// Epoch windowing parameters.
@@ -85,7 +85,7 @@ impl EpochConfig {
     }
 }
 
-/// One closed window of stamped records, ready for localization.
+/// One closed window of records, ready for localization.
 #[derive(Debug, Clone)]
 pub struct Epoch {
     /// Window index (monotone per manager).
@@ -94,8 +94,9 @@ pub struct Epoch {
     pub start_ms: u64,
     /// Window end timestamp (ms, exclusive).
     pub end_ms: u64,
-    /// The records whose export stamp falls inside the window.
-    pub records: Vec<StampedRecord>,
+    /// The records whose export stamp falls inside the window, in
+    /// hand-over order.
+    pub records: Vec<MonitoredFlow>,
 }
 
 /// Assigns drained records to windows and closes them against a
@@ -103,7 +104,7 @@ pub struct Epoch {
 #[derive(Debug)]
 pub struct EpochManager {
     config: EpochConfig,
-    open: BTreeMap<u64, Vec<StampedRecord>>,
+    open: BTreeMap<u64, Vec<MonitoredFlow>>,
     /// Windows with index below this are closed; late arrivals for them
     /// are dropped (and counted).
     closed_below: u64,
@@ -140,17 +141,14 @@ impl EpochManager {
         }
     }
 
-    /// Place a run of records that share the export stamp `export_ms`
-    /// (one bucket of
+    /// Place a run of records exported under the stamp `export_ms` (one
+    /// bucket of
     /// [`Collector::drain_buckets`](flock_telemetry::Collector::drain_buckets))
     /// in the window covering that stamp. The run is dropped whole, each
     /// record counted late, when the stamp is beyond the lateness
-    /// horizon or its window is closed or could never close.
-    ///
-    /// Every record's `export_ms` must equal `export_ms`; the collector
-    /// keys its buckets that way. The stamp is judged once and no record
-    /// is scanned.
-    pub fn extend_bucket(&mut self, export_ms: u64, mut records: Vec<StampedRecord>) {
+    /// horizon or its window is closed or could never close. The stamp
+    /// is judged once and no record is scanned: the key is the stamp.
+    pub fn extend_bucket(&mut self, export_ms: u64, mut records: Vec<MonitoredFlow>) {
         if records.is_empty() {
             return;
         }
@@ -227,25 +225,29 @@ impl EpochManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flock_telemetry::{FlowKey, FlowRecord, FlowStats, TrafficClass};
+    use flock_telemetry::{FlowKey, FlowStats, TrafficClass};
     use flock_topology::NodeId;
 
-    fn rec(ts: u64) -> StampedRecord {
-        StampedRecord {
-            agent_id: 1,
-            export_ms: ts,
-            record: FlowRecord {
-                key: FlowKey::tcp(NodeId(1), NodeId(2), ts as u16, 80),
-                stats: FlowStats::default(),
-                class: TrafficClass::Passive,
-                path: None,
-            },
-        }
+    /// A run of `n` records handed over under the stamp `ts`. Each
+    /// carries the stamp in its source port, so a test can read back
+    /// which run a closed epoch's record came from.
+    fn run(ts: u64, n: usize) -> Vec<MonitoredFlow> {
+        let rec = MonitoredFlow {
+            key: FlowKey::tcp(NodeId(1), NodeId(2), ts as u16, 80),
+            stats: FlowStats::default(),
+            class: TrafficClass::Passive,
+            true_path: Vec::new(),
+        };
+        vec![rec; n]
     }
 
-    /// A run of `n` records sharing the stamp `ts`.
-    fn run(ts: u64, n: usize) -> Vec<StampedRecord> {
-        vec![rec(ts); n]
+    /// The stamps of the runs an epoch's records came from, in order.
+    fn stamps(epoch: &Epoch) -> Vec<u64> {
+        epoch
+            .records
+            .iter()
+            .map(|r| r.key.src_port.into())
+            .collect()
     }
 
     /// Place each stamp as its own one-record run.
@@ -302,8 +304,7 @@ mod tests {
         let closed = m.close_ready(300);
         assert_eq!(closed.len(), 1);
         assert_eq!(closed[0].index, 2);
-        let stamps: Vec<u64> = closed[0].records.iter().map(|r| r.export_ms).collect();
-        assert_eq!(stamps, vec![210, 210, 210, 250, 299, 299]);
+        assert_eq!(stamps(&closed[0]), vec![210, 210, 210, 250, 299, 299]);
     }
 
     #[test]
@@ -333,8 +334,7 @@ mod tests {
         let closed = m.close_ready(250);
         assert_eq!(closed.len(), 1);
         assert_eq!(closed[0].index, 1);
-        assert_eq!(closed[0].records.len(), 1);
-        assert_eq!(closed[0].records[0].export_ms, 140);
+        assert_eq!(stamps(&closed[0]), vec![140]);
     }
 
     #[test]
@@ -350,8 +350,7 @@ mod tests {
         m.extend_bucket(140, run(140, 3));
         assert_eq!(m.late_records(), 2, "exactly the 120ms run is late");
         let closed = m.close_ready(250);
-        assert_eq!(closed[0].records.len(), 3);
-        assert!(closed[0].records.iter().all(|r| r.export_ms == 140));
+        assert_eq!(stamps(&closed[0]), vec![140; 3]);
     }
 
     #[test]
@@ -372,11 +371,8 @@ mod tests {
     /// makes every later record late, no overflow panic.
     #[test]
     fn far_future_stamps_are_dropped_without_deafening_the_manager() {
-        let stamps = |epochs: &[Epoch]| -> Vec<(u64, Vec<u64>)> {
-            epochs
-                .iter()
-                .map(|e| (e.index, e.records.iter().map(|r| r.export_ms).collect()))
-                .collect()
+        let windows = |epochs: &[Epoch]| -> Vec<(u64, Vec<u64>)> {
+            epochs.iter().map(|e| (e.index, stamps(e))).collect()
         };
 
         let mut m = EpochManager::new(EpochConfig::tumbling(1000));
@@ -384,10 +380,10 @@ mod tests {
         m.extend_bucket(u64::MAX, run(u64::MAX, 2));
         m.extend_bucket(u64::MAX - 1, run(u64::MAX - 1, 1));
         assert_eq!(m.open_windows(), 1);
-        assert_eq!(stamps(&m.close_ready(1000)), vec![(0, vec![500])]);
+        assert_eq!(windows(&m.close_ready(1000)), vec![(0, vec![500])]);
         assert_eq!(m.late_records(), 3);
         place(&mut m, &[1500]);
-        assert_eq!(stamps(&m.close_ready(2000)), vec![(1, vec![1500])]);
+        assert_eq!(windows(&m.close_ready(2000)), vec![(1, vec![1500])]);
         assert_eq!(m.late_records(), 3);
     }
 

@@ -8,10 +8,10 @@
 //! [`ObservationSet`](flock_telemetry::ObservationSet); this crate turns
 //! that into the online loop:
 //!
-//! * [`epoch`] — windows the collector's stamped record stream into
-//!   fixed (tumbling) epochs against a caller-driven watermark, placing
-//!   each run of records that shares one export stamp with one
-//!   judgement of that stamp;
+//! * [`epoch`] — windows the collector's record stream into fixed
+//!   (tumbling) epochs against a caller-driven watermark, placing each
+//!   run of records drained under one export stamp with one judgement
+//!   of that stamp;
 //! * [`shard`] — partitions blame ownership over the component space
 //!   (one shard per pod plus one for the spine tier) so per-epoch
 //!   inference can run shard-parallel on a thread pool;

@@ -3,13 +3,13 @@
 //! [`StreamPipeline`] owns the continuously-running state of §5.1's
 //! deployment loop between collector and operator:
 //!
-//! 1. drained [`StampedRecord`](flock_telemetry::StampedRecord)s are
-//!    windowed by an [`EpochManager`] — the collector reactor drains
-//!    them in runs that share one export stamp, and each run is handed
-//!    over and placed whole ([`StreamPipeline::ingest_bucketed`]);
-//! 2. each closed epoch's records are reconstructed into
-//!    [`MonitoredFlow`]s and assembled into an [`ObservationSet`] against
-//!    a *persistent* [`Assembler`] arena (append-only interning), emitted
+//! 1. drained [`MonitoredFlow`] records are windowed by an
+//!    [`EpochManager`] — the collector reactor drains them in runs keyed
+//!    by one export stamp, and each run is handed over and placed whole
+//!    ([`StreamPipeline::ingest_bucketed`]);
+//! 2. each closed epoch's records are sanitized in place and assembled
+//!    into an [`ObservationSet`] against a *persistent* [`Assembler`]
+//!    arena (append-only interning), emitted
 //!    sorted by the `(path set, sent, bad)` evidence key so each shard
 //!    engine coalesces equal-key runs into weighted super-flows — the
 //!    spine shard, which sees nearly all inter-pod traffic, drops from
@@ -37,8 +37,7 @@ use flock_core::{
     LocalizationResult, TermDirectory,
 };
 use flock_telemetry::{
-    AnalysisMode, Assembler, DrainBatch, FlowRecord, InputKind, MonitoredFlow, ObservationSet,
-    TrafficClass,
+    AnalysisMode, Assembler, DrainBatch, InputKind, MonitoredFlow, ObservationSet, TrafficClass,
 };
 use flock_topology::{Component, NodeId, NodeRole, Router, Topology};
 use serde::Serialize;
@@ -466,20 +465,13 @@ struct InFlight {
     n_jobs: usize,
 }
 
-/// Rebuild [`MonitoredFlow`]s from wire records (paths are known only
-/// where agents traced or INT-stamped them). Takes records by value so
-/// the per-epoch hot path moves path vectors instead of cloning them.
-pub fn reconstruct(records: impl IntoIterator<Item = FlowRecord>) -> Vec<MonitoredFlow> {
-    records.into_iter().map(monitored_flow).collect()
-}
-
-fn monitored_flow(r: FlowRecord) -> MonitoredFlow {
-    MonitoredFlow {
-        key: r.key,
-        stats: r.stats,
-        class: r.class,
-        true_path: r.path.unwrap_or_default(),
-    }
+/// The identity: decoded wire records already are [`MonitoredFlow`]s
+/// (a record sent without a path attachment has an empty `true_path`),
+/// so nothing is rebuilt between the socket and assembly. Kept only
+/// because the benchmark driver's `pipeline.reconstruct_ms` probe names
+/// it (`benchmark/src/probes.rs`); it goes with that pin.
+pub fn reconstruct(records: impl IntoIterator<Item = MonitoredFlow>) -> Vec<MonitoredFlow> {
+    records.into_iter().collect()
 }
 
 /// The continuously-running localization pipeline over one topology.
@@ -499,9 +491,6 @@ pub struct StreamPipeline<'t> {
     /// Every `(sent, bad, w)` evidence key ever assembled → dense term
     /// id; the shard engines' ladders are addressed by these ids.
     terms: TermDirectory,
-    /// The flows reconstructed from the last closed epoch's records;
-    /// `run_epoch` refills the vector in place.
-    spare_monitored: Vec<MonitoredFlow>,
     /// Previous epoch's accept-list and flow-table buffers, reclaimed
     /// at collect and refilled in place the next epoch.
     spare_accept: Vec<Vec<u32>>,
@@ -552,7 +541,6 @@ impl<'t> StreamPipeline<'t> {
             exec,
             task_ctx,
             in_flight: None,
-            spare_monitored: Vec::new(),
             spare_accept: Vec::new(),
             spare_flow_table: EpochFlowTable::new(),
             touch: SetTouchIndex::new(),
@@ -563,7 +551,7 @@ impl<'t> StreamPipeline<'t> {
     }
 
     /// Flag a degradation observed outside the inference path (store
-    /// append failure, stale-agent eviction, collector connection kill)
+    /// append failure, a silent agent, collector connection kill)
     /// so the verdict contract reflects it: the reason attaches to the
     /// next emitted report (the first epoch of the next
     /// [`poll`](Self::poll) / [`drain`](Self::drain) batch) and marks
@@ -620,33 +608,28 @@ impl<'t> StreamPipeline<'t> {
     /// Localize one closed epoch (sequential mode), or submit it and
     /// collect its predecessor (pipelined mode — `None` on the very
     /// first epoch, when nothing is in flight yet).
-    fn run_epoch(&mut self, epoch: Epoch) -> Option<EpochReport> {
-        // Refilled in place: a fresh vector per epoch would take over the
-        // records' own allocation (in-place collect), shrink it and free
-        // it at the smaller size — megabytes of allocator traffic per
-        // epoch that a kept buffer avoids.
-        let mut monitored = std::mem::take(&mut self.spare_monitored);
-        monitored.clear();
-        monitored.extend(epoch.records.into_iter().map(|s| monitored_flow(s.record)));
+    ///
+    /// The epoch's record vector was allocated on this thread (by the
+    /// drain, or grown by windowing); it is sanitized in place, read by
+    /// assembly and freed here.
+    fn run_epoch(&mut self, mut epoch: Epoch) -> Option<EpochReport> {
         // The wire has no payload checksum: a corrupted-but-framed
         // message decodes into records with arbitrary content. Reject
         // anything the topology cannot account for *before* assembly,
         // where a garbage node id would panic an index lookup.
-        let before = monitored.len();
-        monitored.retain(|f| flow_is_sane(self.topo, f));
-        let rejected = (before - monitored.len()) as u64;
+        let before = epoch.records.len();
+        epoch.records.retain(|f| flow_is_sane(self.topo, f));
+        let rejected = (before - epoch.records.len()) as u64;
         if rejected > 0 {
             self.rejected_records += rejected;
             self.pending_flags
                 .push(DegradeReason::RejectedRecords { count: rejected });
         }
-        let report = if self.cfg.pipelined {
-            self.submit_flows(epoch.index, epoch.start_ms, epoch.end_ms, &monitored)
+        if self.cfg.pipelined {
+            self.submit_flows(epoch.index, epoch.start_ms, epoch.end_ms, &epoch.records)
         } else {
-            Some(self.run_flows(epoch.index, epoch.start_ms, epoch.end_ms, &monitored))
-        };
-        self.spare_monitored = monitored;
-        report
+            Some(self.run_flows(epoch.index, epoch.start_ms, epoch.end_ms, &epoch.records))
+        }
     }
 
     /// Total wire-delivered records rejected by content sanitation
@@ -655,7 +638,7 @@ impl<'t> StreamPipeline<'t> {
         self.rejected_records
     }
 
-    /// Localize one epoch's worth of already-reconstructed flows,
+    /// Localize one epoch's worth of flows,
     /// synchronously: assemble, run every shard on the executor, and
     /// collect the merged verdict before returning. Public so tests and
     /// benches can drive the inference loop without sockets.
@@ -1090,7 +1073,7 @@ fn chaos_stall(stall: Duration, deadline: Option<Instant>) {
     }
 }
 
-/// Whether a wire-reconstructed flow is accountable to the topology.
+/// Whether a wire-decoded flow is accountable to the topology.
 /// The wire format has no payload checksum, so a corrupted-but-framed
 /// message decodes into records with arbitrary content; anything that
 /// would panic an assembly index lookup (node or link ids outside the

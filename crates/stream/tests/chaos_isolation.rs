@@ -11,9 +11,7 @@ use flock_netsim::traffic::{generate_demands, TrafficConfig, TrafficPattern};
 use flock_stream::{
     ChaosHook, DegradeReason, EpochConfig, ShardChaos, StreamConfig, StreamPipeline,
 };
-use flock_telemetry::{
-    AnalysisMode, DrainBatch, FlowRecord, InputKind, MonitoredFlow, StampedRecord,
-};
+use flock_telemetry::{AnalysisMode, DrainBatch, InputKind, MonitoredFlow};
 use flock_topology::clos::{three_tier, ClosParams};
 use flock_topology::{Router, Topology};
 use rand::rngs::StdRng;
@@ -255,29 +253,14 @@ fn external_flags_and_late_records_degrade_next_report() {
     let mut pipe = StreamPipeline::new(&topo, cfg);
 
     // One agent's export: a drain batch holding one stamp's run.
-    let stamp = |flows: &[MonitoredFlow], agent: u32, ms: u64| -> DrainBatch {
-        let run = flows
-            .iter()
-            .map(|f| StampedRecord {
-                agent_id: agent,
-                export_ms: ms,
-                record: FlowRecord {
-                    key: f.key,
-                    stats: f.stats,
-                    class: f.class,
-                    path: Some(f.true_path.clone()),
-                },
-            })
-            .collect();
-        DrainBatch {
-            buckets: vec![(ms, run)],
-        }
+    let stamp = |flows: &[MonitoredFlow], ms: u64| DrainBatch {
+        buckets: vec![(ms, flows.to_vec())],
     };
 
     // Epoch 0 closes healthy, but an externally-flagged store fault
     // attaches to its report.
     let flows0 = epoch_flows(&topo, &router, &sc, 0, &mut rng);
-    pipe.ingest_bucketed(stamp(&flows0, 1, 500));
+    pipe.ingest_bucketed(stamp(&flows0, 500));
     pipe.flag_degraded(DegradeReason::External {
         what: "store-append:disk-full".into(),
     });
@@ -292,8 +275,8 @@ fn external_flags_and_late_records_degrade_next_report() {
     // A record far behind the watermark is dropped as late; the *next*
     // report carries the evidence loss.
     let flows1 = epoch_flows(&topo, &router, &sc, 1, &mut rng);
-    pipe.ingest_bucketed(stamp(&flows1, 1, 1_500));
-    pipe.ingest_bucketed(stamp(&flows0[..3], 2, 400)); // window 0: closed + beyond horizon
+    pipe.ingest_bucketed(stamp(&flows1, 1_500));
+    pipe.ingest_bucketed(stamp(&flows0[..3], 400)); // window 0: closed + beyond horizon
     assert_eq!(pipe.late_records(), 3);
     let reports = pipe.poll(2_000);
     assert_eq!(reports.len(), 1);
@@ -308,7 +291,7 @@ fn external_flags_and_late_records_degrade_next_report() {
 
     // With the faults cleared, reports return to Healthy.
     let flows2 = epoch_flows(&topo, &router, &sc, 2, &mut rng);
-    pipe.ingest_bucketed(stamp(&flows2, 1, 2_500));
+    pipe.ingest_bucketed(stamp(&flows2, 2_500));
     let reports = pipe.poll(3_000);
     assert_eq!(reports.len(), 1);
     assert!(!reports[0].health.is_degraded());
@@ -335,29 +318,16 @@ fn garbage_records_are_rejected_not_panicked() {
     });
     let mut pipe = StreamPipeline::new(&topo, sharded_cfg());
 
-    let flows = epoch_flows(&topo, &router, &sc, 0, &mut rng);
-    let mut records: Vec<StampedRecord> = flows
-        .iter()
-        .map(|f| StampedRecord {
-            agent_id: 1,
-            export_ms: 500,
-            record: FlowRecord {
-                key: f.key,
-                stats: f.stats,
-                class: f.class,
-                path: Some(f.true_path.clone()),
-            },
-        })
-        .collect();
+    let mut records = epoch_flows(&topo, &router, &sc, 0, &mut rng);
     // Three corruption shapes decodable from a well-formed frame: a
     // source node id beyond the topology, a traced path naming a link
     // that does not exist, and a retransmission count above packets.
     let mut garbage_node = records[0].clone();
-    garbage_node.record.key.src = flock_topology::NodeId(u32::MAX / 2);
+    garbage_node.key.src = flock_topology::NodeId(u32::MAX / 2);
     let mut garbage_link = records[1].clone();
-    garbage_link.record.path = Some(vec![flock_topology::LinkId(9_999_999)]);
+    garbage_link.true_path = vec![flock_topology::LinkId(9_999_999)];
     let mut garbage_stats = records[2].clone();
-    garbage_stats.record.stats.retransmissions = garbage_stats.record.stats.packets + 1;
+    garbage_stats.stats.retransmissions = garbage_stats.stats.packets + 1;
     records.extend([garbage_node, garbage_link, garbage_stats]);
 
     pipe.ingest_bucketed(DrainBatch {

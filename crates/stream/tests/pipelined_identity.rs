@@ -259,9 +259,7 @@ fn panic_during_overlap_degrades_only_its_epoch() {
 /// double-counted — and the verdict stream still matches sequential.
 #[test]
 fn late_records_during_overlap_are_flagged_once() {
-    use flock_telemetry::{
-        DrainBatch, FlowKey, FlowRecord, FlowStats, StampedRecord, TrafficClass,
-    };
+    use flock_telemetry::{DrainBatch, FlowKey, FlowStats, MonitoredFlow, TrafficClass};
 
     let topo = clos(2, 2);
     let hosts = topo.hosts().to_vec();
@@ -269,18 +267,14 @@ fn late_records_during_overlap_are_flagged_once() {
     let rec = |ts: u64| DrainBatch {
         buckets: vec![(
             ts,
-            vec![StampedRecord {
-                agent_id: 1,
-                export_ms: ts,
-                record: FlowRecord {
-                    key: FlowKey::tcp(hosts[0], hosts[hosts.len() - 1], 10_000, 443),
-                    stats: FlowStats {
-                        packets: 100,
-                        ..Default::default()
-                    },
-                    class: TrafficClass::Passive,
-                    path: None,
+            vec![MonitoredFlow {
+                key: FlowKey::tcp(hosts[0], hosts[hosts.len() - 1], 10_000, 443),
+                stats: FlowStats {
+                    packets: 100,
+                    ..Default::default()
                 },
+                class: TrafficClass::Passive,
+                true_path: Vec::new(),
             }],
         )],
     };

@@ -3,7 +3,7 @@
 //! double-counted — under any watermark schedule.
 
 use flock_stream::{EpochConfig, EpochManager};
-use flock_telemetry::{FlowKey, FlowRecord, FlowStats, StampedRecord, TrafficClass};
+use flock_telemetry::{FlowKey, FlowStats, MonitoredFlow, TrafficClass};
 use flock_topology::NodeId;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -11,27 +11,29 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap};
 
-/// A stamped record whose identity survives windowing (encoded in the
-/// flow key's ports so no two generated records collide).
-fn rec(id: u32, ts: u64) -> StampedRecord {
-    StampedRecord {
-        agent_id: id,
-        export_ms: ts,
-        record: FlowRecord {
-            key: FlowKey::tcp(
-                NodeId(id),
-                NodeId(id ^ 0xffff),
-                (id % 60_000) as u16,
-                (id / 60_000) as u16,
-            ),
-            stats: FlowStats {
-                packets: u64::from(id) + 1,
-                ..Default::default()
-            },
-            class: TrafficClass::Passive,
-            path: None,
+/// A record whose identity survives windowing: `id` is its flow key's
+/// source node, so no two generated records collide. A record carries
+/// no stamp; its stamp is the key of the run it is handed over in.
+fn rec(id: u32) -> MonitoredFlow {
+    MonitoredFlow {
+        key: FlowKey::tcp(
+            NodeId(id),
+            NodeId(id ^ 0xffff),
+            (id % 60_000) as u16,
+            (id / 60_000) as u16,
+        ),
+        stats: FlowStats {
+            packets: u64::from(id) + 1,
+            ..Default::default()
         },
+        class: TrafficClass::Passive,
+        true_path: Vec::new(),
     }
+}
+
+/// The identity of a record built by [`rec`].
+fn id_of(r: &MonitoredFlow) -> u32 {
+    r.key.src.0
 }
 
 proptest! {
@@ -48,7 +50,7 @@ proptest! {
     ) {
         let mut mgr = EpochManager::new(EpochConfig::tumbling(epoch_ms));
         for (i, &ts) in stamps.iter().enumerate() {
-            mgr.extend_bucket(ts, vec![rec(i as u32, ts)]);
+            mgr.extend_bucket(ts, vec![rec(i as u32)]);
         }
         let mut closed = Vec::new();
         let mut wm = 0u64;
@@ -62,19 +64,22 @@ proptest! {
         // No late drops: everything was placed before any close.
         prop_assert_eq!(mgr.late_records(), 0);
 
-        // Each record id appears exactly once, within its window.
+        // Each record id appears exactly once, within the window of the
+        // stamp it was handed over with.
         let mut seen: HashMap<u32, u64> = HashMap::new();
         for ep in &closed {
             prop_assert_eq!(ep.start_ms, ep.index * epoch_ms);
             prop_assert_eq!(ep.end_ms, ep.start_ms + epoch_ms);
             for r in &ep.records {
+                let id = id_of(r);
+                let ts = stamps[id as usize];
                 prop_assert!(
-                    r.export_ms >= ep.start_ms && r.export_ms < ep.end_ms,
+                    ts >= ep.start_ms && ts < ep.end_ms,
                     "record stamped {} outside epoch [{}, {})",
-                    r.export_ms, ep.start_ms, ep.end_ms
+                    ts, ep.start_ms, ep.end_ms
                 );
-                let dup = seen.insert(r.agent_id, ep.index);
-                prop_assert!(dup.is_none(), "record {} double-counted", r.agent_id);
+                let dup = seen.insert(id, ep.index);
+                prop_assert!(dup.is_none(), "record {} double-counted", id);
             }
         }
         prop_assert_eq!(seen.len(), stamps.len(), "no record dropped");
@@ -96,22 +101,19 @@ proptest! {
         splits in prop::collection::vec(1usize..4, 8..9),
         order_seed: u64,
     ) {
-        let records: Vec<StampedRecord> =
-            stamps.iter().enumerate().map(|(i, &ts)| rec(i as u32, ts)).collect();
-
         // Reference: one record at a time, in stream order.
         let mut single = EpochManager::new(EpochConfig::tumbling(epoch_ms));
-        for r in &records {
-            single.extend_bucket(r.export_ms, vec![r.clone()]);
+        for (i, &ts) in stamps.iter().enumerate() {
+            single.extend_bucket(ts, vec![rec(i as u32)]);
         }
 
         // Group by stamp, split each stamp's records into 1–3 runs, and
         // hand the runs over in a shuffled order.
-        let mut by_stamp: BTreeMap<u64, Vec<StampedRecord>> = BTreeMap::new();
-        for r in &records {
-            by_stamp.entry(r.export_ms).or_default().push(r.clone());
+        let mut by_stamp: BTreeMap<u64, Vec<MonitoredFlow>> = BTreeMap::new();
+        for (i, &ts) in stamps.iter().enumerate() {
+            by_stamp.entry(ts).or_default().push(rec(i as u32));
         }
-        let mut runs: Vec<(u64, Vec<StampedRecord>)> = Vec::new();
+        let mut runs: Vec<(u64, Vec<MonitoredFlow>)> = Vec::new();
         for (k, (ts, recs)) in by_stamp.into_iter().enumerate() {
             let size = recs.len().div_ceil(splits[k % splits.len()]);
             runs.extend(recs.chunks(size).map(|run| (ts, run.to_vec())));
@@ -126,8 +128,7 @@ proptest! {
             mgr.flush()
                 .into_iter()
                 .map(|ep| {
-                    let mut ids: Vec<u32> =
-                        ep.records.iter().map(|r| r.agent_id).collect();
+                    let mut ids: Vec<u32> = ep.records.iter().map(id_of).collect();
                     ids.sort_unstable();
                     (ep.index, ids)
                 })

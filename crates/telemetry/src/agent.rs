@@ -8,7 +8,7 @@
 //! samples into the flow table and [`AgentCore::export`] drains it into
 //! records. [`Exporter`] ships records to a collector over TCP.
 
-use crate::flow::{FlowKey, FlowRecord, FlowStats, TrafficClass};
+use crate::flow::{FlowKey, FlowStats, MonitoredFlow, TrafficClass};
 use crate::wire::encode_message;
 use flock_topology::LinkId;
 use std::collections::hash_map::Entry;
@@ -73,7 +73,8 @@ pub struct FlowSample {
 struct FlowEntry {
     stats: FlowStats,
     class: TrafficClass,
-    path: Option<Vec<LinkId>>,
+    /// Empty until a sample reveals the path.
+    path: Vec<LinkId>,
 }
 
 /// Sans-IO agent core: a flow table keyed by [`FlowKey`].
@@ -133,8 +134,8 @@ impl AgentCore {
             Entry::Occupied(mut e) => {
                 let entry = e.get_mut();
                 entry.stats.merge(&delta);
-                if entry.path.is_none() {
-                    entry.path = sample.path;
+                if entry.path.is_empty() {
+                    entry.path = sample.path.unwrap_or_default();
                 }
                 if sample.class == TrafficClass::Probe {
                     entry.class = TrafficClass::Probe;
@@ -144,7 +145,7 @@ impl AgentCore {
                 v.insert(FlowEntry {
                     stats: delta,
                     class: sample.class,
-                    path: sample.path,
+                    path: sample.path.unwrap_or_default(),
                 });
             }
         }
@@ -164,16 +165,17 @@ impl AgentCore {
         }
     }
 
-    /// Drain the flow table into export records.
-    pub fn export(&mut self) -> Vec<FlowRecord> {
-        let mut out: Vec<FlowRecord> = self
+    /// Drain the flow table into export records (an empty `true_path`
+    /// for a flow whose path no sample revealed).
+    pub fn export(&mut self) -> Vec<MonitoredFlow> {
+        let mut out: Vec<MonitoredFlow> = self
             .table
             .drain()
-            .map(|(key, e)| FlowRecord {
+            .map(|(key, e)| MonitoredFlow {
                 key,
                 stats: e.stats,
                 class: e.class,
-                path: e.path,
+                true_path: e.path,
             })
             .collect();
         // Deterministic export order (HashMap drain order is not).
@@ -186,7 +188,7 @@ impl AgentCore {
     pub fn encode_export(
         &mut self,
         export_time_ms: u64,
-        records: &[FlowRecord],
+        records: &[MonitoredFlow],
     ) -> Vec<bytes::Bytes> {
         let mut msgs = Vec::new();
         for chunk in records.chunks(self.cfg.max_records_per_message) {
@@ -394,7 +396,7 @@ mod tests {
         agent.observe(s);
         agent.observe(sample(1, 1000, 0));
         let recs = agent.export();
-        assert_eq!(recs[0].path.as_deref(), Some(&[LinkId(5)][..]));
+        assert_eq!(recs[0].true_path, vec![LinkId(5)]);
     }
 
     #[test]
@@ -459,12 +461,12 @@ mod tests {
             max_records_per_message: max,
             ..Default::default()
         });
-        let recs: Vec<FlowRecord> = (0..max as u32)
-            .map(|i| FlowRecord {
+        let recs: Vec<MonitoredFlow> = (0..max as u32)
+            .map(|i| MonitoredFlow {
                 key: FlowKey::tcp(NodeId(i), NodeId(99), 1000, 80),
                 stats: FlowStats::default(),
                 class: TrafficClass::Passive,
-                path: None,
+                true_path: Vec::new(),
             })
             .collect();
         let msgs = agent.encode_export(0, &recs);

@@ -28,7 +28,7 @@
 //! scalability experiment (connections/sec × records/conn) to be
 //! reproduced against the real socket path.
 
-use crate::flow::FlowRecord;
+use crate::flow::MonitoredFlow;
 use crate::wire::{DecodeStep, ExportMessage, StreamDecoder, WireError};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -40,21 +40,6 @@ use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// A flow record together with the export-message metadata the online
-/// pipeline windows on: which agent sent it and the agent's export
-/// timestamp (milliseconds, agent-chosen epoch). The offline path
-/// ([`Collector::drain`]) discards the stamp; the streaming path
-/// ([`Collector::drain_buckets`]) preserves it for epoch assignment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StampedRecord {
-    /// Agent that exported the record.
-    pub agent_id: u32,
-    /// `export_time_ms` of the carrying export message.
-    pub export_ms: u64,
-    /// The flow record itself.
-    pub record: FlowRecord,
-}
 
 /// A fault-injection hook run by each reactor shard once per readiness
 /// pass (argument: shard index). Chaos harnesses install one to stall a
@@ -250,9 +235,11 @@ pub struct AgentSeen {
 /// Records drained from the collector, bucketed by export stamp.
 #[derive(Debug, Default)]
 pub struct DrainBatch {
-    /// `(export_ms, records)` runs in ascending stamp order; every record
-    /// in a run carries that `export_ms`.
-    pub buckets: Vec<(u64, Vec<StampedRecord>)>,
+    /// `(export_ms, records)` runs in ascending stamp order. The key is
+    /// the `export_time_ms` of every message the run's records arrived
+    /// in: a record's stamp is its run's key, by construction, so the
+    /// records carry no stamp of their own.
+    pub buckets: Vec<(u64, Vec<MonitoredFlow>)>,
 }
 
 impl DrainBatch {
@@ -272,10 +259,10 @@ impl DrainBatch {
 #[derive(Debug, Default)]
 struct ShardStore {
     /// Records by their message's `export_time_ms`.
-    buckets: BTreeMap<u64, Vec<StampedRecord>>,
+    buckets: BTreeMap<u64, Vec<MonitoredFlow>>,
     /// An emptied bucket buffer handed back by the last drain; the next
     /// new bucket starts in it instead of growing one by doubling.
-    spare: Vec<StampedRecord>,
+    spare: Vec<MonitoredFlow>,
 }
 
 /// A running collector. Dropping it (or calling [`Collector::shutdown`])
@@ -364,12 +351,11 @@ impl Collector {
     }
 
     /// Drain all records received so far, discarding export stamps.
-    pub fn drain(&self) -> Vec<FlowRecord> {
+    pub fn drain(&self) -> Vec<MonitoredFlow> {
         self.drain_buckets()
             .buckets
             .into_iter()
             .flat_map(|(_, bucket)| bucket)
-            .map(|s| s.record)
             .collect()
     }
 
@@ -402,7 +388,7 @@ impl Collector {
                 *sizes.entry(*stamp).or_default() += bucket.len();
             }
         }
-        let mut merged: BTreeMap<u64, Vec<StampedRecord>> = sizes
+        let mut merged: BTreeMap<u64, Vec<MonitoredFlow>> = sizes
             .into_iter()
             .map(|(stamp, n)| (stamp, Vec::with_capacity(n)))
             .collect();
@@ -438,44 +424,12 @@ impl Collector {
     }
 
     /// Per-agent liveness snapshot, sorted by agent id. An agent appears
-    /// once its first message decodes and stays until evicted.
+    /// once its first message decodes and stays for the collector's
+    /// lifetime; `last_seen` tells a live agent from a silent one.
     pub fn liveness(&self) -> Vec<AgentSeen> {
         let mut out: Vec<AgentSeen> = self.liveness.lock().values().cloned().collect();
         out.sort_by_key(|a| a.agent_id);
         out
-    }
-
-    /// Agents whose most recent message is older than `stale_after`
-    /// (non-destructive; pair with [`evict_stale`](Self::evict_stale)).
-    pub fn stale_agents(&self, stale_after: Duration) -> Vec<u32> {
-        let mut out: Vec<u32> = self
-            .liveness
-            .lock()
-            .values()
-            .filter(|a| a.last_seen.elapsed() >= stale_after)
-            .map(|a| a.agent_id)
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Remove liveness entries older than `stale_after`, returning the
-    /// evicted agent ids. Eviction forgets a dead agent (its entry would
-    /// otherwise read as "stale" forever); a reconnecting agent re-registers
-    /// on its next decoded message.
-    pub fn evict_stale(&self, stale_after: Duration) -> Vec<u32> {
-        let mut map = self.liveness.lock();
-        let dead: Vec<u32> = map
-            .values()
-            .filter(|a| a.last_seen.elapsed() >= stale_after)
-            .map(|a| a.agent_id)
-            .collect();
-        for id in &dead {
-            map.remove(id);
-        }
-        let mut dead = dead;
-        dead.sort_unstable();
-        dead
     }
 
     /// Stop the collector and join its threads.
@@ -726,12 +680,6 @@ fn store_message(
         return;
     }
     stats.records.fetch_add(n as u64, Ordering::Relaxed);
-    let (agent_id, export_ms) = (msg.agent_id, msg.export_time_ms);
-    let stamped = msg.records.into_iter().map(|record| StampedRecord {
-        agent_id,
-        export_ms,
-        record,
-    });
     let mut s = store.lock();
     // Back-pressure: shed whole messages once the store is at its
     // high-water mark instead of growing without bound while the
@@ -746,9 +694,9 @@ fn store_message(
     }
     let ShardStore { buckets, spare } = &mut *s;
     buckets
-        .entry(export_ms)
+        .entry(msg.export_time_ms)
         .or_insert_with(|| std::mem::take(spare))
-        .extend(stamped);
+        .extend(msg.records);
     pending.fetch_add(n, Ordering::Relaxed);
 }
 
@@ -852,11 +800,11 @@ mod tests {
         assert!(wait_for(|| collector.pending() == 1, 2000));
         let batch = collector.drain_buckets();
         assert_eq!(batch.len(), 1);
-        let (stamp, stamped) = &batch.buckets[0];
-        assert_eq!(*stamp, 90_500);
-        assert_eq!(stamped[0].agent_id, 42);
-        assert_eq!(stamped[0].export_ms, 90_500);
-        assert_eq!(stamped[0].record.key.src, NodeId(1));
+        // The export stamp survives as the bucket key; the record is the
+        // one the agent exported, field for field.
+        assert_eq!(batch.buckets[0].0, 90_500);
+        assert_eq!(batch.buckets[0].1, records);
+        assert_eq!(collector.liveness()[0].agent_id, 42);
     }
 
     #[test]
@@ -989,7 +937,7 @@ mod tests {
     }
 
     #[test]
-    fn liveness_tracks_and_evicts_stale_agents() {
+    fn liveness_tracks_agents() {
         let collector = Collector::bind(ephemeral()).unwrap();
         let addr = collector.local_addr();
         for id in [11u32, 22] {
@@ -1006,18 +954,14 @@ mod tests {
         assert_eq!(live[0].last_export_ms, 5_000);
         assert_eq!(live[0].messages, 1);
 
-        // Nothing is stale against a generous horizon...
-        assert!(collector.stale_agents(Duration::from_secs(60)).is_empty());
-        // ...and everything is against a zero horizon.
-        assert_eq!(collector.stale_agents(Duration::ZERO), vec![11, 22]);
-        assert_eq!(collector.evict_stale(Duration::ZERO), vec![11, 22]);
-        assert!(collector.liveness().is_empty());
-
-        // A reconnecting agent re-registers.
+        // A reconnecting agent updates its one entry.
         let mut s = TcpStream::connect(addr).unwrap();
         s.write_all(&encode_message(11, 6_000, 1, &[])).unwrap();
         drop(s);
-        assert!(wait_for(|| collector.liveness().len() == 1, 2000));
+        assert!(wait_for(|| collector.liveness()[0].messages == 2, 2000));
+        let live = collector.liveness();
+        assert_eq!(live.len(), 2);
+        assert_eq!(live[0].last_export_ms, 6_000);
     }
 
     #[test]
@@ -1092,12 +1036,21 @@ mod tests {
 
         assert!(wait_for(|| collector.pending() == 15, 2000));
         let batch = collector.drain_buckets();
-        let stamps: Vec<u64> = batch.buckets.iter().map(|(s, _)| *s).collect();
-        assert_eq!(stamps, vec![1_500, 1_700, 4_250]);
-        for (stamp, bucket) in &batch.buckets {
-            assert_eq!(bucket.len(), 5);
-            assert!(bucket.iter().all(|r| r.export_ms == *stamp));
-        }
+        // One bucket per stamp, each holding exactly its export's
+        // records (the sources tell the three exports apart).
+        let runs: Vec<(u64, Vec<u32>)> = batch
+            .buckets
+            .iter()
+            .map(|(s, b)| (*s, b.iter().map(|r| r.key.src.0).collect()))
+            .collect();
+        assert_eq!(
+            runs,
+            vec![
+                (1_500, (0..5).collect()),
+                (1_700, (50..55).collect()),
+                (4_250, (100..105).collect()),
+            ]
+        );
         assert_eq!(collector.pending(), 0);
     }
 
@@ -1126,8 +1079,7 @@ mod tests {
             assert_eq!(batch.buckets.len(), 1);
             let (stamp, bucket) = &batch.buckets[0];
             assert_eq!(*stamp, export_ms);
-            assert_eq!(bucket.len(), n as usize);
-            assert!(bucket.iter().all(|r| r.export_ms == export_ms));
+            assert_eq!(bucket, &records);
             assert_eq!(collector.pending(), 0);
         }
         exporter.finish().unwrap();

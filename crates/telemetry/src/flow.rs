@@ -1,14 +1,14 @@
 //! Flow identification and per-flow statistics.
 
 use flock_topology::{LinkId, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifies a monitored flow.
 ///
 /// Endpoints are topology nodes: hosts for regular traffic, and the target
 /// switch for host→spine active probes (A1), mirroring how NetBouncer's
 /// IP-in-IP probes address a core switch directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct FlowKey {
     /// Source endpoint (always a host in this suite).
     pub src: NodeId,
@@ -47,7 +47,7 @@ impl FlowKey {
 }
 
 /// Aggregated per-flow statistics, as exported by the agent.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct FlowStats {
     /// Data packets sent by the flow source.
     pub packets: u64,
@@ -87,7 +87,7 @@ impl FlowStats {
 }
 
 /// Whether a flow is an active probe or regular application traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum TrafficClass {
     /// NetBouncer-style active probe with a pinned, known path (A1).
     Probe,
@@ -96,28 +96,19 @@ pub enum TrafficClass {
     Passive,
 }
 
-/// A flow record as exported on the wire by an agent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FlowRecord {
-    /// Flow identity.
-    pub key: FlowKey,
-    /// Aggregated statistics.
-    pub stats: FlowStats,
-    /// Traffic class.
-    pub class: TrafficClass,
-    /// Exact traversed path (all links, including host attachment links),
-    /// when known to the exporter: always for probes, and for passive flows
-    /// under INT or after A2 path tracing.
-    pub path: Option<Vec<LinkId>>,
-}
-
-/// A fully-described monitored flow, as produced by the simulators (which
-/// know the ground-truth path) or reconstructed by the collector.
+/// One monitored flow: what the simulators produce, what an agent
+/// exports, what the wire carries and what the collector hands to input
+/// assembly — one record type from socket to assembler.
 ///
-/// `true_path` is what the flow *actually* traversed; whether inference
-/// gets to see it depends on the telemetry kind selected during input
-/// assembly ([`crate::input`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// `true_path` is the flow's exact traversed path (all links, including
+/// host attachment links) when it is known: always from the simulators,
+/// and on the wire for probes and for passive flows under INT or after
+/// A2 path tracing. An **empty `true_path` means "path unknown"** — a
+/// record the exporter sent without a path attachment. Whether inference
+/// gets to see a known path depends on the telemetry kind selected during
+/// input assembly ([`crate::input`]); an unknown one falls back to the
+/// flow's ECMP path set, or carries no evidence for a probe.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MonitoredFlow {
     /// Flow identity.
     pub key: FlowKey,
@@ -125,9 +116,15 @@ pub struct MonitoredFlow {
     pub stats: FlowStats,
     /// Traffic class.
     pub class: TrafficClass,
-    /// Ground-truth traversed path (all links, including host links).
+    /// Traversed path (all links, including host links); empty when
+    /// unknown.
     pub true_path: Vec<LinkId>,
 }
+
+/// The wire record's former name, kept only because the benchmark
+/// driver names it (`benchmark/src/{gen,probes}.rs`); it goes with that
+/// pin. It is [`MonitoredFlow`] itself, not a second shape.
+pub type FlowRecord = MonitoredFlow;
 
 #[cfg(test)]
 mod tests {

@@ -21,7 +21,7 @@
 
 use crate::flow::{MonitoredFlow, TrafficClass};
 use flock_topology::{FxHashMap, LinkId, NodeRole, Router, Topology};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Content hash used by the arena's hashed-over-storage dedup indexes.
@@ -35,11 +35,11 @@ fn content_hash<T: std::hash::Hash>(xs: &[T]) -> u64 {
 }
 
 /// Index of an interned fabric path in a [`PathArena`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct PathId(pub u32);
 
 /// Index of an interned fabric path *set* in a [`PathArena`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct PathSetId(pub u32);
 
 /// Rows per storage chunk of a [`Rows`] table. Interning into an arena
@@ -268,7 +268,7 @@ impl PathArena {
 }
 
 /// How flow metrics are turned into the model's `(sent, bad)` counts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum AnalysisMode {
     /// Per-packet analysis (§3.2): `sent` = packets, `bad` =
     /// retransmissions (proxy for lost/corrupted packets).
@@ -283,7 +283,7 @@ pub enum AnalysisMode {
 }
 
 /// One aggregated observation handed to inference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct FlowObs {
     /// Host attachment links traversed by *every* possible path of this
     /// flow (source uplink and/or destination downlink); `None` for
@@ -370,7 +370,7 @@ impl ObservationSet {
 
 /// Telemetry kinds per §6.2. Combinations are expressed as slices, e.g.
 /// `&[InputKind::A1, InputKind::P]` for "A1+P".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum InputKind {
     /// Active host↔spine probes with known paths (NetBouncer-style).
     A1,
@@ -472,9 +472,9 @@ impl Assembler {
             }
             let obs = match mf.class {
                 TrafficClass::Probe => {
-                    // A probe whose path is unknown (possible for flows
-                    // reconstructed from wire records that carried no
-                    // attachment) carries no localizable evidence.
+                    // A probe whose path is unknown (an empty `true_path`:
+                    // a wire record that carried no attachment) carries
+                    // no localizable evidence.
                     if !(has(InputKind::A1) || has(InputKind::Int)) || mf.true_path.is_empty() {
                         continue;
                     }
@@ -482,10 +482,10 @@ impl Assembler {
                 }
                 TrafficClass::Passive => {
                     // "Known path" requires an actual recorded path: a
-                    // reconstructed flow whose record carried no path
-                    // attachment has an empty `true_path` and must fall
-                    // back to the ECMP path set (or be dropped), not be
-                    // modeled as a zero-component pinned path.
+                    // record that carried no path attachment has an
+                    // empty `true_path` and must fall back to the ECMP
+                    // path set (or be dropped), not be modeled as a
+                    // zero-component pinned path.
                     let known = (has(InputKind::Int) || (has(InputKind::A2) && bad > 0))
                         && !mf.true_path.is_empty();
                     if known {

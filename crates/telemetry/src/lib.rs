@@ -4,7 +4,8 @@
 //! the input-assembly logic of §6.2:
 //!
 //! * [`flow`] — flow keys, per-flow statistics, and the monitored-flow
-//!   record shared by the simulators and the live agent path.
+//!   record: the one record type of the simulators, the agent, the wire
+//!   and the collector, through to input assembly.
 //! * [`wire`] — the IPFIX-style export format: fixed message header plus
 //!   52-byte fixed flow-stats records (matching the paper's "52 bytes per
 //!   flow"), with an optional variable-length path attachment for flows
@@ -42,8 +43,7 @@ pub mod wire;
 
 pub use agent::{AgentConfig, AgentCore, FlowSample};
 pub use collector::{
-    AgentSeen, Collector, CollectorConfig, CollectorStats, DrainBatch, ReactorHook, StampedRecord,
-    StatsSnapshot,
+    AgentSeen, Collector, CollectorConfig, CollectorStats, DrainBatch, ReactorHook, StatsSnapshot,
 };
 pub use flow::{FlowKey, FlowRecord, FlowStats, MonitoredFlow, TrafficClass};
 pub use input::{

@@ -26,7 +26,7 @@
 //! message including the header, which makes stream framing trivial: a
 //! decoder buffers bytes until `msg_len` are available.
 
-use crate::flow::{FlowKey, FlowRecord, FlowStats, TrafficClass};
+use crate::flow::{FlowKey, FlowStats, MonitoredFlow, TrafficClass};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use flock_topology::{LinkId, NodeId};
 use std::fmt;
@@ -102,8 +102,9 @@ pub struct ExportMessage {
     pub export_time_ms: u64,
     /// Per-agent message sequence number.
     pub sequence: u64,
-    /// The flow records.
-    pub records: Vec<FlowRecord>,
+    /// The flow records; a record sent without a path attachment has an
+    /// empty `true_path`.
+    pub records: Vec<MonitoredFlow>,
 }
 
 /// Encode an export message. Panics if more than `u16::MAX` records are
@@ -112,7 +113,7 @@ pub fn encode_message(
     agent_id: u32,
     export_time_ms: u64,
     sequence: u64,
-    records: &[FlowRecord],
+    records: &[MonitoredFlow],
 ) -> Bytes {
     assert!(
         records.len() <= MAX_RECORDS,
@@ -136,9 +137,11 @@ pub fn encode_message(
     body.freeze()
 }
 
-fn encode_record(out: &mut BytesMut, rec: &FlowRecord) {
+/// A record carries a path attachment iff its path is known (non-empty).
+fn encode_record(out: &mut BytesMut, rec: &MonitoredFlow) {
+    let path = &rec.true_path;
     let mut flags = 0u8;
-    if rec.path.is_some() {
+    if !path.is_empty() {
         flags |= FLAG_HAS_PATH;
     }
     if rec.class == TrafficClass::Probe {
@@ -160,7 +163,7 @@ fn encode_record(out: &mut BytesMut, rec: &FlowRecord) {
     out.put_u16(0); // reserved
     debug_assert_eq!(out.len() - start, RECORD_LEN);
 
-    if let Some(path) = &rec.path {
+    if !path.is_empty() {
         assert!(path.len() <= MAX_PATH_LEN, "path longer than wire maximum");
         out.put_u16(path.len() as u16);
         for l in path {
@@ -211,7 +214,7 @@ pub fn decode_message(mut buf: &[u8]) -> Result<ExportMessage, WireError> {
         let rtt_max_us = buf.get_u32();
         let _reserved = buf.get_u16();
 
-        let path = if flags & FLAG_HAS_PATH != 0 {
+        let true_path = if flags & FLAG_HAS_PATH != 0 {
             if buf.remaining() < 2 {
                 return Err(WireError::Truncated);
             }
@@ -222,12 +225,12 @@ pub fn decode_message(mut buf: &[u8]) -> Result<ExportMessage, WireError> {
             if buf.remaining() < n as usize * 4 {
                 return Err(WireError::Truncated);
             }
-            Some((0..n).map(|_| LinkId(buf.get_u32())).collect())
+            (0..n).map(|_| LinkId(buf.get_u32())).collect()
         } else {
-            None
+            Vec::new()
         };
 
-        records.push(FlowRecord {
+        records.push(MonitoredFlow {
             key: FlowKey {
                 src,
                 dst,
@@ -248,7 +251,7 @@ pub fn decode_message(mut buf: &[u8]) -> Result<ExportMessage, WireError> {
             } else {
                 TrafficClass::Passive
             },
-            path,
+            true_path,
         });
     }
     let consumed = (total - buf.remaining()) as u32;
@@ -397,9 +400,9 @@ mod tests {
         out
     }
 
-    fn sample_records() -> Vec<FlowRecord> {
+    fn sample_records() -> Vec<MonitoredFlow> {
         vec![
-            FlowRecord {
+            MonitoredFlow {
                 key: FlowKey::tcp(NodeId(3), NodeId(9), 4001, 80),
                 stats: FlowStats {
                     packets: 1234,
@@ -410,9 +413,9 @@ mod tests {
                     rtt_max_us: 9_000,
                 },
                 class: TrafficClass::Passive,
-                path: None,
+                true_path: Vec::new(),
             },
-            FlowRecord {
+            MonitoredFlow {
                 key: FlowKey::probe(NodeId(3), NodeId(40), 2),
                 stats: FlowStats {
                     packets: 40,
@@ -423,14 +426,14 @@ mod tests {
                     rtt_max_us: 80,
                 },
                 class: TrafficClass::Probe,
-                path: Some(vec![
+                true_path: vec![
                     LinkId(0),
                     LinkId(8),
                     LinkId(22),
                     LinkId(23),
                     LinkId(9),
                     LinkId(1),
-                ]),
+                ],
             },
         ]
     }
@@ -449,7 +452,7 @@ mod tests {
     /// A frame laid out as the retired version 2 did: the header with
     /// version 2, an 8-byte epoch field, then the records (40-byte
     /// header, `msg_len` covering all of it).
-    fn v2_frame(recs: &[FlowRecord]) -> Vec<u8> {
+    fn v2_frame(recs: &[MonitoredFlow]) -> Vec<u8> {
         let v1 = encode_message(7, 1_500, 1, recs);
         let mut frame = v1[..HEADER_LEN].to_vec();
         frame[4..6].copy_from_slice(&2u16.to_be_bytes());
@@ -503,11 +506,11 @@ mod tests {
 
     #[test]
     fn record_is_exactly_52_bytes_without_path() {
-        let recs = vec![FlowRecord {
+        let recs = vec![MonitoredFlow {
             key: FlowKey::tcp(NodeId(0), NodeId(1), 1, 2),
             stats: FlowStats::default(),
             class: TrafficClass::Passive,
-            path: None,
+            true_path: Vec::new(),
         }];
         let bytes = encode_message(0, 0, 0, &recs);
         assert_eq!(bytes.len(), HEADER_LEN + RECORD_LEN);
@@ -571,11 +574,11 @@ mod tests {
 
     #[test]
     fn oversized_path_rejected_on_decode() {
-        let recs = vec![FlowRecord {
+        let recs = vec![MonitoredFlow {
             key: FlowKey::tcp(NodeId(0), NodeId(1), 1, 2),
             stats: FlowStats::default(),
             class: TrafficClass::Passive,
-            path: Some(vec![LinkId(1); 4]),
+            true_path: vec![LinkId(1); 4],
         }];
         let bytes = encode_message(0, 0, 0, &recs);
         let mut bad = bytes.to_vec();
@@ -704,7 +707,7 @@ mod tests {
 
     #[test]
     fn u48_saturation() {
-        let recs = vec![FlowRecord {
+        let recs = vec![MonitoredFlow {
             key: FlowKey::tcp(NodeId(0), NodeId(1), 1, 2),
             stats: FlowStats {
                 packets: u64::MAX,
@@ -712,7 +715,7 @@ mod tests {
                 ..Default::default()
             },
             class: TrafficClass::Passive,
-            path: None,
+            true_path: Vec::new(),
         }];
         let bytes = encode_message(0, 0, 0, &recs);
         let msg = decode_message(&bytes).unwrap();

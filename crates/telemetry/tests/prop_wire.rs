@@ -5,13 +5,16 @@
 //! request for more input; never a panic, never a livelock.
 
 use flock_telemetry::wire::{
-    decode_message, encode_message, DecodeStep, StreamDecoder, WireError, HEADER_LEN,
+    decode_message, encode_message, DecodeStep, StreamDecoder, WireError, FLAG_HAS_PATH,
+    HEADER_LEN, RECORD_LEN,
 };
-use flock_telemetry::{FlowKey, FlowRecord, FlowStats, TrafficClass};
+use flock_telemetry::{FlowKey, FlowStats, MonitoredFlow, TrafficClass};
 use flock_topology::{LinkId, NodeId};
 use proptest::prelude::*;
 
-fn arb_record() -> impl Strategy<Value = FlowRecord> {
+/// Any record in its canonical form: the path is known (non-empty, sent
+/// as an attachment) or unknown (empty, sent without one).
+fn arb_record() -> impl Strategy<Value = MonitoredFlow> {
     let key = (
         any::<u32>(),
         any::<u32>(),
@@ -27,16 +30,13 @@ fn arb_record() -> impl Strategy<Value = FlowRecord> {
         any::<u32>(),
         any::<u32>(),
     );
-    let extras = (
-        prop::option::of(prop::collection::vec(any::<u32>(), 0..32)),
-        any::<bool>(),
-    );
+    let extras = (prop::collection::vec(any::<u32>(), 0..32), any::<bool>());
     (key, stats, extras).prop_map(
         |(
             (src, dst, sp, dp, proto),
             (pkts, retx, bytes, rtt_sum, rtt_cnt, rtt_max),
             (path, probe),
-        )| FlowRecord {
+        )| MonitoredFlow {
             key: FlowKey {
                 src: NodeId(src),
                 dst: NodeId(dst),
@@ -57,7 +57,7 @@ fn arb_record() -> impl Strategy<Value = FlowRecord> {
             } else {
                 TrafficClass::Passive
             },
-            path: path.map(|v| v.into_iter().map(LinkId).collect()),
+            true_path: path.into_iter().map(LinkId).collect(),
         },
     )
 }
@@ -72,6 +72,36 @@ fn v2_frame(frame: &[u8]) -> Vec<u8> {
     let len = v2.len() as u32;
     v2[8..12].copy_from_slice(&len.to_be_bytes());
     v2
+}
+
+/// A record flagged as carrying a path attachment of zero links decodes
+/// to an empty (unknown) path, and re-encodes in the canonical form: no
+/// attachment, the fixed 52 bytes.
+#[test]
+fn zero_link_attachment_decodes_to_an_empty_path() {
+    let rec = MonitoredFlow {
+        key: FlowKey::tcp(NodeId(3), NodeId(9), 4001, 80),
+        stats: FlowStats {
+            packets: 10,
+            ..Default::default()
+        },
+        class: TrafficClass::Passive,
+        true_path: Vec::new(),
+    };
+    let canonical = encode_message(1, 2, 3, std::slice::from_ref(&rec));
+    assert_eq!(canonical.len(), HEADER_LEN + RECORD_LEN);
+
+    // Set the record's flags byte (after src, dst, ports and proto) and
+    // append a zero path length.
+    let mut flagged = canonical.to_vec();
+    flagged[HEADER_LEN + 13] |= FLAG_HAS_PATH;
+    flagged.extend_from_slice(&0u16.to_be_bytes());
+    let len = flagged.len() as u32;
+    flagged[8..12].copy_from_slice(&len.to_be_bytes());
+
+    let msg = decode_message(&flagged).unwrap();
+    assert_eq!(msg.records, vec![rec]);
+    assert_eq!(encode_message(1, 2, 3, &msg.records), canonical);
 }
 
 proptest! {

@@ -9,7 +9,7 @@
 //! topology has 3× oversubscription at the ToRs).
 
 use crate::graph::{NodeId, NodeRole, Topology, TopologyBuilder};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of a three-tier podded Clos fabric.
 ///
@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// ECMP path counts: two hosts under different pods have
 /// `aggs_per_pod × spines_per_plane` fabric paths; under the same pod but
 /// different ToRs, `aggs_per_pod` paths; under the same ToR, one path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ClosParams {
     /// Number of pods.
     pub pods: u32,
@@ -147,7 +147,7 @@ pub fn three_tier(p: ClosParams) -> Topology {
 
 /// Parameters of a two-tier leaf–spine fabric (the paper's hardware
 /// testbed: `LeafSpineParams::testbed()`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct LeafSpineParams {
     /// Number of spine switches (every leaf connects to every spine).
     pub spines: u32,

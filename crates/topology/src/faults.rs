@@ -2,10 +2,10 @@
 //! and the ground truth an evaluation compares against.
 
 use crate::graph::{LinkId, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A blameable network component: a directed link or a switch device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum Component {
     /// A directed link.
     Link(LinkId),
@@ -14,7 +14,7 @@ pub enum Component {
 }
 
 /// Ground-truth failure set of a scenario.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct GroundTruth {
     /// Links that actually failed (for device failures: the failed links
     /// of the device, used for partial-recall accounting per App. A.1).

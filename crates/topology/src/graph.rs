@@ -7,19 +7,19 @@
 //! traffic in one direction only), which matches how 007 and NetBouncer
 //! model links.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier of a node (host or switch) in a [`Topology`].
 ///
 /// Node ids are dense indices into the topology's node arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct NodeId(pub u32);
 
 /// Identifier of a *directed* link in a [`Topology`].
 ///
 /// Link ids are dense indices into the topology's link arena. The two
 /// directions of a cable have distinct ids, connected via [`Link::reverse`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct LinkId(pub u32);
 
 impl NodeId {
@@ -43,7 +43,7 @@ impl LinkId {
 /// Tiers are ordered: `Host < Leaf < Agg < Spine`. Up-down (valley-free)
 /// routing only ever moves to strictly higher tiers before moving to
 /// strictly lower tiers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum NodeRole {
     /// An end host (server). Hosts are traffic endpoints, not failure
     /// candidates; their attachment links are.
@@ -76,7 +76,7 @@ impl NodeRole {
 }
 
 /// A node in the topology.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Node {
     /// Tier of the node.
     pub role: NodeRole,
@@ -89,7 +89,7 @@ pub struct Node {
 }
 
 /// A directed link between two nodes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Link {
     /// Transmitting node.
     pub src: NodeId,
@@ -104,7 +104,7 @@ pub struct Link {
 ///
 /// Construct via the builders in [`crate::clos`] (or [`TopologyBuilder`]
 /// for custom shapes), derive irregular variants via [`crate::irregular`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Topology {
     /// Human-readable name, e.g. `"clos-p8-a4-t4-h8"`.
     pub name: String,

@@ -84,28 +84,20 @@ fn main() {
     while collector.pending() < expected && std::time::Instant::now() < deadline {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
-    let records = collector.drain();
+    // The drained records are monitored flows (paths are known only
+    // where the agents traced them).
+    let monitored = collector.drain();
     let snap = collector.stats().snapshot();
     println!(
         "collected {} records ({} connections, {} messages, {} bytes, {} errors)",
-        records.len(),
+        monitored.len(),
         snap.connections,
         snap.messages,
         snap.bytes,
         snap.decode_errors
     );
 
-    // Reconstruct monitored flows from the wire records (paths are known
-    // only where the agents traced them) and run inference on A2+P.
-    let monitored: Vec<MonitoredFlow> = records
-        .into_iter()
-        .map(|r| MonitoredFlow {
-            key: r.key,
-            stats: r.stats,
-            class: r.class,
-            true_path: r.path.unwrap_or_default(),
-        })
-        .collect();
+    // Run inference on A2+P.
     let obs = flock::telemetry::input::assemble(
         &topo,
         &router,

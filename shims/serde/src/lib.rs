@@ -1,14 +1,12 @@
 //! Offline vendored `serde` facade — now a *functional* minimal
 //! serialization framework.
 //!
-//! The workspace annotates its data types with
-//! `#[derive(Serialize, Deserialize)]`. Until PR 6 the annotations were
-//! no-ops (marker traits + empty derives); the verdict store and the
-//! daemon's `--json` log mode need real JSON export, so [`Serialize`] is
-//! now a real trait driven by a concrete JSON [`Serializer`], and the
-//! sibling `serde_derive` crate generates real impls for structs and
-//! enums (honoring `#[serde(skip)]` on fields). The output follows
-//! `serde_json`'s conventions:
+//! The workspace annotates its data types with `#[derive(Serialize)]`.
+//! The verdict store and the daemon's `--json` log mode need real JSON
+//! export, so [`Serialize`] is a real trait driven by a concrete JSON
+//! [`Serializer`], and the sibling `serde_derive` crate generates real
+//! impls for structs and enums (honoring `#[serde(skip)]` on fields).
+//! The output follows `serde_json`'s conventions:
 //!
 //! * structs → objects, newtype structs → their inner value;
 //! * unit enum variants → `"Variant"`, data-carrying variants →
@@ -18,22 +16,16 @@
 //! * maps → objects with `Display`-formatted keys, emitted in sorted
 //!   key order so output is deterministic across runs.
 //!
-//! `Deserialize` remains a blanket-implemented marker: no code path
-//! parses JSON today, and keeping the marker lets the existing
-//! `#[derive(Deserialize)]` annotations compile unchanged.
+//! There is no `Deserialize`: nothing in the workspace parses JSON.
 
-// The derive macros and the traits below share names, exactly as in
+// The derive macro and the trait below share a name, exactly as in
 // real serde (macros and traits live in different namespaces):
 // `use serde::Serialize` imports both.
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Display;
 use std::time::Duration;
-
-/// Marker standing in for `serde::Deserialize` (blanket-implemented).
-pub trait Deserialize<'de> {}
-impl<'de, T: ?Sized> Deserialize<'de> for T {}
 
 /// A JSON writer. All serialization in the workspace funnels through
 /// this one concrete type (the offline build has no need for the

@@ -1,4 +1,4 @@
-//! `Serialize`/`Deserialize` derives for the offline `serde` shim.
+//! The `Serialize` derive for the offline `serde` shim.
 //!
 //! `#[derive(Serialize)]` is a *real* derive: it walks the raw
 //! `proc_macro::TokenStream` (no `syn`/`quote` in the offline image) and
@@ -16,9 +16,6 @@
 //! Generic types are not supported (nothing in the workspace derives
 //! `Serialize` on a generic type); hitting one produces a
 //! `compile_error!` rather than silently wrong output.
-//!
-//! `#[derive(Deserialize)]` remains a no-op — the shim's `Deserialize`
-//! is a blanket-implemented marker trait.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -30,13 +27,6 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
             .parse()
             .expect("compile_error! snippet parses")
     })
-}
-
-/// Accept `#[derive(Deserialize)]` and `#[serde(...)]` attributes; emit
-/// nothing (the `serde` shim provides a blanket marker impl).
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
 }
 
 fn expand(input: TokenStream) -> Result<TokenStream, String> {

@@ -85,7 +85,7 @@ pub mod prelude {
     };
     pub use flock_telemetry::{
         AnalysisMode, Collector, CollectorConfig, DrainBatch, FlowKey, FlowRecord, InputKind,
-        MonitoredFlow, ObservationSet, StampedRecord, StatsSnapshot,
+        MonitoredFlow, ObservationSet, StatsSnapshot,
     };
     pub use flock_topology::{
         ClosParams, Component, GroundTruth, LeafSpineParams, LinkId, NodeId, Router, Topology,

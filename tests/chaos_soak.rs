@@ -116,22 +116,23 @@ fn await_quiesce(collector: &Collector) {
     panic!("collector did not quiesce within its deadline");
 }
 
-/// Sort every drained bucket by full record content. Reactor shards
+/// Sort every drained bucket by record content. Reactor shards
 /// interleave connections nondeterministically; canonical order makes
 /// "same record multiset" imply "bit-identical verdicts" (arena
-/// interning and f64 accumulation then run in the same order).
+/// interning and f64 accumulation then run in the same order). Each
+/// agent exports its own host's flows, so sorting by source first keeps
+/// records grouped by agent.
 fn canonicalize(batch: &mut DrainBatch) {
-    let key = |r: &StampedRecord| {
+    let key = |r: &MonitoredFlow| {
         (
-            r.agent_id,
-            r.record.key.src,
-            r.record.key.dst,
-            r.record.key.src_port,
-            r.record.key.dst_port,
-            r.record.key.proto,
-            r.record.stats.packets,
-            r.record.stats.retransmissions,
-            r.record.stats.bytes,
+            r.key.src,
+            r.key.dst,
+            r.key.src_port,
+            r.key.dst_port,
+            r.key.proto,
+            r.stats.packets,
+            r.stats.retransmissions,
+            r.stats.bytes,
         )
     };
     for (_, bucket) in &mut batch.buckets {

@@ -1,5 +1,5 @@
 //! Integration: the full live pipeline — simulator feeding per-host
-//! agents, real TCP export to the collector, reconstruction, inference.
+//! agents, real TCP export to the collector, inference.
 
 use flock::prelude::*;
 use flock::telemetry::agent::{AgentConfig, AgentCore, Exporter, FlowSample};
@@ -68,23 +68,14 @@ fn tcp_pipeline_localizes_failure() {
     while collector.pending() < n_flows && std::time::Instant::now() < deadline {
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
-    let records = collector.drain();
-    assert_eq!(records.len(), n_flows, "all records must arrive");
+    let monitored = collector.drain();
+    assert_eq!(monitored.len(), n_flows, "all records must arrive");
     assert_eq!(
         collector.stats().snapshot().decode_errors,
         0,
         "no decode errors"
     );
 
-    let monitored: Vec<MonitoredFlow> = records
-        .into_iter()
-        .map(|r| MonitoredFlow {
-            key: r.key,
-            stats: r.stats,
-            class: r.class,
-            true_path: r.path.unwrap_or_default(),
-        })
-        .collect();
     let obs = flock::telemetry::input::assemble(
         &topo,
         &router,
