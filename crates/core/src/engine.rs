@@ -1024,11 +1024,6 @@ impl Engine {
         self.n_obs
     }
 
-    /// Number of extras-carrying prefix groups behind the super-flows.
-    pub fn n_members(&self) -> usize {
-        self.members.len()
-    }
-
     /// The current hypothesis (local ids of components currently failed).
     pub fn hypothesis(&self) -> &[CompIdx] {
         &self.hypothesis

@@ -26,8 +26,8 @@ use std::collections::BTreeSet;
 /// pipeline claims to contain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultKind {
-    /// Kill an agent's connection mid-epoch (the agent reconnects with
-    /// backoff and resends — at-least-once delivery).
+    /// Kill an agent's connection mid-epoch (the agent restarts on a new
+    /// connection and resends its whole export).
     AgentCrash,
     /// Stall an agent's connection: its frames arrive late within the
     /// epoch, exercising buffering, not loss.

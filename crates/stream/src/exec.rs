@@ -1,72 +1,124 @@
-//! Persistent work-stealing shard executor.
+//! The infer stage: shard jobs and the persistent pool that runs them.
 //!
-//! The epoch loop used to spawn one scoped thread per shard per epoch:
-//! a spawn/join barrier whose wall time is gated by the slowest shard
-//! *and* by thread-creation latency, every epoch. [`ShardExecutor`]
-//! replaces it with a fixed pool of workers over per-shard task queues:
+//! The assembly stage hands over one [`EpochCtx`] per epoch;
+//! [`ShardExecutor::submit`] queues one [`ShardJob`] per shard over it
+//! and returns the channel its [`TaskDone`]s arrive on. A job is data —
+//! the shard, the epoch, the reply sender — and [`run_job`] is the one
+//! function that runs it. Nothing outside this module knows the job
+//! format.
+//!
+//! The pool is a fixed set of workers over per-shard queues:
 //!
 //! * **Shard-affine, steal on idle** — worker `k` scans its home shards
 //!   (`k`, `k + workers`, …) first and steals from the rest only when
-//!   its own are empty or claimed, so shard state stays cache-warm under
-//!   even load while uneven epochs still spread across the pool.
+//!   its own are empty or claimed, so a shard's engine stays with its
+//!   home worker under even load while uneven epochs still spread
+//!   across the pool.
 //! * **Per-shard serialization and FIFO order** — each shard's jobs run
 //!   one at a time, in submission order, whichever workers run them.
 //!   That is the property pipelining leans on: epoch `N + 1`'s job for
 //!   shard `i` can sit queued while `N` is still running, and shard `i`
 //!   starts `N + 1` the moment *its own* `N` finishes — no cross-shard
 //!   join barrier between epochs.
-//! * **State lives in the pool** — jobs are `FnOnce(&mut S)` closures
-//!   over the shard's state slot. Panics are the *caller's* contract:
-//!   the pipeline wraps every job body in `catch_unwind` (it must — it
-//!   owns the degraded-verdict policy); the executor adds a backstop
-//!   that swallows any panic that still escapes, so one poisoned job
-//!   can never take a worker (or the whole pool) down.
+//! * **One panic boundary** — [`run_job`] runs the shard's inference
+//!   inside `catch_unwind`, resets the shard's engine on a panic and
+//!   reports the failure as the shard's result, so a poisoned epoch
+//!   never takes a worker down.
 //!
-//! The executor is deliberately generic (`S: Send`) and dependency-free
-//! — plain `Mutex`/`Condvar` signalling, safe Rust only — so tests can
-//! drive it with toy states.
+//! Plain `Mutex`/`Condvar` signalling, safe Rust only.
 
+use crate::pipeline::{
+    Provenance, ShardChaos, ShardFailure, ShardOutcome, StreamConfig, PROVENANCE_SETS_CAP,
+};
+use crate::shard::Shard;
+use flock_core::{CompIdx, Engine, EngineOptions, EpochFlowTable, FlockGreedy};
+use flock_telemetry::ObservationSet;
+use flock_topology::Topology;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// A unit of work bound to one shard's state.
-type Job<S> = Box<dyn FnOnce(&mut S) + Send + 'static>;
+/// One epoch's immutable inputs, shared by every shard job of that
+/// epoch. Taken apart (its buffers reclaimed) when the epoch is collected.
+pub(crate) struct EpochCtx {
+    pub(crate) obs: ObservationSet,
+    /// Per shard: ascending indices of the observations it accepts —
+    /// computed once on the assembly stage so shard binding is a
+    /// replay, not a filter scan.
+    pub(crate) accept: Vec<Vec<u32>>,
+    /// Each observation's term id and score, plus the ladders of the
+    /// keys first seen this epoch: every shard engine reads its evidence
+    /// keys from here instead of hashing and scoring them again.
+    pub(crate) flow_table: EpochFlowTable,
+    pub(crate) deadline: Option<Instant>,
+    pub(crate) epoch_index: u64,
+}
+
+/// One shard job's result, sent back over the epoch's channel.
+pub(crate) struct TaskDone {
+    pub(crate) shard: usize,
+    pub(crate) run: ShardRun,
+}
+
+pub(crate) type ShardRun = Result<ShardOutcome, ShardFailure>;
+
+/// One shard's run over one epoch. Field order is drop order: a job
+/// dropped unrun at shutdown releases its epoch before its sender.
+struct ShardJob {
+    shard: usize,
+    ectx: Arc<EpochCtx>,
+    done: mpsc::Sender<TaskDone>,
+}
+
+/// Per-shard persistent inference state.
+struct ShardState {
+    engine: Option<Engine>,
+    /// Previous epoch's hypothesis as *global* component ids (stable
+    /// across engine rebuilds), translated into the engine's local space
+    /// when seeding the warm search.
+    prev: Vec<CompIdx>,
+}
+
+/// Immutable context every shard job reads, owned by the pool.
+struct TaskCtx {
+    topo: Topology,
+    cfg: StreamConfig,
+    shards: Vec<Shard>,
+}
 
 /// One shard's slot: its pending jobs, its state, and a claim flag that
 /// serializes execution (the queue can hold the next epoch's job while
 /// the current one runs).
-struct ShardCell<S> {
-    queue: Mutex<VecDeque<Job<S>>>,
-    state: Mutex<S>,
+struct ShardCell {
+    queue: Mutex<VecDeque<ShardJob>>,
+    state: Mutex<ShardState>,
     /// Claimed by the worker currently running (or about to run) this
     /// shard's job — per-shard mutual exclusion and FIFO order.
     busy: AtomicBool,
 }
 
-struct ExecShared<S> {
-    cells: Vec<ShardCell<S>>,
-    /// Jobs submitted and not yet finished (queued or running).
-    pending: AtomicUsize,
+struct ExecShared {
+    ctx: TaskCtx,
+    cells: Vec<ShardCell>,
     stop: AtomicBool,
-    /// Wakeup channel for workers (new job, or a shard freed with queued
-    /// work) and for [`ShardExecutor::quiesce`] waiters (pending hit 0).
+    /// Wakeup channel for workers: a new job, or a shard freed with
+    /// queued work.
     signal: Mutex<()>,
     cond: Condvar,
 }
 
-/// Lock, surviving poisoning: the executor's own invariants never
-/// depend on observing a consistent value across a panic (queues hold
-/// boxed closures; state is the caller's and the caller catches its own
-/// panics), so a poisoned mutex is safe to re-enter.
+/// Lock, surviving poisoning: [`run_job`] catches every shard panic, so
+/// none unwinds through a held lock; a poisoned mutex would still be
+/// safe to re-enter (queues hold plain jobs; a shard's state is reset
+/// whenever its job panics).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-impl<S> ExecShared<S> {
+impl ExecShared {
     /// Try to run one queued job for shard `i`. Returns whether a job ran.
     fn try_run(&self, i: usize) -> bool {
         let cell = &self.cells[i];
@@ -80,17 +132,10 @@ impl<S> ExecShared<S> {
             cell.busy.store(false, Ordering::Release);
             return false;
         };
-        {
-            let mut state = lock(&cell.state);
-            // Backstop only: the pipeline's jobs catch their own panics
-            // (they own degraded-verdict policy); anything that still
-            // escapes must not kill the worker thread.
-            let _ = catch_unwind(AssertUnwindSafe(|| job(&mut state)));
-        }
+        run_job(&self.ctx, &mut lock(&cell.state), job);
         cell.busy.store(false, Ordering::Release);
-        self.pending.fetch_sub(1, Ordering::AcqRel);
-        // Wake quiesce waiters and any worker that should pick up this
-        // shard's next queued job (or work we stole from).
+        // Wake any worker that should pick up this shard's next queued
+        // job (or work we stole from).
         let _g = lock(&self.signal);
         self.cond.notify_all();
         true
@@ -103,7 +148,7 @@ impl<S> ExecShared<S> {
     }
 }
 
-fn worker_loop<S>(shared: Arc<ExecShared<S>>, worker: usize, n_workers: usize) {
+fn worker_loop(shared: Arc<ExecShared>, worker: usize, pool_size: usize) {
     let n = shared.cells.len();
     loop {
         let mut ran = false;
@@ -111,10 +156,10 @@ fn worker_loop<S>(shared: Arc<ExecShared<S>>, worker: usize, n_workers: usize) {
         let mut i = worker;
         while i < n {
             ran |= shared.try_run(i);
-            i += n_workers;
+            i += pool_size;
         }
         for i in 0..n {
-            if i % n_workers != worker {
+            if i % pool_size != worker {
                 ran |= shared.try_run(i);
             }
         }
@@ -139,22 +184,27 @@ fn worker_loop<S>(shared: Arc<ExecShared<S>>, worker: usize, n_workers: usize) {
     }
 }
 
-/// A fixed pool of workers executing jobs against per-shard state slots,
+/// A fixed pool of workers running shard jobs against per-shard state,
 /// with per-shard FIFO serialization and idle-time stealing. See the
 /// module docs for the scheduling contract.
-pub struct ShardExecutor<S: Send + 'static> {
-    shared: Arc<ExecShared<S>>,
+pub(crate) struct ShardExecutor {
+    shared: Arc<ExecShared>,
     workers: Vec<JoinHandle<()>>,
 }
 
-impl<S: Send + 'static> ShardExecutor<S> {
-    /// Build a pool over the given shard states. `workers == 0` sizes
+impl ShardExecutor {
+    /// Build a pool over one cold state per shard. `workers == 0` sizes
     /// the pool to `min(available_parallelism, shards)`; any other value
-    /// is taken as-is (capped at the shard count — extra workers could
-    /// never find work).
-    pub fn new(states: Vec<S>, workers: usize) -> Self {
-        let n_shards = states.len().max(1);
-        let n_workers = if workers == 0 {
+    /// (unit tests pin 1 or 2) is taken as-is, capped at the shard count
+    /// — extra workers could never find work.
+    pub(crate) fn new(
+        topo: &Topology,
+        cfg: &StreamConfig,
+        shards: &[Shard],
+        workers: usize,
+    ) -> Self {
+        let n_shards = shards.len().max(1);
+        let pool_size = if workers == 0 {
             std::thread::available_parallelism()
                 .map(|p| p.get())
                 .unwrap_or(1)
@@ -164,94 +214,61 @@ impl<S: Send + 'static> ShardExecutor<S> {
         }
         .max(1);
         let shared = Arc::new(ExecShared {
-            cells: states
-                .into_iter()
-                .map(|s| ShardCell {
+            ctx: TaskCtx {
+                topo: topo.clone(),
+                cfg: cfg.clone(),
+                shards: shards.to_vec(),
+            },
+            cells: shards
+                .iter()
+                .map(|_| ShardCell {
                     queue: Mutex::new(VecDeque::new()),
-                    state: Mutex::new(s),
+                    state: Mutex::new(ShardState {
+                        engine: None,
+                        prev: Vec::new(),
+                    }),
                     busy: AtomicBool::new(false),
                 })
                 .collect(),
-            pending: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             signal: Mutex::new(()),
             cond: Condvar::new(),
         });
-        let workers = (0..n_workers)
+        let workers = (0..pool_size)
             .map(|k| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("flock-shard-{k}"))
-                    .spawn(move || worker_loop(shared, k, n_workers))
+                    .spawn(move || worker_loop(shared, k, pool_size))
                     .expect("spawn shard worker")
             })
             .collect();
         ShardExecutor { shared, workers }
     }
 
-    /// Number of worker threads.
-    pub fn n_workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Number of shard slots.
-    pub fn n_shards(&self) -> usize {
-        self.shared.cells.len()
-    }
-
-    /// Queue a job for shard `i`. Jobs for one shard run serialized, in
+    /// Queue one job per shard over `ectx` and return the channel their
+    /// [`TaskDone`]s arrive on. Jobs for one shard run serialized, in
     /// submission order; jobs for different shards run concurrently.
-    pub fn submit(&self, i: usize, job: impl FnOnce(&mut S) + Send + 'static) {
-        self.shared.pending.fetch_add(1, Ordering::AcqRel);
-        // Push under the cell lock, notify under the signal lock —
-        // never both at once (workers take signal → cell; taking cell →
-        // signal here would be an ABBA deadlock).
-        lock(&self.shared.cells[i].queue).push_back(Box::new(job));
-        let _g = lock(&self.shared.signal);
-        self.shared.cond.notify_all();
-    }
-
-    /// Block until every submitted job has finished.
-    pub fn quiesce(&self) {
-        let mut guard = lock(&self.shared.signal);
-        while self.shared.pending.load(Ordering::Acquire) != 0 {
-            guard = self
-                .shared
-                .cond
-                .wait_timeout(guard, Duration::from_millis(50))
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
+    pub(crate) fn submit(&self, ectx: &Arc<EpochCtx>) -> mpsc::Receiver<TaskDone> {
+        let (tx, rx) = mpsc::channel();
+        for (shard, cell) in self.shared.cells.iter().enumerate() {
+            let job = ShardJob {
+                shard,
+                ectx: Arc::clone(ectx),
+                done: tx.clone(),
+            };
+            // Push under the cell lock, notify under the signal lock —
+            // never both at once (workers take signal → cell; taking
+            // cell → signal here would be an ABBA deadlock).
+            lock(&cell.queue).push_back(job);
+            let _g = lock(&self.shared.signal);
+            self.shared.cond.notify_all();
         }
-    }
-
-    /// Run `f` against shard `i`'s state from the caller's thread, once
-    /// the shard is idle. Intended for between-epoch inspection (tests,
-    /// draining final state); concurrent submissions to the same shard
-    /// will contend with it.
-    pub fn with_state<R>(&self, i: usize, f: impl FnOnce(&mut S) -> R) -> R {
-        loop {
-            if !self.shared.cells[i].busy.swap(true, Ordering::Acquire) {
-                let r = {
-                    let mut state = lock(&self.shared.cells[i].state);
-                    f(&mut state)
-                };
-                self.shared.cells[i].busy.store(false, Ordering::Release);
-                let _g = lock(&self.shared.signal);
-                self.shared.cond.notify_all();
-                return r;
-            }
-            // Shard is running a job; wait for it to free up.
-            let guard = lock(&self.shared.signal);
-            let _ = self
-                .shared
-                .cond
-                .wait_timeout(guard, Duration::from_millis(10))
-                .unwrap_or_else(|e| e.into_inner());
-        }
+        rx
     }
 }
 
-impl<S: Send + 'static> Drop for ShardExecutor<S> {
+impl Drop for ShardExecutor {
     /// Shutdown: workers stop at the next idle scan; jobs still queued
     /// are dropped unrun (their `TaskDone` senders drop with them, which
     /// is how a collecting caller learns the epoch died). The running
@@ -268,114 +285,246 @@ impl<S: Send + 'static> Drop for ShardExecutor<S> {
     }
 }
 
+/// Run one shard job: [`run_shard`] inside the shard path's only
+/// `catch_unwind`, so a panicking shard degrades its own slice of the
+/// verdict instead of taking the epoch with it. The failed shard's state
+/// resets to a valid initial state: no engine (a half-bound one may hold
+/// a partially extended epoch); `prev` is kept — global component ids
+/// survive the rebuild, so the recovered shard re-seeds its warm search
+/// from its last good hypothesis. The job releases its epoch *before*
+/// reporting, so once the collector holds every report it holds the
+/// epoch's only handle.
+fn run_job(tctx: &TaskCtx, state: &mut ShardState, job: ShardJob) {
+    let ShardJob { shard, ectx, done } = job;
+    let run = catch_unwind(AssertUnwindSafe(|| run_shard(tctx, shard, state, &ectx))).map_err(
+        |payload| {
+            state.engine = None;
+            ShardFailure {
+                shard: tctx.shards[shard].label.clone(),
+                panic_message: panic_message(payload.as_ref()),
+            }
+        },
+    );
+    drop(ectx);
+    let _ = done.send(TaskDone { shard, run });
+}
+
+/// Localize one epoch on one shard: bind the shard's persistent engine
+/// (made on first use) to the epoch's accepted observations (the accept
+/// list computed on the assembly stage) *at* the shard's previous
+/// verdict, reading the epoch's flow table, continue the warm search
+/// from there, and report what the shard owns of the result. The seed
+/// and every reported component are *global* dense ids — stable across
+/// engine rebuilds, and what the merge speaks. Runs on a pool worker,
+/// inside [`run_job`].
+///
+/// # Panics
+/// If the engine refuses the epoch's arena. The pipeline has one
+/// assembler — one lineage, snapshots that only grow — so a
+/// [`flock_telemetry::ViewError`] here is a pipeline bug, contained by
+/// [`run_job`] like any other shard panic.
+fn run_shard(tctx: &TaskCtx, idx: usize, state: &mut ShardState, ectx: &EpochCtx) -> ShardOutcome {
+    let started = Instant::now();
+    let (topo, cfg, obs) = (&tctx.topo, &tctx.cfg, &ectx.obs);
+    let shard = &tctx.shards[idx];
+    let epoch_index = ectx.epoch_index;
+    if let Some(chaos) = &cfg.chaos {
+        match chaos.call(&shard.label, epoch_index) {
+            Some(ShardChaos::Panic) => panic!(
+                "chaos: injected panic in shard `{}` (epoch {epoch_index})",
+                shard.label
+            ),
+            Some(ShardChaos::Stall(d)) => chaos_stall(d, ectx.deadline),
+            None => {}
+        }
+    }
+    let warm = state.engine.is_some();
+    let rebind_started = Instant::now();
+    let engine = state
+        .engine
+        .get_or_insert_with(|| Engine::unbound(topo, cfg.params, EngineOptions::default()));
+    if let Err(e) = engine.try_bind(topo, obs, &ectx.accept[idx], &ectx.flow_table, &state.prev) {
+        panic!("shard `{}` cannot bind the epoch: {e}", shard.label);
+    }
+    let search_started = Instant::now();
+    let rebind = search_started - rebind_started;
+
+    // The bind entered the seed; the search only has to move on from it.
+    let search = FlockGreedy::new(cfg.params).search_warm_deadline(engine, &[], ectx.deadline);
+    let search_time = search_started.elapsed();
+    let picked: Vec<CompIdx> = search
+        .picked
+        .iter()
+        .map(|&(c, _)| engine.global_comp(c))
+        .collect();
+    let kept: Vec<(CompIdx, f64)> = picked
+        .iter()
+        .zip(&search.picked)
+        .filter_map(|(&g, &(_, score))| shard.owns(g).then_some((g, score)))
+        .collect();
+    let provenance = collect_provenance(engine, &shard.label, &kept);
+    let outcome = ShardOutcome {
+        label: shard.label.clone(),
+        kind: shard.kind,
+        kept: kept.len(),
+        flows: engine.n_flows(),
+        raw_flows: engine.n_observations(),
+        warm,
+        hypotheses_scanned: search.scanned,
+        log_likelihood: engine.log_likelihood(),
+        state: engine.state_sizes(),
+        elapsed: started.elapsed(),
+        rebind,
+        search: search_time,
+        timed_out: search.timed_out,
+        provenance,
+    };
+    // A deadline-truncated hypothesis still seeds the next epoch: every
+    // pick in it improved the posterior, and the warm search removes
+    // seeds that stop paying.
+    state.prev = picked;
+    outcome
+}
+
+/// Stringify a caught panic payload (panics raised by `panic!` carry a
+/// `&str` or `String`; anything else is opaque).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// Sleep for an injected stall, clamped to the epoch deadline when one
+/// is set — a stalled shard then surfaces as a deadline truncation (the
+/// degraded-mode contract) instead of holding the epoch hostage for the
+/// stall's full length.
+fn chaos_stall(stall: Duration, deadline: Option<Instant>) {
+    let now = Instant::now();
+    let mut until = now + stall;
+    if let Some(dl) = deadline {
+        until = until.min(dl);
+    }
+    if let Some(left) = until.checked_duration_since(now) {
+        if !left.is_zero() {
+            std::thread::sleep(left);
+        }
+    }
+}
+
+/// Capture [`Provenance`] for each kept component (global ids, in `kept`
+/// order) from the engine that convicted them.
+fn collect_provenance(
+    engine: &Engine,
+    shard_label: &str,
+    kept: &[(CompIdx, f64)],
+) -> Vec<Provenance> {
+    kept.iter()
+        .map(|&(g, score)| {
+            let c = engine
+                .local_comp(g)
+                .expect("kept components come from this engine");
+            let ev = engine.convicting_evidence(c);
+            Provenance {
+                component: engine.component(c),
+                shard: shard_label.to_string(),
+                score,
+                super_flows: ev.super_flows as u32,
+                raw_weight: ev.weight,
+                sets: ev
+                    .sets
+                    .iter()
+                    .take(PROVENANCE_SETS_CAP)
+                    .map(|&(set, _)| set.0)
+                    .collect(),
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
+    use crate::pipeline::ChaosHook;
+    use crate::shard::ShardPlan;
+    use flock_core::TermDirectory;
+    use flock_telemetry::Assembler;
+    use flock_topology::clos::{three_tier, ClosParams};
+    use flock_topology::Router;
 
+    /// Two pods: shards `pod0`, `pod1`, `spine`, in that order.
+    fn pods2() -> Topology {
+        three_tier(ClosParams {
+            pods: 2,
+            tors_per_pod: 2,
+            aggs_per_pod: 2,
+            spines_per_plane: 2,
+            hosts_per_tor: 2,
+        })
+    }
+
+    fn pool(topo: &Topology, chaos: Option<ChaosHook>, workers: usize) -> ShardExecutor {
+        let cfg = StreamConfig {
+            shard_by_pod: true,
+            chaos,
+            ..StreamConfig::paper_default()
+        };
+        ShardExecutor::new(topo, &cfg, &ShardPlan::by_pod(topo).shards, workers)
+    }
+
+    /// An epoch without records: every shard binds an empty accept list.
+    fn empty_epoch(topo: &Topology, n_shards: usize) -> Arc<EpochCtx> {
+        let cfg = StreamConfig::paper_default();
+        let obs = Assembler::new().assemble(topo, &Router::new(topo), &[], &cfg.kinds, cfg.mode);
+        let mut flow_table = EpochFlowTable::new();
+        flow_table.rebuild(&mut TermDirectory::new(&cfg.params), &obs);
+        Arc::new(EpochCtx {
+            obs,
+            accept: vec![Vec::new(); n_shards],
+            flow_table,
+            deadline: None,
+            epoch_index: 0,
+        })
+    }
+
+    /// Two workers over three shards: `pod0` and `spine` share worker 0
+    /// as their home, `pod1` is worker 1's. Stalling both of worker 0's
+    /// shards, the idle worker 1 must run `pod1` and then steal one of
+    /// them, so the two stalls overlap instead of running back to back.
     #[test]
-    fn per_shard_fifo_order_and_isolation() {
-        let exec = ShardExecutor::new(vec![Vec::<u32>::new(), Vec::new()], 2);
-        for round in 0..100u32 {
-            exec.submit(0, move |s| s.push(round));
-            exec.submit(1, move |s| s.push(round * 2));
+    fn idle_worker_steals_from_a_stalled_home() {
+        const STALL: Duration = Duration::from_millis(200);
+        let topo = pods2();
+        let chaos =
+            ChaosHook::new(|label: &str, _| (label != "pod1").then_some(ShardChaos::Stall(STALL)));
+        let exec = pool(&topo, Some(chaos), 2);
+        let started = Instant::now();
+        let rx = exec.submit(&empty_epoch(&topo, 3));
+        let first = rx.recv().unwrap();
+        assert_eq!(first.shard, 1, "the unstalled shard reports first");
+        assert!(started.elapsed() < STALL, "pod1 waited for a stall");
+        for _ in 0..2 {
+            assert!(rx.recv().unwrap().run.is_ok());
         }
-        exec.quiesce();
-        let s0 = exec.with_state(0, |s| s.clone());
-        let s1 = exec.with_state(1, |s| s.clone());
-        assert_eq!(s0, (0..100).collect::<Vec<_>>());
-        assert_eq!(s1, (0..100).map(|r| r * 2).collect::<Vec<_>>());
+        let took = started.elapsed();
+        assert!(
+            took < STALL * 3 / 2,
+            "the stalls ran back to back ({took:?}): nobody stole"
+        );
     }
 
     #[test]
-    fn stealing_spreads_uneven_load() {
-        // One slow shard + many fast ones, two workers: the fast shards
-        // must complete while the slow one runs (a thread-per-shard or
-        // no-steal executor with home-only scans would serialize them
-        // behind it if they hashed to the busy worker).
-        let exec = ShardExecutor::new(vec![0u64; 8], 2);
-        let (tx, rx) = mpsc::channel();
-        let slow_tx = tx.clone();
-        exec.submit(0, move |s| {
-            std::thread::sleep(Duration::from_millis(100));
-            *s += 1;
-            slow_tx.send(0usize).unwrap();
-        });
-        for i in 1..8 {
-            let tx = tx.clone();
-            exec.submit(i, move |s| {
-                *s += 1;
-                tx.send(i).unwrap();
-            });
-        }
-        drop(tx);
-        // All 7 fast shards finish well before the slow one's 100 ms.
-        let mut done = Vec::new();
-        for _ in 0..7 {
-            done.push(
-                rx.recv_timeout(Duration::from_millis(90))
-                    .expect("fast shards must not queue behind the stalled worker"),
-            );
-        }
-        assert!(!done.contains(&0));
-        exec.quiesce();
-    }
-
-    #[test]
-    fn quiesce_waits_for_queued_and_running() {
-        let exec = ShardExecutor::new(vec![0u32; 3], 1);
-        for i in 0..3 {
-            for _ in 0..5 {
-                exec.submit(i, |s| {
-                    std::thread::sleep(Duration::from_millis(2));
-                    *s += 1;
-                });
-            }
-        }
-        exec.quiesce();
-        for i in 0..3 {
-            assert_eq!(exec.with_state(i, |s| *s), 5);
-        }
-    }
-
-    #[test]
-    fn escaped_panic_does_not_kill_the_pool() {
-        let exec = ShardExecutor::new(vec![0u32; 2], 1);
-        exec.submit(0, |_| panic!("boom"));
-        exec.submit(0, |s| *s += 1);
-        exec.submit(1, |s| *s += 10);
-        exec.quiesce();
-        assert_eq!(exec.with_state(0, |s| *s), 1);
-        assert_eq!(exec.with_state(1, |s| *s), 10);
-    }
-
-    #[test]
-    fn shutdown_drops_unrun_jobs_and_joins() {
-        let (tx, rx) = mpsc::channel::<u32>();
-        {
-            let exec = ShardExecutor::new(vec![()], 1);
-            exec.submit(0, move |_| {
-                std::thread::sleep(Duration::from_millis(20));
-            });
-            // Queued behind the sleeper; likely dropped unrun at shutdown
-            // — either way the sender must be gone after drop.
-            exec.submit(0, move |_| {
-                let _ = tx.send(1);
-            });
-        }
-        // Executor dropped: the channel must be closed (job either ran
-        // before stop or was dropped with its sender).
-        match rx.recv_timeout(Duration::from_millis(200)) {
-            Ok(_) | Err(mpsc::RecvTimeoutError::Disconnected) => {}
-            Err(mpsc::RecvTimeoutError::Timeout) => panic!("shutdown leaked the queued job"),
-        }
-    }
-
-    #[test]
-    fn worker_autosize_caps_at_shard_count() {
-        let exec = ShardExecutor::new(vec![(); 2], 0);
-        assert!(exec.n_workers() >= 1 && exec.n_workers() <= 2);
-        let exec2 = ShardExecutor::new(vec![(); 4], 64);
-        assert_eq!(exec2.n_workers(), 4);
+    fn pool_size_is_capped_at_the_shard_count_and_never_zero() {
+        let topo = pods2();
+        let auto = pool(&topo, None, 0);
+        assert!((1..=3).contains(&auto.workers.len()));
+        assert_eq!(pool(&topo, None, 64).workers.len(), 3);
+        assert_eq!(pool(&topo, None, 1).workers.len(), 1);
+        let single = ShardPlan::single(&topo).shards;
+        let one = ShardExecutor::new(&topo, &StreamConfig::paper_default(), &single, 0);
+        assert_eq!(one.workers.len(), 1);
     }
 }

@@ -14,11 +14,13 @@
 //!   of that stamp;
 //! * [`shard`] — partitions blame ownership over the component space
 //!   (one shard per pod plus one for the spine tier) so per-epoch
-//!   inference can run shard-parallel on a thread pool;
-//! * [`exec`] — a persistent work-stealing shard executor: fixed worker
-//!   threads over per-shard FIFO task queues, replacing the per-epoch
-//!   spawn/join barrier and letting consecutive epochs overlap per
-//!   shard;
+//!   inference can run shard-parallel;
+//! * the infer stage (crate-private) — one job per shard per epoch, run
+//!   on a persistent pool of `min(cores, shards)` workers over per-shard
+//!   FIFO queues (home shards first, steal when idle), so consecutive
+//!   epochs overlap per shard without a spawn/join barrier; it resets a
+//!   panicked shard's engine and reports the panic as that shard's
+//!   result;
 //! * [`pipeline`] — the driver: per epoch it assembles observations
 //!   against a persistent arena ([`flock_telemetry::Assembler`]),
 //!   **warm-starts** each shard's engine from the previous epoch
@@ -41,12 +43,11 @@
 #![warn(missing_docs)]
 
 pub mod epoch;
-pub mod exec;
+mod exec;
 pub mod pipeline;
 pub mod shard;
 
 pub use epoch::{Epoch, EpochConfig, EpochManager};
-pub use exec::ShardExecutor;
 pub use pipeline::{
     reconstruct, ChaosHook, DegradeReason, EpochHealth, EpochReport, Provenance, ShardChaos,
     ShardFailure, ShardOutcome, StageTimings, StreamConfig, StreamPipeline, PROVENANCE_SETS_CAP,

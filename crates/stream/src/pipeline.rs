@@ -25,25 +25,25 @@
 //!    ([`flock_core::Engine::try_bind`]) instead of rebuilt, *at* the
 //!    previous hypothesis, and the greedy search continues from there
 //!    with removals enabled so heals are detected
-//!    ([`FlockGreedy::search_warm`]);
+//!    ([`flock_core::FlockGreedy::search_warm`]);
 //! 4. shard verdicts are merged under blame ownership into one
 //!    [`LocalizationResult`] per epoch.
+//!
+//! [`ObservationSet`]: flock_telemetry::ObservationSet
 
 use crate::epoch::{Epoch, EpochConfig, EpochManager};
-use crate::exec::ShardExecutor;
-use crate::shard::{SetTouchIndex, Shard, ShardKind, ShardPlan};
+use crate::exec::{EpochCtx, ShardExecutor, ShardRun, TaskDone};
+use crate::shard::{SetTouchIndex, ShardKind, ShardPlan};
 use flock_core::{
-    CompIdx, Engine, EngineOptions, EngineStateSizes, EpochFlowTable, FlockGreedy, HyperParams,
-    LocalizationResult, TermDirectory,
+    EngineStateSizes, EpochFlowTable, HyperParams, LocalizationResult, TermDirectory,
 };
 use flock_telemetry::{
-    AnalysisMode, Assembler, DrainBatch, InputKind, MonitoredFlow, ObservationSet, TrafficClass,
+    AnalysisMode, Assembler, DrainBatch, InputKind, MonitoredFlow, TrafficClass,
 };
 use flock_topology::{Component, NodeId, NodeRole, Router, Topology};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -59,8 +59,10 @@ pub struct StreamConfig {
     /// Inference hyperparameters.
     pub params: HyperParams,
     /// Partition the component space into one shard per pod plus one
-    /// spine shard ([`ShardPlan::by_pod`]) and run shards on separate
-    /// threads (`false` = one shard owning everything).
+    /// spine shard ([`ShardPlan::by_pod`]), each with its own engine,
+    /// run concurrently on the shard pool of `min(cores, shards)`
+    /// workers (`false` = one shard owning everything, run by one
+    /// worker).
     pub shard_by_pod: bool,
     /// Per-epoch inference deadline, measured from the start of
     /// [`StreamPipeline::run_flows`]. A shard search that crosses it
@@ -77,20 +79,18 @@ pub struct StreamConfig {
     pub chaos: Option<ChaosHook>,
     /// Overlap epochs: [`StreamPipeline::poll`] /
     /// [`StreamPipeline::drain`] submit each epoch's shard jobs to the
-    /// persistent executor and *then* collect the previous epoch's
-    /// verdict, so epoch `N + 1`'s assembly (arena and term-directory
-    /// extension; the in-flight epoch reads its own snapshot) and
-    /// even its per-shard inference overlap epoch `N`'s. Reports are
+    /// shard pool and *then* collect the previous epoch's verdict, so
+    /// epoch `N + 1`'s assembly (arena and term-directory extension;
+    /// the in-flight epoch reads its own snapshot) and even its
+    /// per-shard inference overlap epoch `N`'s: the pool runs each
+    /// shard's jobs in submission order, so a shard starts `N + 1` as
+    /// soon as its own `N` is done. Reports are
     /// emitted exactly one epoch behind submission;
     /// [`StreamPipeline::drain`] flushes
     /// the tail. Verdicts are bit-identical to the sequential mode
     /// (property-tested by `pipelined_identity`). Default `false`:
     /// every poll returns its own epoch's report.
     pub pipelined: bool,
-    /// Worker threads in the shard executor. `0` (the default) sizes
-    /// the pool to `min(available_parallelism, shards)`; values above
-    /// the shard count are capped to it.
-    pub workers: usize,
 }
 
 /// A fault the [`ChaosHook`] can inject into one shard's epoch run.
@@ -146,7 +146,6 @@ impl StreamConfig {
             epoch_deadline: None,
             chaos: None,
             pipelined: false,
-            workers: 0,
         }
     }
 }
@@ -343,12 +342,13 @@ pub struct ShardOutcome {
     pub provenance: Vec<Provenance>,
 }
 
-/// Where an epoch's wall time went, split at the executor boundary.
+/// Where an epoch's wall time went on the caller's thread.
 ///
 /// `prepare` (the assembly stage: `assemble`, `index` and `flow_table`
-/// below, plus job submission) and `merge` (blame-ownership merge +
-/// provenance) both run on the *caller's* thread; the shard searches
-/// between them run on the executor. Under
+/// below, plus queueing one job per shard) and `merge` (blame-ownership
+/// merge + provenance) both run on the *caller's* thread; the shard
+/// searches between them run on the shard pool's workers and are timed
+/// per shard in [`ShardOutcome`]. Under
 /// [`StreamConfig::pipelined`], `prepare` of epoch `N + 1` overlaps the
 /// shard searches of epoch `N`, so the steady-state cost per epoch is
 /// `max(prepare + merge, slowest shard chain)`.
@@ -358,7 +358,8 @@ pub struct StageTimings {
     pub prepare: Duration,
     /// Collect-stage wall time: the blame-ownership merge.
     pub merge: Duration,
-    /// The part of `prepare` spent producing the [`ObservationSet`]:
+    /// The part of `prepare` spent producing the
+    /// [`ObservationSet`](flock_telemetry::ObservationSet):
     /// interning, sorting, coalescing.
     pub assemble: Duration,
     /// The part of `prepare` spent on per-observation touch signatures
@@ -405,48 +406,6 @@ pub struct EpochReport {
     pub stages: StageTimings,
 }
 
-/// Per-shard persistent inference state.
-struct ShardState {
-    engine: Option<Engine>,
-    /// Previous epoch's hypothesis as *global* component ids (stable
-    /// across engine rebuilds), translated into the engine's local space
-    /// when seeding the warm search.
-    prev: Vec<CompIdx>,
-}
-
-/// Immutable context shard jobs need every epoch, shared with the
-/// executor's worker threads once at construction (jobs are `'static`,
-/// so they cannot borrow from the pipeline).
-struct TaskCtx {
-    topo: Topology,
-    cfg: StreamConfig,
-    shards: Vec<Shard>,
-}
-
-/// One epoch's immutable inputs, shared by every shard job of that
-/// epoch. Taken apart (its buffers reclaimed) when the epoch is collected.
-struct EpochCtx {
-    obs: ObservationSet,
-    /// Per shard: ascending indices of the observations it accepts —
-    /// computed once on the assembly stage so shard binding is a
-    /// replay, not a filter scan.
-    accept: Vec<Vec<u32>>,
-    /// Each observation's term id and score, plus the ladders of the
-    /// keys first seen this epoch: every shard engine reads its evidence
-    /// keys from here instead of hashing and scoring them again.
-    flow_table: EpochFlowTable,
-    deadline: Option<Instant>,
-    epoch_index: u64,
-}
-
-/// One shard job's result, sent back over the epoch's channel.
-struct TaskDone {
-    shard: usize,
-    run: ShardRun,
-}
-
-type ShardRun = Result<ShardOutcome, ShardFailure>;
-
 /// An epoch submitted to the executor and not yet collected.
 struct InFlight {
     epoch_index: u64,
@@ -482,10 +441,8 @@ pub struct StreamPipeline<'t> {
     manager: EpochManager,
     assembler: Assembler,
     plan: ShardPlan,
-    /// The persistent work-stealing pool owning every shard's state.
-    exec: ShardExecutor<ShardState>,
-    /// Shared immutable inputs for shard jobs (cloned once at build).
-    task_ctx: Arc<TaskCtx>,
+    /// The infer stage: the persistent pool owning every shard's state.
+    exec: ShardExecutor,
     /// The submitted-but-uncollected epoch (pipelined mode).
     in_flight: Option<InFlight>,
     /// Every `(sent, bad, w)` evidence key ever assembled → dense term
@@ -516,20 +473,7 @@ impl<'t> StreamPipeline<'t> {
         } else {
             ShardPlan::single(topo)
         };
-        let states: Vec<ShardState> = plan
-            .shards
-            .iter()
-            .map(|_| ShardState {
-                engine: None,
-                prev: Vec::new(),
-            })
-            .collect();
-        let exec = ShardExecutor::new(states, cfg.workers);
-        let task_ctx = Arc::new(TaskCtx {
-            topo: topo.clone(),
-            cfg: cfg.clone(),
-            shards: plan.shards.clone(),
-        });
+        let exec = ShardExecutor::new(topo, &cfg, &plan.shards, 0);
         StreamPipeline {
             topo,
             router: Router::new(topo),
@@ -539,7 +483,6 @@ impl<'t> StreamPipeline<'t> {
             assembler: Assembler::new(),
             plan,
             exec,
-            task_ctx,
             in_flight: None,
             spare_accept: Vec::new(),
             spare_flow_table: EpochFlowTable::new(),
@@ -755,30 +698,7 @@ impl<'t> StreamPipeline<'t> {
             deadline,
             epoch_index,
         });
-        let (tx, rx) = mpsc::channel();
-        for i in 0..n_shards {
-            let tctx = Arc::clone(&self.task_ctx);
-            let ectx = Arc::clone(&ctx);
-            let tx = tx.clone();
-            // Panics are caught *inside* the job — a panicking shard
-            // degrades its own slice of the verdict instead of taking
-            // the epoch with it. The failed shard's state resets to a
-            // valid initial state: no engine (a half-bound one may hold
-            // a partially extended epoch); `prev` is kept — global
-            // component ids survive the rebuild, so the recovered shard
-            // re-seeds its warm search from its last good hypothesis.
-            self.exec.submit(i, move |state| {
-                let run = catch_unwind(AssertUnwindSafe(|| run_shard(&tctx, i, state, &ectx)))
-                    .map_err(|payload| {
-                        state.engine = None;
-                        ShardFailure {
-                            shard: tctx.shards[i].label.clone(),
-                            panic_message: panic_message(payload.as_ref()),
-                        }
-                    });
-                let _ = tx.send(TaskDone { shard: i, run });
-            });
-        }
+        let rx = self.exec.submit(&ctx);
         InFlight {
             epoch_index,
             start_ms,
@@ -923,21 +843,14 @@ impl<'t> StreamPipeline<'t> {
         });
 
         let observations = ctx.obs.flows.len();
-        // Reclaim the epoch's buffers: every shard job has sent its
-        // result, so the workers' `Arc` clones are dropped (or about to
-        // be — the send precedes the drop by a few instructions).
-        let mut ctx = ctx;
-        let ectx = loop {
-            match Arc::try_unwrap(ctx) {
-                Ok(e) => break e,
-                Err(shared) => {
-                    ctx = shared;
-                    std::thread::yield_now();
-                }
-            }
-        };
-        // The next epoch refills them in place instead of re-allocating
-        // a megabyte on the assembly stage's critical path.
+        // Reclaim the epoch's buffers: every shard job released the epoch
+        // before reporting (a job dropped unrun released it before its
+        // sender), so this is the last handle. The next epoch refills
+        // them in place instead of re-allocating a megabyte on the
+        // assembly stage's critical path.
+        let ectx = Arc::try_unwrap(ctx)
+            .ok()
+            .expect("every shard job released the epoch before reporting");
         self.spare_accept = ectx.accept;
         self.spare_flow_table = ectx.flow_table;
         self.assembler.recycle(ectx.obs);
@@ -963,112 +876,6 @@ impl<'t> StreamPipeline<'t> {
             health,
             failures,
             stages,
-        }
-    }
-}
-
-/// Localize one epoch on one shard: bind the shard's persistent engine
-/// (made on first use) to the epoch's accepted observations (the accept
-/// list computed on the assembly stage) *at* the shard's previous
-/// verdict, reading the epoch's flow table, continue the warm search
-/// from there, and report what the shard owns of the result. The seed
-/// and every reported component are *global* dense ids — stable across
-/// engine rebuilds, and what the merge speaks. Runs on an executor
-/// worker thread.
-///
-/// # Panics
-/// If the engine refuses the epoch's arena. The pipeline has one
-/// assembler — one lineage, snapshots that only grow — so a
-/// [`flock_telemetry::ViewError`] here is a pipeline bug, contained at
-/// the job's `catch_unwind` like any other shard panic.
-fn run_shard(tctx: &TaskCtx, idx: usize, state: &mut ShardState, ectx: &EpochCtx) -> ShardOutcome {
-    let started = Instant::now();
-    let (topo, cfg, obs) = (&tctx.topo, &tctx.cfg, &ectx.obs);
-    let shard = &tctx.shards[idx];
-    let epoch_index = ectx.epoch_index;
-    if let Some(chaos) = &cfg.chaos {
-        match chaos.call(&shard.label, epoch_index) {
-            Some(ShardChaos::Panic) => panic!(
-                "chaos: injected panic in shard `{}` (epoch {epoch_index})",
-                shard.label
-            ),
-            Some(ShardChaos::Stall(d)) => chaos_stall(d, ectx.deadline),
-            None => {}
-        }
-    }
-    let warm = state.engine.is_some();
-    let rebind_started = Instant::now();
-    let engine = state
-        .engine
-        .get_or_insert_with(|| Engine::unbound(topo, cfg.params, EngineOptions::default()));
-    if let Err(e) = engine.try_bind(topo, obs, &ectx.accept[idx], &ectx.flow_table, &state.prev) {
-        panic!("shard `{}` cannot bind the epoch: {e}", shard.label);
-    }
-    let search_started = Instant::now();
-    let rebind = search_started - rebind_started;
-
-    // The bind entered the seed; the search only has to move on from it.
-    let search = FlockGreedy::new(cfg.params).search_warm_deadline(engine, &[], ectx.deadline);
-    let search_time = search_started.elapsed();
-    let picked: Vec<CompIdx> = search
-        .picked
-        .iter()
-        .map(|&(c, _)| engine.global_comp(c))
-        .collect();
-    let kept: Vec<(CompIdx, f64)> = picked
-        .iter()
-        .zip(&search.picked)
-        .filter_map(|(&g, &(_, score))| shard.owns(g).then_some((g, score)))
-        .collect();
-    let provenance = collect_provenance(engine, &shard.label, &kept);
-    let outcome = ShardOutcome {
-        label: shard.label.clone(),
-        kind: shard.kind,
-        kept: kept.len(),
-        flows: engine.n_flows(),
-        raw_flows: engine.n_observations(),
-        warm,
-        hypotheses_scanned: search.scanned,
-        log_likelihood: engine.log_likelihood(),
-        state: engine.state_sizes(),
-        elapsed: started.elapsed(),
-        rebind,
-        search: search_time,
-        timed_out: search.timed_out,
-        provenance,
-    };
-    // A deadline-truncated hypothesis still seeds the next epoch: every
-    // pick in it improved the posterior, and the warm search removes
-    // seeds that stop paying.
-    state.prev = picked;
-    outcome
-}
-
-/// Stringify a caught panic payload (panics raised by `panic!` carry a
-/// `&str` or `String`; anything else is opaque).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Sleep for an injected stall, clamped to the epoch deadline when one
-/// is set — a stalled shard then surfaces as a deadline truncation (the
-/// degraded-mode contract) instead of holding the epoch hostage for the
-/// stall's full length.
-fn chaos_stall(stall: Duration, deadline: Option<Instant>) {
-    let now = Instant::now();
-    let mut until = now + stall;
-    if let Some(dl) = deadline {
-        until = until.min(dl);
-    }
-    if let Some(left) = until.checked_duration_since(now) {
-        if !left.is_zero() {
-            std::thread::sleep(left);
         }
     }
 }
@@ -1105,34 +912,4 @@ fn flow_is_sane(topo: &Topology, f: &MonitoredFlow) -> bool {
         // id-range checks above are all assembly relies on.
         TrafficClass::Probe => true,
     }
-}
-
-/// Capture [`Provenance`] for each kept component (global ids, in `kept`
-/// order) from the engine that convicted them.
-fn collect_provenance(
-    engine: &Engine,
-    shard_label: &str,
-    kept: &[(CompIdx, f64)],
-) -> Vec<Provenance> {
-    kept.iter()
-        .map(|&(g, score)| {
-            let c = engine
-                .local_comp(g)
-                .expect("kept components come from this engine");
-            let ev = engine.convicting_evidence(c);
-            Provenance {
-                component: engine.component(c),
-                shard: shard_label.to_string(),
-                score,
-                super_flows: ev.super_flows as u32,
-                raw_weight: ev.weight,
-                sets: ev
-                    .sets
-                    .iter()
-                    .take(PROVENANCE_SETS_CAP)
-                    .map(|&(set, _)| set.0)
-                    .collect(),
-            }
-        })
-        .collect()
 }

@@ -5,8 +5,10 @@
 //!   executor, epochs overlapping) are
 //!   bit-identical to the sequential path — property-tested over
 //!   randomized topologies, fault scenarios (including simultaneous
-//!   faults in two spine planes), telemetry kinds, and worker counts;
-//! * the overlap survives its edges: zero-record epochs, a shard panic
+//!   faults in two spine planes) and telemetry kinds;
+//! * the overlap survives its edges: zero-record epochs, a stalled
+//!   epoch with the next one queued behind it on every shard (each
+//!   shard must still run its epochs in order), a shard panic
 //!   while the next epoch is already assembled (the degraded epoch must
 //!   not corrupt its successor),
 //!   late records arriving during overlap, and dropping the pipeline
@@ -51,14 +53,13 @@ fn epoch_flows(
     simulate_flows(topo, router, sc, &demands, &FlowSimConfig::default(), rng)
 }
 
-fn sharded_cfg(pipelined: bool, workers: usize) -> StreamConfig {
+fn sharded_cfg(pipelined: bool) -> StreamConfig {
     StreamConfig {
         epoch: EpochConfig::tumbling(1_000),
         kinds: vec![InputKind::A2, InputKind::P],
         mode: AnalysisMode::PerPacket,
         shard_by_pod: true,
         pipelined,
-        workers,
         ..StreamConfig::paper_default()
     }
 }
@@ -131,12 +132,11 @@ fn assert_reports_identical(a: &EpochReport, b: &EpochReport, what: &str) {
 fn assert_pipelined_identical(
     topo: &Topology,
     epochs: &[Vec<MonitoredFlow>],
-    workers: usize,
     chaos: Option<ChaosHook>,
 ) -> Vec<EpochReport> {
-    let mut seq_cfg = sharded_cfg(false, 0);
+    let mut seq_cfg = sharded_cfg(false);
     seq_cfg.chaos = chaos.clone();
-    let mut pipe_cfg = sharded_cfg(true, workers);
+    let mut pipe_cfg = sharded_cfg(true);
     pipe_cfg.chaos = chaos;
     let mut seq = StreamPipeline::new(topo, seq_cfg);
     let mut pipe = StreamPipeline::new(topo, pipe_cfg);
@@ -166,14 +166,13 @@ proptest! {
 
     /// The headline invariant: over randomized topologies, fault
     /// scenarios (including simultaneous faults in two spine planes),
-    /// and executor worker counts, the pipelined verdict stream is
+    /// the pipelined verdict stream is
     /// bit-identical to the sequential one.
     #[test]
     fn pipelined_is_bit_identical_to_sequential(
         pods in 2u32..4,
         aggs in 2u32..4,
         two_planes in any::<bool>(),
-        workers in 0usize..3,
         seed in 0u64..1_000,
     ) {
         let topo = clos(pods, aggs);
@@ -190,7 +189,7 @@ proptest! {
         let epochs: Vec<Vec<MonitoredFlow>> = (0..3)
             .map(|_| epoch_flows(&topo, &router, &sc, 600, &mut rng))
             .collect();
-        assert_pipelined_identical(&topo, &epochs, workers, None);
+        assert_pipelined_identical(&topo, &epochs, None);
     }
 }
 
@@ -211,9 +210,33 @@ fn zero_record_epochs_flow_through_the_pipeline() {
             epochs.push(epoch_flows(&topo, &router, &sc, 500, &mut rng));
         }
     }
-    let reports = assert_pipelined_identical(&topo, &epochs, 0, None);
+    let reports = assert_pipelined_identical(&topo, &epochs, None);
     assert_eq!(reports[1].observations, 0);
     assert_eq!(reports[3].observations, 0);
+}
+
+/// Per-shard FIFO under overlap. Epoch 0 stalls on pod0 — and on the
+/// other pods, so every pool worker (at most one per shard) is held and
+/// the spine's epoch 0 cannot start — while epoch 1 is submitted: some
+/// shard queue then holds two epochs at once, and runs them in
+/// submission order or its warm state (and the verdict) diverges from
+/// the sequential run.
+#[test]
+fn stalled_shard_keeps_its_epoch_order() {
+    let topo = clos(3, 2);
+    let router = Router::new(&topo);
+    let mut rng = StdRng::seed_from_u64(13);
+    let sc = failure::silent_link_drops(&topo, 1, (0.02, 0.03), DEFAULT_NOISE_MAX, &mut rng);
+    let epochs: Vec<Vec<MonitoredFlow>> = (0..4)
+        .map(|_| epoch_flows(&topo, &router, &sc, 700, &mut rng))
+        .collect();
+    // No deadline: the stall runs its full length.
+    let chaos = ChaosHook::new(|label: &str, epoch: u64| {
+        (label.starts_with("pod") && epoch == 0)
+            .then_some(ShardChaos::Stall(std::time::Duration::from_millis(50)))
+    });
+    let reports = assert_pipelined_identical(&topo, &epochs, Some(chaos));
+    assert!(reports.iter().all(|r| !r.health.is_degraded()));
 }
 
 /// A shard panic while the *next* epoch is already assembled: the
@@ -234,7 +257,7 @@ fn panic_during_overlap_degrades_only_its_epoch() {
     let chaos = ChaosHook::new(|label: &str, epoch: u64| {
         (label == "pod1" && epoch == 2).then_some(ShardChaos::Panic)
     });
-    let reports = assert_pipelined_identical(&topo, &epochs, 0, Some(chaos));
+    let reports = assert_pipelined_identical(&topo, &epochs, Some(chaos));
     assert!(
         matches!(
             &reports[2].health,
@@ -279,7 +302,7 @@ fn late_records_during_overlap_are_flagged_once() {
         )],
     };
     let run = |pipelined: bool| -> Vec<EpochReport> {
-        let mut pipe = StreamPipeline::new(&topo, sharded_cfg(pipelined, 0));
+        let mut pipe = StreamPipeline::new(&topo, sharded_cfg(pipelined));
         let mut reports = Vec::new();
         for e in 0..3u64 {
             for i in 0..20 {
@@ -330,7 +353,7 @@ fn drop_with_epoch_in_flight_shuts_down_cleanly() {
     let mut rng = StdRng::seed_from_u64(3);
     let sc = failure::silent_link_drops(&topo, 1, (0.02, 0.03), DEFAULT_NOISE_MAX, &mut rng);
     let flows = epoch_flows(&topo, &router, &sc, 400, &mut rng);
-    let mut pipe = StreamPipeline::new(&topo, sharded_cfg(true, 1));
+    let mut pipe = StreamPipeline::new(&topo, sharded_cfg(true));
     let none = pipe.submit_flows(0, 0, 1_000, &flows);
     assert!(none.is_none(), "first submission has nothing to collect");
     drop(pipe);
@@ -347,7 +370,7 @@ fn run_flows_with_epoch_in_flight_panics() {
     let mut rng = StdRng::seed_from_u64(5);
     let sc = failure::silent_link_drops(&topo, 1, (0.02, 0.03), DEFAULT_NOISE_MAX, &mut rng);
     let flows = epoch_flows(&topo, &router, &sc, 300, &mut rng);
-    let mut pipe = StreamPipeline::new(&topo, sharded_cfg(true, 0));
+    let mut pipe = StreamPipeline::new(&topo, sharded_cfg(true));
     pipe.submit_flows(0, 0, 1_000, &flows);
     pipe.run_flows(1, 1_000, 2_000, &flows);
 }

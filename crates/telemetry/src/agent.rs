@@ -15,7 +15,6 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
 
 /// Agent configuration.
 #[derive(Debug, Clone)]
@@ -228,111 +227,6 @@ impl Exporter {
     }
 }
 
-/// Reconnect policy for [`ResilientExporter`].
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Reconnect attempts per failed send before giving up.
-    pub max_attempts: u32,
-    /// Backoff before the first reconnect attempt.
-    pub base_backoff: Duration,
-    /// Backoff cap (doubles per attempt up to this).
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 5,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(500),
-        }
-    }
-}
-
-/// A TCP exporter that survives collector restarts and connection drops:
-/// on a send failure it reconnects with exponential backoff and resends
-/// the failed message.
-///
-/// Delivery is at-least-once, not exactly-once: a connection that dies
-/// mid-`write_all` may have delivered a torn frame prefix (the collector's
-/// decoder resyncs past it) and the retry then delivers the full message
-/// again. The stream pipeline's evidence model tolerates duplicates the
-/// same way it tolerates re-exports after an agent restart.
-pub struct ResilientExporter {
-    addr: SocketAddr,
-    policy: RetryPolicy,
-    stream: Option<TcpStream>,
-    ever_connected: bool,
-    reconnects: u64,
-}
-
-impl ResilientExporter {
-    /// Create an exporter for `addr`; the first connection is made lazily
-    /// on the first send, so construction never fails.
-    pub fn new(addr: SocketAddr, policy: RetryPolicy) -> Self {
-        ResilientExporter {
-            addr,
-            policy,
-            stream: None,
-            ever_connected: false,
-            reconnects: 0,
-        }
-    }
-
-    /// Times a dead connection was successfully re-established.
-    pub fn reconnects(&self) -> u64 {
-        self.reconnects
-    }
-
-    /// Whether a connection is currently established.
-    pub fn connected(&self) -> bool {
-        self.stream.is_some()
-    }
-
-    fn connect(&mut self) -> io::Result<&mut TcpStream> {
-        if self.stream.is_none() {
-            let s = TcpStream::connect(self.addr)?;
-            s.set_nodelay(true)?;
-            if self.ever_connected {
-                self.reconnects += 1;
-            }
-            self.ever_connected = true;
-            self.stream = Some(s);
-        }
-        Ok(self.stream.as_mut().unwrap())
-    }
-
-    /// Send one encoded message, reconnecting with backoff on failure.
-    /// Returns the last IO error once the retry budget is exhausted.
-    pub fn send(&mut self, msg: &[u8]) -> io::Result<()> {
-        let mut backoff = self.policy.base_backoff;
-        let mut last_err: Option<io::Error> = None;
-        for attempt in 0..=self.policy.max_attempts {
-            match self.connect().and_then(|s| s.write_all(msg)) {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    // Drop the dead socket; the next attempt redials.
-                    self.stream = None;
-                    last_err = Some(e);
-                    if attempt < self.policy.max_attempts {
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(self.policy.max_backoff);
-                    }
-                }
-            }
-        }
-        Err(last_err.unwrap_or_else(|| io::Error::other("send failed")))
-    }
-
-    /// Flush and drop the current connection (if any).
-    pub fn finish(mut self) -> io::Result<()> {
-        match self.stream.take() {
-            Some(mut s) => s.flush(),
-            None => Ok(()),
-        }
-    }
-}
-
 fn fnv1a(key: &FlowKey) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut step = |b: u8| {
@@ -472,64 +366,6 @@ mod tests {
         let msgs = agent.encode_export(0, &recs);
         assert_eq!(msgs.len(), 1);
         assert_eq!(crate::wire::decode_message(&msgs[0]).unwrap().records, recs);
-    }
-
-    #[test]
-    fn resilient_exporter_reconnects_after_peer_close() {
-        use crate::wire::encode_message;
-        use std::io::Read;
-        use std::net::TcpListener;
-
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut exp = ResilientExporter::new(
-            addr,
-            RetryPolicy {
-                max_attempts: 10,
-                base_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(20),
-            },
-        );
-        let msg = encode_message(1, 0, 0, &[]);
-        exp.send(&msg).unwrap();
-        assert!(exp.connected());
-        assert_eq!(exp.reconnects(), 0);
-
-        // The collector side drops the connection (simulated restart).
-        let (mut sock, _) = listener.accept().unwrap();
-        let mut sink = [0u8; 256];
-        let _ = sock.read(&mut sink);
-        drop(sock);
-
-        // Keep exporting: once the dead socket surfaces as a write error
-        // the exporter redials (the listener is still accepting).
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while exp.reconnects() == 0 && std::time::Instant::now() < deadline {
-            exp.send(&msg)
-                .expect("send must succeed while redial works");
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(exp.reconnects() >= 1, "exporter never re-established");
-        let (_replacement, _) = listener.accept().unwrap();
-        exp.finish().unwrap();
-    }
-
-    #[test]
-    fn resilient_exporter_exhausts_retry_budget() {
-        // Nothing listens here: connect fails, backoff runs, and the last
-        // error is surfaced after max_attempts.
-        let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
-        let mut exp = ResilientExporter::new(
-            addr,
-            RetryPolicy {
-                max_attempts: 2,
-                base_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(2),
-            },
-        );
-        assert!(exp.send(&[0u8; 4]).is_err());
-        assert!(!exp.connected());
-        assert_eq!(exp.reconnects(), 0);
     }
 
     #[test]

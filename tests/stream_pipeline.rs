@@ -144,7 +144,7 @@ fn collector_to_stream_detects_fault_and_heal() {
 /// `StreamConfig` — or bringing back a baseline switch — stops this
 /// file compiling until the count below is changed on purpose.
 #[test]
-fn stream_config_has_exactly_nine_knobs() {
+fn stream_config_has_exactly_eight_knobs() {
     let epoch = EpochConfig::tumbling(EPOCH_MS);
     let StreamConfig {
         epoch: got_epoch,
@@ -155,7 +155,6 @@ fn stream_config_has_exactly_nine_knobs() {
         epoch_deadline,
         chaos,
         pipelined,
-        workers,
     } = StreamConfig {
         epoch,
         shard_by_pod: true,
@@ -168,7 +167,6 @@ fn stream_config_has_exactly_nine_knobs() {
     assert_eq!(kinds, vec![InputKind::A2, InputKind::P]);
     assert_eq!(mode, AnalysisMode::PerPacket);
     assert!(epoch_deadline.is_none() && chaos.is_none());
-    assert_eq!(workers, 0);
 }
 
 /// Epoch `k` of the overlap regression below: traffic among the first
