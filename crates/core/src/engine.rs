@@ -39,14 +39,23 @@
 //! tables* (one allocation pair per table, rows appended as the view
 //! grows, never rewritten):
 //!
-//! * per viewed fabric path: its (deduplicated, sorted) component list
-//!   (`path_comps`) and the current *fail count* — how many hypothesis
+//! * per viewed fabric path: its component list (`path_comps`:
+//!   deduplicated, in first-touch order, not sorted — no reader needs
+//!   the order) and the current *fail count* — how many hypothesis
 //!   components lie on it;
 //! * per viewed path set: its member paths (`sets`), the sorted union of
 //!   their components (`set_comps`), the cached structure half of the
 //!   initial Δ (`set_ladders`/`set_gidx`, see below), and the number of
 //!   member paths with a non-zero fail count (`set_bad`), shared by every
 //!   flow using the set.
+//!
+//! Two inverted indexes walk this layer from a component. Its sets
+//! (`comp_to_sets`) are transposed eagerly, when the view grew: the
+//! initial Δ, every flip and the evidence report read them. Its paths
+//! are read only by a flip and by entering a seed, and a search flips a
+//! handful of components, so they are derived **on first use**
+//! (`comp_paths`): the member paths of the component's sets whose row
+//! contains it, sorted and deduplicated, memoized until the view grows.
 //!
 //! The evidence layer is rebuilt every epoch, from the accepted
 //! observations and the epoch's [`EpochFlowTable`] — the evidence keys
@@ -101,8 +110,9 @@
 //! set is first viewed (a path's component list is duplicate-free, so
 //! one pass over the member paths' lists counts paths, not visits). Per
 //! set the engine keeps the ascending distinct `g` values (the
-//! *g-ladder*) and, per component of the set, a `u16` index into that
-//! ladder. The per-epoch half (`compute_initial_delta`) is then one
+//! *g-ladder*; every `g` is at most the set's width, so it is counted
+//! off a mark array) and, per component of the set, a `u16` index into
+//! that ladder. The per-epoch half (`compute_initial_delta`) is then one
 //! ladder gather-accumulate per super-flow plus one scatter per active
 //! set — proportional to the epoch's evidence, with no path sweep. The
 //! cached half is never recomputed and never invalidated (views are
@@ -122,9 +132,11 @@
 //! against brute-force neighbour likelihoods and against the
 //! bind-empty-then-flip path it replaces.
 //!
-//! The flip path is allocation-free in steady state: counter snapshots,
-//! inverted-index walks, and per-set scratch all reuse persistent arenas
-//! that survive across flips *and* epochs ([`Engine::try_bind`]).
+//! The flip path is allocation-free after warm-up: counter snapshots,
+//! inverted-index walks, per-set scratch and the comp→path memo all
+//! reuse persistent arenas that survive across flips *and* epochs
+//! ([`Engine::try_bind`]; a bind whose view grew clears the memo but
+//! keeps its capacity).
 //!
 //! For search algorithms that do not want Δ maintenance (Sherlock without
 //! JLE, greedy without JLE), [`Engine::flip_ll_only`] updates the state
@@ -266,25 +278,84 @@ impl SMember {
     }
 }
 
-/// "No component" in [`PrefixLink`] (a host end, or a link not yet seen).
+/// "No component" in [`LinkComps`] (a host end, or a link not yet seen).
 const NO_COMP: CompIdx = CompIdx::MAX;
 
 /// "Not on the ladder" in [`Engine::scratch_rung`].
 const NO_RUNG: u32 = u32::MAX;
 
-/// Local ids of a flow-prefix link and of the switch devices at its ends,
-/// memoized per global link id on first sight ([`Engine::flow_extras`]).
+/// Local ids of a link and of the switch devices at its ends, memoized
+/// per global link id on first sight ([`Engine::link_comps`]) — for the
+/// fabric links of viewed paths and for flow-prefix links alike.
 #[derive(Debug, Clone, Copy)]
-struct PrefixLink {
+struct LinkComps {
     comp: CompIdx,
     devices: [CompIdx; 2],
 }
 
-impl PrefixLink {
-    const UNSEEN: PrefixLink = PrefixLink {
+impl LinkComps {
+    const UNSEEN: LinkComps = LinkComps {
         comp: NO_COMP,
         devices: [NO_COMP; 2],
     };
+}
+
+/// "Not derived yet" in [`CompPaths::rows`].
+const UNDERIVED: (u32, u32) = (u32::MAX, 0);
+
+/// Comp → path rows, derived on first use: a component's paths are the
+/// member paths of its `comp_to_sets` sets whose row contains it, sorted
+/// and deduplicated (a path can sit in two sets). Only a flip and
+/// entering a seed read them, and a search flips a handful of
+/// components, so transposing every path row at bind would build rows
+/// nobody reads. Rows are appended to one flat `items` vector in
+/// derivation order; the memo is cleared (keeping its capacity) by a
+/// bind whose view grew, so a steady-state flip derives nothing new and
+/// allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct CompPaths {
+    /// Per local component: `(start, len)` of its row in `items`, or
+    /// [`UNDERIVED`].
+    rows: Vec<(u32, u32)>,
+    items: Vec<u32>,
+}
+
+impl CompPaths {
+    /// Forget every row and size the memo for `n` components.
+    fn reset(&mut self, n: usize) {
+        self.rows.clear();
+        self.rows.resize(n, UNDERIVED);
+        self.items.clear();
+    }
+
+    /// Paths of component `c`, derived from the structure tables on
+    /// first use.
+    fn row(&mut self, c: CompIdx, comp_to_sets: &Csr, sets: &Csr, path_comps: &Csr) -> &[u32] {
+        if self.rows[c as usize] == UNDERIVED {
+            let from = self.items.len();
+            for &s in comp_to_sets.get(c) {
+                for &p in sets.get(s) {
+                    if path_comps.get(p).contains(&c) {
+                        self.items.push(p);
+                    }
+                }
+            }
+            self.items[from..].sort_unstable();
+            // Dedup the new tail in place.
+            let mut end = from;
+            for i in from..self.items.len() {
+                if end == from || self.items[i] != self.items[end - 1] {
+                    self.items[end] = self.items[i];
+                    end += 1;
+                }
+            }
+            self.items.truncate(end);
+            let start = u32::try_from(from).expect("comp→path memo exceeds u32 offsets");
+            self.rows[c as usize] = (start, (end - from) as u32);
+        }
+        let (start, len) = self.rows[c as usize];
+        &self.items[start as usize..(start + len) as usize]
+    }
 }
 
 /// Engine construction options.
@@ -373,12 +444,13 @@ pub struct Engine {
     /// evidence-width structure is local.
     comps: DenseRemap,
 
-    // Paths (local ids). Row `p` of `path_comps` is the path's sorted,
-    // deduplicated component list.
+    // Paths (local ids). Row `p` of `path_comps` is the path's
+    // deduplicated (not sorted) component list.
     path_comps: Csr,
     path_fail: Vec<u32>,
-    /// `path_comps` transposed; rebuilt only when the view grew.
-    comp_to_paths: Csr,
+    /// `path_comps` transposed, one row per component on first use;
+    /// cleared only when the view grew.
+    comp_paths: CompPaths,
 
     // Sets (local ids). Row `s` of `sets` is the member paths, of
     // `set_comps` the sorted component union.
@@ -405,8 +477,10 @@ pub struct Engine {
     /// coalescing) — `n_obs / sflows.len()` is the epoch's coalesce ratio.
     n_obs: usize,
     /// Per global link id (id-width like `comps`' global side, never
-    /// reset): the localized extras a flow with that prefix link carries.
-    prefix_links: Vec<PrefixLink>,
+    /// reset): the link's local id and its switch ends' — a viewed
+    /// path's component row, or the extras a flow with that prefix link
+    /// carries.
+    link_comps: Vec<LinkComps>,
 
     // Hypothesis state (local ids).
     in_h: Vec<bool>,
@@ -462,7 +536,8 @@ pub struct Engine {
     scratch_ladder: Vec<u32>,
     /// …and ladder index → rung ([`NO_RUNG`] between sets; an index is at
     /// most the set's width, so the array stays as small as the widest
-    /// seeded set).
+    /// set). [`Engine::extend_structures`] counts each new set's g-ladder
+    /// on the same pair.
     scratch_rung: Vec<u32>,
 }
 
@@ -494,7 +569,7 @@ impl Engine {
             },
             path_comps: Csr::default(),
             path_fail: Vec::new(),
-            comp_to_paths: Csr::default(),
+            comp_paths: CompPaths::default(),
             sets: Csr::default(),
             set_comps: Csr::default(),
             set_ladders: Csr::default(),
@@ -506,7 +581,7 @@ impl Engine {
             members: Vec::new(),
             comp_extra_members: Csr::default(),
             n_obs: 0,
-            prefix_links: vec![PrefixLink::UNSEEN; topo.link_count()],
+            link_comps: vec![LinkComps::UNSEEN; topo.link_count()],
             in_h: Vec::new(),
             hypothesis: Vec::new(),
             delta: Vec::new(),
@@ -647,9 +722,16 @@ impl Engine {
             self.gain_move_bias[c] = p;
             self.gain_add_bias[c] = p;
         }
-        if structures_grew || self.comp_to_paths.n_rows() != n {
-            self.comp_to_paths.rebuild(n, self.path_comps.transposed());
+        if structures_grew || self.comp_to_sets.n_rows() != n {
             self.comp_to_sets.rebuild(n, self.set_comps.transposed());
+        }
+        // A grown view may have added paths to any component's row; new
+        // components only (extras met this epoch) leave the rows derived
+        // so far intact.
+        if structures_grew {
+            self.comp_paths.reset(n);
+        } else {
+            self.comp_paths.rows.resize(n, UNDERIVED);
         }
         // The epoch's inverted indexes, straight off the flow layer.
         self.set_flows.rebuild(
@@ -686,7 +768,10 @@ impl Engine {
                 continue;
             }
             self.hypothesis.push(c);
-            for &p in self.comp_to_paths.get(c) {
+            let paths = self
+                .comp_paths
+                .row(c, &self.comp_to_sets, &self.sets, &self.path_comps);
+            for &p in paths {
                 self.path_fail[p as usize] += 1;
             }
             for &mi in self.comp_extra_members.get(c) {
@@ -728,20 +813,19 @@ impl Engine {
         let mut row: Vec<CompIdx> = Vec::new();
         // Viewed fabric paths → local component lists (links + their
         // switch endpoints, deduplicated; round-trip probe paths visit a
-        // device twice but it is one component).
+        // device twice but it is one component). Rows are short (a few
+        // links), so a `contains` keeps them duplicate-free; no reader
+        // needs them sorted.
         for lp in old_paths as u32..n_paths as u32 {
             row.clear();
             for &l in obs.arena.path(self.view.global_path(lp)) {
-                row.push(self.localize_link(l));
-                let link = topo.link(l);
-                for end in [link.src, link.dst] {
-                    if let Some(d) = self.space.device_comp(end) {
-                        row.push(self.localize(d));
+                let lc = self.link_comps(topo, l);
+                for c in [lc.comp, lc.devices[0], lc.devices[1]] {
+                    if c != NO_COMP && !row.contains(&c) {
+                        row.push(c);
                     }
                 }
             }
-            row.sort_unstable();
-            row.dedup();
             self.path_comps.push_row(row.iter().copied());
         }
         self.path_fail.resize(n_paths, 0);
@@ -750,10 +834,14 @@ impl Engine {
         // half of the initial Δ — `g(c)`, the number of member paths
         // containing `c`, counted once here (every path's component list
         // is duplicate-free) and kept as a per-set ladder of distinct
-        // values plus a per-component index into it.
+        // values plus a per-component index into it. Every `g` is at most
+        // the set's width, so the ladder is counted, not sorted: mark the
+        // values present in `rung`, read them off in ascending order, and
+        // read each component's index back from its mark.
         let old_sets = self.sets.n_rows();
         let n_sets = self.view.n_sets();
-        let mut ladder: Vec<u32> = Vec::new();
+        let mut ladder = std::mem::take(&mut self.scratch_ladder);
+        let mut rung = std::mem::take(&mut self.scratch_rung);
         self.scratch_g.resize(self.comps.len(), 0);
         for ls in old_sets as u32..n_sets as u32 {
             let view = &self.view;
@@ -772,29 +860,66 @@ impl Engine {
                 }
             }
             row.sort_unstable();
+            let w = self.sets.get(ls).len();
+            if rung.len() <= w {
+                rung.resize(w + 1, NO_RUNG);
+            }
+            for &c in &row {
+                rung[self.scratch_g[c as usize] as usize] = 0;
+            }
             ladder.clear();
-            ladder.extend(row.iter().map(|&c| self.scratch_g[c as usize]));
-            ladder.sort_unstable();
-            ladder.dedup();
+            for g in 1..=w as u32 {
+                if rung[g as usize] != NO_RUNG {
+                    rung[g as usize] = ladder.len() as u32;
+                    ladder.push(g);
+                }
+            }
             for &c in &row {
                 let g = std::mem::take(&mut self.scratch_g[c as usize]);
-                let at = ladder.binary_search(&g).expect("every g is on the ladder");
-                self.set_gidx
-                    .push(u16::try_from(at).expect("a set has at most 65536 distinct g values"));
+                self.set_gidx.push(
+                    u16::try_from(rung[g as usize])
+                        .expect("a set has at most 65536 distinct g values"),
+                );
+            }
+            for &g in &ladder {
+                rung[g as usize] = NO_RUNG;
             }
             self.set_comps.push_row(row.iter().copied());
             self.set_ladders.push_row(ladder.iter().copied());
         }
+        self.scratch_ladder = ladder;
+        self.scratch_rung = rung;
         self.set_bad.resize(n_sets, 0);
         debug_assert_eq!(self.set_gidx.len(), self.set_comps.items.len());
 
         n_paths > old_paths || n_sets > old_sets
     }
 
+    /// Local ids of link `l` and its switch ends: one table read once the
+    /// link has been seen.
     #[inline]
-    fn localize_link(&mut self, l: flock_topology::LinkId) -> CompIdx {
-        let g = self.space.link_comp(l);
-        self.localize(g)
+    fn link_comps(&mut self, topo: &Topology, l: flock_topology::LinkId) -> LinkComps {
+        let known = self.link_comps[l.0 as usize];
+        if known.comp == NO_COMP {
+            self.localize_link(topo, l)
+        } else {
+            known
+        }
+    }
+
+    /// First sight of a link: localize it and its switch ends (hosts are
+    /// not components), in that order, and memoize the result.
+    #[cold]
+    fn localize_link(&mut self, topo: &Topology, l: flock_topology::LinkId) -> LinkComps {
+        let comp = self.localize(self.space.link_comp(l));
+        let lk = topo.link(l);
+        let devices = [lk.src, lk.dst].map(|end| match self.space.device_comp(end) {
+            Some(d) => self.localize(d),
+            None => NO_COMP,
+        });
+        let known = LinkComps { comp, devices };
+        self.link_comps[l.0 as usize] = known;
+        known
     }
 
     /// Rebuild the per-epoch flow layer from the accepted observations,
@@ -874,8 +999,9 @@ impl Engine {
     /// links plus any switch devices incident to prefix links that do
     /// not already appear in the set's component union (the intra-rack
     /// ToR case). The localization of a prefix link and its switch ends
-    /// is memoized per link, so a repeat observation costs one table
-    /// read per prefix link plus the in-set test.
+    /// is memoized per link ([`Engine::link_comps`]), so a repeat
+    /// observation costs one table read per prefix link plus the in-set
+    /// test.
     fn flow_extras(&mut self, topo: &Topology, ls: u32, o: &FlowObs) -> ([CompIdx; 4], u8) {
         let mut extras = [0 as CompIdx; 4];
         let mut n = 0u8;
@@ -886,10 +1012,7 @@ impl Engine {
             }
         };
         for link in o.prefix.iter().flatten() {
-            let mut known = self.prefix_links[link.0 as usize];
-            if known.comp == NO_COMP {
-                known = self.localize_prefix_link(topo, *link);
-            }
+            let known = self.link_comps(topo, *link);
             push(known.comp);
             // Switch devices already covered by the fabric path set stay
             // out of the extras (they are counted through the set's path
@@ -901,25 +1024,6 @@ impl Engine {
             }
         }
         (extras, n)
-    }
-
-    /// First sight of a prefix link: localize it and its switch ends
-    /// (hosts are not components) and memoize the result.
-    #[cold]
-    fn localize_prefix_link(
-        &mut self,
-        topo: &Topology,
-        link: flock_topology::LinkId,
-    ) -> PrefixLink {
-        let comp = self.localize_link(link);
-        let lk = topo.link(link);
-        let devices = [lk.src, lk.dst].map(|end| match self.space.device_comp(end) {
-            Some(d) => self.localize(d),
-            None => NO_COMP,
-        });
-        let known = PrefixLink { comp, devices };
-        self.prefix_links[link.0 as usize] = known;
-        known
     }
 
     /// The full-topology component space (indices on it are *global*;
@@ -1203,7 +1307,10 @@ impl Engine {
         }
 
         // Update path fail counts (each path exactly once).
-        for &p in self.comp_to_paths.get(c) {
+        let paths = self
+            .comp_paths
+            .row(c, &comp_to_sets, &self.sets, &self.path_comps);
+        for &p in paths {
             if adding {
                 self.path_fail[p as usize] += 1;
             } else {
@@ -1693,7 +1800,7 @@ impl Engine {
             let mut new_bad = 0u32;
             for &p in self.sets.get(s) {
                 let mut fc = self.path_fail[p as usize];
-                if self.path_comps.get(p).binary_search(&c).is_ok() {
+                if self.path_comps.get(p).contains(&c) {
                     fc = if flipping_on { fc + 1 } else { fc - 1 };
                 }
                 new_bad += u32::from(fc > 0);
@@ -2714,12 +2821,117 @@ mod tests {
         }
     }
 
-    /// The cached g-ladder counts *paths*, not visits: a round-trip probe
-    /// path leaves a device and comes back to it, yet contributes one to
-    /// that device's `g`; a device both round trips of a set start from
-    /// gets `g = 2`.
+    /// The comp→path oracle. Every row the memo holds on entry, and then
+    /// every row (derived on demand), equals the brute-force transpose of
+    /// the path rows: every viewed path containing the component, in
+    /// ascending order. Each path's fail count equals the number of
+    /// hypothesis components on it. Returns how many rows were memoized
+    /// on entry.
+    fn assert_comp_paths_are_the_transpose(engine: &mut Engine) -> usize {
+        let n = engine.n_comps() as u32;
+        assert_eq!(engine.comp_paths.rows.len(), n as usize);
+        let transpose: Vec<Vec<u32>> = (0..n)
+            .map(|c| {
+                (0..engine.n_paths() as u32)
+                    .filter(|&p| engine.path_comps.get(p).contains(&c))
+                    .collect()
+            })
+            .collect();
+        let memoized: Vec<CompIdx> = (0..n)
+            .filter(|&c| engine.comp_paths.rows[c as usize] != UNDERIVED)
+            .collect();
+        for &c in &memoized {
+            let (start, len) = engine.comp_paths.rows[c as usize];
+            let row = &engine.comp_paths.items[start as usize..(start + len) as usize];
+            assert_eq!(row, &transpose[c as usize][..], "memoized row of comp {c}");
+        }
+        for c in 0..n {
+            let (to_sets, sets, path_comps) =
+                (&engine.comp_to_sets, &engine.sets, &engine.path_comps);
+            let row = engine.comp_paths.row(c, to_sets, sets, path_comps);
+            assert_eq!(row, &transpose[c as usize][..], "derived row of comp {c}");
+        }
+        for p in 0..engine.n_paths() as u32 {
+            let on = engine.path_comps.get(p);
+            let failed = on.iter().filter(|&&c| engine.in_h[c as usize]).count() as u32;
+            assert_eq!(
+                engine.path_fail[p as usize], failed,
+                "fail count of path {p}"
+            );
+        }
+        memoized.len()
+    }
+
+    /// Comp→path rows are derived on first use and the memo is cleared
+    /// by a bind whose view grew: after a cold build, after flips, and
+    /// after each seeded rebind over a growing view, every memoized row
+    /// is the transpose of the path rows.
     #[test]
-    fn round_trip_path_counts_a_device_once() {
+    fn derived_comp_paths_are_the_transpose_of_path_rows() {
+        use flock_telemetry::Assembler;
+        let topo = three_tier(three_pods());
+        let router = Router::new(&topo);
+        let flows = small_flows(&topo, &router, 41);
+        let kinds = [InputKind::A2, InputKind::P];
+        let mut asm = Assembler::new();
+        let mut dir = TermDirectory::new(&HyperParams::default());
+        let mut engine = unbound(&topo);
+        for (epoch, upto) in [8, 24, 60].into_iter().enumerate() {
+            let obs = asm.assemble(
+                &topo,
+                &router,
+                &flows[..upto],
+                &kinds,
+                AnalysisMode::PerPacket,
+            );
+            let (old_paths, old_comps) = (engine.n_paths() as u32, engine.n_comps() as u32);
+            let seed: Vec<CompIdx> = engine
+                .hypothesis()
+                .iter()
+                .map(|&c| engine.global_comp(c))
+                .collect();
+            bind_all(&mut engine, &topo, &obs, &mut dir, &seed).unwrap();
+            let n_paths = engine.n_paths() as u32;
+            assert!(n_paths > old_paths, "epoch {epoch} must grow the view");
+            // The new paths run through components the memo already held
+            // rows for, so a memo kept across the growth would be stale.
+            assert!(
+                epoch == 0
+                    || (old_paths..n_paths).any(|p| engine
+                        .path_comps
+                        .get(p)
+                        .iter()
+                        .any(|&c| c < old_comps)),
+                "epoch {epoch}: new paths must cross known components"
+            );
+            // Entering the seed derived exactly its components' rows.
+            let memoized = assert_comp_paths_are_the_transpose(&mut engine);
+            assert_eq!(memoized, engine.hypothesis().len(), "epoch {epoch}");
+            assert_eq!(memoized, seed.len());
+
+            // The oracle derived every row: forget them, so the flips
+            // derive their own (and the oracle leaves the memo full for
+            // the next, growing bind to clear).
+            engine.comp_paths.reset(engine.n_comps());
+            let n = engine.n_comps() as u32;
+            for c in [n / 3, 2 * n / 3, n / 3 + 1, n / 3] {
+                engine.flip(c);
+            }
+            assert!(assert_comp_paths_are_the_transpose(&mut engine) > 0);
+            let h = engine.hypothesis().to_vec();
+            assert!((engine.ll_of(&h) - engine.log_likelihood()).abs() < 1e-7);
+        }
+    }
+
+    /// The fixture of [`round_trip_path_counts_a_device_once`]: two
+    /// round trips from one ToR up to each of two aggs and back, observed
+    /// as a set of the first alone and as the set of both — so the first
+    /// round trip sits in two sets — plus the ToR.
+    fn round_trip_fixture() -> (
+        flock_topology::Topology,
+        ObservationSet,
+        flock_topology::Component,
+    ) {
         let topo = three_tier(ClosParams::tiny());
         let tor = topo.host_leaf(topo.hosts()[0]);
         let round_trips: Vec<Vec<flock_topology::LinkId>> = topo
@@ -2760,10 +2972,18 @@ mod tests {
             flows,
             mode: AnalysisMode::PerPacket,
         };
+        (topo, obs, flock_topology::Component::Device(tor))
+    }
+
+    /// The cached g-ladder counts *paths*, not visits: a round-trip probe
+    /// path leaves a device and comes back to it, yet contributes one to
+    /// that device's `g`; a device both round trips of a set start from
+    /// gets `g = 2`.
+    #[test]
+    fn round_trip_path_counts_a_device_once() {
+        let (topo, obs, tor) = round_trip_fixture();
         let engine = Engine::new(&topo, &obs, HyperParams::default());
-        let tor_c = engine
-            .comp_of(flock_topology::Component::Device(tor))
-            .unwrap();
+        let tor_c = engine.comp_of(tor).unwrap();
         // Local set ids follow first touch: 0 = the single round trip,
         // 1 = the pair.
         let g_of = |s: u32, c: CompIdx| {
@@ -2786,6 +3006,69 @@ mod tests {
             let got = engine.delta()[c as usize];
             assert!((expect - got).abs() < 1e-9 * (1.0 + expect.abs()));
         }
+    }
+
+    /// On the round-trip fixture, path rows are duplicate-free and hold
+    /// exactly the path's links and switches. The shared ToR's derived
+    /// row lists the round trip in both of its sets once, and flipping
+    /// the ToR in and out leaves fail counts, `set_bad` and Δ at their
+    /// brute-force values, with `delta_single` equal to `delta()`.
+    #[test]
+    fn round_trip_rows_and_shared_tor_flip() {
+        let (topo, obs, tor) = round_trip_fixture();
+        let mut engine = Engine::new(&topo, &obs, HyperParams::default());
+        for p in 0..engine.n_paths() as u32 {
+            let mut row = engine.path_comps.get(p).to_vec();
+            row.sort_unstable();
+            assert!(row.windows(2).all(|w| w[0] < w[1]), "path {p} row repeats");
+            let mut expect: Vec<CompIdx> = Vec::new();
+            for &l in obs.arena.path(engine.view().global_path(p)) {
+                expect.push(engine.space().link_comp(l));
+                let lk = topo.link(l);
+                expect.extend(
+                    [lk.src, lk.dst]
+                        .iter()
+                        .filter_map(|&e| engine.space().device_comp(e)),
+                );
+            }
+            let mut expect: Vec<CompIdx> = expect
+                .iter()
+                .map(|&g| engine.local_comp(g).unwrap())
+                .collect();
+            expect.sort_unstable();
+            expect.dedup();
+            assert_eq!(row, expect, "path {p}");
+        }
+
+        let check = |engine: &Engine| {
+            for s in 0..engine.n_sets() as u32 {
+                let bad = engine.recount_set_bad(s);
+                assert_eq!(engine.set_bad[s as usize], bad, "set {s}");
+            }
+            let h = engine.hypothesis().to_vec();
+            let base = engine.ll_of(&h);
+            assert!((base - engine.log_likelihood()).abs() < 1e-9);
+            for c in 0..engine.n_comps() as u32 {
+                let mut h2 = h.clone();
+                match h2.iter().position(|&x| x == c) {
+                    Some(at) => drop(h2.remove(at)),
+                    None => h2.push(c),
+                }
+                let expect = engine.ll_of(&h2) - base;
+                let close = |got: f64| (expect - got).abs() < 1e-9 * (1.0 + expect.abs());
+                assert!(close(engine.delta()[c as usize]), "comp {c}: delta()");
+                assert!(close(engine.delta_single(c)), "comp {c}: delta_single");
+            }
+        };
+        check(&engine);
+        let tor_c = engine.comp_of(tor).unwrap();
+        engine.flip(tor_c);
+        assert_eq!(engine.path_fail, [1, 1], "each round trip fails once");
+        assert_eq!(assert_comp_paths_are_the_transpose(&mut engine), 1);
+        check(&engine);
+        engine.flip(tor_c);
+        assert_comp_paths_are_the_transpose(&mut engine);
+        check(&engine);
     }
 
     /// The engine validates that the offered observation set is one its
