@@ -153,7 +153,7 @@ mod tests {
             let paths = router.paths(topo.host_leaf(s), topo.host_leaf(d));
             let pick = rng.random_range(0..paths.len());
             let mut tp = vec![topo.host_uplink(s)];
-            tp.extend_from_slice(&paths[pick].links);
+            tp.extend_from_slice(&paths[pick]);
             tp.push(topo.host_downlink(d));
             let bad = u64::from(tp.contains(&bad_link)) * 3;
             flows.push(MonitoredFlow {
@@ -229,7 +229,7 @@ mod tests {
         let hosts = topo.hosts().to_vec();
         let mut tp = vec![topo.host_uplink(hosts[0])];
         let paths = router.paths(topo.host_leaf(hosts[0]), topo.host_leaf(hosts[11]));
-        tp.extend_from_slice(&paths[0].links);
+        tp.extend_from_slice(&paths[0]);
         tp.push(topo.host_downlink(hosts[11]));
         let flows = vec![MonitoredFlow {
             key: FlowKey::tcp(hosts[0], hosts[11], 1, 80),
@@ -265,7 +265,7 @@ mod tests {
         let mk = || {
             let paths = router.paths(topo.host_leaf(hosts[0]), topo.host_leaf(hosts[11]));
             let mut tp = vec![topo.host_uplink(hosts[0])];
-            tp.extend_from_slice(&paths[0].links);
+            tp.extend_from_slice(&paths[0]);
             tp.push(topo.host_downlink(hosts[11]));
             MonitoredFlow {
                 key: FlowKey::tcp(hosts[0], hosts[11], 7, 80),

@@ -2037,7 +2037,7 @@ mod tests {
             let paths = router.paths(topo.host_leaf(s), topo.host_leaf(d));
             let pick = rng.random_range(0..paths.len());
             let mut tp = vec![topo.host_uplink(s)];
-            tp.extend_from_slice(&paths[pick].links);
+            tp.extend_from_slice(&paths[pick]);
             tp.push(topo.host_downlink(d));
             let sent = rng.random_range(5..200u64);
             let bad = if rng.random::<f64>() < 0.3 {
@@ -2197,7 +2197,7 @@ mod tests {
             let paths = router.paths(topo.host_leaf(s), topo.host_leaf(d));
             let pick = rng.random_range(0..paths.len());
             let mut tp = vec![topo.host_uplink(s)];
-            tp.extend_from_slice(&paths[pick].links);
+            tp.extend_from_slice(&paths[pick]);
             tp.push(topo.host_downlink(d));
             let crosses = tp.contains(&bad_link);
             let sent = 100u64;
@@ -2286,7 +2286,7 @@ mod tests {
                     let paths = router.paths(topo.host_leaf(s), topo.host_leaf(d));
                     let pick = rng.random_range(0..paths.len());
                     let mut tp = vec![topo.host_uplink(s)];
-                    tp.extend_from_slice(&paths[pick].links);
+                    tp.extend_from_slice(&paths[pick]);
                     tp.push(topo.host_downlink(d));
                     let sent = rng.random_range(10..300u64);
                     let bad = rng.random_range(0..=sent.min(5));
@@ -2480,7 +2480,7 @@ mod tests {
             let paths = router.paths(topo.host_leaf(s), topo.host_leaf(d));
             let pick = rng.random_range(0..paths.len());
             let mut tp = vec![topo.host_uplink(s)];
-            tp.extend_from_slice(&paths[pick].links);
+            tp.extend_from_slice(&paths[pick]);
             tp.push(topo.host_downlink(d));
             let sent = 100u64; // fixed-size RPC-style traffic
             let bad = [0u64, 0, 0, 1, 3][rng.random_range(0..5usize)];

@@ -331,7 +331,7 @@ mod tests {
             let paths = router.paths(topo.host_leaf(s), topo.host_leaf(d));
             let pick = rng.random_range(0..paths.len());
             let mut tp = vec![topo.host_uplink(s)];
-            tp.extend_from_slice(&paths[pick].links);
+            tp.extend_from_slice(&paths[pick]);
             tp.push(topo.host_downlink(d));
             let sent = 1000u64;
             let crossings = tp.iter().filter(|l| bad_links.contains(l)).count() as u64;
@@ -576,7 +576,7 @@ mod tests {
             let paths = router.paths(topo.host_leaf(s), topo.host_leaf(d));
             let pick = rng.random_range(0..paths.len());
             let mut tp = vec![topo.host_uplink(s)];
-            tp.extend_from_slice(&paths[pick].links);
+            tp.extend_from_slice(&paths[pick]);
             tp.push(topo.host_downlink(d));
             let rtt = if tp.contains(&flapped) { 50_000 } else { 400 };
             flows.push(MonitoredFlow {

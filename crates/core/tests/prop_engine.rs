@@ -32,7 +32,7 @@ fn random_route(
     let paths = router.paths(topo.host_leaf(s), topo.host_leaf(d));
     let pick = rng.random_range(0..paths.len());
     let mut tp = vec![topo.host_uplink(s)];
-    tp.extend_from_slice(&paths[pick].links);
+    tp.extend_from_slice(&paths[pick]);
     tp.push(topo.host_downlink(d));
     (s, d, tp)
 }

@@ -130,7 +130,7 @@ pub fn run_passive_hard(opts: &ExpOpts) -> String {
         for a in &leaves {
             for b in &leaves {
                 if a != b {
-                    sets.push(router.paths(*a, *b).to_vec());
+                    sets.push(router.paths(*a, *b));
                 }
             }
         }

@@ -451,7 +451,7 @@ pub fn simulate_des<R: Rng + ?Sized>(
         }
         let pick = sim.rng.random_range(0..paths.len());
         let mut fwd = vec![topo.host_uplink(d.src)];
-        fwd.extend_from_slice(&paths[pick].links);
+        fwd.extend_from_slice(&paths[pick]);
         fwd.push(topo.host_downlink(d.dst));
         let rev: Vec<LinkId> = fwd.iter().rev().map(|l| topo.link(*l).reverse).collect();
         let total = d.packets.min(u32::MAX as u64) as u32;

@@ -62,9 +62,9 @@ pub fn simulate_flows<R: Rng + ?Sized>(
             continue;
         }
         let choice = rng.random_range(0..paths.len());
-        let mut full_path = Vec::with_capacity(paths[choice].links.len() + 2);
+        let mut full_path = Vec::with_capacity(paths[choice].len() + 2);
         full_path.push(topo.host_uplink(d.src));
-        full_path.extend_from_slice(&paths[choice].links);
+        full_path.extend_from_slice(&paths[choice]);
         full_path.push(topo.host_downlink(d.dst));
 
         let (delivered, dropped) = traverse(scenario, &full_path, d.packets, rng);

@@ -495,10 +495,8 @@ impl Assembler {
                         let dst_leaf = topo.host_leaf(mf.key.dst);
                         let set = *ecmp_cache.entry((src_leaf, dst_leaf)).or_insert_with(|| {
                             let paths = router.paths(src_leaf, dst_leaf);
-                            let ids: Vec<PathId> = paths
-                                .iter()
-                                .map(|p| arena.intern_path_nodedup(&p.links))
-                                .collect();
+                            let ids: Vec<PathId> =
+                                paths.iter().map(|p| arena.intern_path_nodedup(p)).collect();
                             arena.intern_set(ids)
                         });
                         FlowObs {
@@ -647,7 +645,7 @@ mod tests {
         // True path: first ECMP option.
         let paths = router.paths(topo.host_leaf(src), topo.host_leaf(dst));
         let mut path = vec![topo.host_uplink(src)];
-        path.extend_from_slice(&paths[0].links);
+        path.extend_from_slice(&paths[0]);
         path.push(topo.host_downlink(dst));
         MonitoredFlow {
             key: FlowKey::tcp(src, dst, 4000, 80),

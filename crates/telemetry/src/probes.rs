@@ -59,10 +59,10 @@ pub fn plan_a1_probes(
         for (si, &spine) in spines.iter().enumerate() {
             let paths = router.paths(leaf, spine);
             for (pi, path) in paths.iter().enumerate() {
-                let mut rt = Vec::with_capacity(2 + 2 * path.links.len());
+                let mut rt = Vec::with_capacity(2 + 2 * path.len());
                 rt.push(uplink);
-                rt.extend_from_slice(&path.links);
-                rt.extend(path.links.iter().rev().map(|l| topo.link(*l).reverse));
+                rt.extend_from_slice(path);
+                rt.extend(path.iter().rev().map(|l| topo.link(*l).reverse));
                 rt.push(downlink);
                 specs.push(ProbeSpec {
                     src_host: host,

@@ -271,9 +271,15 @@ pub fn decode_message(mut buf: &[u8]) -> Result<ExportMessage, WireError> {
 
 /// Incremental stream decoder: feed arbitrary byte chunks, pop complete
 /// messages. Used by the collector's per-connection readers.
+///
+/// Consuming a frame only advances a head cursor; the consumed prefix is
+/// dropped once per [`feed`](Self::feed), so decoding copies each fed
+/// byte at most once more, however many frames a chunk holds.
 #[derive(Debug, Default)]
 pub struct StreamDecoder {
-    buf: BytesMut,
+    /// Received bytes; `buf[..head]` is already consumed.
+    buf: Vec<u8>,
+    head: usize,
 }
 
 impl StreamDecoder {
@@ -284,6 +290,8 @@ impl StreamDecoder {
 
     /// Append received bytes.
     pub fn feed(&mut self, chunk: &[u8]) {
+        self.buf.drain(..self.head);
+        self.head = 0;
         self.buf.extend_from_slice(chunk);
     }
 
@@ -298,15 +306,16 @@ impl StreamDecoder {
     /// quarantine/resync volume crosses its kill threshold — teardown is
     /// a policy decision, not a framing side effect.
     pub fn next_step(&mut self) -> DecodeStep {
-        if self.buf.len() < HEADER_LEN {
+        let buf = &self.buf[self.head..];
+        if buf.len() < HEADER_LEN {
             return DecodeStep::NeedMore;
         }
-        let magic = u32::from_be_bytes(self.buf[0..4].try_into().unwrap());
+        let magic = u32::from_be_bytes(buf[0..4].try_into().unwrap());
         if magic != MAGIC {
             return self.resync(WireError::BadMagic(magic));
         }
-        let version = u16::from_be_bytes(self.buf[4..6].try_into().unwrap());
-        let msg_len = u32::from_be_bytes(self.buf[8..12].try_into().unwrap()) as usize;
+        let version = u16::from_be_bytes(buf[4..6].try_into().unwrap());
+        let msg_len = u32::from_be_bytes(buf[8..12].try_into().unwrap()) as usize;
         // The declared length is only trusted inside sane bounds; an insane
         // length means the header itself is corrupt, so frame-skipping
         // would desynchronize us further — hunt for the next magic instead.
@@ -316,17 +325,18 @@ impl StreamDecoder {
                 consumed: HEADER_LEN as u32,
             });
         }
-        if self.buf.len() < msg_len {
+        if buf.len() < msg_len {
             return DecodeStep::NeedMore;
         }
-        if version != VERSION {
+        let decoded = if version != VERSION {
             // Length-framed but undecodable: drop exactly this frame and
             // keep the boundary for the next one.
-            let _ = self.buf.split_to(msg_len);
-            return DecodeStep::Quarantined(WireError::BadVersion(version));
-        }
-        let frame = self.buf.split_to(msg_len);
-        match decode_message(&frame) {
+            Err(WireError::BadVersion(version))
+        } else {
+            decode_message(&buf[..msg_len])
+        };
+        self.head += msg_len;
+        match decoded {
             Ok(msg) => DecodeStep::Message(msg),
             // The frame was consumed whole, so the stream position is
             // still aligned; only this message is lost.
@@ -339,17 +349,18 @@ impl StreamDecoder {
     /// no full match is found.
     fn resync(&mut self, cause: WireError) -> DecodeStep {
         let magic = MAGIC.to_be_bytes();
-        let dropped = match self.buf[1..].windows(4).position(|w| w == magic) {
+        let buf = &self.buf[self.head..];
+        let dropped = match buf[1..].windows(4).position(|w| w == magic) {
             Some(i) => 1 + i,
-            None => self.buf.len().saturating_sub(3).max(1),
+            None => buf.len().saturating_sub(3).max(1),
         };
-        let _ = self.buf.split_to(dropped);
+        self.head += dropped;
         DecodeStep::Resynced { dropped, cause }
     }
 
     /// Bytes currently buffered (for tests/diagnostics).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.head
     }
 }
 
@@ -533,6 +544,34 @@ mod tests {
         assert_eq!(out[1].sequence, 1);
         assert_eq!(out[1].records.len(), 1);
         assert_eq!(dec.buffered(), 0);
+    }
+
+    /// Under any chunking of a long stream, the decoder's storage holds
+    /// at most one partial frame plus the chunk just fed: consumed frames
+    /// are released once per `feed`, so decoding copies linearly in the
+    /// bytes fed.
+    #[test]
+    fn stream_decoder_keeps_one_partial_frame_plus_one_chunk() {
+        let recs = sample_records();
+        let frames: Vec<_> = (0..200)
+            .map(|seq| encode_message(1, seq, seq, &recs[..1 + seq as usize % 2]))
+            .collect();
+        let widest = frames.iter().map(|f| f.len()).max().unwrap();
+        let stream: Vec<u8> = frames.iter().flat_map(|f| f.iter().copied()).collect();
+        for chunk in [1, 7, 64, 1000, stream.len()] {
+            let mut dec = StreamDecoder::new();
+            let mut decoded = 0;
+            for piece in stream.chunks(chunk) {
+                dec.feed(piece);
+                assert!(dec.buf.len() < widest + piece.len(), "chunk {chunk}");
+                while let DecodeStep::Message(msg) = dec.next_step() {
+                    assert_eq!(msg.sequence, decoded);
+                    decoded += 1;
+                }
+                assert!(dec.buffered() < widest);
+            }
+            assert_eq!((decoded, dec.buffered()), (frames.len() as u64, 0));
+        }
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! class containing the true failed link.
 
 use crate::graph::LinkId;
-use crate::routing::FabricPath;
 use std::collections::HashMap;
 
 /// Signature of a link: for every observed path set (identified by index),
@@ -47,13 +46,13 @@ impl EquivalenceClasses {
     pub fn compute<'a, I, J>(link_count: usize, path_sets: I) -> Self
     where
         I: IntoIterator<Item = J>,
-        J: IntoIterator<Item = &'a FabricPath>,
+        J: IntoIterator<Item = &'a [LinkId]>,
     {
         let mut sigs: Vec<LinkSignature> = vec![Vec::new(); link_count];
         for (set_idx, set) in path_sets.into_iter().enumerate() {
             let mut counts: HashMap<LinkId, u32> = HashMap::new();
             for path in set {
-                for l in &path.links {
+                for l in path {
                     *counts.entry(*l).or_insert(0) += 1;
                 }
             }
@@ -126,9 +125,9 @@ mod tests {
     use crate::clos::{three_tier, ClosParams};
     use crate::graph::{NodeId, NodeRole};
     use crate::irregular::omit_links_routable;
-    use crate::routing::Router;
+    use crate::routing::{PathSetHandle, Router};
 
-    fn leaf_pairs_pathsets(topo: &crate::graph::Topology) -> (Vec<Vec<FabricPath>>, Vec<LinkId>) {
+    fn leaf_pairs_pathsets(topo: &crate::graph::Topology) -> (Vec<PathSetHandle>, Vec<LinkId>) {
         let router = Router::new(topo);
         let leaves: Vec<NodeId> = topo
             .switches()
@@ -140,7 +139,7 @@ mod tests {
         for a in &leaves {
             for b in &leaves {
                 if a != b {
-                    sets.push(router.paths(*a, *b).to_vec());
+                    sets.push(router.paths(*a, *b));
                 }
             }
         }
@@ -188,7 +187,7 @@ mod tests {
     fn unobserved_links_have_no_class() {
         let topo = three_tier(ClosParams::tiny());
         // No path sets at all: everything unobservable.
-        let eq = EquivalenceClasses::compute(topo.link_count(), Vec::<Vec<&FabricPath>>::new());
+        let eq = EquivalenceClasses::compute(topo.link_count(), Vec::<Vec<&[LinkId]>>::new());
         assert_eq!(eq.class_count(), 0);
         assert!(eq.class_of(LinkId(0)).is_none());
         assert_eq!(eq.max_precision(&topo.fabric_links()), 0.0);

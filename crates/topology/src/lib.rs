@@ -45,4 +45,4 @@ pub use fasthash::{FxHashMap, FxHashSet};
 pub use faults::{Component, GroundTruth};
 pub use graph::{Link, LinkId, Node, NodeId, NodeRole, Topology};
 pub use planes::SpinePlanes;
-pub use routing::{FabricPath, PathSetHandle, Router};
+pub use routing::{PathSet, PathSetHandle, Router};

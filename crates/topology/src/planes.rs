@@ -210,7 +210,6 @@ mod tests {
             for &b in &tors {
                 for path in router.paths(a, b).iter() {
                     let touched: Vec<u16> = path
-                        .links
                         .iter()
                         .flat_map(|&l| [topo.link(l).src, topo.link(l).dst])
                         .filter_map(|n| planes.plane_of(n))

@@ -17,46 +17,87 @@
 //! sweep, computed the first time any pair needs it, and each ordered
 //! pair's path set. A fabric with `n` ToRs thus pays `n` sweeps for its
 //! `n²` ToR pairs, not two per pair.
+//!
+//! A cached [`PathSet`] stores its members as rows of one flat link
+//! buffer, in ascending link order. Only apexes of minimal total length
+//! contribute, so every member has the same hop count, and that shared
+//! count is the buffer's fixed stride: a fabric's hundreds of thousands of
+//! minimal paths cost one allocation per switch pair, not one per path.
 
 use crate::graph::{LinkId, NodeId, Topology};
 use std::collections::HashMap;
+use std::ops::Index;
 use std::sync::{Arc, OnceLock, RwLock};
 
-/// A directed switch-to-switch path through the fabric, as a sequence of
-/// links. The empty path (same source and destination switch) is valid and
-/// arises for host pairs under the same ToR.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct FabricPath {
-    /// Links in traversal order; empty for a same-switch path.
-    pub links: Vec<LinkId>,
+/// The ECMP path set of one ordered switch pair: every minimal
+/// valley-free path, one row each, ascending, back to back in one buffer
+/// with a fixed stride of [`hops`](Self::hops) links. The same-switch set
+/// is one 0-hop (empty) member; an unroutable pair's set has no members.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PathSet {
+    /// `len` rows of `hops` links each, in traversal order per row.
+    links: Vec<LinkId>,
+    hops: usize,
+    len: usize,
 }
 
-impl FabricPath {
-    /// Number of links (hops) in the path.
+impl PathSet {
+    /// Number of links in every member path.
+    #[inline]
+    pub fn hops(&self) -> usize {
+        self.hops
+    }
+
+    /// Number of member paths.
     #[inline]
     pub fn len(&self) -> usize {
-        self.links.len()
+        self.len
     }
 
-    /// Whether the path has no links (same-switch path).
+    /// Whether the set has no members (an unroutable pair).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.links.is_empty()
+        self.len == 0
     }
 
-    /// The sequence of switches visited, starting from `src`.
-    pub fn nodes(&self, topo: &Topology, src: NodeId) -> Vec<NodeId> {
-        let mut out = vec![src];
-        for l in &self.links {
-            debug_assert_eq!(topo.link(*l).src, *out.last().unwrap());
-            out.push(topo.link(*l).dst);
+    /// The member paths in order, each as its link sequence.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[LinkId]> + '_ {
+        (0..self.len).map(move |i| &self[i])
+    }
+
+    /// Order the `hops`-link rows of `rows` ascending and drop duplicates
+    /// (`hops > 0`). Sorts a permutation, then gathers the rows once.
+    fn from_rows(rows: Vec<LinkId>, hops: usize) -> PathSet {
+        debug_assert!(hops > 0 && rows.len() % hops == 0);
+        let row = |i: usize| &rows[i * hops..(i + 1) * hops];
+        let mut order: Vec<usize> = (0..rows.len() / hops).collect();
+        order.sort_by(|&a, &b| row(a).cmp(row(b)));
+        order.dedup_by(|a, b| row(*a) == row(*b));
+        let mut links = Vec::with_capacity(order.len() * hops);
+        for &i in &order {
+            links.extend_from_slice(row(i));
         }
-        out
+        PathSet {
+            links,
+            hops,
+            len: order.len(),
+        }
+    }
+}
+
+impl Index<usize> for PathSet {
+    type Output = [LinkId];
+
+    /// Member `i`'s links; panics when `i >= len()`.
+    #[inline]
+    fn index(&self, i: usize) -> &[LinkId] {
+        assert!(i < self.len, "path {i} out of a set of {}", self.len);
+        &self.links[i * self.hops..(i + 1) * self.hops]
     }
 }
 
 /// Shared handle to an ECMP path set (cheap to clone).
-pub type PathSetHandle = Arc<Vec<FabricPath>>;
+pub type PathSetHandle = Arc<PathSet>;
 
 /// ECMP route computer with per-pair path-set and per-switch sweep caching.
 ///
@@ -115,9 +156,13 @@ impl<'t> Router<'t> {
         self.cache.read().unwrap().len()
     }
 
-    fn compute(&self, src: NodeId, dst: NodeId) -> Vec<FabricPath> {
+    fn compute(&self, src: NodeId, dst: NodeId) -> PathSet {
         if src == dst {
-            return vec![FabricPath { links: Vec::new() }];
+            return PathSet {
+                links: Vec::new(),
+                hops: 0,
+                len: 1,
+            };
         }
         let up_src = self.up_sweep(src);
         let up_dst = self.up_sweep(dst);
@@ -130,10 +175,12 @@ impl<'t> Router<'t> {
             }
         }
         if best == usize::MAX {
-            return Vec::new();
+            return PathSet::default();
         }
 
-        let mut out = Vec::new();
+        // Every apex kept below yields `best`-link paths, so the rows are
+        // written back to back into one buffer.
+        let mut rows = Vec::new();
         for (node, sa) in up_src {
             let Some(sb) = up_dst.get(node) else { continue };
             if sa.dist + sb.dist != best {
@@ -143,17 +190,14 @@ impl<'t> Router<'t> {
             let downs = enumerate_up_paths(self.topo, up_dst, *node);
             for u in &ups {
                 for d in &downs {
-                    let mut links = u.clone();
+                    rows.extend_from_slice(u);
                     // The down half is the reverse of an up path from dst.
-                    links.extend(d.iter().rev().map(|l| self.topo.link(*l).reverse));
-                    out.push(FabricPath { links });
+                    rows.extend(d.iter().rev().map(|l| self.topo.link(*l).reverse));
                 }
             }
         }
         // Deterministic order regardless of HashMap iteration.
-        out.sort_by(|a, b| a.links.cmp(&b.links));
-        out.dedup();
-        out
+        PathSet::from_rows(rows, best)
     }
 
     /// The upward sweep from `start`, computed on first use and shared for
@@ -240,6 +284,18 @@ mod tests {
     use super::*;
     use crate::clos::{leaf_spine, three_tier, ClosParams, LeafSpineParams};
     use crate::graph::NodeRole;
+    use crate::irregular::omit_links_routable;
+
+    /// The switches `links` visits, starting from `src`; panics if two
+    /// consecutive links do not meet.
+    fn nodes(t: &Topology, src: NodeId, links: &[LinkId]) -> Vec<NodeId> {
+        let mut out = vec![src];
+        for l in links {
+            assert_eq!(t.link(*l).src, *out.last().unwrap());
+            out.push(t.link(*l).dst);
+        }
+        out
+    }
 
     fn leaves_of(t: &Topology) -> Vec<NodeId> {
         t.switches()
@@ -272,7 +328,7 @@ mod tests {
         assert_eq!(ps.len(), p.aggs_per_pod as usize);
         for path in ps.iter() {
             assert_eq!(path.len(), 2, "tor-agg-tor");
-            let nodes = path.nodes(&t, a);
+            let nodes = nodes(&t, a, path);
             assert_eq!(*nodes.last().unwrap(), b);
         }
     }
@@ -289,7 +345,7 @@ mod tests {
         assert_eq!(ps.len(), (p.aggs_per_pod * p.spines_per_plane) as usize);
         for path in ps.iter() {
             assert_eq!(path.len(), 4, "tor-agg-spine-agg-tor");
-            assert_eq!(*path.nodes(&t, a).last().unwrap(), b);
+            assert_eq!(*nodes(&t, a, path).last().unwrap(), b);
         }
     }
 
@@ -341,9 +397,38 @@ mod tests {
         for a in &leaves {
             for b in &leaves {
                 for path in r.paths(*a, *b).iter() {
-                    let nodes = path.nodes(&t, *a); // panics on inconsistency
+                    let nodes = nodes(&t, *a, path); // panics on inconsistency
                     assert_eq!(nodes.first(), Some(a));
                     assert_eq!(nodes.last(), Some(b));
+                }
+            }
+        }
+    }
+
+    /// The flat layout: every member has `hops` links, members ascend
+    /// strictly, `iter()` and `Index` agree, and the buffer holds exactly
+    /// `len × hops` links — on a regular Clos and on an irregular one.
+    #[test]
+    fn path_sets_are_flat_ascending_fixed_stride_rows() {
+        let clos = three_tier(ClosParams::tiny());
+        let (irregular, _) = omit_links_routable(&clos, 0.2, 3, 8).unwrap();
+        for t in [&clos, &irregular] {
+            let r = Router::new(t);
+            for &a in t.switches() {
+                for &b in t.switches() {
+                    let set = r.paths(a, b);
+                    if a == b {
+                        assert_eq!((set.len(), set.hops()), (1, 0));
+                        assert!(set[0].is_empty());
+                    }
+                    assert_eq!(set.links.len(), set.len() * set.hops());
+                    assert_eq!(set.iter().len(), set.len());
+                    for (i, path) in set.iter().enumerate() {
+                        assert_eq!(path, &set[i]);
+                        assert_eq!(path.len(), set.hops());
+                        assert_eq!(*nodes(t, a, path).last().unwrap(), b);
+                    }
+                    assert!(set.iter().zip(set.iter().skip(1)).all(|(p, q)| p < q));
                 }
             }
         }

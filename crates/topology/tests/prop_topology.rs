@@ -3,7 +3,7 @@
 
 use flock_topology::clos::{leaf_spine, three_tier, ClosParams, LeafSpineParams};
 use flock_topology::irregular::omit_links;
-use flock_topology::{FabricPath, LinkId, NodeId, NodeRole, Router, Topology};
+use flock_topology::{LinkId, NodeId, NodeRole, Router, Topology};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -48,21 +48,30 @@ fn oracle_fabrics(p: ClosParams, frac: f64, seed: u64) -> Vec<Topology> {
     vec![clos, clos_omitted, ls, ls_omitted]
 }
 
+/// The switches `links` visits, starting from `src`; panics if two
+/// consecutive links do not meet.
+fn path_nodes(t: &Topology, src: NodeId, links: &[LinkId]) -> Vec<NodeId> {
+    let mut out = vec![src];
+    for &l in links {
+        assert_eq!(t.link(l).src, *out.last().unwrap());
+        out.push(t.link(l).dst);
+    }
+    out
+}
+
 /// Brute-force routing oracle: a DFS from `src` over strictly tier-rising
 /// links, then strictly tier-falling ones, recording every valley-free path
 /// it finds. Returns, per reached switch, the minimal-hop paths in link
 /// order (the order `Router::paths` promises).
-fn valley_free_oracle(t: &Topology, src: NodeId) -> HashMap<NodeId, Vec<FabricPath>> {
+fn valley_free_oracle(t: &Topology, src: NodeId) -> HashMap<NodeId, Vec<Vec<LinkId>>> {
     fn dfs(
         t: &Topology,
         node: NodeId,
         descending: bool,
         links: &mut Vec<LinkId>,
-        found: &mut HashMap<NodeId, Vec<FabricPath>>,
+        found: &mut HashMap<NodeId, Vec<Vec<LinkId>>>,
     ) {
-        found.entry(node).or_default().push(FabricPath {
-            links: links.clone(),
-        });
+        found.entry(node).or_default().push(links.clone());
         let tier = t.node(node).role.tier();
         for &l in t.out_links(node) {
             let next = t.link(l).dst;
@@ -81,9 +90,9 @@ fn valley_free_oracle(t: &Topology, src: NodeId) -> HashMap<NodeId, Vec<FabricPa
     dfs(t, src, false, &mut Vec::new(), &mut found);
     found.retain(|n, _| t.node(*n).role.is_switch());
     for paths in found.values_mut() {
-        let min = paths.iter().map(FabricPath::len).min().unwrap();
+        let min = paths.iter().map(Vec::len).min().unwrap();
         paths.retain(|p| p.len() == min);
-        paths.sort_by(|a, b| a.links.cmp(&b.links));
+        paths.sort();
     }
     found
 }
@@ -121,7 +130,7 @@ proptest! {
                 prop_assert_eq!(ps.len(), expect);
                 for path in ps.iter() {
                     // Paths are valley-free: tiers rise then fall.
-                    let nodes = path.nodes(&t, a);
+                    let nodes = path_nodes(&t, a, path);
                     let tiers: Vec<u8> = nodes.iter().map(|n| t.node(*n).role.tier()).collect();
                     let apex = tiers.iter().enumerate().max_by_key(|(_, v)| **v).unwrap().0;
                     prop_assert!(tiers[..=apex].windows(2).all(|w| w[0] < w[1]));
@@ -148,9 +157,12 @@ proptest! {
             for &src in t.switches() {
                 let oracle = valley_free_oracle(&t, src);
                 for &dst in t.switches() {
-                    let expect = oracle.get(&dst).map_or(&[][..], Vec::as_slice);
+                    let expect: Vec<&[LinkId]> =
+                        oracle.get(&dst).map_or(Vec::new(), |ps| ps.iter().map(Vec::as_slice).collect());
+                    let set = r.paths(src, dst);
+                    let got: Vec<&[LinkId]> = set.iter().collect();
                     prop_assert_eq!(
-                        r.paths(src, dst).as_slice(),
+                        got,
                         expect,
                         "{}: {:?} -> {:?}",
                         t.name,

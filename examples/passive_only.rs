@@ -54,7 +54,7 @@ fn main() {
         for a in &leaves {
             for b in &leaves {
                 if a != b {
-                    sets.push(router.paths(*a, *b).to_vec());
+                    sets.push(router.paths(*a, *b));
                 }
             }
         }

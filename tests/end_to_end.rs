@@ -100,7 +100,7 @@ fn flock_int_localizes_heavy_tailed_gray_link() {
                 }
                 let paths = router.paths(topo.host_leaf(s), topo.host_leaf(d));
                 let mut true_path = vec![topo.host_uplink(s)];
-                true_path.extend_from_slice(&paths[rng.random_range(0..paths.len())].links);
+                true_path.extend_from_slice(&paths[rng.random_range(0..paths.len())]);
                 true_path.push(topo.host_downlink(d));
                 let packets = sizes.sample(&mut rng).clamp(1.0, 100_000.0) as u64;
                 // 0.5 % of clean flows see one stray bad packet of noise.

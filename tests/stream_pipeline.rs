@@ -192,7 +192,7 @@ fn corner_traffic(
             }
             let paths = router.paths(topo.host_leaf(s), topo.host_leaf(d));
             let mut true_path = vec![topo.host_uplink(s)];
-            true_path.extend_from_slice(&paths[rng.random_range(0..paths.len())].links);
+            true_path.extend_from_slice(&paths[rng.random_range(0..paths.len())]);
             true_path.push(topo.host_downlink(d));
             let packets = [40u64, 100, 250][rng.random_range(0..3usize)];
             let retransmissions = if true_path.contains(&faulty) {
@@ -236,7 +236,7 @@ fn back_to_back_submit_on_the_default_config_matches_run_flows() {
     let router = Router::new(&topo);
     let hosts = topo.hosts();
     // A ToR uplink inside the corner every epoch's traffic covers.
-    let faulty = router.paths(topo.host_leaf(hosts[0]), topo.host_leaf(hosts[3]))[0].links[0];
+    let faulty = router.paths(topo.host_leaf(hosts[0]), topo.host_leaf(hosts[3]))[0][0];
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let epochs: Vec<Vec<MonitoredFlow>> = [2, 4, 2, 5, 2, 6, 2, 8]
         .iter()
