@@ -39,23 +39,33 @@
 //! tables* (one allocation pair per table, rows appended as the view
 //! grows, never rewritten):
 //!
-//! * per viewed fabric path: its component list (`path_comps`:
-//!   deduplicated, in first-touch order, not sorted — no reader needs
-//!   the order) and the current *fail count* — how many hypothesis
-//!   components lie on it;
 //! * per viewed path set: its member paths (`sets`), the sorted union of
 //!   their components (`set_comps`), the cached structure half of the
 //!   initial Δ (`set_ladders`/`set_gidx`, see below), and the number of
 //!   member paths with a non-zero fail count (`set_bad`), shared by every
-//!   flow using the set.
+//!   flow using the set;
+//! * per viewed fabric path: the current *fail count* — how many
+//!   hypothesis components lie on it.
+//!
+//! A path's component row — its links and their switch ends,
+//! deduplicated, in first-touch order — is read only by a flip (for the
+//! sets it sweeps), a flipped extra (for the set of each member it pins)
+//! and entering a seed (for the sets it enters), and a search's flips
+//! reach a small share of the viewed paths. So the cold bind writes
+//! none: path rows are derived **on first use**, one whole set at a
+//! time, off the arena snapshot the engine was last bound to
+//! (`path_rows`), and kept for the engine's lifetime (a set's content
+//! never changes, so a derived row never goes stale).
+//! [`Engine::delta_single`] and [`Engine::ll_of`] read `&self` and
+//! compute a row that is not derived yet on the fly.
 //!
 //! Two inverted indexes walk this layer from a component. Its sets
 //! (`comp_to_sets`) are transposed eagerly, when the view grew: the
 //! initial Δ, every flip and the evidence report read them. Its paths
-//! are read only by a flip and by entering a seed, and a search flips a
-//! handful of components, so they are derived **on first use**
-//! (`comp_paths`): the member paths of the component's sets whose row
-//! contains it, sorted and deduplicated, memoized until the view grows.
+//! are read only by a flip and by entering a seed, so they are derived on
+//! first use too (`comp_paths`): the member paths of the component's
+//! sets whose row contains it, sorted and deduplicated, memoized until
+//! the view grows.
 //!
 //! The evidence layer is rebuilt every epoch, from the accepted
 //! observations and the epoch's [`EpochFlowTable`] — the evidence keys
@@ -107,8 +117,9 @@
 //! of `S` containing `c`; then `S` contributes
 //! `Σ_{flows f on S} active_f · LLF_f(g(c))` to `delta[c]`. `g` depends
 //! only on the path/set structure, so it is counted **once**, when the
-//! set is first viewed (a path's component list is duplicate-free, so
-//! one pass over the member paths' lists counts paths, not visits). Per
+//! set is first viewed, straight off the member paths' links (a per-path
+//! stamp counts a component once per path — paths, not visits — so no
+//! path row is built for it). Per
 //! set the engine keeps the ascending distinct `g` values (the
 //! *g-ladder*; every `g` is at most the set's width, so it is counted
 //! off a mark array) and, per component of the set, a `u16` index into
@@ -135,8 +146,9 @@
 //! The flip path is allocation-free after warm-up: counter snapshots,
 //! inverted-index walks, per-set scratch and the comp→path memo all
 //! reuse persistent arenas that survive across flips *and* epochs
-//! ([`Engine::try_bind`]; a bind whose view grew clears the memo but
-//! keeps its capacity).
+//! ([`Engine::try_bind`]; a bind whose view grew clears the comp→path
+//! memo but keeps its capacity). A flip that reaches a set for the first
+//! time appends that set's path rows to the path-row memo.
 //!
 //! For search algorithms that do not want Δ maintenance (Sherlock without
 //! JLE, greedy without JLE), [`Engine::flip_ll_only`] updates the state
@@ -147,7 +159,9 @@ use crate::kernels;
 use crate::likelihood::{llf, EpochFlowTable, TermDirectory, TermTable};
 use crate::params::HyperParams;
 use crate::space::{CompIdx, ComponentSpace};
-use flock_telemetry::{ArenaView, DenseRemap, FlowObs, ObservationSet, PathSetId, ViewError};
+use flock_telemetry::{
+    ArenaSnapshot, ArenaView, DenseRemap, FlowObs, ObservationSet, PathSetId, ViewError,
+};
 use flock_topology::{Component, Topology};
 
 /// One set counter entry: `(comp, g, s)` — member paths with fail count 0
@@ -188,8 +202,8 @@ impl Csr {
     /// buffers, so the per-epoch rebind path allocates nothing once
     /// capacity has grown to the workload's size. `pairs` is walked
     /// twice (count, then scatter). Pairs must be duplicate-free (they
-    /// are throughout the engine: per-path/per-set component lists and
-    /// per-member extras are deduplicated), and within a bucket items
+    /// are throughout the engine: per-set component lists, super-flows
+    /// and per-member extras are deduplicated), and within a bucket items
     /// keep their input order.
     fn rebuild(&mut self, n_buckets: usize, pairs: impl Iterator<Item = (u32, u32)> + Clone) {
         self.offsets.clear();
@@ -300,6 +314,97 @@ impl LinkComps {
     };
 }
 
+/// What a path's component row is derived from: the arena's links of the
+/// path and the per-link memo of their local ids. Every link of a viewed
+/// path was localized by the set pass that first counted the path
+/// ([`Engine::extend_structures`]), so a derivation reads and never
+/// assigns ids.
+struct RowSource<'a> {
+    view: &'a ArenaView,
+    arena: &'a ArenaSnapshot,
+    link_comps: &'a [LinkComps],
+}
+
+impl RowSource<'_> {
+    /// Append local path `p`'s row to `out`: its links and their switch
+    /// ends, each link as `[link, src, dst]`, deduplicated (round-trip
+    /// probe paths visit a device twice but it is one component) in
+    /// first-touch order. Rows are a few links long, so a `contains`
+    /// over the part this call appended keeps them duplicate-free.
+    fn push_row(&self, p: u32, out: &mut Vec<u32>) {
+        let from = out.len();
+        for &l in self.arena.path(self.view.global_path(p)) {
+            let lc = self.link_comps[l.0 as usize];
+            debug_assert_ne!(lc.comp, NO_COMP, "the set pass localized every viewed link");
+            for c in [lc.comp, lc.devices[0], lc.devices[1]] {
+                if c != NO_COMP && !out[from..].contains(&c) {
+                    out.push(c);
+                }
+            }
+        }
+    }
+}
+
+/// "Not derived yet" in [`PathRows::starts`].
+const UNDERIVED_SET: u32 = u32::MAX;
+
+/// Per-path component rows, derived on first use one whole set at a
+/// time: a flip reads the rows of the sets it sweeps, a flipped extra
+/// those of its members' sets, and entering a seed those of the sets it
+/// enters — a small share of the viewed paths — so the cold bind writes
+/// none. Sets are append-only, so a derived block never goes stale and
+/// the memo lives as long as the engine. A set's block lists, per member
+/// path in member order, the row length and then the row (a path in two
+/// derived sets is stored twice; one index per set is smaller than one
+/// per path, and a sweep over a set reads its rows contiguously).
+#[derive(Debug, Clone, Default)]
+struct PathRows {
+    /// Per local set: where its block starts in `items`, or
+    /// [`UNDERIVED_SET`].
+    starts: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl PathRows {
+    #[inline]
+    fn is_derived(&self, s: u32) -> bool {
+        self.starts[s as usize] != UNDERIVED_SET
+    }
+
+    /// Derive the block of every set of `sets` that has none yet.
+    fn derive(&mut self, sets: &[u32], members: &Csr, src: &RowSource<'_>) {
+        for &s in sets {
+            if self.is_derived(s) {
+                continue;
+            }
+            self.starts[s as usize] =
+                u32::try_from(self.items.len()).expect("path row memo exceeds u32 offsets");
+            for &p in members.get(s) {
+                let at = self.items.len();
+                self.items.push(0);
+                src.push_row(p, &mut self.items);
+                self.items[at] = (self.items.len() - at - 1) as u32;
+            }
+        }
+    }
+
+    /// `(path, row)` for every member path of the derived set `s`, whose
+    /// member list is `members`.
+    fn rows<'a>(&'a self, s: u32, members: &'a [u32]) -> impl Iterator<Item = (u32, &'a [u32])> {
+        assert!(
+            self.is_derived(s),
+            "set {s} is read before its path rows were derived"
+        );
+        let mut at = self.starts[s as usize] as usize;
+        members.iter().map(move |&p| {
+            let len = self.items[at] as usize;
+            let row = &self.items[at + 1..at + 1 + len];
+            at += 1 + len;
+            (p, row)
+        })
+    }
+}
+
 /// "Not derived yet" in [`CompPaths::rows`].
 const UNDERIVED: (u32, u32) = (u32::MAX, 0);
 
@@ -307,11 +412,11 @@ const UNDERIVED: (u32, u32) = (u32::MAX, 0);
 /// member paths of its `comp_to_sets` sets whose row contains it, sorted
 /// and deduplicated (a path can sit in two sets). Only a flip and
 /// entering a seed read them, and a search flips a handful of
-/// components, so transposing every path row at bind would build rows
-/// nobody reads. Rows are appended to one flat `items` vector in
-/// derivation order; the memo is cleared (keeping its capacity) by a
-/// bind whose view grew, so a steady-state flip derives nothing new and
-/// allocates nothing.
+/// components, so transposing path rows at bind would build rows nobody
+/// reads. Rows are appended to one flat `items` vector in derivation
+/// order; the memo is cleared (keeping its capacity) by a bind whose
+/// view grew, so a steady-state flip derives nothing new and allocates
+/// nothing.
 #[derive(Debug, Clone, Default)]
 struct CompPaths {
     /// Per local component: `(start, len)` of its row in `items`, or
@@ -329,13 +434,13 @@ impl CompPaths {
     }
 
     /// Paths of component `c`, derived from the structure tables on
-    /// first use.
-    fn row(&mut self, c: CompIdx, comp_to_sets: &Csr, sets: &Csr, path_comps: &Csr) -> &[u32] {
+    /// first use (the path rows of `c`'s sets must be derived).
+    fn row(&mut self, c: CompIdx, comp_to_sets: &Csr, sets: &Csr, path_rows: &PathRows) -> &[u32] {
         if self.rows[c as usize] == UNDERIVED {
             let from = self.items.len();
             for &s in comp_to_sets.get(c) {
-                for &p in sets.get(s) {
-                    if path_comps.get(p).contains(&c) {
+                for (p, row) in path_rows.rows(s, sets.get(s)) {
+                    if row.contains(&c) {
                         self.items.push(p);
                     }
                 }
@@ -409,7 +514,9 @@ pub struct EngineStateSizes {
     /// Local components (length of the Δ array, `in_h`, and the per-flip
     /// scratch counters).
     pub comps: usize,
-    /// Local paths (length of `path_fail` and the per-path structure).
+    /// Local (viewed) paths: the length of `path_fail`. Their component
+    /// rows are derived per set on first use, so this counts paths, not
+    /// rows.
     pub paths: usize,
     /// Local sets (length of `set_bad` and the per-set structure).
     pub sets: usize,
@@ -432,6 +539,9 @@ pub struct Engine {
     /// The projection of the arena onto the evidence this engine has
     /// ever accepted; assigns the local path/set ids below.
     view: ArenaView,
+    /// The arena content of the last bind, which path rows are derived
+    /// from (`None` until the first bind).
+    arena: Option<ArenaSnapshot>,
     /// The directory [`Engine::rebind`] keys its epochs through, made on
     /// first use (an engine bound through [`Engine::try_bind`] reads its
     /// caller's tables and never has one).
@@ -444,11 +554,11 @@ pub struct Engine {
     /// evidence-width structure is local.
     comps: DenseRemap,
 
-    // Paths (local ids). Row `p` of `path_comps` is the path's
-    // deduplicated (not sorted) component list.
-    path_comps: Csr,
+    // Paths (local ids): the fail count of every viewed path, and the
+    // component rows of the paths of the sets read so far.
     path_fail: Vec<u32>,
-    /// `path_comps` transposed, one row per component on first use;
+    path_rows: PathRows,
+    /// The path rows transposed, one row per component on first use;
     /// cleared only when the view grew.
     comp_paths: CompPaths,
 
@@ -561,14 +671,15 @@ impl Engine {
             params,
             opts,
             view: ArenaView::new(),
+            arena: None,
             own_terms: None,
             comps: {
                 let mut m = DenseRemap::new();
                 m.ensure_ids(n_global);
                 m
             },
-            path_comps: Csr::default(),
             path_fail: Vec::new(),
+            path_rows: PathRows::default(),
             comp_paths: CompPaths::default(),
             sets: Csr::default(),
             set_comps: Csr::default(),
@@ -646,11 +757,11 @@ impl Engine {
     /// contract kept by [`flock_telemetry::Assembler`]: interning is
     /// append-only, so every previously seen path/set id denotes
     /// identical content). This is the warm-start fast path of the
-    /// online pipeline: per-path and per-set component structures — the
-    /// dominant cost of a first bind — are reused and only *extended*
-    /// for newly viewed paths; the per-flow layer is rebuilt for the
-    /// epoch. Every reset in this path is O(the engine's own evidence),
-    /// not O(total arena).
+    /// online pipeline: per-set component structures — the dominant cost
+    /// of a first bind — and the path rows derived so far are reused and
+    /// only *extended* for newly viewed sets; the per-flow layer is
+    /// rebuilt for the epoch. Every reset in this path is O(the engine's
+    /// own evidence), not O(total arena).
     ///
     /// `seed` is a list of *global* component ids — typically the
     /// previous epoch's verdict, which survives engine rebuilds in that
@@ -688,6 +799,7 @@ impl Engine {
             "the flow table must be built over the observation set it keys"
         );
         self.view.bind_epoch(obs, accepted)?;
+        self.arena = Some(obs.arena.clone());
 
         // Reset hypothesis-dependent state — all O(local).
         self.in_h.fill(false);
@@ -768,9 +880,14 @@ impl Engine {
                 continue;
             }
             self.hypothesis.push(c);
+            // The sets a seed enters are the ones whose counters
+            // `compute_initial_delta` collects (`set_bad > 0`).
+            let comp_to_sets = std::mem::take(&mut self.comp_to_sets);
+            self.derive_path_rows(comp_to_sets.get(c));
+            self.comp_to_sets = comp_to_sets;
             let paths = self
                 .comp_paths
-                .row(c, &self.comp_to_sets, &self.sets, &self.path_comps);
+                .row(c, &self.comp_to_sets, &self.sets, &self.path_rows);
             for &p in paths {
                 self.path_fail[p as usize] += 1;
             }
@@ -801,48 +918,73 @@ impl Engine {
         self.comps.assign(g)
     }
 
-    /// Extend the view-derived structural layer (per-path and per-set
-    /// component lists plus their localization) to cover the view's
-    /// current projection. No-op when the view has not grown — the
-    /// steady-state case that makes warm rebinding cheap.
-    fn extend_structures(&mut self, topo: &Topology, obs: &ObservationSet) -> bool {
-        let old_paths = self.path_comps.n_rows();
-        let n_paths = self.view.n_paths();
-        // Row staging, reused across the loop (and never allocated on the
-        // steady-state call where the view has not grown).
-        let mut row: Vec<CompIdx> = Vec::new();
-        // Viewed fabric paths → local component lists (links + their
-        // switch endpoints, deduplicated; round-trip probe paths visit a
-        // device twice but it is one component). Rows are short (a few
-        // links), so a `contains` keeps them duplicate-free; no reader
-        // needs them sorted.
-        for lp in old_paths as u32..n_paths as u32 {
-            row.clear();
-            for &l in obs.arena.path(self.view.global_path(lp)) {
-                let lc = self.link_comps(topo, l);
-                for c in [lc.comp, lc.devices[0], lc.devices[1]] {
-                    if c != NO_COMP && !row.contains(&c) {
-                        row.push(c);
-                    }
-                }
-            }
-            self.path_comps.push_row(row.iter().copied());
+    /// What this engine's path rows are derived from.
+    fn row_source(&self) -> RowSource<'_> {
+        RowSource {
+            view: &self.view,
+            arena: self.arena.as_ref().expect("an engine with sets was bound"),
+            link_comps: &self.link_comps,
         }
+    }
+
+    /// Derive the path rows of every set of `sets` that has none yet
+    /// (see [`PathRows`]).
+    fn derive_path_rows(&mut self, sets: &[u32]) {
+        let mut path_rows = std::mem::take(&mut self.path_rows);
+        path_rows.derive(sets, &self.sets, &self.row_source());
+        self.path_rows = path_rows;
+    }
+
+    /// Call `f(path, row)` for every member path of set `s`: off the
+    /// derived block, or — for a set not derived yet — off rows computed
+    /// into `buf` on the fly, leaving the memo as it is.
+    fn for_each_path_row(&self, s: u32, buf: &mut Vec<u32>, mut f: impl FnMut(u32, &[u32])) {
+        if self.path_rows.is_derived(s) {
+            for (p, row) in self.path_rows.rows(s, self.sets.get(s)) {
+                f(p, row);
+            }
+            return;
+        }
+        let src = self.row_source();
+        for &p in self.sets.get(s) {
+            buf.clear();
+            src.push_row(p, buf);
+            f(p, buf);
+        }
+    }
+
+    /// Extend the view-derived structural layer (per-set member paths
+    /// and component unions, the g-ladders, and the localization of every
+    /// component they reach) to cover the view's current projection.
+    /// No-op when the view has not grown — the steady-state case that
+    /// makes warm rebinding cheap. Writes no per-path row: those are
+    /// derived per set on first use ([`PathRows`]).
+    fn extend_structures(&mut self, topo: &Topology, obs: &ObservationSet) -> bool {
+        let old_paths = self.path_fail.len();
+        let n_paths = self.view.n_paths();
         self.path_fail.resize(n_paths, 0);
 
         // Sets: member paths, component union, and the cached structure
         // half of the initial Δ — `g(c)`, the number of member paths
-        // containing `c`, counted once here (every path's component list
-        // is duplicate-free) and kept as a per-set ladder of distinct
-        // values plus a per-component index into it. Every `g` is at most
-        // the set's width, so the ladder is counted, not sorted: mark the
-        // values present in `rung`, read them off in ascending order, and
-        // read each component's index back from its mark.
+        // containing `c`, counted once here straight off the member
+        // paths' links (each link as `[link, src, dst]`, in member order:
+        // the first-touch order that assigns new local ids) and kept as a
+        // per-set ladder of distinct values plus a per-component index
+        // into it. A path can reach a component twice (a round-trip probe
+        // path leaves a device and comes back), so `scratch_s` stamps
+        // each component with the visit (member index + 1) that last
+        // counted it; the stamps are cleared with the set's counts. Every
+        // `g` is at most the set's width, so the ladder is counted, not
+        // sorted: mark the values present in `rung`, read them off in
+        // ascending order, and read each component's index back from its
+        // mark.
         let old_sets = self.sets.n_rows();
         let n_sets = self.view.n_sets();
+        // Row staging, reused across the loop (and never allocated on the
+        // steady-state call where the view has not grown).
+        let mut row: Vec<CompIdx> = Vec::new();
         let mut ladder = std::mem::take(&mut self.scratch_ladder);
         let mut rung = std::mem::take(&mut self.scratch_rung);
-        self.scratch_g.resize(self.comps.len(), 0);
         for ls in old_sets as u32..n_sets as u32 {
             let view = &self.view;
             self.sets
@@ -851,13 +993,28 @@ impl Engine {
                         .expect("a view projects every member path of its sets")
                 }));
             row.clear();
-            for &p in self.sets.get(ls) {
-                for &c in self.path_comps.get(p) {
-                    if self.scratch_g[c as usize] == 0 {
-                        row.push(c);
+            for (visit, at) in (1u32..).zip(self.sets.range(ls)) {
+                let p = self.sets.items[at];
+                for &l in obs.arena.path(self.view.global_path(p)) {
+                    let lc = self.link_comps(topo, l);
+                    if self.scratch_g.len() < self.comps.len() {
+                        self.scratch_g.resize(self.comps.len(), 0);
+                        self.scratch_s.resize(self.comps.len(), 0);
                     }
-                    self.scratch_g[c as usize] += 1;
+                    for c in [lc.comp, lc.devices[0], lc.devices[1]] {
+                        if c == NO_COMP || self.scratch_s[c as usize] == visit {
+                            continue;
+                        }
+                        self.scratch_s[c as usize] = visit;
+                        if self.scratch_g[c as usize] == 0 {
+                            row.push(c);
+                        }
+                        self.scratch_g[c as usize] += 1;
+                    }
                 }
+            }
+            for &c in &row {
+                self.scratch_s[c as usize] = 0;
             }
             row.sort_unstable();
             let w = self.sets.get(ls).len();
@@ -890,6 +1047,7 @@ impl Engine {
         self.scratch_ladder = ladder;
         self.scratch_rung = rung;
         self.set_bad.resize(n_sets, 0);
+        self.path_rows.starts.resize(n_sets, UNDERIVED_SET);
         debug_assert_eq!(self.set_gidx.len(), self.set_comps.items.len());
 
         n_paths > old_paths || n_sets > old_sets
@@ -1062,7 +1220,7 @@ impl Engine {
 
     /// Number of locally-projected paths.
     pub fn n_paths(&self) -> usize {
-        self.path_comps.n_rows()
+        self.path_fail.len()
     }
 
     /// Number of locally-projected sets.
@@ -1108,7 +1266,7 @@ impl Engine {
     pub fn state_sizes(&self) -> EngineStateSizes {
         EngineStateSizes {
             comps: self.comps.len(),
-            paths: self.path_comps.n_rows(),
+            paths: self.path_fail.len(),
             sets: self.sets.n_rows(),
             flows: self.sflows.len(),
             members: self.members.len(),
@@ -1272,6 +1430,7 @@ impl Engine {
 
         // ---- Fabric effect: sets whose paths contain `c`. ----
         let affected_sets = comp_to_sets.get(c);
+        self.derive_path_rows(affected_sets);
 
         // Old counters per affected set, snapshotted into the flat arenas
         // before path fail counts move. The regular/special split uses
@@ -1289,9 +1448,8 @@ impl Engine {
         if maintain_delta {
             for &s in affected_sets {
                 collect_counters_partitioned(
-                    self.sets.get(s),
+                    self.path_rows.rows(s, self.sets.get(s)),
                     &self.path_fail,
-                    &self.path_comps,
                     self.set_comps.get(s),
                     c,
                     &self.in_h,
@@ -1309,7 +1467,7 @@ impl Engine {
         // Update path fail counts (each path exactly once).
         let paths = self
             .comp_paths
-            .row(c, &comp_to_sets, &self.sets, &self.path_comps);
+            .row(c, &comp_to_sets, &self.sets, &self.path_rows);
         for &p in paths {
             if adding {
                 self.path_fail[p as usize] += 1;
@@ -1342,9 +1500,8 @@ impl Engine {
                 new_g.clear();
                 new_sp.clear();
                 collect_counters_partitioned(
-                    self.sets.get(s),
+                    self.path_rows.rows(s, self.sets.get(s)),
                     &self.path_fail,
-                    &self.path_comps,
                     self.set_comps.get(s),
                     c,
                     &self.in_h,
@@ -1514,6 +1671,10 @@ impl Engine {
         let sb = self.set_bad[set as usize];
         let bad_old = if old_fail > 0 { w } else { sb };
         let bad_new = if new_fail > 0 { w } else { sb };
+        // The member (un)pins: Δ maintenance collects its set's counters.
+        if maintain_delta && (old_fail == 0 || new_fail == 0) {
+            self.derive_path_rows(&[set]);
+        }
         let seg = &self.terms.values()[tbl as usize..(tbl + w + 1) as usize];
         let ll_old = seg[bad_old as usize];
         let ll_new = seg[bad_new as usize];
@@ -1540,9 +1701,8 @@ impl Engine {
                 ctr_g.clear();
                 ctr_sp.clear();
                 collect_counters_partitioned(
-                    self.sets.get(set),
+                    self.path_rows.rows(set, self.sets.get(set)),
                     &self.path_fail,
-                    &self.path_comps,
                     self.set_comps.get(set),
                     c,
                     &self.in_h,
@@ -1686,9 +1846,8 @@ impl Engine {
                 // No component is mid-flip: the special partition is the
                 // in-hypothesis components alone.
                 collect_counters_partitioned(
-                    self.sets.get(s),
+                    self.path_rows.rows(s, self.sets.get(s)),
                     &self.path_fail,
-                    &self.path_comps,
                     self.set_comps.get(s),
                     NO_COMP,
                     &self.in_h,
@@ -1793,18 +1952,19 @@ impl Engine {
     pub fn delta_single(&self, c: CompIdx) -> f64 {
         let mut dll = 0.0;
         let flipping_on = !self.in_h[c as usize];
+        let mut buf = Vec::new();
         // Fabric side.
         for &s in self.comp_to_sets.get(c) {
             let old_bad = self.set_bad[s as usize];
             // New bad count if c flips: recount with c's effect.
             let mut new_bad = 0u32;
-            for &p in self.sets.get(s) {
+            self.for_each_path_row(s, &mut buf, |p, row| {
                 let mut fc = self.path_fail[p as usize];
-                if self.path_comps.get(p).contains(&c) {
+                if row.contains(&c) {
                     fc = if flipping_on { fc + 1 } else { fc - 1 };
                 }
                 new_bad += u32::from(fc > 0);
-            }
+            });
             if new_bad == old_bad {
                 continue;
             }
@@ -1841,13 +2001,14 @@ impl Engine {
     /// available for cross-checking; never on the hot path.
     pub fn ll_of(&self, hypothesis: &[CompIdx]) -> f64 {
         let in_h: std::collections::HashSet<CompIdx> = hypothesis.iter().copied().collect();
+        let mut buf = Vec::new();
         let set_bad_h: Vec<u32> = (0..self.sets.n_rows() as u32)
             .map(|s| {
-                self.sets
-                    .get(s)
-                    .iter()
-                    .filter(|&&p| self.path_comps.get(p).iter().any(|c| in_h.contains(c)))
-                    .count() as u32
+                let mut bad = 0;
+                self.for_each_path_row(s, &mut buf, |_, row| {
+                    bad += u32::from(row.iter().any(|c| in_h.contains(c)));
+                });
+                bad
             })
             .collect();
         let mut ll = 0.0;
@@ -1890,10 +2051,9 @@ impl Engine {
 /// A free function (not a method) so callers can hold disjoint borrows
 /// of the engine's other fields while it fills the scratch arenas.
 #[allow(clippy::too_many_arguments)]
-fn collect_counters_partitioned(
-    member_paths: &[u32],
+fn collect_counters_partitioned<'a>(
+    rows: impl Iterator<Item = (u32, &'a [u32])>,
     path_fail: &[u32],
-    path_comps: &Csr,
     comps: &[CompIdx],
     c: CompIdx,
     in_h: &[bool],
@@ -1903,14 +2063,14 @@ fn collect_counters_partitioned(
     out_g: &mut Vec<u32>,
     out_sp: &mut Vec<Counter>,
 ) {
-    for &p in member_paths {
+    for (p, row) in rows {
         let fc = path_fail[p as usize];
         if fc == 0 {
-            for &l in path_comps.get(p) {
+            for &l in row {
                 scratch_g[l as usize] += 1;
             }
         } else if fc == 1 {
-            for &l in path_comps.get(p) {
+            for &l in row {
                 scratch_s[l as usize] += 1;
             }
         }
@@ -2821,19 +2981,85 @@ mod tests {
         }
     }
 
-    /// The comp→path oracle. Every row the memo holds on entry, and then
-    /// every row (derived on demand), equals the brute-force transpose of
-    /// the path rows: every viewed path containing the component, in
-    /// ascending order. Each path's fail count equals the number of
-    /// hypothesis components on it. Returns how many rows were memoized
-    /// on entry.
-    fn assert_comp_paths_are_the_transpose(engine: &mut Engine) -> usize {
+    /// The brute-force component row of local path `p`: its links and
+    /// their switch ends, read off the topology, each link as `[link,
+    /// src, dst]`, deduplicated, in first-touch order.
+    fn brute_row(engine: &Engine, topo: &flock_topology::Topology, p: u32) -> Vec<CompIdx> {
+        let arena = engine.arena.as_ref().unwrap();
+        let mut row = Vec::new();
+        for &l in arena.path(engine.view().global_path(p)) {
+            let lk = topo.link(l);
+            let ends = [lk.src, lk.dst].map(|end| engine.space().device_comp(end));
+            for g in std::iter::once(Some(engine.space().link_comp(l)))
+                .chain(ends)
+                .flatten()
+            {
+                let c = engine.local_comp(g).unwrap();
+                if !row.contains(&c) {
+                    row.push(c);
+                }
+            }
+        }
+        row
+    }
+
+    /// The sets whose path rows are derived, each of whose rows equals
+    /// its path's [`brute_row`].
+    fn derived_sets(engine: &Engine, topo: &flock_topology::Topology) -> Vec<u32> {
+        let derived: Vec<u32> = (0..engine.n_sets() as u32)
+            .filter(|&s| engine.path_rows.is_derived(s))
+            .collect();
+        for &s in &derived {
+            for (p, row) in engine.path_rows.rows(s, engine.sets.get(s)) {
+                assert_eq!(row, &brute_row(engine, topo, p)[..], "set {s}, path {p}");
+            }
+        }
+        derived
+    }
+
+    /// The sets of `comps`, ascending and deduplicated.
+    fn sets_of(engine: &Engine, comps: impl IntoIterator<Item = CompIdx>) -> Vec<u32> {
+        let mut sets: Vec<u32> = comps
+            .into_iter()
+            .flat_map(|c| engine.comp_to_sets.get(c).to_vec())
+            .collect();
+        sets.sort_unstable();
+        sets.dedup();
+        sets
+    }
+
+    /// Forget every derived path row (legal at any time: path rows are a
+    /// memo of append-only structure).
+    fn forget_path_rows(engine: &mut Engine) {
+        engine.path_rows = PathRows {
+            starts: vec![UNDERIVED_SET; engine.n_sets()],
+            items: Vec::new(),
+        };
+    }
+
+    /// The comp→path oracle. Every derived path row is its brute-force
+    /// row; every comp→path row the memo holds on entry, and then every
+    /// row (derived on demand, after deriving every set's path rows),
+    /// equals the brute-force transpose: every viewed path containing the
+    /// component, in ascending order. Each path's fail count equals the
+    /// number of hypothesis components on it. Returns how many comp→path
+    /// rows were memoized on entry.
+    fn assert_comp_paths_are_the_transpose(
+        engine: &mut Engine,
+        topo: &flock_topology::Topology,
+    ) -> usize {
+        derived_sets(engine, topo);
         let n = engine.n_comps() as u32;
         assert_eq!(engine.comp_paths.rows.len(), n as usize);
+        let rows: Vec<Vec<CompIdx>> = (0..engine.n_paths() as u32)
+            .map(|p| brute_row(engine, topo, p))
+            .collect();
         let transpose: Vec<Vec<u32>> = (0..n)
             .map(|c| {
-                (0..engine.n_paths() as u32)
-                    .filter(|&p| engine.path_comps.get(p).contains(&c))
+                (0u32..)
+                    .zip(&rows)
+                    .filter(|(_, row)| row.contains(&c))
+                    .map(|(p, _)| p)
                     .collect()
             })
             .collect();
@@ -2845,27 +3071,46 @@ mod tests {
             let row = &engine.comp_paths.items[start as usize..(start + len) as usize];
             assert_eq!(row, &transpose[c as usize][..], "memoized row of comp {c}");
         }
+        let all: Vec<u32> = (0..engine.n_sets() as u32).collect();
+        engine.derive_path_rows(&all);
         for c in 0..n {
-            let (to_sets, sets, path_comps) =
-                (&engine.comp_to_sets, &engine.sets, &engine.path_comps);
-            let row = engine.comp_paths.row(c, to_sets, sets, path_comps);
+            let (to_sets, sets, path_rows) =
+                (&engine.comp_to_sets, &engine.sets, &engine.path_rows);
+            let row = engine.comp_paths.row(c, to_sets, sets, path_rows);
             assert_eq!(row, &transpose[c as usize][..], "derived row of comp {c}");
         }
-        for p in 0..engine.n_paths() as u32 {
-            let on = engine.path_comps.get(p);
-            let failed = on.iter().filter(|&&c| engine.in_h[c as usize]).count() as u32;
-            assert_eq!(
-                engine.path_fail[p as usize], failed,
-                "fail count of path {p}"
-            );
+        for (p, row) in rows.iter().enumerate() {
+            let failed = row.iter().filter(|&&c| engine.in_h[c as usize]).count() as u32;
+            assert_eq!(engine.path_fail[p], failed, "fail count of path {p}");
         }
         memoized.len()
     }
 
-    /// Comp→path rows are derived on first use and the memo is cleared
-    /// by a bind whose view grew: after a cold build, after flips, and
-    /// after each seeded rebind over a growing view, every memoized row
-    /// is the transpose of the path rows.
+    /// `delta_single` of every component and `ll_of` of the hypothesis
+    /// with and without each of `extra`, to the bit.
+    fn lazy_reads(engine: &Engine, extra: &[CompIdx]) -> Vec<u64> {
+        let h = engine.hypothesis().to_vec();
+        let mut bits: Vec<u64> = (0..engine.n_comps() as u32)
+            .map(|c| engine.delta_single(c).to_bits())
+            .collect();
+        bits.push(engine.ll_of(&h).to_bits());
+        for &c in extra {
+            let mut h2 = h.clone();
+            h2.push(c);
+            bits.push(engine.ll_of(&h2).to_bits());
+        }
+        bits
+    }
+
+    /// Path rows are derived per set on first use and never go stale;
+    /// comp→path rows are derived on first use and the memo is cleared by
+    /// a bind whose view grew. A cold bind at the empty seed derives no
+    /// path row; a seeded rebind over a growing view derives exactly the
+    /// sets its seed enters; an extra-only flip exactly the sets of the
+    /// members it pins; a fabric flip at least the sets it sweeps — and
+    /// every derived row is the brute-force row, every memoized comp→path
+    /// row the transpose. `delta_single` and `ll_of` over sets not yet
+    /// derived read the same rows, to the bit.
     #[test]
     fn derived_comp_paths_are_the_transpose_of_path_rows() {
         use flock_telemetry::Assembler;
@@ -2893,40 +3138,79 @@ mod tests {
             bind_all(&mut engine, &topo, &obs, &mut dir, &seed).unwrap();
             let n_paths = engine.n_paths() as u32;
             assert!(n_paths > old_paths, "epoch {epoch} must grow the view");
+            assert_eq!(engine.state_sizes().paths, engine.view().n_paths());
             // The new paths run through components the memo already held
             // rows for, so a memo kept across the growth would be stale.
             assert!(
                 epoch == 0
-                    || (old_paths..n_paths).any(|p| engine
-                        .path_comps
-                        .get(p)
-                        .iter()
-                        .any(|&c| c < old_comps)),
+                    || (old_paths..n_paths)
+                        .any(|p| brute_row(&engine, &topo, p).iter().any(|&c| c < old_comps)),
                 "epoch {epoch}: new paths must cross known components"
             );
-            // Entering the seed derived exactly its components' rows.
-            let memoized = assert_comp_paths_are_the_transpose(&mut engine);
+            // Entering the seed derived exactly its sets' path rows (none
+            // on the cold bind) and its components' comp→path rows.
+            let seeded = engine.hypothesis().to_vec();
+            assert_eq!(derived_sets(&engine, &topo), sets_of(&engine, seeded));
+            assert_eq!(engine.path_rows.items.is_empty(), epoch == 0);
+            let fresh: Vec<CompIdx> = (old_comps..engine.n_comps() as u32).step_by(5).collect();
+            let lazy = lazy_reads(&engine, &fresh);
+            let memoized = assert_comp_paths_are_the_transpose(&mut engine, &topo);
             assert_eq!(memoized, engine.hypothesis().len(), "epoch {epoch}");
             assert_eq!(memoized, seed.len());
+            assert_eq!(
+                lazy_reads(&engine, &fresh),
+                lazy,
+                "epoch {epoch}: lazy vs derived rows"
+            );
 
             // The oracle derived every row: forget them, so the flips
-            // derive their own (and the oracle leaves the memo full for
-            // the next, growing bind to clear).
+            // derive their own.
+            forget_path_rows(&mut engine);
             engine.comp_paths.reset(engine.n_comps());
+            // An extra-only flip derives the sets of the members it pins.
+            let extra = (0..engine.n_comps() as u32)
+                .find(|&c| {
+                    !engine.in_hypothesis(c)
+                        && engine.comp_to_sets.get(c).is_empty()
+                        && !engine.comp_extra_members.get(c).is_empty()
+                })
+                .expect("host links are extras");
+            let mut pinned: Vec<u32> = engine
+                .comp_extra_members
+                .get(extra)
+                .iter()
+                .map(|&mi| engine.members[mi as usize])
+                .filter(|m| m.extra_fail == 0)
+                .map(|m| engine.sflows[m.flow as usize].set)
+                .collect();
+            pinned.sort_unstable();
+            pinned.dedup();
+            assert!(!pinned.is_empty(), "epoch {epoch}: the extra pins a member");
+            engine.flip(extra);
+            assert_eq!(derived_sets(&engine, &topo), pinned, "epoch {epoch}");
             let n = engine.n_comps() as u32;
-            for c in [n / 3, 2 * n / 3, n / 3 + 1, n / 3] {
+            let walk = [n / 3, 2 * n / 3, n / 3 + 1, n / 3];
+            for c in walk {
                 engine.flip(c);
             }
-            assert!(assert_comp_paths_are_the_transpose(&mut engine) > 0);
+            let derived = derived_sets(&engine, &topo);
+            assert!(sets_of(&engine, walk).iter().all(|s| derived.contains(s)));
+            assert!(assert_comp_paths_are_the_transpose(&mut engine, &topo) > 0);
             let h = engine.hypothesis().to_vec();
             assert!((engine.ll_of(&h) - engine.log_likelihood()).abs() < 1e-7);
+            // The next bind derives its seed's rows afresh; the oracle
+            // leaves the comp→path memo full for that growing bind to
+            // clear.
+            forget_path_rows(&mut engine);
         }
     }
 
     /// The fixture of [`round_trip_path_counts_a_device_once`]: two
     /// round trips from one ToR up to each of two aggs and back, observed
     /// as a set of the first alone and as the set of both — so the first
-    /// round trip sits in two sets — plus the ToR.
+    /// round trip sits in two sets — plus the ToR. The pair's flow enters
+    /// from the ToR's first host, so that host's uplink is an extra of
+    /// the pair's set alone.
     fn round_trip_fixture() -> (
         flock_topology::Topology,
         ObservationSet,
@@ -2957,10 +3241,11 @@ mod tests {
             .map(|p| arena.intern_path(p))
             .collect();
         let pair = arena.intern_set(paths);
-        let flows = [single, pair]
+        let host_up = topo.host_uplink(topo.hosts()[0]);
+        let flows = [(single, None), (pair, Some(host_up))]
             .iter()
-            .map(|&set| FlowObs {
-                prefix: [None, None],
+            .map(|&(set, up)| FlowObs {
+                prefix: [up, None],
                 set,
                 sent: 100,
                 bad: 4,
@@ -3008,37 +3293,40 @@ mod tests {
         }
     }
 
-    /// On the round-trip fixture, path rows are duplicate-free and hold
-    /// exactly the path's links and switches. The shared ToR's derived
-    /// row lists the round trip in both of its sets once, and flipping
-    /// the ToR in and out leaves fail counts, `set_bad` and Δ at their
-    /// brute-force values, with `delta_single` equal to `delta()`.
+    /// On the round-trip fixture, a cold bind derives no path row and
+    /// `delta_single` reads rows computed on the fly. Flipping the host
+    /// uplink — an extra of the pair's flow alone — derives the pair's
+    /// rows only; flipping the shared ToR then derives the single round
+    /// trip's too. A derived row holds exactly the path's links and
+    /// switches in first-touch order, `[up, ToR, agg, down]`: the device
+    /// the round trip comes back to is listed once. The ToR's comp→path
+    /// row lists the round trip in both of its sets once, and every flip
+    /// leaves fail counts, `set_bad` and Δ at their brute-force values,
+    /// with `delta_single` equal to `delta()`.
     #[test]
     fn round_trip_rows_and_shared_tor_flip() {
         let (topo, obs, tor) = round_trip_fixture();
         let mut engine = Engine::new(&topo, &obs, HyperParams::default());
-        for p in 0..engine.n_paths() as u32 {
-            let mut row = engine.path_comps.get(p).to_vec();
-            row.sort_unstable();
-            assert!(row.windows(2).all(|w| w[0] < w[1]), "path {p} row repeats");
-            let mut expect: Vec<CompIdx> = Vec::new();
-            for &l in obs.arena.path(engine.view().global_path(p)) {
-                expect.push(engine.space().link_comp(l));
-                let lk = topo.link(l);
-                expect.extend(
-                    [lk.src, lk.dst]
-                        .iter()
-                        .filter_map(|&e| engine.space().device_comp(e)),
-                );
-            }
-            let mut expect: Vec<CompIdx> = expect
-                .iter()
-                .map(|&g| engine.local_comp(g).unwrap())
-                .collect();
-            expect.sort_unstable();
-            expect.dedup();
-            assert_eq!(row, expect, "path {p}");
+        let tor_c = engine.comp_of(tor).unwrap();
+        let local = |g: CompIdx| engine.local_comp(g).unwrap();
+        let expect: Vec<Vec<CompIdx>> = (0..engine.n_paths() as u32)
+            .map(|p| {
+                let &[up, down] = obs.arena.path(engine.view().global_path(p)) else {
+                    panic!("a round trip is two links");
+                };
+                let agg = engine.space().device_comp(topo.link(up).dst).unwrap();
+                let link = |l| local(engine.space().link_comp(l));
+                vec![link(up), tor_c, local(agg), link(down)]
+            })
+            .collect();
+        assert_eq!(expect.len(), 2);
+        for (p, row) in (0u32..).zip(&expect) {
+            assert_eq!(&brute_row(&engine, &topo, p), row, "path {p}");
         }
+        let host_up = topo.host_uplink(topo.hosts()[0]);
+        let host_up = engine
+            .comp_of(flock_topology::Component::Link(host_up))
+            .unwrap();
 
         let check = |engine: &Engine| {
             for s in 0..engine.n_sets() as u32 {
@@ -3060,14 +3348,28 @@ mod tests {
                 assert!(close(engine.delta_single(c)), "comp {c}: delta_single");
             }
         };
+        assert!(
+            derived_sets(&engine, &topo).is_empty(),
+            "a cold bind derives none"
+        );
         check(&engine);
-        let tor_c = engine.comp_of(tor).unwrap();
+        assert!(
+            derived_sets(&engine, &topo).is_empty(),
+            "delta_single derives none"
+        );
+        engine.flip(host_up);
+        assert_eq!(derived_sets(&engine, &topo), [1], "the pinned member's set");
+        check(&engine);
         engine.flip(tor_c);
+        assert_eq!(derived_sets(&engine, &topo), [0, 1]);
+        let pair: Vec<_> = engine.path_rows.rows(1, engine.sets.get(1)).collect();
+        assert_eq!(pair, [(0, &expect[0][..]), (1, &expect[1][..])]);
         assert_eq!(engine.path_fail, [1, 1], "each round trip fails once");
-        assert_eq!(assert_comp_paths_are_the_transpose(&mut engine), 1);
+        // Memoized comp→path rows: the host uplink's (empty) and the ToR's.
+        assert_eq!(assert_comp_paths_are_the_transpose(&mut engine, &topo), 2);
         check(&engine);
         engine.flip(tor_c);
-        assert_comp_paths_are_the_transpose(&mut engine);
+        assert_comp_paths_are_the_transpose(&mut engine, &topo);
         check(&engine);
     }
 

@@ -121,7 +121,7 @@ fn initial_delta_by_path_sweep(
     let local = |g: CompIdx| engine.local_comp(g).expect("evidence the engine localized");
 
     // Structure: per-path component lists, per-set member paths.
-    let path_comps: Vec<Vec<CompIdx>> = (0..view.n_paths() as u32)
+    let path_rows: Vec<Vec<CompIdx>> = (0..view.n_paths() as u32)
         .map(|lp| {
             let mut comps = Vec::new();
             for &l in obs.arena.path(view.global_path(lp)) {
@@ -149,7 +149,7 @@ fn initial_delta_by_path_sweep(
         .map(|paths| {
             let mut comps: Vec<CompIdx> = paths
                 .iter()
-                .flat_map(|&p| path_comps[p as usize].iter().copied())
+                .flat_map(|&p| path_rows[p as usize].iter().copied())
                 .collect();
             comps.sort_unstable();
             comps.dedup();
@@ -218,7 +218,7 @@ fn initial_delta_by_path_sweep(
             continue;
         }
         for &p in paths {
-            for &c in &path_comps[p as usize] {
+            for &c in &path_rows[p as usize] {
                 g[c as usize] += 1;
             }
         }
@@ -374,8 +374,115 @@ fn exact_ties(e: &Engine) -> Vec<(usize, usize)> {
     ties
 }
 
+/// Global ids of the components with *positive* evidence among the
+/// `accepted` observations of `obs`, brute force off the arena and the
+/// topology: every link, and switch end of a link, on a path of the set
+/// or on the prefix (the member extras) of an observation with
+/// `flow_score(sent, bad) > 0`. Unroutable observations carry no
+/// evidence.
+fn positively_evidenced(
+    topo: &Topology,
+    obs: &ObservationSet,
+    accepted: &[u32],
+    params: &HyperParams,
+) -> std::collections::HashSet<CompIdx> {
+    let space = ComponentSpace::new(topo);
+    let mut out = std::collections::HashSet::new();
+    for &i in accepted {
+        let o = &obs.flows[i as usize];
+        let members = obs.arena.set(o.set);
+        if members.is_empty() || flow_score(params, o.sent, o.bad) <= 0.0 {
+            continue;
+        }
+        let paths = members.iter().flat_map(|&p| obs.arena.path(p));
+        for &l in paths.chain(o.prefix.iter().flatten()) {
+            out.insert(space.link_comp(l));
+            let lk = topo.link(l);
+            out.extend(
+                [lk.src, lk.dst]
+                    .iter()
+                    .filter_map(|&e| space.device_comp(e)),
+            );
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Evidence support: every component a converged `FlockGreedy`
+    /// verdict blames lies on the set, or is a member extra, of some
+    /// accepted observation with a positive flow score. `LLF(b)` moves
+    /// with `b` in the direction of the score's sign, so Δ(c) > 0 needs
+    /// such evidence, and the negative prior forbids adding a component
+    /// without it (or keeping one: removing it reclaims the prior). Three
+    /// epochs over one engine, for full and filtered engines: a cold
+    /// search over 1–2 lossy fabric links; a search warm-seeded with that
+    /// verdict through `try_bind`; and, after the links heal (only stray
+    /// single losses remain), a search seeded with the faulty epoch's
+    /// verdict, whose evidence the heal removed.
+    #[test]
+    fn verdicts_blame_only_components_with_positive_evidence(
+        seed in 0u64..1000,
+        filtered in any::<bool>(),
+        mixed in any::<bool>(),
+    ) {
+        let topo = three_pod_clos();
+        let router = Router::new(&topo);
+        let hosts = topo.hosts().to_vec();
+        let fabric = topo.fabric_links();
+        let kinds: &[InputKind] = if mixed {
+            &[InputKind::A2, InputKind::P]
+        } else {
+            &[InputKind::P]
+        };
+        let params = HyperParams::default();
+        let greedy = FlockGreedy::new(params);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let faulty: Vec<LinkId> = (0..rng.random_range(1..=2usize))
+            .map(|_| fabric[rng.random_range(0..fabric.len())])
+            .collect();
+        let mut asm = Assembler::new();
+        let mut terms = TermDirectory::new(&params);
+        let mut table = EpochFlowTable::new();
+        let mut engine = Engine::unbound(&topo, params, EngineOptions::default());
+        let mut verdict: Vec<CompIdx> = Vec::new();
+        for epoch in 0..3 {
+            let lossy: &[LinkId] = if epoch < 2 { &faulty } else { &[] };
+            let traffic: Vec<MonitoredFlow> = (0..120)
+                .map(|i| {
+                    let (s, d, tp) = random_route(&topo, &router, &hosts, &mut rng);
+                    let crossings = tp.iter().filter(|l| lossy.contains(l)).count() as u64;
+                    let stray = u64::from(rng.random::<f64>() < 0.1);
+                    passive_flow(s, d, i, 100, crossings * 8 + stray, tp)
+                })
+                .collect();
+            let obs = asm.assemble(&topo, &router, &traffic, kinds, AnalysisMode::PerPacket);
+            let accepted = accept_list(&obs, filtered);
+            table.rebuild(&mut terms, &obs);
+            if epoch == 2 {
+                prop_assert!(!verdict.is_empty(), "the faulty epoch blamed something to heal");
+            }
+            engine.try_bind(&topo, &obs, &accepted, &table, &verdict).unwrap();
+            let picked = if epoch == 0 {
+                greedy.search(&mut engine).0
+            } else {
+                greedy.search_warm(&mut engine, &[]).0
+            };
+            verdict = picked.iter().map(|&(c, _)| engine.global_comp(c)).collect();
+            let support = positively_evidenced(&topo, &obs, &accepted, &params);
+            for &g in &verdict {
+                prop_assert!(
+                    support.contains(&g),
+                    "epoch {}: {:?} blamed without positive evidence",
+                    epoch,
+                    engine.space().component(g)
+                );
+            }
+            asm.recycle(obs);
+        }
+    }
 
     /// The initial Δ the engine assembles from its cached per-set
     /// structure (g-ladder, comp→ladder index) and the epoch's
