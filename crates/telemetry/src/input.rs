@@ -423,8 +423,9 @@ pub struct Assembler {
     /// The next epoch's output buffer: a finished set's observation
     /// vector, handed back through [`Assembler::recycle`].
     out: Vec<FlowObs>,
-    /// Scratch for the counting scatter in [`Assembler::assemble`],
-    /// reused across epochs so steady-state assembly allocates nothing.
+    /// Scratch for the counting scatter in [`Assembler::assemble`], then
+    /// the radix buffer of each long set run; reused across epochs so
+    /// steady-state assembly allocates nothing.
     sort_scratch: Vec<FlowObs>,
     set_cursors: Vec<u32>,
 }
@@ -529,10 +530,12 @@ impl Assembler {
         //
         // The sort key's leading component is the *dense* arena set id,
         // so instead of one comparison sort over all observations we
-        // counting-scatter by set (O(n + sets)) and comparison-sort only
-        // the `(sent, bad, prefix)` tail within each set's run — the
-        // same total order, at a fraction of the cost (the full sort was
-        // the dominant term of the pipelined prepare stage).
+        // counting-scatter by set (O(n + sets)) and sort only the
+        // `(sent, bad, prefix)` tail within each set's run. A run is as
+        // long as its ToR pair is busy: a few entries on most fabrics,
+        // hundreds where a few racks carry every flow. Short runs take a
+        // comparison sort, longer ones a stable byte-wise LSD radix
+        // (`sort_run_tail`): the same total order, and neither allocates.
         let sets = arena.set_count();
         self.set_cursors.clear();
         self.set_cursors.resize(sets + 1, 0);
@@ -550,11 +553,13 @@ impl Assembler {
             *cursor += 1;
         }
         // After scattering, `set_cursors[s]` is the *end* of set `s`'s run.
+        // The copy in `sort_scratch` is spent, so each run's span of it is
+        // that run's radix buffer.
         let mut start = 0usize;
         for i in 0..sets {
             let end = self.set_cursors[i] as usize;
             if end - start > 1 {
-                out[start..end].sort_unstable_by_key(|o| (o.sent, o.bad, o.prefix));
+                sort_run_tail(&mut out[start..end], &mut self.sort_scratch[start..end]);
             }
             start = end;
         }
@@ -576,6 +581,79 @@ impl Assembler {
             flows: out,
             mode,
         }
+    }
+}
+
+/// Longest set run [`sort_run_tail`] still sorts by comparison.
+///
+/// Every radix pass pays a 256-bucket prefix sum whatever the run's
+/// length, so short runs are cheaper to compare. Timing both sorts on
+/// every run of the `ingest_flood` benchmark workload (seed 1, 2-vCPU
+/// Xeon) puts the crossover between 55 and 71 entries: runs of 48–63
+/// entries (mean 55) took 2.7 µs by comparison and 3.0 µs by radix, runs
+/// of 64–95 (mean 71) 3.9 and 3.5 µs, and runs of 512 or more (mean 772)
+/// 68 and 23 µs.
+const COMPARISON_MAX_RUN: usize = 64;
+
+/// Sort one set's run by its `(sent, bad, prefix)` tail. Runs longer than
+/// [`COMPARISON_MAX_RUN`] take a stable LSD radix on byte digits, least
+/// significant field first (`prefix[1]`, `prefix[0]`, `bad`, `sent`),
+/// skipping every byte the whole run shares. `buf` is scratch of the
+/// run's length; its contents are overwritten.
+fn sort_run_tail(run: &mut [FlowObs], buf: &mut [FlowObs]) {
+    if run.len() <= COMPARISON_MAX_RUN {
+        run.sort_unstable_by_key(|o| (o.sent, o.bad, o.prefix));
+        return;
+    }
+    // `None` ranks below every link, as it does in `Option`'s `Ord`.
+    let rank = |l: Option<LinkId>| l.map_or(0, |l| u64::from(l.0) + 1);
+    // The bits in which some observation differs from the first, per field.
+    let first = run[0];
+    let mut varies = [0u64; 4];
+    for o in run.iter() {
+        varies[0] |= rank(o.prefix[1]) ^ rank(first.prefix[1]);
+        varies[1] |= rank(o.prefix[0]) ^ rank(first.prefix[0]);
+        varies[2] |= o.bad ^ first.bad;
+        varies[3] |= o.sent ^ first.sent;
+    }
+    let mut in_buf = false;
+    for (field, varies) in varies.into_iter().enumerate() {
+        for shift in (0..64).step_by(8).filter(|s| (varies >> s) & 0xff != 0) {
+            let (src, dst) = if in_buf {
+                (&*buf, &mut *run)
+            } else {
+                (&*run, &mut *buf)
+            };
+            match field {
+                0 => radix_pass(src, dst, shift, |o| rank(o.prefix[1])),
+                1 => radix_pass(src, dst, shift, |o| rank(o.prefix[0])),
+                2 => radix_pass(src, dst, shift, |o| o.bad),
+                _ => radix_pass(src, dst, shift, |o| o.sent),
+            }
+            in_buf = !in_buf;
+        }
+    }
+    if in_buf {
+        run.copy_from_slice(buf);
+    }
+}
+
+/// One stable counting pass: `src` into `dst`, ordered by the byte of
+/// `key` at bit offset `shift`.
+fn radix_pass(src: &[FlowObs], dst: &mut [FlowObs], shift: u32, key: impl Fn(&FlowObs) -> u64) {
+    let digit = |o: &FlowObs| (key(o) >> shift) as u8 as usize;
+    let mut next = [0u32; 256];
+    for o in src {
+        next[digit(o)] += 1;
+    }
+    let mut sum = 0;
+    for slot in &mut next {
+        sum += std::mem::replace(slot, sum);
+    }
+    for o in src {
+        let slot = &mut next[digit(o)];
+        dst[*slot as usize] = *o;
+        *slot += 1;
     }
 }
 
@@ -633,6 +711,7 @@ mod tests {
     use crate::flow::{FlowKey, FlowStats};
     use flock_topology::clos::{three_tier, ClosParams};
     use flock_topology::NodeId;
+    use proptest::prelude::*;
 
     fn mk_passive(
         topo: &Topology,
@@ -1098,6 +1177,147 @@ mod tests {
             AnalysisMode::PerPacket,
         );
         assert!(obs3.flows.is_empty());
+    }
+
+    /// Tail-key values on every byte boundary the radix splits or skips,
+    /// up to the extremes. Drawing from short lists makes ties heavy.
+    const EDGE_COUNTS: [u64; 8] = [0, 1, 255, 256, 65_535, 1 << 32, u64::MAX - 1, u64::MAX];
+    const EDGE_LINKS: [u32; 5] = [0, 1, 255, 256, u32::MAX];
+
+    /// One set's run: any length on either side of [`COMPARISON_MAX_RUN`],
+    /// `bad <= sent`, and `None` prefixes beside `Some(LinkId(0))` and
+    /// `Some(LinkId(u32::MAX))`.
+    fn arb_run() -> impl Strategy<Value = Vec<FlowObs>> {
+        let obs = (0u8..10, 0u8..10, any::<u64>(), 0u8..7, 0u8..7, any::<u32>()).prop_map(
+            |(s, b, raw, p0, p1, link)| {
+                let count = |i: u8| EDGE_COUNTS.get(usize::from(i)).copied().unwrap_or(raw);
+                let prefix = |i: u8| match i {
+                    0 => None,
+                    i => Some(LinkId(
+                        EDGE_LINKS.get(usize::from(i) - 1).copied().unwrap_or(link),
+                    )),
+                };
+                let sent = count(s);
+                FlowObs {
+                    prefix: [prefix(p0), prefix(p1)],
+                    set: PathSetId(0),
+                    sent,
+                    bad: count(b).min(sent),
+                    weight: 1,
+                }
+            },
+        );
+        prop::collection::vec(obs, 1..4 * COMPARISON_MAX_RUN)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn run_sort_matches_a_comparison_sort(run in arb_run()) {
+            let len = run.len();
+            for n in [len, len.min(COMPARISON_MAX_RUN), len.min(COMPARISON_MAX_RUN + 1)] {
+                let mut want = run[..n].to_vec();
+                want.sort_by_key(|o| (o.sent, o.bad, o.prefix));
+                let mut got = run[..n].to_vec();
+                let mut buf = run[..n].to_vec();
+                buf.reverse();
+                sort_run_tail(&mut got, &mut buf);
+                prop_assert_eq!(got, want, "run of {}", n);
+            }
+        }
+    }
+
+    /// `n` passive flows from the hosts of one ToR to those of another (one
+    /// path set, nine prefixes), with packet and retransmission counts
+    /// drawn from [`EDGE_COUNTS`]; zero-packet flows are among them.
+    fn one_pair_epoch(
+        topo: &Topology,
+        router: &Router<'_>,
+        seed: u64,
+        n: usize,
+    ) -> Vec<MonitoredFlow> {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let hosts = topo.hosts();
+        (0..n)
+            .map(|_| {
+                let src = hosts[rng.random_range(0..3usize)];
+                let dst = hosts[rng.random_range(9..12usize)];
+                let mut f = mk_passive(topo, router, src, dst, 1, 0);
+                f.stats.packets = EDGE_COUNTS[rng.random_range(0..EDGE_COUNTS.len())];
+                f.stats.retransmissions = EDGE_COUNTS[rng.random_range(0..EDGE_COUNTS.len())];
+                f
+            })
+            .collect()
+    }
+
+    #[test]
+    fn recycled_assembler_emits_the_sorted_weighted_merge() {
+        let topo = three_tier(ClosParams::tiny());
+        let router = Router::new(&topo);
+        let mut asm = Assembler::new();
+        // Long radix runs around a short comparison-sorted one.
+        for (seed, n) in [(1, 600), (2, COMPARISON_MAX_RUN / 2), (3, 900)] {
+            let flows = one_pair_epoch(&topo, &router, seed, n);
+            let obs = asm.assemble(
+                &topo,
+                &router,
+                &flows,
+                &[InputKind::P],
+                AnalysisMode::PerPacket,
+            );
+            let set = obs.flows[0].set;
+            // The reference: an ordered map is a full comparison sort by
+            // `(set, sent, bad, prefix)`, its counts the weight merge.
+            let mut merged = std::collections::BTreeMap::new();
+            for f in flows.iter().filter(|f| f.stats.packets > 0) {
+                let sent = f.stats.packets;
+                let bad = f.stats.retransmissions.min(sent);
+                let prefix = [
+                    Some(topo.host_uplink(f.key.src)),
+                    Some(topo.host_downlink(f.key.dst)),
+                ];
+                *merged.entry((set.0, sent, bad, prefix)).or_insert(0) += 1;
+            }
+            let want: Vec<FlowObs> = merged
+                .into_iter()
+                .map(|((_, sent, bad, prefix), weight)| FlowObs {
+                    prefix,
+                    set,
+                    sent,
+                    bad,
+                    weight,
+                })
+                .collect();
+            assert_eq!(obs.flows, want, "epoch of {n} flows");
+            asm.recycle(obs);
+        }
+    }
+
+    #[test]
+    fn steady_state_assembly_keeps_its_buffers() {
+        let topo = three_tier(ClosParams::tiny());
+        let router = Router::new(&topo);
+        let flows = one_pair_epoch(&topo, &router, 7, 600);
+        let mut asm = Assembler::new();
+        let mut capacities = Vec::new();
+        for _ in 0..3 {
+            let obs = asm.assemble(
+                &topo,
+                &router,
+                &flows,
+                &[InputKind::P],
+                AnalysisMode::PerPacket,
+            );
+            asm.recycle(obs);
+            capacities.push((asm.out.capacity(), asm.sort_scratch.capacity()));
+        }
+        assert!(asm.sort_scratch.len() > COMPARISON_MAX_RUN, "one long run");
+        assert!(
+            capacities.windows(2).all(|w| w[0] == w[1]),
+            "`out` and `sort_scratch` capacities per epoch: {capacities:?}"
+        );
     }
 
     #[test]
