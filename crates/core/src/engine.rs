@@ -11,7 +11,8 @@
 //! access over fleet-wide arrays — regardless of how little evidence its
 //! shard actually sees. Instead, every engine owns an
 //! [`ArenaView`]: a persistent dense projection of the arena onto the
-//! paths/sets its accepted observations touch. **All internal state and
+//! sets its accepted observations touch, each with its run of member
+//! paths. **All internal state and
 //! every public index on this type — `delta()`, `flip()`, `hypothesis()`
 //! — is a dense local id**, assigned in first-touch order and stable for
 //! the engine's lifetime (views are append-only). Components are
@@ -39,13 +40,17 @@
 //! tables* (one allocation pair per table, rows appended as the view
 //! grows, never rewritten):
 //!
-//! * per viewed path set: its member paths (`sets`), the sorted union of
-//!   their components (`set_comps`), the cached structure half of the
-//!   initial Δ (`set_ladders`/`set_gidx`, see below), and the number of
-//!   member paths with a non-zero fail count (`set_bad`), shared by every
-//!   flow using the set;
+//! * per viewed path set: the sorted union of its member paths'
+//!   components (`set_comps`), the cached structure half of the initial Δ
+//!   (`set_ladders`/`set_gidx`, see below), and the number of member paths
+//!   with a non-zero fail count (`set_bad`), shared by every flow using
+//!   the set. A set owns its member paths: they are the contiguous run of
+//!   local path ids the view assigned it ([`ArenaView::paths_of`]), which
+//!   parallels the set's run of arena path ids, so no table stores
+//!   member ids;
 //! * per viewed fabric path: the current *fail count* — how many
-//!   hypothesis components lie on it.
+//!   hypothesis components lie on it (`path_fail`; a set's fail counts
+//!   are one contiguous slice).
 //!
 //! A path's component row — its links and their switch ends,
 //! deduplicated, in first-touch order — is read only by a flip (for the
@@ -64,8 +69,7 @@
 //! initial Δ, every flip and the evidence report read them. Its paths
 //! are read only by a flip and by entering a seed, so they are derived on
 //! first use too (`comp_paths`): the member paths of the component's
-//! sets whose row contains it, sorted and deduplicated, memoized until
-//! the view grows.
+//! sets whose row contains it, memoized until the view grows.
 //!
 //! The evidence layer is rebuilt every epoch, from the accepted
 //! observations and the epoch's [`EpochFlowTable`] — the evidence keys
@@ -102,8 +106,7 @@
 //! costs `O(D·T)` (super-flows touching the component × their path-set
 //! sizes) instead of the `O(n·D·T)` a from-scratch recomputation would
 //! need: the `O(n)` JLE speedup — with `D` counting *distinct evidence
-//! keys*, not raw flows, when coalescing is on (the default; see
-//! [`EngineOptions`]).
+//! keys*, not raw flows.
 //!
 //! A bind computes the array from scratch, at the hypothesis it was
 //! asked to *enter* ([`Engine::try_bind`]'s `seed`: typically the
@@ -160,7 +163,7 @@ use crate::likelihood::{llf, EpochFlowTable, TermDirectory, TermTable};
 use crate::params::HyperParams;
 use crate::space::{CompIdx, ComponentSpace};
 use flock_telemetry::{
-    ArenaSnapshot, ArenaView, DenseRemap, FlowObs, ObservationSet, PathSetId, ViewError,
+    ArenaSnapshot, ArenaView, DenseRemap, FlowObs, ObservationSet, PathId, PathSetId, ViewError,
 };
 use flock_topology::{Component, Topology};
 
@@ -171,7 +174,7 @@ type Counter = (CompIdx, u32, u32);
 /// Flat offsets+items row table: row `i` is `items[offsets[i]..offsets[i+1]]`.
 /// Serves both the engine's inverted indexes (rebuilt by counting scatter,
 /// [`Csr::rebuild`]) and its append-only structure rows (one
-/// [`Csr::push_row`] per newly viewed path/set) — one allocation pair per
+/// [`Csr::push_row`] per newly viewed set) — one allocation pair per
 /// table instead of one per row, and rows a sweep visits in id order sit
 /// next to each other in memory.
 #[derive(Debug, Clone, Default)]
@@ -245,7 +248,7 @@ impl Csr {
 }
 
 /// One weighted super-flow: every observation of the epoch sharing the
-/// evidence key `(set, sent, bad)` (when coalescing is on).
+/// evidence key `(set, sent, bad)`.
 #[derive(Debug, Clone)]
 struct SFlow {
     /// Local path-set index.
@@ -326,14 +329,20 @@ struct RowSource<'a> {
 }
 
 impl RowSource<'_> {
-    /// Append local path `p`'s row to `out`: its links and their switch
+    /// The arena paths of local set `s`, in member order: the run that
+    /// parallels its local paths ([`ArenaView::paths_of`]).
+    fn members(&self, s: u32) -> std::ops::Range<u32> {
+        self.arena.set(self.view.global_set(s))
+    }
+
+    /// Append arena path `p`'s row to `out`: its links and their switch
     /// ends, each link as `[link, src, dst]`, deduplicated (round-trip
     /// probe paths visit a device twice but it is one component) in
     /// first-touch order. Rows are a few links long, so a `contains`
     /// over the part this call appended keeps them duplicate-free.
     fn push_row(&self, p: u32, out: &mut Vec<u32>) {
         let from = out.len();
-        for &l in self.arena.path(self.view.global_path(p)) {
+        for &l in self.arena.path(PathId(p)) {
             let lc = self.link_comps[l.0 as usize];
             debug_assert_ne!(lc.comp, NO_COMP, "the set pass localized every viewed link");
             for c in [lc.comp, lc.devices[0], lc.devices[1]] {
@@ -354,9 +363,10 @@ const UNDERIVED_SET: u32 = u32::MAX;
 /// enters — a small share of the viewed paths — so the cold bind writes
 /// none. Sets are append-only, so a derived block never goes stale and
 /// the memo lives as long as the engine. A set's block lists, per member
-/// path in member order, the row length and then the row (a path in two
-/// derived sets is stored twice; one index per set is smaller than one
-/// per path, and a sweep over a set reads its rows contiguously).
+/// path in member order, the row length and then the row (a path belongs
+/// to one set, so its row is stored once; one index per set is smaller
+/// than one per path, and a sweep over a set reads its rows
+/// contiguously).
 #[derive(Debug, Clone, Default)]
 struct PathRows {
     /// Per local set: where its block starts in `items`, or
@@ -372,14 +382,14 @@ impl PathRows {
     }
 
     /// Derive the block of every set of `sets` that has none yet.
-    fn derive(&mut self, sets: &[u32], members: &Csr, src: &RowSource<'_>) {
+    fn derive(&mut self, sets: &[u32], src: &RowSource<'_>) {
         for &s in sets {
             if self.is_derived(s) {
                 continue;
             }
             self.starts[s as usize] =
                 u32::try_from(self.items.len()).expect("path row memo exceeds u32 offsets");
-            for &p in members.get(s) {
+            for p in src.members(s) {
                 let at = self.items.len();
                 self.items.push(0);
                 src.push_row(p, &mut self.items);
@@ -389,14 +399,18 @@ impl PathRows {
     }
 
     /// `(path, row)` for every member path of the derived set `s`, whose
-    /// member list is `members`.
-    fn rows<'a>(&'a self, s: u32, members: &'a [u32]) -> impl Iterator<Item = (u32, &'a [u32])> {
+    /// local paths are `paths`.
+    fn rows(
+        &self,
+        s: u32,
+        paths: std::ops::Range<u32>,
+    ) -> impl Iterator<Item = (u32, &[u32])> + '_ {
         assert!(
             self.is_derived(s),
             "set {s} is read before its path rows were derived"
         );
         let mut at = self.starts[s as usize] as usize;
-        members.iter().map(move |&p| {
+        paths.map(move |p| {
             let len = self.items[at] as usize;
             let row = &self.items[at + 1..at + 1 + len];
             at += 1 + len;
@@ -409,14 +423,15 @@ impl PathRows {
 const UNDERIVED: (u32, u32) = (u32::MAX, 0);
 
 /// Comp → path rows, derived on first use: a component's paths are the
-/// member paths of its `comp_to_sets` sets whose row contains it, sorted
-/// and deduplicated (a path can sit in two sets). Only a flip and
-/// entering a seed read them, and a search flips a handful of
-/// components, so transposing path rows at bind would build rows nobody
-/// reads. Rows are appended to one flat `items` vector in derivation
-/// order; the memo is cleared (keeping its capacity) by a bind whose
-/// view grew, so a steady-state flip derives nothing new and allocates
-/// nothing.
+/// member paths of its `comp_to_sets` sets whose row contains it. A path
+/// belongs to one set and local path runs ascend with local set ids, so
+/// walking the (ascending) sets lists each path once, in ascending order.
+/// Only a flip and entering a seed read them, and a search flips a
+/// handful of components, so transposing path rows at bind would build
+/// rows nobody reads. Rows are appended to one flat `items` vector in
+/// derivation order; the memo is cleared (keeping its capacity) by a bind
+/// whose view grew, so a steady-state flip derives nothing new and
+/// allocates nothing.
 #[derive(Debug, Clone, Default)]
 struct CompPaths {
     /// Per local component: `(start, len)` of its row in `items`, or
@@ -435,48 +450,27 @@ impl CompPaths {
 
     /// Paths of component `c`, derived from the structure tables on
     /// first use (the path rows of `c`'s sets must be derived).
-    fn row(&mut self, c: CompIdx, comp_to_sets: &Csr, sets: &Csr, path_rows: &PathRows) -> &[u32] {
+    fn row(
+        &mut self,
+        c: CompIdx,
+        comp_to_sets: &Csr,
+        view: &ArenaView,
+        path_rows: &PathRows,
+    ) -> &[u32] {
         if self.rows[c as usize] == UNDERIVED {
             let from = self.items.len();
             for &s in comp_to_sets.get(c) {
-                for (p, row) in path_rows.rows(s, sets.get(s)) {
+                for (p, row) in path_rows.rows(s, view.paths_of(s)) {
                     if row.contains(&c) {
                         self.items.push(p);
                     }
                 }
             }
-            self.items[from..].sort_unstable();
-            // Dedup the new tail in place.
-            let mut end = from;
-            for i in from..self.items.len() {
-                if end == from || self.items[i] != self.items[end - 1] {
-                    self.items[end] = self.items[i];
-                    end += 1;
-                }
-            }
-            self.items.truncate(end);
             let start = u32::try_from(from).expect("comp→path memo exceeds u32 offsets");
-            self.rows[c as usize] = (start, (end - from) as u32);
+            self.rows[c as usize] = (start, (self.items.len() - from) as u32);
         }
         let (start, len) = self.rows[c as usize];
         &self.items[start as usize..(start + len) as usize]
-    }
-}
-
-/// Engine construction options.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EngineOptions {
-    /// Collapse observations sharing the same `(path set, sent, bad)`
-    /// evidence key into one weighted super-flow. Exact — the likelihood
-    /// is linear in the aggregation weight (see
-    /// `likelihood::score_is_linear_in_counts`) — and the default; turn
-    /// off only to measure the raw-flow baseline.
-    pub coalesce: bool,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        EngineOptions { coalesce: true }
     }
 }
 
@@ -534,10 +528,10 @@ pub struct EngineStateSizes {
 pub struct Engine {
     space: ComponentSpace,
     params: HyperParams,
-    opts: EngineOptions,
 
     /// The projection of the arena onto the evidence this engine has
-    /// ever accepted; assigns the local path/set ids below.
+    /// ever accepted; assigns the local set ids below, and each set's run
+    /// of local path ids.
     view: ArenaView,
     /// The arena content of the last bind, which path rows are derived
     /// from (`None` until the first bind).
@@ -548,8 +542,8 @@ pub struct Engine {
     own_terms: Option<TermDirectory>,
 
     /// Component localization: dense local ids in first-touch order,
-    /// sharing the [`DenseRemap`] implementation with the view's
-    /// path/set projections. The global→local side is id-width (one
+    /// sharing the [`DenseRemap`] implementation with the view's set
+    /// projection. The global→local side is id-width (one
     /// global-sized table of remap ids, never reset per epoch); every
     /// evidence-width structure is local.
     comps: DenseRemap,
@@ -562,9 +556,9 @@ pub struct Engine {
     /// cleared only when the view grew.
     comp_paths: CompPaths,
 
-    // Sets (local ids). Row `s` of `sets` is the member paths, of
-    // `set_comps` the sorted component union.
-    sets: Csr,
+    // Sets (local ids): row `s` of `set_comps` is the sorted component
+    // union of set `s`, whose member paths are the view's run
+    // `paths_of(s)`.
     set_comps: Csr,
     /// The structure half of the initial Δ, computed once when a set is
     /// first viewed (see [`Engine::compute_initial_delta`]): row `s` is
@@ -652,24 +646,23 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Build an engine for `obs` over `topo`: [`Engine::unbound`] with the
-    /// default options, then [`Engine::rebind`].
+    /// Build an engine for `obs` over `topo`: [`Engine::unbound`], then
+    /// [`Engine::rebind`].
     pub fn new(topo: &Topology, obs: &ObservationSet, params: HyperParams) -> Engine {
-        let mut engine = Self::unbound(topo, params, EngineOptions::default());
+        let mut engine = Self::unbound(topo, params);
         engine.rebind(topo, obs);
         engine
     }
 
     /// An engine over `topo` with no evidence yet: empty local spaces,
     /// free to bind any arena lineage ([`Engine::try_bind`]).
-    pub fn unbound(topo: &Topology, params: HyperParams, opts: EngineOptions) -> Engine {
+    pub fn unbound(topo: &Topology, params: HyperParams) -> Engine {
         params.validate();
         let space = ComponentSpace::new(topo);
         let n_global = space.n_comps();
         Engine {
             space,
             params,
-            opts,
             view: ArenaView::new(),
             arena: None,
             own_terms: None,
@@ -681,7 +674,6 @@ impl Engine {
             path_fail: Vec::new(),
             path_rows: PathRows::default(),
             comp_paths: CompPaths::default(),
-            sets: Csr::default(),
             set_comps: Csr::default(),
             set_ladders: Csr::default(),
             set_gidx: Vec::new(),
@@ -847,7 +839,7 @@ impl Engine {
         }
         // The epoch's inverted indexes, straight off the flow layer.
         self.set_flows.rebuild(
-            self.sets.n_rows(),
+            self.set_comps.n_rows(),
             (0u32..).zip(&self.sflows).map(|(fi, f)| (f.set, fi)),
         );
         self.comp_extra_members.rebuild(
@@ -887,7 +879,7 @@ impl Engine {
             self.comp_to_sets = comp_to_sets;
             let paths = self
                 .comp_paths
-                .row(c, &self.comp_to_sets, &self.sets, &self.path_rows);
+                .row(c, &self.comp_to_sets, &self.view, &self.path_rows);
             for &p in paths {
                 self.path_fail[p as usize] += 1;
             }
@@ -931,7 +923,7 @@ impl Engine {
     /// (see [`PathRows`]).
     fn derive_path_rows(&mut self, sets: &[u32]) {
         let mut path_rows = std::mem::take(&mut self.path_rows);
-        path_rows.derive(sets, &self.sets, &self.row_source());
+        path_rows.derive(sets, &self.row_source());
         self.path_rows = path_rows;
     }
 
@@ -939,22 +931,23 @@ impl Engine {
     /// derived block, or — for a set not derived yet — off rows computed
     /// into `buf` on the fly, leaving the memo as it is.
     fn for_each_path_row(&self, s: u32, buf: &mut Vec<u32>, mut f: impl FnMut(u32, &[u32])) {
+        let paths = self.view.paths_of(s);
         if self.path_rows.is_derived(s) {
-            for (p, row) in self.path_rows.rows(s, self.sets.get(s)) {
+            for (p, row) in self.path_rows.rows(s, paths) {
                 f(p, row);
             }
             return;
         }
         let src = self.row_source();
-        for &p in self.sets.get(s) {
+        for (p, member) in paths.zip(src.members(s)) {
             buf.clear();
-            src.push_row(p, buf);
+            src.push_row(member, buf);
             f(p, buf);
         }
     }
 
-    /// Extend the view-derived structural layer (per-set member paths
-    /// and component unions, the g-ladders, and the localization of every
+    /// Extend the view-derived structural layer (per-set component
+    /// unions, the g-ladders, and the localization of every
     /// component they reach) to cover the view's current projection.
     /// No-op when the view has not grown — the steady-state case that
     /// makes warm rebinding cheap. Writes no per-path row: those are
@@ -964,8 +957,8 @@ impl Engine {
         let n_paths = self.view.n_paths();
         self.path_fail.resize(n_paths, 0);
 
-        // Sets: member paths, component union, and the cached structure
-        // half of the initial Δ — `g(c)`, the number of member paths
+        // Sets: component union, and the cached structure half of the
+        // initial Δ — `g(c)`, the number of member paths
         // containing `c`, counted once here straight off the member
         // paths' links (each link as `[link, src, dst]`, in member order:
         // the first-touch order that assigns new local ids) and kept as a
@@ -978,7 +971,7 @@ impl Engine {
         // sorted: mark the values present in `rung`, read them off in
         // ascending order, and read each component's index back from its
         // mark.
-        let old_sets = self.sets.n_rows();
+        let old_sets = self.set_comps.n_rows();
         let n_sets = self.view.n_sets();
         // Row staging, reused across the loop (and never allocated on the
         // steady-state call where the view has not grown).
@@ -986,16 +979,11 @@ impl Engine {
         let mut ladder = std::mem::take(&mut self.scratch_ladder);
         let mut rung = std::mem::take(&mut self.scratch_rung);
         for ls in old_sets as u32..n_sets as u32 {
-            let view = &self.view;
-            self.sets
-                .push_row(obs.arena.set(view.global_set(ls)).iter().map(|p| {
-                    view.local_path(*p)
-                        .expect("a view projects every member path of its sets")
-                }));
+            let members = obs.arena.set(self.view.global_set(ls));
+            let w = members.len();
             row.clear();
-            for (visit, at) in (1u32..).zip(self.sets.range(ls)) {
-                let p = self.sets.items[at];
-                for &l in obs.arena.path(self.view.global_path(p)) {
+            for (visit, p) in (1u32..).zip(members) {
+                for &l in obs.arena.path(PathId(p)) {
                     let lc = self.link_comps(topo, l);
                     if self.scratch_g.len() < self.comps.len() {
                         self.scratch_g.resize(self.comps.len(), 0);
@@ -1017,7 +1005,6 @@ impl Engine {
                 self.scratch_s[c as usize] = 0;
             }
             row.sort_unstable();
-            let w = self.sets.get(ls).len();
             if rung.len() <= w {
                 rung.resize(w + 1, NO_RUNG);
             }
@@ -1103,13 +1090,13 @@ impl Engine {
                 .view
                 .local_set(o.set)
                 .expect("bind_epoch projected every accepted set");
-            let w = self.sets.get(ls).len() as u32;
+            let w = self.view.paths_of(ls).len() as u32;
             if w == 0 {
                 continue; // unroutable flow carries no information
             }
             self.n_obs += 1;
             let key = o.evidence_key();
-            if !(self.opts.coalesce && last_key == Some(key)) {
+            if last_key != Some(key) {
                 let at = self.members.len() as u32;
                 // The epoch's table keyed this observation already: the
                 // common warm-epoch case is one dense array read, and a
@@ -1195,13 +1182,8 @@ impl Engine {
         &self.params
     }
 
-    /// The options the engine was built with.
-    pub fn options(&self) -> EngineOptions {
-        self.opts
-    }
-
-    /// The engine's projection of the arena: which global paths and sets
-    /// its local ids denote.
+    /// The engine's projection of the arena: which global sets its local
+    /// set ids denote, and each set's run of local path ids.
     pub fn view(&self) -> &ArenaView {
         &self.view
     }
@@ -1225,7 +1207,7 @@ impl Engine {
 
     /// Number of locally-projected sets.
     pub fn n_sets(&self) -> usize {
-        self.sets.n_rows()
+        self.set_comps.n_rows()
     }
 
     /// Global (dense topology-wide) id of a local component.
@@ -1267,15 +1249,14 @@ impl Engine {
         EngineStateSizes {
             comps: self.comps.len(),
             paths: self.path_fail.len(),
-            sets: self.sets.n_rows(),
+            sets: self.set_comps.n_rows(),
             flows: self.sflows.len(),
             members: self.members.len(),
             global_comps: self.space.n_comps(),
         }
     }
 
-    /// Number of engine super-flows (distinct evidence keys this epoch
-    /// when coalescing is on; one per accepted observation when off).
+    /// Number of engine super-flows (distinct evidence keys this epoch).
     pub fn n_flows(&self) -> usize {
         self.sflows.len()
     }
@@ -1448,7 +1429,7 @@ impl Engine {
         if maintain_delta {
             for &s in affected_sets {
                 collect_counters_partitioned(
-                    self.path_rows.rows(s, self.sets.get(s)),
+                    self.path_rows.rows(s, self.view.paths_of(s)),
                     &self.path_fail,
                     self.set_comps.get(s),
                     c,
@@ -1467,7 +1448,7 @@ impl Engine {
         // Update path fail counts (each path exactly once).
         let paths = self
             .comp_paths
-            .row(c, &comp_to_sets, &self.sets, &self.path_rows);
+            .row(c, &comp_to_sets, &self.view, &self.path_rows);
         for &p in paths {
             if adding {
                 self.path_fail[p as usize] += 1;
@@ -1500,7 +1481,7 @@ impl Engine {
                 new_g.clear();
                 new_sp.clear();
                 collect_counters_partitioned(
-                    self.path_rows.rows(s, self.sets.get(s)),
+                    self.path_rows.rows(s, self.view.paths_of(s)),
                     &self.path_fail,
                     self.set_comps.get(s),
                     c,
@@ -1701,7 +1682,7 @@ impl Engine {
                 ctr_g.clear();
                 ctr_sp.clear();
                 collect_counters_partitioned(
-                    self.path_rows.rows(set, self.sets.get(set)),
+                    self.path_rows.rows(set, self.view.paths_of(set)),
                     &self.path_fail,
                     self.set_comps.get(set),
                     c,
@@ -1782,10 +1763,10 @@ impl Engine {
     }
 
     fn recount_set_bad(&self, s: u32) -> u32 {
-        self.sets
-            .get(s)
+        let paths = self.view.paths_of(s);
+        self.path_fail[paths.start as usize..paths.end as usize]
             .iter()
-            .filter(|&&p| self.path_fail[p as usize] > 0)
+            .filter(|&&f| f > 0)
             .count() as u32
     }
 
@@ -1825,7 +1806,7 @@ impl Engine {
         let mut ctr_g = std::mem::take(&mut self.new_g);
         let mut ctr_sp = std::mem::take(&mut self.new_sp);
         let mut ll = 0.0;
-        for s in 0..self.sets.n_rows() as u32 {
+        for s in 0..self.set_comps.n_rows() as u32 {
             // Sets with no flows this epoch contribute nothing; skipping
             // them keeps rebinding cheap as the shard's view accumulates
             // sets across epochs.
@@ -1846,7 +1827,7 @@ impl Engine {
                 // No component is mid-flip: the special partition is the
                 // in-hypothesis components alone.
                 collect_counters_partitioned(
-                    self.path_rows.rows(s, self.sets.get(s)),
+                    self.path_rows.rows(s, self.view.paths_of(s)),
                     &self.path_fail,
                     self.set_comps.get(s),
                     NO_COMP,
@@ -1857,7 +1838,7 @@ impl Engine {
                     &mut ctr_g,
                     &mut ctr_sp,
                 );
-                let w = self.sets.get(s).len();
+                let w = self.view.paths_of(s).len();
                 if rung.len() <= w {
                     rung.resize(w + 1, NO_RUNG);
                 }
@@ -2002,7 +1983,7 @@ impl Engine {
     pub fn ll_of(&self, hypothesis: &[CompIdx]) -> f64 {
         let in_h: std::collections::HashSet<CompIdx> = hypothesis.iter().copied().collect();
         let mut buf = Vec::new();
-        let set_bad_h: Vec<u32> = (0..self.sets.n_rows() as u32)
+        let set_bad_h: Vec<u32> = (0..self.set_comps.n_rows() as u32)
             .map(|s| {
                 let mut bad = 0;
                 self.for_each_path_row(s, &mut buf, |_, row| {
@@ -2120,7 +2101,7 @@ mod tests {
     }
 
     fn unbound(topo: &flock_topology::Topology) -> Engine {
-        Engine::unbound(topo, HyperParams::default(), EngineOptions::default())
+        Engine::unbound(topo, HyperParams::default())
     }
 
     /// A fresh engine bound to the `accepted` observations of `obs` at
@@ -2668,62 +2649,6 @@ mod tests {
         (topo, obs)
     }
 
-    /// Coalescing is exact: the coalesced and raw engines agree on the
-    /// likelihood and the entire Δ array, initially and along a flip walk
-    /// that exercises both fabric comps and extras. Both engines project
-    /// the same view order, so local ids line up one-to-one.
-    #[test]
-    fn coalesced_engine_matches_raw_engine() {
-        let (topo, obs) = coalescable_obs(31);
-        let params = HyperParams::default();
-        let raw_opts = EngineOptions { coalesce: false };
-        let mut co = Engine::new(&topo, &obs, params);
-        let mut raw = Engine::unbound(&topo, params, raw_opts);
-        raw.rebind(&topo, &obs);
-
-        assert!(
-            co.n_flows() < raw.n_flows(),
-            "fixed-size traffic must coalesce: {} vs {}",
-            co.n_flows(),
-            raw.n_flows()
-        );
-        assert_eq!(co.n_observations(), raw.n_observations());
-        assert_eq!(co.n_comps(), raw.n_comps());
-
-        let agree = |co: &Engine, raw: &Engine| {
-            assert!(
-                (co.log_likelihood() - raw.log_likelihood()).abs()
-                    < 1e-8 * (1.0 + raw.log_likelihood().abs()),
-                "ll {} vs {}",
-                co.log_likelihood(),
-                raw.log_likelihood()
-            );
-            for (i, (a, b)) in co.delta().iter().zip(raw.delta()).enumerate() {
-                assert!(
-                    (a - b).abs() < 1e-8 * (1.0 + b.abs()),
-                    "delta[{i}]: coalesced {a} vs raw {b}"
-                );
-            }
-        };
-        agree(&co, &raw);
-
-        let n = co.n_comps() as u32;
-        let mut rng = StdRng::seed_from_u64(7);
-        // Mix fabric flips with host-link (extras) flips and removals.
-        let mut walk: Vec<u32> = (0..10).map(|_| rng.random_range(0..n)).collect();
-        let dup = walk[2];
-        walk.push(dup); // guaranteed removal
-        for c in walk {
-            let d1 = co.flip(c);
-            let d2 = raw.flip(c);
-            assert!(
-                (d1 - d2).abs() < 1e-8 * (1.0 + d2.abs()),
-                "flip({c}) gain {d1} vs {d2}"
-            );
-            agree(&co, &raw);
-        }
-    }
-
     /// Observation order is the assembler's business, not a precondition
     /// of the engine: when a set's observations arrive interleaved with
     /// other sets' (so its super-flows are *not* contiguous in the flow
@@ -2981,13 +2906,24 @@ mod tests {
         }
     }
 
+    /// The arena links of local path `p`: member `i` of the set whose
+    /// local run holds `p` is member `i` of the set's arena run.
+    fn arena_links(engine: &Engine, p: u32) -> &[flock_topology::LinkId] {
+        let view = engine.view();
+        let s = (0..view.n_sets() as u32)
+            .find(|&s| view.paths_of(s).contains(&p))
+            .expect("a viewed path belongs to a viewed set");
+        let arena = engine.arena.as_ref().unwrap();
+        let first = arena.set(view.global_set(s)).start;
+        arena.path(PathId(first + p - view.paths_of(s).start))
+    }
+
     /// The brute-force component row of local path `p`: its links and
     /// their switch ends, read off the topology, each link as `[link,
     /// src, dst]`, deduplicated, in first-touch order.
     fn brute_row(engine: &Engine, topo: &flock_topology::Topology, p: u32) -> Vec<CompIdx> {
-        let arena = engine.arena.as_ref().unwrap();
         let mut row = Vec::new();
-        for &l in arena.path(engine.view().global_path(p)) {
+        for &l in arena_links(engine, p) {
             let lk = topo.link(l);
             let ends = [lk.src, lk.dst].map(|end| engine.space().device_comp(end));
             for g in std::iter::once(Some(engine.space().link_comp(l)))
@@ -3010,7 +2946,7 @@ mod tests {
             .filter(|&s| engine.path_rows.is_derived(s))
             .collect();
         for &s in &derived {
-            for (p, row) in engine.path_rows.rows(s, engine.sets.get(s)) {
+            for (p, row) in engine.path_rows.rows(s, engine.view.paths_of(s)) {
                 assert_eq!(row, &brute_row(engine, topo, p)[..], "set {s}, path {p}");
             }
         }
@@ -3074,9 +3010,9 @@ mod tests {
         let all: Vec<u32> = (0..engine.n_sets() as u32).collect();
         engine.derive_path_rows(&all);
         for c in 0..n {
-            let (to_sets, sets, path_rows) =
-                (&engine.comp_to_sets, &engine.sets, &engine.path_rows);
-            let row = engine.comp_paths.row(c, to_sets, sets, path_rows);
+            let (to_sets, view, path_rows) =
+                (&engine.comp_to_sets, &engine.view, &engine.path_rows);
+            let row = engine.comp_paths.row(c, to_sets, view, path_rows);
             assert_eq!(row, &transpose[c as usize][..], "derived row of comp {c}");
         }
         for (p, row) in rows.iter().enumerate() {
@@ -3207,10 +3143,10 @@ mod tests {
 
     /// The fixture of [`round_trip_path_counts_a_device_once`]: two
     /// round trips from one ToR up to each of two aggs and back, observed
-    /// as a set of the first alone and as the set of both — so the first
-    /// round trip sits in two sets — plus the ToR. The pair's flow enters
-    /// from the ToR's first host, so that host's uplink is an extra of
-    /// the pair's set alone.
+    /// as a set of the first alone and as the set of both — so each set
+    /// owns a copy of the first round trip, and both sets cross the ToR.
+    /// The pair's flow enters from the ToR's first host, so that host's
+    /// uplink is an extra of the pair's set alone.
     fn round_trip_fixture() -> (
         flock_topology::Topology,
         ObservationSet,
@@ -3236,11 +3172,7 @@ mod tests {
 
         let mut arena = flock_telemetry::PathArena::new();
         let single = arena.intern_single(&round_trips[0]);
-        let paths = round_trips[..2]
-            .iter()
-            .map(|p| arena.intern_path(p))
-            .collect();
-        let pair = arena.intern_set(paths);
+        let pair = arena.intern_set(&round_trips[..2]);
         let host_up = topo.host_uplink(topo.hosts()[0]);
         let flows = [(single, None), (pair, Some(host_up))]
             .iter()
@@ -3300,9 +3232,9 @@ mod tests {
     /// trip's too. A derived row holds exactly the path's links and
     /// switches in first-touch order, `[up, ToR, agg, down]`: the device
     /// the round trip comes back to is listed once. The ToR's comp→path
-    /// row lists the round trip in both of its sets once, and every flip
-    /// leaves fail counts, `set_bad` and Δ at their brute-force values,
-    /// with `delta_single` equal to `delta()`.
+    /// row lists each set's copy of the first round trip once, and every
+    /// flip leaves fail counts, `set_bad` and Δ at their brute-force
+    /// values, with `delta_single` equal to `delta()`.
     #[test]
     fn round_trip_rows_and_shared_tor_flip() {
         let (topo, obs, tor) = round_trip_fixture();
@@ -3311,7 +3243,7 @@ mod tests {
         let local = |g: CompIdx| engine.local_comp(g).unwrap();
         let expect: Vec<Vec<CompIdx>> = (0..engine.n_paths() as u32)
             .map(|p| {
-                let &[up, down] = obs.arena.path(engine.view().global_path(p)) else {
+                let &[up, down] = arena_links(&engine, p) else {
                     panic!("a round trip is two links");
                 };
                 let agg = engine.space().device_comp(topo.link(up).dst).unwrap();
@@ -3319,7 +3251,12 @@ mod tests {
                 vec![link(up), tor_c, local(agg), link(down)]
             })
             .collect();
-        assert_eq!(expect.len(), 2);
+        assert_eq!(
+            expect.len(),
+            3,
+            "the single's round trip, then the pair's two"
+        );
+        assert_eq!(expect[0], expect[1], "one round trip, a copy per set");
         for (p, row) in (0u32..).zip(&expect) {
             assert_eq!(&brute_row(&engine, &topo, p), row, "path {p}");
         }
@@ -3362,9 +3299,9 @@ mod tests {
         check(&engine);
         engine.flip(tor_c);
         assert_eq!(derived_sets(&engine, &topo), [0, 1]);
-        let pair: Vec<_> = engine.path_rows.rows(1, engine.sets.get(1)).collect();
-        assert_eq!(pair, [(0, &expect[0][..]), (1, &expect[1][..])]);
-        assert_eq!(engine.path_fail, [1, 1], "each round trip fails once");
+        let pair: Vec<_> = engine.path_rows.rows(1, engine.view.paths_of(1)).collect();
+        assert_eq!(pair, [(1, &expect[1][..]), (2, &expect[2][..])]);
+        assert_eq!(engine.path_fail, [1, 1, 1], "each round trip fails once");
         // Memoized comp→path rows: the host uplink's (empty) and the ToR's.
         assert_eq!(assert_comp_paths_are_the_transpose(&mut engine, &topo), 2);
         check(&engine);

@@ -51,7 +51,7 @@ pub mod params;
 pub mod sherlock;
 pub mod space;
 
-pub use engine::{ConvictingEvidence, Engine, EngineOptions, EngineStateSizes, EngineStats};
+pub use engine::{ConvictingEvidence, Engine, EngineStateSizes, EngineStats};
 pub use gibbs::GibbsSampler;
 pub use greedy::{BudgetedSearch, FlockGreedy};
 pub use kernels::KernelDispatch;

@@ -463,12 +463,10 @@ mod tests {
         let flows = keys
             .iter()
             .map(|&(sent, bad, w)| {
-                let paths = (0..w)
-                    .map(|_| {
-                        next_link += 1;
-                        arena.intern_path(&[flock_topology::LinkId(next_link)])
-                    })
-                    .collect();
+                let paths = (0..w).map(|_| {
+                    next_link += 1;
+                    [flock_topology::LinkId(next_link)]
+                });
                 FlowObs {
                     prefix: [None, None],
                     set: arena.intern_set(paths),

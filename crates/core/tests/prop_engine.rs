@@ -4,12 +4,13 @@
 //! regime (§4.2).
 
 use flock_core::{
-    flow_score, kernels, llf, CompIdx, ComponentSpace, Engine, EngineOptions, EpochFlowTable,
-    FlockGreedy, HyperParams, Localizer, SherlockFerret, TermDirectory, TermTable,
+    flow_score, kernels, llf, CompIdx, ComponentSpace, Engine, EpochFlowTable, FlockGreedy,
+    HyperParams, Localizer, SherlockFerret, TermDirectory, TermTable,
 };
 use flock_telemetry::input::{assemble, AnalysisMode, InputKind};
 use flock_telemetry::{
-    Assembler, FlowKey, FlowObs, FlowStats, MonitoredFlow, ObservationSet, PathArena, TrafficClass,
+    Assembler, FlowKey, FlowObs, FlowStats, MonitoredFlow, ObservationSet, PathArena, PathId,
+    TrafficClass,
 };
 use flock_topology::clos::{leaf_spine, three_tier, ClosParams, LeafSpineParams};
 use flock_topology::{LinkId, NodeId, Router, Topology};
@@ -117,40 +118,35 @@ fn initial_delta_by_path_sweep(
     let view = engine.view();
     let space = engine.space();
     let params = *engine.params();
-    let opts = engine.options();
     let local = |g: CompIdx| engine.local_comp(g).expect("evidence the engine localized");
 
-    // Structure: per-path component lists, per-set member paths.
-    let path_rows: Vec<Vec<CompIdx>> = (0..view.n_paths() as u32)
-        .map(|lp| {
-            let mut comps = Vec::new();
-            for &l in obs.arena.path(view.global_path(lp)) {
-                comps.push(local(space.link_comp(l)));
-                let link = topo.link(l);
-                for end in [link.src, link.dst] {
-                    if let Some(d) = space.device_comp(end) {
-                        comps.push(local(d));
-                    }
-                }
-            }
-            comps.sort_unstable();
-            comps.dedup();
-            comps
-        })
-        .collect();
-    let sets: Vec<Vec<u32>> = (0..view.n_sets() as u32)
+    // Structure: per set, each member path's component list.
+    let sets: Vec<Vec<Vec<CompIdx>>> = (0..view.n_sets() as u32)
         .map(|ls| {
-            let paths = obs.arena.set(view.global_set(ls)).iter();
-            paths.map(|p| view.local_path(*p).unwrap()).collect()
+            let members = obs.arena.set(view.global_set(ls));
+            members
+                .map(|p| {
+                    let mut comps = Vec::new();
+                    for &l in obs.arena.path(PathId(p)) {
+                        comps.push(local(space.link_comp(l)));
+                        let link = topo.link(l);
+                        for end in [link.src, link.dst] {
+                            if let Some(d) = space.device_comp(end) {
+                                comps.push(local(d));
+                            }
+                        }
+                    }
+                    comps.sort_unstable();
+                    comps.dedup();
+                    comps
+                })
+                .collect()
         })
         .collect();
     let set_comps: Vec<Vec<CompIdx>> = sets
         .iter()
         .map(|paths| {
-            let mut comps: Vec<CompIdx> = paths
-                .iter()
-                .flat_map(|&p| path_rows[p as usize].iter().copied())
-                .collect();
+            let mut comps: Vec<CompIdx> = paths.iter().flatten().copied().collect();
             comps.sort_unstable();
             comps.dedup();
             comps
@@ -176,7 +172,7 @@ fn initial_delta_by_path_sweep(
             continue;
         }
         let key = o.evidence_key();
-        if !(opts.coalesce && last_key == Some(key)) {
+        if last_key != Some(key) {
             let score = flow_score(&params, o.sent, o.bad);
             flows.push(SuperFlow {
                 set: ls,
@@ -217,10 +213,8 @@ fn initial_delta_by_path_sweep(
         if mine.is_empty() {
             continue;
         }
-        for &p in paths {
-            for &c in &path_rows[p as usize] {
-                g[c as usize] += 1;
-            }
+        for &c in paths.iter().flatten() {
+            g[c as usize] += 1;
         }
         let comps = &set_comps[s];
         let mut gs: Vec<u32> = comps.iter().map(|&c| g[c as usize]).collect();
@@ -249,11 +243,109 @@ fn accept_list(obs: &ObservationSet, filtered: bool) -> Vec<u32> {
         .collect()
 }
 
-/// An engine with `opts`, bound to all of `obs` through its own keying.
-fn built(topo: &Topology, obs: &ObservationSet, opts: EngineOptions) -> Engine {
-    let mut engine = Engine::unbound(topo, HyperParams::default(), opts);
-    engine.rebind(topo, obs);
-    engine
+/// An engine bound to all of `obs` through its own keying.
+fn built(topo: &Topology, obs: &ObservationSet) -> Engine {
+    Engine::new(topo, obs, HyperParams::default())
+}
+
+/// The raw-flow reference: the log-likelihood summed per observation of
+/// `obs.flows`, with no super-flows and no engine state. Per observation
+/// it keeps the weight, the flow score and, per member path, the global
+/// components of the full path (prefix included): every link and every
+/// switch end of one. A member path fails when one of its components is
+/// in the hypothesis, and an observation over `w` paths of which `b` fail
+/// adds `weight · llf(score, w, b)`. Unroutable observations (`w = 0`)
+/// carry no evidence.
+struct RawFlows {
+    flows: Vec<(f64, f64, Vec<Vec<CompIdx>>)>,
+    n_global: usize,
+}
+
+impl RawFlows {
+    fn new(topo: &Topology, obs: &ObservationSet, params: &HyperParams) -> RawFlows {
+        let space = ComponentSpace::new(topo);
+        let flows = obs
+            .flows
+            .iter()
+            .filter(|o| !obs.arena.set(o.set).is_empty())
+            .map(|o| {
+                let paths = obs
+                    .arena
+                    .set(o.set)
+                    .map(|p| {
+                        let mut comps = Vec::new();
+                        for l in obs.full_path_links(o, PathId(p)) {
+                            comps.push(space.link_comp(l));
+                            let lk = topo.link(l);
+                            comps.extend(
+                                [lk.src, lk.dst]
+                                    .iter()
+                                    .filter_map(|&e| space.device_comp(e)),
+                            );
+                        }
+                        comps
+                    })
+                    .collect();
+                (
+                    f64::from(o.weight),
+                    flow_score(params, o.sent, o.bad),
+                    paths,
+                )
+            })
+            .collect();
+        RawFlows {
+            flows,
+            n_global: space.n_comps(),
+        }
+    }
+
+    /// `LL(H)` for the hypothesis `h` of global component ids.
+    fn ll(&self, h: &[CompIdx]) -> f64 {
+        let mut failed = vec![false; self.n_global];
+        for &c in h {
+            failed[c as usize] = true;
+        }
+        self.flows
+            .iter()
+            .map(|(weight, score, paths)| {
+                let bad = paths
+                    .iter()
+                    .filter(|comps| comps.iter().any(|&c| failed[c as usize]))
+                    .count();
+                weight * llf(*score, paths.len() as u32, bad as u32)
+            })
+            .sum()
+    }
+}
+
+/// The engine's log-likelihood and every Δ entry against the raw-flow
+/// reference at the engine's hypothesis, within `tol` relative error.
+/// Returns the reference log-likelihood.
+fn assert_matches_raw(engine: &Engine, raw: &RawFlows, tol: f64, what: &str) -> f64 {
+    let h: Vec<CompIdx> = engine
+        .hypothesis()
+        .iter()
+        .map(|&c| engine.global_comp(c))
+        .collect();
+    let base = raw.ll(&h);
+    let close = |got: f64, want: f64| (got - want).abs() < tol * (1.0 + want.abs());
+    assert!(
+        close(engine.log_likelihood(), base),
+        "{what}: ll {} vs raw {base}",
+        engine.log_likelihood()
+    );
+    for c in 0..engine.n_comps() as u32 {
+        let g = engine.global_comp(c);
+        let mut h2 = h.clone();
+        match h2.iter().position(|&x| x == g) {
+            Some(at) => drop(h2.remove(at)),
+            None => h2.push(g),
+        }
+        let want = raw.ll(&h2) - base;
+        let got = engine.delta()[c as usize];
+        assert!(close(got, want), "{what}: delta[{c}] {got} vs raw {want}");
+    }
+    base
 }
 
 /// One epoch of random traffic among `hosts`, sizes from a small palette
@@ -394,7 +486,7 @@ fn positively_evidenced(
         if members.is_empty() || flow_score(params, o.sent, o.bad) <= 0.0 {
             continue;
         }
-        let paths = members.iter().flat_map(|&p| obs.arena.path(p));
+        let paths = members.flat_map(|p| obs.arena.path(PathId(p)));
         for &l in paths.chain(o.prefix.iter().flatten()) {
             out.insert(space.link_comp(l));
             let lk = topo.link(l);
@@ -446,7 +538,7 @@ proptest! {
         let mut asm = Assembler::new();
         let mut terms = TermDirectory::new(&params);
         let mut table = EpochFlowTable::new();
-        let mut engine = Engine::unbound(&topo, params, EngineOptions::default());
+        let mut engine = Engine::unbound(&topo, params);
         let mut verdict: Vec<CompIdx> = Vec::new();
         for epoch in 0..3 {
             let lossy: &[LinkId] = if epoch < 2 { &faulty } else { &[] };
@@ -510,12 +602,11 @@ proptest! {
         } else {
             &[InputKind::P]
         };
-        let opts = EngineOptions::default();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut asm = Assembler::new();
         let mut terms = TermDirectory::new(&HyperParams::default());
         let mut table = EpochFlowTable::new();
-        let mut e = Engine::unbound(&topo, HyperParams::default(), opts);
+        let mut e = Engine::unbound(&topo, HyperParams::default());
         let mut sets_seen = Vec::new();
         const EPOCHS: usize = 4;
         for epoch in 0..EPOCHS {
@@ -575,15 +666,14 @@ proptest! {
             &[InputKind::P]
         };
         let params = HyperParams::default();
-        let opts = EngineOptions::default();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut asm = Assembler::new();
         let mut terms = TermDirectory::new(&params);
         let mut table = EpochFlowTable::new();
         // Twin engines: one binds at the seed, the other at the empty
         // hypothesis and flips its way there.
-        let mut e = Engine::unbound(&topo, params, opts);
-        let mut r = Engine::unbound(&topo, params, opts);
+        let mut e = Engine::unbound(&topo, params);
+        let mut r = Engine::unbound(&topo, params);
         let mut sets_seen = Vec::new();
         let mut unseen = 0;
         let mut quiet = 0;
@@ -704,13 +794,12 @@ proptest! {
         let hosts = topo.hosts().to_vec();
         let kinds = [InputKind::A2, InputKind::P];
         let params = HyperParams::default();
-        let opts = EngineOptions::default();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut asm = Assembler::new();
         let mut terms = TermDirectory::new(&params);
         let mut table = EpochFlowTable::new();
-        let mut shared = Engine::unbound(&topo, params, opts);
-        let mut private = Engine::unbound(&topo, params, opts);
+        let mut shared = Engine::unbound(&topo, params);
+        let mut private = Engine::unbound(&topo, params);
         let bits = |e: &Engine| {
             let d: Vec<u64> = e.delta().iter().map(|x| x.to_bits()).collect();
             (e.log_likelihood().to_bits(), d, e.term_table_sizes())
@@ -730,9 +819,9 @@ proptest! {
             if epoch == 2 {
                 // A latecomer over the shared directory vs a fresh
                 // engine: same first-touch order, so same local ids.
-                let mut late = Engine::unbound(&topo, params, opts);
+                let mut late = Engine::unbound(&topo, params);
                 late.try_bind(&topo, &obs, &all, &table, &[]).unwrap();
-                let fresh = built(&topo, &obs, opts);
+                let fresh = built(&topo, &obs);
                 prop_assert!(
                     late.term_table_sizes().0 > table.minted(),
                     "the palette repeats: most keys were minted in epochs 0 and 1"
@@ -780,11 +869,12 @@ proptest! {
         }
     }
 
-    /// Coalescing invariance: for random observation sets, the coalesced
-    /// and raw engines produce the same log-likelihood, the same Δ array
-    /// (fp tolerance), and the same greedy verdict — the collapse of
-    /// equal `(set, sent, bad)` evidence keys into weighted super-flows
-    /// is exact, not an approximation.
+    /// Coalescing invariance: for random observation sets, the engine's
+    /// log-likelihood and Δ array equal the raw-flow reference's — one
+    /// likelihood term per observation, no super-flows — at the bind and
+    /// along an arbitrary flip walk, and every flip gains what the
+    /// reference says. The collapse of equal `(set, sent, bad)` evidence
+    /// keys into weighted super-flows is exact, not an approximation.
     #[test]
     fn coalescing_is_invariant(
         seed in 0u64..1000,
@@ -798,53 +888,20 @@ proptest! {
             &[InputKind::P]
         };
         let (topo, obs) = random_obs_sized(seed, 60, kinds, quantized);
-        let mut co = built(&topo, &obs, EngineOptions { coalesce: true });
-        let mut raw = built(&topo, &obs, EngineOptions { coalesce: false });
-        prop_assert!(co.n_flows() <= raw.n_flows());
-        prop_assert_eq!(co.n_observations(), raw.n_observations());
+        let mut co = built(&topo, &obs);
+        let raw = RawFlows::new(&topo, &obs, co.params());
+        prop_assert!(co.n_flows() <= co.n_observations());
+        prop_assert_eq!(co.n_observations(), raw.flows.len());
+        let mut ll = assert_matches_raw(&co, &raw, 1e-7, "bind");
 
-        // Same likelihood and Δ array along an arbitrary flip walk.
         let n = co.n_comps() as u32;
         for &f in &flips {
             let c = f as u32 % n;
-            let d1 = co.flip(c);
-            let d2 = raw.flip(c);
-            prop_assert!((d1 - d2).abs() < 1e-7 * (1.0 + d2.abs()),
-                "flip({}) gain {} vs {}", c, d1, d2);
-        }
-        prop_assert!(
-            (co.log_likelihood() - raw.log_likelihood()).abs()
-                < 1e-7 * (1.0 + raw.log_likelihood().abs()),
-            "ll {} vs {}", co.log_likelihood(), raw.log_likelihood());
-        for (i, (a, b)) in co.delta().iter().zip(raw.delta()).enumerate() {
-            prop_assert!((a - b).abs() < 1e-7 * (1.0 + b.abs()),
-                "delta[{}]: coalesced {} vs raw {}", i, a, b);
-        }
-
-        // Same greedy verdict on fresh engines. Exception: when distinct
-        // components tie exactly in gain (the 2-pod Clos's serial-link
-        // equivalence classes), float summation order can break the tie
-        // either way — both verdicts are then correct greedy outcomes,
-        // recognized by equal posteriors.
-        let mut co2 = built(&topo, &obs, EngineOptions { coalesce: true });
-        let mut raw2 = built(&topo, &obs, EngineOptions { coalesce: false });
-        let greedy = FlockGreedy::default();
-        let (pc, _) = greedy.search(&mut co2);
-        let (pr, _) = greedy.search(&mut raw2);
-        let mut vc: Vec<u32> = pc.iter().map(|(c, _)| *c).collect();
-        let mut vr: Vec<u32> = pr.iter().map(|(c, _)| *c).collect();
-        vc.sort_unstable();
-        vr.sort_unstable();
-        if vc != vr {
-            let posterior = |h: &[u32]| {
-                raw2.ll_of(h) + h.iter().map(|&c| raw2.prior_logodds(c)).sum::<f64>()
-            };
-            let (post_c, post_r) = (posterior(&vc), posterior(&vr));
-            prop_assert!(
-                (post_c - post_r).abs() < 1e-7 * (1.0 + post_r.abs()),
-                "greedy verdicts diverge beyond a tie: {:?} (post {}) vs {:?} (post {})",
-                vc, post_c, vr, post_r
-            );
+            let gain = co.flip(c);
+            let after = assert_matches_raw(&co, &raw, 1e-7, &format!("after flip({c})"));
+            prop_assert!((gain - (after - ll)).abs() < 1e-7 * (1.0 + (after - ll).abs()),
+                "flip({}) gain {} vs raw {}", c, gain, after - ll);
+            ll = after;
         }
     }
 
@@ -878,11 +935,11 @@ proptest! {
         // Two observations of `(sent, bad)`: over a set of `w` paths and
         // over one of `w + 1`.
         let mut arena = PathArena::new();
-        let paths: Vec<_> = (0..=w).map(|l| arena.intern_path(&[LinkId(l)])).collect();
+        let paths: Vec<[LinkId; 1]> = (0..=w).map(|l| [LinkId(l)]).collect();
         let flows = [&paths[..w as usize], &paths[..]]
             .map(|members| FlowObs {
                 prefix: [None, None],
-                set: arena.intern_set(members.to_vec()),
+                set: arena.intern_set(members),
                 sent,
                 bad,
                 weight: 1,
@@ -963,4 +1020,168 @@ proptest! {
         g.sort();
         prop_assert_eq!(e, g);
     }
+}
+
+/// Coalescing is exact on traffic built to coalesce hard — fixed-size
+/// flows, a handful of drop counts, many host pairs per ToR pair: the
+/// engine's likelihood and entire Δ array equal the raw-flow reference,
+/// at the bind and along a flip walk that exercises fabric components,
+/// extras and a removal.
+#[test]
+fn coalesced_engine_matches_raw_engine() {
+    let topo = three_pod_clos();
+    let router = Router::new(&topo);
+    let hosts = topo.hosts().to_vec();
+    let mut rng = StdRng::seed_from_u64(31);
+    let flows: Vec<MonitoredFlow> = (0..200)
+        .map(|i| {
+            let (s, d, tp) = random_route(&topo, &router, &hosts, &mut rng);
+            let bad = [0u64, 0, 0, 1, 3][rng.random_range(0..5usize)];
+            passive_flow(s, d, i, 100, bad, tp)
+        })
+        .collect();
+    let kinds = [InputKind::A2, InputKind::P];
+    let obs = assemble(&topo, &router, &flows, &kinds, AnalysisMode::PerPacket);
+    let mut engine = built(&topo, &obs);
+    let raw = RawFlows::new(&topo, &obs, engine.params());
+    assert!(
+        engine.n_flows() < engine.n_observations(),
+        "fixed-size traffic must coalesce: {} super-flows of {} observations",
+        engine.n_flows(),
+        engine.n_observations()
+    );
+    assert_eq!(engine.n_observations(), raw.flows.len());
+    let mut ll = assert_matches_raw(&engine, &raw, 1e-8, "bind");
+
+    let n = engine.n_comps() as u32;
+    // Mix fabric flips with host-link (extras) flips and removals.
+    let mut walk: Vec<u32> = (0..10).map(|_| rng.random_range(0..n)).collect();
+    walk.push(walk[2]); // guaranteed removal
+    for c in walk {
+        let gain = engine.flip(c);
+        let after = assert_matches_raw(&engine, &raw, 1e-8, &format!("after flip({c})"));
+        assert!(
+            (gain - (after - ll)).abs() < 1e-8 * (1.0 + (after - ll).abs()),
+            "flip({c}) gain {gain} vs raw {}",
+            after - ll
+        );
+        ll = after;
+    }
+}
+
+/// The first leaf-degraded three-pod Clos (half its fabric cables
+/// omitted, seeds in order) with an unroutable leaf pair, and that pair.
+fn fabric_with_unroutable_pair() -> (Topology, (NodeId, NodeId)) {
+    use flock_topology::irregular::omit_links;
+    let base = three_pod_clos();
+    for seed in 0..64 {
+        let topo = omit_links(&base, 0.5, &mut StdRng::seed_from_u64(seed)).0;
+        let pair = {
+            let router = Router::new(&topo);
+            let leaves: Vec<NodeId> = topo.hosts().iter().map(|&h| topo.host_leaf(h)).collect();
+            leaves
+                .iter()
+                .flat_map(|&a| leaves.iter().map(move |&b| (a, b)))
+                .find(|&(a, b)| a != b && router.paths(a, b).is_empty())
+        };
+        if let Some(pair) = pair {
+            return (topo, pair);
+        }
+    }
+    panic!("no seed leaves an unroutable leaf pair");
+}
+
+/// An unroutable ToR pair's passive flows assemble to zero-width sets,
+/// one per ordered pair (the assembler's per-pair cache hands each its
+/// own empty set), and carry no evidence: the engine counts none of them,
+/// and its likelihood, Δ and greedy verdict are bit-for-bit those of the
+/// same traffic without them.
+#[test]
+fn unroutable_pair_flows_carry_no_evidence() {
+    let (topo, (a, b)) = fabric_with_unroutable_pair();
+    let router = Router::new(&topo);
+    let hosts = topo.hosts().to_vec();
+    let mut rng = StdRng::seed_from_u64(5);
+    let fabric = topo.fabric_links();
+    let lossy = fabric[rng.random_range(0..fabric.len())];
+    let mut flows = Vec::new();
+    while flows.len() < 150 {
+        let (s, d) = (
+            hosts[rng.random_range(0..hosts.len())],
+            hosts[rng.random_range(0..hosts.len())],
+        );
+        let paths = router.paths(topo.host_leaf(s), topo.host_leaf(d));
+        if s == d || paths.is_empty() {
+            continue;
+        }
+        let mut tp = vec![topo.host_uplink(s)];
+        tp.extend_from_slice(&paths[rng.random_range(0..paths.len())]);
+        tp.push(topo.host_downlink(d));
+        let bad = if tp.contains(&lossy) {
+            6
+        } else {
+            u64::from(rng.random::<f64>() < 0.1)
+        };
+        flows.push(passive_flow(s, d, flows.len(), 100, bad, tp));
+    }
+    let routed = flows.len();
+    // Both directions of the unroutable pair, some with drops; a record of
+    // an unroutable pair carries no path.
+    let on = |leaf: NodeId| {
+        hosts
+            .iter()
+            .copied()
+            .find(|&h| topo.host_leaf(h) == leaf)
+            .unwrap()
+    };
+    let (ha, hb) = (on(a), on(b));
+    for (i, (s, d, bad)) in [(ha, hb, 0), (hb, ha, 9), (ha, hb, 3)]
+        .into_iter()
+        .enumerate()
+    {
+        flows.push(passive_flow(s, d, routed + i, 100, bad, Vec::new()));
+    }
+    let kinds = [InputKind::A2, InputKind::P];
+    let all = assemble(&topo, &router, &flows, &kinds, AnalysisMode::PerPacket);
+    let without = assemble(
+        &topo,
+        &router,
+        &flows[..routed],
+        &kinds,
+        AnalysisMode::PerPacket,
+    );
+    let mut empty: Vec<u32> = all
+        .flows
+        .iter()
+        .filter(|o| all.arena.set(o.set).is_empty())
+        .map(|o| o.set.0)
+        .collect();
+    assert_eq!(
+        empty.len(),
+        3,
+        "every unroutable flow is a zero-width observation"
+    );
+    assert_eq!(all.flows.len(), without.flows.len() + 3);
+    empty.dedup();
+    assert_eq!(empty.len(), 2, "one empty set per ordered pair");
+
+    let (e_all, e_without) = (built(&topo, &all), built(&topo, &without));
+    assert_eq!(e_all.n_observations(), without.flows.len());
+    assert_eq!(e_all.n_flows(), e_without.n_flows());
+    assert_eq!(e_all.n_comps(), e_without.n_comps());
+    assert_eq!(
+        e_all.log_likelihood().to_bits(),
+        e_without.log_likelihood().to_bits()
+    );
+    for g in 0..e_all.n_global_comps() as u32 {
+        let bits = |e: &Engine| e.local_comp(g).map(|c| e.delta()[c as usize].to_bits());
+        assert_eq!(bits(&e_all), bits(&e_without), "global comp {g}");
+    }
+    let greedy = FlockGreedy::default();
+    let verdict = greedy.localize(&topo, &all).predicted;
+    assert!(
+        !verdict.is_empty(),
+        "the lossy link leaves something to blame"
+    );
+    assert_eq!(verdict, greedy.localize(&topo, &without).predicted);
 }

@@ -31,7 +31,7 @@ use crate::pipeline::{
     Provenance, ShardChaos, ShardFailure, ShardOutcome, StreamConfig, PROVENANCE_SETS_CAP,
 };
 use crate::shard::Shard;
-use flock_core::{CompIdx, Engine, EngineOptions, EpochFlowTable, FlockGreedy};
+use flock_core::{CompIdx, Engine, EpochFlowTable, FlockGreedy};
 use flock_telemetry::ObservationSet;
 use flock_topology::Topology;
 use std::collections::VecDeque;
@@ -342,7 +342,7 @@ fn run_shard(tctx: &TaskCtx, idx: usize, state: &mut ShardState, ectx: &EpochCtx
     let rebind_started = Instant::now();
     let engine = state
         .engine
-        .get_or_insert_with(|| Engine::unbound(topo, cfg.params, EngineOptions::default()));
+        .get_or_insert_with(|| Engine::unbound(topo, cfg.params));
     if let Err(e) = engine.try_bind(topo, obs, &ectx.accept[idx], &ectx.flow_table, &state.prev) {
         panic!("shard `{}` cannot bind the epoch: {e}", shard.label);
     }

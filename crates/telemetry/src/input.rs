@@ -8,10 +8,11 @@
 //!
 //! Paths are split into a per-flow *prefix* (the host attachment links,
 //! shared by every member of the flow's path set) and an interned *fabric
-//! path set* (switch-to-switch). The split keeps memory linear in the
-//! number of distinct ToR pairs rather than host pairs, which is what
-//! makes the 9.5M-flow headline experiment feasible; the inference engine
-//! exploits the same split to share path state across flows.
+//! path set* (switch-to-switch) that owns its member paths. The split
+//! keeps memory linear in the number of distinct ToR pairs rather than
+//! host pairs, which is what makes the 9.5M-flow headline experiment
+//! feasible; the inference engine exploits the same split to share path
+//! state across flows.
 //!
 //! Observations that are fully identical — same prefix, same path set,
 //! same `(sent, bad)` — are merged with a `weight` multiplier. The
@@ -24,13 +25,14 @@ use flock_topology::{FxHashMap, LinkId, NodeRole, Router, Topology};
 use serde::Serialize;
 use std::sync::Arc;
 
-/// Content hash used by the arena's hashed-over-storage dedup indexes.
-/// A weak hash only costs an extra content compare on collision — the
-/// indexes map hashes to candidate-id lists, never trust the hash alone.
-fn content_hash<T: std::hash::Hash>(xs: &[T]) -> u64 {
+/// Content hash of a traced path's links, for the arena's singleton
+/// index. A weak hash only costs an extra content compare on collision:
+/// the index maps hashes to candidate-id lists and never trusts the hash
+/// alone.
+fn content_hash(links: &[LinkId]) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = flock_topology::fasthash::FxHasher::default();
-    xs.hash(&mut h);
+    links.hash(&mut h);
     h.finish()
 }
 
@@ -42,9 +44,9 @@ pub struct PathId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct PathSetId(pub u32);
 
-/// Rows per storage chunk of a [`Rows`] table. Interning into an arena
-/// whose tail chunk a live [`ArenaSnapshot`] still shares copies at most
-/// this many rows once; full chunks are never copied.
+/// Rows per storage chunk of a [`Rows`] or [`Column`] table. Interning
+/// into an arena whose tail chunk a live [`ArenaSnapshot`] still shares
+/// copies at most this many rows once; full chunks are never copied.
 const CHUNK_ROWS: usize = 4096;
 
 /// One chunk of a [`Rows`] table in CSR form: row `r` is
@@ -97,8 +99,30 @@ impl<T: Clone> Rows<T> {
     }
 }
 
+/// An append-only column of `u32`s, shared in chunks like [`Rows`].
+#[derive(Debug, Clone, Default)]
+struct Column {
+    chunks: Vec<Arc<Vec<u32>>>,
+    len: usize,
+}
+
+impl Column {
+    fn push(&mut self, value: u32) {
+        if self.len % CHUNK_ROWS == 0 {
+            self.chunks.push(Arc::new(Vec::with_capacity(CHUNK_ROWS)));
+        }
+        Arc::make_mut(self.chunks.last_mut().expect("tail chunk pushed above")).push(value);
+        self.len += 1;
+    }
+
+    #[inline]
+    fn get(&self, row: usize) -> u32 {
+        self.chunks[row / CHUNK_ROWS][row % CHUNK_ROWS]
+    }
+}
+
 /// The read side of a [`PathArena`]: interned content by id, without the
-/// dedup indexes only the writer needs. Cheap to clone (storage is
+/// singleton index only the writer needs. Cheap to clone (storage is
 /// shared in chunks) and frozen: whatever the arena it was taken from
 /// interns later, a snapshot keeps reading exactly the rows it was taken
 /// with. This is what an [`ObservationSet`] carries, so an in-flight
@@ -106,7 +130,9 @@ impl<T: Clone> Rows<T> {
 #[derive(Debug, Clone)]
 pub struct ArenaSnapshot {
     paths: Rows<LinkId>,
-    sets: Rows<PathId>,
+    /// Per set, the id of its first path: set `s` owns the paths up to
+    /// the next set's first, or up to the last path for the newest set.
+    set_starts: Column,
     /// Process-unique token of the arena this content belongs to. Ids are
     /// append-only per lineage, so two snapshots of one lineage agree on
     /// every id both contain. Lets holders of interned ids (views,
@@ -126,10 +152,18 @@ impl ArenaSnapshot {
         self.paths.get(id.0 as usize)
     }
 
-    /// The member paths of an interned set.
+    /// The member paths of an interned set: the ids ([`PathId`]`.0`) of
+    /// the contiguous run of paths appended with it, which no other set
+    /// shares. Empty for an unroutable pair's set.
     #[inline]
-    pub fn set(&self, id: PathSetId) -> &[PathId] {
-        self.sets.get(id.0 as usize)
+    pub fn set(&self, id: PathSetId) -> std::ops::Range<u32> {
+        let s = id.0 as usize;
+        let end = if s + 1 < self.set_starts.len {
+            self.set_starts.get(s + 1)
+        } else {
+            self.paths.len as u32
+        };
+        self.set_starts.get(s)..end
     }
 
     /// Number of interned paths.
@@ -139,7 +173,7 @@ impl ArenaSnapshot {
 
     /// Number of interned sets.
     pub fn set_count(&self) -> usize {
-        self.sets.len
+        self.set_starts.len
     }
 }
 
@@ -147,20 +181,21 @@ impl ArenaSnapshot {
 /// lineage. Reads go through [`ArenaSnapshot`] (which the arena derefs
 /// to); [`PathArena::snapshot`] hands the current content to readers.
 ///
-/// The dedup indexes hash *over the stored content* — they map a content
-/// hash to the candidate ids whose stored path/set must be compared — so
-/// interning keeps exactly one copy of every link/path sequence. The
-/// naive `HashMap<Vec<_>, id>` alternative clones each sequence into its
-/// key: at millions of interned sets that doubles the arena's memory.
+/// A set owns its member paths: they are appended with it, as one
+/// contiguous run of path ids, and belong to no other set. An ECMP set is
+/// appended whole, once per ToR pair (the [`Assembler`]'s per-pair cache
+/// is its dedup). A traced path is a singleton set, deduplicated by
+/// content across epochs through the one index the arena keeps. That
+/// index hashes *over the stored content* — it maps a content hash to the
+/// candidate sets whose stored path must be compared — so interning keeps
+/// exactly one copy of every traced link sequence; a
+/// `HashMap<Vec<_>, id>` would clone each sequence into its key.
 #[derive(Debug)]
 pub struct PathArena {
     content: ArenaSnapshot,
-    path_lookup: FxHashMap<u64, Vec<PathId>>,
-    set_lookup: FxHashMap<u64, Vec<PathSetId>>,
-    /// Path id → the singleton set `{path}`, once
-    /// [`intern_single`](Self::intern_single) has found it — a memo in
-    /// front of `set_lookup`, not part of the arena's content.
-    singles: FxHashMap<PathId, PathSetId>,
+    /// Content hash of a singleton set's path → the singleton sets with
+    /// that hash.
+    singletons: FxHashMap<u64, Vec<PathSetId>>,
 }
 
 impl Default for PathArena {
@@ -170,12 +205,10 @@ impl Default for PathArena {
         PathArena {
             content: ArenaSnapshot {
                 paths: Rows::default(),
-                sets: Rows::default(),
+                set_starts: Column::default(),
                 lineage: NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed),
             },
-            path_lookup: FxHashMap::default(),
-            set_lookup: FxHashMap::default(),
-            singles: FxHashMap::default(),
+            singletons: FxHashMap::default(),
         }
     }
 }
@@ -206,64 +239,41 @@ impl PathArena {
         self.content.clone()
     }
 
-    /// Intern a fabric path (a link sequence; may be empty for same-ToR
-    /// traffic).
-    pub fn intern_path(&mut self, links: &[LinkId]) -> PathId {
-        let h = content_hash(links);
-        if let Some(cands) = self.path_lookup.get(&h) {
-            for &id in cands {
-                if self.content.path(id) == links {
-                    return id;
-                }
-            }
+    /// Append a new set owning a fresh copy of each of `paths` (link
+    /// sequences; a path may be empty for same-ToR traffic), in order.
+    /// Nothing is looked up: two calls with equal paths make two sets.
+    pub fn intern_set<P: AsRef<[LinkId]>>(
+        &mut self,
+        paths: impl IntoIterator<Item = P>,
+    ) -> PathSetId {
+        let id = PathSetId(self.content.set_starts.len as u32);
+        // Every path count fits: it is asserted after each append.
+        self.content.set_starts.push(self.content.paths.len as u32);
+        for links in paths {
+            self.content.paths.push(links.as_ref());
         }
-        let id = self.intern_path_nodedup(links);
-        self.path_lookup.entry(h).or_default().push(id);
+        assert!(
+            u32::try_from(self.content.paths.len).is_ok(),
+            "arena exceeds u32 paths"
+        );
         id
     }
 
-    /// Intern a path *without* dedup lookup. ECMP fabric paths are unique
-    /// to their ToR pair (every member contains both endpoint ToRs), so
-    /// the assembler skips the lookup map for them — at the headline scale
-    /// (tens of millions of paths) the map's key copies would dominate
-    /// memory.
-    pub fn intern_path_nodedup(&mut self, links: &[LinkId]) -> PathId {
-        let id = PathId(self.content.paths.len as u32);
-        self.content.paths.push(links);
-        id
-    }
-
-    /// Intern a set of already-interned paths. Order-insensitive: the set
-    /// is canonicalized by sorting. The canonical sequence is stored once —
-    /// the dedup index holds only a content hash, not a key copy.
-    pub fn intern_set(&mut self, mut paths: Vec<PathId>) -> PathSetId {
-        paths.sort_unstable_by_key(|p| p.0);
-        paths.dedup();
-        let h = content_hash(&paths);
-        if let Some(cands) = self.set_lookup.get(&h) {
-            for &id in cands {
-                if self.content.set(id) == paths {
-                    return id;
-                }
-            }
-        }
-        let id = PathSetId(self.content.sets.len as u32);
-        self.content.sets.push(&paths);
-        self.set_lookup.entry(h).or_default().push(id);
-        id
-    }
-
-    /// Intern a singleton set for a known path. A path seen before
-    /// answers from a per-path memo: no `Vec`, sort or set hash for the
-    /// traced flow whose path an earlier epoch already interned.
+    /// The singleton set of a known path: appended on the path's first
+    /// sight, found by content after that.
     pub fn intern_single(&mut self, links: &[LinkId]) -> PathSetId {
-        let p = self.intern_path(links);
-        if let Some(&set) = self.singles.get(&p) {
-            return set;
+        let h = content_hash(links);
+        let content = &self.content;
+        if let Some(&id) = self.singletons.get(&h).and_then(|cands| {
+            cands
+                .iter()
+                .find(|&&id| content.path(PathId(content.set(id).start)) == links)
+        }) {
+            return id;
         }
-        let set = self.intern_set(vec![p]);
-        self.singles.insert(p, set);
-        set
+        let id = self.intern_set([links]);
+        self.singletons.entry(h).or_default().push(id);
+        id
     }
 }
 
@@ -353,7 +363,7 @@ impl ObservationSet {
     }
 
     /// Iterate the full link sequence (prefix + fabric) of one member path
-    /// of an observation.
+    /// of an observation (a path of the run `arena.set(obs.set)`).
     pub fn full_path_links<'a>(
         &'a self,
         obs: &'a FlowObs,
@@ -411,7 +421,10 @@ pub fn assemble(
 /// epoch. That stability is what lets a warm inference engine keep its
 /// per-path/per-set structures across epochs instead of rebuilding them
 /// (see `flock_core::Engine::rebind`). The ECMP set cache persists for the
-/// same reason — per ToR pair, the set is interned exactly once, ever.
+/// same reason — per ToR pair, the [`Router`]'s path set is appended to the
+/// arena exactly once, ever, as one set owning its member paths. An
+/// unroutable pair gets its own empty set. Each distinct traced path is
+/// one singleton set, so no path belongs to two sets.
 ///
 /// The assembler never gives its arena away: each returned set carries an
 /// [`ArenaSnapshot`], so any number of earlier sets may still be in use
@@ -434,11 +447,6 @@ impl Assembler {
     /// An assembler with an empty arena.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of paths interned so far (across all epochs).
-    pub fn path_count(&self) -> usize {
-        self.arena.path_count()
     }
 
     /// Hand back a set inference is done with: its observation vector
@@ -495,10 +503,7 @@ impl Assembler {
                         let src_leaf = topo.host_leaf(mf.key.src);
                         let dst_leaf = topo.host_leaf(mf.key.dst);
                         let set = *ecmp_cache.entry((src_leaf, dst_leaf)).or_insert_with(|| {
-                            let paths = router.paths(src_leaf, dst_leaf);
-                            let ids: Vec<PathId> =
-                                paths.iter().map(|p| arena.intern_path_nodedup(p)).collect();
-                            arena.intern_set(ids)
+                            arena.intern_set(router.paths(src_leaf, dst_leaf).iter())
                         });
                         FlowObs {
                             prefix: [
@@ -744,16 +749,21 @@ mod tests {
     #[test]
     fn arena_interns_and_dedups() {
         let mut a = PathArena::new();
-        let p1 = a.intern_path(&[LinkId(1), LinkId(2)]);
-        let p2 = a.intern_path(&[LinkId(1), LinkId(2)]);
-        let p3 = a.intern_path(&[LinkId(3)]);
-        assert_eq!(p1, p2);
-        assert_ne!(p1, p3);
-        let s1 = a.intern_set(vec![p1, p3]);
-        let s2 = a.intern_set(vec![p3, p1, p1]);
-        assert_eq!(s1, s2, "sets canonicalize order and duplicates");
-        assert_eq!(a.path_count(), 2);
-        assert_eq!(a.set_count(), 1);
+        let (p12, p3) = ([LinkId(1), LinkId(2)], [LinkId(3)]);
+        let s1 = a.intern_set([&p12[..], &p3]);
+        let s2 = a.intern_set(vec![p12.to_vec(), p3.to_vec()]);
+        assert_ne!(s1, s2, "a set owns its paths: equal content, two sets");
+        assert_eq!((a.set(s1), a.set(s2)), (0..2, 2..4));
+        for p in a.set(s1).chain(a.set(s2)) {
+            assert_eq!(a.path(PathId(p)), if p % 2 == 0 { &p12[..] } else { &p3 });
+        }
+        // A known path dedups by content; an ECMP copy of it is no match.
+        let single = a.intern_single(&p3);
+        assert_eq!(a.set(single), 4..5);
+        assert_eq!(a.intern_single(&p3), single);
+        let empty = a.intern_set::<[LinkId; 0]>([]);
+        assert!(a.set(empty).is_empty());
+        assert_eq!((a.path_count(), a.set_count()), (5, 4));
     }
 
     #[test]
@@ -765,13 +775,175 @@ mod tests {
         assert_eq!(first, again);
         assert_ne!(first, other);
         assert_eq!((a.path_count(), a.set_count()), (2, 2));
-        let path = a.intern_path(&[LinkId(1), LinkId(2)]);
-        assert_eq!(a.set(first), &[path]);
-        // The memo and `intern_set` agree, whichever is asked first.
-        let p = a.intern_path(&[LinkId(3)]);
-        let via_set = a.intern_set(vec![p]);
-        assert_eq!(a.intern_single(&[LinkId(3)]), via_set);
-        assert_eq!(a.intern_single(&[LinkId(3)]), via_set);
+        assert_eq!(a.path(PathId(a.set(first).start)), &[LinkId(1), LinkId(2)]);
+        // A same-ToR traced flow has an empty fabric path, deduplicated too.
+        let local = a.intern_single(&[]);
+        assert_eq!(a.intern_single(&[]), local);
+        assert_eq!(a.set(local).len(), 1);
+        assert_eq!((a.path_count(), a.set_count()), (3, 3));
+    }
+
+    #[test]
+    fn traced_paths_dedup_across_epochs() {
+        let topo = three_tier(ClosParams::tiny());
+        let router = Router::new(&topo);
+        let hosts = topo.hosts();
+        let mut asm = Assembler::new();
+        let kinds = [InputKind::A2, InputKind::P];
+        let flagged = |n| mk_passive(&topo, &router, hosts[0], hosts[11], n, 1);
+        let obs1 = asm.assemble(
+            &topo,
+            &router,
+            &[flagged(50)],
+            &kinds,
+            AnalysisMode::PerPacket,
+        );
+        let set = obs1.flows[0].set;
+        assert!(obs1.flows[0].path_known(&obs1.arena));
+        // Epoch 2 meets the same traced path, plus a passive flow of the
+        // same ToR pair whose ECMP set holds a copy of it.
+        let mut clean = flagged(70);
+        clean.stats.retransmissions = 0;
+        let obs2 = asm.assemble(
+            &topo,
+            &router,
+            &[flagged(70), clean],
+            &kinds,
+            AnalysisMode::PerPacket,
+        );
+        let sets: Vec<PathSetId> = obs2.flows.iter().map(|o| o.set).collect();
+        assert!(sets.contains(&set), "the traced path keeps its set id");
+        assert_eq!(obs2.arena.set(set), obs1.arena.set(set));
+        let ecmp = sets.into_iter().find(|&s| s != set).unwrap();
+        let traced = obs2.arena.path(PathId(obs2.arena.set(set).start));
+        assert!(obs2
+            .arena
+            .set(ecmp)
+            .any(|p| obs2.arena.path(PathId(p)) == traced));
+        assert_eq!(
+            obs2.arena.path_count(),
+            1 + 4,
+            "one traced path, one ECMP set"
+        );
+    }
+
+    #[test]
+    fn arena_interning_survives_hash_bucketing_at_scale() {
+        // Many distinct single-link paths: every id must resolve to its
+        // own content, and re-interning must dedup (the hashed-over-storage
+        // index has no key copies to fall back on).
+        let mut a = PathArena::new();
+        let ids: Vec<PathSetId> = (0..500).map(|i| a.intern_single(&[LinkId(i)])).collect();
+        for (i, &id) in (0u32..).zip(&ids) {
+            assert_eq!(a.set(id), i..i + 1);
+            assert_eq!(a.path(PathId(i)), &[LinkId(i)]);
+            assert_eq!(a.intern_single(&[LinkId(i)]), id);
+        }
+        assert_eq!(a.path_count(), 500);
+        let pairs: Vec<PathSetId> = (0..250)
+            .map(|i| a.intern_set([&[LinkId(2 * i)][..], &[LinkId(2 * i + 1)]]))
+            .collect();
+        for (i, &sid) in (0u32..).zip(&pairs) {
+            assert_eq!(a.set(sid), 500 + 2 * i..502 + 2 * i);
+            assert_eq!(a.path(PathId(501 + 2 * i)), &[LinkId(2 * i + 1)]);
+        }
+        assert_eq!((a.path_count(), a.set_count()), (1000, 750));
+        assert_eq!(
+            a.intern_single(&[LinkId(7)]),
+            ids[7],
+            "ECMP copies are not indexed"
+        );
+    }
+
+    #[test]
+    fn a_snapshot_is_unaffected_by_later_interning() {
+        // Set `j` owns `j % 3` paths (every third is an unroutable pair's
+        // empty set, every width-1 set a traced singleton), and path `i`
+        // is `[i, i + 1]`; so both tables cross chunk boundaries, at
+        // different set counts.
+        let links = |i: u32| [LinkId(i), LinkId(i + 1)];
+        let first_path = |j: u32| (0..j).map(|k| k % 3).sum::<u32>();
+        let grow = |a: &mut PathArena, upto: usize| {
+            for j in a.set_count() as u32..upto as u32 {
+                let at = a.path_count() as u32;
+                let id = match j % 3 {
+                    1 => a.intern_single(&links(at)),
+                    w => a.intern_set((at..at + w).map(links)),
+                };
+                assert_eq!(id, PathSetId(j));
+            }
+        };
+        let check = |s: &ArenaSnapshot, sets: usize| {
+            assert_eq!(s.set_count(), sets);
+            assert_eq!(s.path_count(), first_path(sets as u32) as usize);
+            for j in 0..sets as u32 {
+                let run = s.set(PathSetId(j));
+                assert_eq!(
+                    run,
+                    first_path(j)..first_path(j) + j % 3,
+                    "set {j} of {sets}"
+                );
+                for i in run {
+                    assert_eq!(s.path(PathId(i)), &links(i), "path {i}");
+                }
+            }
+        };
+        // Only the tail chunk of a table can differ between a snapshot
+        // and the arena it was taken from: full chunks are never copied.
+        let shares_full_chunks = |s: &ArenaSnapshot, a: &PathArena| {
+            let full = |n: usize| n.saturating_sub(1);
+            let paths = full(s.paths.chunks.len());
+            let starts = full(s.set_starts.chunks.len());
+            s.paths.chunks[..paths]
+                .iter()
+                .zip(&a.paths.chunks)
+                .all(|(x, y)| Arc::ptr_eq(x, y))
+                && s.set_starts.chunks[..starts]
+                    .iter()
+                    .zip(&a.set_starts.chunks)
+                    .all(|(x, y)| Arc::ptr_eq(x, y))
+        };
+
+        let mut a = PathArena::new();
+        let mut snaps = Vec::new();
+        // One set short of a chunk boundary (the snapshot shares a tail
+        // chunk the arena then fills and leaves), exactly on one, mid-
+        // chunk, and after two more boundaries.
+        for fill in [
+            CHUNK_ROWS - 1,
+            CHUNK_ROWS,
+            CHUNK_ROWS + 17,
+            3 * CHUNK_ROWS + 5,
+        ] {
+            grow(&mut a, fill);
+            snaps.push((a.snapshot(), fill));
+            // Every earlier snapshot still reads exactly what it was
+            // taken with, whatever the arena interned since.
+            for (s, sets) in &snaps {
+                check(s, *sets);
+                assert_eq!(s.lineage(), a.lineage());
+                assert!(shares_full_chunks(s, &a));
+            }
+            check(&a, fill);
+        }
+        // The first snapshot's tail chunk was copied once, when the arena
+        // filled it; the arena's copy is full.
+        let (first, _) = &snaps[0];
+        assert!(!Arc::ptr_eq(
+            &first.set_starts.chunks[0],
+            &a.set_starts.chunks[0]
+        ));
+        assert_eq!(a.set_starts.chunks[0].len(), CHUNK_ROWS);
+        // A set appended later lands in the arena only.
+        let wide = a.intern_set([links(0), links(1)]);
+        let (last, sets) = snaps.last().unwrap();
+        assert_eq!(last.set_count() + 1, a.set_count());
+        assert_eq!(a.set(wide).len(), 2);
+        check(last, *sets);
+        // Dedup still sees every singleton, including those in chunks
+        // that were copied away from a snapshot.
+        assert_eq!(a.intern_single(&links(0)), PathSetId(1));
+        assert_eq!(a.set_count(), 3 * CHUNK_ROWS + 6);
     }
 
     #[test]
@@ -902,87 +1074,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_interning_survives_hash_bucketing_at_scale() {
-        // Many distinct single-link paths and sets: every id must resolve
-        // to its own content, and re-interning must dedup (the
-        // hashed-over-storage index has no key copies to fall back on).
-        let mut a = PathArena::new();
-        let ids: Vec<PathId> = (0..500).map(|i| a.intern_path(&[LinkId(i)])).collect();
-        for (i, id) in ids.iter().enumerate() {
-            assert_eq!(a.path(*id), &[LinkId(i as u32)]);
-            assert_eq!(a.intern_path(&[LinkId(i as u32)]), *id);
-        }
-        assert_eq!(a.path_count(), 500);
-        let sets: Vec<PathSetId> = ids.chunks(2).map(|c| a.intern_set(c.to_vec())).collect();
-        for (i, sid) in sets.iter().enumerate() {
-            assert_eq!(a.set(*sid), &ids[i * 2..i * 2 + 2]);
-            assert_eq!(a.intern_set(vec![ids[i * 2 + 1], ids[i * 2]]), *sid);
-        }
-        assert_eq!(a.set_count(), 250);
-    }
-
-    #[test]
-    fn a_snapshot_is_unaffected_by_later_interning() {
-        // Row `i` of the path table is `[i, i + 1]`; every third path is
-        // also a singleton set, so both tables cross chunk boundaries.
-        let links = |i: usize| [LinkId(i as u32), LinkId(i as u32 + 1)];
-        let grow = |a: &mut PathArena, upto: usize| {
-            for i in a.path_count()..upto {
-                let p = a.intern_path(&links(i));
-                assert_eq!(p, PathId(i as u32));
-                if i % 3 == 0 {
-                    assert_eq!(a.intern_set(vec![p]), PathSetId((i / 3) as u32));
-                }
-            }
-        };
-        let check = |s: &ArenaSnapshot, paths: usize| {
-            assert_eq!(s.path_count(), paths);
-            assert_eq!(s.set_count(), paths.div_ceil(3));
-            for i in 0..paths {
-                assert_eq!(s.path(PathId(i as u32)), &links(i), "path {i} of {paths}");
-            }
-            for j in 0..s.set_count() {
-                assert_eq!(s.set(PathSetId(j as u32)), &[PathId(3 * j as u32)]);
-            }
-        };
-
-        let mut a = PathArena::new();
-        let mut snaps = Vec::new();
-        // One row short of a chunk boundary (the snapshot shares a tail
-        // chunk the arena then fills and leaves), exactly on one, mid-
-        // chunk, and after two more boundaries.
-        for fill in [
-            CHUNK_ROWS - 1,
-            CHUNK_ROWS,
-            CHUNK_ROWS + 17,
-            3 * CHUNK_ROWS + 5,
-        ] {
-            grow(&mut a, fill);
-            snaps.push((a.snapshot(), fill));
-            // Every earlier snapshot still reads exactly what it was
-            // taken with, whatever the arena interned since.
-            for (s, paths) in &snaps {
-                check(s, *paths);
-                assert_eq!(s.lineage(), a.lineage());
-            }
-            check(&a, fill);
-        }
-        // A set over old and new paths lands in the arena only.
-        let wide = a.intern_set(vec![PathId(0), PathId(3 * CHUNK_ROWS as u32)]);
-        assert_eq!(a.set(wide), &[PathId(0), PathId(3 * CHUNK_ROWS as u32)]);
-        let (last, paths) = snaps.last().unwrap();
-        assert_eq!(last.set_count() + 1, a.set_count());
-        check(last, *paths);
-        // Dedup still sees every row, including those in chunks that were
-        // copied away from a snapshot.
-        assert_eq!(
-            a.intern_path(&links(CHUNK_ROWS - 2)),
-            PathId(CHUNK_ROWS as u32 - 2)
-        );
-        assert_eq!(a.path_count(), 3 * CHUNK_ROWS + 5);
-    }
-
-    #[test]
     fn per_flow_mode_thresholds_rtt() {
         let topo = three_tier(ClosParams::tiny());
         let router = Router::new(&topo);
@@ -1053,8 +1144,7 @@ mod tests {
         let paths1: Vec<Vec<LinkId>> = obs1
             .arena
             .set(set1)
-            .iter()
-            .map(|p| obs1.arena.path(*p).to_vec())
+            .map(|p| obs1.arena.path(PathId(p)).to_vec())
             .collect();
         let count1 = obs1.arena.path_count();
         asm.recycle(obs1);
@@ -1075,8 +1165,7 @@ mod tests {
         let paths2: Vec<Vec<LinkId>> = obs2
             .arena
             .set(set1)
-            .iter()
-            .map(|p| obs2.arena.path(*p).to_vec())
+            .map(|p| obs2.arena.path(PathId(p)).to_vec())
             .collect();
         assert_eq!(paths1, paths2, "interned path contents must be stable");
         assert!(
@@ -1335,7 +1424,7 @@ mod tests {
             AnalysisMode::PerPacket,
         );
         let o = &obs.flows[0];
-        let pid = obs.arena.set(o.set)[0];
+        let pid = PathId(obs.arena.set(o.set).start);
         let links: Vec<LinkId> = obs.full_path_links(o, pid).collect();
         assert_eq!(links, true_path);
     }

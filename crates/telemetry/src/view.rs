@@ -8,10 +8,13 @@
 //! every epoch — full-array resets on rebind, all-sets sweeps, strided
 //! access over globally-indexed arrays — even when its own evidence is a
 //! small slice. An [`ArenaView`] removes that coupling: it projects the
-//! global arena onto the paths and sets one engine's accepted
-//! observations actually touch, with **dense local ids** and
-//! local↔global remap tables, so everything the engine allocates and
-//! iterates can be sized by its own evidence instead of the fleet's.
+//! global arena onto the sets one engine's accepted observations actually
+//! touch, with **dense local ids** and a local↔global set remap, so
+//! everything the engine allocates and iterates can be sized by its own
+//! evidence instead of the fleet's. A set owns its member paths (one
+//! contiguous run of arena path ids), so the view remaps sets only: a
+//! projected set's local paths are the contiguous run of local path ids
+//! it was assigned when first projected.
 //!
 //! # Ownership and lineage rules
 //!
@@ -38,14 +41,18 @@
 //! # Local-vs-global id conventions
 //!
 //! Local ids are plain `u32`s dense in `0..n`, assigned in first-touch
-//! order. Global ids keep their [`PathId`]/[`PathSetId`] newtypes. APIs
-//! on this type take and return global newtypes at the boundary
-//! (`local_set(PathSetId)`, `global_path(local) -> PathId`) so the two
-//! spaces cannot be confused silently; the engine follows the same
+//! order: a set's local id when it is first projected, and its member
+//! paths the next run of local path ids, in member order
+//! ([`ArenaView::paths_of`]). Global set ids keep their [`PathSetId`]
+//! newtype; APIs on this type take and return it at the boundary
+//! (`local_set(PathSetId)`, `global_set(local) -> PathSetId`) so the two
+//! spaces cannot be confused silently. Member `i` of local set `s` is
+//! local path `paths_of(s).start + i` and arena path
+//! `arena.set(global_set(s)).start + i`. The engine follows the same
 //! convention (dense local component ids internally, global
 //! [`Component`](flock_topology::Component)s at report time).
 
-use crate::input::{ArenaSnapshot, ObservationSet, PathId, PathSetId};
+use crate::input::{ArenaSnapshot, ObservationSet, PathSetId};
 
 /// Why a view refused to bind an observation set. Both cases mean the
 /// caller handed state from a different stream (or an older snapshot
@@ -62,16 +69,13 @@ pub enum ViewError {
         /// Lineage of the offered arena.
         got: u64,
     },
-    /// The snapshot has fewer paths or sets than one the view has
-    /// already bound — arenas are append-only, so it is an *earlier*
-    /// state of the bound lineage, not a later one.
+    /// The snapshot has fewer sets than one the view has already bound
+    /// — arenas are append-only (a set and its paths are appended
+    /// together), so it is an *earlier* state of the bound lineage, not
+    /// a later one.
     ArenaShrunk {
-        /// Paths/sets the view has seen.
-        seen_paths: usize,
         /// Sets the view has seen.
         seen_sets: usize,
-        /// Paths in the offered arena.
-        got_paths: usize,
         /// Sets in the offered arena.
         got_sets: usize,
     },
@@ -85,14 +89,11 @@ impl std::fmt::Display for ViewError {
                 "arena lineage {got} does not extend the view's bound lineage {expected}"
             ),
             ViewError::ArenaShrunk {
-                seen_paths,
                 seen_sets,
-                got_paths,
                 got_sets,
             } => write!(
                 f,
-                "arena shrank below the view's coverage \
-                 (paths {got_paths} < {seen_paths} or sets {got_sets} < {seen_sets})"
+                "arena shrank below the view's coverage (sets {got_sets} < {seen_sets})"
             ),
         }
     }
@@ -106,7 +107,7 @@ const NONE: u32 = u32::MAX;
 /// `local(g)` answers from a global-width sentinel table, `assign(g)`
 /// hands out the next dense id on first touch, `global(l)` inverts.
 /// One implementation serves every localization in the suite — the
-/// view's path and set projections here, and the engine's component
+/// view's set projection here, and the engine's component
 /// localization in `flock-core` — so invariants (sentinel handling,
 /// id-width growth, a future compaction pass) live in one place.
 #[derive(Debug, Clone, Default)]
@@ -187,12 +188,12 @@ impl DenseRemap {
 pub struct ArenaView {
     /// Lineage of the bound arena (`None` until the first bind).
     lineage: Option<u64>,
-    /// Global↔local path projection.
-    paths: DenseRemap,
     /// Global↔local set projection.
     sets: DenseRemap,
-    /// Arena growth watermarks at the last successful bind.
-    seen_paths: usize,
+    /// Local set `s`'s local paths are `path_starts[s]..path_starts[s + 1]`
+    /// (one entry more than there are local sets, once bound).
+    path_starts: Vec<u32>,
+    /// Arena sets at the last successful bind.
     seen_sets: usize,
 }
 
@@ -210,7 +211,7 @@ impl ArenaView {
 
     /// Number of locally-projected paths.
     pub fn n_paths(&self) -> usize {
-        self.paths.len()
+        self.path_starts.last().map_or(0, |&n| n as usize)
     }
 
     /// Number of locally-projected sets.
@@ -224,26 +225,21 @@ impl ArenaView {
         self.sets.local(g.0)
     }
 
-    /// Local id of a global path, if projected.
-    #[inline]
-    pub fn local_path(&self, g: PathId) -> Option<u32> {
-        self.paths.local(g.0)
-    }
-
     /// Global set behind a local id.
     #[inline]
     pub fn global_set(&self, local: u32) -> PathSetId {
         PathSetId(self.sets.global(local))
     }
 
-    /// Global path behind a local id.
+    /// The local paths of local set `s`: the run assigned when the set was
+    /// first projected, one per member path, in member order.
     #[inline]
-    pub fn global_path(&self, local: u32) -> PathId {
-        PathId(self.paths.global(local))
+    pub fn paths_of(&self, s: u32) -> std::ops::Range<u32> {
+        self.path_starts[s as usize]..self.path_starts[s as usize + 1]
     }
 
     /// Validate `obs`'s arena against the bound lineage, then extend the
-    /// projection with any set (and its member paths) an accepted
+    /// projection with any set (and a run of its member paths) an accepted
     /// observation touches for the first time. `accepted` holds the
     /// indices (into `obs.flows`) of the observations the engine takes
     /// this epoch — executors derive them for every shard in one pass
@@ -258,38 +254,37 @@ impl ArenaView {
                 got: arena.lineage(),
             });
         }
-        if arena.path_count() < self.seen_paths || arena.set_count() < self.seen_sets {
+        if arena.set_count() < self.seen_sets {
             return Err(ViewError::ArenaShrunk {
-                seen_paths: self.seen_paths,
                 seen_sets: self.seen_sets,
-                got_paths: arena.path_count(),
                 got_sets: arena.set_count(),
             });
         }
         self.lineage = Some(arena.lineage());
-        // Remap tables cover the whole arena (they are id-width, not
+        // The remap table covers the whole arena (it is id-width, not
         // content-width — the dense structures an engine sizes by view
         // counts are what sparsity is about).
-        self.paths.ensure_ids(arena.path_count());
         self.sets.ensure_ids(arena.set_count());
+        if self.path_starts.is_empty() {
+            self.path_starts.push(0);
+        }
         for &i in accepted {
             self.project_set(arena, obs.flows[i as usize].set);
         }
-        self.seen_paths = arena.path_count();
         self.seen_sets = arena.set_count();
         Ok(())
     }
 
-    /// Assign a local id to `g` (and to each of its member paths) if it
-    /// has none yet.
+    /// Assign a local id to `g`, and the next run of local path ids to its
+    /// member paths, if it has none yet.
     fn project_set(&mut self, arena: &ArenaSnapshot, g: PathSetId) {
         if self.sets.local(g.0).is_some() {
             return;
         }
         self.sets.assign(g.0);
-        for &p in arena.set(g) {
-            self.paths.assign(p.0);
-        }
+        let end = self.n_paths() + arena.set(g).len();
+        self.path_starts
+            .push(u32::try_from(end).expect("a view exceeds u32 paths"));
     }
 }
 
@@ -338,13 +333,18 @@ mod tests {
         assert_eq!(view.local_set(s0), Some(1));
         assert_eq!(view.global_set(0), s1);
 
-        // Epoch 2: the arena grows; previously assigned locals persist.
-        let s2 = arena.intern_single(&links(&[4]));
+        assert_eq!((view.paths_of(0), view.paths_of(1)), (0..1, 1..2));
+
+        // Epoch 2: the arena grows; previously assigned locals persist,
+        // and a new set's paths take the next run of local path ids.
+        let s2 = arena.intern_set([links(&[4]), links(&[5]), links(&[6])]);
         let obs2 = obs_with(&arena, &[s2, s0]);
         view.bind_epoch(&obs2, &[0, 1]).unwrap();
         assert_eq!(view.local_set(s1), Some(0), "locals are stable");
         assert_eq!(view.local_set(s0), Some(1));
         assert_eq!(view.local_set(s2), Some(2));
+        assert_eq!((view.paths_of(0), view.paths_of(2)), (0..1, 2..5));
+        assert_eq!(view.n_paths(), 5);
     }
 
     #[test]
