@@ -30,7 +30,7 @@
 //! and ignores path-uncertain observations.
 
 use flock_core::{LocalizationResult, Localizer};
-use flock_telemetry::{ObservationSet, PathId};
+use flock_telemetry::ObservationSet;
 use flock_topology::{Component, LinkId, NodeId, Topology};
 use serde::Serialize;
 use std::collections::HashMap;
@@ -83,8 +83,7 @@ impl NetBouncer {
             if !o.path_known(&obs.arena) {
                 continue;
             }
-            let pid = PathId(obs.arena.set(o.set).start);
-            let links: Vec<LinkId> = obs.full_path_links(o, pid).collect();
+            let links: Vec<LinkId> = obs.full_path_links(o, 0).collect();
             if links.is_empty() {
                 continue;
             }
@@ -165,8 +164,7 @@ impl Localizer for NetBouncer {
             if !o.path_known(&obs.arena) {
                 continue;
             }
-            let pid = PathId(obs.arena.set(o.set).start);
-            for l in obs.full_path_links(o, pid) {
+            for l in obs.full_path_links(o, 0) {
                 let link = topo.link(l);
                 for end in [link.src, link.dst] {
                     if topo.node(end).role.is_switch() {

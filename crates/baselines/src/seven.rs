@@ -14,7 +14,7 @@
 //! evaluation credits it through the link-based accounting of App. A.1.
 
 use flock_core::{LocalizationResult, Localizer};
-use flock_telemetry::{ObservationSet, PathId};
+use flock_telemetry::ObservationSet;
 use flock_topology::{Component, LinkId, Topology};
 use serde::Serialize;
 use std::time::Instant;
@@ -61,8 +61,7 @@ impl Localizer for ZeroZeroSeven {
             if o.bad == 0 || !o.path_known(&obs.arena) {
                 continue;
             }
-            let pid = PathId(obs.arena.set(o.set).start);
-            let links: Vec<LinkId> = obs.full_path_links(o, pid).collect();
+            let links: Vec<LinkId> = obs.full_path_links(o, 0).collect();
             if !links.is_empty() {
                 bad_flows.push((links, f64::from(o.weight)));
             }

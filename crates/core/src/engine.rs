@@ -44,10 +44,12 @@
 //!   components (`set_comps`), the cached structure half of the initial Δ
 //!   (`set_ladders`/`set_gidx`, see below), and the number of member paths
 //!   with a non-zero fail count (`set_bad`), shared by every flow using
-//!   the set. A set owns its member paths: they are the contiguous run of
-//!   local path ids the view assigned it ([`ArenaView::paths_of`]), which
-//!   parallels the set's run of arena path ids, so no table stores
-//!   member ids;
+//!   the set. A set's member paths are the contiguous run of local path
+//!   ids the view assigned it ([`ArenaView::paths_of`]), in member order,
+//!   so no table stores member ids: local path `paths_of(s).start + i`
+//!   has the links of member `i` of the arena set
+//!   ([`ArenaSnapshot::members`], for an ECMP set the `Router`'s own
+//!   `PathSet`);
 //! * per viewed fabric path: the current *fail count* — how many
 //!   hypothesis components lie on it (`path_fail`; a set's fail counts
 //!   are one contiguous slice).
@@ -163,9 +165,9 @@ use crate::likelihood::{llf, EpochFlowTable, TermDirectory, TermTable};
 use crate::params::HyperParams;
 use crate::space::{CompIdx, ComponentSpace};
 use flock_telemetry::{
-    ArenaSnapshot, ArenaView, DenseRemap, FlowObs, ObservationSet, PathId, PathSetId, ViewError,
+    ArenaSnapshot, ArenaView, DenseRemap, FlowObs, ObservationSet, PathSetId, ViewError,
 };
-use flock_topology::{Component, Topology};
+use flock_topology::{Component, LinkId, PathSet, Topology};
 
 /// One set counter entry: `(comp, g, s)` — member paths with fail count 0
 /// (`g`) / exactly 1 (`s`) containing `comp`.
@@ -317,10 +319,10 @@ impl LinkComps {
     };
 }
 
-/// What a path's component row is derived from: the arena's links of the
-/// path and the per-link memo of their local ids. Every link of a viewed
-/// path was localized by the set pass that first counted the path
-/// ([`Engine::extend_structures`]), so a derivation reads and never
+/// What a path's component row is derived from: the member's links in
+/// the arena set and the per-link memo of their local ids. Every link of
+/// a viewed path was localized by the set pass that first counted the
+/// path ([`Engine::extend_structures`]), so a derivation reads and never
 /// assigns ids.
 struct RowSource<'a> {
     view: &'a ArenaView,
@@ -329,20 +331,21 @@ struct RowSource<'a> {
 }
 
 impl RowSource<'_> {
-    /// The arena paths of local set `s`, in member order: the run that
-    /// parallels its local paths ([`ArenaView::paths_of`]).
-    fn members(&self, s: u32) -> std::ops::Range<u32> {
-        self.arena.set(self.view.global_set(s))
+    /// The member paths of local set `s`, in the order of its local paths
+    /// ([`ArenaView::paths_of`]).
+    fn members(&self, s: u32) -> &PathSet {
+        self.arena.members(self.view.global_set(s))
     }
 
-    /// Append arena path `p`'s row to `out`: its links and their switch
-    /// ends, each link as `[link, src, dst]`, deduplicated (round-trip
-    /// probe paths visit a device twice but it is one component) in
-    /// first-touch order. Rows are a few links long, so a `contains`
-    /// over the part this call appended keeps them duplicate-free.
-    fn push_row(&self, p: u32, out: &mut Vec<u32>) {
+    /// Append the row of a member path with links `links` to `out`: its
+    /// links and their switch ends, each link as `[link, src, dst]`,
+    /// deduplicated (round-trip probe paths visit a device twice but it
+    /// is one component) in first-touch order. Rows are a few links long,
+    /// so a `contains` over the part this call appended keeps them
+    /// duplicate-free.
+    fn push_row(&self, links: &[LinkId], out: &mut Vec<u32>) {
         let from = out.len();
-        for &l in self.arena.path(PathId(p)) {
+        for &l in links {
             let lc = self.link_comps[l.0 as usize];
             debug_assert_ne!(lc.comp, NO_COMP, "the set pass localized every viewed link");
             for c in [lc.comp, lc.devices[0], lc.devices[1]] {
@@ -389,10 +392,10 @@ impl PathRows {
             }
             self.starts[s as usize] =
                 u32::try_from(self.items.len()).expect("path row memo exceeds u32 offsets");
-            for p in src.members(s) {
+            for links in src.members(s).iter() {
                 let at = self.items.len();
                 self.items.push(0);
-                src.push_row(p, &mut self.items);
+                src.push_row(links, &mut self.items);
                 self.items[at] = (self.items.len() - at - 1) as u32;
             }
         }
@@ -939,9 +942,9 @@ impl Engine {
             return;
         }
         let src = self.row_source();
-        for (p, member) in paths.zip(src.members(s)) {
+        for (p, links) in paths.zip(src.members(s).iter()) {
             buf.clear();
-            src.push_row(member, buf);
+            src.push_row(links, buf);
             f(p, buf);
         }
     }
@@ -979,11 +982,11 @@ impl Engine {
         let mut ladder = std::mem::take(&mut self.scratch_ladder);
         let mut rung = std::mem::take(&mut self.scratch_rung);
         for ls in old_sets as u32..n_sets as u32 {
-            let members = obs.arena.set(self.view.global_set(ls));
+            let members = obs.arena.members(self.view.global_set(ls));
             let w = members.len();
             row.clear();
-            for (visit, p) in (1u32..).zip(members) {
-                for &l in obs.arena.path(PathId(p)) {
+            for (visit, links) in (1u32..).zip(members.iter()) {
+                for &l in links {
                     let lc = self.link_comps(topo, l);
                     if self.scratch_g.len() < self.comps.len() {
                         self.scratch_g.resize(self.comps.len(), 0);
@@ -1043,7 +1046,7 @@ impl Engine {
     /// Local ids of link `l` and its switch ends: one table read once the
     /// link has been seen.
     #[inline]
-    fn link_comps(&mut self, topo: &Topology, l: flock_topology::LinkId) -> LinkComps {
+    fn link_comps(&mut self, topo: &Topology, l: LinkId) -> LinkComps {
         let known = self.link_comps[l.0 as usize];
         if known.comp == NO_COMP {
             self.localize_link(topo, l)
@@ -1055,7 +1058,7 @@ impl Engine {
     /// First sight of a link: localize it and its switch ends (hosts are
     /// not components), in that order, and memoize the result.
     #[cold]
-    fn localize_link(&mut self, topo: &Topology, l: flock_topology::LinkId) -> LinkComps {
+    fn localize_link(&mut self, topo: &Topology, l: LinkId) -> LinkComps {
         let comp = self.localize(self.space.link_comp(l));
         let lk = topo.link(l);
         let devices = [lk.src, lk.dst].map(|end| match self.space.device_comp(end) {
@@ -2907,15 +2910,14 @@ mod tests {
     }
 
     /// The arena links of local path `p`: member `i` of the set whose
-    /// local run holds `p` is member `i` of the set's arena run.
-    fn arena_links(engine: &Engine, p: u32) -> &[flock_topology::LinkId] {
+    /// local run holds `p` is member `i` of the set's arena set.
+    fn arena_links(engine: &Engine, p: u32) -> &[LinkId] {
         let view = engine.view();
         let s = (0..view.n_sets() as u32)
             .find(|&s| view.paths_of(s).contains(&p))
             .expect("a viewed path belongs to a viewed set");
         let arena = engine.arena.as_ref().unwrap();
-        let first = arena.set(view.global_set(s)).start;
-        arena.path(PathId(first + p - view.paths_of(s).start))
+        &arena.members(view.global_set(s))[(p - view.paths_of(s).start) as usize]
     }
 
     /// The brute-force component row of local path `p`: its links and
@@ -3154,7 +3156,7 @@ mod tests {
     ) {
         let topo = three_tier(ClosParams::tiny());
         let tor = topo.host_leaf(topo.hosts()[0]);
-        let round_trips: Vec<Vec<flock_topology::LinkId>> = topo
+        let round_trips: Vec<Vec<LinkId>> = topo
             .out_links(tor)
             .iter()
             .filter(|&&up| topo.node(topo.link(up).dst).role.is_switch())
@@ -3172,7 +3174,7 @@ mod tests {
 
         let mut arena = flock_telemetry::PathArena::new();
         let single = arena.intern_single(&round_trips[0]);
-        let pair = arena.intern_set(&round_trips[..2]);
+        let pair = arena.intern_set(PathSet::from_paths(&round_trips[..2]));
         let host_up = topo.host_uplink(topo.hosts()[0]);
         let flows = [(single, None), (pair, Some(host_up))]
             .iter()

@@ -469,7 +469,7 @@ mod tests {
                 });
                 FlowObs {
                     prefix: [None, None],
-                    set: arena.intern_set(paths),
+                    set: arena.intern_set(flock_topology::PathSet::from_paths(paths)),
                     sent,
                     bad,
                     weight: 1,

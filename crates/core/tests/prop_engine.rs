@@ -9,11 +9,10 @@ use flock_core::{
 };
 use flock_telemetry::input::{assemble, AnalysisMode, InputKind};
 use flock_telemetry::{
-    Assembler, FlowKey, FlowObs, FlowStats, MonitoredFlow, ObservationSet, PathArena, PathId,
-    TrafficClass,
+    Assembler, FlowKey, FlowObs, FlowStats, MonitoredFlow, ObservationSet, PathArena, TrafficClass,
 };
 use flock_topology::clos::{leaf_spine, three_tier, ClosParams, LeafSpineParams};
-use flock_topology::{LinkId, NodeId, Router, Topology};
+use flock_topology::{LinkId, NodeId, PathSet, Router, Topology};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -123,11 +122,12 @@ fn initial_delta_by_path_sweep(
     // Structure: per set, each member path's component list.
     let sets: Vec<Vec<Vec<CompIdx>>> = (0..view.n_sets() as u32)
         .map(|ls| {
-            let members = obs.arena.set(view.global_set(ls));
+            let members = obs.arena.members(view.global_set(ls));
             members
-                .map(|p| {
+                .iter()
+                .map(|links| {
                     let mut comps = Vec::new();
-                    for &l in obs.arena.path(PathId(p)) {
+                    for &l in links {
                         comps.push(local(space.link_comp(l)));
                         let link = topo.link(l);
                         for end in [link.src, link.dst] {
@@ -269,12 +269,10 @@ impl RawFlows {
             .iter()
             .filter(|o| !obs.arena.set(o.set).is_empty())
             .map(|o| {
-                let paths = obs
-                    .arena
-                    .set(o.set)
-                    .map(|p| {
+                let paths = (0..obs.arena.members(o.set).len())
+                    .map(|member| {
                         let mut comps = Vec::new();
-                        for l in obs.full_path_links(o, PathId(p)) {
+                        for l in obs.full_path_links(o, member) {
                             comps.push(space.link_comp(l));
                             let lk = topo.link(l);
                             comps.extend(
@@ -482,11 +480,11 @@ fn positively_evidenced(
     let mut out = std::collections::HashSet::new();
     for &i in accepted {
         let o = &obs.flows[i as usize];
-        let members = obs.arena.set(o.set);
+        let members = obs.arena.members(o.set);
         if members.is_empty() || flow_score(params, o.sent, o.bad) <= 0.0 {
             continue;
         }
-        let paths = members.flat_map(|p| obs.arena.path(PathId(p)));
+        let paths = members.iter().flatten();
         for &l in paths.chain(o.prefix.iter().flatten()) {
             out.insert(space.link_comp(l));
             let lk = topo.link(l);
@@ -939,7 +937,7 @@ proptest! {
         let flows = [&paths[..w as usize], &paths[..]]
             .map(|members| FlowObs {
                 prefix: [None, None],
-                set: arena.intern_set(members),
+                set: arena.intern_set(PathSet::from_paths(members)),
                 sent,
                 bad,
                 weight: 1,

@@ -121,10 +121,9 @@ impl SetTouchIndex {
         }
         for sid in self.sets.len()..obs.arena.set_count() {
             let mut touch = SetTouch::default();
-            for p in obs.arena.set(flock_telemetry::PathSetId(sid as u32)) {
-                for &l in obs.arena.path(flock_telemetry::PathId(p)) {
-                    touch = touch.union(self.links[l.0 as usize]);
-                }
+            let set = obs.arena.members(flock_telemetry::PathSetId(sid as u32));
+            for &l in set.iter().flatten() {
+                touch = touch.union(self.links[l.0 as usize]);
             }
             self.sets.push(touch);
         }

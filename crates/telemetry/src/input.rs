@@ -8,11 +8,13 @@
 //!
 //! Paths are split into a per-flow *prefix* (the host attachment links,
 //! shared by every member of the flow's path set) and an interned *fabric
-//! path set* (switch-to-switch) that owns its member paths. The split
-//! keeps memory linear in the number of distinct ToR pairs rather than
-//! host pairs, which is what makes the 9.5M-flow headline experiment
-//! feasible; the inference engine exploits the same split to share path
-//! state across flows.
+//! path set* (switch-to-switch). The split keeps memory linear in the
+//! number of distinct ToR pairs rather than host pairs, which is what
+//! makes the 9.5M-flow headline experiment feasible; the inference engine
+//! exploits the same split to share path state across flows. An ECMP set
+//! is interned as the [`Router`]'s own [`PathSetHandle`], not copied, so
+//! each member path is stored once; every set's members share one hop
+//! count.
 //!
 //! Observations that are fully identical — same prefix, same path set,
 //! same `(sent, bad)` — are merged with a `weight` multiplier. The
@@ -21,7 +23,7 @@
 //! zero packets).
 
 use crate::flow::{MonitoredFlow, TrafficClass};
-use flock_topology::{FxHashMap, LinkId, NodeRole, Router, Topology};
+use flock_topology::{FxHashMap, LinkId, NodeRole, PathSet, PathSetHandle, Router, Topology};
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -36,78 +38,36 @@ fn content_hash(links: &[LinkId]) -> u64 {
     h.finish()
 }
 
-/// Index of an interned fabric path in a [`PathArena`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
-pub struct PathId(pub u32);
-
 /// Index of an interned fabric path *set* in a [`PathArena`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct PathSetId(pub u32);
 
-/// Rows per storage chunk of a [`Rows`] or [`Column`] table. Interning
-/// into an arena whose tail chunk a live [`ArenaSnapshot`] still shares
-/// copies at most this many rows once; full chunks are never copied.
+/// Entries per storage chunk of a [`Column`]. Interning into an arena
+/// whose tail chunk a live [`ArenaSnapshot`] still shares copies at most
+/// this many entries once; full chunks are never copied.
 const CHUNK_ROWS: usize = 4096;
 
-/// One chunk of a [`Rows`] table in CSR form: row `r` is
-/// `items[offsets[r]..offsets[r + 1]]`.
+/// An append-only column whose storage is shared by `Arc` in chunks of
+/// [`CHUNK_ROWS`] entries: cloning the column clones a few `Arc`s, and
+/// pushing to one clone never changes what another reads
+/// (`Arc::make_mut` copies the tail chunk if it is still shared).
 #[derive(Debug, Clone)]
-struct Chunk<T> {
-    offsets: Vec<u32>,
-    items: Vec<T>,
-}
-
-/// An append-only table of variable-length rows whose storage is shared
-/// by `Arc` in chunks of [`CHUNK_ROWS`] rows: cloning the table clones a
-/// few `Arc`s, and pushing to one clone never changes what another
-/// reads (`Arc::make_mut` copies the tail chunk if it is still shared).
-#[derive(Debug, Clone)]
-struct Rows<T> {
-    chunks: Vec<Arc<Chunk<T>>>,
+struct Column<T> {
+    chunks: Vec<Arc<Vec<T>>>,
     len: usize,
 }
 
-impl<T> Default for Rows<T> {
+impl<T> Default for Column<T> {
     fn default() -> Self {
-        Rows {
+        Column {
             chunks: Vec::new(),
             len: 0,
         }
     }
 }
 
-impl<T: Clone> Rows<T> {
-    fn push(&mut self, row: &[T]) {
-        if self.len % CHUNK_ROWS == 0 {
-            self.chunks.push(Arc::new(Chunk {
-                offsets: vec![0],
-                items: Vec::new(),
-            }));
-        }
-        let tail = Arc::make_mut(self.chunks.last_mut().expect("tail chunk pushed above"));
-        tail.items.extend_from_slice(row);
-        let end = u32::try_from(tail.items.len()).expect("arena chunk exceeds u32 items");
-        tail.offsets.push(end);
-        self.len += 1;
-    }
-
-    #[inline]
-    fn get(&self, row: usize) -> &[T] {
-        let chunk = &self.chunks[row / CHUNK_ROWS];
-        let r = row % CHUNK_ROWS;
-        &chunk.items[chunk.offsets[r] as usize..chunk.offsets[r + 1] as usize]
-    }
-}
-
-/// An append-only column of `u32`s, shared in chunks like [`Rows`].
-#[derive(Debug, Clone, Default)]
-struct Column {
-    chunks: Vec<Arc<Vec<u32>>>,
-    len: usize,
-}
-
-impl Column {
-    fn push(&mut self, value: u32) {
+impl<T: Clone> Column<T> {
+    fn push(&mut self, value: T) {
         if self.len % CHUNK_ROWS == 0 {
             self.chunks.push(Arc::new(Vec::with_capacity(CHUNK_ROWS)));
         }
@@ -116,23 +76,26 @@ impl Column {
     }
 
     #[inline]
-    fn get(&self, row: usize) -> u32 {
-        self.chunks[row / CHUNK_ROWS][row % CHUNK_ROWS]
+    fn get(&self, row: usize) -> &T {
+        &self.chunks[row / CHUNK_ROWS][row % CHUNK_ROWS]
     }
 }
 
-/// The read side of a [`PathArena`]: interned content by id, without the
+/// The read side of a [`PathArena`]: interned sets by id, without the
 /// singleton index only the writer needs. Cheap to clone (storage is
 /// shared in chunks) and frozen: whatever the arena it was taken from
-/// interns later, a snapshot keeps reading exactly the rows it was taken
+/// interns later, a snapshot keeps reading exactly the sets it was taken
 /// with. This is what an [`ObservationSet`] carries, so an in-flight
 /// epoch reads its snapshot while the assembler extends the one arena.
 #[derive(Debug, Clone)]
 pub struct ArenaSnapshot {
-    paths: Rows<LinkId>,
+    /// Per set, its member paths.
+    sets: Column<PathSetHandle>,
     /// Per set, the id of its first path: set `s` owns the paths up to
-    /// the next set's first, or up to the last path for the newest set.
-    set_starts: Column,
+    /// the next set's first, or up to `paths` for the newest set.
+    set_starts: Column<u32>,
+    /// Member paths over all sets.
+    paths: u32,
     /// Process-unique token of the arena this content belongs to. Ids are
     /// append-only per lineage, so two snapshots of one lineage agree on
     /// every id both contain. Lets holders of interned ids (views,
@@ -146,50 +109,53 @@ impl ArenaSnapshot {
         self.lineage
     }
 
-    /// The links of an interned path.
-    #[inline]
-    pub fn path(&self, id: PathId) -> &[LinkId] {
-        self.paths.get(id.0 as usize)
-    }
-
-    /// The member paths of an interned set: the ids ([`PathId`]`.0`) of
-    /// the contiguous run of paths appended with it, which no other set
-    /// shares. Empty for an unroutable pair's set.
+    /// The path ids of an interned set: the contiguous run numbered when
+    /// it was appended, one per member and in member order, which no
+    /// other set shares. Empty for an unroutable pair's set.
     #[inline]
     pub fn set(&self, id: PathSetId) -> std::ops::Range<u32> {
         let s = id.0 as usize;
         let end = if s + 1 < self.set_starts.len {
-            self.set_starts.get(s + 1)
+            *self.set_starts.get(s + 1)
         } else {
-            self.paths.len as u32
+            self.paths
         };
-        self.set_starts.get(s)..end
+        *self.set_starts.get(s)..end
+    }
+
+    /// The member paths of an interned set: path `set(id).start + i` is
+    /// `members(id)[i]`. An ECMP set's is the [`Router`]'s own handle.
+    #[inline]
+    pub fn members(&self, id: PathSetId) -> &PathSetHandle {
+        self.sets.get(id.0 as usize)
     }
 
     /// Number of interned paths.
     pub fn path_count(&self) -> usize {
-        self.paths.len
+        self.paths as usize
     }
 
     /// Number of interned sets.
     pub fn set_count(&self) -> usize {
-        self.set_starts.len
+        self.sets.len
     }
 }
 
-/// Interning arena for fabric paths and path sets: the one writer of a
-/// lineage. Reads go through [`ArenaSnapshot`] (which the arena derefs
-/// to); [`PathArena::snapshot`] hands the current content to readers.
+/// Interning arena for fabric path sets: the one writer of a lineage.
+/// Reads go through [`ArenaSnapshot`] (which the arena derefs to);
+/// [`PathArena::snapshot`] hands the current content to readers.
 ///
-/// A set owns its member paths: they are appended with it, as one
-/// contiguous run of path ids, and belong to no other set. An ECMP set is
-/// appended whole, once per ToR pair (the [`Assembler`]'s per-pair cache
-/// is its dedup). A traced path is a singleton set, deduplicated by
-/// content across epochs through the one index the arena keeps. That
-/// index hashes *over the stored content* — it maps a content hash to the
-/// candidate sets whose stored path must be compared — so interning keeps
+/// A set is a [`PathSetHandle`], stored, not copied: an ECMP set is the
+/// [`Router`]'s own, appended once per ToR pair (the [`Assembler`]'s
+/// per-pair cache is its dedup), so each member path exists once in the
+/// process. A traced path is a one-member set, deduplicated by content
+/// across epochs through the one index the arena keeps. That index
+/// hashes *over the stored content* — it maps a content hash to the
+/// candidate sets whose member must be compared — so interning keeps
 /// exactly one copy of every traced link sequence; a
-/// `HashMap<Vec<_>, id>` would clone each sequence into its key.
+/// `HashMap<Vec<_>, id>` would clone each sequence into its key. Each set
+/// also numbers its members with the next run of path ids, so per-path
+/// state downstream is indexed as if the paths were stored one by one.
 #[derive(Debug)]
 pub struct PathArena {
     content: ArenaSnapshot,
@@ -204,8 +170,9 @@ impl Default for PathArena {
         static NEXT_LINEAGE: AtomicU64 = AtomicU64::new(1);
         PathArena {
             content: ArenaSnapshot {
-                paths: Rows::default(),
+                sets: Column::default(),
                 set_starts: Column::default(),
+                paths: 0,
                 lineage: NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed),
             },
             singletons: FxHashMap::default(),
@@ -239,23 +206,20 @@ impl PathArena {
         self.content.clone()
     }
 
-    /// Append a new set owning a fresh copy of each of `paths` (link
-    /// sequences; a path may be empty for same-ToR traffic), in order.
-    /// Nothing is looked up: two calls with equal paths make two sets.
-    pub fn intern_set<P: AsRef<[LinkId]>>(
-        &mut self,
-        paths: impl IntoIterator<Item = P>,
-    ) -> PathSetId {
-        let id = PathSetId(self.content.set_starts.len as u32);
-        // Every path count fits: it is asserted after each append.
-        self.content.set_starts.push(self.content.paths.len as u32);
-        for links in paths {
-            self.content.paths.push(links.as_ref());
-        }
-        assert!(
-            u32::try_from(self.content.paths.len).is_ok(),
-            "arena exceeds u32 paths"
-        );
+    /// Append `set` as a new set, and number its members with the next
+    /// run of path ids. Nothing is looked up or copied: two calls with
+    /// equal sets make two sets.
+    pub fn intern_set(&mut self, set: impl Into<PathSetHandle>) -> PathSetId {
+        let set = set.into();
+        let content = &mut self.content;
+        let id = PathSetId(u32::try_from(content.sets.len).expect("arena exceeds u32 sets"));
+        let end = u32::try_from(set.len())
+            .ok()
+            .and_then(|n| content.paths.checked_add(n))
+            .expect("arena exceeds u32 paths");
+        content.set_starts.push(content.paths);
+        content.paths = end;
+        content.sets.push(set);
         id
     }
 
@@ -264,14 +228,14 @@ impl PathArena {
     pub fn intern_single(&mut self, links: &[LinkId]) -> PathSetId {
         let h = content_hash(links);
         let content = &self.content;
-        if let Some(&id) = self.singletons.get(&h).and_then(|cands| {
-            cands
-                .iter()
-                .find(|&&id| content.path(PathId(content.set(id).start)) == links)
-        }) {
+        if let Some(&id) = self
+            .singletons
+            .get(&h)
+            .and_then(|cands| cands.iter().find(|&&id| &content.members(id)[0] == links))
+        {
             return id;
         }
-        let id = self.intern_set([links]);
+        let id = self.intern_set(PathSet::from_paths([links]));
         self.singletons.entry(h).or_default().push(id);
         id
     }
@@ -362,18 +326,18 @@ impl ObservationSet {
         n
     }
 
-    /// Iterate the full link sequence (prefix + fabric) of one member path
-    /// of an observation (a path of the run `arena.set(obs.set)`).
+    /// Iterate the full link sequence (prefix + fabric) of member
+    /// `member` of an observation's path set.
     pub fn full_path_links<'a>(
         &'a self,
         obs: &'a FlowObs,
-        path: PathId,
+        member: usize,
     ) -> impl Iterator<Item = LinkId> + 'a {
         obs.prefix
             .iter()
             .take(1)
             .filter_map(|l| *l)
-            .chain(self.arena.path(path).iter().copied())
+            .chain(self.arena.members(obs.set)[member].iter().copied())
             .chain(obs.prefix.iter().skip(1).filter_map(|l| *l))
     }
 }
@@ -416,15 +380,15 @@ pub fn assemble(
 ///
 /// The one-shot [`assemble`] builds a fresh [`PathArena`] per call. The
 /// online pipeline instead assembles one [`ObservationSet`] per epoch over
-/// the **same** arena: interning is append-only, so a `PathId`/[`PathSetId`]
-/// handed out in epoch `k` denotes the identical path in every later
-/// epoch. That stability is what lets a warm inference engine keep its
-/// per-path/per-set structures across epochs instead of rebuilding them
-/// (see `flock_core::Engine::rebind`). The ECMP set cache persists for the
-/// same reason — per ToR pair, the [`Router`]'s path set is appended to the
-/// arena exactly once, ever, as one set owning its member paths. An
-/// unroutable pair gets its own empty set. Each distinct traced path is
-/// one singleton set, so no path belongs to two sets.
+/// the **same** arena: interning is append-only, so a path or
+/// [`PathSetId`] handed out in epoch `k` denotes the identical content in
+/// every later epoch. That stability is what lets a warm inference engine
+/// keep its per-path/per-set structures across epochs instead of
+/// rebuilding them (see `flock_core::Engine::rebind`). The ECMP set cache
+/// persists for the same reason — per ToR pair, the [`Router`]'s path set
+/// handle is appended to the arena exactly once, ever. An unroutable pair
+/// gets its own empty set. Each distinct traced path is one singleton
+/// set, so no path id belongs to two sets.
 ///
 /// The assembler never gives its arena away: each returned set carries an
 /// [`ArenaSnapshot`], so any number of earlier sets may still be in use
@@ -502,9 +466,9 @@ impl Assembler {
                     } else if has(InputKind::P) {
                         let src_leaf = topo.host_leaf(mf.key.src);
                         let dst_leaf = topo.host_leaf(mf.key.dst);
-                        let set = *ecmp_cache.entry((src_leaf, dst_leaf)).or_insert_with(|| {
-                            arena.intern_set(router.paths(src_leaf, dst_leaf).iter())
-                        });
+                        let set = *ecmp_cache
+                            .entry((src_leaf, dst_leaf))
+                            .or_insert_with(|| arena.intern_set(router.paths(src_leaf, dst_leaf)));
                         FlowObs {
                             prefix: [
                                 Some(topo.host_uplink(mf.key.src)),
@@ -749,21 +713,31 @@ mod tests {
     #[test]
     fn arena_interns_and_dedups() {
         let mut a = PathArena::new();
-        let (p12, p3) = ([LinkId(1), LinkId(2)], [LinkId(3)]);
-        let s1 = a.intern_set([&p12[..], &p3]);
-        let s2 = a.intern_set(vec![p12.to_vec(), p3.to_vec()]);
-        assert_ne!(s1, s2, "a set owns its paths: equal content, two sets");
+        let (p12, p34) = ([LinkId(1), LinkId(2)], [LinkId(3), LinkId(4)]);
+        let s1 = a.intern_set(PathSet::from_paths([p12, p34]));
+        let s2 = a.intern_set(PathSet::from_paths(vec![p12.to_vec(), p34.to_vec()]));
+        assert_ne!(
+            s1, s2,
+            "a set is appended, not looked up: equal content, two sets"
+        );
         assert_eq!((a.set(s1), a.set(s2)), (0..2, 2..4));
-        for p in a.set(s1).chain(a.set(s2)) {
-            assert_eq!(a.path(PathId(p)), if p % 2 == 0 { &p12[..] } else { &p3 });
+        for s in [s1, s2] {
+            let members: Vec<&[LinkId]> = a.members(s).iter().collect();
+            assert_eq!(members, [&p12[..], &p34], "members keep their order");
         }
-        // A known path dedups by content; an ECMP copy of it is no match.
-        let single = a.intern_single(&p3);
+        // A known path dedups by content; an ECMP set holding it is no match.
+        let single = a.intern_single(&p34);
         assert_eq!(a.set(single), 4..5);
-        assert_eq!(a.intern_single(&p3), single);
-        let empty = a.intern_set::<[LinkId; 0]>([]);
-        assert!(a.set(empty).is_empty());
+        assert_eq!(a.intern_single(&p34), single);
+        let empty = a.intern_set(PathSet::default());
+        assert!(a.set(empty).is_empty() && a.members(empty).is_empty());
         assert_eq!((a.path_count(), a.set_count()), (5, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "hops")]
+    fn a_set_of_mixed_hop_counts_panics() {
+        PathSet::from_paths([&[LinkId(1), LinkId(2)][..], &[LinkId(3)]]);
     }
 
     #[test]
@@ -775,7 +749,7 @@ mod tests {
         assert_eq!(first, again);
         assert_ne!(first, other);
         assert_eq!((a.path_count(), a.set_count()), (2, 2));
-        assert_eq!(a.path(PathId(a.set(first).start)), &[LinkId(1), LinkId(2)]);
+        assert_eq!(&a.members(first)[0], &[LinkId(1), LinkId(2)]);
         // A same-ToR traced flow has an empty fabric path, deduplicated too.
         let local = a.intern_single(&[]);
         assert_eq!(a.intern_single(&[]), local);
@@ -800,8 +774,12 @@ mod tests {
         );
         let set = obs1.flows[0].set;
         assert!(obs1.flows[0].path_known(&obs1.arena));
+        // The traced path is a one-row set of its fabric links.
+        let traced = obs1.arena.members(set);
+        assert_eq!(traced.len(), 1);
+        assert_eq!(&traced[0], &flagged(50).true_path[1..traced.hops() + 1]);
         // Epoch 2 meets the same traced path, plus a passive flow of the
-        // same ToR pair whose ECMP set holds a copy of it.
+        // same ToR pair whose ECMP set holds it too.
         let mut clean = flagged(70);
         clean.stats.retransmissions = 0;
         let obs2 = asm.assemble(
@@ -814,12 +792,14 @@ mod tests {
         let sets: Vec<PathSetId> = obs2.flows.iter().map(|o| o.set).collect();
         assert!(sets.contains(&set), "the traced path keeps its set id");
         assert_eq!(obs2.arena.set(set), obs1.arena.set(set));
+        assert!(
+            Arc::ptr_eq(obs2.arena.members(set), traced),
+            "found by content, not appended again"
+        );
         let ecmp = sets.into_iter().find(|&s| s != set).unwrap();
-        let traced = obs2.arena.path(PathId(obs2.arena.set(set).start));
-        assert!(obs2
-            .arena
-            .set(ecmp)
-            .any(|p| obs2.arena.path(PathId(p)) == traced));
+        let ecmp_members = obs2.arena.members(ecmp);
+        assert!(ecmp_members.iter().any(|p| p == &traced[0]));
+        assert!(!Arc::ptr_eq(ecmp_members, traced));
         assert_eq!(
             obs2.arena.path_count(),
             1 + 4,
@@ -836,16 +816,16 @@ mod tests {
         let ids: Vec<PathSetId> = (0..500).map(|i| a.intern_single(&[LinkId(i)])).collect();
         for (i, &id) in (0u32..).zip(&ids) {
             assert_eq!(a.set(id), i..i + 1);
-            assert_eq!(a.path(PathId(i)), &[LinkId(i)]);
+            assert_eq!(&a.members(id)[0], &[LinkId(i)]);
             assert_eq!(a.intern_single(&[LinkId(i)]), id);
         }
         assert_eq!(a.path_count(), 500);
         let pairs: Vec<PathSetId> = (0..250)
-            .map(|i| a.intern_set([&[LinkId(2 * i)][..], &[LinkId(2 * i + 1)]]))
+            .map(|i| a.intern_set(PathSet::from_paths([[LinkId(2 * i)], [LinkId(2 * i + 1)]])))
             .collect();
         for (i, &sid) in (0u32..).zip(&pairs) {
             assert_eq!(a.set(sid), 500 + 2 * i..502 + 2 * i);
-            assert_eq!(a.path(PathId(501 + 2 * i)), &[LinkId(2 * i + 1)]);
+            assert_eq!(&a.members(sid)[1], &[LinkId(2 * i + 1)]);
         }
         assert_eq!((a.path_count(), a.set_count()), (1000, 750));
         assert_eq!(
@@ -868,7 +848,7 @@ mod tests {
                 let at = a.path_count() as u32;
                 let id = match j % 3 {
                     1 => a.intern_single(&links(at)),
-                    w => a.intern_set((at..at + w).map(links)),
+                    w => a.intern_set(PathSet::from_paths((at..at + w).map(links))),
                 };
                 assert_eq!(id, PathSetId(j));
             }
@@ -883,25 +863,30 @@ mod tests {
                     first_path(j)..first_path(j) + j % 3,
                     "set {j} of {sets}"
                 );
-                for i in run {
-                    assert_eq!(s.path(PathId(i)), &links(i), "path {i}");
+                let members = s.members(PathSetId(j));
+                assert_eq!(members.len(), run.len());
+                for (i, path) in run.zip(members.iter()) {
+                    assert_eq!(path, &links(i), "path {i}");
                 }
             }
         };
-        // Only the tail chunk of a table can differ between a snapshot
+        // Only the tail chunk of a column can differ between a snapshot
         // and the arena it was taken from: full chunks are never copied.
+        // Every set, in a copied tail chunk or not, is the arena's own.
         let shares_full_chunks = |s: &ArenaSnapshot, a: &PathArena| {
             let full = |n: usize| n.saturating_sub(1);
-            let paths = full(s.paths.chunks.len());
+            let sets = full(s.sets.chunks.len());
             let starts = full(s.set_starts.chunks.len());
-            s.paths.chunks[..paths]
+            s.sets.chunks[..sets]
                 .iter()
-                .zip(&a.paths.chunks)
+                .zip(&a.sets.chunks)
                 .all(|(x, y)| Arc::ptr_eq(x, y))
                 && s.set_starts.chunks[..starts]
                     .iter()
                     .zip(&a.set_starts.chunks)
                     .all(|(x, y)| Arc::ptr_eq(x, y))
+                && (0..s.set_count() as u32)
+                    .all(|j| Arc::ptr_eq(s.members(PathSetId(j)), a.members(PathSetId(j))))
         };
 
         let mut a = PathArena::new();
@@ -935,7 +920,7 @@ mod tests {
         ));
         assert_eq!(a.set_starts.chunks[0].len(), CHUNK_ROWS);
         // A set appended later lands in the arena only.
-        let wide = a.intern_set([links(0), links(1)]);
+        let wide = a.intern_set(PathSet::from_paths([links(0), links(1)]));
         let (last, sets) = snaps.last().unwrap();
         assert_eq!(last.set_count() + 1, a.set_count());
         assert_eq!(a.set(wide).len(), 2);
@@ -944,6 +929,42 @@ mod tests {
         // that were copied away from a snapshot.
         assert_eq!(a.intern_single(&links(0)), PathSetId(1));
         assert_eq!(a.set_count(), 3 * CHUNK_ROWS + 6);
+    }
+
+    /// Every ToR pair a passive epoch touches is interned as the
+    /// `Router`'s own path set, once: the arena copies no member.
+    #[test]
+    fn ecmp_sets_are_the_routers_path_sets() {
+        let topo = three_tier(ClosParams::tiny());
+        let router = Router::new(&topo);
+        let hosts = topo.hosts();
+        let flows: Vec<MonitoredFlow> = hosts
+            .iter()
+            .flat_map(|&src| hosts.iter().map(move |&dst| (src, dst)))
+            .filter(|(src, dst)| src != dst)
+            .map(|(src, dst)| mk_passive(&topo, &router, src, dst, 10, 0))
+            .collect();
+        let mut asm = Assembler::new();
+        let obs = asm.assemble(
+            &topo,
+            &router,
+            &flows,
+            &[InputKind::P],
+            AnalysisMode::PerPacket,
+        );
+        let mut pairs = std::collections::BTreeSet::new();
+        for o in &obs.flows {
+            let src = topo.host_leaf(topo.link(o.prefix[0].unwrap()).src);
+            let dst = topo.host_leaf(topo.link(o.prefix[1].unwrap()).dst);
+            let set = router.paths(src, dst);
+            assert!(Arc::ptr_eq(obs.arena.members(o.set), &set));
+            assert_eq!(obs.arena.set(o.set).len(), set.len());
+            pairs.insert((src, dst));
+        }
+        assert_eq!(obs.arena.set_count(), pairs.len(), "one set per ToR pair");
+        let members: usize = pairs.iter().map(|&(s, d)| router.paths(s, d).len()).sum();
+        assert_eq!(obs.arena.path_count(), members);
+        assert!(pairs.iter().any(|(s, d)| s == d), "a same-ToR pair too");
     }
 
     #[test]
@@ -1141,11 +1162,7 @@ mod tests {
             AnalysisMode::PerPacket,
         );
         let set1 = obs1.flows[0].set;
-        let paths1: Vec<Vec<LinkId>> = obs1
-            .arena
-            .set(set1)
-            .map(|p| obs1.arena.path(PathId(p)).to_vec())
-            .collect();
+        let paths1: Vec<Vec<LinkId>> = obs1.arena.members(set1).iter().map(<[_]>::to_vec).collect();
         let count1 = obs1.arena.path_count();
         asm.recycle(obs1);
 
@@ -1162,11 +1179,7 @@ mod tests {
         // The repeated pair reuses the interned set id and path contents.
         let same: Vec<&FlowObs> = obs2.flows.iter().filter(|o| o.set == set1).collect();
         assert_eq!(same.len(), 1, "same ToR pair must map to the same set id");
-        let paths2: Vec<Vec<LinkId>> = obs2
-            .arena
-            .set(set1)
-            .map(|p| obs2.arena.path(PathId(p)).to_vec())
-            .collect();
+        let paths2: Vec<Vec<LinkId>> = obs2.arena.members(set1).iter().map(<[_]>::to_vec).collect();
         assert_eq!(paths1, paths2, "interned path contents must be stable");
         assert!(
             obs2.arena.path_count() > count1,
@@ -1424,8 +1437,7 @@ mod tests {
             AnalysisMode::PerPacket,
         );
         let o = &obs.flows[0];
-        let pid = PathId(obs.arena.set(o.set).start);
-        let links: Vec<LinkId> = obs.full_path_links(o, pid).collect();
+        let links: Vec<LinkId> = obs.full_path_links(o, 0).collect();
         assert_eq!(links, true_path);
     }
 }

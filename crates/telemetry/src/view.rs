@@ -11,9 +11,9 @@
 //! global arena onto the sets one engine's accepted observations actually
 //! touch, with **dense local ids** and a local↔global set remap, so
 //! everything the engine allocates and iterates can be sized by its own
-//! evidence instead of the fleet's. A set owns its member paths (one
-//! contiguous run of arena path ids), so the view remaps sets only: a
-//! projected set's local paths are the contiguous run of local path ids
+//! evidence instead of the fleet's. An arena set's members are numbered
+//! by one contiguous run of arena path ids, so the view remaps sets only:
+//! a projected set's local paths are the contiguous run of local path ids
 //! it was assigned when first projected.
 //!
 //! # Ownership and lineage rules
@@ -47,8 +47,9 @@
 //! newtype; APIs on this type take and return it at the boundary
 //! (`local_set(PathSetId)`, `global_set(local) -> PathSetId`) so the two
 //! spaces cannot be confused silently. Member `i` of local set `s` is
-//! local path `paths_of(s).start + i` and arena path
-//! `arena.set(global_set(s)).start + i`. The engine follows the same
+//! local path `paths_of(s).start + i`, arena path
+//! `arena.set(global_set(s)).start + i`, and has the links
+//! `arena.members(global_set(s))[i]`. The engine follows the same
 //! convention (dense local component ids internally, global
 //! [`Component`](flock_topology::Component)s at report time).
 
@@ -292,7 +293,7 @@ impl ArenaView {
 mod tests {
     use super::*;
     use crate::input::{AnalysisMode, FlowObs, PathArena};
-    use flock_topology::LinkId;
+    use flock_topology::{LinkId, PathSet};
 
     /// An observation set over `arena`'s current content.
     fn obs_with(arena: &PathArena, sets: &[PathSetId]) -> ObservationSet {
@@ -337,7 +338,7 @@ mod tests {
 
         // Epoch 2: the arena grows; previously assigned locals persist,
         // and a new set's paths take the next run of local path ids.
-        let s2 = arena.intern_set([links(&[4]), links(&[5]), links(&[6])]);
+        let s2 = arena.intern_set(PathSet::from_paths([links(&[4]), links(&[5]), links(&[6])]));
         let obs2 = obs_with(&arena, &[s2, s0]);
         view.bind_epoch(&obs2, &[0, 1]).unwrap();
         assert_eq!(view.local_set(s1), Some(0), "locals are stable");

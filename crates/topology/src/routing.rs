@@ -23,6 +23,8 @@
 //! contribute, so every member has the same hop count, and that shared
 //! count is the buffer's fixed stride: a fabric's hundreds of thousands of
 //! minimal paths cost one allocation per switch pair, not one per path.
+//! The handle the router returns is what the telemetry arena stores for
+//! a passive flow's path set, so each member exists once in the process.
 
 use crate::graph::{LinkId, NodeId, Topology};
 use std::collections::HashMap;
@@ -63,6 +65,31 @@ impl PathSet {
     /// The member paths in order, each as its link sequence.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[LinkId]> + '_ {
         (0..self.len).map(move |i| &self[i])
+    }
+
+    /// A set of `paths`, in the given order: nothing is sorted or
+    /// deduplicated. For sets the [`Router`] does not compute, such as a
+    /// traced path's one-member set. Panics if two members differ in hop
+    /// count, since the rows share one stride.
+    pub fn from_paths<P: AsRef<[LinkId]>>(paths: impl IntoIterator<Item = P>) -> PathSet {
+        let mut set = PathSet::default();
+        for path in paths {
+            let path = path.as_ref();
+            if set.len == 0 {
+                set.hops = path.len();
+            }
+            assert_eq!(
+                path.len(),
+                set.hops,
+                "member {} of a path set has {} hops, the set {}",
+                set.len,
+                path.len(),
+                set.hops
+            );
+            set.links.extend_from_slice(path);
+            set.len += 1;
+        }
+        set
     }
 
     /// Order the `hops`-link rows of `rows` ascending and drop duplicates
