@@ -209,7 +209,7 @@ impl EpochFlowTable {
             let term = match run {
                 Some((k, term)) if k == key => term,
                 _ => {
-                    let w = obs.arena.set(o.set).len() as u32;
+                    let w = obs.arena.members(o.set).len() as u32;
                     let term = if w == 0 {
                         FlowTerm {
                             score: 0.0,

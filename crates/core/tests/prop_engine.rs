@@ -267,7 +267,7 @@ impl RawFlows {
         let flows = obs
             .flows
             .iter()
-            .filter(|o| !obs.arena.set(o.set).is_empty())
+            .filter(|o| !obs.arena.members(o.set).is_empty())
             .map(|o| {
                 let paths = (0..obs.arena.members(o.set).len())
                     .map(|member| {
@@ -1151,7 +1151,7 @@ fn unroutable_pair_flows_carry_no_evidence() {
     let mut empty: Vec<u32> = all
         .flows
         .iter()
-        .filter(|o| all.arena.set(o.set).is_empty())
+        .filter(|o| all.arena.members(o.set).is_empty())
         .map(|o| o.set.0)
         .collect();
     assert_eq!(

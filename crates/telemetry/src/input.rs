@@ -14,7 +14,8 @@
 //! exploits the same split to share path state across flows. An ECMP set
 //! is interned as the [`Router`]'s own [`PathSetHandle`], not copied, so
 //! each member path is stored once; every set's members share one hop
-//! count.
+//! count. The arena numbers sets, not paths: a path is member `i` of the
+//! one set that holds it.
 //!
 //! Observations that are fully identical — same prefix, same path set,
 //! same `(sent, bad)` — are merged with a `weight` multiplier. The
@@ -91,9 +92,6 @@ impl<T: Clone> Column<T> {
 pub struct ArenaSnapshot {
     /// Per set, its member paths.
     sets: Column<PathSetHandle>,
-    /// Per set, the id of its first path: set `s` owns the paths up to
-    /// the next set's first, or up to `paths` for the newest set.
-    set_starts: Column<u32>,
     /// Member paths over all sets.
     paths: u32,
     /// Process-unique token of the arena this content belongs to. Ids are
@@ -109,28 +107,15 @@ impl ArenaSnapshot {
         self.lineage
     }
 
-    /// The path ids of an interned set: the contiguous run numbered when
-    /// it was appended, one per member and in member order, which no
-    /// other set shares. Empty for an unroutable pair's set.
-    #[inline]
-    pub fn set(&self, id: PathSetId) -> std::ops::Range<u32> {
-        let s = id.0 as usize;
-        let end = if s + 1 < self.set_starts.len {
-            *self.set_starts.get(s + 1)
-        } else {
-            self.paths
-        };
-        *self.set_starts.get(s)..end
-    }
-
-    /// The member paths of an interned set: path `set(id).start + i` is
-    /// `members(id)[i]`. An ECMP set's is the [`Router`]'s own handle.
+    /// The member paths of an interned set, which no other set shares;
+    /// none for an unroutable pair's set. An ECMP set's is the
+    /// [`Router`]'s own handle.
     #[inline]
     pub fn members(&self, id: PathSetId) -> &PathSetHandle {
         self.sets.get(id.0 as usize)
     }
 
-    /// Number of interned paths.
+    /// Number of interned paths: the member paths of every set.
     pub fn path_count(&self) -> usize {
         self.paths as usize
     }
@@ -153,9 +138,7 @@ impl ArenaSnapshot {
 /// hashes *over the stored content* — it maps a content hash to the
 /// candidate sets whose member must be compared — so interning keeps
 /// exactly one copy of every traced link sequence; a
-/// `HashMap<Vec<_>, id>` would clone each sequence into its key. Each set
-/// also numbers its members with the next run of path ids, so per-path
-/// state downstream is indexed as if the paths were stored one by one.
+/// `HashMap<Vec<_>, id>` would clone each sequence into its key.
 #[derive(Debug)]
 pub struct PathArena {
     content: ArenaSnapshot,
@@ -171,7 +154,6 @@ impl Default for PathArena {
         PathArena {
             content: ArenaSnapshot {
                 sets: Column::default(),
-                set_starts: Column::default(),
                 paths: 0,
                 lineage: NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed),
             },
@@ -206,19 +188,16 @@ impl PathArena {
         self.content.clone()
     }
 
-    /// Append `set` as a new set, and number its members with the next
-    /// run of path ids. Nothing is looked up or copied: two calls with
-    /// equal sets make two sets.
+    /// Append `set` as a new set. Nothing is looked up or copied: two
+    /// calls with equal sets make two sets.
     pub fn intern_set(&mut self, set: impl Into<PathSetHandle>) -> PathSetId {
         let set = set.into();
         let content = &mut self.content;
         let id = PathSetId(u32::try_from(content.sets.len).expect("arena exceeds u32 sets"));
-        let end = u32::try_from(set.len())
+        content.paths = u32::try_from(set.len())
             .ok()
             .and_then(|n| content.paths.checked_add(n))
             .expect("arena exceeds u32 paths");
-        content.set_starts.push(content.paths);
-        content.paths = end;
         content.sets.push(set);
         id
     }
@@ -276,7 +255,7 @@ pub struct FlowObs {
 impl FlowObs {
     /// Whether the exact path of this observation is known.
     pub fn path_known(&self, arena: &ArenaSnapshot) -> bool {
-        arena.set(self.set).len() == 1
+        arena.members(self.set).len() == 1
     }
 
     /// The observation's *evidence key*: everything the flow likelihood
@@ -380,15 +359,15 @@ pub fn assemble(
 ///
 /// The one-shot [`assemble`] builds a fresh [`PathArena`] per call. The
 /// online pipeline instead assembles one [`ObservationSet`] per epoch over
-/// the **same** arena: interning is append-only, so a path or
-/// [`PathSetId`] handed out in epoch `k` denotes the identical content in
-/// every later epoch. That stability is what lets a warm inference engine
+/// the **same** arena: interning is append-only, so a [`PathSetId`]
+/// handed out in epoch `k` denotes the identical content in every later
+/// epoch. That stability is what lets a warm inference engine
 /// keep its per-path/per-set structures across epochs instead of
 /// rebuilding them (see `flock_core::Engine::rebind`). The ECMP set cache
 /// persists for the same reason — per ToR pair, the [`Router`]'s path set
 /// handle is appended to the arena exactly once, ever. An unroutable pair
 /// gets its own empty set. Each distinct traced path is one singleton
-/// set, so no path id belongs to two sets.
+/// set, so no path belongs to two sets.
 ///
 /// The assembler never gives its arena away: each returned set carries an
 /// [`ArenaSnapshot`], so any number of earlier sets may still be in use
@@ -720,17 +699,17 @@ mod tests {
             s1, s2,
             "a set is appended, not looked up: equal content, two sets"
         );
-        assert_eq!((a.set(s1), a.set(s2)), (0..2, 2..4));
+        assert!(!Arc::ptr_eq(a.members(s1), a.members(s2)));
         for s in [s1, s2] {
             let members: Vec<&[LinkId]> = a.members(s).iter().collect();
             assert_eq!(members, [&p12[..], &p34], "members keep their order");
         }
         // A known path dedups by content; an ECMP set holding it is no match.
         let single = a.intern_single(&p34);
-        assert_eq!(a.set(single), 4..5);
+        assert_eq!(a.members(single).len(), 1);
         assert_eq!(a.intern_single(&p34), single);
         let empty = a.intern_set(PathSet::default());
-        assert!(a.set(empty).is_empty() && a.members(empty).is_empty());
+        assert!(a.members(empty).is_empty());
         assert_eq!((a.path_count(), a.set_count()), (5, 4));
     }
 
@@ -753,7 +732,7 @@ mod tests {
         // A same-ToR traced flow has an empty fabric path, deduplicated too.
         let local = a.intern_single(&[]);
         assert_eq!(a.intern_single(&[]), local);
-        assert_eq!(a.set(local).len(), 1);
+        assert_eq!(a.members(local).len(), 1);
         assert_eq!((a.path_count(), a.set_count()), (3, 3));
     }
 
@@ -791,7 +770,6 @@ mod tests {
         );
         let sets: Vec<PathSetId> = obs2.flows.iter().map(|o| o.set).collect();
         assert!(sets.contains(&set), "the traced path keeps its set id");
-        assert_eq!(obs2.arena.set(set), obs1.arena.set(set));
         assert!(
             Arc::ptr_eq(obs2.arena.members(set), traced),
             "found by content, not appended again"
@@ -815,7 +793,7 @@ mod tests {
         let mut a = PathArena::new();
         let ids: Vec<PathSetId> = (0..500).map(|i| a.intern_single(&[LinkId(i)])).collect();
         for (i, &id) in (0u32..).zip(&ids) {
-            assert_eq!(a.set(id), i..i + 1);
+            assert_eq!(a.members(id).len(), 1);
             assert_eq!(&a.members(id)[0], &[LinkId(i)]);
             assert_eq!(a.intern_single(&[LinkId(i)]), id);
         }
@@ -824,7 +802,7 @@ mod tests {
             .map(|i| a.intern_set(PathSet::from_paths([[LinkId(2 * i)], [LinkId(2 * i + 1)]])))
             .collect();
         for (i, &sid) in (0u32..).zip(&pairs) {
-            assert_eq!(a.set(sid), 500 + 2 * i..502 + 2 * i);
+            assert_eq!(a.members(sid).len(), 2);
             assert_eq!(&a.members(sid)[1], &[LinkId(2 * i + 1)]);
         }
         assert_eq!((a.path_count(), a.set_count()), (1000, 750));
@@ -838,9 +816,9 @@ mod tests {
     #[test]
     fn a_snapshot_is_unaffected_by_later_interning() {
         // Set `j` owns `j % 3` paths (every third is an unroutable pair's
-        // empty set, every width-1 set a traced singleton), and path `i`
-        // is `[i, i + 1]`; so both tables cross chunk boundaries, at
-        // different set counts.
+        // empty set, every width-1 set a traced singleton), and the
+        // arena's `i`-th path is `[i, i + 1]`; the set column crosses
+        // chunk boundaries.
         let links = |i: u32| [LinkId(i), LinkId(i + 1)];
         let first_path = |j: u32| (0..j).map(|k| k % 3).sum::<u32>();
         let grow = |a: &mut PathArena, upto: usize| {
@@ -856,16 +834,12 @@ mod tests {
         let check = |s: &ArenaSnapshot, sets: usize| {
             assert_eq!(s.set_count(), sets);
             assert_eq!(s.path_count(), first_path(sets as u32) as usize);
+            let widths = (0..sets as u32).map(|j| s.members(PathSetId(j)).len());
+            assert_eq!(s.path_count(), widths.sum(), "the sum of set widths");
             for j in 0..sets as u32 {
-                let run = s.set(PathSetId(j));
-                assert_eq!(
-                    run,
-                    first_path(j)..first_path(j) + j % 3,
-                    "set {j} of {sets}"
-                );
                 let members = s.members(PathSetId(j));
-                assert_eq!(members.len(), run.len());
-                for (i, path) in run.zip(members.iter()) {
+                assert_eq!(members.len(), (j % 3) as usize, "set {j} of {sets}");
+                for (i, path) in (first_path(j)..).zip(members.iter()) {
                     assert_eq!(path, &links(i), "path {i}");
                 }
             }
@@ -876,15 +850,10 @@ mod tests {
         let shares_full_chunks = |s: &ArenaSnapshot, a: &PathArena| {
             let full = |n: usize| n.saturating_sub(1);
             let sets = full(s.sets.chunks.len());
-            let starts = full(s.set_starts.chunks.len());
             s.sets.chunks[..sets]
                 .iter()
                 .zip(&a.sets.chunks)
                 .all(|(x, y)| Arc::ptr_eq(x, y))
-                && s.set_starts.chunks[..starts]
-                    .iter()
-                    .zip(&a.set_starts.chunks)
-                    .all(|(x, y)| Arc::ptr_eq(x, y))
                 && (0..s.set_count() as u32)
                     .all(|j| Arc::ptr_eq(s.members(PathSetId(j)), a.members(PathSetId(j))))
         };
@@ -914,16 +883,13 @@ mod tests {
         // The first snapshot's tail chunk was copied once, when the arena
         // filled it; the arena's copy is full.
         let (first, _) = &snaps[0];
-        assert!(!Arc::ptr_eq(
-            &first.set_starts.chunks[0],
-            &a.set_starts.chunks[0]
-        ));
-        assert_eq!(a.set_starts.chunks[0].len(), CHUNK_ROWS);
+        assert!(!Arc::ptr_eq(&first.sets.chunks[0], &a.sets.chunks[0]));
+        assert_eq!(a.sets.chunks[0].len(), CHUNK_ROWS);
         // A set appended later lands in the arena only.
         let wide = a.intern_set(PathSet::from_paths([links(0), links(1)]));
         let (last, sets) = snaps.last().unwrap();
         assert_eq!(last.set_count() + 1, a.set_count());
-        assert_eq!(a.set(wide).len(), 2);
+        assert_eq!(a.members(wide).len(), 2);
         check(last, *sets);
         // Dedup still sees every singleton, including those in chunks
         // that were copied away from a snapshot.
@@ -958,7 +924,6 @@ mod tests {
             let dst = topo.host_leaf(topo.link(o.prefix[1].unwrap()).dst);
             let set = router.paths(src, dst);
             assert!(Arc::ptr_eq(obs.arena.members(o.set), &set));
-            assert_eq!(obs.arena.set(o.set).len(), set.len());
             pairs.insert((src, dst));
         }
         assert_eq!(obs.arena.set_count(), pairs.len(), "one set per ToR pair");
@@ -985,7 +950,7 @@ mod tests {
         let o = &obs.flows[0];
         assert!(!o.path_known(&obs.arena));
         assert_eq!(
-            obs.arena.set(o.set).len(),
+            obs.arena.members(o.set).len(),
             4,
             "tiny Clos inter-pod ECMP width is aggs*spines = 4"
         );
@@ -1217,7 +1182,10 @@ mod tests {
         assert_eq!(obs2.arena.lineage(), obs1.arena.lineage());
         let set = obs1.flows[0].set;
         assert_eq!(obs2.flows.iter().filter(|o| o.set == set).count(), 1);
-        assert_eq!(obs2.arena.set(set), obs1.arena.set(set));
+        assert!(Arc::ptr_eq(
+            obs2.arena.members(set),
+            obs1.arena.members(set)
+        ));
         assert!(obs2.arena.path_count() > counts1.0);
         assert!(obs2.arena.set_count() > counts1.1);
         assert_eq!(

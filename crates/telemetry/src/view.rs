@@ -11,10 +11,9 @@
 //! global arena onto the sets one engine's accepted observations actually
 //! touch, with **dense local ids** and a local↔global set remap, so
 //! everything the engine allocates and iterates can be sized by its own
-//! evidence instead of the fleet's. An arena set's members are numbered
-//! by one contiguous run of arena path ids, so the view remaps sets only:
-//! a projected set's local paths are the contiguous run of local path ids
-//! it was assigned when first projected.
+//! evidence instead of the fleet's. The view remaps sets only: a
+//! projected set's local paths are the contiguous run of local path ids
+//! it was assigned when first projected, one per member path.
 //!
 //! # Ownership and lineage rules
 //!
@@ -26,7 +25,7 @@
 //! * A view binds to one arena **lineage** ([`ArenaSnapshot::lineage`])
 //!   on first use and is append-only from then on, mirroring the arena's
 //!   own contract: local ids, once assigned, permanently denote the same
-//!   global path/set, so the engine's per-path and per-set structures
+//!   global set and its member paths, so the engine's per-path and per-set structures
 //!   stay valid across epochs without re-translation.
 //! * What a view is offered each epoch is an [`ArenaSnapshot`] — the
 //!   arena's content as of that epoch's assembly. A lineage has one
@@ -47,8 +46,7 @@
 //! newtype; APIs on this type take and return it at the boundary
 //! (`local_set(PathSetId)`, `global_set(local) -> PathSetId`) so the two
 //! spaces cannot be confused silently. Member `i` of local set `s` is
-//! local path `paths_of(s).start + i`, arena path
-//! `arena.set(global_set(s)).start + i`, and has the links
+//! local path `paths_of(s).start + i`, and has the links
 //! `arena.members(global_set(s))[i]`. The engine follows the same
 //! convention (dense local component ids internally, global
 //! [`Component`](flock_topology::Component)s at report time).
@@ -283,7 +281,7 @@ impl ArenaView {
             return;
         }
         self.sets.assign(g.0);
-        let end = self.n_paths() + arena.set(g).len();
+        let end = self.n_paths() + arena.members(g).len();
         self.path_starts
             .push(u32::try_from(end).expect("a view exceeds u32 paths"));
     }
@@ -346,6 +344,11 @@ mod tests {
         assert_eq!(view.local_set(s2), Some(2));
         assert_eq!((view.paths_of(0), view.paths_of(2)), (0..1, 2..5));
         assert_eq!(view.n_paths(), 5);
+        // A set's run has one local path per arena member.
+        for s in 0..view.n_sets() as u32 {
+            let members = obs2.arena.members(view.global_set(s));
+            assert_eq!(view.paths_of(s).len(), members.len(), "set {s}");
+        }
     }
 
     #[test]
