@@ -69,19 +69,20 @@
 //! One inverted index walks this layer from a component: its sets
 //! (`comp_to_sets`), transposed eagerly when the view grew, which the
 //! initial Δ, every flip and the evidence report read. A flip or a seed
-//! reaches the component's paths through them, one set at a time: it
-//! moves the fail count of each member path whose row contains the
-//! component (a path belongs to one set, so each moves once), then
-//! recounts that set's `set_bad`.
+//! reaches the component's paths through them, one set at a time: one
+//! walk over the set's path rows moves the fail count of each member
+//! path whose row contains the component (a path belongs to one set, so
+//! each moves once) and recounts the set's `set_bad` — and, for a flip
+//! that maintains Δ, counts the set's pre-flip counters on the way.
 //!
 //! The evidence layer is rebuilt every epoch, from the accepted
 //! observations and the epoch's [`EpochFlowTable`] — the evidence keys
 //! `(sent, bad, w)` looked up in the [`TermDirectory`] and scored **once
 //! per epoch** by whoever assembled it, however many engines the
-//! observation fans out to. The engine reads an observation's term id
-//! and score by index and finds the id's `llf` ladder through a dense
-//! id → offset array ([`TermTable`]; ladders stay per engine, so the
-//! sweep kernels index one flat slice):
+//! observation fans out to. The engine reads an observation's score and
+//! ladder offset by index, keeps the table's snapshot of the directory's
+//! ladder store, and reads every `llf` ladder there, in place: a ladder
+//! is one contiguous slice, which is what the sweep kernels index.
 //!
 //! * per **super-flow**: all observations sharing the same evidence key
 //!   `(path set, sent, bad)`, collapsed into one weighted record. The
@@ -161,7 +162,7 @@
 //! [`Engine::delta_single`] evaluates one neighbor from current state.
 
 use crate::kernels;
-use crate::likelihood::{llf, EpochFlowTable, TermDirectory, TermTable};
+use crate::likelihood::{llf, EpochFlowTable, Ladders, TermDirectory};
 use crate::params::HyperParams;
 use crate::space::{CompIdx, ComponentSpace};
 use flock_telemetry::{
@@ -284,8 +285,8 @@ struct SFlow {
     /// Members carrying extras: the half-open range `[lo, hi)` into
     /// [`Engine::members`] (weight without a member has no extras).
     members: (u32, u32),
-    /// Offset of this flow's `(sent, bad, w)` ladder in the engine's
-    /// [`TermTable`]: `terms.values()[tbl + b]` is `llf(score, w, b)`.
+    /// Offset of this flow's `(sent, bad, w)` ladder in the ladder store
+    /// of the last bind: `ladders.get(tbl, w)[b]` is `llf(score, w, b)`.
     tbl: u32,
 }
 
@@ -553,9 +554,10 @@ pub struct Engine {
     ll: f64,
     stats: EngineStats,
 
-    /// Resident `llf` ladders of the term ids this engine has met;
-    /// extend-only, so `SFlow::tbl` offsets survive rebinds.
-    terms: TermTable,
+    /// The ladder store of the last bind's flow table (a snapshot of its
+    /// directory's): every `SFlow::tbl` points into it, and flips read it
+    /// after the table is gone.
+    ladders: Ladders,
     /// Per-component argmax bias for the warm-start *move* scan:
     /// `+prior_logodds(c)` when `c` is out of the hypothesis (adding
     /// pays the prior), `-prior_logodds(c)` when in (removal reclaims
@@ -635,7 +637,7 @@ impl Engine {
             delta: Vec::new(),
             ll: 0.0,
             stats: EngineStats::default(),
-            terms: TermTable::new(),
+            ladders: Ladders::default(),
             gain_move_bias: Vec::new(),
             gain_add_bias: Vec::new(),
             scratch_g: Vec::new(),
@@ -672,8 +674,8 @@ impl Engine {
     /// Bind the engine to one epoch's evidence: the observations of
     /// `obs` at the indices `accepted` (ascending, into `obs.flows`),
     /// their evidence keys read from `table`
-    /// ([built](EpochFlowTable::rebuild) over `obs`, always through the
-    /// same [`TermDirectory`]), starting at the hypothesis `seed`.
+    /// ([built](EpochFlowTable::rebuild) over `obs`, through any
+    /// [`TermDirectory`]), starting at the hypothesis `seed`.
     ///
     /// The accept list restricts evidence; blame targets are whatever
     /// components that evidence touches. The log-likelihood is a sum of
@@ -713,9 +715,7 @@ impl Engine {
     /// the engine exactly as it was.
     ///
     /// # Panics
-    /// If `table` does not cover `obs`, or was built over another
-    /// directory than this engine's earlier tables (see
-    /// [`TermTable::bind`]).
+    /// If `table` does not cover `obs`.
     pub fn try_bind(
         &mut self,
         topo: &Topology,
@@ -805,11 +805,12 @@ impl Engine {
             self.hypothesis.push(c);
             // The sets a seed enters are the ones whose counters
             // `compute_initial_delta` collects (`set_bad > 0`).
+            // The last seed to touch a set leaves its `set_bad` final.
             let comp_to_sets = std::mem::take(&mut self.comp_to_sets);
             let sets = comp_to_sets.get(c);
             self.derive_path_rows(sets);
             for &s in sets {
-                self.move_fail_counts(s, c, true);
+                self.set_bad[s as usize] = self.walk_set::<false>(s, Some((c, true)));
             }
             self.comp_to_sets = comp_to_sets;
             for &mi in self.comp_extra_members.get(c) {
@@ -822,13 +823,6 @@ impl Engine {
             let p = self.prior_logodds(c);
             self.gain_move_bias[c as usize] = -p;
             self.gain_add_bias[c as usize] = f64::NEG_INFINITY;
-        }
-        // Fail counts are final: recount the sets they touch (a set two
-        // seeds share is recounted twice, to the same value).
-        for i in 0..self.hypothesis.len() {
-            for &s in self.comp_to_sets.get(self.hypothesis[i]) {
-                self.set_bad[s as usize] = self.recount_set_bad(s);
-            }
         }
     }
 
@@ -856,21 +850,51 @@ impl Engine {
         self.path_rows = path_rows;
     }
 
-    /// Move the fail count of every member path of set `s` whose row
-    /// contains `c`: up when `c` joins the hypothesis, down when it
-    /// leaves. `s`'s path rows must be derived.
-    fn move_fail_counts(&mut self, s: u32, c: CompIdx, adding: bool) {
-        for (p, row) in self.path_rows.rows(s, self.view.paths_of(s)) {
-            if row.contains(&c) {
-                let fail = &mut self.path_fail[p as usize];
-                if adding {
-                    *fail += 1;
-                } else {
-                    debug_assert!(*fail > 0);
-                    *fail -= 1;
+    /// One walk over the member paths of set `s`, whose path rows must be
+    /// derived. Per path: when `COUNT`, add it to the scratch counters of
+    /// its row's components by its fail count *before* the move (`g` for
+    /// 0, `s` for exactly 1; [`Engine::partition_counters`] reads them
+    /// out); then, for `moving = Some((c, adding))`, move its fail count
+    /// if its row holds `c` — up when `c` joins the hypothesis, down when
+    /// it leaves. Returns the set's `set_bad` after the move, counted off
+    /// the set's contiguous fail counts. (`COUNT` is a const parameter so
+    /// that a walk that does not count reads no fail count; a runtime
+    /// flag, counting `set_bad` inside the row loop, or zipping the rows
+    /// with the fail counts each measured `flip_ll_only` slower.)
+    fn walk_set<const COUNT: bool>(&mut self, s: u32, moving: Option<(CompIdx, bool)>) -> u32 {
+        let paths = self.view.paths_of(s);
+        for (p, row) in self.path_rows.rows(s, paths.clone()) {
+            if COUNT {
+                match self.path_fail[p as usize] {
+                    0 => {
+                        for &l in row {
+                            self.scratch_g[l as usize] += 1;
+                        }
+                    }
+                    1 => {
+                        for &l in row {
+                            self.scratch_s[l as usize] += 1;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            if let Some((c, adding)) = moving {
+                if row.contains(&c) {
+                    let fail = &mut self.path_fail[p as usize];
+                    if adding {
+                        *fail += 1;
+                    } else {
+                        debug_assert!(*fail > 0);
+                        *fail -= 1;
+                    }
                 }
             }
         }
+        self.path_fail[paths.start as usize..paths.end as usize]
+            .iter()
+            .filter(|&&f| f > 0)
+            .count() as u32
     }
 
     /// Call `f(path, row)` for every member path of set `s`: off the
@@ -1028,7 +1052,7 @@ impl Engine {
         self.sflows.clear();
         self.members.clear();
         self.n_obs = 0;
-        self.terms.bind(table);
+        self.ladders = table.ladders().clone();
         let mut last_key: Option<(u32, u64, u64)> = None;
         for &i in accepted {
             let o = &obs.flows[i as usize];
@@ -1044,12 +1068,9 @@ impl Engine {
             let key = o.evidence_key();
             if last_key != Some(key) {
                 let at = self.members.len() as u32;
-                // The epoch's table keyed this observation already: the
-                // common warm-epoch case is one dense array read, and a
-                // first sight copies the ladder the table minted or
-                // computes it from the score (bit-identical either way).
-                let (term, score) = table.term(i as usize);
-                let tbl = self.terms.resolve(term, score, w, table);
+                // The epoch's table keyed this observation already: its
+                // score, and where its directory stored the ladder.
+                let (score, tbl) = table.term(i as usize);
                 self.sflows.push(SFlow {
                     set: ls,
                     score,
@@ -1076,14 +1097,6 @@ impl Engine {
                 self.sflows[fi].members.1 = mi + 1;
             }
         }
-        // Extend-only `TermTable` contract: every flow's full ladder
-        // `terms.values()[tbl + b]`, `b ∈ 0..=w`, must be resident.
-        debug_assert!(
-            self.sflows
-                .iter()
-                .all(|f| f.tbl as usize + (f.w as usize) < self.terms.values().len()),
-            "SFlow::tbl offset past the term table"
-        );
     }
 
     /// Extract the extra components (local ids) of a flow: its prefix
@@ -1293,10 +1306,11 @@ impl Engine {
         self.stats
     }
 
-    /// `(distinct evidence keys, total f64 entries)` of the memoized
-    /// likelihood term table (diagnostics / bench reporting).
+    /// `(ladders, total f64 entries)` of the ladder store this engine
+    /// reads — its last bind's directory's, every key that directory
+    /// stored by then (diagnostics / bench reporting).
     pub fn term_table_sizes(&self) -> (usize, usize) {
-        (self.terms.tables(), self.terms.entries())
+        self.ladders.sizes()
     }
 
     /// Best component to *add* under the current Δ array, with its
@@ -1363,16 +1377,20 @@ impl Engine {
         self.in_h[c as usize] = adding;
 
         // One set at a time: a path belongs to one set, so moving a set's
-        // fail counts changes no other set's counters.
+        // fail counts changes no other set's counters. One walk counts the
+        // set's pre-flip counters, moves its fail counts and recounts
+        // `set_bad`; Δ maintenance walks it once more for the post-flip
+        // counters.
         for &s in affected_sets {
-            if maintain_delta {
-                self.collect_counters(s, c, &mut old);
-            }
-            self.move_fail_counts(s, c, adding);
             let old_bad = self.set_bad[s as usize];
-            let new_bad = self.recount_set_bad(s);
+            let new_bad = if maintain_delta {
+                self.walk_set::<true>(s, Some((c, adding)))
+            } else {
+                self.walk_set::<false>(s, Some((c, adding)))
+            };
             self.set_bad[s as usize] = new_bad;
             if maintain_delta {
+                self.partition_counters(s, c, &mut old);
                 self.collect_counters(s, c, &mut new);
                 debug_assert_eq!(old.l, new.l, "regular partitions must align");
                 debug_assert!(
@@ -1387,7 +1405,7 @@ impl Engine {
             for &fi in self.set_flows.get(s) {
                 let f = &self.sflows[fi as usize];
                 let (w, mlo, mhi) = (f.w, f.members.0, f.members.1);
-                let seg = &self.terms.values()[f.tbl as usize..(f.tbl + w + 1) as usize];
+                let seg = self.ladders.get(f.tbl, w);
                 // Weights are integer-valued sums, so the subtraction is
                 // exact and `active == 0.0` means fully pinned.
                 let active = f.weight - f.pinned;
@@ -1521,7 +1539,7 @@ impl Engine {
             self.derive_path_rows(&[set]);
             self.collect_counters(set, c, ctr);
         }
-        let seg = &self.terms.values()[tbl as usize..(tbl + w + 1) as usize];
+        let seg = self.ladders.get(tbl, w);
         let ll_old = seg[bad_old as usize];
         let ll_new = seg[bad_new as usize];
         let dll = m.weight * (ll_new - ll_old);
@@ -1615,31 +1633,27 @@ impl Engine {
     /// Collect the counters of set `s` into `out` — `g` = member paths
     /// with fail count 0 containing the comp, `s` = member paths with
     /// fail count exactly 1 containing it — partitioned by the flip
-    /// predicate `l == c || in_h[l]`. Two passes over the set's derived
-    /// path rows, as in Algorithm 2's `GetCounters`.
-    ///
-    /// Components *outside* the predicate (the overwhelming majority: not
-    /// in the hypothesis, not the flipped comp) land in the SoA pair
-    /// `out.l`/`out.g` — the lanes the fabric kernel consumes; `s` is not
-    /// emitted for them because their contribution formula never reads
-    /// it. Components matching the predicate land in `out.sp` as full
-    /// `(comp, g, s)` counters for the scalar branchy path. Within each
-    /// partition, components keep `set_comps` order, so pre- and
-    /// post-flip collections align element-wise (the predicate is
-    /// flip-stable).
+    /// predicate `l == c || in_h[l]`: one walk over the set's derived
+    /// path rows ([`Engine::walk_set`]), then
+    /// [`Engine::partition_counters`], as in Algorithm 2's `GetCounters`.
     fn collect_counters(&mut self, s: u32, c: CompIdx, out: &mut SetCounters) {
-        for (p, row) in self.path_rows.rows(s, self.view.paths_of(s)) {
-            let fc = self.path_fail[p as usize];
-            if fc == 0 {
-                for &l in row {
-                    self.scratch_g[l as usize] += 1;
-                }
-            } else if fc == 1 {
-                for &l in row {
-                    self.scratch_s[l as usize] += 1;
-                }
-            }
-        }
+        self.walk_set::<true>(s, None);
+        self.partition_counters(s, c, out);
+    }
+
+    /// Read the scratch counters of set `s`'s components, which a
+    /// counting [`Engine::walk_set`] left, into `out`, and reset them.
+    ///
+    /// Components *outside* the predicate `l == c || in_h[l]` (the
+    /// overwhelming majority: not in the hypothesis, not the flipped
+    /// comp) land in the SoA pair `out.l`/`out.g` — the lanes the fabric
+    /// kernel consumes; `s` is not emitted for them because their
+    /// contribution formula never reads it. Components matching the
+    /// predicate land in `out.sp` as full `(comp, g, s)` counters for the
+    /// scalar branchy path. Within each partition, components keep
+    /// `set_comps` order, so pre- and post-flip collections align
+    /// element-wise (the predicate is flip-stable).
+    fn partition_counters(&mut self, s: u32, c: CompIdx, out: &mut SetCounters) {
         out.l.clear();
         out.g.clear();
         out.sp.clear();
@@ -1658,14 +1672,6 @@ impl Engine {
             self.scratch_g[l as usize] = 0;
             self.scratch_s[l as usize] = 0;
         }
-    }
-
-    fn recount_set_bad(&self, s: u32) -> u32 {
-        let paths = self.view.paths_of(s);
-        self.path_fail[paths.start as usize..paths.end as usize]
-            .iter()
-            .filter(|&&f| f > 0)
-            .count() as u32
     }
 
     /// Δ and the log-likelihood at the *current* hypothesis, from scratch
@@ -1746,7 +1752,7 @@ impl Engine {
                 // exact and `active == 0.0` means fully pinned.
                 let active = f.weight - f.pinned;
                 if active > 0.0 {
-                    let seg = &self.terms.values()[f.tbl as usize..(f.tbl + f.w + 1) as usize];
+                    let seg = self.ladders.get(f.tbl, f.w);
                     kernels::weighted_table_accumulate(seg, gs, active, &mut sums);
                 }
             }
@@ -1779,13 +1785,12 @@ impl Engine {
         // its only failed extra. `LLF(0) = 0` and `LLF(w) = score`
         // exactly, so only a partly failed set reads the ladder — at the
         // empty hypothesis this is `weight · score` per extra.
-        let terms = self.terms.values();
         for m in &self.members {
             let f = &self.sflows[m.flow as usize];
             let at = |b: u32| match b {
                 0 => 0.0,
                 b if b == f.w => f.score,
-                b => terms[(f.tbl + b) as usize],
+                b => self.ladders.get(f.tbl, f.w)[b as usize],
             };
             let sb = self.set_bad[f.set as usize];
             let here = at(if m.extra_fail > 0 { f.w } else { sb });
@@ -2618,6 +2623,47 @@ mod tests {
         assert_eq!(engine.n_flows(), twin.n_flows());
     }
 
+    /// An engine reads every ladder through the table it was bound with,
+    /// so nothing ties it to one directory: bound to epoch 1 through
+    /// directory A and to epoch 2 through a fresh directory B, it reads
+    /// to the bit what a private engine reads — likelihood and Δ, at the
+    /// bind and after a flip.
+    #[test]
+    fn engine_binds_tables_of_any_directory() {
+        use flock_telemetry::Assembler;
+        let topo = three_tier(ClosParams::tiny());
+        let router = Router::new(&topo);
+        let flows = small_flows(&topo, &router, 13);
+        let kinds = [InputKind::A2, InputKind::P];
+        let mut asm = Assembler::new();
+        let epochs = [
+            asm.assemble(
+                &topo,
+                &router,
+                &flows[..30],
+                &kinds,
+                AnalysisMode::PerPacket,
+            ),
+            asm.assemble(&topo, &router, &flows, &kinds, AnalysisMode::PerPacket),
+        ];
+        let params = HyperParams::default();
+        let (mut engine, mut private) = (unbound(&topo), unbound(&topo));
+        for obs in &epochs {
+            let mut dir = TermDirectory::new(&params);
+            bind_all(&mut engine, &topo, obs, &mut dir, &[]).unwrap();
+            private.rebind(&topo, obs);
+            assert_eq!(state_bits(&engine), state_bits(&private));
+            assert_eq!(
+                engine.term_table_sizes().0,
+                dir.len(),
+                "it reads this epoch's directory's store"
+            );
+            let c = engine.n_comps() as u32 / 2;
+            assert_eq!(engine.flip(c).to_bits(), private.flip(c).to_bits());
+            assert_eq!(state_bits(&engine), state_bits(&private));
+        }
+    }
+
     /// Every check precedes the first mutation. A fresh view accepts any
     /// lineage, so the one refusal an unbound engine can meet is the
     /// table-coverage assert: it must latch nothing — the engine then
@@ -3073,7 +3119,9 @@ mod tests {
 
         let check = |engine: &Engine| {
             for s in 0..engine.n_sets() as u32 {
-                let bad = engine.recount_set_bad(s);
+                let paths = engine.view.paths_of(s);
+                let fails = &engine.path_fail[paths.start as usize..paths.end as usize];
+                let bad = fails.iter().filter(|&&f| f > 0).count() as u32;
                 assert_eq!(engine.set_bad[s as usize], bad, "set {s}");
             }
             let h = engine.hypothesis().to_vec();

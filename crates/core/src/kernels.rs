@@ -3,10 +3,10 @@
 //! Three loops dominate inference time once evidence is coalesced and
 //! view-local (PRs 3–5): the `flip` counter sweep over comp→sets→flows
 //! CSR walks, the `compute_initial_delta` full sweep, and the greedy
-//! argmax over the dense Δ array. Each is fed by the precomputed
-//! [`TermTable`](crate::likelihood::TermTable), so the inner loops are
-//! pure index/multiply/add over contiguous `f64` slices — no
-//! transcendentals, no branches.
+//! argmax over the dense Δ array. Each is fed by the `llf` ladders the
+//! [`TermDirectory`](crate::likelihood::TermDirectory) precomputed, so
+//! the inner loops are pure index/multiply/add over contiguous `f64`
+//! slices — no transcendentals, no branches.
 //!
 //! # Floating-point behaviour
 //!

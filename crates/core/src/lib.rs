@@ -55,7 +55,7 @@ pub use engine::{ConvictingEvidence, Engine, EngineStateSizes, EngineStats};
 pub use gibbs::GibbsSampler;
 pub use greedy::{BudgetedSearch, FlockGreedy};
 pub use kernels::KernelDispatch;
-pub use likelihood::{flow_score, llf, EpochFlowTable, TermDirectory, TermTable};
+pub use likelihood::{flow_score, llf, EpochFlowTable, TermDirectory};
 pub use localizer::{LocalizationResult, Localizer};
 pub use metrics::{evaluate, fscore, MetricsAccumulator, PrecisionRecall};
 pub use params::HyperParams;

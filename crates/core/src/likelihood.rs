@@ -20,24 +20,22 @@
 //! # Keying an epoch's evidence once
 //!
 //! The `w + 1` values `LLF(0..=w)` of one evidence key `(sent, bad, w)` —
-//! its *ladder* — are memoized, in three pieces with three lifetimes:
-//!
-//! * the [`TermDirectory`] (persistent, one per epoch assembler) maps a
-//!   key to a dense term id, append-only;
-//! * the [`EpochFlowTable`] (one per epoch, built in the assembly stage)
-//!   holds, per observation, its term id and score — one directory probe
-//!   and one score per run of equal keys — plus the ladders of the ids
-//!   minted that epoch;
-//! * each engine's [`TermTable`] (persistent, one per engine) keeps the
-//!   ladders of the ids *it* has met in one flat slice, found through a
-//!   dense id → offset array.
+//! its *ladder* — are computed once, by the [`TermDirectory`]
+//! (persistent, one per epoch assembler), on the key's first sight, and
+//! stored once, in the directory's append-only ladder store. The
+//! [`EpochFlowTable`] (one per epoch, built in the assembly stage) holds,
+//! per observation, its score and its ladder's offset in the store — one
+//! directory probe and one score per run of equal keys — plus a snapshot
+//! of the store; every engine bound to the table keeps that snapshot and
+//! reads the ladders in place.
 //!
 //! A sharded executor fans one observation out to several engines (source
-//! pod, destination pod, every spine plane), so the key is hashed and
-//! scored in the one place that sees it once, not in every engine.
+//! pod, destination pod, every spine plane), so the key is hashed, scored
+//! and its ladder computed in the one place that sees it once, not in
+//! every engine.
 
 use crate::params::HyperParams;
-use flock_telemetry::ObservationSet;
+use flock_telemetry::{Column, ObservationSet};
 use flock_topology::FxHashMap;
 
 /// The flow score `s`: log-likelihood ratio of observing `(bad, sent)` on
@@ -99,53 +97,110 @@ pub fn llf(score: f64, w: u32, b: u32) -> f64 {
 }
 
 /// The persistent **term directory**: every evidence key `(sent, bad, w)`
-/// the owner has ever assembled, mapped to a dense *term id*.
+/// the owner has ever assembled, with its ladder.
 ///
 /// A super-flow's log-likelihood depends on the hypothesis only through
 /// its failed-path count `b ∈ 0..=w`, so the whole transcendental cost of
-/// [`llf`] can be paid once per distinct key as a `w + 1`-entry *ladder*
-/// and every flip sweep afterwards is a pure table gather. The directory
-/// is where a key is looked up — **once per epoch**, by whoever assembles
+/// [`llf`] is paid once per distinct key, as a `w + 1`-entry *ladder*,
+/// and every flip sweep afterwards is a pure gather. The directory is
+/// where a key is looked up — **once per epoch**, by whoever assembles
 /// the epoch (a `StreamPipeline`, or privately an [`Engine`] built
 /// through its plain constructors) while building the
-/// [`EpochFlowTable`]. Every engine reading that table then resolves ids
-/// through a dense per-engine array ([`TermTable`]) instead of hashing
-/// the 20-byte key again.
+/// [`EpochFlowTable`] — and the one place its ladder is computed and
+/// stored.
 ///
-/// Append-only, like the path arena: an id, once minted, denotes the same
-/// key forever, so ids held by warm engines survive across epochs.
+/// Append-only, like the path arena: a ladder, once stored, keeps its
+/// offset and its values forever, and a snapshot taken earlier keeps
+/// reading exactly what it was taken with.
 ///
 /// [`Engine`]: crate::Engine
 #[derive(Debug)]
 pub struct TermDirectory {
-    /// Process-unique identity, stamped into every table built over this
-    /// directory: ids of two directories alias, so a [`TermTable`]
-    /// refuses tables of any directory but its first.
-    token: u64,
     coeffs: ScoreCoeffs,
-    ids: FxHashMap<(u64, u64, u32), u32>,
+    /// Key → offset of its ladder in `ladders`.
+    offsets: FxHashMap<(u64, u64, u32), u32>,
+    ladders: Ladders,
 }
 
 impl TermDirectory {
     /// An empty directory scoring under `params`.
     pub fn new(params: &HyperParams) -> Self {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
         TermDirectory {
-            token: NEXT_TOKEN.fetch_add(1, Ordering::Relaxed),
             coeffs: ScoreCoeffs::new(params),
-            ids: FxHashMap::default(),
+            offsets: FxHashMap::default(),
+            ladders: Ladders::default(),
         }
     }
 
-    /// Distinct keys minted so far; every id handed out is below this.
+    /// Distinct keys stored so far.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.offsets.len()
     }
 
-    /// Whether no key has been minted yet.
+    /// Whether no key has been stored yet.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.offsets.is_empty()
+    }
+
+    /// Look `(sent, bad, w)` up — one hash probe — computing and storing
+    /// its ladder on first sight.
+    fn term(&mut self, sent: u64, bad: u64, w: u32) -> FlowTerm {
+        let score = self.coeffs.score(sent, bad);
+        let ladders = &mut self.ladders;
+        let off = *self
+            .offsets
+            .entry((sent, bad, w))
+            .or_insert_with(|| ladders.push(score, w));
+        FlowTerm { score, off, w }
+    }
+}
+
+/// The ladder store: every ladder a [`TermDirectory`] computed, in one
+/// append-only [`Column`] whose chunks its snapshots share. A ladder is
+/// one run of the column, so it never crosses a chunk boundary and reads
+/// back as one slice.
+///
+/// Every entry is produced by [`llf`] itself, so a read is
+/// **bit-identical** to direct evaluation by construction. The score is
+/// finite for any valid [`HyperParams`]; if a degenerate parameter set
+/// ever produces a non-finite one the exact `llf` outputs are stored
+/// unchanged, so reads still agree bitwise with direct evaluation — the
+/// non-finite guard property tests pin this down.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Ladders {
+    values: Column<f64>,
+    /// Ladders stored…
+    count: usize,
+    /// …and their entries (the column also counts the rows a chunk
+    /// boundary skipped).
+    entries: usize,
+}
+
+impl Ladders {
+    /// Compute and store the ladder `llf(score, w, 0..=w)`; returns its
+    /// offset.
+    ///
+    /// # Panics
+    /// If `w + 1` exceeds a column chunk
+    /// ([`CHUNK_ROWS`](flock_telemetry::input::CHUNK_ROWS)).
+    fn push(&mut self, score: f64, w: u32) -> u32 {
+        debug_assert!(w > 0, "a ladder requires w > 0");
+        let off = self.values.push_run((0..w + 1).map(|b| llf(score, w, b)));
+        self.count += 1;
+        self.entries += w as usize + 1;
+        u32::try_from(off).expect("ladder store exceeds u32 offsets")
+    }
+
+    /// The ladder stored at `off` for width `w`: `get(off, w)[b]` is
+    /// `llf(score, w, b)`.
+    #[inline]
+    pub(crate) fn get(&self, off: u32, w: u32) -> &[f64] {
+        self.values.run(off as usize, w as usize + 1)
+    }
+
+    /// `(ladders, entries)` stored.
+    pub(crate) fn sizes(&self) -> (usize, usize) {
+        (self.count, self.entries)
     }
 }
 
@@ -153,36 +208,27 @@ impl TermDirectory {
 #[derive(Debug, Clone, Copy)]
 struct FlowTerm {
     score: f64,
-    id: u32,
+    /// Offset of the ladder in the store…
+    off: u32,
+    /// …and the width it was computed for (0: no paths, no ladder).
+    w: u32,
 }
 
 /// One epoch's evidence, keyed **once**: per observation of an
-/// [`ObservationSet`] (same indexing as `obs.flows`) the term id of its
-/// `(sent, bad, w)` key and its [`flow_score`], plus the ladders of the
-/// ids minted *this* epoch (in steady state: none).
+/// [`ObservationSet`] (same indexing as `obs.flows`) its [`flow_score`]
+/// and the offset of its `(sent, bad, w)` ladder, plus a snapshot of the
+/// directory's ladder store that every engine bound to the table keeps.
 ///
 /// Built by [`EpochFlowTable::rebuild`] in one walk over the sorted
 /// observations: the assembler's order makes runs of equal evidence keys
 /// contiguous, so a run costs one directory probe and one score, however
-/// many shard engines later read it. An engine meeting an id for the
-/// first time copies its ladder from here when the id is this epoch's,
-/// and otherwise computes it from the score with [`llf`] — the same
-/// function that filled the minted ladders, so both are bit-identical by
-/// construction.
+/// many shard engines later read it.
 #[derive(Debug, Default)]
 pub struct EpochFlowTable {
-    /// [`TermDirectory`] the ids belong to (0 = never built).
-    directory: u64,
     terms: Vec<FlowTerm>,
-    /// Directory size after the build: every id in `terms` is below it.
-    n_terms: u32,
-    /// First id minted by this build; ids `minted_base..n_terms` carry
-    /// ladders (the directory is append-only, so they are contiguous).
-    minted_base: u32,
-    /// Ladder of id `minted_base + k` is
-    /// `ladders[ladder_off[k]..ladder_off[k + 1]]`.
-    ladder_off: Vec<u32>,
-    ladders: Vec<f64>,
+    /// The directory's store after the build: every offset in `terms`
+    /// points into it.
+    ladders: Ladders,
 }
 
 impl EpochFlowTable {
@@ -191,18 +237,16 @@ impl EpochFlowTable {
         Self::default()
     }
 
-    /// Rebuild in place for `obs`, minting the keys `dir` has not seen.
-    /// Buffers are reused, so a steady-state epoch allocates nothing.
-    /// Observations over an empty path set carry no evidence and get no
-    /// term (engines drop them before looking).
+    /// Rebuild in place for `obs`, storing the ladders of the keys `dir`
+    /// has not seen. Buffers are reused, so a steady-state epoch
+    /// allocates little. Observations over an empty path set carry no
+    /// evidence and get no ladder (engines drop them before looking).
     pub fn rebuild(&mut self, dir: &mut TermDirectory, obs: &ObservationSet) {
-        self.directory = dir.token;
+        // Release the old snapshot first, so storing a new ladder copies
+        // no chunk on this table's account.
+        self.ladders = Ladders::default();
         self.terms.clear();
         self.terms.reserve(obs.flows.len());
-        self.minted_base = dir.ids.len() as u32;
-        self.ladder_off.clear();
-        self.ladder_off.push(0);
-        self.ladders.clear();
         let mut run: Option<((u32, u64, u64), FlowTerm)> = None;
         for o in &obs.flows {
             let key = o.evidence_key();
@@ -213,10 +257,11 @@ impl EpochFlowTable {
                     let term = if w == 0 {
                         FlowTerm {
                             score: 0.0,
-                            id: u32::MAX,
+                            off: 0,
+                            w: 0,
                         }
                     } else {
-                        self.term_of(dir, o.sent, o.bad, w)
+                        dir.term(o.sent, o.bad, w)
                     };
                     run = Some((key, term));
                     term
@@ -224,21 +269,7 @@ impl EpochFlowTable {
             };
             self.terms.push(term);
         }
-        self.n_terms = dir.ids.len() as u32;
-    }
-
-    /// Look `(sent, bad, w)` up in `dir` — one hash probe — minting it,
-    /// ladder included, on first sight.
-    fn term_of(&mut self, dir: &mut TermDirectory, sent: u64, bad: u64, w: u32) -> FlowTerm {
-        let score = dir.coeffs.score(sent, bad);
-        let next = u32::try_from(dir.ids.len()).expect("term directory exceeds u32 ids");
-        let id = *dir.ids.entry((sent, bad, w)).or_insert(next);
-        if id == next {
-            self.ladders.extend((0..=w).map(|b| llf(score, w, b)));
-            let end = u32::try_from(self.ladders.len()).expect("minted ladders exceed u32 offsets");
-            self.ladder_off.push(end);
-        }
-        FlowTerm { score, id }
+        self.ladders = dir.ladders.clone();
     }
 
     /// Observations covered (the length of the `obs.flows` it was built
@@ -252,127 +283,28 @@ impl EpochFlowTable {
         self.terms.is_empty()
     }
 
-    /// `(term id, flow score)` of observation `i`.
-    #[inline]
-    pub fn term(&self, i: usize) -> (u32, f64) {
+    /// The ladder of observation `i`, in place in the store:
+    /// `ladder(i)[b]` is `llf(s, w, b)` for its [`flow_score`] `s` and
+    /// its path set's width `w` (so `ladder(i)[w]` is `s`). Empty for an
+    /// observation over an empty path set.
+    pub fn ladder(&self, i: usize) -> &[f64] {
         let t = self.terms[i];
-        (t.id, t.score)
-    }
-
-    /// Ids minted by this build.
-    pub fn minted(&self) -> usize {
-        (self.n_terms - self.minted_base) as usize
-    }
-
-    /// The ladder of `id`, if this build minted it.
-    fn minted_ladder(&self, id: u32) -> Option<&[f64]> {
-        let k = id.checked_sub(self.minted_base)? as usize;
-        let hi = *self.ladder_off.get(k + 1)?;
-        Some(&self.ladders[self.ladder_off[k] as usize..hi as usize])
-    }
-}
-
-/// One engine's resident `llf` ladders, addressed by term id.
-///
-/// Flat `f64` storage: a flow holds an offset and reads
-/// `values()[off + b]`, so the sweep kernels (see [`crate::kernels`])
-/// index one contiguous slice. Which ids are resident is a dense id →
-/// offset array — no key, no hash. Entries are produced by [`llf`] itself
-/// (directly, or copied from a ladder the epoch's table minted with it),
-/// so a lookup is **bit-identical** to direct evaluation by construction.
-///
-/// Extend-only: ladders resolved in earlier epochs stay valid across
-/// view rebinds, so offsets held by live super-flows never move.
-#[derive(Debug, Default, Clone)]
-pub struct TermTable {
-    /// Flat storage; the ladder of a resident id sits at `off..=off + w`.
-    values: Vec<f64>,
-    /// Term id → offset of its ladder in `values` ([`UNRESOLVED`] until
-    /// this engine first meets the id).
-    offsets: Vec<u32>,
-    /// Identity of the directory the ids belong to, bound by the first
-    /// table seen.
-    directory: Option<u64>,
-    /// Ladders resident (for diagnostics/bench reporting).
-    tables: usize,
-}
-
-/// "Not resident yet" in [`TermTable::offsets`].
-const UNRESOLVED: u32 = u32::MAX;
-
-impl TermTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Prepare to resolve the ids of `table`: widen the id side to its
-    /// directory's current size.
-    ///
-    /// # Panics
-    /// If `table` was built over another [`TermDirectory`] than the
-    /// first one bound — the two id spaces alias, and resolving through
-    /// the wrong one would read another key's ladder.
-    pub fn bind(&mut self, table: &EpochFlowTable) {
-        let bound = *self.directory.get_or_insert(table.directory);
-        assert_eq!(
-            bound, table.directory,
-            "flow table built over another term directory: its ids alias this engine's"
-        );
-        if self.offsets.len() < table.n_terms as usize {
-            self.offsets.resize(table.n_terms as usize, UNRESOLVED);
+        if t.w == 0 {
+            return &[];
         }
+        self.ladders.get(t.off, t.w)
     }
 
-    /// Offset of term `id`'s ladder (`w + 1` entries, `llf(score, w, ·)`),
-    /// made resident on this engine's first sight of the id: copied from
-    /// `table` when it minted the id this epoch, computed otherwise.
-    /// `table` must have been [bound](Self::bind); `w` must be positive
-    /// (a flow with no candidate paths carries no evidence and is
-    /// dropped before it reaches the engine). The score is finite for
-    /// any valid [`HyperParams`]; if a degenerate parameter set ever
-    /// produces a non-finite one the exact `llf` outputs are stored
-    /// unchanged, so lookups still agree bitwise with direct evaluation
-    /// — the non-finite guard property tests pin this down.
+    /// `(score, ladder offset)` of observation `i`.
     #[inline]
-    pub fn resolve(&mut self, id: u32, score: f64, w: u32, table: &EpochFlowTable) -> u32 {
-        debug_assert!(w > 0, "term table requires w > 0");
-        let off = self.offsets[id as usize];
-        if off != UNRESOLVED {
-            return off;
-        }
-        self.append(id, score, w, table)
+    pub(crate) fn term(&self, i: usize) -> (f64, u32) {
+        let t = self.terms[i];
+        (t.score, t.off)
     }
 
-    #[cold]
-    fn append(&mut self, id: u32, score: f64, w: u32, table: &EpochFlowTable) -> u32 {
-        let off = u32::try_from(self.values.len()).expect("term table exceeds u32 offsets");
-        match table.minted_ladder(id) {
-            Some(ladder) => {
-                debug_assert_eq!(ladder.len(), w as usize + 1);
-                self.values.extend_from_slice(ladder);
-            }
-            None => self.values.extend((0..=w).map(|b| llf(score, w, b))),
-        }
-        self.offsets[id as usize] = off;
-        self.tables += 1;
-        off
-    }
-
-    /// The flat value storage; a flow's ladder is `&values()[off..=off + w]`.
-    #[inline]
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Total `f64` entries across all resident ladders.
-    pub fn entries(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Distinct `(sent, bad, w)` keys resident.
-    pub fn tables(&self) -> usize {
-        self.tables
+    /// The store snapshot every offset of the table points into.
+    pub(crate) fn ladders(&self) -> &Ladders {
+        &self.ladders
     }
 }
 
@@ -483,10 +415,9 @@ mod tests {
         }
     }
 
-    /// The table is keyed once per run, ids are dense in mint order, a
-    /// known key mints nothing — and a ladder is the same bits whether an
-    /// engine copies it from the minting epoch's table or computes it
-    /// epochs later from the score alone.
+    /// The table is keyed once per run, a key is stored once, in first-
+    /// sight order, and a known key stores nothing; every ladder is
+    /// `llf`'s own bits, read in place through the table.
     #[test]
     fn flow_table_keys_once_and_ladders_are_bit_identical() {
         let p = params();
@@ -496,54 +427,81 @@ mod tests {
         let twin = obs.flows[3];
         obs.flows.push(twin);
         let mut dir = TermDirectory::new(&p);
-        let mut minting = EpochFlowTable::new();
-        minting.rebuild(&mut dir, &obs);
-        assert_eq!(minting.len(), 5);
+        let mut first = EpochFlowTable::new();
+        first.rebuild(&mut dir, &obs);
+        assert_eq!(first.len(), 5);
         assert_eq!(dir.len(), 4, "w is part of the key");
-        assert_eq!(minting.minted(), 4);
-        assert_eq!(minting.term(4).0, minting.term(3).0);
+        assert_eq!(first.ladders.sizes(), (4, 5 + 5 + 9 + 9));
+        assert_eq!(first.term(4), first.term(3));
+        let mut at = 0;
         for (i, &(sent, bad, w)) in keys.iter().enumerate() {
-            let (id, score) = minting.term(i);
-            assert_eq!(id as usize, i, "dense, in mint order");
+            let (score, off) = first.term(i);
+            assert_eq!(off, at, "stored once each, in first-sight order");
+            at += w + 1;
             assert_eq!(score.to_bits(), flow_score(&p, sent, bad).to_bits());
-            let ladder = minting.minted_ladder(id).unwrap();
+            let ladder = first.ladder(i);
             assert_eq!(ladder.len(), w as usize + 1);
             for (b, v) in ladder.iter().enumerate() {
                 assert_eq!(v.to_bits(), llf(score, w, b as u32).to_bits());
             }
         }
-        // A later epoch over known keys: same ids, nothing minted.
+        // A later epoch over known keys: same offsets, nothing stored.
         let mut later = EpochFlowTable::new();
         later.rebuild(&mut dir, &obs);
-        assert_eq!((dir.len(), later.minted()), (4, 0));
-        assert!(later.minted_ladder(0).is_none());
-
-        // `early` meets every id in the minting epoch (copies), `late`
-        // only afterwards (computes): same offsets, same bits.
-        let mut early = TermTable::new();
-        let mut late = TermTable::new();
-        early.bind(&minting);
-        late.bind(&later);
-        for (i, &(_, _, w)) in keys.iter().enumerate() {
-            let (id, score) = later.term(i);
-            assert_eq!(minting.term(i).0, id);
-            let oe = early.resolve(id, score, w, &minting);
-            let ol = late.resolve(id, score, w, &later);
-            assert_eq!(oe, ol);
+        assert_eq!(dir.len(), 4);
+        assert_eq!(later.ladders.sizes(), first.ladders.sizes());
+        for i in 0..obs.flows.len() {
+            assert_eq!(later.term(i), first.term(i));
         }
-        assert_eq!(early.tables(), 4);
-        assert_eq!(early.entries(), late.entries());
-        for (a, b) in early.values().iter().zip(late.values()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // Re-resolving is a pure hit.
-        let (id, score) = later.term(1);
-        let entries = early.entries();
-        assert_eq!(early.resolve(id, score, 4, &later), 5);
-        assert_eq!(early.entries(), entries);
     }
 
-    /// Equal `(sent, bad)` over sets of equal width share one id even
+    /// The store keeps a ladder in one chunk: one the tail chunk has no
+    /// room for starts the next chunk and reads back exactly `w + 1`
+    /// values. A snapshot reads what it was taken with while the store
+    /// grows — also after the shared tail chunk is copied on write.
+    #[test]
+    fn ladder_store_keeps_each_ladder_in_one_chunk() {
+        use flock_telemetry::input::CHUNK_ROWS;
+        let w = 999u32;
+        let per_chunk = CHUNK_ROWS / (w as usize + 1);
+        assert!(per_chunk >= 1 && CHUNK_ROWS % (w as usize + 1) != 0);
+        let mut store = Ladders::default();
+        let score = |k: u32| -3.0 + f64::from(k);
+        let check = |store: &Ladders, offs: &[u32]| {
+            assert_eq!(store.sizes(), (offs.len(), offs.len() * (w as usize + 1)));
+            for (k, &off) in (0u32..).zip(offs) {
+                let ladder = store.get(off, w);
+                assert_eq!(ladder.len(), w as usize + 1);
+                for (b, v) in (0u32..).zip(ladder) {
+                    assert_eq!(
+                        v.to_bits(),
+                        llf(score(k), w, b).to_bits(),
+                        "ladder {k} b={b}"
+                    );
+                }
+            }
+        };
+        let mut offs: Vec<u32> = (0..per_chunk as u32)
+            .map(|k| store.push(score(k), w))
+            .collect();
+        let snap = store.clone();
+        let shared = offs.clone();
+        // The tail chunk has no room for another ladder: it starts the
+        // next chunk.
+        offs.push(store.push(score(per_chunk as u32), w));
+        assert_eq!(offs[per_chunk] as usize, CHUNK_ROWS);
+        // A snapshot sharing a tail chunk with room left: the next
+        // ladder lands in that chunk, so the store copies it on write.
+        let snap2 = store.clone();
+        let shared2 = offs.clone();
+        offs.push(store.push(score(per_chunk as u32 + 1), w));
+        assert_eq!(offs[per_chunk + 1] as usize, CHUNK_ROWS + w as usize + 1);
+        check(&snap, &shared);
+        check(&snap2, &shared2);
+        check(&store, &offs);
+    }
+
+    /// Equal `(sent, bad)` over sets of equal width share one ladder even
     /// when the sets differ: the ladder depends on the set only through
     /// `w`.
     #[test]
@@ -553,22 +511,9 @@ mod tests {
         let mut dir = TermDirectory::new(&params());
         let mut table = EpochFlowTable::new();
         table.rebuild(&mut dir, &obs);
-        assert_eq!(table.term(0).0, table.term(1).0);
-        assert_ne!(table.term(0).0, table.term(2).0);
+        assert_eq!(table.term(0), table.term(1));
+        assert_ne!(table.term(0).1, table.term(2).1);
         assert_eq!(dir.len(), 2);
-    }
-
-    /// Term ids of two directories alias; a table resolves through one.
-    #[test]
-    #[should_panic(expected = "another term directory")]
-    fn term_table_refuses_a_second_directory() {
-        let obs = obs_of(&[(50, 1, 3)]);
-        let mut terms = TermTable::new();
-        for _ in 0..2 {
-            let mut table = EpochFlowTable::new();
-            table.rebuild(&mut TermDirectory::new(&params()), &obs);
-            terms.bind(&table);
-        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use flock_core::{
     flow_score, kernels, llf, CompIdx, ComponentSpace, Engine, EpochFlowTable, FlockGreedy,
-    HyperParams, Localizer, SherlockFerret, TermDirectory, TermTable,
+    HyperParams, Localizer, SherlockFerret, TermDirectory,
 };
 use flock_telemetry::input::{assemble, AnalysisMode, InputKind};
 use flock_telemetry::{
@@ -778,11 +778,11 @@ proptest! {
 
     /// One flow table per epoch ≡ per-engine keying, bitwise. An engine
     /// reading tables built over a long-lived shared directory agrees to
-    /// the bit — likelihood, Δ, along a flip — with an engine keying the
-    /// same epochs itself; and an engine that first meets its keys epochs
-    /// after the directory minted them (so it computes its ladders from
-    /// the score instead of copying minted ones) agrees to the bit with
-    /// a fresh engine that mints them all.
+    /// the bit — likelihood, Δ, along a flip, and the ladders stored —
+    /// with an engine keying the same epochs itself; and an engine that
+    /// first meets its keys epochs after the directory stored their
+    /// ladders agrees to the bit with a fresh engine that stores them
+    /// all.
     #[test]
     fn shared_flow_table_is_bit_equal_to_private_keying(
         seed in 0u64..1000,
@@ -800,16 +800,18 @@ proptest! {
         let mut private = Engine::unbound(&topo, params);
         let bits = |e: &Engine| {
             let d: Vec<u64> = e.delta().iter().map(|x| x.to_bits()).collect();
-            (e.log_likelihood().to_bits(), d, e.term_table_sizes())
+            (e.log_likelihood().to_bits(), d)
         };
         for epoch in 0..3 {
             let traffic = epoch_traffic(&topo, &router, &hosts, &mut rng, 60);
             let obs = asm.assemble(&topo, &router, &traffic, &kinds, AnalysisMode::PerPacket);
             let all = accept_list(&obs, false);
+            let stored_before = terms.len();
             table.rebuild(&mut terms, &obs);
             shared.try_bind(&topo, &obs, &all, &table, &[]).unwrap();
             private.rebind(&topo, &obs);
             prop_assert_eq!(bits(&shared), bits(&private), "epoch {}", epoch);
+            prop_assert_eq!(shared.term_table_sizes(), private.term_table_sizes());
             let c = rng.random_range(0..shared.n_comps() as u32);
             prop_assert_eq!(shared.flip(c).to_bits(), private.flip(c).to_bits());
             prop_assert_eq!(bits(&shared), bits(&private), "epoch {} after flip({})", epoch, c);
@@ -821,8 +823,8 @@ proptest! {
                 late.try_bind(&topo, &obs, &all, &table, &[]).unwrap();
                 let fresh = built(&topo, &obs);
                 prop_assert!(
-                    late.term_table_sizes().0 > table.minted(),
-                    "the palette repeats: most keys were minted in epochs 0 and 1"
+                    terms.len() - stored_before < fresh.term_table_sizes().0,
+                    "the palette repeats: epoch 2 reads ladders stored in epochs 0 and 1"
                 );
                 prop_assert_eq!(bits(&late), bits(&fresh));
             }
@@ -916,12 +918,10 @@ proptest! {
         prop_assert!((llf(score, w, w) - score).abs() < 1e-12);
     }
 
-    /// The term table is a memo, not an approximation: every resident
-    /// entry equals the direct `llf` evaluation bitwise — whether the
-    /// ladder was copied from the table of the epoch that minted its id
-    /// or computed epochs later from the score — re-resolving is a pure
-    /// hit (same offset, no growth), and offsets stay valid as the table
-    /// extends.
+    /// The ladder store is a memo, not an approximation: every stored
+    /// entry equals the direct `llf` evaluation bitwise — read through
+    /// the table of the epoch that stored the ladder or through a later
+    /// one — and a ladder reads the same bits after the store extends.
     #[test]
     fn term_table_matches_llf_bitwise(
         sent in 1u64..5000,
@@ -930,53 +930,54 @@ proptest! {
     ) {
         let params = HyperParams::default();
         let bad = ((sent as f64) * bad_frac) as u64;
-        // Two observations of `(sent, bad)`: over a set of `w` paths and
-        // over one of `w + 1`.
+        // Observations of `(sent, bad)` over sets of `w`, `w + 1` and
+        // `w + 2` paths; the first table sees the first two.
         let mut arena = PathArena::new();
-        let paths: Vec<[LinkId; 1]> = (0..=w).map(|l| [LinkId(l)]).collect();
-        let flows = [&paths[..w as usize], &paths[..]]
-            .map(|members| FlowObs {
+        let paths: Vec<[LinkId; 1]> = (0..w + 2).map(|l| [LinkId(l)]).collect();
+        let flows: Vec<FlowObs> = [w, w + 1, w + 2]
+            .map(|width| FlowObs {
                 prefix: [None, None],
-                set: arena.intern_set(PathSet::from_paths(members)),
+                set: arena.intern_set(PathSet::from_paths(&paths[..width as usize])),
                 sent,
                 bad,
                 weight: 1,
             })
             .to_vec();
-        let obs = ObservationSet { arena: arena.into(), flows, mode: AnalysisMode::PerPacket };
+        let wider = ObservationSet {
+            arena: arena.into(),
+            flows,
+            mode: AnalysisMode::PerPacket,
+        };
+        let mut obs = wider.clone();
+        obs.flows.truncate(2);
         let mut dir = TermDirectory::new(&params);
-        let mut minting = EpochFlowTable::new();
-        minting.rebuild(&mut dir, &obs);
+        let mut first = EpochFlowTable::new();
+        first.rebuild(&mut dir, &obs);
         let mut later = EpochFlowTable::new();
         later.rebuild(&mut dir, &obs);
-        prop_assert_eq!((minting.minted(), later.minted()), (2, 0));
+        prop_assert_eq!(dir.len(), 2);
+        let mut extended = EpochFlowTable::new();
+        extended.rebuild(&mut dir, &wider);
+        prop_assert_eq!(dir.len(), 3, "one more key, one more ladder");
 
-        for table in [&minting, &later] {
-            let (id, score) = table.term(0);
-            prop_assert_eq!(score.to_bits(), flow_score(&params, sent, bad).to_bits());
-            let mut t = TermTable::new();
-            t.bind(table);
-            let off = t.resolve(id, score, w, table);
-            for b in 0..=w {
-                prop_assert_eq!(
-                    t.values()[(off + b) as usize].to_bits(),
-                    llf(score, w, b).to_bits(),
-                    "entry b={}", b
-                );
+        let score = flow_score(&params, sent, bad);
+        for table in [&first, &later, &extended] {
+            for (i, width) in [w, w + 1].into_iter().enumerate() {
+                let ladder = table.ladder(i);
+                prop_assert_eq!(ladder.len(), width as usize + 1);
+                for (b, v) in (0u32..).zip(ladder) {
+                    prop_assert_eq!(
+                        v.to_bits(),
+                        llf(score, width, b).to_bits(),
+                        "w={} entry b={}", width, b
+                    );
+                }
             }
-            let (entries, tables) = (t.entries(), t.tables());
-            prop_assert_eq!(t.resolve(id, score, w, table), off);
-            prop_assert_eq!(t.entries(), entries);
-            prop_assert_eq!(t.tables(), tables);
-            // A different key extends the table without moving the old one.
-            let (wider, _) = table.term(1);
-            prop_assert_ne!(wider, id);
-            let off2 = t.resolve(wider, score, w + 1, table);
-            prop_assert!(off2 >= entries as u32);
-            prop_assert_eq!(
-                t.values()[(off + w) as usize].to_bits(),
-                llf(score, w, w).to_bits()
-            );
+        }
+        let ladder = extended.ladder(2);
+        prop_assert_eq!(ladder.len(), w as usize + 3);
+        for (b, v) in (0u32..).zip(ladder) {
+            prop_assert_eq!(v.to_bits(), llf(score, w + 2, b).to_bits());
         }
     }
 

@@ -49,8 +49,8 @@ pub(crate) struct EpochCtx {
     /// computed once on the assembly stage so shard binding is a
     /// replay, not a filter scan.
     pub(crate) accept: Vec<Vec<u32>>,
-    /// Each observation's term id and score, plus the ladders of the
-    /// keys first seen this epoch: every shard engine reads its evidence
+    /// Each observation's score and ladder offset, plus a snapshot of the
+    /// directory's ladder store: every shard engine reads its evidence
     /// keys from here instead of hashing and scoring them again.
     pub(crate) flow_table: EpochFlowTable,
     pub(crate) deadline: Option<Instant>,

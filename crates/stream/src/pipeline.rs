@@ -366,7 +366,8 @@ pub struct StageTimings {
     /// and per-shard accept lists.
     pub index: Duration,
     /// The part of `prepare` spent keying the epoch's evidence into the
-    /// [`EpochFlowTable`] (directory probes, scores, minted ladders).
+    /// [`EpochFlowTable`] (directory probes, scores, the ladders of
+    /// first-seen keys).
     pub flow_table: Duration,
 }
 
@@ -445,8 +446,8 @@ pub struct StreamPipeline<'t> {
     exec: ShardExecutor,
     /// The submitted-but-uncollected epoch (pipelined mode).
     in_flight: Option<InFlight>,
-    /// Every `(sent, bad, w)` evidence key ever assembled → dense term
-    /// id; the shard engines' ladders are addressed by these ids.
+    /// Every `(sent, bad, w)` evidence key ever assembled, with its
+    /// `llf` ladder, which every shard engine reads in place.
     terms: TermDirectory,
     /// Previous epoch's accept-list and flow-table buffers, reclaimed
     /// at collect and refilled in place the next epoch.

@@ -43,18 +43,25 @@ fn content_hash(links: &[LinkId]) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct PathSetId(pub u32);
 
-/// Entries per storage chunk of a [`Column`]. Interning into an arena
-/// whose tail chunk a live [`ArenaSnapshot`] still shares copies at most
-/// this many entries once; full chunks are never copied.
-const CHUNK_ROWS: usize = 4096;
+/// Entries per storage chunk of a [`Column`]. Appending to a column whose
+/// tail chunk a live clone still shares copies at most this many entries
+/// once; full chunks are never copied.
+pub const CHUNK_ROWS: usize = 4096;
 
 /// An append-only column whose storage is shared by `Arc` in chunks of
 /// [`CHUNK_ROWS`] entries: cloning the column clones a few `Arc`s, and
-/// pushing to one clone never changes what another reads
-/// (`Arc::make_mut` copies the tail chunk if it is still shared).
+/// appending to one clone never changes what another reads
+/// (`Arc::make_mut` copies the tail chunk if it is still shared). The
+/// [`ArenaSnapshot`] stores its sets in one, `flock-core`'s term
+/// directory its likelihood ladders.
+///
+/// A run — one [`Column::push_run`] — never crosses a chunk boundary, so
+/// [`Column::run`] reads it back as one slice: a run the tail chunk has no
+/// room for starts the next chunk, and the rows it skips are never read.
 #[derive(Debug, Clone)]
-struct Column<T> {
+pub struct Column<T> {
     chunks: Vec<Arc<Vec<T>>>,
+    /// One past the last row appended, counting the skipped rows.
     len: usize,
 }
 
@@ -68,17 +75,39 @@ impl<T> Default for Column<T> {
 }
 
 impl<T: Clone> Column<T> {
-    fn push(&mut self, value: T) {
-        if self.len % CHUNK_ROWS == 0 {
-            self.chunks.push(Arc::new(Vec::with_capacity(CHUNK_ROWS)));
-        }
-        Arc::make_mut(self.chunks.last_mut().expect("tail chunk pushed above")).push(value);
-        self.len += 1;
+    /// Append one row.
+    pub fn push(&mut self, value: T) {
+        self.push_run(std::iter::once(value));
     }
 
+    /// Append `values` as one run and return its first row.
+    ///
+    /// # Panics
+    /// If the run is longer than [`CHUNK_ROWS`].
+    pub fn push_run(&mut self, values: impl ExactSizeIterator<Item = T>) -> usize {
+        let n = values.len();
+        assert!(n <= CHUNK_ROWS, "a run of {n} rows exceeds a column chunk");
+        if !matches!(self.chunks.last(), Some(tail) if tail.len() + n <= CHUNK_ROWS) {
+            self.len = self.chunks.len() * CHUNK_ROWS;
+            self.chunks.push(Arc::new(Vec::with_capacity(CHUNK_ROWS)));
+        }
+        let start = self.len;
+        Arc::make_mut(self.chunks.last_mut().expect("tail chunk pushed above")).extend(values);
+        self.len += n;
+        start
+    }
+
+    /// The row `row`.
     #[inline]
-    fn get(&self, row: usize) -> &T {
-        &self.chunks[row / CHUNK_ROWS][row % CHUNK_ROWS]
+    pub fn get(&self, row: usize) -> &T {
+        &self.run(row, 1)[0]
+    }
+
+    /// The `n` rows from `start` on, which one [`Column::push_run`]
+    /// appended (or a part of them).
+    #[inline]
+    pub fn run(&self, start: usize, n: usize) -> &[T] {
+        &self.chunks[start / CHUNK_ROWS][start % CHUNK_ROWS..][..n]
     }
 }
 

@@ -47,7 +47,7 @@ pub use collector::{
 };
 pub use flow::{FlowKey, FlowRecord, FlowStats, MonitoredFlow, TrafficClass};
 pub use input::{
-    AnalysisMode, ArenaSnapshot, Assembler, FlowObs, InputKind, ObservationSet, PathArena,
+    AnalysisMode, ArenaSnapshot, Assembler, Column, FlowObs, InputKind, ObservationSet, PathArena,
     PathSetId,
 };
 pub use probes::{plan_a1_probes, ProbeSpec};
