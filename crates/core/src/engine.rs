@@ -11,12 +11,11 @@
 //! access over fleet-wide arrays — regardless of how little evidence its
 //! shard actually sees. Instead, every engine owns an
 //! [`ArenaView`]: a persistent dense projection of the arena onto the
-//! sets its accepted observations touch, each with its run of member
-//! paths. **All internal state and
+//! sets its accepted observations touch. **All internal state and
 //! every public index on this type — `delta()`, `flip()`, `hypothesis()`
 //! — is a dense local id**, assigned in first-touch order and stable for
 //! the engine's lifetime (views are append-only). Components are
-//! localized the same way as paths bring them in; translate at the
+//! localized the same way as sets bring them in; translate at the
 //! boundary with [`Engine::global_comp`] / [`Engine::local_comp`] /
 //! [`Engine::component`]. [`Engine::n_comps`] is therefore the number of
 //! components *with evidence in this shard's history*, not the topology's
@@ -35,24 +34,22 @@
 //! # State
 //!
 //! The engine mirrors the observation set's structure. The structural
-//! layer is append-only — a path or set, once viewed, keeps its local id
-//! and its content forever — and lives in flat offsets+items *row
-//! tables* (one allocation pair per table, rows appended as the view
-//! grows, never rewritten):
+//! layer is append-only — a set, once viewed, keeps its local id and its
+//! content forever — and lives in flat offsets+items *row tables* (one
+//! allocation pair per table, rows appended as the view grows, never
+//! rewritten): per viewed path set, the sorted union of its member paths'
+//! components (`set_comps`), the cached structure half of the initial Δ
+//! (`set_ladders`/`set_gidx`, see below) and its width, the count of its
+//! member paths (`set_width`). No table numbers or stores member paths:
+//! member `i` of local set `s` is member `i` of the arena set
+//! ([`ArenaSnapshot::members`], for an ECMP set the `Router`'s own
+//! `PathSet`).
 //!
-//! * per viewed path set: the sorted union of its member paths'
-//!   components (`set_comps`), the cached structure half of the initial Δ
-//!   (`set_ladders`/`set_gidx`, see below), and the number of member paths
-//!   with a non-zero fail count (`set_bad`), shared by every flow using
-//!   the set. A set's member paths are the contiguous run of local path
-//!   ids the view assigned it ([`ArenaView::paths_of`]), in member order,
-//!   so no table stores member ids: local path `paths_of(s).start + i`
-//!   has the links of member `i` of the arena set
-//!   ([`ArenaSnapshot::members`], for an ECMP set the `Router`'s own
-//!   `PathSet`);
-//! * per viewed fabric path: the current *fail count* — how many
-//!   hypothesis components lie on it (`path_fail`; a set's fail counts
-//!   are one contiguous slice).
+//! The hypothesis (`in_h`) is the engine's only failure state. A path's
+//! *fail count* — how many hypothesis components lie on it — is read off
+//! `in_h` as a walk reads the path's row; the engine stores nothing per
+//! path. Per set it keeps the number of member paths with a non-zero
+//! fail count (`set_bad`), shared by every flow using the set.
 //!
 //! A path's component row — its links and their switch ends,
 //! deduplicated, in first-touch order — is read only by a flip (for the
@@ -70,10 +67,10 @@
 //! (`comp_to_sets`), transposed eagerly when the view grew, which the
 //! initial Δ, every flip and the evidence report read. A flip or a seed
 //! reaches the component's paths through them, one set at a time: one
-//! walk over the set's path rows moves the fail count of each member
-//! path whose row contains the component (a path belongs to one set, so
-//! each moves once) and recounts the set's `set_bad` — and, for a flip
-//! that maintains Δ, counts the set's pre-flip counters on the way.
+//! walk over the set's path rows counts its `set_bad` at the current
+//! `in_h` — and, for a flip that maintains Δ, the set's counters on the
+//! way, once with the component at its old membership and once at its
+//! new one.
 //!
 //! The evidence layer is rebuilt every epoch, from the accepted
 //! observations and the epoch's [`EpochFlowTable`] — the evidence keys
@@ -347,8 +344,8 @@ struct RowSource<'a> {
 }
 
 impl RowSource<'_> {
-    /// The member paths of local set `s`, in the order of its local paths
-    /// ([`ArenaView::paths_of`]).
+    /// The member paths of local set `s`: its arena set's, in member
+    /// order (their count is the set's width).
     fn members(&self, s: u32) -> &PathSet {
         self.arena.members(self.view.global_set(s))
     }
@@ -417,23 +414,19 @@ impl PathRows {
         }
     }
 
-    /// `(path, row)` for every member path of the derived set `s`, whose
-    /// local paths are `paths`.
-    fn rows(
-        &self,
-        s: u32,
-        paths: std::ops::Range<u32>,
-    ) -> impl Iterator<Item = (u32, &[u32])> + '_ {
+    /// The row of every member path of the derived set `s`, of width
+    /// `w`, in member order.
+    fn rows(&self, s: u32, w: usize) -> impl Iterator<Item = &[u32]> + '_ {
         assert!(
             self.is_derived(s),
             "set {s} is read before its path rows were derived"
         );
         let mut at = self.starts[s as usize] as usize;
-        paths.map(move |p| {
+        (0..w).map(move |_| {
             let len = self.items[at] as usize;
             let row = &self.items[at + 1..at + 1 + len];
             at += 1 + len;
-            (p, row)
+            row
         })
     }
 }
@@ -472,9 +465,9 @@ pub struct EngineStateSizes {
     /// Local components (length of the Δ array, `in_h`, and the per-flip
     /// scratch counters).
     pub comps: usize,
-    /// Local (viewed) paths: the length of `path_fail`. Their component
-    /// rows are derived per set on first use, so this counts paths, not
-    /// rows.
+    /// Member paths of the local sets. The engine stores nothing per
+    /// path (their component rows are derived per set on first use), so
+    /// this counts paths, not rows.
     pub paths: usize,
     /// Local sets (length of `set_bad` and the per-set structure).
     pub sets: usize,
@@ -494,8 +487,7 @@ pub struct Engine {
     params: HyperParams,
 
     /// The projection of the arena onto the evidence this engine has
-    /// ever accepted; assigns the local set ids below, and each set's run
-    /// of local path ids.
+    /// ever accepted; assigns the local set ids below.
     view: ArenaView,
     /// The arena content of the last bind, which path rows are derived
     /// from (`None` until the first bind).
@@ -512,14 +504,11 @@ pub struct Engine {
     /// evidence-width structure is local.
     comps: DenseRemap,
 
-    // Paths (local ids): the fail count of every viewed path, and the
-    // component rows of the paths of the sets read so far.
-    path_fail: Vec<u32>,
+    /// The component rows of the member paths of the sets read so far.
     path_rows: PathRows,
 
     // Sets (local ids): row `s` of `set_comps` is the sorted component
-    // union of set `s`, whose member paths are the view's run
-    // `paths_of(s)`.
+    // union of the member paths of set `s`.
     set_comps: Csr,
     /// The structure half of the initial Δ, computed once when a set is
     /// first viewed (see [`Engine::compute_initial_delta`]): row `s` is
@@ -529,6 +518,9 @@ pub struct Engine {
     /// Parallel to `set_comps.items` (same row offsets): the index of
     /// each component's `g` in its set's ladder.
     set_gidx: Vec<u16>,
+    /// Per set, its width: the count of its arena members.
+    set_width: Vec<u32>,
+    /// Per set, its member paths with a component in the hypothesis.
     set_bad: Vec<u32>,
     /// `set_comps` transposed; rebuilt only when the view grew.
     comp_to_sets: Csr,
@@ -619,11 +611,11 @@ impl Engine {
                 m.ensure_ids(n_global);
                 m
             },
-            path_fail: Vec::new(),
             path_rows: PathRows::default(),
             set_comps: Csr::default(),
             set_ladders: Csr::default(),
             set_gidx: Vec::new(),
+            set_width: Vec::new(),
             set_bad: Vec::new(),
             comp_to_sets: Csr::default(),
             set_flows: Csr::default(),
@@ -735,7 +727,6 @@ impl Engine {
         // Reset hypothesis-dependent state — all O(local).
         self.in_h.fill(false);
         self.hypothesis.clear();
-        self.path_fail.fill(0);
         self.set_bad.fill(0);
         self.delta.fill(0.0);
 
@@ -780,7 +771,7 @@ impl Engine {
                 .flat_map(|(mi, m)| m.extras().iter().map(move |&e| (e, mi))),
         );
 
-        // Only now can the seed go in: it may have gained paths, sets or
+        // Only now can the seed go in: it may have gained sets or
         // members this epoch, and entering it walks the indexes above.
         self.enter_hypothesis(seed);
         self.compute_initial_delta();
@@ -789,11 +780,11 @@ impl Engine {
 
     /// Put the engine — freshly reset to the empty hypothesis, flow layer
     /// and inverted indexes rebuilt — at the hypothesis `seed` (global
-    /// ids): membership, path fail counts, `set_bad` of every set a
-    /// seeded path crosses, pinned members, and both argmax biases, i.e.
-    /// everything a [`Engine::flip`] per component would have left
-    /// behind except Δ and the likelihood, which
-    /// [`Engine::compute_initial_delta`] derives from this state.
+    /// ids): membership, `set_bad` of every set a seeded component lies
+    /// on, pinned members, and both argmax biases, i.e. everything a
+    /// [`Engine::flip`] per component would have left behind except Δ and
+    /// the likelihood, which [`Engine::compute_initial_delta`] derives
+    /// from this state.
     fn enter_hypothesis(&mut self, seed: &[CompIdx]) {
         for &g in seed {
             let Some(c) = self.comps.local(g) else {
@@ -803,16 +794,6 @@ impl Engine {
                 continue;
             }
             self.hypothesis.push(c);
-            // The sets a seed enters are the ones whose counters
-            // `compute_initial_delta` collects (`set_bad > 0`).
-            // The last seed to touch a set leaves its `set_bad` final.
-            let comp_to_sets = std::mem::take(&mut self.comp_to_sets);
-            let sets = comp_to_sets.get(c);
-            self.derive_path_rows(sets);
-            for &s in sets {
-                self.set_bad[s as usize] = self.walk_set::<false>(s, Some((c, true)));
-            }
-            self.comp_to_sets = comp_to_sets;
             for &mi in self.comp_extra_members.get(c) {
                 let m = &mut self.members[mi as usize];
                 m.extra_fail += 1;
@@ -824,6 +805,21 @@ impl Engine {
             self.gain_move_bias[c as usize] = -p;
             self.gain_add_bias[c as usize] = f64::NEG_INFINITY;
         }
+        // With every seed in, count `set_bad` once per set a seed lies
+        // on: the sets whose counters `compute_initial_delta` collects.
+        // A counted set has a failed path (the seed's own), so
+        // `set_bad > 0` marks it done.
+        let comp_to_sets = std::mem::take(&mut self.comp_to_sets);
+        for i in 0..self.hypothesis.len() {
+            let sets = comp_to_sets.get(self.hypothesis[i]);
+            self.derive_path_rows(sets);
+            for &s in sets {
+                if self.set_bad[s as usize] == 0 {
+                    self.set_bad[s as usize] = self.walk_set::<false>(s);
+                }
+            }
+        }
+        self.comp_to_sets = comp_to_sets;
     }
 
     /// Local id of a global component, assigning the next dense id on
@@ -850,69 +846,60 @@ impl Engine {
         self.path_rows = path_rows;
     }
 
+    /// The width of local set `s`.
+    #[inline]
+    fn width(&self, s: u32) -> usize {
+        self.set_width[s as usize] as usize
+    }
+
     /// One walk over the member paths of set `s`, whose path rows must be
-    /// derived. Per path: when `COUNT`, add it to the scratch counters of
-    /// its row's components by its fail count *before* the move (`g` for
-    /// 0, `s` for exactly 1; [`Engine::partition_counters`] reads them
-    /// out); then, for `moving = Some((c, adding))`, move its fail count
-    /// if its row holds `c` — up when `c` joins the hypothesis, down when
-    /// it leaves. Returns the set's `set_bad` after the move, counted off
-    /// the set's contiguous fail counts. (`COUNT` is a const parameter so
-    /// that a walk that does not count reads no fail count; a runtime
-    /// flag, counting `set_bad` inside the row loop, or zipping the rows
-    /// with the fail counts each measured `flip_ll_only` slower.)
-    fn walk_set<const COUNT: bool>(&mut self, s: u32, moving: Option<(CompIdx, bool)>) -> u32 {
-        let paths = self.view.paths_of(s);
-        for (p, row) in self.path_rows.rows(s, paths.clone()) {
-            if COUNT {
-                match self.path_fail[p as usize] {
-                    0 => {
-                        for &l in row {
-                            self.scratch_g[l as usize] += 1;
-                        }
-                    }
-                    1 => {
-                        for &l in row {
-                            self.scratch_s[l as usize] += 1;
-                        }
-                    }
-                    _ => {}
-                }
+    /// derived, at the current `in_h`: a path's fail count is the number
+    /// of its row's components in the hypothesis. When `COUNT`, add each
+    /// path to the scratch counters of its row's components by its fail
+    /// count (`g` for 0, `s` for exactly 1; [`Engine::collect_counters`]
+    /// reads them out). Returns the set's `set_bad`. (`COUNT` is a const
+    /// parameter so that a walk that does not count stops at a path's
+    /// first failed component.)
+    fn walk_set<const COUNT: bool>(&mut self, s: u32) -> u32 {
+        let w = self.width(s);
+        let mut bad = 0;
+        for row in self.path_rows.rows(s, w) {
+            if !COUNT {
+                bad += u32::from(row.iter().any(|&l| self.in_h[l as usize]));
+                continue;
             }
-            if let Some((c, adding)) = moving {
-                if row.contains(&c) {
-                    let fail = &mut self.path_fail[p as usize];
-                    if adding {
-                        *fail += 1;
-                    } else {
-                        debug_assert!(*fail > 0);
-                        *fail -= 1;
-                    }
+            // Most paths have fail count 0: count the path to `g` while
+            // reading its fail count, in one pass over the row, and move
+            // it to `s` (or out) in a second pass only when it failed.
+            let mut fail = 0;
+            for &l in row {
+                fail += u32::from(self.in_h[l as usize]);
+                self.scratch_g[l as usize] += 1;
+            }
+            if fail > 0 {
+                bad += 1;
+                for &l in row {
+                    self.scratch_g[l as usize] -= 1;
+                    self.scratch_s[l as usize] += u32::from(fail == 1);
                 }
             }
         }
-        self.path_fail[paths.start as usize..paths.end as usize]
-            .iter()
-            .filter(|&&f| f > 0)
-            .count() as u32
+        bad
     }
 
-    /// Call `f(path, row)` for every member path of set `s`: off the
-    /// derived block, or — for a set not derived yet — off rows computed
-    /// into `buf` on the fly, leaving the memo as it is.
-    fn for_each_path_row(&self, s: u32, buf: &mut Vec<u32>, mut f: impl FnMut(u32, &[u32])) {
-        let paths = self.view.paths_of(s);
+    /// Call `f(row)` for every member path of set `s`: off the derived
+    /// block, or — for a set not derived yet — off rows computed into
+    /// `buf` on the fly, leaving the memo as it is.
+    fn for_each_path_row(&self, s: u32, buf: &mut Vec<u32>, mut f: impl FnMut(&[u32])) {
         if self.path_rows.is_derived(s) {
-            for (p, row) in self.path_rows.rows(s, paths) {
-                f(p, row);
-            }
+            self.path_rows.rows(s, self.width(s)).for_each(f);
             return;
         }
         let src = self.row_source();
-        for (p, links) in paths.zip(src.members(s).iter()) {
+        for links in src.members(s).iter() {
             buf.clear();
             src.push_row(links, buf);
-            f(p, buf);
+            f(buf);
         }
     }
 
@@ -923,10 +910,6 @@ impl Engine {
     /// makes warm rebinding cheap. Writes no per-path row: those are
     /// derived per set on first use ([`PathRows`]).
     fn extend_structures(&mut self, topo: &Topology, obs: &ObservationSet) -> bool {
-        let old_paths = self.path_fail.len();
-        let n_paths = self.view.n_paths();
-        self.path_fail.resize(n_paths, 0);
-
         // Sets: component union, and the cached structure half of the
         // initial Δ — `g(c)`, the number of member paths
         // containing `c`, counted once here straight off the member
@@ -951,6 +934,7 @@ impl Engine {
         for ls in old_sets as u32..n_sets as u32 {
             let members = obs.arena.members(self.view.global_set(ls));
             let w = members.len();
+            self.set_width.push(w as u32);
             row.clear();
             for (visit, links) in (1u32..).zip(members.iter()) {
                 for &l in links {
@@ -1007,7 +991,7 @@ impl Engine {
         self.path_rows.starts.resize(n_sets, UNDERIVED_SET);
         debug_assert_eq!(self.set_gidx.len(), self.set_comps.items.len());
 
-        n_paths > old_paths || n_sets > old_sets
+        n_sets > old_sets
     }
 
     /// Local ids of link `l` and its switch ends: one table read once the
@@ -1060,7 +1044,7 @@ impl Engine {
                 .view
                 .local_set(o.set)
                 .expect("bind_epoch projected every accepted set");
-            let w = self.view.paths_of(ls).len() as u32;
+            let w = self.width(ls) as u32;
             if w == 0 {
                 continue; // unroutable flow carries no information
             }
@@ -1142,7 +1126,7 @@ impl Engine {
     }
 
     /// The engine's projection of the arena: which global sets its local
-    /// set ids denote, and each set's run of local path ids.
+    /// set ids denote.
     pub fn view(&self) -> &ArenaView {
         &self.view
     }
@@ -1159,9 +1143,9 @@ impl Engine {
         self.space.n_comps()
     }
 
-    /// Number of locally-projected paths.
+    /// Number of member paths of the locally-projected sets.
     pub fn n_paths(&self) -> usize {
-        self.path_fail.len()
+        self.set_width.iter().map(|&w| w as usize).sum()
     }
 
     /// Number of locally-projected sets.
@@ -1207,7 +1191,7 @@ impl Engine {
     pub fn state_sizes(&self) -> EngineStateSizes {
         EngineStateSizes {
             comps: self.comps.len(),
-            paths: self.path_fail.len(),
+            paths: self.n_paths(),
             sets: self.set_comps.n_rows(),
             flows: self.sflows.len(),
             members: self.members.len(),
@@ -1376,28 +1360,29 @@ impl Engine {
         // element-wise.
         self.in_h[c as usize] = adding;
 
-        // One set at a time: a path belongs to one set, so moving a set's
-        // fail counts changes no other set's counters. One walk counts the
-        // set's pre-flip counters, moves its fail counts and recounts
-        // `set_bad`; Δ maintenance walks it once more for the post-flip
-        // counters.
+        // One set at a time: a path belongs to one set, so flipping `c`
+        // on a set's paths changes no other set's counters. Δ maintenance
+        // counts the set's counters twice, with `c` at its old membership
+        // and then at its new one; without it, one walk counts the new
+        // `set_bad`.
         for &s in affected_sets {
             let old_bad = self.set_bad[s as usize];
             let new_bad = if maintain_delta {
-                self.walk_set::<true>(s, Some((c, adding)))
-            } else {
-                self.walk_set::<false>(s, Some((c, adding)))
-            };
-            self.set_bad[s as usize] = new_bad;
-            if maintain_delta {
-                self.partition_counters(s, c, &mut old);
-                self.collect_counters(s, c, &mut new);
+                self.in_h[c as usize] = !adding;
+                let counted = self.collect_counters(s, c, &mut old);
+                self.in_h[c as usize] = adding;
+                debug_assert_eq!(counted, old_bad, "set_bad of set {s}");
+                let new_bad = self.collect_counters(s, c, &mut new);
                 debug_assert_eq!(old.l, new.l, "regular partitions must align");
                 debug_assert!(
                     old.sp.iter().zip(&new.sp).all(|(a, b)| a.0 == b.0),
                     "special partitions must align"
                 );
-            }
+                new_bad
+            } else {
+                self.walk_set::<false>(s)
+            };
+            self.set_bad[s as usize] = new_bad;
 
             // Super-flow sweep: one visit per distinct evidence key. All
             // llf terms come from the flow's memoized table segment —
@@ -1630,19 +1615,13 @@ impl Engine {
         dll
     }
 
-    /// Collect the counters of set `s` into `out` — `g` = member paths
-    /// with fail count 0 containing the comp, `s` = member paths with
-    /// fail count exactly 1 containing it — partitioned by the flip
-    /// predicate `l == c || in_h[l]`: one walk over the set's derived
-    /// path rows ([`Engine::walk_set`]), then
-    /// [`Engine::partition_counters`], as in Algorithm 2's `GetCounters`.
-    fn collect_counters(&mut self, s: u32, c: CompIdx, out: &mut SetCounters) {
-        self.walk_set::<true>(s, None);
-        self.partition_counters(s, c, out);
-    }
-
-    /// Read the scratch counters of set `s`'s components, which a
-    /// counting [`Engine::walk_set`] left, into `out`, and reset them.
+    /// Collect the counters of set `s` at the current `in_h` into `out`
+    /// — `g` = member paths with fail count 0 containing the comp, `s` =
+    /// member paths with fail count exactly 1 containing it —
+    /// partitioned by the flip predicate `l == c || in_h[l]`, as in
+    /// Algorithm 2's `GetCounters`: one counting walk over the set's
+    /// derived path rows ([`Engine::walk_set`]), whose scratch counters
+    /// are then read out and reset. Returns the set's `set_bad`.
     ///
     /// Components *outside* the predicate `l == c || in_h[l]` (the
     /// overwhelming majority: not in the hypothesis, not the flipped
@@ -1653,7 +1632,8 @@ impl Engine {
     /// scalar branchy path. Within each partition, components keep
     /// `set_comps` order, so pre- and post-flip collections align
     /// element-wise (the predicate is flip-stable).
-    fn partition_counters(&mut self, s: u32, c: CompIdx, out: &mut SetCounters) {
+    fn collect_counters(&mut self, s: u32, c: CompIdx, out: &mut SetCounters) -> u32 {
+        let bad = self.walk_set::<true>(s);
         out.l.clear();
         out.g.clear();
         out.sp.clear();
@@ -1672,6 +1652,7 @@ impl Engine {
             self.scratch_g[l as usize] = 0;
             self.scratch_s[l as usize] = 0;
         }
+        bad
     }
 
     /// Δ and the log-likelihood at the *current* hypothesis, from scratch
@@ -1725,7 +1706,7 @@ impl Engine {
                 // No component is mid-flip: the special partition is the
                 // in-hypothesis components alone.
                 self.collect_counters(s, NO_COMP, &mut ctr);
-                let w = self.view.paths_of(s).len();
+                let w = self.width(s);
                 if rung.len() <= w {
                     rung.resize(w + 1, NO_RUNG);
                 }
@@ -1822,14 +1803,11 @@ impl Engine {
         // Fabric side.
         for &s in self.comp_to_sets.get(c) {
             let old_bad = self.set_bad[s as usize];
-            // New bad count if c flips: recount with c's effect.
+            // A path fails after `c` flips exactly when its row meets
+            // `H ⊕ c`.
             let mut new_bad = 0u32;
-            self.for_each_path_row(s, &mut buf, |p, row| {
-                let mut fc = self.path_fail[p as usize];
-                if row.contains(&c) {
-                    fc = if flipping_on { fc + 1 } else { fc - 1 };
-                }
-                new_bad += u32::from(fc > 0);
+            self.for_each_path_row(s, &mut buf, |row| {
+                new_bad += u32::from(row.iter().any(|&l| self.in_h[l as usize] != (l == c)));
             });
             if new_bad == old_bad {
                 continue;
@@ -1871,7 +1849,7 @@ impl Engine {
         let set_bad_h: Vec<u32> = (0..self.set_comps.n_rows() as u32)
             .map(|s| {
                 let mut bad = 0;
-                self.for_each_path_row(s, &mut buf, |_, row| {
+                self.for_each_path_row(s, &mut buf, |row| {
                     bad += u32::from(row.iter().any(|c| in_h.contains(c)));
                 });
                 bad
@@ -2744,7 +2722,6 @@ mod tests {
             }
             assert_eq!(seeded.hypothesis, flipped.hypothesis);
             assert_eq!(seeded.in_h, flipped.in_h);
-            assert_eq!(seeded.path_fail, flipped.path_fail);
             assert_eq!(seeded.set_bad, flipped.set_bad);
             assert!(seeded.set_bad.iter().any(|&b| b > 0));
             let fails = |e: &Engine| e.members.iter().map(|m| m.extra_fail).collect::<Vec<_>>();
@@ -2774,23 +2751,23 @@ mod tests {
         }
     }
 
-    /// The arena links of local path `p`: member `i` of the set whose
-    /// local run holds `p` is member `i` of the set's arena set.
-    fn arena_links(engine: &Engine, p: u32) -> &[LinkId] {
-        let view = engine.view();
-        let s = (0..view.n_sets() as u32)
-            .find(|&s| view.paths_of(s).contains(&p))
-            .expect("a viewed path belongs to a viewed set");
+    /// The member paths of local set `s`: its arena set's.
+    fn arena_members(engine: &Engine, s: u32) -> &PathSet {
         let arena = engine.arena.as_ref().unwrap();
-        &arena.members(view.global_set(s))[(p - view.paths_of(s).start) as usize]
+        arena.members(engine.view().global_set(s))
     }
 
-    /// The brute-force component row of local path `p`: its links and
-    /// their switch ends, read off the topology, each link as `[link,
-    /// src, dst]`, deduplicated, in first-touch order.
-    fn brute_row(engine: &Engine, topo: &flock_topology::Topology, p: u32) -> Vec<CompIdx> {
+    /// The brute-force component row of member `i` of local set `s`: its
+    /// links and their switch ends, read off the topology, each link as
+    /// `[link, src, dst]`, deduplicated, in first-touch order.
+    fn brute_row(
+        engine: &Engine,
+        topo: &flock_topology::Topology,
+        s: u32,
+        i: usize,
+    ) -> Vec<CompIdx> {
         let mut row = Vec::new();
-        for &l in arena_links(engine, p) {
+        for &l in &arena_members(engine, s)[i] {
             let lk = topo.link(l);
             let ends = [lk.src, lk.dst].map(|end| engine.space().device_comp(end));
             for g in std::iter::once(Some(engine.space().link_comp(l)))
@@ -2813,8 +2790,12 @@ mod tests {
             .filter(|&s| engine.path_rows.is_derived(s))
             .collect();
         for &s in &derived {
-            for (p, row) in engine.path_rows.rows(s, engine.view.paths_of(s)) {
-                assert_eq!(row, &brute_row(engine, topo, p)[..], "set {s}, path {p}");
+            for (i, row) in engine.path_rows.rows(s, engine.width(s)).enumerate() {
+                assert_eq!(
+                    row,
+                    &brute_row(engine, topo, s, i)[..],
+                    "set {s}, member {i}"
+                );
             }
         }
         derived
@@ -2840,23 +2821,18 @@ mod tests {
         };
     }
 
-    /// The fail-count oracle. Every derived path row is its brute-force
-    /// row, every path's fail count is the number of hypothesis
-    /// components on its brute-force row, and every set's `set_bad` is
-    /// the number of its member paths with a non-zero fail count.
-    fn assert_fail_counts(engine: &Engine, topo: &flock_topology::Topology) {
+    /// The `set_bad` oracle. Every derived path row is its brute-force
+    /// row, and every set's `set_bad` is the number of its member paths
+    /// whose brute-force row meets the hypothesis.
+    fn assert_set_bad(engine: &Engine, topo: &flock_topology::Topology) {
         derived_sets(engine, topo);
         for s in 0..engine.n_sets() as u32 {
-            let mut bad = 0;
-            for p in engine.view.paths_of(s) {
-                let row = brute_row(engine, topo, p);
-                let failed = row.iter().filter(|&&c| engine.in_h[c as usize]).count() as u32;
-                assert_eq!(
-                    engine.path_fail[p as usize], failed,
-                    "fail count of path {p}"
-                );
-                bad += u32::from(failed > 0);
-            }
+            let bad = (0..arena_members(engine, s).len())
+                .filter(|&i| {
+                    let row = brute_row(engine, topo, s, i);
+                    row.iter().any(|&c| engine.in_h[c as usize])
+                })
+                .count() as u32;
             assert_eq!(engine.set_bad[s as usize], bad, "set_bad of set {s}");
         }
     }
@@ -2882,9 +2858,9 @@ mod tests {
     /// over a growing view derives exactly the sets its seed enters; an
     /// extra-only flip exactly the sets of the members it pins; a fabric
     /// flip at least the sets it sweeps — and every derived row is the
-    /// brute-force row, and the fail counts and `set_bad` that entering
-    /// the seed, [`Engine::flip`] and [`Engine::flip_ll_only`] move
-    /// through them are the brute-force ones. `delta_single` and `ll_of`
+    /// brute-force row, and the `set_bad` that entering the seed,
+    /// [`Engine::flip`] and [`Engine::flip_ll_only`] count through them
+    /// is the brute-force one. `delta_single` and `ll_of`
     /// over sets not yet derived read the same rows, to the bit.
     #[test]
     fn derived_path_rows_are_the_brute_force_rows() {
@@ -2904,31 +2880,41 @@ mod tests {
                 &kinds,
                 AnalysisMode::PerPacket,
             );
-            let (old_paths, old_comps) = (engine.n_paths() as u32, engine.n_comps() as u32);
+            let (old_sets, old_comps) = (engine.n_sets() as u32, engine.n_comps() as u32);
             let seed: Vec<CompIdx> = engine
                 .hypothesis()
                 .iter()
                 .map(|&c| engine.global_comp(c))
                 .collect();
             bind_all(&mut engine, &topo, &obs, &mut dir, &seed).unwrap();
-            let n_paths = engine.n_paths() as u32;
-            assert!(n_paths > old_paths, "epoch {epoch} must grow the view");
-            assert_eq!(engine.state_sizes().paths, engine.view().n_paths());
-            // The new paths run through known components, so entering
-            // the seed can reach paths the view gained this epoch.
+            let n_sets = engine.n_sets() as u32;
+            assert!(n_sets > old_sets, "epoch {epoch} must grow the view");
+            let widths: Vec<usize> = (0..n_sets)
+                .map(|s| arena_members(&engine, s).len())
+                .collect();
+            assert!((0..n_sets).all(|s| engine.width(s) == widths[s as usize]));
+            assert_eq!(engine.state_sizes().paths, widths.iter().sum::<usize>());
+            // The new sets' paths run through known components, so
+            // entering the seed can reach paths the view gained this
+            // epoch.
+            let crosses_known = |s: u32| {
+                (0..engine.width(s)).any(|i| {
+                    brute_row(&engine, &topo, s, i)
+                        .iter()
+                        .any(|&c| c < old_comps)
+                })
+            };
             assert!(
-                epoch == 0
-                    || (old_paths..n_paths)
-                        .any(|p| brute_row(&engine, &topo, p).iter().any(|&c| c < old_comps)),
+                epoch == 0 || (old_sets..n_sets).any(crosses_known),
                 "epoch {epoch}: new paths must cross known components"
             );
             // Entering the seed derived exactly its sets' path rows (none
-            // on the cold bind) and moved their fail counts.
+            // on the cold bind) and counted their `set_bad`.
             let seeded = engine.hypothesis().to_vec();
             assert_eq!(seeded.len(), seed.len(), "epoch {epoch}");
             assert_eq!(derived_sets(&engine, &topo), sets_of(&engine, seeded));
             assert_eq!(engine.path_rows.items.is_empty(), epoch == 0);
-            assert_fail_counts(&engine, &topo);
+            assert_set_bad(&engine, &topo);
             let fresh: Vec<CompIdx> = (old_comps..engine.n_comps() as u32).step_by(5).collect();
             let lazy = lazy_reads(&engine, &fresh);
             let all: Vec<u32> = (0..engine.n_sets() as u32).collect();
@@ -2970,23 +2956,23 @@ mod tests {
             }
             let derived = derived_sets(&engine, &topo);
             assert!(sets_of(&engine, walk).iter().all(|s| derived.contains(s)));
-            assert_fail_counts(&engine, &topo);
+            assert_set_bad(&engine, &topo);
             let h = engine.hypothesis().to_vec();
             assert!((engine.ll_of(&h) - engine.log_likelihood()).abs() < 1e-7);
-            // Without Δ maintenance a flip moves fail counts the same way;
+            // Without Δ maintenance a flip counts `set_bad` the same way;
             // walking back restores the state the Δ array belongs to.
             let ll = engine.log_likelihood();
             let ll_only = [n / 4, 3 * n / 4, n / 4 + 2, 2 * n / 3];
             for c in ll_only {
                 engine.flip_ll_only(c);
-                assert_fail_counts(&engine, &topo);
+                assert_set_bad(&engine, &topo);
             }
             let h = engine.hypothesis().to_vec();
             assert!((engine.ll_of(&h) - engine.log_likelihood()).abs() < 1e-7);
             for c in ll_only.into_iter().rev() {
                 engine.flip_ll_only(c);
             }
-            assert_fail_counts(&engine, &topo);
+            assert_set_bad(&engine, &topo);
             assert!((engine.log_likelihood() - ll).abs() < 1e-7);
             // The next bind derives its seed's rows afresh.
             forget_path_rows(&mut engine);
@@ -3084,18 +3070,22 @@ mod tests {
     /// trip's too. A derived row holds exactly the path's links and
     /// switches in first-touch order, `[up, ToR, agg, down]`: the device
     /// the round trip comes back to is listed once. Flipping the ToR
-    /// fails each set's copy of the first round trip once, and every flip
-    /// leaves fail counts, `set_bad` and Δ at their brute-force values,
-    /// with `delta_single` equal to `delta()`.
+    /// fails every round trip of both sets, and every flip leaves
+    /// `set_bad` and Δ at their brute-force values, with `delta_single`
+    /// equal to `delta()`.
     #[test]
     fn round_trip_rows_and_shared_tor_flip() {
         let (topo, obs, tor) = round_trip_fixture();
         let mut engine = Engine::new(&topo, &obs, HyperParams::default());
         let tor_c = engine.comp_of(tor).unwrap();
         let local = |g: CompIdx| engine.local_comp(g).unwrap();
-        let expect: Vec<Vec<CompIdx>> = (0..engine.n_paths() as u32)
-            .map(|p| {
-                let &[up, down] = arena_links(&engine, p) else {
+        // Local set ids follow first touch: 0 = the single round trip,
+        // 1 = the pair.
+        let paths = [(0, 0), (1, 0), (1, 1)];
+        let expect: Vec<Vec<CompIdx>> = paths
+            .iter()
+            .map(|&(s, i)| {
+                let &[up, down] = &arena_members(&engine, s)[i] else {
                     panic!("a round trip is two links");
                 };
                 let agg = engine.space().device_comp(topo.link(up).dst).unwrap();
@@ -3104,13 +3094,13 @@ mod tests {
             })
             .collect();
         assert_eq!(
-            expect.len(),
+            engine.n_paths(),
             3,
             "the single's round trip, then the pair's two"
         );
         assert_eq!(expect[0], expect[1], "one round trip, a copy per set");
-        for (p, row) in (0u32..).zip(&expect) {
-            assert_eq!(&brute_row(&engine, &topo, p), row, "path {p}");
+        for (&(s, i), row) in paths.iter().zip(&expect) {
+            assert_eq!(&brute_row(&engine, &topo, s, i), row, "set {s}, member {i}");
         }
         let host_up = topo.host_uplink(topo.hosts()[0]);
         let host_up = engine
@@ -3118,12 +3108,7 @@ mod tests {
             .unwrap();
 
         let check = |engine: &Engine| {
-            for s in 0..engine.n_sets() as u32 {
-                let paths = engine.view.paths_of(s);
-                let fails = &engine.path_fail[paths.start as usize..paths.end as usize];
-                let bad = fails.iter().filter(|&&f| f > 0).count() as u32;
-                assert_eq!(engine.set_bad[s as usize], bad, "set {s}");
-            }
+            assert_set_bad(engine, &topo);
             let h = engine.hypothesis().to_vec();
             let base = engine.ll_of(&h);
             assert!((base - engine.log_likelihood()).abs() < 1e-9);
@@ -3153,13 +3138,12 @@ mod tests {
         check(&engine);
         engine.flip(tor_c);
         assert_eq!(derived_sets(&engine, &topo), [0, 1]);
-        let pair: Vec<_> = engine.path_rows.rows(1, engine.view.paths_of(1)).collect();
-        assert_eq!(pair, [(1, &expect[1][..]), (2, &expect[2][..])]);
-        assert_eq!(engine.path_fail, [1, 1, 1], "each round trip fails once");
-        assert_fail_counts(&engine, &topo);
+        let pair: Vec<_> = engine.path_rows.rows(1, 2).collect();
+        assert_eq!(pair, [&expect[1][..], &expect[2][..]]);
+        assert_eq!(engine.set_bad, [1, 2], "every round trip fails");
         check(&engine);
         engine.flip(tor_c);
-        assert_fail_counts(&engine, &topo);
+        assert_eq!(engine.set_bad, [0, 0]);
         check(&engine);
     }
 

@@ -58,6 +58,28 @@ impl SherlockFerret {
             hypothesis_budget: None,
         }
     }
+
+    /// Run the search on an engine bound at the empty hypothesis (which
+    /// it is left at); returns the best hypothesis, its posterior and the
+    /// hypotheses-scanned count. Exposed so callers can time the search
+    /// apart from the engine build.
+    pub fn search(&self, engine: &mut Engine) -> (Vec<CompIdx>, f64, u64) {
+        let mut search = Search {
+            engine,
+            k: self.max_failures,
+            use_jle: self.use_jle,
+            best_posterior: 0.0, // empty hypothesis (normalized LL = 0)
+            best_hypothesis: Vec::new(),
+            scanned: 1,
+            budget: self.hypothesis_budget.unwrap_or(u64::MAX),
+        };
+        search.explore(0, 0.0);
+        (
+            search.best_hypothesis,
+            search.best_posterior,
+            search.scanned,
+        )
+    }
 }
 
 struct Search<'e> {
@@ -135,19 +157,7 @@ impl Localizer for SherlockFerret {
     fn localize(&self, topo: &Topology, obs: &ObservationSet) -> LocalizationResult {
         let start = Instant::now();
         let mut engine = Engine::new(topo, obs, self.params);
-        let mut search = Search {
-            engine: &mut engine,
-            k: self.max_failures,
-            use_jle: self.use_jle,
-            best_posterior: 0.0, // empty hypothesis (normalized LL = 0)
-            best_hypothesis: Vec::new(),
-            scanned: 1,
-            budget: self.hypothesis_budget.unwrap_or(u64::MAX),
-        };
-        search.explore(0, 0.0);
-        let best = search.best_hypothesis.clone();
-        let scanned = search.scanned;
-        let posterior = search.best_posterior;
+        let (best, posterior, scanned) = self.search(&mut engine);
         let predicted: Vec<_> = best.iter().map(|c| engine.component(*c)).collect();
         LocalizationResult {
             scores: vec![posterior; predicted.len()],

@@ -45,7 +45,7 @@ fn scale_trace(servers: u32, opts: &ExpOpts) -> TraceBundle {
 }
 
 /// Total hypotheses a K≤2 exhaustive search examines.
-fn k2_hypotheses(n: u64) -> u64 {
+pub(crate) fn k2_hypotheses(n: u64) -> u64 {
     1 + n + n * (n - 1) / 2
 }
 
@@ -91,16 +91,14 @@ pub fn run_inference_scaling(opts: &ExpOpts) -> String {
         let jle_budget = if opts.quick { 200_000 } else { 400_000 };
         let mut sj = SherlockFerret::with_jle(HyperParams::default(), 2);
         sj.hypothesis_budget = Some(jle_budget);
-        let r = flock_core::Localizer::localize(&sj, &trace.topo, &obs);
-        let jle_only_est = extrapolate(r.runtime, r.hypotheses_scanned, k2_hypotheses(n));
+        let jle_only_est = sherlock_estimate(&sj, &trace.topo, &obs, k2_hypotheses(n));
 
         // Plain Sherlock: smaller budget (each hypothesis needs a state
         // flip), extrapolated.
         let sh_budget = if opts.quick { 3_000 } else { 10_000 };
         let mut sp = SherlockFerret::new(HyperParams::default(), 2);
         sp.hypothesis_budget = Some(sh_budget);
-        let r = flock_core::Localizer::localize(&sp, &trace.topo, &obs);
-        let sherlock_est = extrapolate(r.runtime, r.hypotheses_scanned, k2_hypotheses(n));
+        let sherlock_est = sherlock_estimate(&sp, &trace.topo, &obs, k2_hypotheses(n));
 
         tbl.row(vec![
             servers.to_string(),
@@ -117,11 +115,30 @@ pub fn run_inference_scaling(opts: &ExpOpts) -> String {
     out
 }
 
-fn extrapolate(measured: Duration, scanned: u64, total: u64) -> Duration {
+/// Runtime of a full `total`-hypothesis run of `sherlock`, estimated from
+/// its bounded partial run over `obs`: the engine build is paid once, and
+/// only the search scales with the hypotheses examined.
+pub(crate) fn sherlock_estimate(
+    sherlock: &SherlockFerret,
+    topo: &flock_topology::Topology,
+    obs: &flock_telemetry::ObservationSet,
+    total: u64,
+) -> Duration {
+    let start = Instant::now();
+    let mut engine = Engine::new(topo, obs, sherlock.params);
+    let bind = start.elapsed();
+    let start = Instant::now();
+    let (_, _, scanned) = sherlock.search(&mut engine);
+    extrapolate(bind, start.elapsed(), scanned, total)
+}
+
+/// `bind + search × total / scanned`: a search that examined `scanned`
+/// hypotheses in `search`, scaled to `total`, after a one-time `bind`.
+fn extrapolate(bind: Duration, search: Duration, scanned: u64, total: u64) -> Duration {
     if scanned == 0 {
-        return measured;
+        return bind + search;
     }
-    Duration::from_secs_f64(measured.as_secs_f64() * total as f64 / scanned as f64)
+    bind + search.mul_f64(total as f64 / scanned as f64)
 }
 
 trait LocalizeTimed {
@@ -181,4 +198,18 @@ pub fn run_scheme_runtime(opts: &ExpOpts) -> String {
     }
     out.push_str(&tbl.render());
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn extrapolation_scales_the_search_and_adds_the_bind_once() {
+        let ms = Duration::from_millis;
+        let est = extrapolate(ms(2), ms(3), 1_000, 5_000);
+        let expect = ms(2) + ms(15);
+        assert!(est.abs_diff(expect) < Duration::from_micros(1), "{est:?}");
+        assert_eq!(extrapolate(ms(2), ms(3), 0, 5_000), ms(5));
+    }
 }

@@ -3,6 +3,7 @@
 //! over 10⁴× faster than Sherlock", with Sherlock's runtime extrapolated
 //! from a partial run exactly as the paper does.
 
+use super::fig4cd::{k2_hypotheses, sherlock_estimate};
 use crate::report::{dur, Table};
 use crate::scenario::{silent_drop_trace, ExpOpts, Workload};
 use flock_core::{FlockGreedy, HyperParams, Localizer, SherlockFerret};
@@ -93,12 +94,10 @@ pub fn run(opts: &ExpOpts, flows_override: Option<usize>) -> String {
     let flock_secs = r.runtime.as_secs_f64();
 
     // Sherlock: partial run, extrapolated (the paper estimated 19 days).
-    let n = (topo.link_count() + topo.switch_count()) as u64;
-    let total_k2 = 1 + n + n * (n - 1) / 2;
+    let total_k2 = k2_hypotheses((topo.link_count() + topo.switch_count()) as u64);
     let mut sherlock = SherlockFerret::new(HyperParams::default(), 2);
     sherlock.hypothesis_budget = Some(if opts.quick { 500 } else { 2_000 });
-    let r = sherlock.localize(&topo, &obs);
-    let est = r.runtime.as_secs_f64() * total_k2 as f64 / r.hypotheses_scanned as f64;
+    let est = sherlock_estimate(&sherlock, &topo, &obs, total_k2).as_secs_f64();
     tbl.row(vec![
         "Sherlock K=2 (extrapolated)".into(),
         format!("{:.1} days", est / 86_400.0),

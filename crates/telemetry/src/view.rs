@@ -11,9 +11,9 @@
 //! global arena onto the sets one engine's accepted observations actually
 //! touch, with **dense local ids** and a local↔global set remap, so
 //! everything the engine allocates and iterates can be sized by its own
-//! evidence instead of the fleet's. The view remaps sets only: a
-//! projected set's local paths are the contiguous run of local path ids
-//! it was assigned when first projected, one per member path.
+//! evidence instead of the fleet's. The view remaps sets only: the
+//! member paths of a projected set are the arena's, read through the
+//! set.
 //!
 //! # Ownership and lineage rules
 //!
@@ -22,12 +22,14 @@
 //!   [`ArenaView::bind_epoch`], and lends it out read-only. Pairing an
 //!   engine with another engine's view is unrepresentable, and dropping
 //!   the engine drops the projection with it.
-//! * A view binds to one arena **lineage** ([`ArenaSnapshot::lineage`])
+//! * A view binds to one arena **lineage**
+//!   ([`ArenaSnapshot::lineage`](crate::input::ArenaSnapshot::lineage))
 //!   on first use and is append-only from then on, mirroring the arena's
 //!   own contract: local ids, once assigned, permanently denote the same
-//!   global set and its member paths, so the engine's per-path and per-set structures
-//!   stay valid across epochs without re-translation.
-//! * What a view is offered each epoch is an [`ArenaSnapshot`] — the
+//!   global set, so the engine's per-set structures stay valid across
+//!   epochs without re-translation.
+//! * What a view is offered each epoch is an
+//!   [`ArenaSnapshot`](crate::input::ArenaSnapshot) — the
 //!   arena's content as of that epoch's assembly. A lineage has one
 //!   writer (`PathArena` is not `Clone`), so successive snapshots of
 //!   it only ever grow.
@@ -40,18 +42,16 @@
 //! # Local-vs-global id conventions
 //!
 //! Local ids are plain `u32`s dense in `0..n`, assigned in first-touch
-//! order: a set's local id when it is first projected, and its member
-//! paths the next run of local path ids, in member order
-//! ([`ArenaView::paths_of`]). Global set ids keep their [`PathSetId`]
-//! newtype; APIs on this type take and return it at the boundary
-//! (`local_set(PathSetId)`, `global_set(local) -> PathSetId`) so the two
-//! spaces cannot be confused silently. Member `i` of local set `s` is
-//! local path `paths_of(s).start + i`, and has the links
-//! `arena.members(global_set(s))[i]`. The engine follows the same
-//! convention (dense local component ids internally, global
-//! [`Component`](flock_topology::Component)s at report time).
+//! order: a set's local id when it is first projected. Global set ids
+//! keep their [`PathSetId`] newtype; APIs on this type take and return
+//! it at the boundary (`local_set(PathSetId)`, `global_set(local) ->
+//! PathSetId`) so the two spaces cannot be confused silently. Member `i`
+//! of local set `s` has the links `arena.members(global_set(s))[i]`. The
+//! engine follows the same convention (dense local component ids
+//! internally, global [`Component`](flock_topology::Component)s at report
+//! time).
 
-use crate::input::{ArenaSnapshot, ObservationSet, PathSetId};
+use crate::input::{ObservationSet, PathSetId};
 
 /// Why a view refused to bind an observation set. Both cases mean the
 /// caller handed state from a different stream (or an older snapshot
@@ -189,9 +189,6 @@ pub struct ArenaView {
     lineage: Option<u64>,
     /// Global↔local set projection.
     sets: DenseRemap,
-    /// Local set `s`'s local paths are `path_starts[s]..path_starts[s + 1]`
-    /// (one entry more than there are local sets, once bound).
-    path_starts: Vec<u32>,
     /// Arena sets at the last successful bind.
     seen_sets: usize,
 }
@@ -206,11 +203,6 @@ impl ArenaView {
     /// bind).
     pub fn lineage(&self) -> Option<u64> {
         self.lineage
-    }
-
-    /// Number of locally-projected paths.
-    pub fn n_paths(&self) -> usize {
-        self.path_starts.last().map_or(0, |&n| n as usize)
     }
 
     /// Number of locally-projected sets.
@@ -230,16 +222,9 @@ impl ArenaView {
         PathSetId(self.sets.global(local))
     }
 
-    /// The local paths of local set `s`: the run assigned when the set was
-    /// first projected, one per member path, in member order.
-    #[inline]
-    pub fn paths_of(&self, s: u32) -> std::ops::Range<u32> {
-        self.path_starts[s as usize]..self.path_starts[s as usize + 1]
-    }
-
     /// Validate `obs`'s arena against the bound lineage, then extend the
-    /// projection with any set (and a run of its member paths) an accepted
-    /// observation touches for the first time. `accepted` holds the
+    /// projection with any set an accepted observation touches for the
+    /// first time. `accepted` holds the
     /// indices (into `obs.flows`) of the observations the engine takes
     /// this epoch — executors derive them for every shard in one pass
     /// over the epoch's touch signatures, so the bind on the inference
@@ -264,26 +249,11 @@ impl ArenaView {
         // content-width — the dense structures an engine sizes by view
         // counts are what sparsity is about).
         self.sets.ensure_ids(arena.set_count());
-        if self.path_starts.is_empty() {
-            self.path_starts.push(0);
-        }
         for &i in accepted {
-            self.project_set(arena, obs.flows[i as usize].set);
+            self.sets.assign(obs.flows[i as usize].set.0);
         }
         self.seen_sets = arena.set_count();
         Ok(())
-    }
-
-    /// Assign a local id to `g`, and the next run of local path ids to its
-    /// member paths, if it has none yet.
-    fn project_set(&mut self, arena: &ArenaSnapshot, g: PathSetId) {
-        if self.sets.local(g.0).is_some() {
-            return;
-        }
-        self.sets.assign(g.0);
-        let end = self.n_paths() + arena.members(g).len();
-        self.path_starts
-            .push(u32::try_from(end).expect("a view exceeds u32 paths"));
     }
 }
 
@@ -326,28 +296,22 @@ mod tests {
         let mut view = ArenaView::new();
         view.bind_epoch(&obs1, &[0, 1, 2]).unwrap();
         assert_eq!(view.n_sets(), 2);
-        assert_eq!(view.n_paths(), 2);
         // First-touch order: s1 before s0.
         assert_eq!(view.local_set(s1), Some(0));
         assert_eq!(view.local_set(s0), Some(1));
         assert_eq!(view.global_set(0), s1);
 
-        assert_eq!((view.paths_of(0), view.paths_of(1)), (0..1, 1..2));
-
         // Epoch 2: the arena grows; previously assigned locals persist,
-        // and a new set's paths take the next run of local path ids.
+        // and a new set takes the next local id.
         let s2 = arena.intern_set(PathSet::from_paths([links(&[4]), links(&[5]), links(&[6])]));
         let obs2 = obs_with(&arena, &[s2, s0]);
         view.bind_epoch(&obs2, &[0, 1]).unwrap();
+        assert_eq!(view.n_sets(), 3);
         assert_eq!(view.local_set(s1), Some(0), "locals are stable");
         assert_eq!(view.local_set(s0), Some(1));
         assert_eq!(view.local_set(s2), Some(2));
-        assert_eq!((view.paths_of(0), view.paths_of(2)), (0..1, 2..5));
-        assert_eq!(view.n_paths(), 5);
-        // A set's run has one local path per arena member.
         for s in 0..view.n_sets() as u32 {
-            let members = obs2.arena.members(view.global_set(s));
-            assert_eq!(view.paths_of(s).len(), members.len(), "set {s}");
+            assert_eq!(view.local_set(view.global_set(s)), Some(s), "set {s}");
         }
     }
 
