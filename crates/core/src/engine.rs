@@ -34,40 +34,21 @@
 //! # State
 //!
 //! The engine mirrors the observation set's structure. The structural
-//! layer is append-only — a set, once viewed, keeps its local id and its
-//! content forever — and lives in flat offsets+items *row tables* (one
-//! allocation pair per table, rows appended as the view grows, never
-//! rewritten): per viewed path set, the sorted union of its member paths'
-//! components (`set_comps`), the cached structure half of the initial Δ
-//! (`set_ladders`/`set_gidx`, see below) and its width, the count of its
-//! member paths (`set_width`). No table numbers or stores member paths:
-//! member `i` of local set `s` is member `i` of the arena set
-//! ([`ArenaSnapshot::members`], for an ECMP set the `Router`'s own
-//! `PathSet`).
+//! layer — per viewed set, its width, its component union, its g-ladder
+//! and its member paths' component rows — is `crate::sets` (`sets.rs`):
+//! append-only, derived from the set's members, and the only reader of a
+//! path. The engine asks it counts over a set's member paths and stores
+//! nothing per path.
 //!
-//! The hypothesis (`in_h`) is the engine's only failure state. A path's
-//! *fail count* — how many hypothesis components lie on it — is read off
-//! `in_h` as a walk reads the path's row; the engine stores nothing per
-//! path. Per set it keeps the number of member paths with a non-zero
-//! fail count (`set_bad`), shared by every flow using the set.
+//! The hypothesis (`in_h`) is the engine's only failure state. Per set
+//! the engine keeps the number of member paths with a component in the
+//! hypothesis (`set_bad`), shared by every flow using the set.
 //!
-//! A path's component row — its links and their switch ends,
-//! deduplicated, in first-touch order — is read only by a flip (for the
-//! sets it sweeps), a flipped extra (for the set of each member it pins)
-//! and entering a seed (for the sets it enters), and a search's flips
-//! reach a small share of the viewed paths. So the cold bind writes
-//! none: path rows are derived **on first use**, one whole set at a
-//! time, off the arena snapshot the engine was last bound to
-//! (`path_rows`), and kept for the engine's lifetime (a set's content
-//! never changes, so a derived row never goes stale).
-//! [`Engine::delta_single`] and [`Engine::ll_of`] read `&self` and
-//! compute a row that is not derived yet on the fly.
-//!
-//! One inverted index walks this layer from a component: its sets
-//! (`comp_to_sets`), transposed eagerly when the view grew, which the
-//! initial Δ, every flip and the evidence report read. A flip or a seed
-//! reaches the component's paths through them, one set at a time: one
-//! walk over the set's path rows counts its `set_bad` at the current
+//! One inverted index walks the structural layer from a component: its
+//! sets (`comp_to_sets`), transposed eagerly when the view grew, which
+//! the initial Δ, every flip and the evidence report read. A flip or a
+//! seed reaches the component's paths through them, one set at a time:
+//! one count over the set's members gives its `set_bad` at the current
 //! `in_h` — and, for a flip that maintains Δ, the set's counters on the
 //! way, once with the component at its old membership and once at its
 //! new one.
@@ -117,23 +98,13 @@
 //!
 //! For the sets no failed path crosses — every set, at the empty
 //! hypothesis — the array is the product of two halves. For a set `S`
-//! and a component `c` on it, let `g(c)` be the number of member paths
-//! of `S` containing `c`; then `S` contributes
-//! `Σ_{flows f on S} active_f · LLF_f(g(c))` to `delta[c]`. `g` depends
-//! only on the path/set structure, so it is counted **once**, when the
-//! set is first viewed, straight off the member paths' links (a per-path
-//! stamp counts a component once per path — paths, not visits — so no
-//! path row is built for it). Per
-//! set the engine keeps the ascending distinct `g` values (the
-//! *g-ladder*; every `g` is at most the set's width, so it is counted
-//! off a mark array) and, per component of the set, a `u16` index into
-//! that ladder. The per-epoch half (`compute_initial_delta`) is then one
-//! ladder gather-accumulate per super-flow plus one scatter per active
-//! set — proportional to the epoch's evidence, with no path sweep. The
-//! cached half is never recomputed and never invalidated (views are
-//! append-only); `prop_engine`'s
-//! `cached_initial_delta_is_bit_equal_to_path_sweep` pins it bit-for-bit
-//! against the from-scratch sweep at the empty seed.
+//! and a component `c` on it, `S` contributes
+//! `Σ_{flows f on S} active_f · LLF_f(g(c))` to `delta[c]`, where `g(c)`
+//! counts the member paths of `S` containing `c`. The structure half is
+//! the set's cached g-ladder (see `sets.rs`). The per-epoch half
+//! (`compute_initial_delta`) is then one ladder gather-accumulate per
+//! super-flow plus one scatter per active set — proportional to the
+//! epoch's evidence, with no path sweep.
 //!
 //! A set the seed touches (`set_bad > 0`) reads different rungs —
 //! `LLF(set_bad + g)` for a component outside the hypothesis,
@@ -151,7 +122,7 @@
 //! buffers, inverted-index walks and per-set scratch all reuse
 //! persistent arenas that survive across flips *and* epochs
 //! ([`Engine::try_bind`]). A flip that reaches a set for the first time
-//! appends that set's path rows to the path-row memo.
+//! has the set layer derive that set's rows.
 //!
 //! For search algorithms that do not want Δ maintenance (Sherlock without
 //! JLE, greedy without JLE), [`Engine::flip_ll_only`] updates the state
@@ -161,106 +132,10 @@
 use crate::kernels;
 use crate::likelihood::{llf, EpochFlowTable, Ladders, TermDirectory};
 use crate::params::HyperParams;
+use crate::sets::{Csr, SetCounters, Sets, NO_COMP, NO_RUNG};
 use crate::space::{CompIdx, ComponentSpace};
-use flock_telemetry::{
-    ArenaSnapshot, ArenaView, DenseRemap, FlowObs, ObservationSet, PathSetId, ViewError,
-};
-use flock_topology::{Component, LinkId, PathSet, Topology};
-
-/// One set counter entry: `(comp, g, s)` — member paths with fail count 0
-/// (`g`) / exactly 1 (`s`) containing `comp`.
-type Counter = (CompIdx, u32, u32);
-
-/// One set's counters, split by the flip predicate `l == c || in_h[l]`
-/// (see [`Engine::collect_counters`]). Buffers are reused across sets,
-/// flips and epochs.
-#[derive(Debug, Clone, Default)]
-struct SetCounters {
-    /// Regular partition (components outside the hypothesis and `!= c`),
-    /// as SoA lanes for the fabric kernel: the components…
-    l: Vec<u32>,
-    /// …and their fail-count-0 path counts (`g`).
-    g: Vec<u32>,
-    /// Special partition (in-hypothesis components plus `c`): full
-    /// `(comp, g, s)` counters for the scalar branchy path.
-    sp: Vec<Counter>,
-}
-
-/// Flat offsets+items row table: row `i` is `items[offsets[i]..offsets[i+1]]`.
-/// Serves both the engine's inverted indexes (rebuilt by counting scatter,
-/// [`Csr::rebuild`]) and its append-only structure rows (one
-/// [`Csr::push_row`] per newly viewed set) — one allocation pair per
-/// table instead of one per row, and rows a sweep visits in id order sit
-/// next to each other in memory.
-#[derive(Debug, Clone, Default)]
-struct Csr {
-    offsets: Vec<u32>,
-    items: Vec<u32>,
-}
-
-impl Csr {
-    /// Append one row.
-    fn push_row(&mut self, row: impl IntoIterator<Item = u32>) {
-        if self.offsets.is_empty() {
-            self.offsets.push(0);
-        }
-        self.items.extend(row);
-        let end = u32::try_from(self.items.len()).expect("row table exceeds u32 offsets");
-        self.offsets.push(end);
-    }
-
-    /// `items` index range of row `i`.
-    #[inline]
-    fn range(&self, i: u32) -> std::ops::Range<usize> {
-        self.offsets[i as usize] as usize..self.offsets[i as usize + 1] as usize
-    }
-
-    /// (Re)build from `(bucket, item)` pairs by counting scatter —
-    /// `O(pairs + buckets)`, no comparison sort — reusing the offset/item
-    /// buffers, so the per-epoch rebind path allocates nothing once
-    /// capacity has grown to the workload's size. `pairs` is walked
-    /// twice (count, then scatter). Pairs must be duplicate-free (they
-    /// are throughout the engine: per-set component lists, super-flows
-    /// and per-member extras are deduplicated), and within a bucket items
-    /// keep their input order.
-    fn rebuild(&mut self, n_buckets: usize, pairs: impl Iterator<Item = (u32, u32)> + Clone) {
-        self.offsets.clear();
-        self.offsets.resize(n_buckets + 1, 0);
-        for (b, _) in pairs.clone() {
-            self.offsets[b as usize + 1] += 1;
-        }
-        for i in 0..n_buckets {
-            self.offsets[i + 1] += self.offsets[i];
-        }
-        self.items.clear();
-        self.items.resize(self.offsets[n_buckets] as usize, 0);
-        // Scatter using `offsets[b]` as the running cursor (each bucket's
-        // start advances to its end), then shift the table back one slot.
-        for (b, it) in pairs {
-            self.items[self.offsets[b as usize] as usize] = it;
-            self.offsets[b as usize] += 1;
-        }
-        for i in (1..=n_buckets).rev() {
-            self.offsets[i] = self.offsets[i - 1];
-        }
-        self.offsets[0] = 0;
-    }
-
-    /// Every `(item, row)` of the table in row order: the pairs that
-    /// [`Csr::rebuild`] turns into the transposed (item → rows) index.
-    fn transposed(&self) -> impl Iterator<Item = (u32, u32)> + Clone + '_ {
-        (0..self.n_rows() as u32).flat_map(move |r| self.get(r).iter().map(move |&it| (it, r)))
-    }
-
-    #[inline]
-    fn get(&self, bucket: u32) -> &[u32] {
-        &self.items[self.range(bucket)]
-    }
-
-    fn n_rows(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-}
+use flock_telemetry::{ArenaView, DenseRemap, FlowObs, ObservationSet, PathSetId, ViewError};
+use flock_topology::{Component, Topology};
 
 /// One weighted super-flow: every observation of the epoch sharing the
 /// evidence key `(set, sent, bad)`.
@@ -307,127 +182,6 @@ impl SMember {
     #[inline]
     fn extras(&self) -> &[CompIdx] {
         &self.extras[..self.n_extras as usize]
-    }
-}
-
-/// "No component" in [`LinkComps`] (a host end, or a link not yet seen).
-const NO_COMP: CompIdx = CompIdx::MAX;
-
-/// "Not on the ladder" in [`Engine::scratch_rung`].
-const NO_RUNG: u32 = u32::MAX;
-
-/// Local ids of a link and of the switch devices at its ends, memoized
-/// per global link id on first sight ([`Engine::link_comps`]) — for the
-/// fabric links of viewed paths and for flow-prefix links alike.
-#[derive(Debug, Clone, Copy)]
-struct LinkComps {
-    comp: CompIdx,
-    devices: [CompIdx; 2],
-}
-
-impl LinkComps {
-    const UNSEEN: LinkComps = LinkComps {
-        comp: NO_COMP,
-        devices: [NO_COMP; 2],
-    };
-}
-
-/// What a path's component row is derived from: the member's links in
-/// the arena set and the per-link memo of their local ids. Every link of
-/// a viewed path was localized by the set pass that first counted the
-/// path ([`Engine::extend_structures`]), so a derivation reads and never
-/// assigns ids.
-struct RowSource<'a> {
-    view: &'a ArenaView,
-    arena: &'a ArenaSnapshot,
-    link_comps: &'a [LinkComps],
-}
-
-impl RowSource<'_> {
-    /// The member paths of local set `s`: its arena set's, in member
-    /// order (their count is the set's width).
-    fn members(&self, s: u32) -> &PathSet {
-        self.arena.members(self.view.global_set(s))
-    }
-
-    /// Append the row of a member path with links `links` to `out`: its
-    /// links and their switch ends, each link as `[link, src, dst]`,
-    /// deduplicated (round-trip probe paths visit a device twice but it
-    /// is one component) in first-touch order. Rows are a few links long,
-    /// so a `contains` over the part this call appended keeps them
-    /// duplicate-free.
-    fn push_row(&self, links: &[LinkId], out: &mut Vec<u32>) {
-        let from = out.len();
-        for &l in links {
-            let lc = self.link_comps[l.0 as usize];
-            debug_assert_ne!(lc.comp, NO_COMP, "the set pass localized every viewed link");
-            for c in [lc.comp, lc.devices[0], lc.devices[1]] {
-                if c != NO_COMP && !out[from..].contains(&c) {
-                    out.push(c);
-                }
-            }
-        }
-    }
-}
-
-/// "Not derived yet" in [`PathRows::starts`].
-const UNDERIVED_SET: u32 = u32::MAX;
-
-/// Per-path component rows, derived on first use one whole set at a
-/// time: a flip reads the rows of the sets it sweeps, a flipped extra
-/// those of its members' sets, and entering a seed those of the sets it
-/// enters — a small share of the viewed paths — so the cold bind writes
-/// none. Sets are append-only, so a derived block never goes stale and
-/// the memo lives as long as the engine. A set's block lists, per member
-/// path in member order, the row length and then the row (a path belongs
-/// to one set, so its row is stored once; one index per set is smaller
-/// than one per path, and a sweep over a set reads its rows
-/// contiguously).
-#[derive(Debug, Clone, Default)]
-struct PathRows {
-    /// Per local set: where its block starts in `items`, or
-    /// [`UNDERIVED_SET`].
-    starts: Vec<u32>,
-    items: Vec<u32>,
-}
-
-impl PathRows {
-    #[inline]
-    fn is_derived(&self, s: u32) -> bool {
-        self.starts[s as usize] != UNDERIVED_SET
-    }
-
-    /// Derive the block of every set of `sets` that has none yet.
-    fn derive(&mut self, sets: &[u32], src: &RowSource<'_>) {
-        for &s in sets {
-            if self.is_derived(s) {
-                continue;
-            }
-            self.starts[s as usize] =
-                u32::try_from(self.items.len()).expect("path row memo exceeds u32 offsets");
-            for links in src.members(s).iter() {
-                let at = self.items.len();
-                self.items.push(0);
-                src.push_row(links, &mut self.items);
-                self.items[at] = (self.items.len() - at - 1) as u32;
-            }
-        }
-    }
-
-    /// The row of every member path of the derived set `s`, of width
-    /// `w`, in member order.
-    fn rows(&self, s: u32, w: usize) -> impl Iterator<Item = &[u32]> + '_ {
-        assert!(
-            self.is_derived(s),
-            "set {s} is read before its path rows were derived"
-        );
-        let mut at = self.starts[s as usize] as usize;
-        (0..w).map(move |_| {
-            let len = self.items[at] as usize;
-            let row = &self.items[at + 1..at + 1 + len];
-            at += 1 + len;
-            row
-        })
     }
 }
 
@@ -489,9 +243,6 @@ pub struct Engine {
     /// The projection of the arena onto the evidence this engine has
     /// ever accepted; assigns the local set ids below.
     view: ArenaView,
-    /// The arena content of the last bind, which path rows are derived
-    /// from (`None` until the first bind).
-    arena: Option<ArenaSnapshot>,
     /// The directory [`Engine::rebind`] keys its epochs through, made on
     /// first use (an engine bound through [`Engine::try_bind`] reads its
     /// caller's tables and never has one).
@@ -504,25 +255,13 @@ pub struct Engine {
     /// evidence-width structure is local.
     comps: DenseRemap,
 
-    /// The component rows of the member paths of the sets read so far.
-    path_rows: PathRows,
-
-    // Sets (local ids): row `s` of `set_comps` is the sorted component
-    // union of the member paths of set `s`.
-    set_comps: Csr,
-    /// The structure half of the initial Δ, computed once when a set is
-    /// first viewed (see [`Engine::compute_initial_delta`]): row `s` is
-    /// the ascending distinct values of `g(c)` — the number of member
-    /// paths of `s` containing component `c` — over the set's components.
-    set_ladders: Csr,
-    /// Parallel to `set_comps.items` (same row offsets): the index of
-    /// each component's `g` in its set's ladder.
-    set_gidx: Vec<u16>,
-    /// Per set, its width: the count of its arena members.
-    set_width: Vec<u32>,
+    /// The structural layer of the viewed sets (local ids), and every
+    /// count over their member paths.
+    sets: Sets,
     /// Per set, its member paths with a component in the hypothesis.
     set_bad: Vec<u32>,
-    /// `set_comps` transposed; rebuilt only when the view grew.
+    /// The sets' component unions transposed; rebuilt only when the view
+    /// grew.
     comp_to_sets: Csr,
     set_flows: Csr,
 
@@ -533,11 +272,6 @@ pub struct Engine {
     /// Raw observations accepted into the current flow table (before
     /// coalescing) — `n_obs / sflows.len()` is the epoch's coalesce ratio.
     n_obs: usize,
-    /// Per global link id (id-width like `comps`' global side, never
-    /// reset): the link's local id and its switch ends' — a viewed
-    /// path's component row, or the extras a flow with that prefix link
-    /// carries.
-    link_comps: Vec<LinkComps>,
 
     // Hypothesis state (local ids).
     in_h: Vec<bool>,
@@ -562,8 +296,6 @@ pub struct Engine {
 
     // Scratch arenas reused across flips and epochs: the flip path and
     // the per-epoch rebuild allocate nothing in steady state.
-    scratch_g: Vec<u32>,
-    scratch_s: Vec<u32>,
     /// Pre-flip counters of the set a flip is sweeping. The split
     /// predicate is stable across the flip, so they align element-wise
     /// with…
@@ -573,15 +305,14 @@ pub struct Engine {
     ctr_new: SetCounters,
     /// Per-ladder-rung likelihood sums of the set currently being
     /// initialized.
-    scratch_sums: Vec<f64>,
+    rung_sums: Vec<f64>,
     /// Seeded initial Δ, for a set the seed touches: the distinct ladder
     /// indexes its components' neighbours read (rung 0 is the set's own
     /// `set_bad`)…
     scratch_ladder: Vec<u32>,
     /// …and ladder index → rung ([`NO_RUNG`] between sets; an index is at
     /// most the set's width, so the array stays as small as the widest
-    /// set). [`Engine::extend_structures`] counts each new set's g-ladder
-    /// on the same pair.
+    /// set).
     scratch_rung: Vec<u32>,
 }
 
@@ -604,18 +335,13 @@ impl Engine {
             space,
             params,
             view: ArenaView::new(),
-            arena: None,
             own_terms: None,
             comps: {
                 let mut m = DenseRemap::new();
                 m.ensure_ids(n_global);
                 m
             },
-            path_rows: PathRows::default(),
-            set_comps: Csr::default(),
-            set_ladders: Csr::default(),
-            set_gidx: Vec::new(),
-            set_width: Vec::new(),
+            sets: Sets::new(topo.link_count()),
             set_bad: Vec::new(),
             comp_to_sets: Csr::default(),
             set_flows: Csr::default(),
@@ -623,7 +349,6 @@ impl Engine {
             members: Vec::new(),
             comp_extra_members: Csr::default(),
             n_obs: 0,
-            link_comps: vec![LinkComps::UNSEEN; topo.link_count()],
             in_h: Vec::new(),
             hypothesis: Vec::new(),
             delta: Vec::new(),
@@ -632,11 +357,9 @@ impl Engine {
             ladders: Ladders::default(),
             gain_move_bias: Vec::new(),
             gain_add_bias: Vec::new(),
-            scratch_g: Vec::new(),
-            scratch_s: Vec::new(),
             ctr_old: SetCounters::default(),
             ctr_new: SetCounters::default(),
-            scratch_sums: Vec::new(),
+            rung_sums: Vec::new(),
             scratch_ladder: Vec::new(),
             scratch_rung: Vec::new(),
         }
@@ -722,7 +445,6 @@ impl Engine {
             "the flow table must be built over the observation set it keys"
         );
         self.view.bind_epoch(obs, accepted)?;
-        self.arena = Some(obs.arena.clone());
 
         // Reset hypothesis-dependent state — all O(local).
         self.in_h.fill(false);
@@ -730,7 +452,10 @@ impl Engine {
         self.set_bad.fill(0);
         self.delta.fill(0.0);
 
-        let structures_grew = self.extend_structures(topo, obs);
+        let structures_grew =
+            self.sets
+                .extend(topo, &self.space, &mut self.comps, &self.view, &obs.arena);
+        self.set_bad.resize(self.sets.n_sets(), 0);
         self.rebuild_flows(topo, obs, accepted, table);
 
         // Component-indexed arrays and inverted indexes span the local
@@ -738,8 +463,6 @@ impl Engine {
         let n = self.comps.len();
         self.in_h.resize(n, false);
         self.delta.resize(n, 0.0);
-        self.scratch_g.resize(n, 0);
-        self.scratch_s.resize(n, 0);
         // Rebuilding the argmax bias arrays is O(local): every component
         // starts at the pure add prior; entering the seed below moves
         // the seeded ones.
@@ -757,11 +480,11 @@ impl Engine {
             self.gain_add_bias[c] = p;
         }
         if structures_grew || self.comp_to_sets.n_rows() != n {
-            self.comp_to_sets.rebuild(n, self.set_comps.transposed());
+            self.comp_to_sets.rebuild(n, self.sets.comp_set_pairs());
         }
         // The epoch's inverted indexes, straight off the flow layer.
         self.set_flows.rebuild(
-            self.set_comps.n_rows(),
+            self.sets.n_sets(),
             (0u32..).zip(&self.sflows).map(|(fi, f)| (f.set, fi)),
         );
         self.comp_extra_members.rebuild(
@@ -809,216 +532,13 @@ impl Engine {
         // on: the sets whose counters `compute_initial_delta` collects.
         // A counted set has a failed path (the seed's own), so
         // `set_bad > 0` marks it done.
-        let comp_to_sets = std::mem::take(&mut self.comp_to_sets);
-        for i in 0..self.hypothesis.len() {
-            let sets = comp_to_sets.get(self.hypothesis[i]);
-            self.derive_path_rows(sets);
-            for &s in sets {
+        for &c in &self.hypothesis {
+            for &s in self.comp_to_sets.get(c) {
                 if self.set_bad[s as usize] == 0 {
-                    self.set_bad[s as usize] = self.walk_set::<false>(s);
+                    self.set_bad[s as usize] = self.sets.bad(s, &self.in_h);
                 }
             }
         }
-        self.comp_to_sets = comp_to_sets;
-    }
-
-    /// Local id of a global component, assigning the next dense id on
-    /// first touch.
-    #[inline]
-    fn localize(&mut self, g: CompIdx) -> CompIdx {
-        self.comps.assign(g)
-    }
-
-    /// What this engine's path rows are derived from.
-    fn row_source(&self) -> RowSource<'_> {
-        RowSource {
-            view: &self.view,
-            arena: self.arena.as_ref().expect("an engine with sets was bound"),
-            link_comps: &self.link_comps,
-        }
-    }
-
-    /// Derive the path rows of every set of `sets` that has none yet
-    /// (see [`PathRows`]).
-    fn derive_path_rows(&mut self, sets: &[u32]) {
-        let mut path_rows = std::mem::take(&mut self.path_rows);
-        path_rows.derive(sets, &self.row_source());
-        self.path_rows = path_rows;
-    }
-
-    /// The width of local set `s`.
-    #[inline]
-    fn width(&self, s: u32) -> usize {
-        self.set_width[s as usize] as usize
-    }
-
-    /// One walk over the member paths of set `s`, whose path rows must be
-    /// derived, at the current `in_h`: a path's fail count is the number
-    /// of its row's components in the hypothesis. When `COUNT`, add each
-    /// path to the scratch counters of its row's components by its fail
-    /// count (`g` for 0, `s` for exactly 1; [`Engine::collect_counters`]
-    /// reads them out). Returns the set's `set_bad`. (`COUNT` is a const
-    /// parameter so that a walk that does not count stops at a path's
-    /// first failed component.)
-    fn walk_set<const COUNT: bool>(&mut self, s: u32) -> u32 {
-        let w = self.width(s);
-        let mut bad = 0;
-        for row in self.path_rows.rows(s, w) {
-            if !COUNT {
-                bad += u32::from(row.iter().any(|&l| self.in_h[l as usize]));
-                continue;
-            }
-            // Most paths have fail count 0: count the path to `g` while
-            // reading its fail count, in one pass over the row, and move
-            // it to `s` (or out) in a second pass only when it failed.
-            let mut fail = 0;
-            for &l in row {
-                fail += u32::from(self.in_h[l as usize]);
-                self.scratch_g[l as usize] += 1;
-            }
-            if fail > 0 {
-                bad += 1;
-                for &l in row {
-                    self.scratch_g[l as usize] -= 1;
-                    self.scratch_s[l as usize] += u32::from(fail == 1);
-                }
-            }
-        }
-        bad
-    }
-
-    /// Call `f(row)` for every member path of set `s`: off the derived
-    /// block, or — for a set not derived yet — off rows computed into
-    /// `buf` on the fly, leaving the memo as it is.
-    fn for_each_path_row(&self, s: u32, buf: &mut Vec<u32>, mut f: impl FnMut(&[u32])) {
-        if self.path_rows.is_derived(s) {
-            self.path_rows.rows(s, self.width(s)).for_each(f);
-            return;
-        }
-        let src = self.row_source();
-        for links in src.members(s).iter() {
-            buf.clear();
-            src.push_row(links, buf);
-            f(buf);
-        }
-    }
-
-    /// Extend the view-derived structural layer (per-set component
-    /// unions, the g-ladders, and the localization of every
-    /// component they reach) to cover the view's current projection.
-    /// No-op when the view has not grown — the steady-state case that
-    /// makes warm rebinding cheap. Writes no per-path row: those are
-    /// derived per set on first use ([`PathRows`]).
-    fn extend_structures(&mut self, topo: &Topology, obs: &ObservationSet) -> bool {
-        // Sets: component union, and the cached structure half of the
-        // initial Δ — `g(c)`, the number of member paths
-        // containing `c`, counted once here straight off the member
-        // paths' links (each link as `[link, src, dst]`, in member order:
-        // the first-touch order that assigns new local ids) and kept as a
-        // per-set ladder of distinct values plus a per-component index
-        // into it. A path can reach a component twice (a round-trip probe
-        // path leaves a device and comes back), so `scratch_s` stamps
-        // each component with the visit (member index + 1) that last
-        // counted it; the stamps are cleared with the set's counts. Every
-        // `g` is at most the set's width, so the ladder is counted, not
-        // sorted: mark the values present in `rung`, read them off in
-        // ascending order, and read each component's index back from its
-        // mark.
-        let old_sets = self.set_comps.n_rows();
-        let n_sets = self.view.n_sets();
-        // Row staging, reused across the loop (and never allocated on the
-        // steady-state call where the view has not grown).
-        let mut row: Vec<CompIdx> = Vec::new();
-        let mut ladder = std::mem::take(&mut self.scratch_ladder);
-        let mut rung = std::mem::take(&mut self.scratch_rung);
-        for ls in old_sets as u32..n_sets as u32 {
-            let members = obs.arena.members(self.view.global_set(ls));
-            let w = members.len();
-            self.set_width.push(w as u32);
-            row.clear();
-            for (visit, links) in (1u32..).zip(members.iter()) {
-                for &l in links {
-                    let lc = self.link_comps(topo, l);
-                    if self.scratch_g.len() < self.comps.len() {
-                        self.scratch_g.resize(self.comps.len(), 0);
-                        self.scratch_s.resize(self.comps.len(), 0);
-                    }
-                    for c in [lc.comp, lc.devices[0], lc.devices[1]] {
-                        if c == NO_COMP || self.scratch_s[c as usize] == visit {
-                            continue;
-                        }
-                        self.scratch_s[c as usize] = visit;
-                        if self.scratch_g[c as usize] == 0 {
-                            row.push(c);
-                        }
-                        self.scratch_g[c as usize] += 1;
-                    }
-                }
-            }
-            for &c in &row {
-                self.scratch_s[c as usize] = 0;
-            }
-            row.sort_unstable();
-            if rung.len() <= w {
-                rung.resize(w + 1, NO_RUNG);
-            }
-            for &c in &row {
-                rung[self.scratch_g[c as usize] as usize] = 0;
-            }
-            ladder.clear();
-            for g in 1..=w as u32 {
-                if rung[g as usize] != NO_RUNG {
-                    rung[g as usize] = ladder.len() as u32;
-                    ladder.push(g);
-                }
-            }
-            for &c in &row {
-                let g = std::mem::take(&mut self.scratch_g[c as usize]);
-                self.set_gidx.push(
-                    u16::try_from(rung[g as usize])
-                        .expect("a set has at most 65536 distinct g values"),
-                );
-            }
-            for &g in &ladder {
-                rung[g as usize] = NO_RUNG;
-            }
-            self.set_comps.push_row(row.iter().copied());
-            self.set_ladders.push_row(ladder.iter().copied());
-        }
-        self.scratch_ladder = ladder;
-        self.scratch_rung = rung;
-        self.set_bad.resize(n_sets, 0);
-        self.path_rows.starts.resize(n_sets, UNDERIVED_SET);
-        debug_assert_eq!(self.set_gidx.len(), self.set_comps.items.len());
-
-        n_sets > old_sets
-    }
-
-    /// Local ids of link `l` and its switch ends: one table read once the
-    /// link has been seen.
-    #[inline]
-    fn link_comps(&mut self, topo: &Topology, l: LinkId) -> LinkComps {
-        let known = self.link_comps[l.0 as usize];
-        if known.comp == NO_COMP {
-            self.localize_link(topo, l)
-        } else {
-            known
-        }
-    }
-
-    /// First sight of a link: localize it and its switch ends (hosts are
-    /// not components), in that order, and memoize the result.
-    #[cold]
-    fn localize_link(&mut self, topo: &Topology, l: LinkId) -> LinkComps {
-        let comp = self.localize(self.space.link_comp(l));
-        let lk = topo.link(l);
-        let devices = [lk.src, lk.dst].map(|end| match self.space.device_comp(end) {
-            Some(d) => self.localize(d),
-            None => NO_COMP,
-        });
-        let known = LinkComps { comp, devices };
-        self.link_comps[l.0 as usize] = known;
-        known
     }
 
     /// Rebuild the per-epoch flow layer from the accepted observations,
@@ -1044,7 +564,7 @@ impl Engine {
                 .view
                 .local_set(o.set)
                 .expect("bind_epoch projected every accepted set");
-            let w = self.width(ls) as u32;
+            let w = self.sets.width(ls);
             if w == 0 {
                 continue; // unroutable flow carries no information
             }
@@ -1087,7 +607,7 @@ impl Engine {
     /// links plus any switch devices incident to prefix links that do
     /// not already appear in the set's component union (the intra-rack
     /// ToR case). The localization of a prefix link and its switch ends
-    /// is memoized per link ([`Engine::link_comps`]), so a repeat
+    /// is memoized per link, so a repeat
     /// observation costs one table read per prefix link plus the in-set
     /// test.
     fn flow_extras(&mut self, topo: &Topology, ls: u32, o: &FlowObs) -> ([CompIdx; 4], u8) {
@@ -1100,13 +620,13 @@ impl Engine {
             }
         };
         for link in o.prefix.iter().flatten() {
-            let known = self.link_comps(topo, *link);
+            let known = self.sets.link(topo, &self.space, &mut self.comps, *link);
             push(known.comp);
             // Switch devices already covered by the fabric path set stay
             // out of the extras (they are counted through the set's path
             // components).
             for d in known.devices {
-                if d != NO_COMP && self.set_comps.get(ls).binary_search(&d).is_err() {
+                if d != NO_COMP && self.sets.comps(ls).binary_search(&d).is_err() {
                     push(d);
                 }
             }
@@ -1145,12 +665,12 @@ impl Engine {
 
     /// Number of member paths of the locally-projected sets.
     pub fn n_paths(&self) -> usize {
-        self.set_width.iter().map(|&w| w as usize).sum()
+        self.sets.n_paths()
     }
 
     /// Number of locally-projected sets.
     pub fn n_sets(&self) -> usize {
-        self.set_comps.n_rows()
+        self.sets.n_sets()
     }
 
     /// Global (dense topology-wide) id of a local component.
@@ -1192,7 +712,7 @@ impl Engine {
         EngineStateSizes {
             comps: self.comps.len(),
             paths: self.n_paths(),
-            sets: self.set_comps.n_rows(),
+            sets: self.sets.n_sets(),
             flows: self.sflows.len(),
             members: self.members.len(),
             global_comps: self.space.n_comps(),
@@ -1338,18 +858,13 @@ impl Engine {
         let adding = !self.in_h[c as usize];
         let mut dll = 0.0;
 
-        // Borrow-splitting: the inverted indexes and counter buffers move
-        // out of `self` for the duration of the flip (restored below) so
-        // the sweeps can walk them while mutating per-set/per-flow state.
+        // Borrow-splitting: the extras index and counter buffers move out
+        // of `self` for the duration of the flip (restored below) so the
+        // sweeps can walk them while mutating per-set/per-flow state.
         // All of these keep their capacity — no per-flip allocation.
-        let comp_to_sets = std::mem::take(&mut self.comp_to_sets);
         let comp_extra_members = std::mem::take(&mut self.comp_extra_members);
         let mut old = std::mem::take(&mut self.ctr_old);
         let mut new = std::mem::take(&mut self.ctr_new);
-
-        // ---- Fabric effect: sets whose paths contain `c`. ----
-        let affected_sets = comp_to_sets.get(c);
-        self.derive_path_rows(affected_sets);
 
         // Membership flips now so contribution formulas see the new state;
         // formulas needing the old membership handle `c` explicitly. The
@@ -1360,19 +875,19 @@ impl Engine {
         // element-wise.
         self.in_h[c as usize] = adding;
 
-        // One set at a time: a path belongs to one set, so flipping `c`
-        // on a set's paths changes no other set's counters. Δ maintenance
-        // counts the set's counters twice, with `c` at its old membership
-        // and then at its new one; without it, one walk counts the new
-        // `set_bad`.
-        for &s in affected_sets {
+        // ---- Fabric effect: sets whose paths contain `c`, one at a
+        // time: a path belongs to one set, so flipping `c` on a set's
+        // paths changes no other set's counters. Δ maintenance counts the
+        // set's counters twice, with `c` at its old membership and then
+        // at its new one; without it, one count gives the new `set_bad`.
+        for &s in self.comp_to_sets.get(c) {
             let old_bad = self.set_bad[s as usize];
             let new_bad = if maintain_delta {
                 self.in_h[c as usize] = !adding;
-                let counted = self.collect_counters(s, c, &mut old);
+                let counted = self.sets.counters(s, &self.in_h, c, &mut old);
                 self.in_h[c as usize] = adding;
                 debug_assert_eq!(counted, old_bad, "set_bad of set {s}");
-                let new_bad = self.collect_counters(s, c, &mut new);
+                let new_bad = self.sets.counters(s, &self.in_h, c, &mut new);
                 debug_assert_eq!(old.l, new.l, "regular partitions must align");
                 debug_assert!(
                     old.sp.iter().zip(&new.sp).all(|(a, b)| a.0 == b.0),
@@ -1380,7 +895,7 @@ impl Engine {
                 );
                 new_bad
             } else {
-                self.walk_set::<false>(s)
+                self.sets.bad(s, &self.in_h)
             };
             self.set_bad[s as usize] = new_bad;
 
@@ -1489,7 +1004,6 @@ impl Engine {
             self.gain_add_bias[c as usize] = p;
         }
 
-        self.comp_to_sets = comp_to_sets;
         self.comp_extra_members = comp_extra_members;
         self.ctr_old = old;
         self.ctr_new = new;
@@ -1521,8 +1035,7 @@ impl Engine {
         let bad_new = if new_fail > 0 { w } else { sb };
         // The member (un)pins: Δ maintenance collects its set's counters.
         if maintain_delta && (old_fail == 0 || new_fail == 0) {
-            self.derive_path_rows(&[set]);
-            self.collect_counters(set, c, ctr);
+            self.sets.counters(set, &self.in_h, c, ctr);
         }
         let seg = self.ladders.get(tbl, w);
         let ll_old = seg[bad_old as usize];
@@ -1579,80 +1092,21 @@ impl Engine {
                     self.delta[l as usize] += m.weight * (contrib_new - contrib_old);
                 }
             }
-            // Extras comps of this member (including c itself).
+            // Extras comps of this member (including c itself). Flipping
+            // `e` returns the member to `sb` when `e` is its one failed
+            // extra, and pins it at `w` otherwise.
+            let flipped = |in_h_e: bool, fail: u8| if in_h_e && fail == 1 { sb } else { w };
             for &e in m.extras() {
                 let in_h_e_new = self.in_h[e as usize];
                 let in_h_e_old = if e == c { !in_h_e_new } else { in_h_e_new };
-                let fail_wo_e_old = old_fail - u8::from(in_h_e_old);
-                let fail_wo_e_new = new_fail - u8::from(in_h_e_new);
-                // Flipping e: if e currently failed, bad becomes (others
-                // failed ? w : sb); if e currently ok, bad becomes w.
-                let bad_flip_old = if in_h_e_old {
-                    if fail_wo_e_old > 0 {
-                        w
-                    } else {
-                        sb
-                    }
-                } else {
-                    w
-                };
-                let bad_flip_new = if in_h_e_new {
-                    if fail_wo_e_new > 0 {
-                        w
-                    } else {
-                        sb
-                    }
-                } else {
-                    w
-                };
-                let contrib_old = seg[bad_flip_old as usize] - ll_old;
-                let contrib_new = seg[bad_flip_new as usize] - ll_new;
+                let contrib_old = seg[flipped(in_h_e_old, old_fail) as usize] - ll_old;
+                let contrib_new = seg[flipped(in_h_e_new, new_fail) as usize] - ll_new;
                 self.delta[e as usize] += m.weight * (contrib_new - contrib_old);
             }
         }
 
         self.members[mi as usize].extra_fail = new_fail;
         dll
-    }
-
-    /// Collect the counters of set `s` at the current `in_h` into `out`
-    /// — `g` = member paths with fail count 0 containing the comp, `s` =
-    /// member paths with fail count exactly 1 containing it —
-    /// partitioned by the flip predicate `l == c || in_h[l]`, as in
-    /// Algorithm 2's `GetCounters`: one counting walk over the set's
-    /// derived path rows ([`Engine::walk_set`]), whose scratch counters
-    /// are then read out and reset. Returns the set's `set_bad`.
-    ///
-    /// Components *outside* the predicate `l == c || in_h[l]` (the
-    /// overwhelming majority: not in the hypothesis, not the flipped
-    /// comp) land in the SoA pair `out.l`/`out.g` — the lanes the fabric
-    /// kernel consumes; `s` is not emitted for them because their
-    /// contribution formula never reads it. Components matching the
-    /// predicate land in `out.sp` as full `(comp, g, s)` counters for the
-    /// scalar branchy path. Within each partition, components keep
-    /// `set_comps` order, so pre- and post-flip collections align
-    /// element-wise (the predicate is flip-stable).
-    fn collect_counters(&mut self, s: u32, c: CompIdx, out: &mut SetCounters) -> u32 {
-        let bad = self.walk_set::<true>(s);
-        out.l.clear();
-        out.g.clear();
-        out.sp.clear();
-        let comps = self.set_comps.get(s);
-        for &l in comps {
-            let g = self.scratch_g[l as usize];
-            if l == c || self.in_h[l as usize] {
-                out.sp.push((l, g, self.scratch_s[l as usize]));
-            } else {
-                out.l.push(l);
-                out.g.push(g);
-            }
-        }
-        // Reset scratch.
-        for &l in comps {
-            self.scratch_g[l as usize] = 0;
-            self.scratch_s[l as usize] = 0;
-        }
-        bad
     }
 
     /// Δ and the log-likelihood at the *current* hypothesis, from scratch
@@ -1664,8 +1118,7 @@ impl Engine {
     /// of its components `c`, where `g(c)` — the member paths of `S`
     /// containing `c` — depends only on the append-only path/set
     /// structure. That half is cached per set when the set is first
-    /// viewed (`set_ladders`, `set_gidx`; see
-    /// [`Engine::extend_structures`]), so such a set pays only for its
+    /// viewed (its g-ladder, see `sets.rs`), so such a set pays only for its
     /// evidence: one table gather-accumulate per super-flow over the
     /// set's ladder, then one scatter over the set's components. `active`
     /// is the weight no failed extra pins (`weight − pinned`, which *is*
@@ -1684,12 +1137,12 @@ impl Engine {
     /// Sweeps the *view's* sets only — the fleet-wide arena never enters
     /// this loop.
     fn compute_initial_delta(&mut self) {
-        let mut sums = std::mem::take(&mut self.scratch_sums);
+        let mut sums = std::mem::take(&mut self.rung_sums);
         let mut ladder = std::mem::take(&mut self.scratch_ladder);
         let mut rung = std::mem::take(&mut self.scratch_rung);
         let mut ctr = std::mem::take(&mut self.ctr_new);
         let mut ll = 0.0;
-        for s in 0..self.set_comps.n_rows() as u32 {
+        for s in 0..self.sets.n_sets() as u32 {
             // Sets with no flows this epoch contribute nothing; skipping
             // them keeps rebinding cheap as the shard's view accumulates
             // sets across epochs.
@@ -1701,12 +1154,12 @@ impl Engine {
             // of the set shares `w`, so they index every segment in
             // range.
             let gs: &[u32] = if sb == 0 {
-                self.set_ladders.get(s)
+                self.sets.g_ladder(s)
             } else {
                 // No component is mid-flip: the special partition is the
                 // in-hypothesis components alone.
-                self.collect_counters(s, NO_COMP, &mut ctr);
-                let w = self.width(s);
+                self.sets.counters(s, &self.in_h, NO_COMP, &mut ctr);
+                let w = self.sets.width(s) as usize;
                 if rung.len() <= w {
                     rung.resize(w + 1, NO_RUNG);
                 }
@@ -1738,11 +1191,7 @@ impl Engine {
                 }
             }
             if sb == 0 {
-                let row = self.set_comps.range(s);
-                for (&c, &gi) in self.set_comps.items[row.clone()]
-                    .iter()
-                    .zip(&self.set_gidx[row])
-                {
+                for (&c, &gi) in self.sets.comps(s).iter().zip(self.sets.g_index(s)) {
                     self.delta[c as usize] += sums[gi as usize];
                 }
             } else {
@@ -1788,7 +1237,7 @@ impl Engine {
             }
         }
         self.ll = ll;
-        self.scratch_sums = sums;
+        self.rung_sums = sums;
         self.scratch_ladder = ladder;
         self.scratch_rung = rung;
         self.ctr_new = ctr;
@@ -1799,16 +1248,10 @@ impl Engine {
     pub fn delta_single(&self, c: CompIdx) -> f64 {
         let mut dll = 0.0;
         let flipping_on = !self.in_h[c as usize];
-        let mut buf = Vec::new();
         // Fabric side.
         for &s in self.comp_to_sets.get(c) {
             let old_bad = self.set_bad[s as usize];
-            // A path fails after `c` flips exactly when its row meets
-            // `H ⊕ c`.
-            let mut new_bad = 0u32;
-            self.for_each_path_row(s, &mut buf, |row| {
-                new_bad += u32::from(row.iter().any(|&l| self.in_h[l as usize] != (l == c)));
-            });
+            let new_bad = self.sets.fails_after(s, &self.in_h, c);
             if new_bad == old_bad {
                 continue;
             }
@@ -1844,16 +1287,12 @@ impl Engine {
     /// local ids) — `O(m·T)`. Reference implementation used by tests and
     /// available for cross-checking; never on the hot path.
     pub fn ll_of(&self, hypothesis: &[CompIdx]) -> f64 {
-        let in_h: std::collections::HashSet<CompIdx> = hypothesis.iter().copied().collect();
-        let mut buf = Vec::new();
-        let set_bad_h: Vec<u32> = (0..self.set_comps.n_rows() as u32)
-            .map(|s| {
-                let mut bad = 0;
-                self.for_each_path_row(s, &mut buf, |row| {
-                    bad += u32::from(row.iter().any(|c| in_h.contains(c)));
-                });
-                bad
-            })
+        let mut in_h = vec![false; self.n_comps()];
+        for &c in hypothesis {
+            in_h[c as usize] = true;
+        }
+        let set_bad_h: Vec<u32> = (0..self.sets.n_sets() as u32)
+            .map(|s| self.sets.fails_after(s, &in_h, NO_COMP))
             .collect();
         let mut ll = 0.0;
         for f in &self.sflows {
@@ -1862,7 +1301,7 @@ impl Engine {
             for mi in f.members.0..f.members.1 {
                 let m = &self.members[mi as usize];
                 base -= m.weight;
-                let bad = if m.extras().iter().any(|e| in_h.contains(e)) {
+                let bad = if m.extras().iter().any(|&e| in_h[e as usize]) {
                     f.w
                 } else {
                     sb
@@ -1883,7 +1322,7 @@ mod tests {
     use flock_telemetry::input::{assemble, AnalysisMode, InputKind};
     use flock_telemetry::{FlowKey, FlowStats, MonitoredFlow, TrafficClass};
     use flock_topology::clos::{three_tier, ClosParams};
-    use flock_topology::Router;
+    use flock_topology::{LinkId, PathSet, Router};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -2700,7 +2139,9 @@ mod tests {
                 .iter()
                 .flat_map(|m| m.extras().to_vec())
                 .collect();
-            let fabric = flipped.set_comps.items.clone();
+            let fabric: Vec<CompIdx> = (0..flipped.n_sets() as u32)
+                .flat_map(|s| flipped.sets.comps(s).to_vec())
+                .collect();
             let locals = [
                 fabric[0],
                 extras[0],
@@ -2753,8 +2194,7 @@ mod tests {
 
     /// The member paths of local set `s`: its arena set's.
     fn arena_members(engine: &Engine, s: u32) -> &PathSet {
-        let arena = engine.arena.as_ref().unwrap();
-        arena.members(engine.view().global_set(s))
+        engine.sets.members(s)
     }
 
     /// The brute-force component row of member `i` of local set `s`: its
@@ -2783,22 +2223,32 @@ mod tests {
         row
     }
 
-    /// The sets whose path rows are derived, each of whose rows equals
-    /// its path's [`brute_row`].
+    /// The sets whose rows the set layer has derived, each of whose rows
+    /// equals its path's [`brute_row`].
     fn derived_sets(engine: &Engine, topo: &flock_topology::Topology) -> Vec<u32> {
-        let derived: Vec<u32> = (0..engine.n_sets() as u32)
-            .filter(|&s| engine.path_rows.is_derived(s))
-            .collect();
-        for &s in &derived {
-            for (i, row) in engine.path_rows.rows(s, engine.width(s)).enumerate() {
+        let mut derived = Vec::new();
+        for s in 0..engine.n_sets() as u32 {
+            let Some(rows) = engine.sets.derived_rows(s) else {
+                continue;
+            };
+            for (i, row) in rows.enumerate() {
                 assert_eq!(
                     row,
                     &brute_row(engine, topo, s, i)[..],
                     "set {s}, member {i}"
                 );
             }
+            derived.push(s);
         }
         derived
+    }
+
+    /// Member paths whose rows the set layer has derived.
+    fn derived_paths(engine: &Engine) -> usize {
+        (0..engine.n_sets() as u32)
+            .filter_map(|s| engine.sets.derived_rows(s))
+            .map(Iterator::count)
+            .sum()
     }
 
     /// The sets of `comps`, ascending and deduplicated.
@@ -2810,15 +2260,6 @@ mod tests {
         sets.sort_unstable();
         sets.dedup();
         sets
-    }
-
-    /// Forget every derived path row (legal at any time: path rows are a
-    /// memo of append-only structure).
-    fn forget_path_rows(engine: &mut Engine) {
-        engine.path_rows = PathRows {
-            starts: vec![UNDERIVED_SET; engine.n_sets()],
-            items: Vec::new(),
-        };
     }
 
     /// The `set_bad` oracle. Every derived path row is its brute-force
@@ -2853,8 +2294,8 @@ mod tests {
         bits
     }
 
-    /// Path rows are derived per set on first use and never go stale. A
-    /// cold bind at the empty seed derives no path row; a seeded rebind
+    /// Rows are derived per set on first use and never go stale. A
+    /// cold bind at the empty seed derives no row; a seeded rebind
     /// over a growing view derives exactly the sets its seed enters; an
     /// extra-only flip exactly the sets of the members it pins; a fabric
     /// flip at least the sets it sweeps — and every derived row is the
@@ -2863,7 +2304,7 @@ mod tests {
     /// is the brute-force one. `delta_single` and `ll_of`
     /// over sets not yet derived read the same rows, to the bit.
     #[test]
-    fn derived_path_rows_are_the_brute_force_rows() {
+    fn derived_rows_are_the_brute_force_rows() {
         use flock_telemetry::Assembler;
         let topo = three_tier(three_pods());
         let router = Router::new(&topo);
@@ -2892,13 +2333,13 @@ mod tests {
             let widths: Vec<usize> = (0..n_sets)
                 .map(|s| arena_members(&engine, s).len())
                 .collect();
-            assert!((0..n_sets).all(|s| engine.width(s) == widths[s as usize]));
+            assert!((0..n_sets).all(|s| engine.sets.width(s) as usize == widths[s as usize]));
             assert_eq!(engine.state_sizes().paths, widths.iter().sum::<usize>());
             // The new sets' paths run through known components, so
             // entering the seed can reach paths the view gained this
             // epoch.
             let crosses_known = |s: u32| {
-                (0..engine.width(s)).any(|i| {
+                (0..engine.sets.width(s) as usize).any(|i| {
                     brute_row(&engine, &topo, s, i)
                         .iter()
                         .any(|&c| c < old_comps)
@@ -2913,13 +2354,14 @@ mod tests {
             let seeded = engine.hypothesis().to_vec();
             assert_eq!(seeded.len(), seed.len(), "epoch {epoch}");
             assert_eq!(derived_sets(&engine, &topo), sets_of(&engine, seeded));
-            assert_eq!(engine.path_rows.items.is_empty(), epoch == 0);
+            assert_eq!(derived_paths(&engine) == 0, epoch == 0);
             assert_set_bad(&engine, &topo);
             let fresh: Vec<CompIdx> = (old_comps..engine.n_comps() as u32).step_by(5).collect();
             let lazy = lazy_reads(&engine, &fresh);
-            let all: Vec<u32> = (0..engine.n_sets() as u32).collect();
-            engine.derive_path_rows(&all);
-            derived_sets(&engine, &topo);
+            for s in 0..engine.n_sets() as u32 {
+                engine.sets.bad(s, &engine.in_h);
+            }
+            assert_eq!(derived_sets(&engine, &topo).len(), engine.n_sets());
             assert_eq!(
                 lazy_reads(&engine, &fresh),
                 lazy,
@@ -2927,7 +2369,7 @@ mod tests {
             );
 
             // Forget every row, so the flips derive their own.
-            forget_path_rows(&mut engine);
+            engine.sets.forget_rows();
             // An extra-only flip derives the sets of the members it pins.
             let extra = (0..engine.n_comps() as u32)
                 .find(|&c| {
@@ -2975,7 +2417,7 @@ mod tests {
             assert_set_bad(&engine, &topo);
             assert!((engine.log_likelihood() - ll).abs() < 1e-7);
             // The next bind derives its seed's rows afresh.
-            forget_path_rows(&mut engine);
+            engine.sets.forget_rows();
         }
     }
 
@@ -3042,15 +2484,15 @@ mod tests {
         // Local set ids follow first touch: 0 = the single round trip,
         // 1 = the pair.
         let g_of = |s: u32, c: CompIdx| {
-            let at = engine.set_comps.get(s).binary_search(&c).unwrap();
-            let gi = engine.set_gidx[engine.set_comps.range(s)][at];
-            engine.set_ladders.get(s)[gi as usize]
+            let at = engine.sets.comps(s).binary_search(&c).unwrap();
+            let gi = engine.sets.g_index(s)[at];
+            engine.sets.g_ladder(s)[gi as usize]
         };
-        assert_eq!(engine.set_ladders.get(0), &[1]);
+        assert_eq!(engine.sets.g_ladder(0), &[1]);
         assert_eq!(g_of(0, tor_c), 1, "visited twice, counted once");
-        assert_eq!(engine.set_ladders.get(1), &[1, 2]);
+        assert_eq!(engine.sets.g_ladder(1), &[1, 2]);
         assert_eq!(g_of(1, tor_c), 2, "one per member path");
-        for &c in engine.set_comps.get(1) {
+        for &c in engine.sets.comps(1) {
             if c != tor_c {
                 assert_eq!(g_of(1, c), 1, "comp {c} lies on one member path");
             }
@@ -3138,7 +2580,7 @@ mod tests {
         check(&engine);
         engine.flip(tor_c);
         assert_eq!(derived_sets(&engine, &topo), [0, 1]);
-        let pair: Vec<_> = engine.path_rows.rows(1, 2).collect();
+        let pair: Vec<_> = engine.sets.derived_rows(1).unwrap().collect();
         assert_eq!(pair, [&expect[1][..], &expect[2][..]]);
         assert_eq!(engine.set_bad, [1, 2], "every round trip fails");
         check(&engine);

@@ -19,9 +19,10 @@
 //!
 //! # Inference
 //!
-//! * [`engine`] — the shared inference state: interned paths/path sets,
-//!   per-path failure counts, and the Δ array of Joint Likelihood
-//!   Exploration (JLE). A single `flip` maintains all `n` neighbor deltas
+//! * [`engine`] — the shared inference state: the hypothesis, the
+//!   per-epoch evidence, and the Δ array of Joint Likelihood
+//!   Exploration (JLE), over a set layer (`sets.rs`) that holds every
+//!   viewed path set's structure and counts its member paths. A single `flip` maintains all `n` neighbor deltas
 //!   in `O(D·T)` (Theorem 1), the source of the `O(n)` speedup over
 //!   per-hypothesis evaluation.
 //! * [`greedy`] — Flock's greedy MLE search (Algorithms 1–2), with and
@@ -48,6 +49,7 @@ pub mod likelihood;
 pub mod localizer;
 pub mod metrics;
 pub mod params;
+mod sets;
 pub mod sherlock;
 pub mod space;
 

@@ -158,7 +158,8 @@ impl TermDirectory {
 /// The ladder store: every ladder a [`TermDirectory`] computed, in one
 /// append-only [`Column`] whose chunks its snapshots share. A ladder is
 /// one run of the column, so it never crosses a chunk boundary and reads
-/// back as one slice.
+/// back as one slice (a ladder wider than a chunk takes a chunk of its
+/// own).
 ///
 /// Every entry is produced by [`llf`] itself, so a read is
 /// **bit-identical** to direct evaluation by construction. The score is
@@ -179,10 +180,6 @@ pub(crate) struct Ladders {
 impl Ladders {
     /// Compute and store the ladder `llf(score, w, 0..=w)`; returns its
     /// offset.
-    ///
-    /// # Panics
-    /// If `w + 1` exceeds a column chunk
-    /// ([`CHUNK_ROWS`](flock_telemetry::input::CHUNK_ROWS)).
     fn push(&mut self, score: f64, w: u32) -> u32 {
         debug_assert!(w > 0, "a ladder requires w > 0");
         let off = self.values.push_run((0..w + 1).map(|b| llf(score, w, b)));
@@ -499,6 +496,50 @@ mod tests {
         check(&snap, &shared);
         check(&snap2, &shared2);
         check(&store, &offs);
+    }
+
+    /// A ladder as wide as a chunk, or wider, is stored like any other:
+    /// at widths `CHUNK_ROWS - 1`, `CHUNK_ROWS` and 10,000, every rung of
+    /// every ladder is `llf`'s own bits, the ladders the directory stored
+    /// before and after the wide one read back unchanged, and the table
+    /// of an earlier epoch — a snapshot of the store before the wide push
+    /// — reads what it read.
+    #[test]
+    fn ladder_store_takes_ladders_wider_than_a_chunk() {
+        use flock_telemetry::input::CHUNK_ROWS;
+        let p = params();
+        let narrow = [(100u64, 1u64, 999u32), (100, 2, 999), (100, 3, 999)];
+        let check = |table: &EpochFlowTable, keys: &[(u64, u64, u32)]| {
+            for (i, &(sent, bad, w)) in keys.iter().enumerate() {
+                let ladder = table.ladder(i);
+                assert_eq!(ladder.len(), w as usize + 1);
+                let score = flow_score(&p, sent, bad);
+                for (b, v) in (0u32..).zip(ladder) {
+                    assert_eq!(v.to_bits(), llf(score, w, b).to_bits(), "key {i}, b={b}");
+                }
+            }
+        };
+        for wide in [CHUNK_ROWS as u32 - 1, CHUNK_ROWS as u32, 10_000] {
+            let mut dir = TermDirectory::new(&p);
+            let mut before = EpochFlowTable::new();
+            before.rebuild(&mut dir, &obs_of(&narrow));
+            let keys = [
+                narrow[0],
+                narrow[1],
+                (200, 5, wide),
+                (100, 4, 999),
+                narrow[2],
+            ];
+            let mut after = EpochFlowTable::new();
+            after.rebuild(&mut dir, &obs_of(&keys));
+            assert_eq!(dir.len(), 5, "w = {wide}");
+            for i in 0..2 {
+                assert_eq!(after.term(i), before.term(i), "w = {wide}");
+            }
+            assert_eq!(after.term(4), before.term(2));
+            check(&before, &narrow);
+            check(&after, &keys);
+        }
     }
 
     /// Equal `(sent, bad)` over sets of equal width share one ladder even

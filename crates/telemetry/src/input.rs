@@ -58,6 +58,9 @@ pub const CHUNK_ROWS: usize = 4096;
 /// A run — one [`Column::push_run`] — never crosses a chunk boundary, so
 /// [`Column::run`] reads it back as one slice: a run the tail chunk has no
 /// room for starts the next chunk, and the rows it skips are never read.
+/// A run longer than [`CHUNK_ROWS`] fills a chunk of its own, which
+/// holds all of it but counts as one chunk's rows; it reads back from its
+/// first row.
 #[derive(Debug, Clone)]
 pub struct Column<T> {
     chunks: Vec<Arc<Vec<T>>>,
@@ -81,15 +84,12 @@ impl<T: Clone> Column<T> {
     }
 
     /// Append `values` as one run and return its first row.
-    ///
-    /// # Panics
-    /// If the run is longer than [`CHUNK_ROWS`].
     pub fn push_run(&mut self, values: impl ExactSizeIterator<Item = T>) -> usize {
         let n = values.len();
-        assert!(n <= CHUNK_ROWS, "a run of {n} rows exceeds a column chunk");
         if !matches!(self.chunks.last(), Some(tail) if tail.len() + n <= CHUNK_ROWS) {
             self.len = self.chunks.len() * CHUNK_ROWS;
-            self.chunks.push(Arc::new(Vec::with_capacity(CHUNK_ROWS)));
+            self.chunks
+                .push(Arc::new(Vec::with_capacity(n.max(CHUNK_ROWS))));
         }
         let start = self.len;
         Arc::make_mut(self.chunks.last_mut().expect("tail chunk pushed above")).extend(values);
@@ -104,7 +104,8 @@ impl<T: Clone> Column<T> {
     }
 
     /// The `n` rows from `start` on, which one [`Column::push_run`]
-    /// appended (or a part of them).
+    /// appended (or a part of them; of a run longer than [`CHUNK_ROWS`],
+    /// a part from its first row).
     #[inline]
     pub fn run(&self, start: usize, n: usize) -> &[T] {
         &self.chunks[start / CHUNK_ROWS][start % CHUNK_ROWS..][..n]
