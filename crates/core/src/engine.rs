@@ -49,9 +49,9 @@
 //! the initial Δ, every flip and the evidence report read. A flip or a
 //! seed reaches the component's paths through them, one set at a time:
 //! one count over the set's members gives its `set_bad` at the current
-//! `in_h` — and, for a flip that maintains Δ, the set's counters on the
-//! way, once with the component at its old membership and once at its
-//! new one.
+//! `in_h` — and, for a flip that maintains Δ, the set's neighbour counts
+//! on the way, once with the component at its old membership and once at
+//! its new one.
 //!
 //! The evidence layer is rebuilt every epoch, from the accepted
 //! observations and the epoch's [`EpochFlowTable`] — the evidence keys
@@ -106,20 +106,24 @@
 //! super-flow plus one scatter per active set — proportional to the
 //! epoch's evidence, with no path sweep.
 //!
-//! A set the seed touches (`set_bad > 0`) reads different rungs —
-//! `LLF(set_bad + g)` for a component outside the hypothesis,
-//! `LLF(set_bad − s)` for one inside, with `g`/`s` counting the member
-//! paths of fail count 0 / exactly 1 through the component *now* — so it
-//! collects those counters once (as a flip does per affected set), puts
-//! the distinct indexes on a scratch ladder, and pays the same one
-//! gather per super-flow and one scatter. Members follow the flip's own
-//! formulas evaluated at the current state. `prop_engine`'s
+//! Every Δ term of a component `c` on a set reads the flow's ladder at
+//! the set's *neighbour count* of `c`: its `set_bad` once `c` flips —
+//! plus its member paths through `c` that meet no hypothesis component
+//! for `c` outside the hypothesis, minus those whose one failed
+//! component is `c` for `c` inside it — counted by `sets.rs` for every
+//! component of the set in one walk. A flip and a flipped extra read
+//! those indexes absolutely, through one kernel over all of the set's
+//! components. A set the seed touches (`set_bad > 0`) has no cached
+//! rungs: it counts its neighbours once (as a flip does per affected
+//! set), puts the distinct indexes on a scratch ladder, and pays the
+//! same one gather per super-flow and one scatter. Members follow the
+//! flip's own formulas evaluated at the current state. `prop_engine`'s
 //! `seeded_bind_equals_brute_force_and_flip_reference` pins the result
 //! against brute-force neighbour likelihoods and against the
 //! bind-empty-then-flip path it replaces.
 //!
-//! The flip path is allocation-free after warm-up: the per-set counter
-//! buffers, inverted-index walks and per-set scratch all reuse
+//! The flip path is allocation-free after warm-up: the per-set
+//! neighbour buffers, inverted-index walks and per-set scratch all reuse
 //! persistent arenas that survive across flips *and* epochs
 //! ([`Engine::try_bind`]). A flip that reaches a set for the first time
 //! has the set layer derive that set's rows.
@@ -132,7 +136,7 @@
 use crate::kernels;
 use crate::likelihood::{llf, EpochFlowTable, Ladders, TermDirectory};
 use crate::params::HyperParams;
-use crate::sets::{Csr, SetCounters, Sets, NO_COMP, NO_RUNG};
+use crate::sets::{Csr, Sets, NO_COMP, NO_RUNG};
 use crate::space::{CompIdx, ComponentSpace};
 use flock_telemetry::{ArenaView, DenseRemap, FlowObs, ObservationSet, PathSetId, ViewError};
 use flock_topology::{Component, Topology};
@@ -216,8 +220,8 @@ pub struct EngineStats {
 /// shard on `ShardOutcome::state`).
 #[derive(Debug, Clone, Copy, Default, serde::Serialize)]
 pub struct EngineStateSizes {
-    /// Local components (length of the Δ array, `in_h`, and the per-flip
-    /// scratch counters).
+    /// Local components (length of the Δ array, `in_h`, and the set
+    /// layer's counting scratch).
     pub comps: usize,
     /// Member paths of the local sets. The engine stores nothing per
     /// path (their component rows are derived per set on first use), so
@@ -296,13 +300,11 @@ pub struct Engine {
 
     // Scratch arenas reused across flips and epochs: the flip path and
     // the per-epoch rebuild allocate nothing in steady state.
-    /// Pre-flip counters of the set a flip is sweeping. The split
-    /// predicate is stable across the flip, so they align element-wise
-    /// with…
-    ctr_old: SetCounters,
-    /// …the post-flip counters of that set — also the counters of a
-    /// seeded set in the initial Δ and of a flipped extra's set.
-    ctr_new: SetCounters,
+    /// Pre-flip neighbour counts of the set a flip is sweeping…
+    nb_old: Vec<u32>,
+    /// …and its post-flip ones — also the neighbour counts of a seeded
+    /// set in the initial Δ and of a flipped extra's set.
+    nb_new: Vec<u32>,
     /// Per-ladder-rung likelihood sums of the set currently being
     /// initialized.
     rung_sums: Vec<f64>,
@@ -310,6 +312,8 @@ pub struct Engine {
     /// indexes its components' neighbours read (rung 0 is the set's own
     /// `set_bad`)…
     scratch_ladder: Vec<u32>,
+    /// …each component's rung on it…
+    scratch_rungs: Vec<u16>,
     /// …and ladder index → rung ([`NO_RUNG`] between sets; an index is at
     /// most the set's width, so the array stays as small as the widest
     /// set).
@@ -357,10 +361,11 @@ impl Engine {
             ladders: Ladders::default(),
             gain_move_bias: Vec::new(),
             gain_add_bias: Vec::new(),
-            ctr_old: SetCounters::default(),
-            ctr_new: SetCounters::default(),
+            nb_old: Vec::new(),
+            nb_new: Vec::new(),
             rung_sums: Vec::new(),
             scratch_ladder: Vec::new(),
+            scratch_rungs: Vec::new(),
             scratch_rung: Vec::new(),
         }
     }
@@ -529,7 +534,7 @@ impl Engine {
             self.gain_add_bias[c as usize] = f64::NEG_INFINITY;
         }
         // With every seed in, count `set_bad` once per set a seed lies
-        // on: the sets whose counters `compute_initial_delta` collects.
+        // on: the sets whose neighbours `compute_initial_delta` counts.
         // A counted set has a failed path (the seed's own), so
         // `set_bad > 0` marks it done.
         for &c in &self.hypothesis {
@@ -858,42 +863,31 @@ impl Engine {
         let adding = !self.in_h[c as usize];
         let mut dll = 0.0;
 
-        // Borrow-splitting: the extras index and counter buffers move out
-        // of `self` for the duration of the flip (restored below) so the
-        // sweeps can walk them while mutating per-set/per-flow state.
+        // Borrow-splitting: the extras index and neighbour buffers move
+        // out of `self` for the duration of the flip (restored below) so
+        // the sweeps can walk them while mutating per-set/per-flow state.
         // All of these keep their capacity — no per-flip allocation.
         let comp_extra_members = std::mem::take(&mut self.comp_extra_members);
-        let mut old = std::mem::take(&mut self.ctr_old);
-        let mut new = std::mem::take(&mut self.ctr_new);
+        let mut old = std::mem::take(&mut self.nb_old);
+        let mut new = std::mem::take(&mut self.nb_new);
 
         // Membership flips now so contribution formulas see the new state;
-        // formulas needing the old membership handle `c` explicitly. The
-        // counters' regular/special split uses the predicate
-        // `l == c || in_h[l]`, which the flip does not move (only `c`'s
-        // membership changes, and `c` tests by id), so a set's pre- and
-        // post-flip collections partition identically and align
-        // element-wise.
+        // formulas needing the old membership handle `c` explicitly.
         self.in_h[c as usize] = adding;
 
         // ---- Fabric effect: sets whose paths contain `c`, one at a
         // time: a path belongs to one set, so flipping `c` on a set's
-        // paths changes no other set's counters. Δ maintenance counts the
-        // set's counters twice, with `c` at its old membership and then
+        // paths changes no other set's counts. Δ maintenance counts the
+        // set's neighbours twice, with `c` at its old membership and then
         // at its new one; without it, one count gives the new `set_bad`.
         for &s in self.comp_to_sets.get(c) {
             let old_bad = self.set_bad[s as usize];
             let new_bad = if maintain_delta {
                 self.in_h[c as usize] = !adding;
-                let counted = self.sets.counters(s, &self.in_h, c, &mut old);
+                let counted = self.sets.neighbours(s, &self.in_h, &mut old);
                 self.in_h[c as usize] = adding;
                 debug_assert_eq!(counted, old_bad, "set_bad of set {s}");
-                let new_bad = self.sets.counters(s, &self.in_h, c, &mut new);
-                debug_assert_eq!(old.l, new.l, "regular partitions must align");
-                debug_assert!(
-                    old.sp.iter().zip(&new.sp).all(|(a, b)| a.0 == b.0),
-                    "special partitions must align"
-                );
-                new_bad
+                self.sets.neighbours(s, &self.in_h, &mut new)
             } else {
                 self.sets.bad(s, &self.in_h)
             };
@@ -919,38 +913,18 @@ impl Engine {
                     continue;
                 }
                 // Fabric comps of the set: only the active (unpinned)
-                // weight responds to fabric flips. The regular partition
-                // (components outside the hypothesis) goes through the
-                // fabric kernel; the handful of special components
-                // keep the branchy scalar path below.
+                // weight responds to fabric flips.
                 if active > 0.0 {
                     kernels::fabric_delta_sweep(
                         seg,
-                        old_bad,
-                        new_bad,
-                        &old.g,
-                        &new.g,
-                        &old.l,
+                        &old,
+                        &new,
+                        self.sets.comps(s),
                         active,
                         ll_old,
                         ll_new,
                         &mut self.delta,
                     );
-                    for (&(l, g_old, s_old), &(_, g_new, s_new)) in old.sp.iter().zip(&new.sp) {
-                        let in_h_new = self.in_h[l as usize];
-                        let in_h_old = if l == c { !in_h_new } else { in_h_new };
-                        let contrib_old = if in_h_old {
-                            seg[(old_bad - s_old) as usize] - ll_old
-                        } else {
-                            seg[(old_bad + g_old) as usize] - ll_old
-                        };
-                        let contrib_new = if in_h_new {
-                            seg[(new_bad - s_new) as usize] - ll_new
-                        } else {
-                            seg[(new_bad + g_new) as usize] - ll_new
-                        };
-                        self.delta[l as usize] += active * (contrib_new - contrib_old);
-                    }
                 }
                 // Member extras: their deltas move only when `set_bad`
                 // actually changed. An unpinned member's extras pin it at
@@ -1005,21 +979,21 @@ impl Engine {
         }
 
         self.comp_extra_members = comp_extra_members;
-        self.ctr_old = old;
-        self.ctr_new = new;
+        self.nb_old = old;
+        self.nb_new = new;
         dll
     }
 
     /// Handle the extras side of flipping `c` for one member. `in_h[c]`
-    /// has already been set to the new value; `ctr` is the caller's
-    /// reusable counter buffer.
+    /// has already been set to the new value; `nb` is the caller's
+    /// reusable neighbour buffer.
     fn flip_extra_for_member(
         &mut self,
         c: CompIdx,
         mi: u32,
         adding: bool,
         maintain_delta: bool,
-        ctr: &mut SetCounters,
+        nb: &mut Vec<u32>,
     ) -> f64 {
         self.stats.flow_updates += 1;
         let m = self.members[mi as usize];
@@ -1033,9 +1007,9 @@ impl Engine {
         let sb = self.set_bad[set as usize];
         let bad_old = if old_fail > 0 { w } else { sb };
         let bad_new = if new_fail > 0 { w } else { sb };
-        // The member (un)pins: Δ maintenance collects its set's counters.
+        // The member (un)pins: Δ maintenance counts its set's neighbours.
         if maintain_delta && (old_fail == 0 || new_fail == 0) {
-            self.sets.counters(set, &self.in_h, c, ctr);
+            self.sets.neighbours(set, &self.in_h, nb);
         }
         let seg = self.ladders.get(tbl, w);
         let ll_old = seg[bad_old as usize];
@@ -1051,46 +1025,30 @@ impl Engine {
         }
 
         if maintain_delta {
-            // Fabric comps: need g/s counters only when the member is
+            // Fabric comps: need neighbour counts only when the member is
             // "active" (extra_fail == 0) on either side. Exactly one of
-            // old/new fail is 0 here (they differ by 1), so each regular
-            // component's update collapses to ±(seg[sb + g] - ll) — the
-            // member kernel; in-hypothesis comps keep the scalar path.
-            // `c` is an extra, never among the set comps, so the special
-            // partition is the in-hypothesis comps only.
+            // old/new fail is 0 here (they differ by 1), so each
+            // component's update collapses to ±(seg[nb] - ll) — the
+            // member kernel. `c` is an extra, never among the set comps,
+            // so its flip moves no neighbour count.
             if old_fail == 0 || new_fail == 0 {
                 let (negate, ll_active) = if old_fail == 0 {
-                    // Member becomes pinned: its old `sb + g` term is
-                    // retracted (contrib_new is 0).
+                    // Member becomes pinned: its old neighbour terms are
+                    // retracted (the new ones are 0).
                     (true, ll_old)
                 } else {
-                    // Member unpins: the new `sb + g` term lands.
+                    // Member unpins: its new neighbour terms land.
                     (false, ll_new)
                 };
                 kernels::member_delta_sweep(
                     seg,
-                    sb,
-                    &ctr.g,
-                    &ctr.l,
+                    nb,
+                    self.sets.comps(set),
                     m.weight,
                     ll_active,
                     negate,
                     &mut self.delta,
                 );
-                for &(l, _, s_cnt) in &ctr.sp {
-                    debug_assert_ne!(l, c, "extras are disjoint from set comps");
-                    let contrib_old = if old_fail > 0 {
-                        0.0
-                    } else {
-                        seg[(sb - s_cnt) as usize] - ll_old
-                    };
-                    let contrib_new = if new_fail > 0 {
-                        0.0
-                    } else {
-                        seg[(sb - s_cnt) as usize] - ll_new
-                    };
-                    self.delta[l as usize] += m.weight * (contrib_new - contrib_old);
-                }
             }
             // Extras comps of this member (including c itself). Flipping
             // `e` returns the member to `sb` when `e` is its one failed
@@ -1125,22 +1083,22 @@ impl Engine {
     /// `weight` at the empty hypothesis).
     ///
     /// A set the seed touches has no cached structure to lean on — its
-    /// neighbours read `LLF(set_bad + g)` outside the hypothesis and
-    /// `LLF(set_bad − s)` inside, with `g`/`s` counting good/singly-failed
-    /// member paths *now* — so it collects those counters once, exactly
-    /// as a flip does per affected set, builds the small ladder of
-    /// distinct indexes they select, and then pays the same one gather
-    /// per super-flow and one scatter, each component receiving its
-    /// rung's sum minus the `LLF(set_bad)` rung's (which is also the
-    /// set's share of the likelihood).
+    /// components' neighbour counts depend on the hypothesis — so it
+    /// counts them once, exactly as a flip does per affected set, builds
+    /// the small ladder of distinct indexes they select (rung 0 is its
+    /// own `set_bad`), and then pays the same one gather per super-flow
+    /// and one scatter. Either way each component receives its rung's sum
+    /// minus the `LLF(set_bad)` rung's (which is also the set's share of
+    /// the likelihood; `LLF(0) = 0`, off the g-ladder).
     ///
     /// Sweeps the *view's* sets only — the fleet-wide arena never enters
     /// this loop.
     fn compute_initial_delta(&mut self) {
         let mut sums = std::mem::take(&mut self.rung_sums);
         let mut ladder = std::mem::take(&mut self.scratch_ladder);
+        let mut rungs = std::mem::take(&mut self.scratch_rungs);
         let mut rung = std::mem::take(&mut self.scratch_rung);
-        let mut ctr = std::mem::take(&mut self.ctr_new);
+        let mut nb = std::mem::take(&mut self.nb_new);
         let mut ll = 0.0;
         for s in 0..self.sets.n_sets() as u32 {
             // Sets with no flows this epoch contribute nothing; skipping
@@ -1150,32 +1108,33 @@ impl Engine {
                 continue;
             }
             let sb = self.set_bad[s as usize];
-            // The table indexes this set's neighbours read. Every flow
-            // of the set shares `w`, so they index every segment in
-            // range.
-            let gs: &[u32] = if sb == 0 {
-                self.sets.g_ladder(s)
+            // The distinct table indexes this set's neighbours read, and
+            // each component's rung on them. Every flow of the set shares
+            // `w`, so they index every segment in range.
+            let (gs, comp_rungs): (&[u32], &[u16]) = if sb == 0 {
+                (self.sets.g_ladder(s), self.sets.g_index(s))
             } else {
-                // No component is mid-flip: the special partition is the
-                // in-hypothesis components alone.
-                self.sets.counters(s, &self.in_h, NO_COMP, &mut ctr);
+                self.sets.neighbours(s, &self.in_h, &mut nb);
                 let w = self.sets.width(s) as usize;
                 if rung.len() <= w {
                     rung.resize(w + 1, NO_RUNG);
                 }
                 ladder.clear();
-                let neighbours = ctr
-                    .g
-                    .iter()
-                    .map(|&g| sb + g)
-                    .chain(ctr.sp.iter().map(|&(_, _, s1)| sb - s1));
-                for idx in std::iter::once(sb).chain(neighbours) {
+                ladder.push(sb);
+                rung[sb as usize] = 0;
+                rungs.clear();
+                for &idx in &nb {
                     if rung[idx as usize] == NO_RUNG {
                         rung[idx as usize] = ladder.len() as u32;
                         ladder.push(idx);
                     }
+                    let r = rung[idx as usize];
+                    rungs.push(u16::try_from(r).expect("a set has at most 65536 ladder rungs"));
                 }
-                &ladder
+                for &idx in &ladder {
+                    rung[idx as usize] = NO_RUNG;
+                }
+                (&ladder, &rungs)
             };
             // Σ_super-flows active · LLF(index) per distinct index.
             sums.clear();
@@ -1190,22 +1149,11 @@ impl Engine {
                     kernels::weighted_table_accumulate(seg, gs, active, &mut sums);
                 }
             }
-            if sb == 0 {
-                for (&c, &gi) in self.sets.comps(s).iter().zip(self.sets.g_index(s)) {
-                    self.delta[c as usize] += sums[gi as usize];
-                }
-            } else {
-                let at_sb = sums[0];
-                ll += at_sb;
-                for (&c, &g) in ctr.l.iter().zip(&ctr.g) {
-                    self.delta[c as usize] += sums[rung[(sb + g) as usize] as usize] - at_sb;
-                }
-                for &(c, _, s1) in &ctr.sp {
-                    self.delta[c as usize] += sums[rung[(sb - s1) as usize] as usize] - at_sb;
-                }
-                for &idx in &ladder {
-                    rung[idx as usize] = NO_RUNG;
-                }
+            // The set's own rung: `LLF(0) = 0` off the g-ladder.
+            let at_sb = if sb == 0 { 0.0 } else { sums[0] };
+            ll += at_sb;
+            for (&c, &r) in self.sets.comps(s).iter().zip(comp_rungs) {
+                self.delta[c as usize] += sums[r as usize] - at_sb;
             }
         }
         // Extras: `flip_extra_for_member`'s own formulas, at the current
@@ -1239,8 +1187,9 @@ impl Engine {
         self.ll = ll;
         self.rung_sums = sums;
         self.scratch_ladder = ladder;
+        self.scratch_rungs = rungs;
         self.scratch_rung = rung;
-        self.ctr_new = ctr;
+        self.nb_new = nb;
     }
 
     /// Evaluate one neighbor delta from the current state without touching

@@ -130,7 +130,7 @@ impl FlockGreedy {
                 break;
             }
             let best = if self.use_jle {
-                argmax_move(engine)
+                engine.argmax_move()
             } else {
                 argmax_move_no_jle(engine)
             };
@@ -186,7 +186,7 @@ impl FlockGreedy {
         let mut scanned = n; // initial Δ computation evaluates n neighbors
         for _ in 0..self.max_iterations {
             let best = if self.use_jle {
-                argmax_addable(engine)
+                engine.argmax_addable()
             } else {
                 argmax_addable_no_jle(engine)
             };
@@ -220,23 +220,6 @@ fn beats(engine: &Engine, cand: (CompIdx, f64), best: Option<(CompIdx, f64)>) ->
             cand.1 > bg || (cand.1 == bg && engine.global_comp(cand.0) < engine.global_comp(bc))
         }
     }
-}
-
-/// Best component to *add* under the current Δ array, with its
-/// prior-inclusive gain. One fused `delta + bias` scan through the
-/// engine's argmax kernel ([`Engine::argmax_addable`]); in-hypothesis
-/// components carry a `-inf` bias, which can win only when nothing is
-/// addable — and then the `gain <= 0` stopping rule fires exactly as it
-/// would for an empty candidate set.
-fn argmax_addable(engine: &Engine) -> Option<(CompIdx, f64)> {
-    engine.argmax_addable()
-}
-
-/// Best add-or-remove move under the current Δ array, with its
-/// prior-inclusive posterior gain (adding pays the prior, removing
-/// reclaims it). Kernel scan via [`Engine::argmax_move`].
-fn argmax_move(engine: &Engine) -> Option<(CompIdx, f64)> {
-    engine.argmax_move()
 }
 
 /// Same move selection evaluated per candidate from state (no Δ array).

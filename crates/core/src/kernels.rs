@@ -1,8 +1,8 @@
 //! Chunked scalar kernels for the inference hot loops.
 //!
 //! Three loops dominate inference time once evidence is coalesced and
-//! view-local (PRs 3–5): the `flip` counter sweep over comp→sets→flows
-//! CSR walks, the `compute_initial_delta` full sweep, and the greedy
+//! view-local (PRs 3–5): the `flip` sweep over comp→sets→flows CSR
+//! walks, the `compute_initial_delta` full sweep, and the greedy
 //! argmax over the dense Δ array. Each is fed by the `llf` ladders the
 //! [`TermDirectory`](crate::likelihood::TermDirectory) precomputed, so
 //! the inner loops are pure index/multiply/add over contiguous `f64`
@@ -17,8 +17,14 @@
 //!   [`weighted_table_accumulate`]) use only add/sub/mul/negate, each
 //!   IEEE-754 exact. No FMA contraction is ever used — fusing the
 //!   multiply and add would change the rounding.
-//! * Cross-element accumulation into `delta[lane]` happens in index
-//!   order, so no reassociation occurs.
+//! * A sweep's lanes are the components of one set, each once, and
+//!   every lane of the set goes through the kernel: `delta[lane]` takes
+//!   one term per flow, in flow order, so no reassociation occurs
+//!   whatever the lane order.
+//! * A lane's table index is absolute — the set's neighbour count for
+//!   that component (`sets.rs`) — so a component inside the
+//!   hypothesis and one outside it read their rung through the same
+//!   expression.
 //! * The argmax reduction ([`argmax_gain`]) uses a fixed block-of-4
 //!   accumulator shape with a fixed pairwise combine and
 //!   `if acc > x { acc } else { x }` as its maximum (the *second* operand
@@ -61,27 +67,24 @@ fn maxpd(a: f64, b: f64) -> f64 {
 /// Flip-sweep fabric kernel: for each element `i`,
 ///
 /// ```text
-/// delta[lanes[i]] += ((tbl[new_bad + g_new[i]] - ll_new)
-///                   - (tbl[old_bad + g_old[i]] - ll_old)) * active
+/// delta[lanes[i]] += ((tbl[new_nb[i]] - ll_new)
+///                   - (tbl[old_nb[i]] - ll_old)) * active
 /// ```
 ///
 /// where `tbl` is one flow's term-table segment (`w + 1` entries),
-/// `g_old`/`g_new` are the per-component failed-path counts before and
-/// after the flip, and `ll_old`/`ll_new` are the flow's own contribution
-/// under the pre-/post-flip hypothesis. This is the Δ-maintenance inner
-/// loop of `Engine::flip` for all components that are *not* in the
-/// hypothesis (those keep the scalar branchy path; see
-/// `engine::flip_inner`).
+/// `lanes` are the components of the flow's set, `old_nb`/`new_nb` their
+/// neighbour counts (the set's failed-path count once the lane's
+/// component flips) before and after the flip, and `ll_old`/`ll_new` are
+/// the flow's own contribution under the pre-/post-flip hypothesis. This
+/// is the Δ-maintenance inner loop of `Engine::flip`.
 ///
-/// Lengths of `g_old`, `g_new`, and `lanes` must match; table and lane
+/// Lengths of `old_nb`, `new_nb`, and `lanes` must match; table and lane
 /// indices are bounds-checked by the slice accesses.
 #[allow(clippy::too_many_arguments)]
 pub fn fabric_delta_sweep(
     tbl: &[f64],
-    old_bad: u32,
-    new_bad: u32,
-    g_old: &[u32],
-    g_new: &[u32],
+    old_nb: &[u32],
+    new_nb: &[u32],
     lanes: &[u32],
     active: f64,
     ll_old: f64,
@@ -89,11 +92,11 @@ pub fn fabric_delta_sweep(
     delta: &mut [f64],
 ) {
     let n = lanes.len();
-    assert_eq!(g_old.len(), n, "g_old/lanes length mismatch");
-    assert_eq!(g_new.len(), n, "g_new/lanes length mismatch");
+    assert_eq!(old_nb.len(), n, "old_nb/lanes length mismatch");
+    assert_eq!(new_nb.len(), n, "new_nb/lanes length mismatch");
     for i in 0..lanes.len() {
-        let t_old = tbl[(old_bad + g_old[i]) as usize];
-        let t_new = tbl[(new_bad + g_new[i]) as usize];
+        let t_old = tbl[old_nb[i] as usize];
+        let t_new = tbl[new_nb[i] as usize];
         delta[lanes[i] as usize] += ((t_new - ll_new) - (t_old - ll_old)) * active;
     }
 }
@@ -101,7 +104,7 @@ pub fn fabric_delta_sweep(
 /// Extra-member flip kernel: for each element `i`,
 ///
 /// ```text
-/// x = tbl[base + g[i]] - ll_active
+/// x = tbl[nb[i]] - ll_active
 /// delta[lanes[i]] += x * (if negate { -weight } else { weight })
 /// ```
 ///
@@ -109,20 +112,18 @@ pub fn fabric_delta_sweep(
 /// a member's *extras* (host links, NIC-side components): the member's
 /// path either starts failing (`negate = true`, the flow's old
 /// contribution is retracted) or stops failing (`negate = false`, the
-/// new contribution lands), and all in-set components not in the
-/// hypothesis shift by the same table row `base`.
-#[allow(clippy::too_many_arguments)]
+/// new contribution lands); `lanes` are the components of the member's
+/// set and `nb` their neighbour counts.
 pub fn member_delta_sweep(
     tbl: &[f64],
-    base: u32,
-    g: &[u32],
+    nb: &[u32],
     lanes: &[u32],
     weight: f64,
     ll_active: f64,
     negate: bool,
     delta: &mut [f64],
 ) {
-    assert_eq!(g.len(), lanes.len(), "g/lanes length mismatch");
+    assert_eq!(nb.len(), lanes.len(), "nb/lanes length mismatch");
     // The sign is folded into the *weight* operand, not applied to `x`:
     // `x * (±weight)` equals `±(x * weight)` bitwise for every finite
     // and infinite input, and when `x` is NaN the multiply propagates
@@ -132,7 +133,7 @@ pub fn member_delta_sweep(
     // produces depend on the optimizer.
     let w = if negate { -weight } else { weight };
     for i in 0..lanes.len() {
-        let x = tbl[(base + g[i]) as usize] - ll_active;
+        let x = tbl[nb[i] as usize] - ll_active;
         delta[lanes[i] as usize] += x * w;
     }
 }
@@ -140,17 +141,17 @@ pub fn member_delta_sweep(
 /// Initial-Δ kernel: for each element `i`,
 ///
 /// ```text
-/// sums[i] += tbl[gs[i]] * weight
+/// sums[i] += tbl[ladder[i]] * weight
 /// ```
 ///
-/// `compute_initial_delta` groups a set's components by their distinct
-/// failed-path counts and accumulates one weighted `llf` term per
-/// distinct count per flow; `gs` holds the distinct counts and `sums`
-/// the per-count accumulators.
-pub fn weighted_table_accumulate(tbl: &[f64], gs: &[u32], weight: f64, sums: &mut [f64]) {
-    assert!(sums.len() >= gs.len(), "sums shorter than gs");
-    for (i, &g) in gs.iter().enumerate() {
-        sums[i] += tbl[g as usize] * weight;
+/// `compute_initial_delta` groups a set's components by the ladder rung
+/// their neighbour reads and accumulates one weighted `llf` term per
+/// distinct rung per flow; `ladder` holds the distinct table indexes
+/// and `sums` the per-rung accumulators.
+pub fn weighted_table_accumulate(tbl: &[f64], ladder: &[u32], weight: f64, sums: &mut [f64]) {
+    assert!(sums.len() >= ladder.len(), "sums shorter than ladder");
+    for (i, &r) in ladder.iter().enumerate() {
+        sums[i] += tbl[r as usize] * weight;
     }
 }
 

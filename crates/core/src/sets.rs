@@ -4,11 +4,11 @@
 //! Every number the engine needs about a set `S` under a hypothesis `H`
 //! is a count over `S`'s member paths (Algorithm 2's `GetCounters`,
 //! §3.3–§4): [`Sets::bad`], the members that meet `H`, and per component
-//! of `S`, [`Sets::counters`]' `g`/`s`, the members through it with no /
-//! exactly one component in `H`. [`Sets::fails_after`] counts what
-//! `bad` would read after one flip, without touching any state. They all
-//! read here, so a factored representation of a set's members is a
-//! change to this module alone.
+//! of `S`, [`Sets::neighbours`]: what `bad` reads once that component
+//! flips — the index of the `llf` ladder rung its Δ term reads.
+//! [`Sets::fails_after`] counts the same for one flip without touching
+//! any state. They all read here, so a factored representation of a
+//! set's members is a change to this module alone.
 //!
 //! # Structure
 //!
@@ -65,22 +65,6 @@ pub(crate) const NO_RUNG: u32 = u32::MAX;
 
 /// "Not derived yet" in [`PathRows::starts`].
 const UNDERIVED_SET: u32 = u32::MAX;
-
-/// One set's counters, split by the flip predicate `l == c || in_h[l]`
-/// (see [`Sets::counters`]). Buffers are reused across sets, flips and
-/// epochs.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SetCounters {
-    /// Regular partition (components outside the hypothesis and `!= c`),
-    /// as SoA lanes for the fabric kernel: the components…
-    pub(crate) l: Vec<u32>,
-    /// …and their fail-count-0 path counts (`g`).
-    pub(crate) g: Vec<u32>,
-    /// Special partition (in-hypothesis components plus `c`): full
-    /// `(comp, g, s)` counters — member paths with fail count 0 (`g`) /
-    /// exactly 1 (`s`) through `comp` — for the scalar branchy path.
-    pub(crate) sp: Vec<(CompIdx, u32, u32)>,
-}
 
 /// Flat offsets+items row table: row `i` is `items[offsets[i]..offsets[i+1]]`.
 /// Serves both the engine's inverted indexes (rebuilt by counting scatter,
@@ -273,10 +257,9 @@ pub(crate) struct Sets {
     gidx: Vec<u16>,
     /// The rows of the members of the sets counted so far.
     rows: PathRows,
-    /// Per-component counting scratch of [`Sets::counters`] (the `g` and
-    /// `s` counts; zero between calls) and, for `g`, of [`Sets::extend`].
-    scratch_g: Vec<u32>,
-    scratch_s: Vec<u32>,
+    /// Per-component counting scratch of [`Sets::neighbours`] and
+    /// [`Sets::extend`] (zero between calls).
+    scratch: Vec<u32>,
 }
 
 impl Sets {
@@ -394,14 +377,14 @@ impl Sets {
             for links in members.iter() {
                 row.clear();
                 push_row(links, |l| self.link(topo, space, comps, l), &mut row);
-                if self.scratch_g.len() < comps.len() {
-                    self.scratch_g.resize(comps.len(), 0);
+                if self.scratch.len() < comps.len() {
+                    self.scratch.resize(comps.len(), 0);
                 }
                 for &c in &row {
-                    if self.scratch_g[c as usize] == 0 {
+                    if self.scratch[c as usize] == 0 {
                         union.push(c);
                     }
-                    self.scratch_g[c as usize] += 1;
+                    self.scratch[c as usize] += 1;
                 }
             }
             union.sort_unstable();
@@ -411,7 +394,7 @@ impl Sets {
                 rung.resize(w + 1, NO_RUNG);
             }
             for &c in &union {
-                rung[self.scratch_g[c as usize] as usize] = 0;
+                rung[self.scratch[c as usize] as usize] = 0;
             }
             ladder.clear();
             for g in 1..=w as u32 {
@@ -421,7 +404,7 @@ impl Sets {
                 }
             }
             for &c in &union {
-                let g = std::mem::take(&mut self.scratch_g[c as usize]);
+                let g = std::mem::take(&mut self.scratch[c as usize]);
                 self.gidx.push(
                     u16::try_from(rung[g as usize])
                         .expect("a set has at most 65536 distinct g values"),
@@ -435,7 +418,6 @@ impl Sets {
             self.width.push(w as u32);
             self.members.push(members);
         }
-        self.scratch_s.resize(self.scratch_g.len(), 0);
         self.rows.starts.resize(n_sets, UNDERIVED_SET);
         n_sets > old_sets
     }
@@ -485,59 +467,38 @@ impl Sets {
         self.count_failed(s, |l| in_h[l as usize] != (l == c))
     }
 
-    /// Collect the counters of set `s` at `in_h` into `out` — `g` =
-    /// member paths with fail count 0 containing the comp, `s` = member
-    /// paths with fail count exactly 1 containing it — in one walk over
+    /// The neighbour counts of set `s` at `in_h`: per component `l` of
+    /// [`Sets::comps`]`(s)`, in that order, the set's `set_bad` with `l`'s
+    /// membership flipped, into `out` — `set_bad` plus the member paths
+    /// through `l` with no failed component for `l` outside the
+    /// hypothesis, minus the member paths whose one failed component is
+    /// `l` for `l` inside it (Algorithm 2's `g` and `s`). One walk over
     /// the set's rows (derived on first use). Returns the set's
     /// `set_bad`.
-    ///
-    /// Components *outside* the predicate `l == c || in_h[l]` (the
-    /// overwhelming majority: not in the hypothesis, not the flipped
-    /// comp) land in the SoA pair `out.l`/`out.g` — the lanes the fabric
-    /// kernel consumes; `s` is not emitted for them because their
-    /// contribution formula never reads it. Components matching the
-    /// predicate land in `out.sp` as full `(comp, g, s)` counters for the
-    /// scalar branchy path. Within each partition, components keep
-    /// [`Sets::comps`] order, so collections on either side of a flip of
-    /// `c` align element-wise (the predicate is flip-stable).
-    pub(crate) fn counters(
-        &mut self,
-        s: u32,
-        in_h: &[bool],
-        c: CompIdx,
-        out: &mut SetCounters,
-    ) -> u32 {
+    pub(crate) fn neighbours(&mut self, s: u32, in_h: &[bool], out: &mut Vec<u32>) -> u32 {
         self.derive(s);
         let mut bad = 0;
-        // Most paths have fail count 0: count the path to `g` while
-        // reading its fail count, in one pass over the row, and move it
-        // to `s` (or out) in a second pass only when it failed.
+        // Most paths have fail count 0: count the path on every component
+        // while reading its fail count, in one pass over the row, and take
+        // it back in a second pass only when it failed — from every
+        // component but its failed one when that one is alone.
         for row in self.rows.rows(s, self.width[s as usize] as usize) {
             let mut fail = 0;
             for &l in row {
                 fail += u32::from(in_h[l as usize]);
-                self.scratch_g[l as usize] += 1;
+                self.scratch[l as usize] += 1;
             }
             if fail > 0 {
                 bad += 1;
                 for &l in row {
-                    self.scratch_g[l as usize] -= 1;
-                    self.scratch_s[l as usize] += u32::from(fail == 1);
+                    self.scratch[l as usize] -= u32::from(fail > 1 || !in_h[l as usize]);
                 }
             }
         }
-        out.l.clear();
-        out.g.clear();
-        out.sp.clear();
+        out.clear();
         for &l in self.comps.get(s) {
-            let g = std::mem::take(&mut self.scratch_g[l as usize]);
-            let s1 = std::mem::take(&mut self.scratch_s[l as usize]);
-            if l == c || in_h[l as usize] {
-                out.sp.push((l, g, s1));
-            } else {
-                out.l.push(l);
-                out.g.push(g);
-            }
+            let n = std::mem::take(&mut self.scratch[l as usize]);
+            out.push(if in_h[l as usize] { bad - n } else { bad + n });
         }
         bad
     }
@@ -680,7 +641,8 @@ mod tests {
 
     /// Every count of the layer against brute-force counts off the
     /// topology's links, over every viewed set, for a seeded stream of
-    /// random hypotheses. `lazy` is never asked a `&mut` count, so its
+    /// random hypotheses: `bad`, the neighbour count of every component,
+    /// and `fails_after`. `lazy` is never asked a `&mut` count, so its
     /// `&self` count reads every set underived; `sets` derives each set
     /// as it counts it. `unroutable`: whether some set has no members.
     fn check(topo: &Topology, obs: &ObservationSet, unroutable: bool, seed: u64) {
@@ -719,55 +681,42 @@ mod tests {
         }
 
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut out = SetCounters::default();
+        let mut out = Vec::new();
         for round in 0..24 {
             let p = [0.02, 0.1, 0.3][round % 3];
             let in_h: Vec<bool> = (0..n).map(|_| rng.random::<f64>() < p).collect();
             let fail = |path: &Vec<CompIdx>| path.iter().filter(|&&c| in_h[c as usize]).count();
+            // Odd rounds count every set underived: `neighbours` derives
+            // it on entry.
+            if round % 2 == 1 {
+                sets.forget_rows();
+            }
             for (s, members) in (0u32..).zip(&paths) {
                 let bad = members.iter().filter(|p| fail(p) > 0).count() as u32;
-                // A flipped component in the hypothesis, one outside it,
-                // one off the set and none.
-                let on = sets.comps(s);
-                let flips = [
-                    on.iter().copied().find(|&c| in_h[c as usize]),
-                    on.iter().copied().find(|&c| !in_h[c as usize]),
-                    (0..n as u32).find(|c| !on.contains(c)),
-                    Some(NO_COMP),
-                ];
-                for c in flips.into_iter().flatten() {
-                    let after = members
-                        .iter()
-                        .filter(|p| {
-                            let flipped = p.contains(&c) && c != NO_COMP;
-                            match (flipped, c != NO_COMP && in_h[c as usize]) {
-                                (true, true) => fail(p) > 1,
-                                (true, false) => true,
-                                (false, _) => fail(p) > 0,
-                            }
-                        })
-                        .count() as u32;
-                    let what = format!("round {round}, set {s}, flip {c}");
+                // The members failing after flipping `c` (`NO_COMP`: none).
+                let after = |c: CompIdx| {
+                    let in_h_c = c != NO_COMP && in_h[c as usize];
+                    let fails = |p: &&Vec<CompIdx>| match (p.contains(&c), in_h_c) {
+                        (true, true) => fail(p) > 1,
+                        (true, false) => true,
+                        (false, _) => fail(p) > 0,
+                    };
+                    members.iter().filter(fails).count() as u32
+                };
+                let what = format!("round {round}, set {s}");
+                assert_eq!(sets.neighbours(s, &in_h, &mut out), bad, "{what}");
+                let brute: Vec<u32> = sets.comps(s).iter().map(|&c| after(c)).collect();
+                assert_eq!(out, brute, "neighbours: {what}");
+                // `fails_after` at every component of the set, one off it
+                // and none, on the underived and the derived layer.
+                let off = (0..n as u32).find(|c| !sets.comps(s).contains(c));
+                let flips = sets.comps(s).iter().copied().chain(off).chain([NO_COMP]);
+                for c in flips {
+                    let (after, what) = (after(c), format!("{what}, flip {c}"));
                     assert_eq!(lazy.fails_after(s, &in_h, c), after, "underived: {what}");
-                    assert_eq!(sets.counters(s, &in_h, c, &mut out), bad, "{what}");
                     assert_eq!(sets.fails_after(s, &in_h, c), after, "derived: {what}");
-                    // Split by `l == c || in_h[l]`, each part in
-                    // component order.
-                    let (mut l, mut g, mut sp) = (vec![], vec![], vec![]);
-                    for &x in sets.comps(s) {
-                        let through = members.iter().filter(|p| p.contains(&x));
-                        let gx = through.clone().filter(|p| fail(p) == 0).count() as u32;
-                        let sx = through.filter(|p| fail(p) == 1).count() as u32;
-                        if x == c || in_h[x as usize] {
-                            sp.push((x, gx, sx));
-                        } else {
-                            l.push(x);
-                            g.push(gx);
-                        }
-                    }
-                    assert_eq!((&out.l, &out.g, &out.sp), (&l, &g, &sp), "{what}");
                 }
-                assert_eq!(sets.bad(s, &in_h), bad, "round {round}, set {s}");
+                assert_eq!(sets.bad(s, &in_h), bad, "{what}");
             }
         }
     }
