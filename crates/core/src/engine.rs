@@ -1,27 +1,28 @@
 //! The shared inference engine: hypothesis state plus the Δ array of
 //! Joint Likelihood Exploration (JLE, §3.3), running over a *local*
-//! projection of the evidence.
+//! projection of the evidence's path sets.
 //!
-//! # Local vs global ids
+//! # Local sets, global components
 //!
 //! A sharded executor builds many engines over one shared, append-only
-//! [`flock_telemetry::PathArena`]. If every engine indexed its state by
-//! global arena/component ids, each would pay O(total arena) fixed costs
-//! per epoch — full-array resets on rebind, all-sets sweeps, strided
-//! access over fleet-wide arrays — regardless of how little evidence its
-//! shard actually sees. Instead, every engine owns an
-//! [`ArenaView`]: a persistent dense projection of the arena onto the
-//! sets its accepted observations touch. **All internal state and
-//! every public index on this type — `delta()`, `flip()`, `hypothesis()`
-//! — is a dense local id**, assigned in first-touch order and stable for
-//! the engine's lifetime (views are append-only). Components are
-//! localized the same way as sets bring them in; translate at the
-//! boundary with [`Engine::global_comp`] / [`Engine::local_comp`] /
-//! [`Engine::component`]. [`Engine::n_comps`] is therefore the number of
-//! components *with evidence in this shard's history*, not the topology's
-//! component count ([`Engine::n_global_comps`]) — which is exactly what
-//! makes a pod or spine shard engine's Δ scans, resets, and searches
-//! O(its own evidence).
+//! [`flock_telemetry::PathArena`]. If every engine indexed its per-set
+//! state by arena set ids, each would pay O(total arena) per epoch — set
+//! resets on rebind, all-sets sweeps — however little evidence its shard
+//! sees. So every engine owns an [`ArenaView`]: a persistent dense
+//! projection of the arena onto the sets its accepted observations
+//! touch, with **local set ids** assigned in first-touch order and
+//! stable for the engine's lifetime (views are append-only). Set
+//! sparsity is real: a pod shard views a fraction of the spine's sets.
+//!
+//! **Components are global.** Every component index on this type —
+//! `delta()`, `flip()`, `hypothesis()`, [`Engine::try_bind`]'s seed, the
+//! greedy and Sherlock output — is the component's [`ComponentSpace`]
+//! id, and [`Engine::n_comps`] is the topology's component count: a
+//! shard engine's evidence reaches nearly every component of the
+//! fabric, so a component remap would buy no sparsity. A component
+//! without evidence sits at Δ = 0, and since every prior is negative,
+//! no search ever adds it. [`Engine::component`] names the topology
+//! component behind an id.
 //!
 //! The view is a private field ([`Engine::view`] lends it read-only),
 //! extended by the one bind, [`Engine::try_bind`]: an executor builds an
@@ -79,7 +80,7 @@
 //!
 //! # The Δ array
 //!
-//! `delta[c] = LL(H ⊕ c) − LL(H)` for every local component `c`
+//! `delta[c] = LL(H ⊕ c) − LL(H)` for every component `c`
 //! (likelihood part only; priors are added by the search layers, keeping
 //! Δ independent of hypothesis size). [`Engine::flip`] toggles one
 //! component and updates the *entire* array by visiting only the
@@ -136,9 +137,9 @@
 use crate::kernels;
 use crate::likelihood::{llf, EpochFlowTable, Ladders, TermDirectory};
 use crate::params::HyperParams;
-use crate::sets::{Csr, Sets, NO_COMP, NO_RUNG};
-use crate::space::{CompIdx, ComponentSpace};
-use flock_telemetry::{ArenaView, DenseRemap, FlowObs, ObservationSet, PathSetId, ViewError};
+use crate::sets::{Csr, Sets, NO_RUNG};
+use crate::space::{CompIdx, ComponentSpace, NO_COMP};
+use flock_telemetry::{ArenaView, FlowObs, ObservationSet, PathSetId, ViewError};
 use flock_topology::{Component, Topology};
 
 /// One weighted super-flow: every observation of the epoch sharing the
@@ -172,7 +173,7 @@ struct SFlow {
 struct SMember {
     /// Owning super-flow.
     flow: u32,
-    /// Extra components (local ids) on every path (host links +
+    /// Extra components on every path (host links +
     /// intra-rack ToR).
     extras: [CompIdx; 4],
     n_extras: u8,
@@ -213,15 +214,15 @@ pub struct EngineStats {
     pub flow_updates: u64,
 }
 
-/// Resident state sizes of one engine — every entry scales with the
-/// engine's *own* (shard-local) evidence history, not the shared arena,
-/// which is the invariant the per-shard view layer exists to provide
-/// (asserted by `flock-stream`'s state-sparsity tests and reported per
-/// shard on `ShardOutcome::state`).
+/// Resident state sizes of one engine (reported per shard on
+/// `ShardOutcome::state`). Every entry but `comps` scales with the
+/// engine's *own* (shard-local) evidence history, not the shared arena —
+/// the invariant the per-shard view layer exists to provide (asserted
+/// by `flock-stream`'s state-sparsity tests).
 #[derive(Debug, Clone, Copy, Default, serde::Serialize)]
 pub struct EngineStateSizes {
-    /// Local components (length of the Δ array, `in_h`, and the set
-    /// layer's counting scratch).
+    /// The topology's components (length of the Δ array, `in_h`, and the
+    /// set layer's counting scratch).
     pub comps: usize,
     /// Member paths of the local sets. The engine stores nothing per
     /// path (their component rows are derived per set on first use), so
@@ -233,15 +234,12 @@ pub struct EngineStateSizes {
     pub flows: usize,
     /// Extras-carrying members this epoch.
     pub members: usize,
-    /// Width of the full topology component space, for ratio reporting.
-    pub global_comps: usize,
 }
 
 /// Shared inference state over one shard's slice of an
 /// [`ObservationSet`]. See the module docs for the data layout and the
-/// local-id conventions.
+/// id conventions.
 pub struct Engine {
-    space: ComponentSpace,
     params: HyperParams,
 
     /// The projection of the arena onto the evidence this engine has
@@ -252,20 +250,13 @@ pub struct Engine {
     /// caller's tables and never has one).
     own_terms: Option<TermDirectory>,
 
-    /// Component localization: dense local ids in first-touch order,
-    /// sharing the [`DenseRemap`] implementation with the view's set
-    /// projection. The global→local side is id-width (one
-    /// global-sized table of remap ids, never reset per epoch); every
-    /// evidence-width structure is local.
-    comps: DenseRemap,
-
     /// The structural layer of the viewed sets (local ids), and every
-    /// count over their member paths.
+    /// count over their member paths; it owns the component space.
     sets: Sets,
     /// Per set, its member paths with a component in the hypothesis.
     set_bad: Vec<u32>,
-    /// The sets' component unions transposed; rebuilt only when the view
-    /// grew.
+    /// The sets' component unions transposed, one row per component;
+    /// rebuilt only when the view grew.
     comp_to_sets: Csr,
     set_flows: Csr,
 
@@ -277,7 +268,7 @@ pub struct Engine {
     /// coalescing) — `n_obs / sflows.len()` is the epoch's coalesce ratio.
     n_obs: usize,
 
-    // Hypothesis state (local ids).
+    // Hypothesis state.
     in_h: Vec<bool>,
     hypothesis: Vec<CompIdx>,
     delta: Vec<f64>,
@@ -329,38 +320,39 @@ impl Engine {
         engine
     }
 
-    /// An engine over `topo` with no evidence yet: empty local spaces,
-    /// free to bind any arena lineage ([`Engine::try_bind`]).
+    /// An engine over `topo` with no evidence yet: every component-indexed
+    /// array sized to the topology's components once, no sets viewed, free
+    /// to bind any arena lineage ([`Engine::try_bind`]).
     pub fn unbound(topo: &Topology, params: HyperParams) -> Engine {
         params.validate();
         let space = ComponentSpace::new(topo);
-        let n_global = space.n_comps();
+        let n = space.n_comps();
+        // Every component starts at the pure add prior.
+        let prior: Vec<f64> = (0..n as CompIdx)
+            .map(|c| prior_logodds(&params, &space, c))
+            .collect();
+        let mut no_rows = Csr::default();
+        no_rows.rebuild(n, std::iter::empty());
         Engine {
-            space,
             params,
             view: ArenaView::new(),
             own_terms: None,
-            comps: {
-                let mut m = DenseRemap::new();
-                m.ensure_ids(n_global);
-                m
-            },
-            sets: Sets::new(topo.link_count()),
+            sets: Sets::new(space),
             set_bad: Vec::new(),
-            comp_to_sets: Csr::default(),
+            comp_to_sets: no_rows.clone(),
             set_flows: Csr::default(),
             sflows: Vec::new(),
             members: Vec::new(),
-            comp_extra_members: Csr::default(),
+            comp_extra_members: no_rows,
             n_obs: 0,
-            in_h: Vec::new(),
+            in_h: vec![false; n],
             hypothesis: Vec::new(),
-            delta: Vec::new(),
+            delta: vec![0.0; n],
             ll: 0.0,
             stats: EngineStats::default(),
             ladders: Ladders::default(),
-            gain_move_bias: Vec::new(),
-            gain_add_bias: Vec::new(),
+            gain_move_bias: prior.clone(),
+            gain_add_bias: prior,
             nb_old: Vec::new(),
             nb_new: Vec::new(),
             rung_sums: Vec::new(),
@@ -401,8 +393,7 @@ impl Engine {
     /// components that evidence touches. The log-likelihood is a sum of
     /// independent per-flow terms, so accept lists that *partition* the
     /// observations yield engines whose likelihoods and Δ arrays sum
-    /// exactly to the full engine's (projected onto global component
-    /// ids). That additivity is what lets a pod or spine shard engine
+    /// exactly to the full engine's. That additivity is what lets a pod or spine shard engine
     /// score only the slice its accept list names (see
     /// `filtered_engines_partition_evidence`).
     ///
@@ -413,19 +404,21 @@ impl Engine {
     /// online pipeline: per-set component structures — the dominant cost
     /// of a first bind — and the path rows derived so far are reused and
     /// only *extended* for newly viewed sets; the per-flow layer is
-    /// rebuilt for the epoch. Every reset in this path is O(the engine's
-    /// own evidence), not O(total arena).
+    /// rebuilt for the epoch. Every per-set reset in this path is O(the
+    /// engine's own evidence), not O(total arena); the component arrays
+    /// are the topology's width.
     ///
-    /// `seed` is a list of *global* component ids — typically the
-    /// previous epoch's verdict, which survives engine rebuilds in that
-    /// form. The bind *enters* it: hypothesis state is set up for it
-    /// directly and Δ and the log-likelihood are computed there (see the
-    /// module docs, § the Δ array), which is what re-entering it with one
+    /// `seed` is a list of component ids — typically the previous
+    /// epoch's verdict, which survives engine rebuilds in that form. The
+    /// bind *enters* it: hypothesis state is set up for it directly and Δ
+    /// and the log-likelihood are computed there (see the module docs,
+    /// § the Δ array), which is what re-entering it with one
     /// [`Engine::flip`] per component from the empty hypothesis would
     /// reach, at the cost of one evidence pass instead of one JLE sweep
-    /// per seed. Components this engine has never had evidence for are
-    /// skipped (they have no local id); duplicates are entered once. An
-    /// empty seed binds at the empty hypothesis.
+    /// per seed. Every seed component is entered, duplicates once; one
+    /// without evidence this epoch moves no count and sits at Δ = 0, so
+    /// a warm search ([`crate::FlockGreedy::search_warm`]) removes it
+    /// for its prior. An empty seed binds at the empty hypothesis.
     ///
     /// Rejects an observation set whose arena is of a foreign lineage,
     /// or an earlier state of the right one, with the matching
@@ -435,7 +428,8 @@ impl Engine {
     /// the engine exactly as it was.
     ///
     /// # Panics
-    /// If `table` does not cover `obs`.
+    /// If `table` does not cover `obs`, or a seed component is not of
+    /// the engine's space.
     pub fn try_bind(
         &mut self,
         topo: &Topology,
@@ -449,44 +443,31 @@ impl Engine {
             obs.flows.len(),
             "the flow table must be built over the observation set it keys"
         );
+        debug_assert_eq!(
+            topo.switch_count() + topo.link_count(),
+            self.n_comps(),
+            "an engine binds evidence over the topology it was built for"
+        );
         self.view.bind_epoch(obs, accepted)?;
 
-        // Reset hypothesis-dependent state — all O(local).
-        self.in_h.fill(false);
-        self.hypothesis.clear();
+        // Reset hypothesis-dependent state: the last hypothesis's
+        // components leave it (back at the pure add prior), and every
+        // set and Δ entry starts at zero.
+        for c in self.hypothesis.drain(..) {
+            self.in_h[c as usize] = false;
+            let p = prior_logodds(&self.params, self.sets.space(), c);
+            self.gain_move_bias[c as usize] = p;
+            self.gain_add_bias[c as usize] = p;
+        }
         self.set_bad.fill(0);
         self.delta.fill(0.0);
 
-        let structures_grew =
-            self.sets
-                .extend(topo, &self.space, &mut self.comps, &self.view, &obs.arena);
-        self.set_bad.resize(self.sets.n_sets(), 0);
-        self.rebuild_flows(topo, obs, accepted, table);
-
-        // Component-indexed arrays and inverted indexes span the local
-        // component space, which extras may have widened just now.
-        let n = self.comps.len();
-        self.in_h.resize(n, false);
-        self.delta.resize(n, 0.0);
-        // Rebuilding the argmax bias arrays is O(local): every component
-        // starts at the pure add prior; entering the seed below moves
-        // the seeded ones.
-        self.gain_move_bias.resize(n, 0.0);
-        self.gain_add_bias.resize(n, 0.0);
-        let link_prior = self.params.link_prior_logodds();
-        let device_prior = self.params.device_prior_logodds();
-        for c in 0..n {
-            let p = if self.space.is_device(self.comps.global(c as u32)) {
-                device_prior
-            } else {
-                link_prior
-            };
-            self.gain_move_bias[c] = p;
-            self.gain_add_bias[c] = p;
-        }
-        if structures_grew || self.comp_to_sets.n_rows() != n {
+        let n = self.n_comps();
+        if self.sets.extend(&self.view, &obs.arena) {
             self.comp_to_sets.rebuild(n, self.sets.comp_set_pairs());
         }
+        self.set_bad.resize(self.sets.n_sets(), 0);
+        self.rebuild_flows(obs, accepted, table);
         // The epoch's inverted indexes, straight off the flow layer.
         self.set_flows.rebuild(
             self.sets.n_sets(),
@@ -507,17 +488,14 @@ impl Engine {
     }
 
     /// Put the engine — freshly reset to the empty hypothesis, flow layer
-    /// and inverted indexes rebuilt — at the hypothesis `seed` (global
-    /// ids): membership, `set_bad` of every set a seeded component lies
-    /// on, pinned members, and both argmax biases, i.e. everything a
-    /// [`Engine::flip`] per component would have left behind except Δ and
-    /// the likelihood, which [`Engine::compute_initial_delta`] derives
-    /// from this state.
+    /// and inverted indexes rebuilt — at the hypothesis `seed`:
+    /// membership, `set_bad` of every set a seeded component lies on,
+    /// pinned members, and both argmax biases, i.e. everything a
+    /// [`Engine::flip`] per component would have left behind except Δ
+    /// and the likelihood, which [`Engine::compute_initial_delta`]
+    /// derives from this state.
     fn enter_hypothesis(&mut self, seed: &[CompIdx]) {
-        for &g in seed {
-            let Some(c) = self.comps.local(g) else {
-                continue;
-            };
+        for &c in seed {
             if std::mem::replace(&mut self.in_h[c as usize], true) {
                 continue;
             }
@@ -551,13 +529,7 @@ impl Engine {
     /// weighted super-flows (the assembler sorts observations by exactly
     /// that key and `accepted` is ascending, so equal keys are adjacent;
     /// out-of-order input merely coalesces less — never incorrectly).
-    fn rebuild_flows(
-        &mut self,
-        topo: &Topology,
-        obs: &ObservationSet,
-        accepted: &[u32],
-        table: &EpochFlowTable,
-    ) {
+    fn rebuild_flows(&mut self, obs: &ObservationSet, accepted: &[u32], table: &EpochFlowTable) {
         self.sflows.clear();
         self.members.clear();
         self.n_obs = 0;
@@ -593,7 +565,7 @@ impl Engine {
             }
             let fi = self.sflows.len() - 1;
             self.sflows[fi].weight += f64::from(o.weight);
-            let extras = self.flow_extras(topo, ls, o);
+            let extras = self.flow_extras(ls, o);
             if extras.1 > 0 {
                 let mi = self.members.len() as u32;
                 self.members.push(SMember {
@@ -608,14 +580,12 @@ impl Engine {
         }
     }
 
-    /// Extract the extra components (local ids) of a flow: its prefix
-    /// links plus any switch devices incident to prefix links that do
-    /// not already appear in the set's component union (the intra-rack
-    /// ToR case). The localization of a prefix link and its switch ends
-    /// is memoized per link, so a repeat
-    /// observation costs one table read per prefix link plus the in-set
-    /// test.
-    fn flow_extras(&mut self, topo: &Topology, ls: u32, o: &FlowObs) -> ([CompIdx; 4], u8) {
+    /// Extract the extra components of a flow: its prefix links plus any
+    /// switch devices incident to prefix links that do not already
+    /// appear in the set's component union (the intra-rack ToR case) —
+    /// one [`ComponentSpace::link_row`] read per prefix link plus the
+    /// in-set test.
+    fn flow_extras(&self, ls: u32, o: &FlowObs) -> ([CompIdx; 4], u8) {
         let mut extras = [0 as CompIdx; 4];
         let mut n = 0u8;
         let mut push = |c: CompIdx| {
@@ -624,13 +594,13 @@ impl Engine {
                 n += 1;
             }
         };
-        for link in o.prefix.iter().flatten() {
-            let known = self.sets.link(topo, &self.space, &mut self.comps, *link);
-            push(known.comp);
+        for &link in o.prefix.iter().flatten() {
+            let [comp, ends @ ..] = self.sets.space().link_row(link);
+            push(comp);
             // Switch devices already covered by the fabric path set stay
             // out of the extras (they are counted through the set's path
             // components).
-            for d in known.devices {
+            for d in ends {
                 if d != NO_COMP && self.sets.comps(ls).binary_search(&d).is_err() {
                     push(d);
                 }
@@ -639,10 +609,10 @@ impl Engine {
         (extras, n)
     }
 
-    /// The full-topology component space (indices on it are *global*;
-    /// translate with [`Engine::global_comp`] / [`Engine::local_comp`]).
+    /// The topology's component space, whose ids every component index
+    /// on the engine speaks.
     pub fn space(&self) -> &ComponentSpace {
-        &self.space
+        self.sets.space()
     }
 
     /// The hyperparameters.
@@ -656,16 +626,9 @@ impl Engine {
         &self.view
     }
 
-    /// Number of *local* components — components touched by this
-    /// engine's evidence history. Every index-taking method on the
-    /// engine speaks this dense space.
+    /// Number of components of the topology: the length of the Δ array.
     pub fn n_comps(&self) -> usize {
-        self.comps.len()
-    }
-
-    /// Width of the full topology component space.
-    pub fn n_global_comps(&self) -> usize {
-        self.space.n_comps()
+        self.space().n_comps()
     }
 
     /// Number of member paths of the locally-projected sets.
@@ -678,49 +641,27 @@ impl Engine {
         self.sets.n_sets()
     }
 
-    /// Global (dense topology-wide) id of a local component.
-    #[inline]
-    pub fn global_comp(&self, c: CompIdx) -> CompIdx {
-        self.comps.global(c)
-    }
-
-    /// Local id of a global component, if this engine's evidence ever
-    /// touched it.
-    #[inline]
-    pub fn local_comp(&self, g: CompIdx) -> Option<CompIdx> {
-        self.comps.local(g)
-    }
-
-    /// The topology component behind a *local* id — the report-time
+    /// The topology component behind an id — the report-time
     /// translation.
     #[inline]
     pub fn component(&self, c: CompIdx) -> Component {
-        self.space.component(self.global_comp(c))
+        self.space().component(c)
     }
 
-    /// Local id of a topology component, if evidence ever touched it.
-    /// The inverse of [`Engine::component`]; used to seed warm-start
-    /// inference from a previous epoch's predictions.
-    #[inline]
-    pub fn comp_of(&self, c: Component) -> Option<CompIdx> {
-        self.space.comp_of(c).and_then(|g| self.local_comp(g))
-    }
-
-    /// Whether local component `c` denotes a switch device.
+    /// Whether component `c` denotes a switch device.
     #[inline]
     pub fn is_device(&self, c: CompIdx) -> bool {
-        self.space.is_device(self.global_comp(c))
+        self.space().is_device(c)
     }
 
     /// Resident state sizes (see [`EngineStateSizes`]).
     pub fn state_sizes(&self) -> EngineStateSizes {
         EngineStateSizes {
-            comps: self.comps.len(),
+            comps: self.n_comps(),
             paths: self.n_paths(),
             sets: self.sets.n_sets(),
             flows: self.sflows.len(),
             members: self.members.len(),
-            global_comps: self.space.n_comps(),
         }
     }
 
@@ -735,12 +676,12 @@ impl Engine {
         self.n_obs
     }
 
-    /// The current hypothesis (local ids of components currently failed).
+    /// The current hypothesis (the components currently failed).
     pub fn hypothesis(&self) -> &[CompIdx] {
         &self.hypothesis
     }
 
-    /// Whether local component `c` is in the current hypothesis.
+    /// Whether component `c` is in the current hypothesis.
     #[inline]
     pub fn in_hypothesis(&self, c: CompIdx) -> bool {
         self.in_h[c as usize]
@@ -751,13 +692,13 @@ impl Engine {
         self.ll
     }
 
-    /// The Δ array over local components:
+    /// The Δ array over the topology's components:
     /// `delta()[c] = LL(H ⊕ c) − LL(H)` (likelihood only).
     pub fn delta(&self) -> &[f64] {
         &self.delta
     }
 
-    /// The evidence convicting local component `c`: every super-flow
+    /// The evidence convicting component `c`: every super-flow
     /// whose likelihood term involves `c` — flows over a path set
     /// touching `c` (via the `comp → sets → flows` inverted indexes)
     /// plus prefix groups carrying `c` as an extra. This is exactly the
@@ -799,15 +740,11 @@ impl Engine {
         }
     }
 
-    /// Prior log-odds contribution of *adding* local component `c` to
-    /// the hypothesis (negative). Removal contributes the negation.
+    /// Prior log-odds contribution of *adding* component `c` to the
+    /// hypothesis (negative). Removal contributes the negation.
     #[inline]
     pub fn prior_logodds(&self, c: CompIdx) -> f64 {
-        if self.is_device(c) {
-            self.params.device_prior_logodds()
-        } else {
-            self.params.link_prior_logodds()
-        }
+        prior_logodds(&self.params, self.space(), c)
     }
 
     /// Performance counters.
@@ -828,12 +765,12 @@ impl Engine {
     /// carry a `-inf` bias, so they can win only when nothing is
     /// addable — and then the `-inf` gain stops the caller's search
     /// exactly like an empty candidate set). Exact gain ties break
-    /// toward the smallest *global* component id, so engines with
-    /// different evidence histories (hence different local id orders)
-    /// pick the same member of an observationally equivalent class.
-    /// One fused `delta + bias` scan through [`kernels::argmax_gain`].
+    /// toward the smallest component id, so engines with different
+    /// evidence histories pick the same member of an observationally
+    /// equivalent class. One fused `delta + bias` scan through
+    /// [`kernels::argmax_gain`].
     pub fn argmax_addable(&self) -> Option<(CompIdx, f64)> {
-        kernels::argmax_gain(&self.delta, &self.gain_add_bias, self.comps.globals())
+        kernels::argmax_gain(&self.delta, &self.gain_add_bias)
     }
 
     /// Best add-or-remove move under the current Δ array, with its
@@ -841,16 +778,16 @@ impl Engine {
     /// reclaims it); same tie-break and kernel as
     /// [`Engine::argmax_addable`]. This is the warm-start search scan.
     pub fn argmax_move(&self) -> Option<(CompIdx, f64)> {
-        kernels::argmax_gain(&self.delta, &self.gain_move_bias, self.comps.globals())
+        kernels::argmax_gain(&self.delta, &self.gain_move_bias)
     }
 
-    /// Toggle local component `c`, maintaining the full Δ array (JLE
+    /// Toggle component `c`, maintaining the full Δ array (JLE
     /// update). Returns the likelihood change `LL(H') − LL(H)`.
     pub fn flip(&mut self, c: CompIdx) -> f64 {
         self.flip_inner(c, true)
     }
 
-    /// Toggle local component `c`, updating state and total likelihood
+    /// Toggle component `c`, updating state and total likelihood
     /// but *not* the Δ array (which becomes stale — callers must not
     /// read it until the state is restored). Used by the non-JLE
     /// baselines.
@@ -1232,8 +1169,8 @@ impl Engine {
         dll
     }
 
-    /// Brute-force `LL(H)` from scratch for an arbitrary hypothesis (of
-    /// local ids) — `O(m·T)`. Reference implementation used by tests and
+    /// Brute-force `LL(H)` from scratch for an arbitrary hypothesis —
+    /// `O(m·T)`. Reference implementation used by tests and
     /// available for cross-checking; never on the hot path.
     pub fn ll_of(&self, hypothesis: &[CompIdx]) -> f64 {
         let mut in_h = vec![false; self.n_comps()];
@@ -1262,6 +1199,16 @@ impl Engine {
             }
         }
         ll
+    }
+}
+
+/// Prior log-odds of adding component `c` of `space` under `params`.
+#[inline]
+fn prior_logodds(params: &HyperParams, space: &ComponentSpace, c: CompIdx) -> f64 {
+    if space.is_device(c) {
+        params.device_prior_logodds()
+    } else {
+        params.link_prior_logodds()
     }
 }
 
@@ -1324,6 +1271,16 @@ mod tests {
         let mut table = EpochFlowTable::new();
         table.rebuild(dir, obs);
         engine.try_bind(topo, obs, &accept(obs, |_, _| true), &table, seed)
+    }
+
+    /// The components this epoch's evidence reaches — on a set or a
+    /// member's extras — ascending: the ones whose flips move counts.
+    fn evidenced(e: &Engine) -> Vec<CompIdx> {
+        (0..e.n_comps() as CompIdx)
+            .filter(|&c| {
+                !e.comp_to_sets.get(c).is_empty() || !e.comp_extra_members.get(c).is_empty()
+            })
+            .collect()
     }
 
     /// Hypothesis, Δ and log-likelihood, to the bit.
@@ -1457,7 +1414,8 @@ mod tests {
         let mut engine = Engine::new(&topo, &obs, HyperParams::default());
         let d0 = engine.delta().to_vec();
         let ll0 = engine.log_likelihood();
-        let c = engine.n_comps() as u32 / 2;
+        let on = evidenced(&engine);
+        let c = on[on.len() / 2];
         let gain = engine.flip(c);
         let back = engine.flip(c);
         assert!((gain + back).abs() < 1e-9);
@@ -1472,9 +1430,9 @@ mod tests {
     fn delta_single_matches_delta_array() {
         let (topo, obs) = small_obs(3);
         let mut engine = Engine::new(&topo, &obs, HyperParams::default());
-        let n = engine.n_comps() as u32;
-        engine.flip(n / 3);
-        engine.flip(2 * n / 3);
+        let (n, on) = (engine.n_comps() as u32, evidenced(&engine));
+        engine.flip(on[on.len() / 3]);
+        engine.flip(on[2 * on.len() / 3]);
         for c in (0..n).step_by(7) {
             let arr = engine.delta()[c as usize];
             let single = engine.delta_single(c);
@@ -1490,8 +1448,9 @@ mod tests {
         let (topo, obs) = small_obs(4);
         let mut e1 = Engine::new(&topo, &obs, HyperParams::default());
         let mut e2 = Engine::new(&topo, &obs, HyperParams::default());
-        let n = e1.n_comps() as u32;
-        for c in [n / 5, n / 2, n - 3, n / 2] {
+        let on = evidenced(&e1);
+        let n = on.len();
+        for c in [on[n / 5], on[n / 2], on[n - 3], on[n / 2]] {
             let d1 = e1.flip(c);
             let d2 = e2.flip_ll_only(c);
             assert!((d1 - d2).abs() < 1e-9, "flip deltas differ for {c}");
@@ -1572,34 +1531,32 @@ mod tests {
         );
     }
 
-    /// With no evidence the local spaces are empty: the engine allocates
-    /// nothing and a search over it terminates immediately — the
-    /// structural form of the old "zero deltas" guarantee.
+    /// With no evidence no set is viewed and every Δ entry is zero over
+    /// the topology's whole component space, so a search over it adds
+    /// nothing: each candidate's gain is its (negative) prior.
     #[test]
-    fn empty_observation_set_has_empty_local_space() {
+    fn empty_observation_set_has_zero_delta() {
         let topo = three_tier(ClosParams::tiny());
         let obs = ObservationSet {
             arena: flock_telemetry::PathArena::new().into(),
             flows: Vec::new(),
             mode: AnalysisMode::PerPacket,
         };
-        let engine = Engine::new(&topo, &obs, HyperParams::default());
-        assert_eq!(engine.n_comps(), 0);
+        let mut engine = Engine::new(&topo, &obs, HyperParams::default());
+        assert_eq!(engine.n_comps(), topo.switch_count() + topo.link_count());
         assert_eq!(engine.n_paths(), 0);
         assert_eq!(engine.n_sets(), 0);
-        assert!(engine.delta().is_empty());
+        assert!(engine.delta().iter().all(|&d| d == 0.0));
         assert_eq!(engine.log_likelihood(), 0.0);
-        assert!(engine.n_global_comps() > 0);
-        let sizes = engine.state_sizes();
-        assert_eq!(sizes.comps, 0);
-        assert_eq!(sizes.global_comps, engine.n_global_comps());
+        assert_eq!(engine.state_sizes().comps, engine.n_comps());
+        let (picked, _) = crate::FlockGreedy::default().search(&mut engine);
+        assert!(picked.is_empty());
     }
 
-    /// A rebound engine must be indistinguishable (under the global-id
-    /// projection) from one built fresh on the same lineage-extending
-    /// observation set: equal likelihood, and equal Δ per global
-    /// component — the warm engine may carry extra zero-evidence local
-    /// comps from earlier epochs, which must all sit at Δ = 0.
+    /// A rebound engine must be indistinguishable from one built fresh on
+    /// the same lineage-extending observation set: equal likelihood, and
+    /// equal Δ per component — a component only the earlier epoch
+    /// reached sits at Δ = 0 in both.
     #[test]
     fn rebind_matches_fresh_build() {
         use flock_telemetry::Assembler;
@@ -1646,8 +1603,9 @@ mod tests {
         let obs1 = asm.assemble(&topo, &router, &f1, &kinds, AnalysisMode::PerPacket);
         let mut warm = Engine::new(&topo, &obs1, HyperParams::default());
         // Disturb the hypothesis so rebind has real state to clear.
-        warm.flip(3);
-        warm.flip(warm.n_comps() as u32 / 2);
+        let on = evidenced(&warm);
+        warm.flip(on[3]);
+        warm.flip(on[on.len() / 2]);
         asm.recycle(obs1);
 
         let f2 = epoch_flows(&mut rng, 70);
@@ -1659,20 +1617,16 @@ mod tests {
         assert_eq!(warm.n_observations(), fresh.n_observations());
         assert!(warm.hypothesis().is_empty());
         assert!((warm.log_likelihood() - fresh.log_likelihood()).abs() < 1e-12);
-        for g in 0..warm.n_global_comps() as u32 {
-            let a = warm.local_comp(g).map_or(0.0, |l| warm.delta()[l as usize]);
-            let b = fresh
-                .local_comp(g)
-                .map_or(0.0, |l| fresh.delta()[l as usize]);
+        for (c, (a, b)) in warm.delta().iter().zip(fresh.delta()).enumerate() {
             assert!(
                 (a - b).abs() < 1e-9 * (1.0 + b.abs()),
-                "global comp {g}: rebound {a} vs fresh {b}"
+                "comp {c}: rebound {a} vs fresh {b}"
             );
         }
         // And the JLE invariant still holds after flips on the rebound
         // engine.
-        let c = warm.n_comps() as u32 / 3;
-        warm.flip(c);
+        let on = evidenced(&warm);
+        warm.flip(on[on.len() / 3]);
         let h = warm.hypothesis().to_vec();
         let base = warm.ll_of(&h);
         assert!((base - warm.log_likelihood()).abs() < 1e-7);
@@ -1684,23 +1638,23 @@ mod tests {
         let all = bound(&topo, &obs, &accept(&obs, |_, _| true), &[]);
         let full = Engine::new(&topo, &obs, HyperParams::default());
         assert_eq!(all.n_flows(), full.n_flows());
-        assert_eq!(all.n_comps(), full.n_comps());
+        assert_eq!(all.n_sets(), full.n_sets());
         for (a, b) in all.delta().iter().zip(full.delta()) {
             assert!((a - b).abs() < 1e-12);
         }
         let none = bound(&topo, &obs, &[], &[]);
         assert_eq!(none.n_flows(), 0);
-        assert_eq!(none.n_comps(), 0, "no evidence, no local components");
+        assert_eq!(none.n_sets(), 0, "no evidence, no viewed sets");
+        assert!(none.delta().iter().all(|&d| d == 0.0));
     }
 
     /// Accept lists that partition the observation set produce engines whose
     /// evidence is exactly additive: at any hypothesis reached by the
-    /// same (global-id) flip sequence, the partial likelihoods and
-    /// per-global-component Δs sum to the full engine's. This is the
-    /// engine-level foundation of pod/spine sharding, where each shard
-    /// engine binds only the slice of the evidence its accept list
-    /// names. Components absent from a part's local space contribute
-    /// zero from that part.
+    /// same flip sequence, the partial likelihoods and per-component Δs
+    /// sum to the full engine's. This is the engine-level foundation of
+    /// pod/spine sharding, where each shard engine binds only the slice
+    /// of the evidence its accept list names. A component a part's
+    /// evidence does not reach contributes zero from that part.
     #[test]
     fn filtered_engines_partition_evidence() {
         let (topo, obs) = small_obs(8);
@@ -1723,32 +1677,23 @@ mod tests {
                 "partial lls sum to {ll}, full {}",
                 full.log_likelihood()
             );
-            for g in 0..full.n_global_comps() as u32 {
-                let d: f64 = parts
-                    .iter()
-                    .filter_map(|e| e.local_comp(g).map(|l| e.delta()[l as usize]))
-                    .sum();
-                let f = full.local_comp(g).map_or(0.0, |l| full.delta()[l as usize]);
+            for (c, &f) in full.delta().iter().enumerate() {
+                let d: f64 = parts.iter().map(|e| e.delta()[c]).sum();
                 assert!(
                     (d - f).abs() < 1e-8 * (1.0 + f.abs()),
-                    "global comp {g}: partial sum {d} vs full {f}"
+                    "comp {c}: partial sum {d} vs full {f}"
                 );
             }
         };
         agree(&full, &parts);
-        let n = full.n_comps() as u32;
-        // Flip by *global* id: each engine translates to its own local
-        // space; engines without the component skip (zero evidence).
-        for c in [n / 5, n / 2, n - 2, n / 2] {
-            let g = full.global_comp(c);
+        let on = evidenced(&full);
+        let n = on.len();
+        for c in [on[n / 5], on[n / 2], on[n - 2], on[n / 2]] {
             let dll_full = full.flip(c);
-            let dll_parts: f64 = parts
-                .iter_mut()
-                .filter_map(|e| e.local_comp(g).map(|l| e.flip(l)))
-                .sum();
+            let dll_parts: f64 = parts.iter_mut().map(|e| e.flip(c)).sum();
             assert!(
                 (dll_full - dll_parts).abs() < 1e-8 * (1.0 + dll_full.abs()),
-                "flip(global {g}): partial sum {dll_parts} vs full {dll_full}"
+                "flip({c}): partial sum {dll_parts} vs full {dll_full}"
             );
             agree(&full, &parts);
         }
@@ -1787,9 +1732,7 @@ mod tests {
         );
         let engine = Engine::new(&topo, &obs, HyperParams::default());
         let tor = topo.host_leaf(a);
-        let tor_comp = engine
-            .comp_of(flock_topology::Component::Device(tor))
-            .expect("the ToR is implicated, so it has a local id");
+        let tor_comp = engine.space().device_comp(tor).unwrap();
         assert!(
             engine.delta()[tor_comp as usize] > 0.0,
             "ToR device must be implicated by the intra-rack flow"
@@ -1877,20 +1820,18 @@ mod tests {
 
         let agree = |a: &Engine, b: &Engine| {
             assert!((a.log_likelihood() - b.log_likelihood()).abs() < 1e-8);
-            for g in 0..a.n_global_comps() as u32 {
-                let da = a.local_comp(g).map_or(0.0, |l| a.delta()[l as usize]);
-                let db = b.local_comp(g).map_or(0.0, |l| b.delta()[l as usize]);
+            for (c, (da, db)) in a.delta().iter().zip(b.delta()).enumerate() {
                 assert!(
                     (da - db).abs() < 1e-8 * (1.0 + da.abs()),
-                    "global comp {g}: sorted {da} vs interleaved {db}"
+                    "comp {c}: sorted {da} vs interleaved {db}"
                 );
             }
         };
         agree(&a, &b);
-        for c in [1, a.n_comps() as u32 / 2, a.n_comps() as u32 - 1, 1] {
-            let g = a.global_comp(c);
+        let on = evidenced(&a);
+        for c in [on[1], on[on.len() / 2], on[on.len() - 1], on[1]] {
             a.flip(c);
-            b.flip(b.local_comp(g).unwrap());
+            b.flip(c);
             agree(&a, &b);
         }
     }
@@ -1901,11 +1842,13 @@ mod tests {
     fn pinned_weight_consistent_after_extras_flips() {
         let (topo, obs) = coalescable_obs(32);
         let mut engine = Engine::new(&topo, &obs, HyperParams::default());
-        // Flip every host-attachment link component on, then off.
+        // Flip 24 host-attachment links (extras of some member) on, then
+        // off.
         let host_comps: Vec<u32> = (0..engine.n_comps() as u32)
-            .filter(|&c| !engine.is_device(c))
+            .filter(|&c| !engine.is_device(c) && !engine.comp_extra_members.get(c).is_empty())
             .take(24)
             .collect();
+        assert_eq!(host_comps.len(), 24);
         for &c in &host_comps {
             engine.flip(c);
         }
@@ -1924,9 +1867,10 @@ mod tests {
         }
     }
 
-    /// The engine's resident state scales with the *filtered* evidence:
-    /// an engine that accepts a third of the flows projects only the
-    /// sets/paths/components that third touches.
+    /// The engine's per-set state scales with the *filtered* evidence:
+    /// an engine that accepts a seventh of the flows projects only the
+    /// sets and paths that seventh touches. Its component arrays span the
+    /// topology, like every engine's.
     #[test]
     fn filtered_engine_state_is_local() {
         let (topo, obs) = small_obs(12);
@@ -1936,8 +1880,7 @@ mod tests {
         let ps = part.state_sizes();
         assert!(ps.sets < fs.sets, "sets {} !< {}", ps.sets, fs.sets);
         assert!(ps.paths < fs.paths, "paths {} !< {}", ps.paths, fs.paths);
-        assert!(ps.comps < fs.comps, "comps {} !< {}", ps.comps, fs.comps);
-        assert!(ps.comps < ps.global_comps);
+        assert_eq!(ps.comps, fs.comps);
         assert_eq!(part.delta().len(), ps.comps);
     }
 
@@ -1965,7 +1908,8 @@ mod tests {
         let (mut twin, mut twin_dir) = (unbound(&topo), TermDirectory::new(&params));
         bind_all(&mut engine, &topo, &obs, &mut dir, &[]).unwrap();
         bind_all(&mut twin, &topo, &obs, &mut twin_dir, &[]).unwrap();
-        let seed = [engine.global_comp(0), engine.global_comp(5)];
+        let on = evidenced(&engine);
+        let seed = [on[0], on[5]];
 
         // Foreign lineage: a fresh assembly of the same flows.
         let (_, foreign) = small_obs(13);
@@ -2024,7 +1968,8 @@ mod tests {
                 dir.len(),
                 "it reads this epoch's directory's store"
             );
-            let c = engine.n_comps() as u32 / 2;
+            let on = evidenced(&engine);
+            let c = on[on.len() / 2];
             assert_eq!(engine.flip(c).to_bits(), private.flip(c).to_bits());
             assert_eq!(state_bits(&engine), state_bits(&private));
         }
@@ -2070,8 +2015,9 @@ mod tests {
     /// bit (they are integers, or sums and negations of integer-valued
     /// weights and priors) — with Δ and the likelihood equal within fp
     /// tolerance. The seed mixes fabric components with host links
-    /// (extras of prefix groups), names one component twice and one the
-    /// engine has never met.
+    /// (extras of prefix groups), names one component twice and one no
+    /// evidence reaches: that one is entered too, moves no count, sits at
+    /// Δ = 0, and the warm search drops it for its prior.
     #[test]
     fn seeded_bind_state_is_the_flipped_state() {
         for (seed, kinds) in [
@@ -2091,21 +2037,21 @@ mod tests {
             let fabric: Vec<CompIdx> = (0..flipped.n_sets() as u32)
                 .flat_map(|s| flipped.sets.comps(s).to_vec())
                 .collect();
-            let locals = [
+            let on = evidenced(&flipped);
+            let unseen = (0..n)
+                .find(|c| !on.contains(c))
+                .expect("a dozen flows leave some host link untouched");
+            let mut hyp = vec![
                 fabric[0],
+                unseen,
                 extras[0],
                 fabric[fabric.len() / 2],
                 extras[extras.len() / 2],
             ];
-            let unseen = (0..flipped.n_global_comps() as u32)
-                .find(|&g| flipped.local_comp(g).is_none())
-                .expect("a dozen flows leave some host link untouched");
-            let mut hyp: Vec<CompIdx> = locals.iter().map(|&c| flipped.global_comp(c)).collect();
-            hyp.insert(1, unseen);
             hyp.push(hyp[0]);
 
-            let seeded = build(&hyp);
-            for &c in &locals {
+            let mut seeded = build(&hyp);
+            for &c in &hyp {
                 if !flipped.in_hypothesis(c) {
                     flipped.flip(c);
                 }
@@ -2138,6 +2084,11 @@ mod tests {
             for (c, (a, b)) in seeded.delta().iter().zip(flipped.delta()).enumerate() {
                 assert!(close(*a, *b), "comp {c}: seeded {a} vs flipped {b}");
             }
+            assert!(seeded.in_hypothesis(unseen));
+            assert_eq!(seeded.delta()[unseen as usize], 0.0);
+            let search = crate::FlockGreedy::default().search_warm_deadline(&mut seeded, &[], None);
+            assert!(!seeded.in_hypothesis(unseen), "the warm search drops it");
+            assert!(search.picked.iter().all(|&(c, _)| c != unseen));
         }
     }
 
@@ -2159,11 +2110,10 @@ mod tests {
         for &l in &arena_members(engine, s)[i] {
             let lk = topo.link(l);
             let ends = [lk.src, lk.dst].map(|end| engine.space().device_comp(end));
-            for g in std::iter::once(Some(engine.space().link_comp(l)))
+            for c in std::iter::once(Some(engine.space().link_comp(l)))
                 .chain(ends)
                 .flatten()
             {
-                let c = engine.local_comp(g).unwrap();
                 if !row.contains(&c) {
                     row.push(c);
                 }
@@ -2270,12 +2220,8 @@ mod tests {
                 &kinds,
                 AnalysisMode::PerPacket,
             );
-            let (old_sets, old_comps) = (engine.n_sets() as u32, engine.n_comps() as u32);
-            let seed: Vec<CompIdx> = engine
-                .hypothesis()
-                .iter()
-                .map(|&c| engine.global_comp(c))
-                .collect();
+            let (old_sets, known) = (engine.n_sets() as u32, evidenced(&engine));
+            let seed = engine.hypothesis().to_vec();
             bind_all(&mut engine, &topo, &obs, &mut dir, &seed).unwrap();
             let n_sets = engine.n_sets() as u32;
             assert!(n_sets > old_sets, "epoch {epoch} must grow the view");
@@ -2291,7 +2237,7 @@ mod tests {
                 (0..engine.sets.width(s) as usize).any(|i| {
                     brute_row(&engine, &topo, s, i)
                         .iter()
-                        .any(|&c| c < old_comps)
+                        .any(|c| known.contains(c))
                 })
             };
             assert!(
@@ -2305,7 +2251,13 @@ mod tests {
             assert_eq!(derived_sets(&engine, &topo), sets_of(&engine, seeded));
             assert_eq!(derived_paths(&engine) == 0, epoch == 0);
             assert_set_bad(&engine, &topo);
-            let fresh: Vec<CompIdx> = (old_comps..engine.n_comps() as u32).step_by(5).collect();
+            let on = evidenced(&engine);
+            let fresh: Vec<CompIdx> = on
+                .iter()
+                .copied()
+                .filter(|c| !known.contains(c))
+                .step_by(5)
+                .collect();
             let lazy = lazy_reads(&engine, &fresh);
             for s in 0..engine.n_sets() as u32 {
                 engine.sets.bad(s, &engine.in_h);
@@ -2340,8 +2292,8 @@ mod tests {
             assert!(!pinned.is_empty(), "epoch {epoch}: the extra pins a member");
             engine.flip(extra);
             assert_eq!(derived_sets(&engine, &topo), pinned, "epoch {epoch}");
-            let n = engine.n_comps() as u32;
-            let walk = [n / 3, 2 * n / 3, n / 3 + 1, n / 3];
+            let n = on.len();
+            let walk = [on[n / 3], on[2 * n / 3], on[n / 3 + 1], on[n / 3]];
             for c in walk {
                 engine.flip(c);
             }
@@ -2353,7 +2305,7 @@ mod tests {
             // Without Δ maintenance a flip counts `set_bad` the same way;
             // walking back restores the state the Δ array belongs to.
             let ll = engine.log_likelihood();
-            let ll_only = [n / 4, 3 * n / 4, n / 4 + 2, 2 * n / 3];
+            let ll_only = [on[n / 4], on[3 * n / 4], on[n / 4 + 2], on[2 * n / 3]];
             for c in ll_only {
                 engine.flip_ll_only(c);
                 assert_set_bad(&engine, &topo);
@@ -2429,7 +2381,7 @@ mod tests {
     fn round_trip_path_counts_a_device_once() {
         let (topo, obs, tor) = round_trip_fixture();
         let engine = Engine::new(&topo, &obs, HyperParams::default());
-        let tor_c = engine.comp_of(tor).unwrap();
+        let tor_c = engine.space().comp_of(tor).unwrap();
         // Local set ids follow first touch: 0 = the single round trip,
         // 1 = the pair.
         let g_of = |s: u32, c: CompIdx| {
@@ -2468,8 +2420,7 @@ mod tests {
     fn round_trip_rows_and_shared_tor_flip() {
         let (topo, obs, tor) = round_trip_fixture();
         let mut engine = Engine::new(&topo, &obs, HyperParams::default());
-        let tor_c = engine.comp_of(tor).unwrap();
-        let local = |g: CompIdx| engine.local_comp(g).unwrap();
+        let tor_c = engine.space().comp_of(tor).unwrap();
         // Local set ids follow first touch: 0 = the single round trip,
         // 1 = the pair.
         let paths = [(0, 0), (1, 0), (1, 1)];
@@ -2480,8 +2431,8 @@ mod tests {
                     panic!("a round trip is two links");
                 };
                 let agg = engine.space().device_comp(topo.link(up).dst).unwrap();
-                let link = |l| local(engine.space().link_comp(l));
-                vec![link(up), tor_c, local(agg), link(down)]
+                let link = |l| engine.space().link_comp(l);
+                vec![link(up), tor_c, agg, link(down)]
             })
             .collect();
         assert_eq!(
@@ -2493,10 +2444,7 @@ mod tests {
         for (&(s, i), row) in paths.iter().zip(&expect) {
             assert_eq!(&brute_row(&engine, &topo, s, i), row, "set {s}, member {i}");
         }
-        let host_up = topo.host_uplink(topo.hosts()[0]);
-        let host_up = engine
-            .comp_of(flock_topology::Component::Link(host_up))
-            .unwrap();
+        let host_up = engine.space().link_comp(topo.host_uplink(topo.hosts()[0]));
 
         let check = |engine: &Engine| {
             assert_set_bad(engine, &topo);

@@ -160,15 +160,11 @@ impl FlockGreedy {
                 (c, -removal_gain)
             })
             .collect();
-        // Ties ordered by *global* id: local id order varies with the
-        // engine's evidence history, global order does not. `total_cmp`,
-        // like the pipeline's merge of these lists: a confidence can be
-        // NaN (non-finite scores are stored unchanged by design), and
-        // ordering one must not panic the shard thread.
-        picked.sort_by(|a, b| {
-            b.1.total_cmp(&a.1)
-                .then(engine.global_comp(a.0).cmp(&engine.global_comp(b.0)))
-        });
+        // Ties ordered by component id. `total_cmp`, like the pipeline's
+        // merge of these lists: a confidence can be NaN (non-finite
+        // scores are stored unchanged by design), and ordering one must
+        // not panic the shard thread.
+        picked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         BudgetedSearch {
             picked,
             scanned,
@@ -206,23 +202,10 @@ impl FlockGreedy {
     }
 }
 
-/// Whether a candidate `(comp, gain)` beats the current best. Exact gain
-/// ties (observationally equivalent components, Fig. 5c) break toward
-/// the smaller *global* id: local id order depends on each engine's
-/// evidence history, so breaking ties locally would let two engines over
-/// the same evidence (e.g. a plane-sharded and a single-spine plan) pick
-/// different members of an equivalence class.
-#[inline]
-fn beats(engine: &Engine, cand: (CompIdx, f64), best: Option<(CompIdx, f64)>) -> bool {
-    match best {
-        None => true,
-        Some((bc, bg)) => {
-            cand.1 > bg || (cand.1 == bg && engine.global_comp(cand.0) < engine.global_comp(bc))
-        }
-    }
-}
-
 /// Same move selection evaluated per candidate from state (no Δ array).
+/// Candidates go in id order and only a strictly larger gain replaces
+/// the best, so exact ties (observationally equivalent components,
+/// Fig. 5c) break toward the smallest id, as in [`Engine::argmax_move`].
 fn argmax_move_no_jle(engine: &Engine) -> Option<(CompIdx, f64)> {
     let mut best: Option<(CompIdx, f64)> = None;
     for c in 0..engine.n_comps() as CompIdx {
@@ -231,14 +214,15 @@ fn argmax_move_no_jle(engine: &Engine) -> Option<(CompIdx, f64)> {
         } else {
             engine.delta_single(c) + engine.prior_logodds(c)
         };
-        if beats(engine, (c, gain), best) {
+        if best.is_none_or(|(_, b)| gain > b) {
             best = Some((c, gain));
         }
     }
     best
 }
 
-/// Same selection evaluated per candidate from state (no Δ array).
+/// Same selection evaluated per candidate from state (no Δ array), with
+/// the same tie-break.
 fn argmax_addable_no_jle(engine: &Engine) -> Option<(CompIdx, f64)> {
     let mut best: Option<(CompIdx, f64)> = None;
     for c in 0..engine.n_comps() as CompIdx {
@@ -246,7 +230,7 @@ fn argmax_addable_no_jle(engine: &Engine) -> Option<(CompIdx, f64)> {
             continue;
         }
         let gain = engine.delta_single(c) + engine.prior_logodds(c);
-        if beats(engine, (c, gain), best) {
+        if best.is_none_or(|(_, b)| gain > b) {
             best = Some((c, gain));
         }
     }
@@ -453,14 +437,7 @@ mod tests {
         let obs = telemetry_with_failures(&topo, &[still_bad], 800, 22);
         let flock = FlockGreedy::default();
         let mut engine = Engine::new(&topo, &obs, flock.params);
-        let seed = [
-            engine
-                .comp_of(flock_topology::Component::Link(still_bad))
-                .unwrap(),
-            engine
-                .comp_of(flock_topology::Component::Link(healed))
-                .unwrap(),
-        ];
+        let seed = [still_bad, healed].map(|l| engine.space().link_comp(l));
         let (picked, _) = flock.search_warm(&mut engine, &seed);
         let comps: Vec<Component> = picked.iter().map(|(c, _)| engine.component(*c)).collect();
         assert_eq!(
@@ -529,14 +506,9 @@ mod tests {
         let out = FlockGreedy::new(params).search_warm_deadline(&mut engine, &[2, 0, 1], None);
         assert_eq!(out.picked.len(), 3);
         assert!(out.picked.iter().all(|(_, conf)| conf.is_nan()));
-        let globals: Vec<CompIdx> = out
-            .picked
-            .iter()
-            .map(|&(c, _)| engine.global_comp(c))
-            .collect();
         assert!(
-            globals.is_sorted(),
-            "equal (NaN) confidences fall back to global id order"
+            out.picked.is_sorted_by_key(|&(c, _)| c),
+            "equal (NaN) confidences fall back to id order"
         );
     }
 

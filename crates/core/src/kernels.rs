@@ -1,9 +1,9 @@
 //! Chunked scalar kernels for the inference hot loops.
 //!
-//! Three loops dominate inference time once evidence is coalesced and
-//! view-local (PRs 3–5): the `flip` sweep over comp→sets→flows CSR
-//! walks, the `compute_initial_delta` full sweep, and the greedy
-//! argmax over the dense Δ array. Each is fed by the `llf` ladders the
+//! Three loops dominate inference time once evidence is coalesced: the
+//! `flip` sweep over comp→sets→flows CSR walks, the
+//! `compute_initial_delta` full sweep, and the greedy argmax over the
+//! dense Δ array. Each is fed by the `llf` ladders the
 //! [`TermDirectory`](crate::likelihood::TermDirectory) precomputed, so
 //! the inner loops are pure index/multiply/add over contiguous `f64`
 //! slices — no transcendentals, no branches.
@@ -182,35 +182,26 @@ fn max_gain(delta: &[f64], bias: &[f64]) -> f64 {
 }
 
 /// Greedy argmax kernel: maximize `delta[i] + bias[i]`, breaking exact
-/// ties toward the smallest **global** component id, exactly like the
-/// scalar `beats` comparison in `greedy`.
+/// ties toward the smallest index — the smallest component id.
 ///
-/// Returns `(local index, max gain)`, or `None` when the slice is empty
-/// or the maximum is NaN (a NaN gain means the likelihood state itself
-/// is non-finite; the reduction shape is fixed, so the verdict — stop
-/// the scan — is still deterministic).
+/// Returns `(index, max gain)`, or `None` when the slice is empty or the
+/// maximum is NaN (a NaN gain means the likelihood state itself is
+/// non-finite; the reduction shape is fixed, so the verdict — stop the
+/// scan — is still deterministic).
 ///
 /// Pass 1 reduces to the maximum with the fixed block-of-4 shape; pass 2
-/// rescans for elements whose recomputed gain equals the maximum (same
-/// add, so the winner always matches) and keeps the smallest global id.
-pub fn argmax_gain(delta: &[f64], bias: &[f64], globals: &[u32]) -> Option<(u32, f64)> {
+/// returns the first element whose recomputed gain equals the maximum
+/// (same add, so the winner always matches).
+pub fn argmax_gain(delta: &[f64], bias: &[f64]) -> Option<(u32, f64)> {
     let n = delta.len();
     assert_eq!(bias.len(), n, "bias/delta length mismatch");
-    assert_eq!(globals.len(), n, "globals/delta length mismatch");
     if n == 0 {
         return None;
     }
     let m = max_gain(delta, bias);
-    let mut best: Option<(u32, u32)> = None; // (global id, local index)
-    for i in 0..n {
-        if delta[i] + bias[i] == m {
-            let g = globals[i];
-            if best.is_none_or(|(bg, _)| g < bg) {
-                best = Some((g, i as u32));
-            }
-        }
-    }
-    best.map(|(_, local)| (local, m))
+    (0..n)
+        .find(|&i| delta[i] + bias[i] == m)
+        .map(|i| (i as u32, m))
 }
 
 #[cfg(test)]
@@ -218,25 +209,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn argmax_prefers_smallest_global_on_ties() {
-        let delta = [1.0, 3.0, 3.0, 0.5];
-        let bias = [0.0; 4];
-        // Local 2 has the smaller global id among the tied maxima.
-        let globals = [10, 9, 4, 11];
-        assert_eq!(argmax_gain(&delta, &bias, &globals), Some((2, 3.0)));
+    fn argmax_prefers_the_smallest_id_on_ties() {
+        let delta = [1.0, 3.0, 3.0, 0.5, 3.0];
+        assert_eq!(argmax_gain(&delta, &[0.0; 5]), Some((1, 3.0)));
+        // A bias can make the tie: `2.0 + 1.0 == 3.0 + 0.0`.
+        let delta = [2.0, 3.0, 0.0];
+        assert_eq!(argmax_gain(&delta, &[1.0, 0.0, 0.0]), Some((0, 3.0)));
     }
 
     #[test]
     fn argmax_empty_and_nan() {
-        assert_eq!(argmax_gain(&[], &[], &[]), None);
+        assert_eq!(argmax_gain(&[], &[]), None);
         // The outcome on NaN is fixed by the reduction shape: `maxpd`
         // keeps its second operand on NaN, so a NaN that reaches the
         // final combine as the first operand is dropped ...
         let delta = [1.0, f64::NAN, 2.0];
-        assert_eq!(argmax_gain(&delta, &[0.0; 3], &[0, 1, 2]), Some((2, 2.0)));
+        assert_eq!(argmax_gain(&delta, &[0.0; 3]), Some((2, 2.0)));
         // ... and one that reaches it as the second is the maximum: no
         // element compares equal to it and the scan stops.
         let delta = [1.0, 2.0, 3.0, f64::NAN];
-        assert_eq!(argmax_gain(&delta, &[0.0; 4], &[0, 1, 2, 3]), None);
+        assert_eq!(argmax_gain(&delta, &[0.0; 4]), None);
     }
 }

@@ -29,8 +29,6 @@
 //!   without JLE (the Fig. 4c ablation).
 //! * [`sherlock`] — the Sherlock/Ferret bounded-failure exhaustive search
 //!   on the same PGM, plain and JLE-accelerated (Algorithm 3).
-//! * [`gibbs`] — Gibbs sampling over the same model, JLE-accelerated
-//!   (§3.3 discusses this variant).
 //! * [`metrics`] — precision/recall per Appendix A.1, including the
 //!   device-failure accounting.
 //!
@@ -42,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod gibbs;
 pub mod greedy;
 pub mod kernels;
 pub mod likelihood;
@@ -54,7 +51,6 @@ pub mod sherlock;
 pub mod space;
 
 pub use engine::{ConvictingEvidence, Engine, EngineStateSizes, EngineStats};
-pub use gibbs::GibbsSampler;
 pub use greedy::{BudgetedSearch, FlockGreedy};
 pub use kernels::KernelDispatch;
 pub use likelihood::{flow_score, llf, EpochFlowTable, TermDirectory};

@@ -19,7 +19,7 @@ pub struct LocalizationResult {
     /// Hypotheses examined during the search (the paper's "~3.5M
     /// hypotheses in 17 sec" accounting).
     pub hypotheses_scanned: u64,
-    /// Search iterations (greedy steps, CD rounds, Gibbs sweeps, …).
+    /// Search iterations (greedy steps, CD rounds, …).
     pub iterations: u64,
     /// Wall-clock inference time.
     pub runtime: Duration,

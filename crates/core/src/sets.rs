@@ -12,7 +12,9 @@
 //!
 //! # Structure
 //!
-//! The layer is append-only — a set, once viewed, keeps its local id and
+//! Sets are numbered by the engine view's local set ids; components by
+//! their [`ComponentSpace`] ids, the engine's only component ids. The
+//! layer is append-only — a set, once viewed, keeps its local id and
 //! its content forever — and lives in flat offsets+items row tables
 //! ([`Csr`], one allocation pair per table, rows appended as the view
 //! grows, never rewritten): per viewed set, the sorted union of its
@@ -23,8 +25,9 @@
 //! `Router`'s own `PathSet`) the layer keeps.
 //!
 //! A path's component *row* is its links and their switch ends, each link
-//! as `[link, src, dst]`, deduplicated (a round-trip probe path visits a
-//! device twice, but it is one component), in first-touch order. A
+//! as its [`ComponentSpace::link_row`] `[link, src, dst]`, deduplicated (a
+//! round-trip probe path visits a device twice, but it is one component),
+//! in first-touch order. A
 //! path's *fail count* — how many components of its row lie in `H` — is
 //! read off `in_h` as a walk reads the row; nothing is stored per path.
 //!
@@ -52,13 +55,9 @@
 //! `cached_initial_delta_is_bit_equal_to_path_sweep` pins it bit-for-bit
 //! against the from-scratch sweep at the empty seed.
 
-use crate::space::{CompIdx, ComponentSpace};
-use flock_telemetry::{ArenaSnapshot, ArenaView, DenseRemap};
-use flock_topology::{LinkId, PathSetHandle, Topology};
-
-/// "No component": a host end, a link not yet seen, or — as the flipped
-/// component of a count — no flip at all.
-pub(crate) const NO_COMP: CompIdx = CompIdx::MAX;
+use crate::space::{CompIdx, ComponentSpace, NO_COMP};
+use flock_telemetry::{ArenaSnapshot, ArenaView};
+use flock_topology::{LinkId, PathSetHandle};
 
 /// "Not on the ladder" in a ladder index → rung mark array.
 pub(crate) const NO_RUNG: u32 = u32::MAX;
@@ -135,49 +134,20 @@ impl Csr {
     pub(crate) fn get(&self, bucket: u32) -> &[u32] {
         &self.items[self.range(bucket)]
     }
-
-    /// Number of rows.
-    pub(crate) fn n_rows(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
 }
 
-/// Local ids of a link and of the switch devices at its ends, memoized
-/// per global link id on first sight ([`Sets::link`]) — for the fabric
-/// links of viewed paths and for flow-prefix links alike.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LinkComps {
-    pub(crate) comp: CompIdx,
-    pub(crate) devices: [CompIdx; 2],
-}
-
-impl LinkComps {
-    const UNSEEN: LinkComps = LinkComps {
-        comp: NO_COMP,
-        devices: [NO_COMP; 2],
-    };
-
-    /// What the link adds to a path's row, in row order: itself and its
-    /// ends, [`NO_COMP`] for a host end.
-    #[inline]
-    fn row(self) -> [CompIdx; 3] {
-        debug_assert_ne!(self.comp, NO_COMP, "viewing a set localizes its links");
-        [self.comp, self.devices[0], self.devices[1]]
-    }
-}
-
-/// Append the row of the path with links `links` to `out`, reading each
-/// link's local ids through `link`: every link's [`LinkComps::row`] in
-/// link order, host ends left out, without repeats (a round-trip probe
-/// path visits a device twice, but it is one component). Rows are a few
-/// links long, so a `contains` over the part this call appended keeps
-/// them duplicate-free; a 64-bit mask of the low bits of the components
-/// pushed so far skips that scan for most components, which are new.
+/// Append the row of the path with links `links` to `out`: every link's
+/// [`ComponentSpace::link_row`] in link order, host ends left out, without
+/// repeats (a round-trip probe path visits a device twice, but it is one
+/// component). Rows are a few links long, so a `contains` over the part
+/// this call appended keeps them duplicate-free; a 64-bit mask of the low
+/// bits of the components pushed so far skips that scan for most
+/// components, which are new.
 #[inline]
-fn push_row(links: &[LinkId], mut link: impl FnMut(LinkId) -> LinkComps, out: &mut Vec<u32>) {
+fn push_row(links: &[LinkId], space: &ComponentSpace, out: &mut Vec<u32>) {
     let (from, mut seen) = (out.len(), 0u64);
     for &l in links {
-        for c in link(l).row() {
+        for c in space.link_row(l) {
             let bit = 1u64 << (c % 64);
             if c != NO_COMP && (seen & bit == 0 || !out[from..].contains(&c)) {
                 seen |= bit;
@@ -208,13 +178,13 @@ impl PathRows {
 
     /// Derive the block of set `s`, whose members are `members`.
     #[cold]
-    fn derive(&mut self, s: u32, members: &PathSetHandle, link_comps: &[LinkComps]) {
+    fn derive(&mut self, s: u32, members: &PathSetHandle, space: &ComponentSpace) {
         self.starts[s as usize] =
             u32::try_from(self.items.len()).expect("path row memo exceeds u32 offsets");
         for links in members.iter() {
             let at = self.items.len();
             self.items.push(0);
-            push_row(links, |l| link_comps[l.0 as usize], &mut self.items);
+            push_row(links, space, &mut self.items);
             self.items[at] = (self.items.len() - at - 1) as u32;
         }
     }
@@ -237,12 +207,11 @@ impl PathRows {
 }
 
 /// The set layer of one engine, indexed by the engine view's local set
-/// ids and the engine's local component ids. See the module docs.
-#[derive(Debug, Clone, Default)]
+/// ids and [`ComponentSpace`] ids. See the module docs.
+#[derive(Debug, Clone)]
 pub(crate) struct Sets {
-    /// Per global link id (id-width, never reset): the link's local id
-    /// and its switch ends'.
-    link_comps: Vec<LinkComps>,
+    /// The topology's components, and each link's row.
+    space: ComponentSpace,
     /// Per set, its arena members.
     members: Vec<PathSetHandle>,
     /// Per set, its width: the count of its members.
@@ -263,12 +232,24 @@ pub(crate) struct Sets {
 }
 
 impl Sets {
-    /// An empty layer over a topology of `n_links` links.
-    pub(crate) fn new(n_links: usize) -> Sets {
+    /// An empty layer over the components of `space`.
+    pub(crate) fn new(space: ComponentSpace) -> Sets {
         Sets {
-            link_comps: vec![LinkComps::UNSEEN; n_links],
-            ..Sets::default()
+            scratch: vec![0; space.n_comps()],
+            space,
+            members: Vec::new(),
+            width: Vec::new(),
+            comps: Csr::default(),
+            ladders: Csr::default(),
+            gidx: Vec::new(),
+            rows: PathRows::default(),
         }
+    }
+
+    /// The component space the layer's ids index.
+    #[inline]
+    pub(crate) fn space(&self) -> &ComponentSpace {
+        &self.space
     }
 
     /// Number of viewed sets.
@@ -312,60 +293,12 @@ impl Sets {
         (0..self.n_sets() as u32).flat_map(move |s| self.comps(s).iter().map(move |&c| (c, s)))
     }
 
-    /// Local ids of link `l` and its switch ends: one table read once the
-    /// link has been seen.
-    #[inline]
-    pub(crate) fn link(
-        &mut self,
-        topo: &Topology,
-        space: &ComponentSpace,
-        comps: &mut DenseRemap,
-        l: LinkId,
-    ) -> LinkComps {
-        let known = self.link_comps[l.0 as usize];
-        if known.comp == NO_COMP {
-            self.localize_link(topo, space, comps, l)
-        } else {
-            known
-        }
-    }
-
-    /// First sight of a link: localize it and its switch ends (hosts are
-    /// not components), in that order, and memoize the result.
-    #[cold]
-    fn localize_link(
-        &mut self,
-        topo: &Topology,
-        space: &ComponentSpace,
-        comps: &mut DenseRemap,
-        l: LinkId,
-    ) -> LinkComps {
-        let comp = comps.assign(space.link_comp(l));
-        let lk = topo.link(l);
-        let devices = [lk.src, lk.dst].map(|end| match space.device_comp(end) {
-            Some(d) => comps.assign(d),
-            None => NO_COMP,
-        });
-        let known = LinkComps { comp, devices };
-        self.link_comps[l.0 as usize] = known;
-        known
-    }
-
-    /// Extend the layer to every set `view` projects from `arena`,
-    /// localizing the components they reach (each member's links in
-    /// member order: the first-touch order that assigns new local ids),
-    /// and count each new set's g-ladder over its members' rows. Derives
-    /// no row for the memo. Returns whether the view grew; when it did
-    /// not — the steady state that makes warm rebinding cheap — this is
-    /// a no-op.
-    pub(crate) fn extend(
-        &mut self,
-        topo: &Topology,
-        space: &ComponentSpace,
-        comps: &mut DenseRemap,
-        view: &ArenaView,
-        arena: &ArenaSnapshot,
-    ) -> bool {
+    /// Extend the layer to every set `view` projects from `arena`, and
+    /// count each new set's g-ladder over its members' rows. Derives no
+    /// row for the memo. Returns whether the view grew; when it did not —
+    /// the steady state that makes warm rebinding cheap — this is a
+    /// no-op.
+    pub(crate) fn extend(&mut self, view: &ArenaView, arena: &ArenaSnapshot) -> bool {
         let (old_sets, n_sets) = (self.n_sets(), view.n_sets());
         // Staging, reused across the loop (and never allocated on the
         // steady-state call where the view has not grown).
@@ -376,10 +309,7 @@ impl Sets {
             union.clear();
             for links in members.iter() {
                 row.clear();
-                push_row(links, |l| self.link(topo, space, comps, l), &mut row);
-                if self.scratch.len() < comps.len() {
-                    self.scratch.resize(comps.len(), 0);
-                }
+                push_row(links, &self.space, &mut row);
                 for &c in &row {
                     if self.scratch[c as usize] == 0 {
                         union.push(c);
@@ -426,8 +356,7 @@ impl Sets {
     #[inline]
     fn derive(&mut self, s: u32) {
         if !self.rows.is_derived(s) {
-            self.rows
-                .derive(s, &self.members[s as usize], &self.link_comps);
+            self.rows.derive(s, &self.members[s as usize], &self.space);
         }
     }
 
@@ -442,8 +371,8 @@ impl Sets {
             rows.map(|row| u32::from(row.iter().any(|&l| failed(l))))
                 .sum()
         } else {
-            let meets = |l: &LinkId| {
-                let row = self.link_comps[l.0 as usize].row();
+            let meets = |&l: &LinkId| {
+                let row = self.space.link_row(l);
                 row.into_iter().any(|c| c != NO_COMP && failed(c))
             };
             let members = self.members[s as usize].iter();
@@ -533,7 +462,7 @@ mod tests {
     use flock_telemetry::input::AnalysisMode;
     use flock_telemetry::{FlowObs, ObservationSet, PathArena};
     use flock_topology::clos::{three_tier, ClosParams};
-    use flock_topology::{irregular, NodeId, PathSet, Router};
+    use flock_topology::{irregular, NodeId, PathSet, Router, Topology};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -603,27 +532,20 @@ mod tests {
         }
     }
 
-    /// A layer over every set of `obs`, with the remap of its components.
-    fn layer(topo: &Topology, space: &ComponentSpace, obs: &ObservationSet) -> (Sets, DenseRemap) {
+    /// A layer over every set of `obs`.
+    fn layer(topo: &Topology, obs: &ObservationSet) -> Sets {
         let mut view = ArenaView::new();
         let all: Vec<u32> = (0..obs.flows.len() as u32).collect();
         view.bind_epoch(obs, &all).unwrap();
-        let mut comps = DenseRemap::new();
-        comps.ensure_ids(space.n_comps());
-        let mut sets = Sets::new(topo.link_count());
-        assert!(sets.extend(topo, space, &mut comps, &view, &obs.arena));
-        assert!(!sets.extend(topo, space, &mut comps, &view, &obs.arena));
-        (sets, comps)
+        let mut sets = Sets::new(ComponentSpace::new(topo));
+        assert!(sets.extend(&view, &obs.arena));
+        assert!(!sets.extend(&view, &obs.arena));
+        sets
     }
 
-    /// The distinct local components of the path with links `links`,
-    /// read off the topology: each link and its switch ends.
-    fn brute_comps(
-        topo: &Topology,
-        space: &ComponentSpace,
-        comps: &DenseRemap,
-        links: &[LinkId],
-    ) -> Vec<CompIdx> {
+    /// The distinct components of the path with links `links`, read off
+    /// the topology: each link and its switch ends.
+    fn brute_comps(topo: &Topology, space: &ComponentSpace, links: &[LinkId]) -> Vec<CompIdx> {
         let mut out: Vec<CompIdx> = links
             .iter()
             .flat_map(|&l| {
@@ -632,7 +554,6 @@ mod tests {
                 std::iter::once(Some(space.link_comp(l))).chain(ends)
             })
             .flatten()
-            .map(|g| comps.local(g).expect("viewing a set localizes its links"))
             .collect();
         out.sort_unstable();
         out.dedup();
@@ -647,16 +568,14 @@ mod tests {
     /// as it counts it. `unroutable`: whether some set has no members.
     fn check(topo: &Topology, obs: &ObservationSet, unroutable: bool, seed: u64) {
         let space = ComponentSpace::new(topo);
-        let (mut sets, comps) = layer(topo, &space, obs);
-        let (lazy, lazy_comps) = layer(topo, &space, obs);
-        assert_eq!(comps.globals(), lazy_comps.globals());
-        let n = comps.len();
+        let (mut sets, lazy) = (layer(topo, obs), layer(topo, obs));
+        let n = space.n_comps();
         // Per set, each member's brute-force components.
         let paths: Vec<Vec<Vec<CompIdx>>> = (0..sets.n_sets() as u32)
             .map(|s| {
                 let members = sets.members(s).iter();
                 members
-                    .map(|links| brute_comps(topo, &space, &comps, links))
+                    .map(|links| brute_comps(topo, &space, links))
                     .collect()
             })
             .collect();

@@ -9,7 +9,9 @@
 //!   array scan instead of `n` state flips: `O(n^(K-1) · D · T)`.
 //!
 //! Both explore hypotheses in canonical (index-increasing) order, evaluate
-//! the same posterior (likelihood + priors) and return the same argmax.
+//! the same posterior (likelihood + priors) and return the same argmax:
+//! the first strict maximum, so an exact tie goes to the smallest
+//! component id, as in greedy.
 //! As the paper notes, Sherlock cannot detect more than `K` concurrent
 //! failures and is far too slow beyond `K = 2` at datacenter scale — the
 //! motivation for Flock's greedy search.
@@ -309,6 +311,54 @@ mod tests {
         assert_eq!(k1.predicted.len(), 1, "K=1 is capped at one failure");
         let greedy = FlockGreedy::default().localize(&topo, &obs);
         assert_eq!(greedy.predicted.len(), 2, "greedy has no failure cap");
+    }
+
+    /// Exact ties break toward the smallest component id in Sherlock as in
+    /// greedy. One traced path from the last leaf to the first: the two
+    /// host links and the two fabric links on it take the same Δ (the
+    /// devices pay a larger prior), and the link the engine meets first,
+    /// the last leaf's uplink, has a larger `LinkId` than the spine's
+    /// downlink to the first leaf.
+    #[test]
+    fn exact_ties_break_like_greedy() {
+        let topo = small_topo();
+        let router = Router::new(&topo);
+        let (s, d) = (*topo.hosts().last().unwrap(), topo.hosts()[0]);
+        let fabric = router.paths(topo.host_leaf(s), topo.host_leaf(d))[0].to_vec();
+        assert!(
+            fabric[0] > fabric[1],
+            "the first-touched link has the larger id"
+        );
+        let mut true_path = vec![topo.host_uplink(s)];
+        true_path.extend_from_slice(&fabric);
+        true_path.push(topo.host_downlink(d));
+        let flow = MonitoredFlow {
+            key: FlowKey::tcp(s, d, 1, 80),
+            stats: FlowStats {
+                packets: 1000,
+                retransmissions: 100,
+                bytes: 0,
+                rtt_sum_us: 0,
+                rtt_count: 0,
+                rtt_max_us: 0,
+            },
+            class: TrafficClass::Passive,
+            true_path,
+        };
+        let obs = assemble(
+            &topo,
+            &router,
+            &[flow],
+            &[InputKind::Int],
+            AnalysisMode::PerPacket,
+        );
+        let params = HyperParams::default();
+        let mut engine = Engine::new(&topo, &obs, params);
+        let (sherlock, _, _) = SherlockFerret::with_jle(params, 1).search(&mut engine);
+        let (greedy, _) = FlockGreedy::new(params).search(&mut engine);
+        let greedy: Vec<CompIdx> = greedy.iter().map(|&(c, _)| c).collect();
+        assert_eq!(sherlock, greedy);
+        assert_eq!(engine.component(sherlock[0]), Component::Link(fabric[1]));
     }
 
     #[test]

@@ -4,11 +4,17 @@
 //! links — with flat arrays. [`ComponentSpace`] assigns each component a
 //! dense index: devices first (`0..n_devices`, in `Topology::switches()`
 //! order), then links (`n_devices..n_devices + n_links`, by `LinkId`).
+//! These are the only component ids inference speaks: an engine's Δ
+//! array, hypothesis and set layer are all indexed by them.
 
 use flock_topology::{Component, LinkId, NodeId, Topology};
 
 /// Dense index of a component in a [`ComponentSpace`].
 pub type CompIdx = u32;
+
+/// "No component": a host end of a link, or — as the flipped component
+/// of a set count — no flip at all.
+pub(crate) const NO_COMP: CompIdx = CompIdx::MAX;
 
 /// Bidirectional mapping between topology components and dense indices.
 #[derive(Debug, Clone)]
@@ -19,6 +25,8 @@ pub struct ComponentSpace {
     device_of_node: Vec<u32>,
     /// Device comp index → NodeId.
     node_of_device: Vec<NodeId>,
+    /// Per link: [`ComponentSpace::link_row`].
+    link_rows: Vec<[CompIdx; 3]>,
 }
 
 impl ComponentSpace {
@@ -30,11 +38,23 @@ impl ComponentSpace {
             device_of_node[sw.idx()] = i as u32;
             node_of_device.push(sw);
         }
+        let n_devices = topo.switch_count() as u32;
+        let device = |n: NodeId| match device_of_node[n.idx()] {
+            u32::MAX => NO_COMP,
+            d => d,
+        };
+        let link_rows = (0..topo.link_count() as u32)
+            .map(|l| {
+                let lk = topo.link(LinkId(l));
+                [n_devices + l, device(lk.src), device(lk.dst)]
+            })
+            .collect();
         ComponentSpace {
-            n_devices: topo.switch_count() as u32,
+            n_devices,
             n_links: topo.link_count() as u32,
             device_of_node,
             node_of_device,
+            link_rows,
         }
     }
 
@@ -55,6 +75,14 @@ impl ComponentSpace {
     pub fn link_comp(&self, l: LinkId) -> CompIdx {
         debug_assert!(l.0 < self.n_links);
         self.n_devices + l.0
+    }
+
+    /// What a path crossing link `l` adds to its component row, in row
+    /// order: the link, then its source and destination ends, each
+    /// [`NO_COMP`] for a host (hosts are not components).
+    #[inline]
+    pub(crate) fn link_row(&self, l: LinkId) -> [CompIdx; 3] {
+        self.link_rows[l.0 as usize]
     }
 
     /// Dense index of a switch device (`None` for hosts).
@@ -114,6 +142,9 @@ mod tests {
                 Component::Link(l) => {
                     assert!(!sp.is_device(c));
                     assert_eq!(sp.link_comp(l), c);
+                    let lk = topo.link(l);
+                    let end = |n| sp.device_comp(n).unwrap_or(NO_COMP);
+                    assert_eq!(sp.link_row(l), [c, end(lk.src), end(lk.dst)]);
                 }
             }
         }

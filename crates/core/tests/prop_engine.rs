@@ -106,7 +106,7 @@ fn random_obs(seed: u64, n_flows: usize, kinds: &[InputKind]) -> (Topology, Obse
 /// sort/dedup the distinct counts, accumulate one weighted `llf` ladder
 /// gather per super-flow, binary-search each component's `g` back, then
 /// add the extras. It shares no state with the engine — only the inputs,
-/// the engine's local component ids, and the public kernel — and keeps
+/// the engine's view of the sets, and the public kernel — and keeps
 /// the engine's summation order, so agreement is bit-for-bit.
 fn initial_delta_by_path_sweep(
     topo: &Topology,
@@ -117,7 +117,6 @@ fn initial_delta_by_path_sweep(
     let view = engine.view();
     let space = engine.space();
     let params = *engine.params();
-    let local = |g: CompIdx| engine.local_comp(g).expect("evidence the engine localized");
 
     // Structure: per set, each member path's component list.
     let sets: Vec<Vec<Vec<CompIdx>>> = (0..view.n_sets() as u32)
@@ -128,12 +127,10 @@ fn initial_delta_by_path_sweep(
                 .map(|links| {
                     let mut comps = Vec::new();
                     for &l in links {
-                        comps.push(local(space.link_comp(l)));
+                        comps.push(space.link_comp(l));
                         let link = topo.link(l);
                         for end in [link.src, link.dst] {
-                            if let Some(d) = space.device_comp(end) {
-                                comps.push(local(d));
-                            }
+                            comps.extend(space.device_comp(end));
                         }
                     }
                     comps.sort_unstable();
@@ -186,11 +183,10 @@ fn initial_delta_by_path_sweep(
         flows[fi].weight += f64::from(o.weight);
         let mut mine: Vec<CompIdx> = Vec::new();
         for link in o.prefix.iter().flatten() {
-            mine.push(local(space.link_comp(*link)));
+            mine.push(space.link_comp(*link));
             let lk = topo.link(*link);
             for end in [lk.src, lk.dst] {
                 if let Some(d) = space.device_comp(end) {
-                    let d = local(d);
                     if !set_comps[ls as usize].contains(&d) {
                         mine.push(d);
                     }
@@ -297,7 +293,7 @@ impl RawFlows {
         }
     }
 
-    /// `LL(H)` for the hypothesis `h` of global component ids.
+    /// `LL(H)` for the hypothesis `h`.
     fn ll(&self, h: &[CompIdx]) -> f64 {
         let mut failed = vec![false; self.n_global];
         for &c in h {
@@ -320,11 +316,7 @@ impl RawFlows {
 /// reference at the engine's hypothesis, within `tol` relative error.
 /// Returns the reference log-likelihood.
 fn assert_matches_raw(engine: &Engine, raw: &RawFlows, tol: f64, what: &str) -> f64 {
-    let h: Vec<CompIdx> = engine
-        .hypothesis()
-        .iter()
-        .map(|&c| engine.global_comp(c))
-        .collect();
+    let h = engine.hypothesis().to_vec();
     let base = raw.ll(&h);
     let close = |got: f64, want: f64| (got - want).abs() < tol * (1.0 + want.abs());
     assert!(
@@ -333,11 +325,10 @@ fn assert_matches_raw(engine: &Engine, raw: &RawFlows, tol: f64, what: &str) -> 
         engine.log_likelihood()
     );
     for c in 0..engine.n_comps() as u32 {
-        let g = engine.global_comp(c);
         let mut h2 = h.clone();
-        match h2.iter().position(|&x| x == g) {
+        match h2.iter().position(|&x| x == c) {
             Some(at) => drop(h2.remove(at)),
-            None => h2.push(g),
+            None => h2.push(c),
         }
         let want = raw.ll(&h2) - base;
         let got = engine.delta()[c as usize];
@@ -413,8 +404,8 @@ fn assert_delta_is_brute_force(engine: &Engine, what: &str) {
     }
 }
 
-/// `a` and `b` — same evidence, same local ids — agree on hypothesis
-/// (as a set), likelihood and Δ within fp tolerance.
+/// `a` and `b` — same evidence — agree on hypothesis (as a set),
+/// likelihood and Δ within fp tolerance.
 fn assert_engines_agree(a: &Engine, b: &Engine, what: &str) {
     let sorted = |e: &Engine| {
         let mut h = e.hypothesis().to_vec();
@@ -432,7 +423,6 @@ fn assert_engines_agree(a: &Engine, b: &Engine, what: &str) {
         lb
     );
     for (c, (x, y)) in a.delta().iter().zip(b.delta()).enumerate() {
-        assert_eq!(a.global_comp(c as u32), b.global_comp(c as u32));
         assert!(
             (x - y).abs() < 1e-7 * (1.0 + y.abs()),
             "{}: comp {} delta {} vs {}",
@@ -464,7 +454,7 @@ fn exact_ties(e: &Engine) -> Vec<(usize, usize)> {
     ties
 }
 
-/// Global ids of the components with *positive* evidence among the
+/// The components with *positive* evidence among the
 /// `accepted` observations of `obs`, brute force off the arena and the
 /// topology: every link, and switch end of a link, on a path of the set
 /// or on the prefix (the member extras) of an observation with
@@ -560,14 +550,14 @@ proptest! {
             } else {
                 greedy.search_warm(&mut engine, &[]).0
             };
-            verdict = picked.iter().map(|&(c, _)| engine.global_comp(c)).collect();
+            verdict = picked.iter().map(|&(c, _)| c).collect();
             let support = positively_evidenced(&topo, &obs, &accepted, &params);
-            for &g in &verdict {
+            for &c in &verdict {
                 prop_assert!(
-                    support.contains(&g),
+                    support.contains(&c),
                     "epoch {}: {:?} blamed without positive evidence",
                     epoch,
-                    engine.space().component(g)
+                    engine.component(c)
                 );
             }
             asm.recycle(obs);
@@ -641,12 +631,12 @@ proptest! {
     /// flipping the seed in — without the flips. On a cold build and on
     /// every rebind over a view that first grows and then goes quiet
     /// (the last epoch's traffic shrinks to a corner of the fabric, so
-    /// earlier components keep their local ids but lose their evidence),
-    /// for full and filtered engines,
-    /// with seeds mixing fabric links, devices, host links (prefix
-    /// extras), components the engine has never seen, components it has
-    /// no evidence for this epoch, and duplicates: the hypothesis is the
-    /// seed; likelihood and every Δ entry are the brute-force values and
+    /// earlier components lose their evidence), for full and filtered
+    /// engines, with seeds mixing fabric links, devices, host links
+    /// (prefix extras), components the engine had evidence for last
+    /// epoch, components without evidence this epoch, and duplicates:
+    /// the hypothesis is the seed; likelihood and every Δ entry are the
+    /// brute-force values and
     /// agree with the flip reference; components the flip reference ties
     /// exactly stay exactly tied; and a further flip keeps Δ maintained.
     #[test]
@@ -673,7 +663,6 @@ proptest! {
         let mut e = Engine::unbound(&topo, params);
         let mut r = Engine::unbound(&topo, params);
         let mut sets_seen = Vec::new();
-        let mut unseen = 0;
         let mut quiet = 0;
         const EPOCHS: usize = 5;
         for epoch in 0..EPOCHS {
@@ -687,14 +676,17 @@ proptest! {
             let accepted = accept_list(&obs, filtered);
             table.rebuild(&mut terms, &obs);
 
-            // Global ids: random components of the whole fabric, one the
-            // engine has met before (if any), and a duplicate.
-            let n_global = ComponentSpace::new(&topo).n_comps() as u32;
+            // Random components of the whole fabric, one the engine had
+            // evidence for last epoch (if any), and a duplicate.
+            let n = e.n_comps() as u32;
             let mut hyp: Vec<CompIdx> = (0..rng.random_range(1..5usize))
-                .map(|_| rng.random_range(0..n_global))
+                .map(|_| rng.random_range(0..n))
                 .collect();
-            if e.n_comps() > 0 {
-                hyp.push(e.global_comp(rng.random_range(0..e.n_comps() as u32)));
+            let met: Vec<CompIdx> = (0..n)
+                .filter(|&c| e.convicting_evidence(c).super_flows > 0)
+                .collect();
+            if !met.is_empty() {
+                hyp.push(met[rng.random_range(0..met.len())]);
             }
             hyp.push(hyp[0]);
 
@@ -703,17 +695,13 @@ proptest! {
             let (e, r) = (&mut e, &mut r);
             let ties_at_empty = exact_ties(r);
             let mut expect: Vec<CompIdx> = Vec::new();
-            for &g in &hyp {
-                match r.local_comp(g) {
-                    Some(c) if !r.in_hypothesis(c) => {
-                        if r.convicting_evidence(c).super_flows == 0 {
-                            quiet += 1;
-                        }
-                        r.flip(c);
-                        expect.push(c);
+            for &c in &hyp {
+                if !r.in_hypothesis(c) {
+                    if r.convicting_evidence(c).super_flows == 0 {
+                        quiet += 1;
                     }
-                    Some(_) => {}
-                    None => unseen += 1,
+                    r.flip(c);
+                    expect.push(c);
                 }
             }
             prop_assert_eq!(e.hypothesis(), &expect[..], "epoch {}: the seed, in order", epoch);
@@ -733,7 +721,6 @@ proptest! {
             }
             // JLE maintenance carries on from the seeded state: one more
             // add, then a removal of a seeded component.
-            let n = e.n_comps() as u32;
             let mut walk = vec![rng.random_range(0..n)];
             walk.extend(expect.first());
             for c in walk {
@@ -773,7 +760,7 @@ proptest! {
         );
         // The seed kinds the doc promises did occur (deterministic per
         // case: the traffic and the seeds come from the case's rng).
-        prop_assert!(unseen + quiet > 0, "no unseen or evidence-less seed in the run");
+        prop_assert!(quiet > 0, "no evidence-less seed in the run");
     }
 
     /// One flow table per epoch ≡ per-engine keying, bitwise. An engine
@@ -818,7 +805,7 @@ proptest! {
 
             if epoch == 2 {
                 // A latecomer over the shared directory vs a fresh
-                // engine: same first-touch order, so same local ids.
+                // engine: same first-touch order, so same local set ids.
                 let mut late = Engine::unbound(&topo, params);
                 late.try_bind(&topo, &obs, &all, &table, &[]).unwrap();
                 let fresh = built(&topo, &obs);
@@ -1167,14 +1154,13 @@ fn unroutable_pair_flows_carry_no_evidence() {
     let (e_all, e_without) = (built(&topo, &all), built(&topo, &without));
     assert_eq!(e_all.n_observations(), without.flows.len());
     assert_eq!(e_all.n_flows(), e_without.n_flows());
-    assert_eq!(e_all.n_comps(), e_without.n_comps());
+    assert_eq!(e_all.n_paths(), e_without.n_paths());
     assert_eq!(
         e_all.log_likelihood().to_bits(),
         e_without.log_likelihood().to_bits()
     );
-    for g in 0..e_all.n_global_comps() as u32 {
-        let bits = |e: &Engine| e.local_comp(g).map(|c| e.delta()[c as usize].to_bits());
-        assert_eq!(bits(&e_all), bits(&e_without), "global comp {g}");
+    for (c, (a, b)) in e_all.delta().iter().zip(e_without.delta()).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "comp {c}");
     }
     let greedy = FlockGreedy::default();
     let verdict = greedy.localize(&topo, &all).predicted;

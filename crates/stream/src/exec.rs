@@ -76,9 +76,8 @@ struct ShardJob {
 /// Per-shard persistent inference state.
 struct ShardState {
     engine: Option<Engine>,
-    /// Previous epoch's hypothesis as *global* component ids (stable
-    /// across engine rebuilds), translated into the engine's local space
-    /// when seeding the warm search.
+    /// Previous epoch's hypothesis, as [`flock_core::ComponentSpace`]
+    /// ids (stable across engine rebuilds): the seed of the next bind.
     prev: Vec<CompIdx>,
 }
 
@@ -289,11 +288,12 @@ impl Drop for ShardExecutor {
 /// `catch_unwind`, so a panicking shard degrades its own slice of the
 /// verdict instead of taking the epoch with it. The failed shard's state
 /// resets to a valid initial state: no engine (a half-bound one may hold
-/// a partially extended epoch); `prev` is kept — global component ids
-/// survive the rebuild, so the recovered shard re-seeds its warm search
-/// from its last good hypothesis. The job releases its epoch *before*
-/// reporting, so once the collector holds every report it holds the
-/// epoch's only handle.
+/// a partially extended epoch); `prev` is kept — component ids survive
+/// the rebuild, so the recovered shard re-seeds its warm search from its
+/// last good hypothesis (a seed without evidence in the epoch moves no
+/// count, and the warm search removes it). The job releases its epoch
+/// *before* reporting, so once the collector holds every report it holds
+/// the epoch's only handle.
 fn run_job(tctx: &TaskCtx, state: &mut ShardState, job: ShardJob) {
     let ShardJob { shard, ectx, done } = job;
     let run = catch_unwind(AssertUnwindSafe(|| run_shard(tctx, shard, state, &ectx))).map_err(
@@ -314,9 +314,9 @@ fn run_job(tctx: &TaskCtx, state: &mut ShardState, job: ShardJob) {
 /// list computed on the assembly stage) *at* the shard's previous
 /// verdict, reading the epoch's flow table, continue the warm search
 /// from there, and report what the shard owns of the result. The seed
-/// and every reported component are *global* dense ids — stable across
-/// engine rebuilds, and what the merge speaks. Runs on a pool worker,
-/// inside [`run_job`].
+/// and every reported component are [`flock_core::ComponentSpace`] ids —
+/// stable across engine rebuilds, and what the merge speaks. Runs on a
+/// pool worker, inside [`run_job`].
 ///
 /// # Panics
 /// If the engine refuses the epoch's arena. The pipeline has one
@@ -352,15 +352,11 @@ fn run_shard(tctx: &TaskCtx, idx: usize, state: &mut ShardState, ectx: &EpochCtx
     // The bind entered the seed; the search only has to move on from it.
     let search = FlockGreedy::new(cfg.params).search_warm_deadline(engine, &[], ectx.deadline);
     let search_time = search_started.elapsed();
-    let picked: Vec<CompIdx> = search
+    let kept: Vec<(CompIdx, f64)> = search
         .picked
         .iter()
-        .map(|&(c, _)| engine.global_comp(c))
-        .collect();
-    let kept: Vec<(CompIdx, f64)> = picked
-        .iter()
-        .zip(&search.picked)
-        .filter_map(|(&g, &(_, score))| shard.owns(g).then_some((g, score)))
+        .copied()
+        .filter(|&(c, _)| shard.owns(c))
         .collect();
     let provenance = collect_provenance(engine, &shard.label, &kept);
     let outcome = ShardOutcome {
@@ -382,7 +378,7 @@ fn run_shard(tctx: &TaskCtx, idx: usize, state: &mut ShardState, ectx: &EpochCtx
     // A deadline-truncated hypothesis still seeds the next epoch: every
     // pick in it improved the posterior, and the warm search removes
     // seeds that stop paying.
-    state.prev = picked;
+    state.prev = search.picked.iter().map(|&(c, _)| c).collect();
     outcome
 }
 
@@ -415,18 +411,15 @@ fn chaos_stall(stall: Duration, deadline: Option<Instant>) {
     }
 }
 
-/// Capture [`Provenance`] for each kept component (global ids, in `kept`
-/// order) from the engine that convicted them.
+/// Capture [`Provenance`] for each kept component (in `kept` order) from
+/// the engine that convicted them.
 fn collect_provenance(
     engine: &Engine,
     shard_label: &str,
     kept: &[(CompIdx, f64)],
 ) -> Vec<Provenance> {
     kept.iter()
-        .map(|&(g, score)| {
-            let c = engine
-                .local_comp(g)
-                .expect("kept components come from this engine");
+        .map(|&(c, score)| {
             let ev = engine.convicting_evidence(c);
             Provenance {
                 component: engine.component(c),

@@ -15,10 +15,12 @@
 //!    spine shard, which sees nearly all inter-pod traffic, drops from
 //!    O(inter-pod flows) to O(distinct evidence keys) per epoch;
 //! 3. one engine per shard localizes the epoch over its own persistent
-//!    view — a dense local projection of the shared arena onto the
-//!    evidence the shard has ever accepted — so every per-epoch reset,
-//!    sweep, and Δ scan inside the engine is O(the shard's own
-//!    evidence), not O(total arena). The epoch's evidence keys are
+//!    view — a dense local projection of the shared arena onto the path
+//!    sets the shard has ever accepted — so every per-set reset and
+//!    sweep inside the engine is O(the shard's own evidence), not
+//!    O(total arena); its components, Δ array and verdicts speak the
+//!    topology's [`flock_core::ComponentSpace`] ids, which the merge
+//!    reads as they are. The epoch's evidence keys are
 //!    looked up and scored once, on the assembly stage, into an
 //!    [`EpochFlowTable`] every shard engine reads. Engines are
 //!    **warm-started** from the shard's previous verdict: rebound

@@ -1,8 +1,9 @@
 //! State-sparsity regression test for the per-shard view layer: each
-//! shard engine's *allocated* state (sets / paths / components / Δ
-//! length) must be proportional to the shard's own evidence, never to
-//! the global arena. This is the invariant the `ArenaView` projection
-//! exists to provide.
+//! shard engine's *allocated* per-set state (sets / paths) must be
+//! proportional to the shard's own evidence, never to the global arena.
+//! This is the invariant the `ArenaView` projection exists to provide.
+//! Components are not projected: an engine's Δ array spans the
+//! topology's components, which a shard's evidence reaches nearly whole.
 
 use flock_netsim::failure::{self, DEFAULT_NOISE_MAX};
 use flock_netsim::flowsim::{simulate_flows, FlowSimConfig};
@@ -75,10 +76,9 @@ fn shard_engine_state_tracks_shard_local_evidence() {
     let arena_sets_upper: usize = report.shards.iter().map(|s| s.state.sets).sum();
     for s in &report.shards {
         match s.kind {
-            // (Component sparsity is not structural for pods under
-            // uniform all-to-all traffic — a pod's flows eventually
-            // touch every other pod's components — so only the
-            // set/path dimension is gated here.)
+            // (Components are not gated: under uniform all-to-all
+            // traffic a pod's flows touch every other pod's components,
+            // and an engine indexes the topology's components anyway.)
             ShardKind::Pod(_) => assert!(
                 s.state.sets * 2 < arena_sets_upper,
                 "{}: pod views {} of ≤{} total viewed sets",

@@ -51,4 +51,4 @@ pub use input::{
     PathSetId,
 };
 pub use probes::{plan_a1_probes, ProbeSpec};
-pub use view::{ArenaView, DenseRemap, ViewError};
+pub use view::{ArenaView, ViewError};

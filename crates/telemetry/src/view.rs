@@ -4,9 +4,9 @@
 //! A sharded executor runs one inference engine per shard, each over the
 //! subset of the epoch's observations the shard accepts. The shared
 //! `PathArena` interns *every* shard's paths and sets, so an engine
-//! indexing its state by global ids pays O(total arena) fixed costs
-//! every epoch — full-array resets on rebind, all-sets sweeps, strided
-//! access over globally-indexed arrays — even when its own evidence is a
+//! indexing its per-set state by arena set ids pays O(total arena) fixed
+//! costs every epoch — set resets on rebind, all-sets sweeps, strided
+//! access over arena-indexed arrays — even when its own evidence is a
 //! small slice. An [`ArenaView`] removes that coupling: it projects the
 //! global arena onto the sets one engine's accepted observations actually
 //! touch, with **dense local ids** and a local↔global set remap, so
@@ -46,10 +46,9 @@
 //! keep their [`PathSetId`] newtype; APIs on this type take and return
 //! it at the boundary (`local_set(PathSetId)`, `global_set(local) ->
 //! PathSetId`) so the two spaces cannot be confused silently. Member `i`
-//! of local set `s` has the links `arena.members(global_set(s))[i]`. The
-//! engine follows the same convention (dense local component ids
-//! internally, global [`Component`](flock_topology::Component)s at report
-//! time).
+//! of local set `s` has the links `arena.members(global_set(s))[i]`. Only
+//! sets are remapped: an engine indexes components by the topology's own
+//! dense component ids, which every shard's evidence spans nearly whole.
 
 use crate::input::{ObservationSet, PathSetId};
 
@@ -100,85 +99,8 @@ impl std::fmt::Display for ViewError {
 
 impl std::error::Error for ViewError {}
 
+/// "No local id" in [`ArenaView`]'s global→local table.
 const NONE: u32 = u32::MAX;
-
-/// A dense first-touch remap between one global id space and local ids:
-/// `local(g)` answers from a global-width sentinel table, `assign(g)`
-/// hands out the next dense id on first touch, `global(l)` inverts.
-/// One implementation serves every localization in the suite — the
-/// view's set projection here, and the engine's component
-/// localization in `flock-core` — so invariants (sentinel handling,
-/// id-width growth, a future compaction pass) live in one place.
-#[derive(Debug, Clone, Default)]
-pub struct DenseRemap {
-    /// Global id → local id (`u32::MAX` = unassigned).
-    to_local: Vec<u32>,
-    /// Local id → global id.
-    to_global: Vec<u32>,
-}
-
-impl DenseRemap {
-    /// An empty remap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Widen the global-id side to cover ids `0..n` (no local ids are
-    /// assigned).
-    pub fn ensure_ids(&mut self, n: usize) {
-        if self.to_local.len() < n {
-            self.to_local.resize(n, NONE);
-        }
-    }
-
-    /// Number of assigned local ids.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.to_global.len()
-    }
-
-    /// Whether no local ids have been assigned.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.to_global.is_empty()
-    }
-
-    /// Local id of `g`, if assigned.
-    #[inline]
-    pub fn local(&self, g: u32) -> Option<u32> {
-        match self.to_local.get(g as usize) {
-            Some(&l) if l != NONE => Some(l),
-            _ => None,
-        }
-    }
-
-    /// Global id behind local id `l`.
-    #[inline]
-    pub fn global(&self, l: u32) -> u32 {
-        self.to_global[l as usize]
-    }
-
-    /// The full local→global table as a contiguous slice, indexed by
-    /// local id. Vectorized scans (e.g. the greedy argmax kernels, which
-    /// break gain ties toward the smallest *global* id) read this
-    /// directly instead of calling [`DenseRemap::global`] per element.
-    #[inline]
-    pub fn globals(&self) -> &[u32] {
-        &self.to_global
-    }
-
-    /// Local id of `g`, assigning the next dense id on first touch.
-    /// `g` must be covered by [`DenseRemap::ensure_ids`].
-    #[inline]
-    pub fn assign(&mut self, g: u32) -> u32 {
-        let slot = &mut self.to_local[g as usize];
-        if *slot == NONE {
-            *slot = self.to_global.len() as u32;
-            self.to_global.push(g);
-        }
-        *slot
-    }
-}
 
 /// A persistent, incrementally-extended projection of one engine's slice
 /// of a global [`PathArena`](crate::input::PathArena). See the module
@@ -187,8 +109,13 @@ impl DenseRemap {
 pub struct ArenaView {
     /// Lineage of the bound arena (`None` until the first bind).
     lineage: Option<u64>,
-    /// Global↔local set projection.
-    sets: DenseRemap,
+    /// Global set id → local id ([`NONE`] = not projected), covering
+    /// the whole arena (it is id-width, not content-width — the dense
+    /// structures an engine sizes by view counts are what sparsity is
+    /// about).
+    to_local: Vec<u32>,
+    /// Local set id → global set id, in first-touch order.
+    to_global: Vec<u32>,
     /// Arena sets at the last successful bind.
     seen_sets: usize,
 }
@@ -207,19 +134,22 @@ impl ArenaView {
 
     /// Number of locally-projected sets.
     pub fn n_sets(&self) -> usize {
-        self.sets.len()
+        self.to_global.len()
     }
 
     /// Local id of a global set, if projected.
     #[inline]
     pub fn local_set(&self, g: PathSetId) -> Option<u32> {
-        self.sets.local(g.0)
+        match self.to_local.get(g.0 as usize) {
+            Some(&l) if l != NONE => Some(l),
+            _ => None,
+        }
     }
 
     /// Global set behind a local id.
     #[inline]
     pub fn global_set(&self, local: u32) -> PathSetId {
-        PathSetId(self.sets.global(local))
+        PathSetId(self.to_global[local as usize])
     }
 
     /// Validate `obs`'s arena against the bound lineage, then extend the
@@ -245,12 +175,16 @@ impl ArenaView {
             });
         }
         self.lineage = Some(arena.lineage());
-        // The remap table covers the whole arena (it is id-width, not
-        // content-width — the dense structures an engine sizes by view
-        // counts are what sparsity is about).
-        self.sets.ensure_ids(arena.set_count());
+        if self.to_local.len() < arena.set_count() {
+            self.to_local.resize(arena.set_count(), NONE);
+        }
         for &i in accepted {
-            self.sets.assign(obs.flows[i as usize].set.0);
+            let g = obs.flows[i as usize].set.0;
+            let slot = &mut self.to_local[g as usize];
+            if *slot == NONE {
+                *slot = self.to_global.len() as u32;
+                self.to_global.push(g);
+            }
         }
         self.seen_sets = arena.set_count();
         Ok(())

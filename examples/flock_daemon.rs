@@ -320,10 +320,8 @@ struct EpochLog {
     /// Weighted super-flows actually inferred over, same accounting.
     shard_super_flows: usize,
     coalesce_ratio: f64,
-    /// Largest shard engine's local component space (the Δ bound)…
-    delta_local_comps: usize,
-    /// …vs the topology-wide component space.
-    delta_global_comps: usize,
+    /// Length of a shard engine's Δ array: the topology's components.
+    delta_comps: usize,
     blamed: Vec<flock::topology::Component>,
     truth: Vec<LinkId>,
     precision: f64,
@@ -392,16 +390,11 @@ fn ingest_and_log(
         shard_raw_obs: raw,
         shard_super_flows: sflows,
         coalesce_ratio,
-        delta_local_comps: report
+        delta_comps: report
             .shards
             .iter()
             .map(|s| s.state.comps)
             .max()
-            .unwrap_or(0),
-        delta_global_comps: report
-            .shards
-            .first()
-            .map(|s| s.state.global_comps)
             .unwrap_or(0),
         blamed: report.result.predicted.clone(),
         truth: truth.failed_links.clone(),
@@ -485,7 +478,7 @@ fn ingest_and_log(
         };
         println!(
             "epoch {:>2} [{:>5}ms..{:>5}ms): {:>5} records → {:>4} obs | shard evidence \
-             {:>5} → {:>4} super-flows (x{:.1}) | Δ≤{}/{} | blamed {:?} | truth {:?} | \
+             {:>5} → {:>4} super-flows (x{:.1}) | Δ {} | blamed {:?} | truth {:?} | \
              P {:.2} R {:.2} | {}/{} shards warm | {} agents live | conns {} up / {} closed | {:.1}ms{alerts}{health}{durability}",
             log.epoch,
             log.start_ms,
@@ -495,8 +488,7 @@ fn ingest_and_log(
             log.shard_raw_obs,
             log.shard_super_flows,
             log.coalesce_ratio,
-            log.delta_local_comps,
-            log.delta_global_comps,
+            log.delta_comps,
             log.blamed,
             log.truth,
             log.precision,

@@ -46,7 +46,7 @@
 //! | [`topology`] | `flock-topology` | Clos fabrics, ECMP routing, equivalence classes |
 //! | [`telemetry`] | `flock-telemetry` | flow records, wire codec, agent/collector, input assembly |
 //! | [`netsim`] | `flock-netsim` | flow-level and packet-level simulators, failure injection |
-//! | [`core`] | `flock-core` | the PGM, the JLE engine, greedy/Sherlock/Gibbs inference, metrics |
+//! | [`core`] | `flock-core` | the PGM, the JLE engine, greedy/Sherlock inference, metrics |
 //! | [`baselines`] | `flock-baselines` | 007 and NetBouncer |
 //! | [`calibrate`] | `flock-calibrate` | automated hyperparameter calibration |
 //! | [`stream`] | `flock-stream` | online epoch pipeline with warm-start inference |
@@ -68,8 +68,8 @@ pub use flock_topology as topology;
 pub mod prelude {
     pub use flock_baselines::{NetBouncer, ZeroZeroSeven};
     pub use flock_core::{
-        evaluate, fscore, FlockGreedy, GibbsSampler, HyperParams, KernelDispatch,
-        LocalizationResult, Localizer, PrecisionRecall, SherlockFerret,
+        evaluate, fscore, FlockGreedy, HyperParams, KernelDispatch, LocalizationResult, Localizer,
+        PrecisionRecall, SherlockFerret,
     };
     pub use flock_netsim::{
         DesConfig, DesFaults, DynamicScenario, FailureScenario, FaultEvent, FlowSimConfig,

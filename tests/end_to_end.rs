@@ -151,7 +151,6 @@ fn every_scheme_runs_on_its_input() {
         ),
         (vec![InputKind::A1], Box::new(NetBouncer::new(1.0, 5e-3))),
         (vec![InputKind::A2], Box::new(ZeroZeroSeven::new(1.0))),
-        (vec![InputKind::Int], Box::new(GibbsSampler::default())),
         (
             vec![InputKind::Int],
             Box::new(SherlockFerret::with_jle(HyperParams::default(), 1)),
