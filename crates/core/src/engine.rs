@@ -8,11 +8,11 @@
 //! [`flock_telemetry::PathArena`]. If every engine indexed its per-set
 //! state by arena set ids, each would pay O(total arena) per epoch — set
 //! resets on rebind, all-sets sweeps — however little evidence its shard
-//! sees. So every engine owns an [`ArenaView`]: a persistent dense
-//! projection of the arena onto the sets its accepted observations
-//! touch, with **local set ids** assigned in first-touch order and
-//! stable for the engine's lifetime (views are append-only). Set
-//! sparsity is real: a pod shard views a fraction of the spine's sets.
+//! sees. So an engine's set layer (`sets.rs`) numbers the sets its
+//! accepted observations touch with **local set ids**, dense and in
+//! first-touch order, as the bind walks those observations; an id is
+//! stable for the engine's lifetime (the layer is append-only). Set
+//! sparsity is real: a pod shard numbers a fraction of the spine's sets.
 //!
 //! **Components are global.** Every component index on this type —
 //! `delta()`, `flip()`, `hypothesis()`, [`Engine::try_bind`]'s seed, the
@@ -24,8 +24,8 @@
 //! no search ever adds it. [`Engine::component`] names the topology
 //! component behind an id.
 //!
-//! The view is a private field ([`Engine::view`] lends it read-only),
-//! extended by the one bind, [`Engine::try_bind`]: an executor builds an
+//! Sets are numbered by the one bind, [`Engine::try_bind`], in the same
+//! walk that coalesces the epoch's super-flows: an executor builds an
 //! [`Engine::unbound`] engine per shard and binds it each epoch to the
 //! observations the shard accepts, keyed by the epoch's shared
 //! [`EpochFlowTable`]. [`Engine::new`] / [`Engine::rebind`] are that
@@ -35,7 +35,7 @@
 //! # State
 //!
 //! The engine mirrors the observation set's structure. The structural
-//! layer — per viewed set, its width, its component union, its g-ladder
+//! layer — per numbered set, its width, its component union, its g-ladder
 //! and its member paths' component rows — is `crate::sets` (`sets.rs`):
 //! append-only, derived from the set's members, and the only reader of a
 //! path. The engine asks it counts over a set's member paths and stores
@@ -46,8 +46,8 @@
 //! hypothesis (`set_bad`), shared by every flow using the set.
 //!
 //! One inverted index walks the structural layer from a component: its
-//! sets (`comp_to_sets`), transposed eagerly when the view grew, which
-//! the initial Δ, every flip and the evidence report read. A flip or a
+//! sets (`comp_to_sets`), transposed eagerly when a bind numbered a set,
+//! which the initial Δ, every flip and the evidence report read. A flip or a
 //! seed reaches the component's paths through them, one set at a time:
 //! one count over the set's members gives its `set_bad` at the current
 //! `in_h` — and, for a flip that maintains Δ, the set's neighbour counts
@@ -137,9 +137,9 @@
 use crate::kernels;
 use crate::likelihood::{llf, EpochFlowTable, Ladders, TermDirectory};
 use crate::params::HyperParams;
-use crate::sets::{Csr, Sets, NO_RUNG};
+use crate::sets::{BindError, Csr, Sets, NO_RUNG};
 use crate::space::{CompIdx, ComponentSpace, NO_COMP};
-use flock_telemetry::{ArenaView, FlowObs, ObservationSet, PathSetId, ViewError};
+use flock_telemetry::{FlowObs, ObservationSet, PathSetId};
 use flock_topology::{Component, Topology};
 
 /// One weighted super-flow: every observation of the epoch sharing the
@@ -217,8 +217,8 @@ pub struct EngineStats {
 /// Resident state sizes of one engine (reported per shard on
 /// `ShardOutcome::state`). Every entry but `comps` scales with the
 /// engine's *own* (shard-local) evidence history, not the shared arena —
-/// the invariant the per-shard view layer exists to provide (asserted
-/// by `flock-stream`'s state-sparsity tests).
+/// the invariant the set layer's local set ids exist to provide
+/// (asserted by `flock-stream`'s state-sparsity tests).
 #[derive(Debug, Clone, Copy, Default, serde::Serialize)]
 pub struct EngineStateSizes {
     /// The topology's components (length of the Δ array, `in_h`, and the
@@ -242,21 +242,19 @@ pub struct EngineStateSizes {
 pub struct Engine {
     params: HyperParams,
 
-    /// The projection of the arena onto the evidence this engine has
-    /// ever accepted; assigns the local set ids below.
-    view: ArenaView,
     /// The directory [`Engine::rebind`] keys its epochs through, made on
     /// first use (an engine bound through [`Engine::try_bind`] reads its
     /// caller's tables and never has one).
     own_terms: Option<TermDirectory>,
 
-    /// The structural layer of the viewed sets (local ids), and every
-    /// count over their member paths; it owns the component space.
+    /// The structural layer of the sets this engine's evidence ever
+    /// touched, numbered by the layer's own local ids, and every count
+    /// over their member paths; it owns the component space.
     sets: Sets,
     /// Per set, its member paths with a component in the hypothesis.
     set_bad: Vec<u32>,
     /// The sets' component unions transposed, one row per component;
-    /// rebuilt only when the view grew.
+    /// rebuilt only when a bind numbered a set.
     comp_to_sets: Csr,
     set_flows: Csr,
 
@@ -321,8 +319,8 @@ impl Engine {
     }
 
     /// An engine over `topo` with no evidence yet: every component-indexed
-    /// array sized to the topology's components once, no sets viewed, free
-    /// to bind any arena lineage ([`Engine::try_bind`]).
+    /// array sized to the topology's components once, no sets numbered,
+    /// free to bind any arena lineage ([`Engine::try_bind`]).
     pub fn unbound(topo: &Topology, params: HyperParams) -> Engine {
         params.validate();
         let space = ComponentSpace::new(topo);
@@ -335,7 +333,6 @@ impl Engine {
         no_rows.rebuild(n, std::iter::empty());
         Engine {
             params,
-            view: ArenaView::new(),
             own_terms: None,
             sets: Sets::new(space),
             set_bad: Vec::new(),
@@ -369,7 +366,7 @@ impl Engine {
     ///
     /// # Panics
     /// On a shrunk or foreign-lineage arena — the conditions
-    /// [`Engine::try_bind`] reports as a typed [`ViewError`].
+    /// [`Engine::try_bind`] reports as a typed [`BindError`].
     pub fn rebind(&mut self, topo: &Topology, obs: &ObservationSet) {
         let params = self.params;
         let dir = self
@@ -403,7 +400,7 @@ impl Engine {
     /// identical content). This is the warm-start fast path of the
     /// online pipeline: per-set component structures — the dominant cost
     /// of a first bind — and the path rows derived so far are reused and
-    /// only *extended* for newly viewed sets; the per-flow layer is
+    /// only *extended* for newly numbered sets; the per-flow layer is
     /// rebuilt for the epoch. Every per-set reset in this path is O(the
     /// engine's own evidence), not O(total arena); the component arrays
     /// are the topology's width.
@@ -422,8 +419,9 @@ impl Engine {
     ///
     /// Rejects an observation set whose arena is of a foreign lineage,
     /// or an earlier state of the right one, with the matching
-    /// [`ViewError`] — indexing it with the view's ids would be silent
-    /// misindexing, the exact failure class the typed errors exist for.
+    /// [`BindError`] — indexing it with the engine's set ids would be
+    /// silent misindexing, the exact failure class the typed errors exist
+    /// for.
     /// Every check precedes the first mutation: a rejected bind leaves
     /// the engine exactly as it was.
     ///
@@ -437,7 +435,7 @@ impl Engine {
         accepted: &[u32],
         table: &EpochFlowTable,
         seed: &[CompIdx],
-    ) -> Result<(), ViewError> {
+    ) -> Result<(), BindError> {
         assert_eq!(
             table.len(),
             obs.flows.len(),
@@ -448,7 +446,7 @@ impl Engine {
             self.n_comps(),
             "an engine binds evidence over the topology it was built for"
         );
-        self.view.bind_epoch(obs, accepted)?;
+        self.sets.bind(&obs.arena)?;
 
         // Reset hypothesis-dependent state: the last hypothesis's
         // components leave it (back at the pure add prior), and every
@@ -462,12 +460,12 @@ impl Engine {
         self.set_bad.fill(0);
         self.delta.fill(0.0);
 
-        let n = self.n_comps();
-        if self.sets.extend(&self.view, &obs.arena) {
+        let (n, old_sets) = (self.n_comps(), self.sets.n_sets());
+        self.rebuild_flows(obs, accepted, table);
+        if self.sets.n_sets() > old_sets {
             self.comp_to_sets.rebuild(n, self.sets.comp_set_pairs());
         }
         self.set_bad.resize(self.sets.n_sets(), 0);
-        self.rebuild_flows(obs, accepted, table);
         // The epoch's inverted indexes, straight off the flow layer.
         self.set_flows.rebuild(
             self.sets.n_sets(),
@@ -529,6 +527,9 @@ impl Engine {
     /// weighted super-flows (the assembler sorts observations by exactly
     /// that key and `accepted` is ascending, so equal keys are adjacent;
     /// out-of-order input merely coalesces less — never incorrectly).
+    /// The bind's one walk over the accepted observations: the set layer
+    /// numbers each set on its first touch, before an unroutable one's
+    /// flows are skipped.
     fn rebuild_flows(&mut self, obs: &ObservationSet, accepted: &[u32], table: &EpochFlowTable) {
         self.sflows.clear();
         self.members.clear();
@@ -537,10 +538,7 @@ impl Engine {
         let mut last_key: Option<(u32, u64, u64)> = None;
         for &i in accepted {
             let o = &obs.flows[i as usize];
-            let ls = self
-                .view
-                .local_set(o.set)
-                .expect("bind_epoch projected every accepted set");
+            let ls = self.sets.project(o.set, &obs.arena);
             let w = self.sets.width(ls);
             if w == 0 {
                 continue; // unroutable flow carries no information
@@ -620,23 +618,17 @@ impl Engine {
         &self.params
     }
 
-    /// The engine's projection of the arena: which global sets its local
-    /// set ids denote.
-    pub fn view(&self) -> &ArenaView {
-        &self.view
-    }
-
     /// Number of components of the topology: the length of the Δ array.
     pub fn n_comps(&self) -> usize {
         self.space().n_comps()
     }
 
-    /// Number of member paths of the locally-projected sets.
+    /// Number of member paths of the locally-numbered sets.
     pub fn n_paths(&self) -> usize {
         self.sets.n_paths()
     }
 
-    /// Number of locally-projected sets.
+    /// Number of locally-numbered sets.
     pub fn n_sets(&self) -> usize {
         self.sets.n_sets()
     }
@@ -735,7 +727,7 @@ impl Engine {
             weight,
             sets: sets
                 .into_iter()
-                .map(|(ls, w)| (self.view.global_set(ls), w))
+                .map(|(ls, w)| (self.sets.global(ls), w))
                 .collect(),
         }
     }
@@ -1013,7 +1005,7 @@ impl Engine {
     /// of its components `c`, where `g(c)` — the member paths of `S`
     /// containing `c` — depends only on the append-only path/set
     /// structure. That half is cached per set when the set is first
-    /// viewed (its g-ladder, see `sets.rs`), so such a set pays only for its
+    /// numbered (its g-ladder, see `sets.rs`), so such a set pays only for its
     /// evidence: one table gather-accumulate per super-flow over the
     /// set's ladder, then one scatter over the set's components. `active`
     /// is the weight no failed extra pins (`weight − pinned`, which *is*
@@ -1028,8 +1020,8 @@ impl Engine {
     /// minus the `LLF(set_bad)` rung's (which is also the set's share of
     /// the likelihood; `LLF(0) = 0`, off the g-ladder).
     ///
-    /// Sweeps the *view's* sets only — the fleet-wide arena never enters
-    /// this loop.
+    /// Sweeps the engine's numbered sets only — the fleet-wide arena never
+    /// enters this loop.
     fn compute_initial_delta(&mut self) {
         let mut sums = std::mem::take(&mut self.rung_sums);
         let mut ladder = std::mem::take(&mut self.scratch_ladder);
@@ -1039,7 +1031,7 @@ impl Engine {
         let mut ll = 0.0;
         for s in 0..self.sets.n_sets() as u32 {
             // Sets with no flows this epoch contribute nothing; skipping
-            // them keeps rebinding cheap as the shard's view accumulates
+            // them keeps rebinding cheap as the shard's engine accumulates
             // sets across epochs.
             if self.set_flows.get(s).is_empty() {
                 continue;
@@ -1267,7 +1259,7 @@ mod tests {
         obs: &ObservationSet,
         dir: &mut TermDirectory,
         seed: &[CompIdx],
-    ) -> Result<(), ViewError> {
+    ) -> Result<(), BindError> {
         let mut table = EpochFlowTable::new();
         table.rebuild(dir, obs);
         engine.try_bind(topo, obs, &accept(obs, |_, _| true), &table, seed)
@@ -1531,7 +1523,7 @@ mod tests {
         );
     }
 
-    /// With no evidence no set is viewed and every Δ entry is zero over
+    /// With no evidence no set is numbered and every Δ entry is zero over
     /// the topology's whole component space, so a search over it adds
     /// nothing: each candidate's gain is its (negative) prior.
     #[test]
@@ -1644,7 +1636,7 @@ mod tests {
         }
         let none = bound(&topo, &obs, &[], &[]);
         assert_eq!(none.n_flows(), 0);
-        assert_eq!(none.n_sets(), 0, "no evidence, no viewed sets");
+        assert_eq!(none.n_sets(), 0, "no evidence, no numbered sets");
         assert!(none.delta().iter().all(|&d| d == 0.0));
     }
 
@@ -1915,7 +1907,7 @@ mod tests {
         let (_, foreign) = small_obs(13);
         let before = state_bits(&engine);
         let err = bind_all(&mut engine, &topo, &foreign, &mut dir, &seed).unwrap_err();
-        assert!(matches!(err, ViewError::ForeignLineage { .. }), "{err}");
+        assert!(matches!(err, BindError::ForeignLineage { .. }), "{err}");
         assert_eq!(state_bits(&engine), before);
         bind_all(&mut engine, &topo, &extended, &mut dir, &seed).unwrap();
         bind_all(&mut twin, &topo, &extended, &mut twin_dir, &seed).unwrap();
@@ -1925,7 +1917,7 @@ mod tests {
         // Shrunk same-lineage arena: the older snapshot, after the newer.
         let before = state_bits(&engine);
         let err = bind_all(&mut engine, &topo, &obs, &mut dir, &[]).unwrap_err();
-        assert!(matches!(err, ViewError::ArenaShrunk { .. }), "{err}");
+        assert!(matches!(err, BindError::ArenaShrunk { .. }), "{err}");
         assert_eq!(state_bits(&engine), before);
         bind_all(&mut engine, &topo, &extended, &mut dir, &[]).unwrap();
         bind_all(&mut twin, &topo, &extended, &mut twin_dir, &[]).unwrap();
@@ -1975,8 +1967,8 @@ mod tests {
         }
     }
 
-    /// Every check precedes the first mutation. A fresh view accepts any
-    /// lineage, so the one refusal an unbound engine can meet is the
+    /// Every check precedes the first mutation. A fresh engine accepts
+    /// any lineage, so the one refusal an unbound engine can meet is the
     /// table-coverage assert: it must latch nothing — the engine then
     /// binds *another* lineage, as a fresh one would. Only a successful
     /// bind fixes the lineage, and a typed rejection after it leaves no
@@ -1994,7 +1986,6 @@ mod tests {
             engine.try_bind(&topo, &obs, &all, &short_table, &[])
         }));
         assert!(refused.is_err(), "a table over another set must not bind");
-        assert_eq!(engine.view().lineage(), None);
         assert_eq!(engine.n_sets(), 0);
 
         let mut dir = TermDirectory::new(&HyperParams::default());
@@ -2005,7 +1996,7 @@ mod tests {
 
         // Bound now: the first lineage is foreign.
         let err = bind_all(&mut engine, &topo, &obs, &mut dir, &[]).unwrap_err();
-        assert!(matches!(err, ViewError::ForeignLineage { .. }), "{err}");
+        assert!(matches!(err, BindError::ForeignLineage { .. }), "{err}");
         bind_all(&mut engine, &topo, &other, &mut dir, &[]).unwrap();
         assert_eq!(state_bits(&engine), state_bits(&fresh));
     }
@@ -2195,7 +2186,7 @@ mod tests {
 
     /// Rows are derived per set on first use and never go stale. A
     /// cold bind at the empty seed derives no row; a seeded rebind
-    /// over a growing view derives exactly the sets its seed enters; an
+    /// over a growing set layer derives exactly the sets its seed enters; an
     /// extra-only flip exactly the sets of the members it pins; a fabric
     /// flip at least the sets it sweeps — and every derived row is the
     /// brute-force row, and the `set_bad` that entering the seed,
@@ -2224,14 +2215,14 @@ mod tests {
             let seed = engine.hypothesis().to_vec();
             bind_all(&mut engine, &topo, &obs, &mut dir, &seed).unwrap();
             let n_sets = engine.n_sets() as u32;
-            assert!(n_sets > old_sets, "epoch {epoch} must grow the view");
+            assert!(n_sets > old_sets, "epoch {epoch} must number new sets");
             let widths: Vec<usize> = (0..n_sets)
                 .map(|s| arena_members(&engine, s).len())
                 .collect();
             assert!((0..n_sets).all(|s| engine.sets.width(s) as usize == widths[s as usize]));
             assert_eq!(engine.state_sizes().paths, widths.iter().sum::<usize>());
             // The new sets' paths run through known components, so
-            // entering the seed can reach paths the view gained this
+            // entering the seed can reach paths the engine numbered this
             // epoch.
             let crosses_known = |s: u32| {
                 (0..engine.sets.width(s) as usize).any(|i| {
@@ -2487,10 +2478,10 @@ mod tests {
     }
 
     /// The engine validates that the offered observation set is one its
-    /// view covers — handing obs from another assembly would index the
-    /// wrong arena with the view's ids.
+    /// set ids cover — handing obs from another assembly would index the
+    /// wrong arena with the engine's ids.
     #[test]
-    fn rebind_view_rejects_uncovered_observation_set() {
+    fn rebind_rejects_uncovered_observation_set() {
         let (topo, obs) = small_obs(15);
         let table = keyed(&obs);
         let all = accept(&obs, |_, _| true);
@@ -2502,7 +2493,7 @@ mod tests {
         let err = engine
             .try_bind(&topo, &foreign, &all, &table, &[])
             .unwrap_err();
-        assert!(matches!(err, ViewError::ForeignLineage { .. }), "{err}");
+        assert!(matches!(err, BindError::ForeignLineage { .. }), "{err}");
 
         // The engine is still usable against the covered set.
         engine.try_bind(&topo, &obs, &all, &table, &[]).unwrap();

@@ -21,10 +21,11 @@
 //!
 //! * [`engine`] — the shared inference state: the hypothesis, the
 //!   per-epoch evidence, and the Δ array of Joint Likelihood
-//!   Exploration (JLE), over a set layer (`sets.rs`) that holds every
-//!   viewed path set's structure and counts its member paths. A single `flip` maintains all `n` neighbor deltas
-//!   in `O(D·T)` (Theorem 1), the source of the `O(n)` speedup over
-//!   per-hypothesis evaluation.
+//!   Exploration (JLE), over a set layer (`sets.rs`) that numbers the
+//!   path sets the engine's evidence touches, holds their structure and
+//!   counts their member paths. A single `flip` maintains all `n`
+//!   neighbor deltas in `O(D·T)` (Theorem 1), the source of the `O(n)`
+//!   speedup over per-hypothesis evaluation.
 //! * [`greedy`] — Flock's greedy MLE search (Algorithms 1–2), with and
 //!   without JLE (the Fig. 4c ablation).
 //! * [`sherlock`] — the Sherlock/Ferret bounded-failure exhaustive search
@@ -57,5 +58,6 @@ pub use likelihood::{flow_score, llf, EpochFlowTable, TermDirectory};
 pub use localizer::{LocalizationResult, Localizer};
 pub use metrics::{evaluate, fscore, MetricsAccumulator, PrecisionRecall};
 pub use params::HyperParams;
+pub use sets::BindError;
 pub use sherlock::SherlockFerret;
 pub use space::{CompIdx, ComponentSpace};

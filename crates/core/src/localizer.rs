@@ -1,7 +1,7 @@
 //! The common interface every fault-localization scheme implements.
 
 use flock_telemetry::ObservationSet;
-use flock_topology::{Component, LinkId, NodeId, Topology};
+use flock_topology::{Component, LinkId, Topology};
 use serde::Serialize;
 use std::time::Duration;
 
@@ -36,17 +36,6 @@ impl LocalizationResult {
             })
             .collect()
     }
-
-    /// Predicted devices only.
-    pub fn predicted_devices(&self) -> Vec<NodeId> {
-        self.predicted
-            .iter()
-            .filter_map(|c| match c {
-                Component::Device(n) => Some(*n),
-                Component::Link(_) => None,
-            })
-            .collect()
-    }
 }
 
 /// A fault-localization scheme: topology + observations in, blamed
@@ -62,6 +51,7 @@ pub trait Localizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flock_topology::NodeId;
 
     #[test]
     fn result_splits_links_and_devices() {
@@ -74,6 +64,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(r.predicted_links(), vec![LinkId(4), LinkId(9)]);
-        assert_eq!(r.predicted_devices(), vec![NodeId(2)]);
     }
 }

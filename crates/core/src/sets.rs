@@ -1,5 +1,6 @@
-//! The engine's set layer: everything derived from a viewed path set's
-//! member paths, and the counts over them that JLE's Δ update reads.
+//! The engine's set layer: the engine's set ids, everything derived from
+//! a numbered path set's member paths, and the counts over them that
+//! JLE's Δ update reads.
 //!
 //! Every number the engine needs about a set `S` under a hypothesis `H`
 //! is a count over `S`'s member paths (Algorithm 2's `GetCounters`,
@@ -10,14 +11,33 @@
 //! any state. They all read here, so a factored representation of a
 //! set's members is a change to this module alone.
 //!
+//! # Set ids
+//!
+//! The layer numbers the engine's sets, so that per-set state is sized
+//! by the engine's own evidence, not by the shared arena (see the engine
+//! docs): a set gets its **local id** — dense in `0..n`, in first-touch
+//! order over the accepted observations of every bind — when the bind's
+//! walk first meets it ([`Sets::project`]), and its structure is counted
+//! right there. A zero-width (unroutable) set is numbered too; its flows
+//! carry no evidence.
+//!
+//! The layer binds one arena **lineage** at its first bind
+//! ([`Sets::bind`]) and is append-only from then on, like the arena: a
+//! local id, once given, denotes the same arena set for the layer's
+//! lifetime, so no per-set structure is ever re-translated. A bind
+//! offered a foreign lineage, or an earlier snapshot of the bound one
+//! (fewer sets than the last bind saw), is refused with a typed
+//! [`BindError`] before anything changes — a real error path, so a
+//! release build cannot silently misindex.
+//!
 //! # Structure
 //!
-//! Sets are numbered by the engine view's local set ids; components by
-//! their [`ComponentSpace`] ids, the engine's only component ids. The
-//! layer is append-only — a set, once viewed, keeps its local id and
-//! its content forever — and lives in flat offsets+items row tables
-//! ([`Csr`], one allocation pair per table, rows appended as the view
-//! grows, never rewritten): per viewed set, the sorted union of its
+//! Sets are numbered by the layer's local ids; components by their
+//! [`ComponentSpace`] ids, the engine's only component ids. The layer is
+//! append-only — a set, once numbered, keeps its local id and its content
+//! forever — and lives in flat offsets+items row tables ([`Csr`], one
+//! allocation pair per table, one row appended per newly numbered set,
+//! never rewritten): per numbered set, the sorted union of its
 //! member paths' components, its g-ladder and per-component ladder index
 //! (below), and its width, the count of its member paths. No table
 //! numbers or stores member paths: member `i` of a set is member `i` of
@@ -33,7 +53,7 @@
 //!
 //! Rows are read only by a flip (for the sets it sweeps), a flipped extra
 //! (for the set of each member it pins) and entering a seed (for the sets
-//! it enters), and a search's flips reach a small share of the viewed
+//! it enters), and a search's flips reach a small share of the numbered
 //! paths. So the cold bind writes none: the `&mut` counts derive a set's
 //! rows **on first use**, one whole set at a time ([`PathRows`]), and keep
 //! them for the engine's lifetime (a set's content never changes, so a
@@ -46,17 +66,17 @@
 //! hypothesis — the initial Δ of a component `c` on `S` reads the flows'
 //! ladders at `g(c)`, the number of member paths of `S` containing `c`.
 //! `g` depends only on the path/set structure, so it is counted **once**,
-//! when the set is first viewed, over each member's row. Per set the
+//! when the set is numbered, over each member's row. Per set the
 //! layer keeps the ascending distinct `g` values (the *g-ladder*; every
 //! `g` is at most the set's width, so it is counted off a mark array, not
 //! sorted) and, per component of the set, a `u16` index into that ladder.
-//! The cached half is never recomputed and never invalidated (views are
-//! append-only); `prop_engine`'s
+//! The cached half is never recomputed and never invalidated (the layer
+//! is append-only); `prop_engine`'s
 //! `cached_initial_delta_is_bit_equal_to_path_sweep` pins it bit-for-bit
 //! against the from-scratch sweep at the empty seed.
 
 use crate::space::{CompIdx, ComponentSpace, NO_COMP};
-use flock_telemetry::{ArenaSnapshot, ArenaView};
+use flock_telemetry::{ArenaSnapshot, PathSetId};
 use flock_topology::{LinkId, PathSetHandle};
 
 /// "Not on the ladder" in a ladder index → rung mark array.
@@ -65,10 +85,59 @@ pub(crate) const NO_RUNG: u32 = u32::MAX;
 /// "Not derived yet" in [`PathRows::starts`].
 const UNDERIVED_SET: u32 = u32::MAX;
 
+/// "Not numbered yet" in the global → local set id table.
+const UNNUMBERED: u32 = u32::MAX;
+
+/// Why an engine refused to bind an observation set. Both cases mean the
+/// caller handed state from a different stream (or an older snapshot
+/// than one already bound), which would silently scramble every
+/// local↔global set id if accepted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BindError {
+    /// The arena's lineage token differs from the one the engine bound
+    /// first: ids interned against one arena are meaningless against the
+    /// other.
+    ForeignLineage {
+        /// Lineage the engine is bound to.
+        expected: u64,
+        /// Lineage of the offered arena.
+        got: u64,
+    },
+    /// The snapshot has fewer sets than one the engine has already bound
+    /// — arenas are append-only, so it is an *earlier* state of the bound
+    /// lineage, not a later one.
+    ArenaShrunk {
+        /// Arena sets at the engine's last bind.
+        seen_sets: usize,
+        /// Sets in the offered arena.
+        got_sets: usize,
+    },
+}
+
+impl std::fmt::Display for BindError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BindError::ForeignLineage { expected, got } => write!(
+                f,
+                "arena lineage {got} does not extend the engine's bound lineage {expected}"
+            ),
+            BindError::ArenaShrunk {
+                seen_sets,
+                got_sets,
+            } => write!(
+                f,
+                "arena shrank below the engine's coverage (sets {got_sets} < {seen_sets})"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for BindError {}
+
 /// Flat offsets+items row table: row `i` is `items[offsets[i]..offsets[i+1]]`.
 /// Serves both the engine's inverted indexes (rebuilt by counting scatter,
 /// [`Csr::rebuild`]) and the set layer's append-only structure rows (one
-/// [`Csr::push_row`] per newly viewed set) — one allocation pair per
+/// [`Csr::push_row`] per newly numbered set) — one allocation pair per
 /// table instead of one per row, and rows a sweep visits in id order sit
 /// next to each other in memory.
 #[derive(Debug, Clone, Default)]
@@ -206,12 +275,30 @@ impl PathRows {
     }
 }
 
-/// The set layer of one engine, indexed by the engine view's local set
-/// ids and [`ComponentSpace`] ids. See the module docs.
+/// Reused buffers of [`Sets::number`]: one member's row, the set's
+/// component union and g-ladder, and the `g` → rung marks ([`NO_RUNG`]
+/// between sets).
+#[derive(Debug, Clone, Default)]
+struct Staging {
+    row: Vec<u32>,
+    union: Vec<u32>,
+    ladder: Vec<u32>,
+    rung: Vec<u32>,
+}
+
+/// The set layer of one engine, indexed by its own local set ids and
+/// [`ComponentSpace`] ids. See the module docs.
 #[derive(Debug, Clone)]
 pub(crate) struct Sets {
     /// The topology's components, and each link's row.
     space: ComponentSpace,
+    /// Lineage of the bound arena (`None` until the first bind).
+    lineage: Option<u64>,
+    /// Global set id → local id ([`UNNUMBERED`] = not numbered), as wide
+    /// as the arena at the last bind: no later bind may offer fewer sets.
+    to_local: Vec<u32>,
+    /// Local set id → global set id, in first-touch order.
+    to_global: Vec<PathSetId>,
     /// Per set, its arena members.
     members: Vec<PathSetHandle>,
     /// Per set, its width: the count of its members.
@@ -227,8 +314,9 @@ pub(crate) struct Sets {
     /// The rows of the members of the sets counted so far.
     rows: PathRows,
     /// Per-component counting scratch of [`Sets::neighbours`] and
-    /// [`Sets::extend`] (zero between calls).
+    /// [`Sets::number`] (zero between calls).
     scratch: Vec<u32>,
+    staging: Staging,
 }
 
 impl Sets {
@@ -237,12 +325,16 @@ impl Sets {
         Sets {
             scratch: vec![0; space.n_comps()],
             space,
+            lineage: None,
+            to_local: Vec::new(),
+            to_global: Vec::new(),
             members: Vec::new(),
             width: Vec::new(),
             comps: Csr::default(),
             ladders: Csr::default(),
             gidx: Vec::new(),
             rows: PathRows::default(),
+            staging: Staging::default(),
         }
     }
 
@@ -252,12 +344,18 @@ impl Sets {
         &self.space
     }
 
-    /// Number of viewed sets.
+    /// Number of numbered sets.
     pub(crate) fn n_sets(&self) -> usize {
         self.width.len()
     }
 
-    /// Number of member paths of the viewed sets.
+    /// The arena set behind local id `s`.
+    #[inline]
+    pub(crate) fn global(&self, s: u32) -> PathSetId {
+        self.to_global[s as usize]
+    }
+
+    /// Number of member paths of the numbered sets.
     pub(crate) fn n_paths(&self) -> usize {
         self.width.iter().map(|&w| w as usize).sum()
     }
@@ -293,63 +391,96 @@ impl Sets {
         (0..self.n_sets() as u32).flat_map(move |s| self.comps(s).iter().map(move |&c| (c, s)))
     }
 
-    /// Extend the layer to every set `view` projects from `arena`, and
-    /// count each new set's g-ladder over its members' rows. Derives no
-    /// row for the memo. Returns whether the view grew; when it did not —
-    /// the steady state that makes warm rebinding cheap — this is a
-    /// no-op.
-    pub(crate) fn extend(&mut self, view: &ArenaView, arena: &ArenaSnapshot) -> bool {
-        let (old_sets, n_sets) = (self.n_sets(), view.n_sets());
-        // Staging, reused across the loop (and never allocated on the
-        // steady-state call where the view has not grown).
-        let (mut row, mut union, mut ladder, mut rung) = (vec![], vec![], vec![], vec![]);
-        for ls in old_sets as u32..n_sets as u32 {
-            let members = arena.members(view.global_set(ls)).clone();
-            let w = members.len();
-            union.clear();
-            for links in members.iter() {
-                row.clear();
-                push_row(links, &self.space, &mut row);
-                for &c in &row {
-                    if self.scratch[c as usize] == 0 {
-                        union.push(c);
-                    }
-                    self.scratch[c as usize] += 1;
-                }
-            }
-            union.sort_unstable();
-            // Mark the `g` values present, read them off in ascending
-            // order, and read each component's index back from its mark.
-            if rung.len() <= w {
-                rung.resize(w + 1, NO_RUNG);
-            }
-            for &c in &union {
-                rung[self.scratch[c as usize] as usize] = 0;
-            }
-            ladder.clear();
-            for g in 1..=w as u32 {
-                if rung[g as usize] != NO_RUNG {
-                    rung[g as usize] = ladder.len() as u32;
-                    ladder.push(g);
-                }
-            }
-            for &c in &union {
-                let g = std::mem::take(&mut self.scratch[c as usize]);
-                self.gidx.push(
-                    u16::try_from(rung[g as usize])
-                        .expect("a set has at most 65536 distinct g values"),
-                );
-            }
-            for &g in &ladder {
-                rung[g as usize] = NO_RUNG;
-            }
-            self.comps.push_row(union.iter().copied());
-            self.ladders.push_row(ladder.iter().copied());
-            self.width.push(w as u32);
-            self.members.push(members);
+    /// Bind the layer to `arena`, the arena of this epoch's
+    /// observations: refuse a foreign lineage or an earlier snapshot of
+    /// the bound one before changing anything, then record the lineage
+    /// and widen the global → local table to `arena`'s sets, which
+    /// [`Sets::project`] indexes.
+    pub(crate) fn bind(&mut self, arena: &ArenaSnapshot) -> Result<(), BindError> {
+        if let Some(expected) = self.lineage.filter(|&l| l != arena.lineage()) {
+            return Err(BindError::ForeignLineage {
+                expected,
+                got: arena.lineage(),
+            });
         }
-        self.rows.starts.resize(n_sets, UNDERIVED_SET);
-        n_sets > old_sets
+        if arena.set_count() < self.to_local.len() {
+            return Err(BindError::ArenaShrunk {
+                seen_sets: self.to_local.len(),
+                got_sets: arena.set_count(),
+            });
+        }
+        self.lineage = Some(arena.lineage());
+        self.to_local.resize(arena.set_count(), UNNUMBERED);
+        Ok(())
+    }
+
+    /// The local id of the set `id` of the bound `arena`, numbering it —
+    /// and counting its structure — when it is first met.
+    #[inline]
+    pub(crate) fn project(&mut self, id: PathSetId, arena: &ArenaSnapshot) -> u32 {
+        match self.to_local[id.0 as usize] {
+            UNNUMBERED => self.number(id, arena),
+            s => s,
+        }
+    }
+
+    /// Give the set `id` of `arena` the next local id, and count its
+    /// component union and g-ladder over its members' rows. Derives no
+    /// row for the memo.
+    fn number(&mut self, id: PathSetId, arena: &ArenaSnapshot) -> u32 {
+        let Staging {
+            row,
+            union,
+            ladder,
+            rung,
+        } = &mut self.staging;
+        let members = arena.members(id).clone();
+        let w = members.len();
+        union.clear();
+        for links in members.iter() {
+            row.clear();
+            push_row(links, &self.space, row);
+            for &c in row.iter() {
+                if self.scratch[c as usize] == 0 {
+                    union.push(c);
+                }
+                self.scratch[c as usize] += 1;
+            }
+        }
+        union.sort_unstable();
+        // Mark the `g` values present, read them off in ascending order,
+        // and read each component's index back from its mark.
+        if rung.len() <= w {
+            rung.resize(w + 1, NO_RUNG);
+        }
+        for &c in union.iter() {
+            rung[self.scratch[c as usize] as usize] = 0;
+        }
+        ladder.clear();
+        for g in 1..=w as u32 {
+            if rung[g as usize] != NO_RUNG {
+                rung[g as usize] = ladder.len() as u32;
+                ladder.push(g);
+            }
+        }
+        for &c in union.iter() {
+            let g = std::mem::take(&mut self.scratch[c as usize]);
+            self.gidx.push(
+                u16::try_from(rung[g as usize]).expect("a set has at most 65536 distinct g values"),
+            );
+        }
+        for &g in ladder.iter() {
+            rung[g as usize] = NO_RUNG;
+        }
+        self.comps.push_row(union.iter().copied());
+        self.ladders.push_row(ladder.iter().copied());
+        self.width.push(w as u32);
+        self.members.push(members);
+        self.rows.starts.push(UNDERIVED_SET);
+        let s = self.to_global.len() as u32;
+        self.to_local[id.0 as usize] = s;
+        self.to_global.push(id);
+        s
     }
 
     /// Derive the rows of set `s` unless they are.
@@ -532,15 +663,64 @@ mod tests {
         }
     }
 
+    /// Bind `sets` to `arena` and project `touched`, in order: their
+    /// local ids.
+    fn project_all(sets: &mut Sets, arena: &ArenaSnapshot, touched: &[PathSetId]) -> Vec<u32> {
+        sets.bind(arena).unwrap();
+        touched.iter().map(|&id| sets.project(id, arena)).collect()
+    }
+
     /// A layer over every set of `obs`.
     fn layer(topo: &Topology, obs: &ObservationSet) -> Sets {
-        let mut view = ArenaView::new();
-        let all: Vec<u32> = (0..obs.flows.len() as u32).collect();
-        view.bind_epoch(obs, &all).unwrap();
         let mut sets = Sets::new(ComponentSpace::new(topo));
-        assert!(sets.extend(&view, &obs.arena));
-        assert!(!sets.extend(&view, &obs.arena));
+        let touched: Vec<PathSetId> = obs.flows.iter().map(|o| o.set).collect();
+        let ids = project_all(&mut sets, &obs.arena, &touched);
+        let n = sets.n_sets();
+        assert!(n > 0);
+        assert_eq!(project_all(&mut sets, &obs.arena, &touched), ids);
+        assert_eq!(sets.n_sets(), n, "a set is numbered once");
         sets
+    }
+
+    fn links(ids: &[u32]) -> Vec<LinkId> {
+        ids.iter().map(|&i| LinkId(i)).collect()
+    }
+
+    /// Local ids are dense and first-touch, and they stay as the arena
+    /// grows: a set first met in a later bind takes the next id.
+    #[test]
+    fn projection_is_dense_and_stable_across_epochs() {
+        let topo = three_tier(ClosParams::tiny());
+        let mut sets = Sets::new(ComponentSpace::new(&topo));
+        let mut arena = PathArena::new();
+        let s0 = arena.intern_single(&links(&[0, 1]));
+        let s1 = arena.intern_single(&links(&[2, 3]));
+        let first = arena.snapshot();
+        assert_eq!(project_all(&mut sets, &first, &[s1, s0, s1]), [0, 1, 0]);
+        assert_eq!(sets.n_sets(), 2);
+        assert_eq!(sets.global(0), s1, "first touch numbers first");
+
+        let s2 = arena.intern_set(PathSet::from_paths([links(&[4]), links(&[5]), links(&[6])]));
+        let grown = arena.snapshot();
+        assert_eq!(project_all(&mut sets, &grown, &[s2, s0]), [2, 1]);
+        assert_eq!(sets.n_sets(), 3);
+        assert_eq!(sets.width(2), 3);
+        for s in 0..3 {
+            assert_eq!(sets.project(sets.global(s), &grown), s, "set {s}");
+        }
+    }
+
+    /// The layer numbers only the sets the bind's walk meets.
+    #[test]
+    fn filter_restricts_projection() {
+        let topo = three_tier(ClosParams::tiny());
+        let mut sets = Sets::new(ComponentSpace::new(&topo));
+        let mut arena = PathArena::new();
+        let s0 = arena.intern_single(&links(&[0]));
+        arena.intern_single(&links(&[1]));
+        assert_eq!(project_all(&mut sets, &arena.snapshot(), &[s0, s0]), [0, 0]);
+        assert_eq!(sets.n_sets(), 1, "the set never met is not numbered");
+        assert_eq!(sets.global(0), s0);
     }
 
     /// The distinct components of the path with links `links`, read off
@@ -561,7 +741,7 @@ mod tests {
     }
 
     /// Every count of the layer against brute-force counts off the
-    /// topology's links, over every viewed set, for a seeded stream of
+    /// topology's links, over every numbered set, for a seeded stream of
     /// random hypotheses: `bad`, the neighbour count of every component,
     /// and `fails_after`. `lazy` is never asked a `&mut` count, so its
     /// `&self` count reads every set underived; `sets` derives each set

@@ -9,7 +9,8 @@ use flock_core::{
 };
 use flock_telemetry::input::{assemble, AnalysisMode, InputKind};
 use flock_telemetry::{
-    Assembler, FlowKey, FlowObs, FlowStats, MonitoredFlow, ObservationSet, PathArena, TrafficClass,
+    Assembler, FlowKey, FlowObs, FlowStats, MonitoredFlow, ObservationSet, PathArena, PathSetId,
+    TrafficClass,
 };
 use flock_topology::clos::{leaf_spine, three_tier, ClosParams, LeafSpineParams};
 use flock_topology::{LinkId, NodeId, PathSet, Router, Topology};
@@ -105,23 +106,33 @@ fn random_obs(seed: u64, n_flows: usize, kinds: &[InputKind]) -> (Topology, Obse
 /// member path × path component of every active set to count `g(c)`,
 /// sort/dedup the distinct counts, accumulate one weighted `llf` ladder
 /// gather per super-flow, binary-search each component's `g` back, then
-/// add the extras. It shares no state with the engine — only the inputs,
-/// the engine's view of the sets, and the public kernel — and keeps
-/// the engine's summation order, so agreement is bit-for-bit.
+/// add the extras. It shares no state with the engine — only the inputs
+/// and the public kernel — and keeps the engine's summation order, so
+/// agreement is bit-for-bit. The sets are summed in `first_touch` order:
+/// the arena sets of every accepted observation of every bind so far,
+/// each at its first touch, which this call extends with `accepted`'s.
 fn initial_delta_by_path_sweep(
     topo: &Topology,
     obs: &ObservationSet,
     accepted: &[u32],
+    first_touch: &mut Vec<PathSetId>,
     engine: &Engine,
 ) -> Vec<f64> {
-    let view = engine.view();
     let space = engine.space();
     let params = *engine.params();
+    for &i in accepted {
+        let set = obs.flows[i as usize].set;
+        if !first_touch.contains(&set) {
+            first_touch.push(set);
+        }
+    }
+    let local = |set: PathSetId| first_touch.iter().position(|&s| s == set).unwrap() as u32;
 
     // Structure: per set, each member path's component list.
-    let sets: Vec<Vec<Vec<CompIdx>>> = (0..view.n_sets() as u32)
-        .map(|ls| {
-            let members = obs.arena.members(view.global_set(ls));
+    let sets: Vec<Vec<Vec<CompIdx>>> = first_touch
+        .iter()
+        .map(|&set| {
+            let members = obs.arena.members(set);
             members
                 .iter()
                 .map(|links| {
@@ -163,7 +174,7 @@ fn initial_delta_by_path_sweep(
     let mut last_key = None;
     for &i in accepted {
         let o = &obs.flows[i as usize];
-        let ls = view.local_set(o.set).unwrap();
+        let ls = local(o.set);
         let w = sets[ls as usize].len() as u32;
         if w == 0 {
             continue;
@@ -567,7 +578,7 @@ proptest! {
     /// The initial Δ the engine assembles from its cached per-set
     /// structure (g-ladder, comp→ladder index) and the epoch's
     /// super-flows is bit-equal to the from-scratch path sweep — on the
-    /// cold build and on every rebind over a view that keeps growing
+    /// cold build and on every rebind over a set layer that keeps growing
     /// (each epoch adds hosts, so later epochs first-see new sets), for
     /// full and filtered engines.
     #[test]
@@ -595,7 +606,7 @@ proptest! {
         let mut terms = TermDirectory::new(&HyperParams::default());
         let mut table = EpochFlowTable::new();
         let mut e = Engine::unbound(&topo, HyperParams::default());
-        let mut sets_seen = Vec::new();
+        let (mut sets_seen, mut first_touch) = (Vec::new(), Vec::new());
         const EPOCHS: usize = 4;
         for epoch in 0..EPOCHS {
             let reach = hosts.len() * (epoch + 1) / EPOCHS;
@@ -604,7 +615,8 @@ proptest! {
             let accepted = accept_list(&obs, filtered);
             table.rebuild(&mut terms, &obs);
             e.try_bind(&topo, &obs, &accepted, &table, &[]).unwrap();
-            let expect = initial_delta_by_path_sweep(&topo, &obs, &accepted, &e);
+            let expect =
+                initial_delta_by_path_sweep(&topo, &obs, &accepted, &mut first_touch, &e);
             prop_assert_eq!(e.delta().len(), expect.len());
             for (c, (got, want)) in e.delta().iter().zip(&expect).enumerate() {
                 prop_assert_eq!(
@@ -629,7 +641,7 @@ proptest! {
 
     /// Binding *at* a seed hypothesis is binding at the empty one and
     /// flipping the seed in — without the flips. On a cold build and on
-    /// every rebind over a view that first grows and then goes quiet
+    /// every rebind over a set layer that first grows and then goes quiet
     /// (the last epoch's traffic shrinks to a corner of the fabric, so
     /// earlier components lose their evidence), for full and filtered
     /// engines, with seeds mixing fabric links, devices, host links

@@ -124,15 +124,6 @@ impl DynamicScenario {
             truth,
         }
     }
-
-    /// First epoch after which no fault is active (`None` if some fault
-    /// never heals).
-    pub fn all_healed_epoch(&self) -> Option<u64> {
-        self.events
-            .iter()
-            .map(|e| e.heal_epoch)
-            .try_fold(0u64, |acc, h| h.map(|h| acc.max(h)))
-    }
 }
 
 #[cfg(test)]
@@ -204,7 +195,9 @@ mod tests {
         for e in &sc.events {
             assert!(sc.active_at(e.appear_epoch).contains(&e.link));
         }
-        if let Some(done) = sc.all_healed_epoch() {
+        // Once the last fault heals, none is active.
+        let heals: Option<Vec<u64>> = sc.events.iter().map(|e| e.heal_epoch).collect();
+        if let Some(done) = heals.and_then(|h| h.into_iter().max()) {
             assert!(sc.active_at(done).is_empty());
         }
     }

@@ -220,30 +220,6 @@ pub fn multi_plane_link_drops<R: Rng + ?Sized>(
     sc
 }
 
-/// A whole spine plane going dark (a maintenance window gone wrong, or
-/// a shared-power/line-card failure taking out one stripe): every link
-/// incident to every spine of the plane drops all traffic, in both
-/// directions, and the plane's spine devices are the ground truth.
-pub fn plane_down<R: Rng + ?Sized>(
-    topo: &Topology,
-    planes: &SpinePlanes,
-    plane: u16,
-    noise_max: f64,
-    rng: &mut R,
-) -> FailureScenario {
-    let mut sc = FailureScenario::noise_only(topo, noise_max, rng);
-    for l in plane_incident_links(topo, planes, plane) {
-        sc.drop_rate[l.idx()] = 1.0;
-        sc.truth.failed_links.push(l);
-    }
-    sc.truth
-        .failed_devices
-        .extend_from_slice(planes.spines_in(plane));
-    sc.truth.failed_links.sort_unstable();
-    sc.truth.failed_devices.sort_unstable();
-    sc
-}
-
 /// A link-flap latency fault on a random fabric link (§7.5): no extra
 /// packet loss, but affected flows see a large RTT spike.
 pub fn link_flap<R: Rng + ?Sized>(
@@ -354,33 +330,6 @@ mod tests {
                     Some(plane),
                     "failed link {l:?} is not incident to plane {plane}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn plane_down_fails_every_incident_link_hard() {
-        let t = topo();
-        let planes = SpinePlanes::derive(&t);
-        let mut rng = StdRng::seed_from_u64(12);
-        let sc = plane_down(&t, &planes, 1, DEFAULT_NOISE_MAX, &mut rng);
-        // Truth: the plane's spines, and both directions of each of
-        // their cables at drop rate 1.
-        assert_eq!(sc.truth.failed_devices, planes.spines_in(1));
-        let expected: usize = planes
-            .spines_in(1)
-            .iter()
-            .map(|&s| t.links_of_node(s).len())
-            .sum();
-        assert_eq!(sc.truth.failed_links.len(), expected);
-        for l in &sc.truth.failed_links {
-            assert_eq!(sc.drop_rate[l.idx()], 1.0);
-            assert!(sc.truth.failed_links.contains(&t.link(*l).reverse));
-        }
-        // The other plane is untouched.
-        for &s in planes.spines_in(0) {
-            for l in t.links_of_node(s) {
-                assert!(sc.drop_rate[l.idx()] <= DEFAULT_NOISE_MAX);
             }
         }
     }

@@ -321,7 +321,7 @@ fn run_job(tctx: &TaskCtx, state: &mut ShardState, job: ShardJob) {
 /// # Panics
 /// If the engine refuses the epoch's arena. The pipeline has one
 /// assembler — one lineage, snapshots that only grow — so a
-/// [`flock_telemetry::ViewError`] here is a pipeline bug, contained by
+/// [`flock_core::BindError`] here is a pipeline bug, contained by
 /// [`run_job`] like any other shard panic.
 fn run_shard(tctx: &TaskCtx, idx: usize, state: &mut ShardState, ectx: &EpochCtx) -> ShardOutcome {
     let started = Instant::now();

@@ -14,13 +14,12 @@
 //!    engine coalesces equal-key runs into weighted super-flows — the
 //!    spine shard, which sees nearly all inter-pod traffic, drops from
 //!    O(inter-pod flows) to O(distinct evidence keys) per epoch;
-//! 3. one engine per shard localizes the epoch over its own persistent
-//!    view — a dense local projection of the shared arena onto the path
-//!    sets the shard has ever accepted — so every per-set reset and
-//!    sweep inside the engine is O(the shard's own evidence), not
-//!    O(total arena); its components, Δ array and verdicts speak the
-//!    topology's [`flock_core::ComponentSpace`] ids, which the merge
-//!    reads as they are. The epoch's evidence keys are
+//! 3. one persistent engine per shard localizes the epoch; its set layer
+//!    numbers only the path sets the shard has ever accepted, densely, so
+//!    every per-set reset and sweep inside the engine is O(the shard's
+//!    own evidence), not O(total arena); its components, Δ array and
+//!    verdicts speak the topology's [`flock_core::ComponentSpace`] ids,
+//!    which the merge reads as they are. The epoch's evidence keys are
 //!    looked up and scored once, on the assembly stage, into an
 //!    [`EpochFlowTable`] every shard engine reads. Engines are
 //!    **warm-started** from the shard's previous verdict: rebound
@@ -321,7 +320,7 @@ pub struct ShardOutcome {
     pub log_likelihood: f64,
     /// Resident state sizes of the shard's engine — each entry scales
     /// with the shard's own evidence history, not the shared arena (the
-    /// sparsity invariant of the per-shard view layer, asserted by the
+    /// sparsity invariant of the engine's local set ids, asserted by the
     /// `state_sparsity` test).
     pub state: EngineStateSizes,
     /// Wall-clock time this shard spent binding, rebinding, and

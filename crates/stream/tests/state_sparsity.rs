@@ -1,8 +1,9 @@
-//! State-sparsity regression test for the per-shard view layer: each
+//! State-sparsity regression test for the engines' local set ids: each
 //! shard engine's *allocated* per-set state (sets / paths) must be
 //! proportional to the shard's own evidence, never to the global arena.
-//! This is the invariant the `ArenaView` projection exists to provide.
-//! Components are not projected: an engine's Δ array spans the
+//! This is the invariant an engine's set layer provides by numbering
+//! only the sets its shard's accepted observations touch. Components
+//! are not renumbered: an engine's Δ array spans the
 //! topology's components, which a shard's evidence reaches nearly whole.
 
 use flock_netsim::failure::{self, DEFAULT_NOISE_MAX};
@@ -55,9 +56,9 @@ fn last_report(topo: &Topology, shard_by_pod: bool, epochs: &[Vec<MonitoredFlow>
     last.expect("at least one epoch")
 }
 
-/// Pod engines view only the sets their pod's flows touch, and the
+/// Pod engines number only the sets their pod's flows touch, and the
 /// spine engine only the sets that cross the spine tier — never the
-/// whole arena a single engine views.
+/// whole arena a single engine numbers.
 #[test]
 fn shard_engine_state_tracks_shard_local_evidence() {
     let topo = wide_clos();
@@ -71,7 +72,7 @@ fn shard_engine_state_tracks_shard_local_evidence() {
     let all_sets = whole.shards[0].state.sets;
 
     // The all-shards set total bounds the arena set count from above
-    // (every set is viewed by at least one shard; straddlers by
+    // (every set is numbered by at least one shard; straddlers by
     // several).
     let arena_sets_upper: usize = report.shards.iter().map(|s| s.state.sets).sum();
     for s in &report.shards {
@@ -81,17 +82,17 @@ fn shard_engine_state_tracks_shard_local_evidence() {
             // and an engine indexes the topology's components anyway.)
             ShardKind::Pod(_) => assert!(
                 s.state.sets * 2 < arena_sets_upper,
-                "{}: pod views {} of ≤{} total viewed sets",
+                "{}: pod numbers {} of ≤{} total numbered sets",
                 s.label,
                 s.state.sets,
                 arena_sets_upper
             ),
             // Traced intra-pod paths never reach a spine, so the spine
-            // view holds strictly fewer sets than the whole arena.
+            // engine holds strictly fewer sets than the whole arena.
             ShardKind::Spine => assert!(
                 s.state.sets < all_sets,
-                "spine views {} of the arena's {all_sets} sets — intra-pod \
-                 evidence must stay out of its view",
+                "spine numbers {} of the arena's {all_sets} sets — intra-pod \
+                 evidence must stay out of its engine",
                 s.state.sets
             ),
             ShardKind::All => unreachable!("by-pod plan has no `all` shard"),

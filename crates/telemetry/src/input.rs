@@ -126,8 +126,8 @@ pub struct ArenaSnapshot {
     paths: u32,
     /// Process-unique token of the arena this content belongs to. Ids are
     /// append-only per lineage, so two snapshots of one lineage agree on
-    /// every id both contain. Lets holders of interned ids (views,
-    /// engines) verify a snapshot is of the arena they interned against.
+    /// every id both contain. Lets holders of interned ids (an engine's
+    /// set layer) verify a snapshot is of the arena they interned against.
     lineage: u64,
 }
 

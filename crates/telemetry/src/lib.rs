@@ -25,10 +25,6 @@
 //!   set of telemetry kinds (A1 / A2 / P / INT), produce the
 //!   [`ObservationSet`] consumed by every inference
 //!   scheme, with interned fabric paths and ECMP path sets.
-//! * [`view`] — [`ArenaView`]s: persistent dense projections of the
-//!   global path arena onto one engine's evidence (each engine owns
-//!   its own), the layer that lets a sharded executor's engines allocate
-//!   and iterate O(their own evidence) instead of O(total arena).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +34,6 @@ pub mod collector;
 pub mod flow;
 pub mod input;
 pub mod probes;
-pub mod view;
 pub mod wire;
 
 pub use agent::{AgentConfig, AgentCore, FlowSample};
@@ -51,4 +46,3 @@ pub use input::{
     PathSetId,
 };
 pub use probes::{plan_a1_probes, ProbeSpec};
-pub use view::{ArenaView, ViewError};

@@ -90,11 +90,6 @@ pub fn plan_a1_probes(
     specs
 }
 
-/// Total probe packets in a plan.
-pub fn plan_packet_volume(specs: &[ProbeSpec]) -> u64 {
-    specs.iter().map(|s| s.packets).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,7 +139,7 @@ mod tests {
         // leaf has exactly 1 path to each spine.
         let spines = (p.aggs_per_pod * p.spines_per_plane) as usize;
         assert_eq!(specs.len(), topo.hosts().len() * spines);
-        assert_eq!(plan_packet_volume(&specs), specs.len() as u64 * 5);
+        assert!(specs.iter().all(|s| s.packets == 5));
 
         let capped = plan_a1_probes(&topo, &router, 5, Some(10));
         assert!(capped.len() <= 10);

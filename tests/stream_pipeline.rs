@@ -223,7 +223,7 @@ fn corner_traffic(
 /// peaks: every peak interns new paths and sets into the copy the
 /// in-flight epoch holds, and the corner epoch after it is assembled on
 /// the *other* copy — which, if it missed the peak's interning, is
-/// smaller than what the shard views have already seen.
+/// smaller than what the shard engines have already seen.
 #[test]
 fn back_to_back_submit_on_the_default_config_matches_run_flows() {
     let topo = flock::topology::clos::three_tier(ClosParams {
