@@ -25,26 +25,21 @@ pub struct ZeroZeroSeven {
     /// Minimum vote total for a link to be blamed (007's single
     /// hyperparameter, calibrated in §5.2).
     pub vote_threshold: f64,
-    /// Safety cap on the number of links returned.
-    pub max_predictions: usize,
 }
+
+/// Safety cap on the number of links returned.
+const MAX_PREDICTIONS: usize = 64;
 
 impl Default for ZeroZeroSeven {
     fn default() -> Self {
-        ZeroZeroSeven {
-            vote_threshold: 1.0,
-            max_predictions: 64,
-        }
+        ZeroZeroSeven::new(1.0)
     }
 }
 
 impl ZeroZeroSeven {
     /// 007 with the given vote threshold.
     pub fn new(vote_threshold: f64) -> Self {
-        ZeroZeroSeven {
-            vote_threshold,
-            ..Default::default()
-        }
+        ZeroZeroSeven { vote_threshold }
     }
 }
 
@@ -79,7 +74,7 @@ impl Localizer for ZeroZeroSeven {
         let mut predicted = Vec::new();
         let mut scores = Vec::new();
         let mut scanned = 0u64;
-        while predicted.len() < self.max_predictions {
+        while predicted.len() < MAX_PREDICTIONS {
             scanned += topo.link_count() as u64;
             let (best, best_votes) = match votes
                 .iter()

@@ -45,15 +45,6 @@ impl SchemeConfig {
         }
     }
 
-    /// Scheme family name.
-    pub fn family(&self) -> &'static str {
-        match self {
-            SchemeConfig::Flock(_) => "Flock",
-            SchemeConfig::NetBouncer { .. } => "NetBouncer",
-            SchemeConfig::Seven { .. } => "007",
-        }
-    }
-
     /// Compact human-readable parameter description for tables.
     pub fn describe(&self) -> String {
         match self {

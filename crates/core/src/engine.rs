@@ -58,10 +58,11 @@
 //! observations and the epoch's [`EpochFlowTable`] — the evidence keys
 //! `(sent, bad, w)` looked up in the [`TermDirectory`] and scored **once
 //! per epoch** by whoever assembled it, however many engines the
-//! observation fans out to. The engine reads an observation's score and
-//! ladder offset by index, keeps the table's snapshot of the directory's
-//! ladder store, and reads every `llf` ladder there, in place: a ladder
-//! is one contiguous slice, which is what the sweep kernels index.
+//! observation fans out to. The engine reads an observation's ladder
+//! offset by index, keeps the table's snapshot of the directory's ladder
+//! store, and reads every `llf` ladder there, in place: a ladder is one
+//! contiguous slice, which is what the sweep kernels index; its top rung
+//! is the score, `LLF(w) = s`.
 //!
 //! * per **super-flow**: all observations sharing the same evidence key
 //!   `(path set, sent, bad)`, collapsed into one weighted record. The
@@ -69,7 +70,9 @@
 //!   its score `s = s(sent, bad)`, its path-set width `w`, and the failed
 //!   path count `b`, and the total log-likelihood is linear in the
 //!   aggregation weight — so the collapse is *exact*, and the per-epoch
-//!   flow table shrinks from O(flows) to O(distinct evidence keys);
+//!   flow table shrinks from O(flows) to O(distinct evidence keys). A
+//!   bind takes observations in nondecreasing set id (the assembler's
+//!   order), so each set's super-flows are one run of the flow layer;
 //! * per super-flow *member*: the handful of *extra* components a prefix
 //!   group adds on every one of its paths (host attachment links, and the
 //!   ToR device for intra-rack flows) with its own weight and fail count.
@@ -146,13 +149,12 @@ use flock_topology::{Component, Topology};
 /// evidence key `(set, sent, bad)`.
 #[derive(Debug, Clone)]
 struct SFlow {
-    /// Local path-set index.
+    /// Local path-set index (its width is the flow's `w`).
     set: u32,
-    /// Flow score `s` (see [`crate::likelihood`]); equal `(sent, bad)`
-    /// implies equal score, so the key collapse loses nothing.
-    score: f64,
-    /// Path-set size.
-    w: u32,
+    /// Offset of this flow's `(sent, bad, w)` ladder in the ladder store
+    /// of the last bind: `ladders.get(tbl, w)[b]` is `llf(s, w, b)`, its
+    /// top rung the score `s` (see [`crate::likelihood`]).
+    tbl: u32,
     /// Total aggregation weight (number of merged underlying flows).
     weight: f64,
     /// Weight currently pinned at `b = w` by a failed extra — the sum of
@@ -162,9 +164,6 @@ struct SFlow {
     /// Members carrying extras: the half-open range `[lo, hi)` into
     /// [`Engine::members`] (weight without a member has no extras).
     members: (u32, u32),
-    /// Offset of this flow's `(sent, bad, w)` ladder in the ladder store
-    /// of the last bind: `ladders.get(tbl, w)[b]` is `llf(score, w, b)`.
-    tbl: u32,
 }
 
 /// One prefix group of a super-flow: the merged observations sharing both
@@ -256,10 +255,12 @@ pub struct Engine {
     /// The sets' component unions transposed, one row per component;
     /// rebuilt only when a bind numbered a set.
     comp_to_sets: Csr,
-    set_flows: Csr,
 
     // Flows: super-flows plus their extras-carrying members.
     sflows: Vec<SFlow>,
+    /// Per set, its run of `sflows` this epoch: the half-open range
+    /// `[lo, hi)`, empty for a set without evidence.
+    runs: Vec<(u32, u32)>,
     members: Vec<SMember>,
     comp_extra_members: Csr,
     /// Raw observations accepted into the current flow table (before
@@ -337,8 +338,8 @@ impl Engine {
             sets: Sets::new(space),
             set_bad: Vec::new(),
             comp_to_sets: no_rows.clone(),
-            set_flows: Csr::default(),
             sflows: Vec::new(),
+            runs: Vec::new(),
             members: Vec::new(),
             comp_extra_members: no_rows,
             n_obs: 0,
@@ -366,7 +367,8 @@ impl Engine {
     ///
     /// # Panics
     /// On a shrunk or foreign-lineage arena — the conditions
-    /// [`Engine::try_bind`] reports as a typed [`BindError`].
+    /// [`Engine::try_bind`] reports as a typed [`BindError`] — and on
+    /// `obs.flows` out of set order.
     pub fn rebind(&mut self, topo: &Topology, obs: &ObservationSet) {
         let params = self.params;
         let dir = self
@@ -426,8 +428,9 @@ impl Engine {
     /// the engine exactly as it was.
     ///
     /// # Panics
-    /// If `table` does not cover `obs`, or a seed component is not of
-    /// the engine's space.
+    /// If `table` does not cover `obs`, if the accepted observations'
+    /// set ids ever decrease (the assembler's order never does), or if a
+    /// seed component is not of the engine's space.
     pub fn try_bind(
         &mut self,
         topo: &Topology,
@@ -466,11 +469,7 @@ impl Engine {
             self.comp_to_sets.rebuild(n, self.sets.comp_set_pairs());
         }
         self.set_bad.resize(self.sets.n_sets(), 0);
-        // The epoch's inverted indexes, straight off the flow layer.
-        self.set_flows.rebuild(
-            self.sets.n_sets(),
-            (0u32..).zip(&self.sflows).map(|(fi, f)| (f.set, fi)),
-        );
+        // The epoch's extras index, straight off the flow layer.
         self.comp_extra_members.rebuild(
             n,
             (0u32..)
@@ -525,41 +524,40 @@ impl Engine {
     /// Rebuild the per-epoch flow layer from the accepted observations,
     /// collapsing runs sharing the `(set, sent, bad)` evidence key into
     /// weighted super-flows (the assembler sorts observations by exactly
-    /// that key and `accepted` is ascending, so equal keys are adjacent;
-    /// out-of-order input merely coalesces less — never incorrectly).
+    /// that key and `accepted` is ascending, so equal keys are adjacent).
     /// The bind's one walk over the accepted observations: the set layer
     /// numbers each set on its first touch, before an unroutable one's
-    /// flows are skipped.
+    /// flows are skipped, and records each set's super-flows as its run.
     fn rebuild_flows(&mut self, obs: &ObservationSet, accepted: &[u32], table: &EpochFlowTable) {
         self.sflows.clear();
         self.members.clear();
+        self.runs.fill((0, 0));
         self.n_obs = 0;
         self.ladders = table.ladders().clone();
         let mut last_key: Option<(u32, u64, u64)> = None;
         for &i in accepted {
             let o = &obs.flows[i as usize];
+            let key = o.evidence_key();
+            assert!(last_key.is_none_or(|k| k.0 <= key.0), "sets out of order");
+            let new_key = last_key.replace(key) != Some(key);
             let ls = self.sets.project(o.set, &obs.arena);
-            let w = self.sets.width(ls);
-            if w == 0 {
+            self.runs.resize(self.sets.n_sets(), (0, 0));
+            if self.sets.width(ls) == 0 {
                 continue; // unroutable flow carries no information
             }
             self.n_obs += 1;
-            let key = o.evidence_key();
-            if last_key != Some(key) {
-                let at = self.members.len() as u32;
-                // The epoch's table keyed this observation already: its
-                // score, and where its directory stored the ladder.
-                let (score, tbl) = table.term(i as usize);
+            if new_key {
+                let (at, fi) = (self.members.len() as u32, self.sflows.len() as u32);
+                let run = &mut self.runs[ls as usize];
+                run.0 = if run.0 == run.1 { fi } else { run.0 };
+                run.1 = fi + 1;
                 self.sflows.push(SFlow {
                     set: ls,
-                    score,
-                    w,
+                    tbl: table.offset(i as usize),
                     weight: 0.0,
                     pinned: 0.0,
                     members: (at, at),
-                    tbl,
                 });
-                last_key = Some(key);
             }
             let fi = self.sflows.len() - 1;
             self.sflows[fi].weight += f64::from(o.weight);
@@ -692,8 +690,8 @@ impl Engine {
 
     /// The evidence convicting component `c`: every super-flow
     /// whose likelihood term involves `c` — flows over a path set
-    /// touching `c` (via the `comp → sets → flows` inverted indexes)
-    /// plus prefix groups carrying `c` as an extra. This is exactly the
+    /// touching `c` (the runs of the sets `comp_to_sets` names) plus
+    /// prefix groups carrying `c` as an extra. This is exactly the
     /// flow population a `flip(c)` visits, i.e. the observations whose
     /// Δ contribution drove the conviction. Cold path (report/store
     /// provenance, once per kept component per epoch), so it allocates
@@ -701,7 +699,8 @@ impl Engine {
     pub fn convicting_evidence(&self, c: CompIdx) -> ConvictingEvidence {
         let mut flows: Vec<u32> = Vec::new();
         for &s in self.comp_to_sets.get(c) {
-            flows.extend_from_slice(self.set_flows.get(s));
+            let (lo, hi) = self.runs[s as usize];
+            flows.extend(lo..hi);
         }
         for &mi in self.comp_extra_members.get(c) {
             flows.push(self.members[mi as usize].flow);
@@ -825,9 +824,10 @@ impl Engine {
             // Super-flow sweep: one visit per distinct evidence key. All
             // llf terms come from the flow's memoized table segment —
             // bit-identical to direct evaluation by construction.
-            for &fi in self.set_flows.get(s) {
+            let (w, (lo, hi)) = (self.sets.width(s), self.runs[s as usize]);
+            for fi in lo..hi {
                 let f = &self.sflows[fi as usize];
-                let (w, mlo, mhi) = (f.w, f.members.0, f.members.1);
+                let (mlo, mhi) = f.members;
                 let seg = self.ladders.get(f.tbl, w);
                 // Weights are integer-valued sums, so the subtraction is
                 // exact and `active == 0.0` means fully pinned.
@@ -927,10 +927,8 @@ impl Engine {
         self.stats.flow_updates += 1;
         let m = self.members[mi as usize];
         let fi = m.flow as usize;
-        let (w, set, tbl) = {
-            let f = &self.sflows[fi];
-            (f.w, f.set, f.tbl)
-        };
+        let (set, tbl) = (self.sflows[fi].set, self.sflows[fi].tbl);
+        let w = self.sets.width(set);
         let old_fail = m.extra_fail;
         let new_fail = if adding { old_fail + 1 } else { old_fail - 1 };
         let sb = self.set_bad[set as usize];
@@ -1033,10 +1031,11 @@ impl Engine {
             // Sets with no flows this epoch contribute nothing; skipping
             // them keeps rebinding cheap as the shard's engine accumulates
             // sets across epochs.
-            if self.set_flows.get(s).is_empty() {
+            let (lo, hi) = self.runs[s as usize];
+            if lo == hi {
                 continue;
             }
-            let sb = self.set_bad[s as usize];
+            let (sb, w) = (self.set_bad[s as usize], self.sets.width(s));
             // The distinct table indexes this set's neighbours read, and
             // each component's rung on them. Every flow of the set shares
             // `w`, so they index every segment in range.
@@ -1044,9 +1043,8 @@ impl Engine {
                 (self.sets.g_ladder(s), self.sets.g_index(s))
             } else {
                 self.sets.neighbours(s, &self.in_h, &mut nb);
-                let w = self.sets.width(s) as usize;
-                if rung.len() <= w {
-                    rung.resize(w + 1, NO_RUNG);
+                if rung.len() <= w as usize {
+                    rung.resize(w as usize + 1, NO_RUNG);
                 }
                 ladder.clear();
                 ladder.push(sb);
@@ -1068,13 +1066,12 @@ impl Engine {
             // Σ_super-flows active · LLF(index) per distinct index.
             sums.clear();
             sums.resize(gs.len(), 0.0);
-            for &fi in self.set_flows.get(s) {
-                let f = &self.sflows[fi as usize];
+            for f in &self.sflows[lo as usize..hi as usize] {
                 // Weights are integer-valued sums, so the subtraction is
                 // exact and `active == 0.0` means fully pinned.
                 let active = f.weight - f.pinned;
                 if active > 0.0 {
-                    let seg = self.ladders.get(f.tbl, f.w);
+                    let seg = self.ladders.get(f.tbl, w);
                     kernels::weighted_table_accumulate(seg, gs, active, &mut sums);
                 }
             }
@@ -1086,31 +1083,26 @@ impl Engine {
             }
         }
         // Extras: `flip_extra_for_member`'s own formulas, at the current
-        // state. A member sits at `b = w` while any of its extras is
-        // failed and follows its set otherwise; flipping an extra `e`
-        // moves it to `w` (`e` joins), or back to its set when `e` was
-        // its only failed extra. `LLF(0) = 0` and `LLF(w) = score`
-        // exactly, so only a partly failed set reads the ladder — at the
-        // empty hypothesis this is `weight · score` per extra.
-        for m in &self.members {
-            let f = &self.sflows[m.flow as usize];
-            let at = |b: u32| match b {
-                0 => 0.0,
-                b if b == f.w => f.score,
-                b => self.ladders.get(f.tbl, f.w)[b as usize],
-            };
-            let sb = self.set_bad[f.set as usize];
-            let here = at(if m.extra_fail > 0 { f.w } else { sb });
-            if m.extra_fail > 0 {
-                ll += m.weight * here;
-            }
-            for &e in m.extras() {
-                let flipped = if self.in_h[e as usize] && m.extra_fail == 1 {
-                    sb
-                } else {
-                    f.w
-                };
-                self.delta[e as usize] += m.weight * (at(flipped) - here);
+        // state, one flow's members at a time. A member sits at `b = w`
+        // while any of its extras is failed and follows its set
+        // otherwise; flipping an extra `e` moves it to `w` (`e` joins),
+        // or back to its set when `e` was its only failed extra.
+        for f in &self.sflows {
+            let (w, (lo, hi)) = (self.sets.width(f.set), f.members);
+            let (seg, sb) = (self.ladders.get(f.tbl, w), self.set_bad[f.set as usize]);
+            for m in &self.members[lo as usize..hi as usize] {
+                let here = seg[if m.extra_fail > 0 { w } else { sb } as usize];
+                if m.extra_fail > 0 {
+                    ll += m.weight * here;
+                }
+                for &e in m.extras() {
+                    let flipped = if self.in_h[e as usize] && m.extra_fail == 1 {
+                        sb
+                    } else {
+                        w
+                    };
+                    self.delta[e as usize] += m.weight * (seg[flipped as usize] - here);
+                }
             }
         }
         self.ll = ll;
@@ -1123,6 +1115,8 @@ impl Engine {
 
     /// Evaluate one neighbor delta from the current state without touching
     /// the Δ array (used by greedy-without-JLE): `LL(H ⊕ c) − LL(H)`.
+    /// Calls [`llf`] directly, reading only each ladder's top rung (the
+    /// score), so it checks the other rungs rather than reading them.
     pub fn delta_single(&self, c: CompIdx) -> f64 {
         let mut dll = 0.0;
         let flipping_on = !self.in_h[c as usize];
@@ -1133,11 +1127,12 @@ impl Engine {
             if new_bad == old_bad {
                 continue;
             }
-            for &fi in self.set_flows.get(s) {
-                let f = &self.sflows[fi as usize];
+            let (w, (lo, hi)) = (self.sets.width(s), self.runs[s as usize]);
+            for f in &self.sflows[lo as usize..hi as usize] {
                 let active = f.weight - f.pinned;
                 if active > 0.0 {
-                    dll += active * (llf(f.score, f.w, new_bad) - llf(f.score, f.w, old_bad));
+                    let score = self.ladders.get(f.tbl, w)[w as usize];
+                    dll += active * (llf(score, w, new_bad) - llf(score, w, old_bad));
                 }
             }
         }
@@ -1151,11 +1146,12 @@ impl Engine {
             } else {
                 old_fail - 1
             };
-            let sb = self.set_bad[f.set as usize];
-            let bad_old = if old_fail > 0 { f.w } else { sb };
-            let bad_new = if new_fail > 0 { f.w } else { sb };
+            let (sb, w) = (self.set_bad[f.set as usize], self.sets.width(f.set));
+            let bad_old = if old_fail > 0 { w } else { sb };
+            let bad_new = if new_fail > 0 { w } else { sb };
             if bad_old != bad_new {
-                dll += m.weight * (llf(f.score, f.w, bad_new) - llf(f.score, f.w, bad_old));
+                let score = self.ladders.get(f.tbl, w)[w as usize];
+                dll += m.weight * (llf(score, w, bad_new) - llf(score, w, bad_old));
             }
         }
         dll
@@ -1174,20 +1170,21 @@ impl Engine {
             .collect();
         let mut ll = 0.0;
         for f in &self.sflows {
-            let sb = set_bad_h[f.set as usize];
+            let (sb, w) = (set_bad_h[f.set as usize], self.sets.width(f.set));
+            let score = self.ladders.get(f.tbl, w)[w as usize];
             let mut base = f.weight;
             for mi in f.members.0..f.members.1 {
                 let m = &self.members[mi as usize];
                 base -= m.weight;
                 let bad = if m.extras().iter().any(|&e| in_h[e as usize]) {
-                    f.w
+                    w
                 } else {
                     sb
                 };
-                ll += m.weight * llf(f.score, f.w, bad);
+                ll += m.weight * llf(score, w, bad);
             }
             if base > 0.0 {
-                ll += base * llf(f.score, f.w, sb);
+                ll += base * llf(score, w, sb);
             }
         }
         ll
@@ -1777,15 +1774,24 @@ mod tests {
         (topo, obs)
     }
 
-    /// Observation order is the assembler's business, not a precondition
-    /// of the engine: when a set's observations arrive interleaved with
-    /// other sets' (so its super-flows are *not* contiguous in the flow
-    /// table), the engine coalesces less and is otherwise exactly as
-    /// right. This is the input that keeps `set_flows` a counting
-    /// scatter rather than per-set `(lo, hi)` ranges.
+    /// Each set's super-flows are one run of the flow layer, which only
+    /// observations in nondecreasing set id give: the assembler's order
+    /// binds into runs that hold exactly their set's flows, and the
+    /// same observations interleaved (so a set's observations are no
+    /// longer adjacent) panic the bind rather than split a run.
     #[test]
-    fn interleaved_sets_coalesce_less_never_incorrectly() {
+    fn interleaved_sets_panic_the_bind() {
         let (topo, sorted) = coalescable_obs(33);
+        let a = Engine::new(&topo, &sorted, HyperParams::default());
+        let mut covered = 0;
+        for s in 0..a.n_sets() as u32 {
+            let (lo, hi) = a.runs[s as usize];
+            let run = &a.sflows[lo as usize..hi as usize];
+            assert!(run.iter().all(|f| f.set == s), "set {s}");
+            covered += run.len();
+        }
+        assert_eq!(covered, a.n_flows(), "every super-flow is in its set's run");
+
         let mut interleaved = sorted.clone();
         let (even, odd): (Vec<_>, Vec<_>) = sorted
             .flows
@@ -1793,39 +1799,17 @@ mod tests {
             .enumerate()
             .partition(|(i, _)| i % 2 == 0);
         interleaved.flows = even.into_iter().chain(odd).map(|(_, o)| *o).collect();
-
-        let params = HyperParams::default();
-        let mut a = Engine::new(&topo, &sorted, params);
-        let mut b = Engine::new(&topo, &interleaved, params);
-        let split = |e: &Engine| {
-            (0..e.n_sets() as u32).any(|s| {
-                let at: Vec<usize> = (0..e.sflows.len())
-                    .filter(|&i| e.sflows[i].set == s)
-                    .collect();
-                at.windows(2).any(|w| w[1] != w[0] + 1)
-            })
-        };
-        assert!(!split(&a), "assembler order keeps a set's flows adjacent");
-        assert!(split(&b), "the interleaved input must break contiguity");
-        assert_eq!(a.n_observations(), b.n_observations());
-        assert!(b.n_flows() > a.n_flows(), "split runs coalesce less");
-
-        let agree = |a: &Engine, b: &Engine| {
-            assert!((a.log_likelihood() - b.log_likelihood()).abs() < 1e-8);
-            for (c, (da, db)) in a.delta().iter().zip(b.delta()).enumerate() {
-                assert!(
-                    (da - db).abs() < 1e-8 * (1.0 + da.abs()),
-                    "comp {c}: sorted {da} vs interleaved {db}"
-                );
-            }
-        };
-        agree(&a, &b);
-        let on = evidenced(&a);
-        for c in [on[1], on[on.len() / 2], on[on.len() - 1], on[1]] {
-            a.flip(c);
-            b.flip(c);
-            agree(&a, &b);
-        }
+        let refused = catch_unwind(AssertUnwindSafe(|| {
+            Engine::new(&topo, &interleaved, HyperParams::default())
+        }))
+        .err()
+        .expect("an interleaved bind must panic");
+        let msg = refused
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| refused.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or_default();
+        assert!(msg.contains("sets out of order"), "panicked with {msg:?}");
     }
 
     /// Pinned weight must track member state exactly through extras

@@ -27,20 +27,17 @@ pub struct FlockGreedy {
     /// Use the JLE Δ-array maintenance (`true` for Flock proper; `false`
     /// is the "greedy only" ablation of Fig. 4c).
     pub use_jle: bool,
-    /// Safety bound on greedy iterations (the prior normally stops the
-    /// search long before this).
-    pub max_iterations: usize,
-    /// Optional label suffix for experiment tables (e.g. the input kind).
-    pub label: Option<String>,
 }
+
+/// Safety bound on greedy iterations (the prior normally stops the search
+/// long before this).
+const MAX_ITERATIONS: usize = 256;
 
 impl Default for FlockGreedy {
     fn default() -> Self {
         FlockGreedy {
             params: HyperParams::default(),
             use_jle: true,
-            max_iterations: 256,
-            label: None,
         }
     }
 }
@@ -72,7 +69,6 @@ impl FlockGreedy {
         FlockGreedy {
             params,
             use_jle: false,
-            ..Default::default()
         }
     }
 
@@ -124,7 +120,7 @@ impl FlockGreedy {
                 }
             }
         }
-        for _ in 0..self.max_iterations {
+        for _ in 0..MAX_ITERATIONS {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 timed_out = true;
                 break;
@@ -180,7 +176,7 @@ impl FlockGreedy {
         let n = engine.n_comps() as u64;
         let mut picked: Vec<(CompIdx, f64)> = Vec::new();
         let mut scanned = n; // initial Δ computation evaluates n neighbors
-        for _ in 0..self.max_iterations {
+        for _ in 0..MAX_ITERATIONS {
             let best = if self.use_jle {
                 engine.argmax_addable()
             } else {
@@ -239,14 +235,10 @@ fn argmax_addable_no_jle(engine: &Engine) -> Option<(CompIdx, f64)> {
 
 impl Localizer for FlockGreedy {
     fn name(&self) -> String {
-        let base = if self.use_jle {
+        if self.use_jle {
             "Flock".to_string()
         } else {
             "Flock (greedy only)".to_string()
-        };
-        match &self.label {
-            Some(l) => format!("{base} ({l})"),
-            None => base,
         }
     }
 

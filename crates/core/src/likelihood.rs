@@ -24,10 +24,10 @@
 //! (persistent, one per epoch assembler), on the key's first sight, and
 //! stored once, in the directory's append-only ladder store. The
 //! [`EpochFlowTable`] (one per epoch, built in the assembly stage) holds,
-//! per observation, its score and its ladder's offset in the store — one
-//! directory probe and one score per run of equal keys — plus a snapshot
-//! of the store; every engine bound to the table keeps that snapshot and
-//! reads the ladders in place.
+//! per observation, its ladder's offset in the store — one directory
+//! probe per run of equal keys — plus a snapshot of the store; every
+//! engine bound to the table keeps that snapshot and reads the ladders in
+//! place. The score is the ladder's top rung, `LLF(w) = s`.
 //!
 //! A sharded executor fans one observation out to several engines (source
 //! pod, destination pod, every spine plane), so the key is hashed, scored
@@ -79,7 +79,8 @@ impl ScoreCoeffs {
 /// Normalized flow log-likelihood given `b` failed paths out of `w`.
 ///
 /// `llf(score, w, 0) == 0` (no failed path ⇒ same as the no-failure
-/// hypothesis) and `llf(score, w, w) == score`.
+/// hypothesis) and `llf(score, w, w) == score`, both exactly: a ladder's
+/// top rung is its score.
 #[inline]
 pub fn llf(score: f64, w: u32, b: u32) -> f64 {
     debug_assert!(b <= w && w > 0, "b={b} w={w}");
@@ -142,16 +143,15 @@ impl TermDirectory {
         self.offsets.is_empty()
     }
 
-    /// Look `(sent, bad, w)` up — one hash probe — computing and storing
-    /// its ladder on first sight.
+    /// Look `(sent, bad, w)` up — one hash probe — scoring it and
+    /// storing its ladder on first sight.
     fn term(&mut self, sent: u64, bad: u64, w: u32) -> FlowTerm {
-        let score = self.coeffs.score(sent, bad);
-        let ladders = &mut self.ladders;
+        let (coeffs, ladders) = (self.coeffs, &mut self.ladders);
         let off = *self
             .offsets
             .entry((sent, bad, w))
-            .or_insert_with(|| ladders.push(score, w));
-        FlowTerm { score, off, w }
+            .or_insert_with(|| ladders.push(coeffs.score(sent, bad), w));
+        FlowTerm { off, w }
     }
 }
 
@@ -204,7 +204,6 @@ impl Ladders {
 /// One observation's entry in the [`EpochFlowTable`].
 #[derive(Debug, Clone, Copy)]
 struct FlowTerm {
-    score: f64,
     /// Offset of the ladder in the store…
     off: u32,
     /// …and the width it was computed for (0: no paths, no ladder).
@@ -212,14 +211,15 @@ struct FlowTerm {
 }
 
 /// One epoch's evidence, keyed **once**: per observation of an
-/// [`ObservationSet`] (same indexing as `obs.flows`) its [`flow_score`]
-/// and the offset of its `(sent, bad, w)` ladder, plus a snapshot of the
-/// directory's ladder store that every engine bound to the table keeps.
+/// [`ObservationSet`] (same indexing as `obs.flows`) the offset of its
+/// `(sent, bad, w)` ladder, whose top rung is its [`flow_score`], plus a
+/// snapshot of the directory's ladder store that every engine bound to
+/// the table keeps.
 ///
 /// Built by [`EpochFlowTable::rebuild`] in one walk over the sorted
 /// observations: the assembler's order makes runs of equal evidence keys
-/// contiguous, so a run costs one directory probe and one score, however
-/// many shard engines later read it.
+/// contiguous, so a run costs one directory probe, however many shard
+/// engines later read it.
 #[derive(Debug, Default)]
 pub struct EpochFlowTable {
     terms: Vec<FlowTerm>,
@@ -252,11 +252,7 @@ impl EpochFlowTable {
                 _ => {
                     let w = obs.arena.members(o.set).len() as u32;
                     let term = if w == 0 {
-                        FlowTerm {
-                            score: 0.0,
-                            off: 0,
-                            w: 0,
-                        }
+                        FlowTerm { off: 0, w: 0 }
                     } else {
                         dir.term(o.sent, o.bad, w)
                     };
@@ -292,11 +288,10 @@ impl EpochFlowTable {
         self.ladders.get(t.off, t.w)
     }
 
-    /// `(score, ladder offset)` of observation `i`.
+    /// The ladder offset of observation `i`.
     #[inline]
-    pub(crate) fn term(&self, i: usize) -> (f64, u32) {
-        let t = self.terms[i];
-        (t.score, t.off)
+    pub(crate) fn offset(&self, i: usize) -> u32 {
+        self.terms[i].off
     }
 
     /// The store snapshot every offset of the table points into.
@@ -324,8 +319,8 @@ mod tests {
     #[test]
     fn boundary_values() {
         let s = flow_score(&params(), 100, 3);
-        assert_eq!(llf(s, 8, 0), 0.0);
-        assert!((llf(s, 8, 8) - s).abs() < 1e-12);
+        assert_eq!(llf(s, 8, 0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(llf(s, 8, 8).to_bits(), s.to_bits());
     }
 
     #[test]
@@ -429,15 +424,19 @@ mod tests {
         assert_eq!(first.len(), 5);
         assert_eq!(dir.len(), 4, "w is part of the key");
         assert_eq!(first.ladders.sizes(), (4, 5 + 5 + 9 + 9));
-        assert_eq!(first.term(4), first.term(3));
+        assert_eq!(first.offset(4), first.offset(3));
         let mut at = 0;
         for (i, &(sent, bad, w)) in keys.iter().enumerate() {
-            let (score, off) = first.term(i);
-            assert_eq!(off, at, "stored once each, in first-sight order");
+            assert_eq!(
+                first.offset(i),
+                at,
+                "stored once each, in first-sight order"
+            );
             at += w + 1;
-            assert_eq!(score.to_bits(), flow_score(&p, sent, bad).to_bits());
+            let score = flow_score(&p, sent, bad);
             let ladder = first.ladder(i);
             assert_eq!(ladder.len(), w as usize + 1);
+            assert_eq!(ladder[w as usize].to_bits(), score.to_bits());
             for (b, v) in ladder.iter().enumerate() {
                 assert_eq!(v.to_bits(), llf(score, w, b as u32).to_bits());
             }
@@ -448,7 +447,7 @@ mod tests {
         assert_eq!(dir.len(), 4);
         assert_eq!(later.ladders.sizes(), first.ladders.sizes());
         for i in 0..obs.flows.len() {
-            assert_eq!(later.term(i), first.term(i));
+            assert_eq!(later.offset(i), first.offset(i));
         }
     }
 
@@ -534,9 +533,9 @@ mod tests {
             after.rebuild(&mut dir, &obs_of(&keys));
             assert_eq!(dir.len(), 5, "w = {wide}");
             for i in 0..2 {
-                assert_eq!(after.term(i), before.term(i), "w = {wide}");
+                assert_eq!(after.offset(i), before.offset(i), "w = {wide}");
             }
-            assert_eq!(after.term(4), before.term(2));
+            assert_eq!(after.offset(4), before.offset(2));
             check(&before, &narrow);
             check(&after, &keys);
         }
@@ -552,8 +551,8 @@ mod tests {
         let mut dir = TermDirectory::new(&params());
         let mut table = EpochFlowTable::new();
         table.rebuild(&mut dir, &obs);
-        assert_eq!(table.term(0), table.term(1));
-        assert_ne!(table.term(0).1, table.term(2).1);
+        assert_eq!(table.offset(0), table.offset(1));
+        assert_ne!(table.offset(0), table.offset(2));
         assert_eq!(dir.len(), 2);
     }
 

@@ -75,15 +75,10 @@ pub struct CollectorConfig {
     /// store holds at least this many pending records are shed and
     /// counted in [`CollectorStats::dropped_records`].
     pub high_water: usize,
-    /// How long an idle shard sleeps between readiness passes.
-    pub idle_sleep: Duration,
     /// Per-connection garbage budget: cumulative bytes discarded while
     /// resyncing before the connection is deliberately killed (counted in
     /// [`CollectorStats::decode_errors`]).
     pub max_resync_bytes: usize,
-    /// Per-connection quarantine budget: undecodable-but-framed messages
-    /// tolerated before the connection is deliberately killed.
-    pub max_quarantined_frames: u64,
     /// Chaos hook run once per shard readiness pass; `None` in production.
     pub stall_hook: Option<ReactorHook>,
 }
@@ -98,9 +93,7 @@ impl Default for CollectorConfig {
         CollectorConfig {
             shards,
             high_water: 1 << 22,
-            idle_sleep: Duration::from_micros(200),
             max_resync_bytes: 64 * 1024,
-            max_quarantined_frames: 32,
             stall_hook: None,
         }
     }
@@ -567,7 +560,9 @@ fn shard_loop(
             }
         }
         if !progress {
-            std::thread::sleep(cfg.idle_sleep);
+            /// How long an idle shard sleeps between readiness passes.
+            const IDLE_SLEEP: Duration = Duration::from_micros(200);
+            std::thread::sleep(IDLE_SLEEP);
         } else {
             // A busy shard must not monopolize a core: on small machines
             // an un-yielding readiness loop starves the accept thread,
@@ -620,10 +615,14 @@ fn pump(
                         }
                         DecodeStep::NeedMore => break,
                         DecodeStep::Quarantined(err) => {
+                            /// Per-connection quarantine budget:
+                            /// undecodable-but-framed messages tolerated
+                            /// before the connection is deliberately killed.
+                            const MAX_QUARANTINED_FRAMES: u64 = 32;
                             stats.count_cause(&err);
                             stats.frames_quarantined.fetch_add(1, Ordering::Relaxed);
                             conn.quarantined_frames += 1;
-                            if conn.quarantined_frames > cfg.max_quarantined_frames {
+                            if conn.quarantined_frames > MAX_QUARANTINED_FRAMES {
                                 stats.decode_errors.fetch_add(1, Ordering::Relaxed);
                                 return Pump::Closed;
                             }

@@ -306,7 +306,9 @@ impl FlowObs {
 pub struct ObservationSet {
     /// The interned paths and sets the observations refer to.
     pub arena: ArenaSnapshot,
-    /// Aggregated observations.
+    /// Aggregated observations, sorted by [`FlowObs::evidence_key`] and
+    /// prefix. An inference engine requires them in nondecreasing set id
+    /// (`flock_core::Engine::try_bind` panics otherwise).
     pub flows: Vec<FlowObs>,
     /// The analysis mode the observations were assembled under.
     pub mode: AnalysisMode,
